@@ -38,7 +38,6 @@ from .simulator import (
     TracePoint,
     run_simulation,
     single_cycle_trace,
-    trace_to_csv,
 )
 from .markov import (
     ChainResult,

@@ -191,9 +191,20 @@ class SweepRow:
 
 def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
                    n_scheduled: int) -> tuple[float, float, float]:
+    """Mean delivery ratios over one simulator run per seed.
+
+    With p1, p2 in {0, 1} every `random() < p` test has a fixed outcome,
+    so all seeds give the same run: it is simulated once and counted once
+    per seed, with the same summation.
+    """
+    if scenario.p1 in (0.0, 1.0) and scenario.p2 in (0.0, 1.0):
+        stats, _ = run_simulation(scenario, seed=seeds[0], n_scheduled=n_scheduled)
+        runs = [stats] * len(seeds)
+    else:
+        runs = [run_simulation(scenario, seed=seed, n_scheduled=n_scheduled)[0]
+                for seed in seeds]
     pdr = pdl1 = pdl2 = 0.0
-    for seed in seeds:
-        stats, _ = run_simulation(scenario, seed=seed, n_scheduled=n_scheduled)
+    for stats in runs:
         pdr += stats.pdr
         pdl1 += stats.pdl1
         pdl2 += stats.pdl2
@@ -242,6 +253,8 @@ def threshold_sweep(spec: SweepSpec, engine: str = "simulator",
     if engine not in ("simulator", "chain", "both"):
         raise ScenarioError(f"engine must be simulator, chain or both, got {engine!r}")
     engines = ("simulator", "chain") if engine == "both" else (engine,)
+    if "simulator" in engines and not spec.seeds:
+        raise ScenarioError("a simulator sweep needs at least one seed")
     m_grid: tuple = spec.m_values or (None,)
     cells = [(spec, value, m, engines) for value in spec.values for m in m_grid]
     if jobs > 1:
@@ -330,6 +343,8 @@ def accuracy_study(base: Scenario,
                    seeds: Sequence[int] = (1, 2, 3, 4, 5),
                    jobs: int = 1) -> list[AccuracyRow]:
     """Chain-vs-simulator absolute UL PDR error over the scenario grid."""
+    if not seeds:
+        raise ScenarioError("the accuracy study needs at least one seed")
     cells = [(base, case_id, m_class, p1, p2, threshold, g, n_scheduled, tuple(seeds))
              for g in granularities
              for threshold in thresholds

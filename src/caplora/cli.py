@@ -93,10 +93,22 @@ def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in _parse_values(text)]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit code 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _emit(args, command: str, rows: list[dict]) -> None:
     header = HEADERS[command]
     for row in rows:
-        assert tuple(row) == header, f"row fields do not match {command} header"
+        if tuple(row) != header:
+            raise RuntimeError(f"row fields {tuple(row)} do not match the {command} header")
     if args.json:
         text = json.dumps(rows, indent=2) + "\n"
     else:
@@ -118,7 +130,9 @@ def _load(args) -> LoadedScenario:
         scenario = dataclasses.replace(scenario, interval_m=float(m))
     if getattr(args, "threshold", None) is not None:
         scenario = with_threshold_fraction(scenario, args.threshold)
-    granularity = getattr(args, "granularity", None) or loaded.granularity
+    granularity = getattr(args, "granularity", None)
+    if granularity is None:
+        granularity = loaded.granularity
     return LoadedScenario(scenario=scenario, granularity=granularity)
 
 
@@ -170,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="Markov chain delivery metrics")
     _add_common(p)
-    p.add_argument("--granularity", type=int)
+    p.add_argument("--granularity", type=_positive_int)
     p.add_argument("--m", type=float)
     p.add_argument("--threshold", type=float)
     p.add_argument("--strict-rx2", action="store_true",
@@ -186,10 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", help="interval grid for threshold sweeps, e.g. '5,9,40'")
     p.add_argument("--engine", choices=("simulator", "chain", "both"),
                    default="simulator")
-    p.add_argument("--granularity", type=int)
+    p.add_argument("--granularity", type=_positive_int)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("min-cap", help="minimum capacitance per spreading factor")
     _add_common(p)
@@ -219,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--granularities", default="100,500,750")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     return parser
 
@@ -300,7 +314,7 @@ def _cmd_sweep(args) -> int:
         axis=args.axis,
         values=tuple(values),
         m_values=tuple(_parse_values(args.m)) if args.m else (),
-        granularity=args.granularity or loaded.granularity,
+        granularity=loaded.granularity,
         n_scheduled=args.n,
         seeds=tuple(_parse_ints(args.seeds)),
     )

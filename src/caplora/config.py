@@ -151,11 +151,13 @@ def parse_scenario(text: str, source: str = "<string>") -> LoadedScenario:
                        get("traffic", "ul_payload_bytes", str(defaults.UL_PAYLOAD_BYTES)))
     dl_pl = _parse_int("traffic", "dl_payload_bytes",
                        get("traffic", "dl_payload_bytes", str(defaults.DL_PAYLOAD_BYTES)))
-    # Warn only for values the file actually sets; the stock defaults
-    # (notably the 1-byte ACK downlink) are deliberate.
-    for name, pl in (("ul_payload_bytes", ul_pl), ("dl_payload_bytes", dl_pl)):
+    # Warn only for values the file sets away from the stock defaults; those
+    # (notably the 1-byte ACK downlink) are deliberate, and dump_scenario
+    # writes them back out.
+    for name, pl, stock in (("ul_payload_bytes", ul_pl, defaults.UL_PAYLOAD_BYTES),
+                            ("dl_payload_bytes", dl_pl, defaults.DL_PAYLOAD_BYTES)):
         explicit = parser.has_section("traffic") and name in parser["traffic"]
-        if explicit and not LORAWAN_PL_MIN <= pl <= LORAWAN_PL_MAX:
+        if explicit and pl != stock and not LORAWAN_PL_MIN <= pl <= LORAWAN_PL_MAX:
             warnings.warn(
                 f"{name} = {pl} is outside the usual LoRaWAN frame range "
                 f"[{LORAWAN_PL_MIN}, {LORAWAN_PL_MAX}]",

@@ -16,6 +16,13 @@ resistance (EPR, models self-discharge).  With ESR = 0 and EPR = inf the
 real-capacitor expression reduces exactly to the ideal one; EPR uses an
 explicit math.inf sentinel so that reduction is bit-clean.
 
+compile_phase turns one device state (at a fixed duration, or open-ended
+for the recharge states) into a Phase: the state's asymptote plus
+after/cross callables with the ideal-or-parasitic choice and the decay
+factor fixed in advance.  The simulator walks these; the ideal callables
+evaluate the very expressions of voltage_after and time_to_voltage, so
+both paths give bit-identical floats.
+
 Everything here is a pure function of its arguments; no shared state.
 """
 
@@ -24,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from typing import Callable
 
 from .errors import ScenarioError
 
@@ -130,10 +139,6 @@ class LoadTable:
 
     def resistance(self, state: DeviceState) -> float:
         return getattr(self, DeviceState(state).value)
-
-    def supply_current(self, state: DeviceState, operating_voltage: float) -> float:
-        """Current drawn from the supply in `state` (I = E / R_L)."""
-        return operating_voltage / self.resistance(state)
 
 
 @dataclass(frozen=True)
@@ -251,9 +256,17 @@ def voltage_after(circuit: CircuitConfig, state: DeviceState, v0: float, t: floa
         raise ScenarioError(f"initial voltage must be >= 0, got {v0}")
     p = circuit.state_params(state)
     if circuit.capacitor.is_ideal:
-        decay = math.exp(-t / p.tau)
-        return p.v_limit * (1.0 - decay) + v0 * decay
+        return _ideal_step(p.v_limit, math.exp(-t / p.tau), v0)
     return voltage_after_parasitic(circuit, state, v0, t)
+
+
+def _ideal_step(v_limit: float, decay: float, v0: float) -> float:
+    """Ideal exponential from v0 once the distance to v_limit shrank by `decay`."""
+    return v_limit * (1.0 - decay) + v0 * decay
+
+
+def _ideal_after(v_limit: float, tau: float, v0: float, t: float) -> float:
+    return _ideal_step(v_limit, math.exp(-t / tau), v0)
 
 
 def voltage_after_parasitic(circuit: CircuitConfig, state: DeviceState,
@@ -302,19 +315,23 @@ def time_to_voltage(circuit: CircuitConfig, state: DeviceState, v_i: float, v_f:
     """
     if v_i < 0:
         raise ScenarioError(f"initial voltage must be >= 0, got {v_i}")
-    if v_i == v_f:
-        return 0.0
     if not circuit.capacitor.is_ideal:
         return _time_to_voltage_bisect(circuit, state, v_i, v_f)
     p = circuit.state_params(state)
-    gap_f = v_f - p.v_limit
-    gap_i = v_i - p.v_limit
+    return _ideal_time(p.v_limit, p.tau, v_i, v_f)
+
+
+def _ideal_time(v_limit: float, tau: float, v_i: float, v_f: float) -> float:
+    if v_i == v_f:
+        return 0.0
+    gap_f = v_f - v_limit
+    gap_i = v_i - v_limit
     if abs(gap_f) <= ASYMPTOTE_GUARD_V:
         return math.inf
     # Reachable only if v_f lies strictly between v_i and the asymptote.
     if gap_i == 0.0 or (gap_f / gap_i) <= 0.0 or abs(gap_f) >= abs(gap_i):
         return math.inf
-    return -p.tau * math.log(gap_f / gap_i)
+    return -tau * math.log(gap_f / gap_i)
 
 
 def _time_to_voltage_bisect(circuit: CircuitConfig, state: DeviceState,
@@ -326,6 +343,8 @@ def _time_to_voltage_bisect(circuit: CircuitConfig, state: DeviceState,
     the parasitic model's t=0 voltage is a divider of v_i, not v_i itself,
     which is why reachability is judged on the actual trajectory endpoints.
     """
+    if v_i == v_f:
+        return 0.0
     start = voltage_after(circuit, state, v_i, 0.0)
     limit = circuit.asymptote(state)
     gap_f = v_f - limit
@@ -355,3 +374,47 @@ def _time_to_voltage_bisect(circuit: CircuitConfig, state: DeviceState,
             hi = mid
         else:
             lo = mid
+
+
+@dataclass(frozen=True, slots=True)
+class Phase:
+    """One device state compiled for a circuit: the simulator's unit of work.
+
+    A timed phase lasts `duration` and `after(v)` is the voltage at its
+    end.  A recharge phase (Off or Sleep until an event the walk decides)
+    has duration None and `after(v, t)` takes the elapsed time too.
+    `cross(v, v_target)` is the time the state needs to move v to
+    v_target, math.inf when it never gets there.
+    """
+
+    state: DeviceState
+    duration: float | None
+    asymptote: float
+    after: Callable[..., float]
+    cross: Callable[[float, float], float]
+
+
+def compile_phase(circuit: CircuitConfig, state: DeviceState,
+                  duration: float | None = None) -> Phase:
+    """Fix the capacitor model, the state constants and, for a timed phase,
+    the decay factor exp(-duration / tau) once, ahead of any walk."""
+    if duration is not None and duration < 0:
+        raise ScenarioError(f"time must be >= 0, got {duration}")
+    p = circuit.state_params(state)
+    if circuit.capacitor.is_ideal:
+        cross = partial(_ideal_time, p.v_limit, p.tau)
+        if duration is None:
+            after = partial(_ideal_after, p.v_limit, p.tau)
+        else:
+            after = partial(_ideal_step, p.v_limit, math.exp(-duration / p.tau))
+    else:
+        cross = partial(_time_to_voltage_bisect, circuit, state)
+        after = partial(voltage_after_parasitic, circuit, state)
+        if duration is not None:
+            after = partial(_after_duration, after, duration)
+    return Phase(state, duration, circuit.asymptote(state), after, cross)
+
+
+def _after_duration(after: Callable[[float, float], float], duration: float,
+                    v0: float) -> float:
+    return after(v0, duration)

@@ -6,8 +6,16 @@ in Off until the turn-on threshold, then sleeps.  A scheduled uplink is
 lost when the device is Off (or still busy with the previous cycle),
 aborted when the capacitor hits the turn-off voltage mid-transmission,
 and successful otherwise.  Every phase is advanced with the closed-form
-voltage expressions; turn-off crossings are located analytically with
-time_to_voltage, never by time stepping.
+voltage expressions; turn-off crossings are located analytically, never
+by time stepping.
+
+Each scenario compiles one phase table (phase_table, cached as
+Scenario.phases): the seven timed Class A phases of its schedule plus
+the Off and Sleep recharge states, each an energy.Phase whose decay
+factor and ideal-or-parasitic branch are fixed up front.  run_simulation
+and single_cycle_trace share one walk over that table; its results are
+bit-identical to stepping with voltage_after and time_to_voltage, and
+the draw order below is unchanged by it.
 
 Two downlink-cost conventions live here, mirroring how such devices are
 analyzed versus simulated:
@@ -29,9 +37,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
-from .energy import CircuitConfig, DeviceState, time_to_voltage, voltage_after
+from .energy import CircuitConfig, DeviceState, Phase, compile_phase
 from .errors import ScenarioError
 from .timing import RadioConfig, TimingSchedule, class_a_schedule, min_interval_bound
 
@@ -61,6 +68,11 @@ class Scenario:
     @cached_property
     def schedule(self) -> TimingSchedule:
         return class_a_schedule(self.radio, self.ul_pl, self.dl_pl)
+
+    @cached_property
+    def phases(self) -> dict[str, Phase]:
+        """The compiled phase table, built on first use (see phase_table)."""
+        return phase_table(self.circuit, self.schedule)
 
 
 @dataclass(frozen=True)
@@ -97,55 +109,95 @@ class SimStats:
         return self.n_dl2_success / self.n_scheduled
 
 
-class _DeviceWalk:
-    """Advances one device through phases using the closed forms."""
+# Timed Class A phases: slot name -> (device state, TimingSchedule field).
+_SLOTS = {
+    "tx": (DeviceState.TX, "t_tx"),
+    "idle1": (DeviceState.IDLE, "t_id1"),
+    "listen1": (DeviceState.LISTEN, "t_l1"),
+    "rx1": (DeviceState.RX, "t_rx1"),
+    "idle2": (DeviceState.IDLE, "t_id2"),
+    "listen2": (DeviceState.LISTEN, "t_l2"),
+    "rx2": (DeviceState.RX, "t_rx2"),
+}
 
-    def __init__(self, circuit: CircuitConfig, trace: bool):
-        self.circuit = circuit
-        self.v = circuit.v_min
-        self.off = True
+# The analytic cycle per dl_case: a downlink replaces its listening window.
+_CYCLES = {
+    "none": ("tx", "idle1", "listen1", "idle2", "listen2"),
+    "rx1": ("tx", "idle1", "rx1"),
+    "rx2": ("tx", "idle1", "listen1", "idle2", "rx2"),
+}
+
+
+def phase_table(circuit: CircuitConfig, sched: TimingSchedule) -> dict[str, Phase]:
+    """Compile the seven timed phases of `sched` plus the Off and Sleep
+    recharge states ('off', 'sleep') for one circuit."""
+    table = {slot: compile_phase(circuit, state, getattr(sched, name))
+             for slot, (state, name) in _SLOTS.items()}
+    table["off"] = compile_phase(circuit, DeviceState.OFF)
+    table["sleep"] = compile_phase(circuit, DeviceState.SLEEP)
+    return table
+
+
+class _Walk:
+    """One device moving through compiled phases: voltage, on/off, clock."""
+
+    __slots__ = ("v", "off", "t", "v_min", "v_sl", "points")
+
+    def __init__(self, circuit: CircuitConfig, v: float, off: bool, trace: bool):
+        self.v = v
+        self.off = off
+        self.t = 0.0
+        self.v_min = circuit.v_min
+        self.v_sl = circuit.v_sl
         self.points: list[TracePoint] | None = [] if trace else None
 
     def record(self, t: float, state: DeviceState) -> None:
-        if self.points is None:
+        points = self.points
+        if points is None:
             return
         point = TracePoint(t, self.v, state)
-        if self.points and self.points[-1].time == t:
-            self.points[-1] = point  # zero-duration phase; keep the outcome
+        if points and points[-1].time == t:
+            points[-1] = point  # zero-duration phase; keep the outcome
         else:
-            self.points.append(point)
+            points.append(point)
 
-    def run_phase(self, t_start: float, state: DeviceState, duration: float) -> tuple[bool, float]:
-        """Spend `duration` in `state`; returns (survived, elapsed).
+    def phase(self, phase: Phase) -> bool:
+        """Spend the timed `phase`; False when the device turned off in it.
 
         A turn-off crossing ends the phase at the crossing instant with the
         device Off at v_min.  Only genuinely discharging phases can cross.
         """
-        self.record(t_start, state)
-        if self.circuit.asymptote(state) < self.v:
-            t_cross = time_to_voltage(self.circuit, state, self.v, self.circuit.v_min)
-            if t_cross <= duration:
-                self.v = self.circuit.v_min
+        v, t = self.v, self.t
+        if self.points is not None:
+            self.record(t, phase.state)
+        if phase.asymptote < v:
+            t_cross = phase.cross(v, self.v_min)
+            if t_cross <= phase.duration:
+                self.v = self.v_min
                 self.off = True
-                self.record(t_start + t_cross, DeviceState.OFF)
-                return False, t_cross
-        self.v = voltage_after(self.circuit, state, self.v, duration)
-        return True, duration
+                self.t = t + t_cross
+                self.record(self.t, DeviceState.OFF)
+                return False
+        self.v = phase.after(v)
+        self.t = t + phase.duration
+        return True
 
-    def advance_idle_until(self, t_from: float, t_to: float) -> None:
+    def recharge_until(self, t_to: float, off: Phase, sleep: Phase) -> None:
         """Move through Off-charging / wake / Sleep up to time t_to."""
+        t_from = self.t
+        self.t = t_to
         if t_to <= t_from:
             return
         if self.off:
-            t_wake = time_to_voltage(self.circuit, DeviceState.OFF, self.v, self.circuit.v_sl)
+            t_wake = off.cross(self.v, self.v_sl)
             if t_from + t_wake > t_to:
-                self.v = voltage_after(self.circuit, DeviceState.OFF, self.v, t_to - t_from)
+                self.v = off.after(self.v, t_to - t_from)
                 return
-            self.v = self.circuit.v_sl
+            self.v = self.v_sl
             self.off = False
             self.record(t_from + t_wake, DeviceState.SLEEP)
             t_from += t_wake
-        self.v = voltage_after(self.circuit, DeviceState.SLEEP, self.v, t_to - t_from)
+        self.v = sleep.after(self.v, t_to - t_from)
 
 
 def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
@@ -158,80 +210,67 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     """
     if n_scheduled < 1:
         raise ScenarioError(f"n_scheduled must be >= 1, got {n_scheduled}")
-    sched = scenario.schedule
-    circuit = scenario.circuit
-    rng = random.Random(seed)
-    walk = _DeviceWalk(circuit, trace)
+    table = scenario.phases
+    tx, idle1, listen1, rx1 = table["tx"], table["idle1"], table["listen1"], table["rx1"]
+    idle2, listen2, rx2 = table["idle2"], table["listen2"], table["rx2"]
+    off, sleep = table["off"], table["sleep"]
+    p1, p2, interval = scenario.p1, scenario.p2, scenario.interval_m
+    draw = random.Random(seed).random
+    walk = _Walk(scenario.circuit, scenario.circuit.v_min, off=True, trace=trace)
     walk.record(0.0, DeviceState.OFF)
 
     tx_success = tx_lost = tx_aborted = 0
     dl1_success = dl1_aborted = dl2_success = dl2_aborted = 0
-    t_cursor = 0.0
 
     for k in range(n_scheduled):
-        t_k = k * scenario.interval_m
-        if t_cursor > t_k:
+        t_k = k * interval
+        if walk.t > t_k:
             tx_lost += 1  # previous cycle still occupying the radio
             continue
-        walk.advance_idle_until(t_cursor, t_k)
-        t_cursor = t_k
+        walk.recharge_until(t_k, off, sleep)
         if walk.off:
             tx_lost += 1
             continue
 
-        ok, dt = walk.run_phase(t_cursor, DeviceState.TX, sched.t_tx)
-        t_cursor += dt
-        if not ok:
+        if not walk.phase(tx):
             tx_aborted += 1
             continue
         tx_success += 1
 
-        ok, dt = walk.run_phase(t_cursor, DeviceState.IDLE, sched.t_id1)
-        t_cursor += dt
-        if not ok:
+        if not walk.phase(idle1):
             continue
 
         # Reception window 1: preamble at the listening load, then the
         # packet itself at the receiving load when one was detected.
-        detected1 = rng.random() < scenario.p1
-        ok, dt = walk.run_phase(t_cursor, DeviceState.LISTEN, sched.t_l1)
-        t_cursor += dt
-        if not ok:
+        detected1 = draw() < p1
+        if not walk.phase(listen1):
             if detected1:
                 dl1_aborted += 1
             continue
         if detected1:
-            ok, dt = walk.run_phase(t_cursor, DeviceState.RX, sched.t_rx1)
-            t_cursor += dt
-            if ok:
+            if walk.phase(rx1):
                 dl1_success += 1
-                walk.record(t_cursor, DeviceState.SLEEP)
+                walk.record(walk.t, DeviceState.SLEEP)
             else:
                 dl1_aborted += 1
             continue  # window 2 only opens when window 1 stayed silent
 
-        ok, dt = walk.run_phase(t_cursor, DeviceState.IDLE, sched.t_id2)
-        t_cursor += dt
-        if not ok:
+        if not walk.phase(idle2):
             continue
 
-        detected2 = rng.random() < scenario.p2
-        ok, dt = walk.run_phase(t_cursor, DeviceState.LISTEN, sched.t_l2)
-        t_cursor += dt
-        if not ok:
+        detected2 = draw() < p2
+        if not walk.phase(listen2):
             if detected2:
                 dl2_aborted += 1
             continue
         if detected2:
-            ok, dt = walk.run_phase(t_cursor, DeviceState.RX, sched.t_rx2)
-            t_cursor += dt
-            if ok:
+            if walk.phase(rx2):
                 dl2_success += 1
-                walk.record(t_cursor, DeviceState.SLEEP)
+                walk.record(walk.t, DeviceState.SLEEP)
             else:
                 dl2_aborted += 1
         else:
-            walk.record(t_cursor, DeviceState.SLEEP)
+            walk.record(walk.t, DeviceState.SLEEP)
 
     stats = SimStats(
         n_scheduled=n_scheduled,
@@ -253,29 +292,15 @@ def cycle_phases(sched: TimingSchedule, dl_case: str) -> list[tuple[DeviceState,
     the first idle second (and the cycle ends there), 'rx2' receives in
     place of the second listening window, 'none' listens through both.
     """
-    if dl_case == "none":
-        return [
-            (DeviceState.TX, sched.t_tx),
-            (DeviceState.IDLE, sched.t_id1),
-            (DeviceState.LISTEN, sched.t_l1),
-            (DeviceState.IDLE, sched.t_id2),
-            (DeviceState.LISTEN, sched.t_l2),
-        ]
-    if dl_case == "rx1":
-        return [
-            (DeviceState.TX, sched.t_tx),
-            (DeviceState.IDLE, sched.t_id1),
-            (DeviceState.RX, sched.t_rx1),
-        ]
-    if dl_case == "rx2":
-        return [
-            (DeviceState.TX, sched.t_tx),
-            (DeviceState.IDLE, sched.t_id1),
-            (DeviceState.LISTEN, sched.t_l1),
-            (DeviceState.IDLE, sched.t_id2),
-            (DeviceState.RX, sched.t_rx2),
-        ]
-    raise ScenarioError(f"dl_case must be 'none', 'rx1' or 'rx2', got {dl_case!r}")
+    return [(_SLOTS[slot][0], getattr(sched, _SLOTS[slot][1])) for slot in _cycle(dl_case)]
+
+
+def _cycle(dl_case: str) -> tuple[str, ...]:
+    try:
+        return _CYCLES[dl_case]
+    except KeyError:
+        raise ScenarioError(
+            f"dl_case must be 'none', 'rx1' or 'rx2', got {dl_case!r}") from None
 
 
 def single_cycle_trace(scenario: Scenario, v_start: float,
@@ -290,22 +315,11 @@ def single_cycle_trace(scenario: Scenario, v_start: float,
         raise ScenarioError(
             f"v_start must lie in [{circuit.v_min}, {circuit.operating_voltage}], got {v_start}"
         )
-    walk = _DeviceWalk(circuit, trace=True)
-    walk.v = v_start
-    walk.off = False
-    t = 0.0
-    for state, duration in cycle_phases(scenario.schedule, dl_case):
-        ok, dt = walk.run_phase(t, state, duration)
-        t += dt
-        if not ok:
-            return walk.points or [], walk.v, False
-    walk.record(t, DeviceState.SLEEP)
-    return walk.points or [], walk.v, True
-
-
-def trace_to_csv(points: Iterable[TracePoint]) -> str:
-    """Render a trace as CSV: 9 significant digits for time, 6 for voltage."""
-    lines = ["time_s,voltage_v,state"]
-    for p in points:
-        lines.append(f"{p.time:.9g},{p.voltage:.6g},{p.device_state}")
-    return "\n".join(lines) + "\n"
+    slots = _cycle(dl_case)
+    table = scenario.phases
+    walk = _Walk(circuit, v_start, off=False, trace=True)
+    for slot in slots:
+        if not walk.phase(table[slot]):
+            return walk.points, walk.v, False
+    walk.record(walk.t, DeviceState.SLEEP)
+    return walk.points, walk.v, True

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from caplora import characterize
 from caplora.characterize import (
     SweepSpec,
     accuracy_study,
@@ -189,6 +190,47 @@ class TestThresholdSweep:
         assert g == 500
         with pytest.raises(ScenarioError):
             apply_axis(scenario, "bogus", 1)
+
+
+class TestSimulateMean:
+    SEEDS = (3, 1, 4, 1, 5)
+
+    @staticmethod
+    def per_seed_mean(scenario, seeds, n):
+        pdr = pdl1 = pdl2 = 0.0
+        for seed in seeds:
+            stats = characterize.run_simulation(scenario, seed=seed, n_scheduled=n)[0]
+            pdr += stats.pdr
+            pdl1 += stats.pdl1
+            pdl2 += stats.pdl2
+        return pdr / len(seeds), pdl1 / len(seeds), pdl2 / len(seeds)
+
+    @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    def test_seed_free_cells_run_once_and_equal_the_per_seed_mean(self, p1, p2,
+                                                                  monkeypatch):
+        scenario = make_scenario(interval_m=9.0, turn_on_fraction=0.58, p1=p1, p2=p2)
+        want = self.per_seed_mean(scenario, self.SEEDS, 300)
+        calls = []
+        real = characterize.run_simulation
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(characterize, "run_simulation", counting)
+        assert characterize._simulate_mean(scenario, self.SEEDS, 300) == want
+        assert calls == [3]
+
+    def test_stochastic_cells_run_every_seed(self):
+        scenario = make_scenario(interval_m=9.0, turn_on_fraction=0.58, p1=0.3, p2=0.5)
+        want = self.per_seed_mean(scenario, self.SEEDS, 300)
+        assert characterize._simulate_mean(scenario, self.SEEDS, 300) == want
+
+    def test_simulator_sweep_needs_a_seed(self):
+        spec = SweepSpec(scenario=make_scenario(), axis="threshold", values=(0.7,), seeds=())
+        with pytest.raises(ScenarioError, match="seed"):
+            threshold_sweep(spec, engine="both")
+        assert len(threshold_sweep(spec, engine="chain")) == 1
 
 
 class TestAccuracyStudy:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -63,13 +64,25 @@ class TestScenarioFiles:
         with pytest.warns(UserWarning, match="dl_payload_bytes = 52"):
             parse_scenario("[traffic]\ndl_payload_bytes = 52\n")
 
+    def test_reloading_a_dump_is_silent(self):
+        text = dump_scenario(parse_scenario(""))
+        assert "dl_payload_bytes = 1\n" in text
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_scenario(text) == parse_scenario("")
+
+    def test_explicit_nonstock_payload_in_a_dump_still_warns(self):
+        text = dump_scenario(parse_scenario("")).replace(
+            "dl_payload_bytes = 1\n", "dl_payload_bytes = 60\n")
+        with pytest.warns(UserWarning, match="dl_payload_bytes = 60"):
+            parse_scenario(text)
+
     def test_infinite_epr_spelled_out(self):
         loaded = parse_scenario("[capacitor]\nepr_ohms = inf\n")
         assert math.isinf(loaded.scenario.circuit.capacitor.epr)
         loaded = parse_scenario("[capacitor]\nepr_ohms = 550000\n")
         assert loaded.scenario.circuit.capacitor.epr == 550000.0
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("fraction", ["0.56", "0.7", "0.7123", "0.98"])
     def test_dump_round_trips(self, fraction):
         loaded = parse_scenario(
@@ -170,6 +183,31 @@ class TestCli:
         cfg.write_text("[capacitor]\nc_farads = 0.001\n[traffic]\ninterval_s = 60\n")
         assert main(["min-interval", "--scenario", str(cfg)]) == 3
         assert "infeasible:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--granularity", "0"],
+        ["sweep", "--axis", "threshold", "--values", "0.7", "--engine", "chain",
+         "--granularity", "0"],
+        ["sweep", "--axis", "threshold", "--values", "0.7", "--jobs", "0"],
+        ["accuracy", "--cases", "A", "--jobs", "-1"],
+    ])
+    def test_nonpositive_granularity_and_jobs_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_sweep_without_seeds_exits_2(self, capsys):
+        code = main(["sweep", "--axis", "threshold", "--values", "0.7", "--seeds", ""])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_header_mismatch_raises_without_assert(self, monkeypatch):
+        from caplora import cli
+
+        monkeypatch.setitem(cli.HEADERS, "airtime", ("sf",))
+        with pytest.raises(RuntimeError, match="airtime header"):
+            main(["airtime", "--sf", "7", "--pl", "16", "--json"])
 
     def test_trace_single_cycle(self, capsys):
         code = main(["trace", "--single-cycle", "--dl-case", "rx1", "--m", "9"])

@@ -1,15 +1,20 @@
+import dataclasses
+import random
+
 import pytest
 
-from caplora.energy import DeviceState, voltage_after
+from caplora.cli import main
+from caplora.energy import DeviceState, time_to_voltage, voltage_after
 from caplora.errors import ScenarioError
 from caplora.simulator import (
+    SimStats,
+    TracePoint,
     cycle_phases,
     run_simulation,
     single_cycle_trace,
-    trace_to_csv,
 )
 
-from conftest import make_scenario
+from conftest import make_circuit, make_scenario
 
 
 class TestScenarioValidation:
@@ -117,14 +122,17 @@ class TestTrace:
         e = scenario.circuit.operating_voltage
         assert all(0.0 <= p.voltage <= e for p in trace)
 
-    def test_csv_shape(self):
+    def test_csv_shape(self, tmp_path):
         scenario = make_scenario(interval_m=9.0, turn_on_fraction=0.58)
         _, trace = run_simulation(scenario, seed=9, n_scheduled=5, trace=True)
-        text = trace_to_csv(trace)
-        lines = text.strip().split("\n")
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--m", "9", "--threshold", "0.58", "--seed", "9",
+                     "--n", "5", "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
         assert lines[0] == "time_s,voltage_v,state"
         assert len(lines) == len(trace) + 1
         assert all(line.count(",") == 2 for line in lines)
+        assert lines[1:] == [f"{p.time:.9g},{p.voltage:.6g},{p.device_state}" for p in trace]
 
 
 class TestSingleCycle:
@@ -161,3 +169,147 @@ class TestSingleCycle:
             single_cycle_trace(scenario, 0.5, "none")
         with pytest.raises(ScenarioError):
             single_cycle_trace(scenario, 2.0, "bogus")
+
+
+class _ReferenceWalk:
+    """The simulator's algorithm stepped with the public closed forms.
+
+    Every phase calls voltage_after / time_to_voltage afresh; draws follow
+    the README order (one when window 1 opens, one more only if window 1
+    stayed silent).  The compiled phase-table walk must match it exactly.
+    """
+
+    def __init__(self, circuit, v, off):
+        self.c, self.v, self.off, self.t = circuit, v, off, 0.0
+        self.trace = []
+
+    def mark(self, t, state):
+        point = TracePoint(t, self.v, state)
+        if self.trace and self.trace[-1].time == t:
+            self.trace[-1] = point
+        else:
+            self.trace.append(point)
+
+    def phase(self, state, duration):
+        c = self.c
+        self.mark(self.t, state)
+        if c.asymptote(state) < self.v:
+            dt = time_to_voltage(c, state, self.v, c.v_min)
+            if dt <= duration:
+                self.v, self.off, self.t = c.v_min, True, self.t + dt
+                self.mark(self.t, DeviceState.OFF)
+                return False
+        self.v = voltage_after(c, state, self.v, duration)
+        self.t += duration
+        return True
+
+    def recharge(self, t_to):
+        c = self.c
+        if t_to > self.t and self.off:
+            t_wake = time_to_voltage(c, DeviceState.OFF, self.v, c.v_sl)
+            if self.t + t_wake > t_to:
+                self.v = voltage_after(c, DeviceState.OFF, self.v, t_to - self.t)
+            else:
+                self.v, self.off = c.v_sl, False
+                self.t += t_wake
+                self.mark(self.t, DeviceState.SLEEP)
+        if t_to > self.t and not self.off:
+            self.v = voltage_after(c, DeviceState.SLEEP, self.v, t_to - self.t)
+        self.t = t_to
+
+
+def reference_run(scenario, seed, n_scheduled):
+    s = scenario.schedule
+    rng = random.Random(seed)
+    walk = _ReferenceWalk(scenario.circuit, scenario.circuit.v_min, off=True)
+    walk.mark(0.0, DeviceState.OFF)
+    n = dict.fromkeys(("ok", "lost", "aborted"), 0)
+    dl_ok, dl_aborted = [0, 0], [0, 0]
+    windows = ((scenario.p1, s.t_l1, s.t_rx1), (scenario.p2, s.t_l2, s.t_rx2))
+    for k in range(n_scheduled):
+        t_k = k * scenario.interval_m
+        if walk.t > t_k:
+            n["lost"] += 1
+            continue
+        walk.recharge(t_k)
+        if walk.off:
+            n["lost"] += 1
+            continue
+        if not walk.phase(DeviceState.TX, s.t_tx):
+            n["aborted"] += 1
+            continue
+        n["ok"] += 1
+        if not walk.phase(DeviceState.IDLE, s.t_id1):
+            continue
+        for w, (p, t_listen, t_rx) in enumerate(windows):
+            if w == 1 and not walk.phase(DeviceState.IDLE, s.t_id2):
+                break
+            detected = rng.random() < p
+            if not walk.phase(DeviceState.LISTEN, t_listen):
+                dl_aborted[w] += detected
+                break
+            if detected:
+                if walk.phase(DeviceState.RX, t_rx):
+                    dl_ok[w] += 1
+                    walk.mark(walk.t, DeviceState.SLEEP)
+                else:
+                    dl_aborted[w] += 1
+                break
+        else:
+            walk.mark(walk.t, DeviceState.SLEEP)
+    stats = SimStats(n_scheduled, n["ok"], n["lost"], n["aborted"],
+                     dl_ok[0], dl_aborted[0], dl_ok[1], dl_aborted[1])
+    return stats, walk.trace
+
+
+def reference_cycle(scenario, v_start, dl_case):
+    walk = _ReferenceWalk(scenario.circuit, v_start, off=False)
+    for state, duration in cycle_phases(scenario.schedule, dl_case):
+        if not walk.phase(state, duration):
+            return walk.trace, walk.v, False
+    walk.mark(walk.t, DeviceState.SLEEP)
+    return walk.trace, walk.v, True
+
+
+CAPACITORS = {"ideal": {}, "esr_epr": {"esr": 20.0, "epr": 50e3},
+              "esr_only": {"esr": 1.5}}
+
+
+def _scenario(capacitor, threshold, m, p1, p2, c_farads=4.7e-3):
+    scenario = make_scenario(interval_m=m, p1=p1, p2=p2)
+    circuit = make_circuit(c_farads=c_farads, turn_on_fraction=threshold,
+                           **CAPACITORS[capacitor])
+    return dataclasses.replace(scenario, circuit=circuit)
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("capacitor", ["ideal", "esr_epr"])
+    @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0),
+                                       (1.0, 1.0), (0.3, 0.5)])
+    def test_run_matches_reference_walk(self, capacitor, p1, p2):
+        n = 300 if capacitor == "ideal" else 60
+        for m in (5.0, 9.0, 40.0):
+            for threshold in (0.56, 0.6, 0.7, 0.9):
+                scenario = _scenario(capacitor, threshold, m, p1, p2)
+                for seed in (1, 7):
+                    want = reference_run(scenario, seed, n)
+                    assert run_simulation(scenario, seed, n, trace=True) == want
+                    assert run_simulation(scenario, seed, n)[0] == want[0]
+
+    @pytest.mark.parametrize("capacitor", ["ideal", "esr_epr"])
+    def test_large_capacitor_window2_matches_reference_walk(self, capacitor):
+        scenario = _scenario(capacitor, 0.7, 60.0, 0.0, 1.0, c_farads=47e-3)
+        want = reference_run(scenario, 3, 150)
+        assert want[0].n_dl2_success > 0
+        assert run_simulation(scenario, 3, 150, trace=True) == want
+
+    @pytest.mark.parametrize("capacitor", sorted(CAPACITORS))
+    @pytest.mark.parametrize("dl_case", ["none", "rx1", "rx2"])
+    def test_single_cycle_matches_reference_cycle(self, capacitor, dl_case):
+        scenario = _scenario(capacitor, 0.7, 600.0, 0.0, 0.0)
+        circuit = scenario.circuit
+        ceiling = circuit.charge_ceiling() - 1e-6
+        for k in range(11):
+            v_start = circuit.v_min + (ceiling - circuit.v_min) * k / 10
+            assert single_cycle_trace(scenario, v_start, dl_case) == \
+                reference_cycle(scenario, v_start, dl_case)

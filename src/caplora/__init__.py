@@ -19,7 +19,6 @@ from .errors import (
     InfeasibleScenario,
     NegativeIdleError,
     NoFeasibleCapacitance,
-    NonConvergence,
     ScenarioError,
 )
 from .timing import (
@@ -49,7 +48,6 @@ from .markov import (
     discrete_time_to_level,
     discrete_voltage_after,
     solve_chain,
-    stationary_direct,
     stationary_distribution,
     threshold_levels,
 )

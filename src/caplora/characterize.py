@@ -53,7 +53,10 @@ def apply_axis(scenario: Scenario, axis: str, value) -> tuple[Scenario, int | No
     """Return the scenario with one swept quantity replaced.
 
     The granularity axis has no scenario field; it is returned separately.
+    Raises ScenarioError for a value the scenario cannot take.
     """
+    if axis in ("ul_pl", "dl_pl", "granularity") and not (value >= 1 and value == int(value)):
+        raise ScenarioError(f"{axis} values must be whole numbers >= 1, got {value!r}")
     if axis == "threshold":
         return with_threshold_fraction(scenario, float(value)), None
     if axis == "capacitance":
@@ -212,23 +215,23 @@ def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
     return pdr / n, pdl1 / n, pdl2 / n
 
 
+def _cell_scenario(spec: SweepSpec, value, m) -> tuple[Scenario, int]:
+    """The scenario and granularity of one grid cell; ScenarioError if invalid."""
+    scenario, g_override = apply_axis(spec.scenario, spec.axis, value)
+    if m is not None:
+        scenario = dataclasses.replace(scenario, interval_m=float(m))
+    return scenario, g_override if g_override is not None else spec.granularity
+
+
 def _sweep_cell(args: tuple) -> list[SweepRow]:
     spec, value, m, engines = args
+    scenario, g = _cell_scenario(spec, value, m)
+    beyond_ceiling = scenario.circuit.v_sl >= scenario.circuit.asymptote(DeviceState.OFF)
     rows = []
-    try:
-        scenario, g_override = apply_axis(spec.scenario, spec.axis, value)
-        if m is not None:
-            scenario = dataclasses.replace(scenario, interval_m=float(m))
-        g = g_override if g_override is not None else spec.granularity
-        if scenario.circuit.v_sl >= scenario.circuit.asymptote(DeviceState.OFF):
-            raise InfeasibleScenario("turn-on threshold beyond the charging ceiling")
-    except (ScenarioError, InfeasibleScenario):
-        for engine in engines:
-            rows.append(SweepRow(spec.axis, float(value), float(m or 0.0), engine,
-                                 0.0, 0.0, 0.0, feasible=False))
-        return rows
     for engine in engines:
         try:
+            if beyond_ceiling:
+                raise InfeasibleScenario("turn-on threshold beyond the charging ceiling")
             if engine == "simulator":
                 pdr, pdl1, pdl2 = _simulate_mean(scenario, spec.seeds, spec.n_scheduled)
             else:
@@ -236,7 +239,7 @@ def _sweep_cell(args: tuple) -> list[SweepRow]:
                 pdr, pdl1, pdl2 = result.pdr, result.pdl1, result.pdl2
             rows.append(SweepRow(spec.axis, float(value), scenario.interval_m,
                                  engine, pdr, pdl1, pdl2, feasible=True))
-        except (ScenarioError, InfeasibleScenario):
+        except InfeasibleScenario:
             rows.append(SweepRow(spec.axis, float(value), scenario.interval_m,
                                  engine, 0.0, 0.0, 0.0, feasible=False))
     return rows
@@ -246,9 +249,10 @@ def threshold_sweep(spec: SweepSpec, engine: str = "simulator",
                     jobs: int = 1) -> list[SweepRow]:
     """Evaluate the sweep grid; one row per (value, M, engine).
 
-    Cells are independent; with jobs > 1 they run in a process pool, and
-    results always come back in grid order.  Infeasible cells are kept as
-    pdr = 0 rows with the feasible flag cleared.
+    An invalid value raises ScenarioError before any cell runs.  Cells are
+    independent; with jobs > 1 they run in a process pool, and results come
+    back in grid order.  Physically infeasible cells are kept as pdr = 0
+    rows with the feasible flag cleared.
     """
     if engine not in ("simulator", "chain", "both"):
         raise ScenarioError(f"engine must be simulator, chain or both, got {engine!r}")
@@ -257,6 +261,8 @@ def threshold_sweep(spec: SweepSpec, engine: str = "simulator",
         raise ScenarioError("a simulator sweep needs at least one seed")
     m_grid: tuple = spec.m_values or (None,)
     cells = [(spec, value, m, engines) for value in spec.values for m in m_grid]
+    for cell in cells:
+        _cell_scenario(*cell[:3])
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             nested = list(pool.map(_sweep_cell, cells))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -66,27 +67,31 @@ def f_val(v: float) -> str:
 
 
 def _parse_values(text: str) -> list[float]:
-    """Parse 'a,b,c' or 'start:stop:step' (stop inclusive) into floats."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ScenarioError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ScenarioError(f"range step must be positive, got {text!r}")
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-12 * max(1.0, abs(stop)):
-                break
-            values.append(round(v, 12))
-            k += 1
-        return values
+    """Parse 'a,b,c' or 'start:stop:step' (stop inclusive) into finite floats."""
+    is_range = ":" in text
+    parts = text.split(":") if is_range else [p for p in text.split(",") if p.strip()]
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        numbers = [float(p) for p in parts]
     except ValueError:
-        raise ScenarioError(f"expected comma-separated numbers, got {text!r}")
+        raise ScenarioError(f"expected numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in numbers):
+        raise ScenarioError(f"values must be finite numbers, got {text!r}")
+    if not is_range:
+        return numbers
+    if len(numbers) != 3:
+        raise ScenarioError(f"range must be start:stop:step, got {text!r}")
+    start, stop, step = numbers
+    if step <= 0:
+        raise ScenarioError(f"range step must be positive, got {text!r}")
+    values = []
+    k = 0
+    while True:
+        v = start + k * step
+        if v > stop + 1e-12 * max(1.0, abs(stop)):
+            break
+        values.append(round(v, 12))
+        k += 1
+    return values
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -306,13 +311,10 @@ def _cmd_chain(args) -> int:
 
 def _cmd_sweep(args) -> int:
     loaded = _load(args)
-    values = _parse_values(args.values)
-    if args.axis in ("ul_pl", "dl_pl", "granularity"):
-        values = [int(v) for v in values]
     spec = SweepSpec(
         scenario=loaded.scenario,
         axis=args.axis,
-        values=tuple(values),
+        values=tuple(_parse_values(args.values)),
         m_values=tuple(_parse_values(args.m)) if args.m else (),
         granularity=loaded.granularity,
         n_scheduled=args.n,

@@ -64,13 +64,17 @@ class LoadedScenario:
 
 
 def _parse_float(section: str, key: str, raw: str, allow_inf: bool = False) -> float:
+    """A finite number; "inf" (and its spellings) only where allow_inf is set."""
     text = raw.strip()
     if allow_inf and text.lower() in ("inf", "infinite", "infinity"):
         return math.inf
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ScenarioError(f"[{section}] {key}: expected a number, got {raw!r}")
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise ScenarioError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:

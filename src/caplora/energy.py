@@ -84,10 +84,11 @@ class HarvesterConfig:
     harvest_power: float      # watts delivered by the source
 
     def __post_init__(self):
-        if self.operating_voltage <= 0:
-            raise ScenarioError(f"operating voltage must be > 0, got {self.operating_voltage}")
-        if self.harvest_power <= 0:
-            raise ScenarioError(f"harvest power must be > 0, got {self.harvest_power}")
+        if not 0 < self.operating_voltage < math.inf:
+            raise ScenarioError(
+                f"operating voltage must be finite and > 0, got {self.operating_voltage}")
+        if not 0 < self.harvest_power < math.inf:
+            raise ScenarioError(f"harvest power must be finite and > 0, got {self.harvest_power}")
 
     @property
     def series_resistance(self) -> float:
@@ -109,11 +110,11 @@ class CapacitorConfig:
     epr: float = math.inf     # ohms, leakage path (math.inf = no self-discharge)
 
     def __post_init__(self):
-        if self.capacitance <= 0:
-            raise ScenarioError(f"capacitance must be > 0, got {self.capacitance}")
-        if self.esr < 0:
-            raise ScenarioError(f"ESR must be >= 0, got {self.esr}")
-        if self.epr <= 0:
+        if not 0 < self.capacitance < math.inf:
+            raise ScenarioError(f"capacitance must be finite and > 0, got {self.capacitance}")
+        if not 0 <= self.esr < math.inf:
+            raise ScenarioError(f"ESR must be finite and >= 0, got {self.esr}")
+        if not self.epr > 0:
             raise ScenarioError(f"EPR must be > 0 (math.inf for ideal), got {self.epr}")
 
     @property
@@ -134,8 +135,8 @@ class LoadTable:
 
     def __post_init__(self):
         for state in DeviceState:
-            if self.resistance(state) <= 0:
-                raise ScenarioError(f"load resistance for {state} must be > 0")
+            if not 0 < self.resistance(state) < math.inf:
+                raise ScenarioError(f"load resistance for {state} must be finite and > 0")
 
     def resistance(self, state: DeviceState) -> float:
         return getattr(self, DeviceState(state).value)

@@ -21,10 +21,3 @@ class InfeasibleScenario(RuntimeError):
 class NoFeasibleCapacitance(InfeasibleScenario):
     """No capacitance within the search bounds supports the cycle."""
 
-
-class NonConvergence(RuntimeError):
-    """Iterative stationary-distribution solve did not reach tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual

@@ -20,22 +20,22 @@ voltage lands the device Off at v_min, recharging for whatever remains of
 the interval.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
-which keeps the recurrent class unique and the matrix small.
+which keeps the matrix small.  That start state may still reach more than
+one closed class; the long-run distribution then weighs each class's
+stationary vector by the probability of being absorbed into it from the
+start state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .energy import CircuitConfig, DeviceState, time_to_voltage, voltage_after
-from .errors import InfeasibleScenario, NonConvergence, ScenarioError
+from .errors import InfeasibleScenario, ScenarioError
 from .simulator import Scenario
 
 OFF, SL0, SL1 = "OFF", "SL0", "SL1"
@@ -161,20 +161,26 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic transition matrix over the reachable chain states."""
+    """Row-stochastic transition matrix over the reachable chain states.
+
+    `matrix` is dense (under 700 states even at g = 5000); `successors`
+    holds each row's destinations in the order the row builder emits them.
+    """
 
     states: tuple[ChainState, ...]
     index: dict
-    matrix: sp.csr_matrix
+    matrix: np.ndarray
+    successors: tuple[tuple[int, ...], ...]
     thresholds: ThresholdLevels
     granularity: int
 
     def coordinate_lines(self) -> Iterable[str]:
         """Debug dump: one 'src_kind,src_level,dst_kind,dst_level,prob' per entry."""
-        coo = self.matrix.tocoo()
-        for i, j, p in zip(coo.row, coo.col, coo.data):
-            src, dst = self.states[i], self.states[j]
-            yield f"{src.kind},{src.level},{dst.kind},{dst.level},{p:.12g}"
+        for i, row in enumerate(self.successors):
+            src = self.states[i]
+            for j in row:
+                dst = self.states[j]
+                yield f"{src.kind},{src.level},{dst.kind},{dst.level},{self.matrix[i, j]:.12g}"
 
 
 class _RowBuilder:
@@ -196,7 +202,7 @@ class _RowBuilder:
             window2_total = (self.sched.t_tx + self.sched.t_id1 + self.sched.t_l1
                              + self.sched.t_id2 + self.sched.t_l2 + self.sched.t_rx2)
             if scenario.interval_m <= window2_total:
-                raise ScenarioError(
+                raise InfeasibleScenario(
                     f"interval {scenario.interval_m} s cannot contain a "
                     f"detected window-2 reception ({window2_total:.3f} s)"
                 )
@@ -316,114 +322,94 @@ def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
                 states.append(dest)
         frontier += 1
 
-    data, cols, indptr = [], [], [0]
-    for row in rows:
-        for dest, prob in row.items():
-            cols.append(index[dest])
-            data.append(prob)
-        indptr.append(len(data))
-    n = len(states)
-    matrix = sp.csr_matrix((np.asarray(data), np.asarray(cols), np.asarray(indptr)),
-                           shape=(n, n))
+    successors = tuple(tuple(index[dest] for dest in row) for row in rows)
+    matrix = np.zeros((len(states), len(states)))
+    for i, (row, cols) in enumerate(zip(rows, successors)):
+        matrix[i, list(cols)] = list(row.values())
     return TransitionMatrix(states=tuple(states), index=index, matrix=matrix,
-                            thresholds=thr, granularity=g)
+                            successors=successors, thresholds=thr, granularity=g)
 
 
-def stationary_distribution(tm: TransitionMatrix, initial: ChainState | None = None,
-                            tol: float = 1e-10, max_iter: int = 10**6) -> np.ndarray:
-    """Long-run state distribution observed from `initial`.
-
-    Fully deterministic chains (every row one entry, i.e. p1 and p2 are 0
-    or 1) settle into a single cycle; the distribution is computed exactly
-    as the uniform measure on that cycle.  Otherwise averaged power
-    iteration runs on the half-lazy chain (P + I) / 2, which shares P's
-    stationary vectors but mixes geometrically even through periodic
-    sub-cycles.
-    """
-    n = tm.matrix.shape[0]
-    start = tm.index[initial] if initial is not None else 0
-    counts = np.diff(tm.matrix.indptr)
-    if counts.max(initial=1) == 1:
-        succ = tm.matrix.indices
-        seen: dict[int, int] = {}
-        order: list[int] = []
-        node = start
-        while node not in seen:
-            seen[node] = len(order)
-            order.append(node)
-            node = int(succ[node])
-        cycle = order[seen[node]:]
-        pi = np.zeros(n)
-        pi[cycle] = 1.0 / len(cycle)
-        return pi
-
-    pt = tm.matrix.transpose().tocsr()
-    x = np.zeros(n)
-    x[start] = 1.0
-    epoch = 64
-    done = 0
-    residual = math.inf
-    while done < max_iter:
-        acc = np.zeros(n)
-        for _ in range(min(epoch, max_iter - done)):
-            x = 0.5 * (x + pt @ x)
-            acc += x
-            done += 1
-        avg = acc / acc.sum()
-        residual = float(np.abs(pt @ avg - avg).max())
-        if residual < tol:
-            return avg
-        x = avg
-        epoch *= 2
-    raise NonConvergence("stationary distribution did not converge", residual)
+def _closed_classes(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """Closed classes: the strongly connected components that no edge
+    leaves, from an iterative Tarjan search."""
+    n = len(successors)
+    order, low, component = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    calls: list[tuple[int, Iterator[int]]] = []
+    closed: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        calls.append((root, iter(successors[root])))
+        order[root] = low[root] = count = count + 1
+        stack.append(root)
+        while calls:
+            v, edges = calls[-1]
+            for w in edges:
+                if order[w] < 0:
+                    calls.append((w, iter(successors[w])))
+                    order[w] = low[w] = count = count + 1
+                    stack.append(w)
+                    break
+                if component[w] < 0:    # w is on the stack
+                    low[v] = min(low[v], order[w])
+            else:
+                calls.pop()
+                if calls:
+                    low[calls[-1][0]] = min(low[calls[-1][0]], low[v])
+                if low[v] == order[v]:
+                    members = stack[stack.index(v):]
+                    del stack[len(stack) - len(members):]
+                    for w in members:
+                        component[w] = v
+                    # Edges out of the component lead to components found earlier.
+                    if all(component[w] == v for u in members for w in successors[u]):
+                        closed.append(sorted(members))
+    return closed
 
 
-def stationary_direct(tm: TransitionMatrix, initial: ChainState | None = None) -> np.ndarray:
-    """Cross-check solver: exact linear solve on the recurrent class(es).
+def _class_stationary(block: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible block: pi (P_C - I) = 0 with the
+    last balance equation replaced by sum(pi) = 1."""
+    k = block.shape[0]
+    a = block.T - np.eye(k)
+    a[-1, :] = 1.0
+    b = np.zeros(k)
+    b[-1] = 1.0
+    pi = np.clip(np.linalg.solve(a, b), 0.0, None)
+    return pi / pi.sum()
 
-    Finds the closed strongly-connected classes, solves pi P = pi on each,
-    and when several are reachable weighs them by the absorption
-    probability from `initial`.
+
+def stationary_distribution(tm: TransitionMatrix,
+                            initial: ChainState | None = None) -> np.ndarray:
+    """Long-run (Cesaro-limit) state distribution observed from `initial`.
+
+    Exact for periodic and deterministic chains alike: each closed class
+    reachable from `initial` gets its stationary vector from one linear
+    solve, and when `initial` is transient the classes are weighed by
+    their absorption probabilities, from one solve on the transient block.
     """
     p = tm.matrix
-    n = p.shape[0]
     start = tm.index[initial] if initial is not None else 0
-    n_comp, labels = scipy.sparse.csgraph.connected_components(
-        p, directed=True, connection="strong")
-    coo = p.tocoo()
-    closed = np.ones(n_comp, dtype=bool)
-    for i, j in zip(coo.row, coo.col):
-        if labels[i] != labels[j]:
-            closed[labels[i]] = False
-
-    def class_stationary(members: np.ndarray) -> np.ndarray:
-        sub = p[np.ix_(members, members)].toarray()
-        k = len(members)
-        a = np.vstack([sub.T - np.eye(k), np.ones((1, k))])
-        b = np.zeros(k + 1)
-        b[-1] = 1.0
-        pi_c, *_ = np.linalg.lstsq(a, b, rcond=None)
-        pi_c = np.clip(pi_c, 0.0, None)
-        return pi_c / pi_c.sum()
-
-    closed_ids = [c for c in range(n_comp) if closed[c]]
-    pi = np.zeros(n)
-    if labels[start] in closed_ids:
-        members = np.flatnonzero(labels == labels[start])
-        pi[members] = class_stationary(members)
-        return pi
-
-    transient = np.flatnonzero(~closed[labels])
-    t_index = {int(s): k for k, s in enumerate(transient)}
-    q = p[np.ix_(transient, transient)]
-    lhs = sp.eye(len(transient), format="csc") - q.tocsc()
-    for c in closed_ids:
-        members = np.flatnonzero(labels == c)
-        rhs = np.asarray(p[np.ix_(transient, members)].sum(axis=1)).ravel()
-        absorb = scipy.sparse.linalg.spsolve(lhs, rhs)
-        weight = float(absorb[t_index[start]])
-        if weight > 0.0:
-            pi[members] += weight * class_stationary(members)
+    classes = _closed_classes(tm.successors)
+    home = [members for members in classes if start in members]
+    if home or len(classes) == 1:
+        classes, weights = home or classes, [1.0]
+    else:
+        transient = np.ones(len(p), dtype=bool)
+        for members in classes:
+            transient[members] = False
+        transient = np.flatnonzero(transient)
+        # Expected visits to each transient state from `start`, times the
+        # probability of stepping from there into each class.
+        lhs = np.eye(len(transient)) - p[np.ix_(transient, transient)]
+        visits = np.linalg.solve(lhs.T, (transient == start).astype(float))
+        weights = [visits @ p[np.ix_(transient, members)].sum(axis=1) for members in classes]
+    pi = np.zeros(len(p))
+    for members, weight in zip(classes, weights):
+        pi[members] += weight * _class_stationary(p[np.ix_(members, members)])
     return pi / pi.sum()
 
 

@@ -34,6 +34,7 @@ uniform draw when reception window 1 opens, one more when window 2 opens
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,10 +60,10 @@ class Scenario:
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
             raise ScenarioError(f"p1/p2 must be probabilities, got {self.p1}, {self.p2}")
         bound = min_interval_bound(self.schedule)
-        if self.interval_m <= bound:
+        if not bound < self.interval_m < math.inf:
             raise ScenarioError(
-                f"transmission interval {self.interval_m} s must exceed the "
-                f"uplink/downlink sequence bound {bound:.6f} s"
+                f"transmission interval {self.interval_m} s must be finite and exceed "
+                f"the uplink/downlink sequence bound {bound:.6f} s"
             )
 
     @cached_property

@@ -16,6 +16,7 @@ is therefore 1 s minus the first listening window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NegativeIdleError, ScenarioError
@@ -44,14 +45,16 @@ class RadioConfig:
     def __post_init__(self):
         if not 7 <= self.sf <= 12:
             raise ScenarioError(f"sf must be in 7..12, got {self.sf}")
-        if self.bw <= 0:
-            raise ScenarioError(f"bandwidth must be > 0, got {self.bw}")
+        if not 0 < self.bw < math.inf:
+            raise ScenarioError(f"bandwidth must be finite and > 0, got {self.bw}")
         if not 1 <= self.cr_index <= 4:
             raise ScenarioError(f"cr_index must be in 1..4, got {self.cr_index}")
         if self.n_preamble < 0:
             raise ScenarioError(f"n_preamble must be >= 0, got {self.n_preamble}")
         if self.ih not in (0, 1) or self.de not in (0, 1):
             raise ScenarioError("ih and de must be 0 or 1")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ScenarioError(f"tx_power_dbm must be finite, got {self.tx_power_dbm}")
 
     @property
     def coding_rate(self) -> str:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from caplora import defaults
@@ -67,3 +68,44 @@ def make_scenario(sf: int = 7,
         p1=p1,
         p2=p2,
     )
+
+
+def stationary_oracle(p: np.ndarray, start: int) -> np.ndarray:
+    """Dense reference for the chain's long-run distribution from `start`.
+
+    Independent of caplora.markov: closed classes come from the boolean
+    transitive closure, each class's vector is its eigenvector for
+    eigenvalue 1, and classes are weighted by absorption probabilities
+    from a least-squares solve on the transient block.
+    """
+    n = p.shape[0]
+    reach = (p > 0) | np.eye(n, dtype=bool)
+    while True:
+        wider = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if (wider == reach).all():
+            break
+        reach = wider
+    # Recurrent: every state reachable from i reaches i back.
+    recurrent = np.array([not (reach[i] & ~reach[:, i]).any() for i in range(n)])
+    classes = []
+    seen = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(recurrent):
+        if not seen[i]:
+            members = np.flatnonzero(reach[i] & reach[:, i])
+            seen[members] = True
+            classes.append(members)
+    transient = np.flatnonzero(~recurrent)
+    if recurrent[start]:
+        weights = [1.0 if start in members else 0.0 for members in classes]
+    else:
+        lhs = np.eye(len(transient)) - p[np.ix_(transient, transient)]
+        into = np.column_stack([p[np.ix_(transient, members)].sum(axis=1)
+                                for members in classes])
+        absorb = np.linalg.lstsq(lhs, into, rcond=None)[0]
+        weights = absorb[np.flatnonzero(transient == start)[0]]
+    pi = np.zeros(n)
+    for members, weight in zip(classes, weights):
+        values, vectors = np.linalg.eig(p[np.ix_(members, members)].T)
+        vector = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+        pi[members] += weight * vector / vector.sum()
+    return pi

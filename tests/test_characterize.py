@@ -170,6 +170,25 @@ class TestThresholdSweep:
         assert by_value[0.58].feasible
         assert not by_value[0.999].feasible
         assert by_value[0.999].pdr == 0.0
+        assert by_value[0.999].m_s == 9.0
+
+    @pytest.mark.parametrize("axis,values", [
+        ("granularity", (0, 750)),
+        ("ul_pl", (0, 16)),
+        ("dl_pl", (0.5, 1)),
+        ("threshold", (0.5, 0.7)),
+    ])
+    def test_invalid_value_raises_before_any_cell_runs(self, axis, values, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("an engine ran before validation")
+
+        monkeypatch.setattr(characterize, "solve_chain", no_run)
+        monkeypatch.setattr(characterize, "run_simulation", no_run)
+        # The invalid value sorts first; a valid one follows it.
+        spec = SweepSpec(scenario=make_scenario(interval_m=40.0), axis=axis,
+                         values=values, granularity=100, n_scheduled=50, seeds=(1,))
+        with pytest.raises(ScenarioError):
+            threshold_sweep(spec, engine="both")
 
     def test_parallel_matches_serial(self):
         spec = SweepSpec(
@@ -190,6 +209,10 @@ class TestThresholdSweep:
         assert g == 500
         with pytest.raises(ScenarioError):
             apply_axis(scenario, "bogus", 1)
+        for axis, value in (("granularity", 0), ("granularity", 2.5), ("ul_pl", 0),
+                            ("dl_pl", -1)):
+            with pytest.raises(ScenarioError, match="whole numbers"):
+                apply_axis(scenario, axis, value)
 
 
 class TestSimulateMean:

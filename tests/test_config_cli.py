@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -7,7 +9,11 @@ import pytest
 from caplora import defaults
 from caplora.cli import HEADERS, main
 from caplora.config import dump_scenario, load_scenario, parse_scenario
+from caplora.energy import CapacitorConfig, HarvesterConfig
 from caplora.errors import ScenarioError
+from caplora.timing import RadioConfig
+
+from conftest import make_loads, make_scenario
 
 
 CASE_C = """
@@ -76,6 +82,38 @@ class TestScenarioFiles:
             "dl_payload_bytes = 1\n", "dl_payload_bytes = 60\n")
         with pytest.warns(UserWarning, match="dl_payload_bytes = 60"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("text", [
+        "[harvester]\npower_watts = nan\n",
+        "[traffic]\ninterval_s = inf\n",
+        "[traffic]\ninterval_s = nan\n",
+        "[capacitor]\nc_farads = nan\n",
+        "[capacitor]\nesr_ohms = nan\n",
+        "[capacitor]\nepr_ohms = nan\n",
+        "[capacitor]\nc_farads = -inf\n",
+        "[loads]\noff_ohms = inf\n",
+        "[radio]\ntx_power_dbm = nan\n",
+    ])
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(ScenarioError, match="finite"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("build", [
+        lambda: HarvesterConfig(3.3, math.nan),
+        lambda: HarvesterConfig(math.inf, 1e-3),
+        lambda: CapacitorConfig(math.nan),
+        lambda: CapacitorConfig(math.inf),
+        lambda: CapacitorConfig(4.7e-3, esr=math.nan),
+        lambda: CapacitorConfig(4.7e-3, epr=math.nan),
+        lambda: make_loads(tx=math.nan),
+        lambda: RadioConfig(bw=math.nan),
+        lambda: RadioConfig(tx_power_dbm=math.inf),
+        lambda: make_scenario(interval_m=math.nan),
+        lambda: make_scenario(interval_m=math.inf),
+    ])
+    def test_library_validators_reject_non_finite(self, build):
+        with pytest.raises(ScenarioError):
+            build()
 
     def test_infinite_epr_spelled_out(self):
         loaded = parse_scenario("[capacitor]\nepr_ohms = inf\n")
@@ -197,6 +235,39 @@ class TestCli:
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["power_watts = nan", "interval_s = inf"])
+    def test_non_finite_scenario_exits_2(self, tmp_path, capsys, setting):
+        section = "harvester" if "power" in setting else "traffic"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{setting}\n")
+        assert main(["simulate", "--scenario", str(cfg), "--n", "50"]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("axis,values", [
+        ("granularity", "0,750"),
+        ("granularity", "0.5,750"),
+        ("ul_pl", "0,16"),
+        ("dl_pl", "0,1"),
+        ("threshold", "0.5,0.7"),
+        ("threshold", "nan"),
+        ("capacitance", "0:inf:1"),
+        ("interval_m", "a:b:1"),
+    ])
+    def test_invalid_sweep_values_exit_2(self, axis, values, capsys):
+        code = main(["sweep", "--axis", axis, "--values", values, "--m", "40",
+                     "--engine", "chain", "--granularity", "100"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_chain_interval_too_short_for_window_2_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "w2.cfg"
+        cfg.write_text("[traffic]\np2 = 0.5\n")
+        assert main(["chain", "--scenario", str(cfg), "--m", "3.1",
+                     "--granularity", "100"]) == 3
+        assert "window-2" in capsys.readouterr().err
+
     def test_sweep_without_seeds_exits_2(self, capsys):
         code = main(["sweep", "--axis", "threshold", "--values", "0.7", "--seeds", ""])
         assert code == 2
@@ -216,3 +287,10 @@ class TestCli:
         assert lines[0] == ",".join(HEADERS["trace"])
         states = [line.split(",")[2] for line in lines[1:]]
         assert states[0] == "tx" and "rx" in states
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import caplora.cli, sys; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from caplora.energy import DeviceState, voltage_after
 from caplora.errors import InfeasibleScenario, ScenarioError
@@ -18,13 +18,12 @@ from caplora.markov import (
     discrete_voltage_after,
     level_of,
     solve_chain,
-    stationary_direct,
     stationary_distribution,
     threshold_levels,
 )
 from caplora.simulator import run_simulation
 
-from conftest import make_scenario
+from conftest import make_scenario, stationary_oracle
 
 G = 750
 
@@ -106,18 +105,18 @@ class TestTransitionMatrix:
     def test_rows_stochastic(self, p1, p2):
         scenario = make_scenario(interval_m=9.0, p1=p1, p2=p2)
         tm = build_transition_matrix(scenario, 200)
-        sums = np.asarray(tm.matrix.sum(axis=1)).ravel()
+        sums = tm.matrix.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
 
     def test_deterministic_chain_has_single_entry_rows(self):
         scenario = make_scenario(interval_m=9.0)
         tm = build_transition_matrix(scenario, 200)
-        assert np.all(np.diff(tm.matrix.indptr) == 1)
+        assert np.all(np.count_nonzero(tm.matrix, axis=1) == 1)
 
     def test_branch_counts(self):
         scenario = make_scenario(interval_m=9.0, p1=0.5, p2=0.25, turn_on_fraction=0.6)
         tm = build_transition_matrix(scenario, 200)
-        counts = np.diff(tm.matrix.indptr)
+        counts = np.count_nonzero(tm.matrix, axis=1)
         for i, state in enumerate(tm.states):
             if state.kind in (OFF, SL0):
                 assert counts[i] == 1
@@ -128,12 +127,12 @@ class TestTransitionMatrix:
         # p1 = 0.5, p2 = 0: SL1 rows split into at most two half-weight branches.
         scenario = make_scenario(interval_m=9.0, p1=0.5, turn_on_fraction=0.6)
         tm = build_transition_matrix(scenario, 200)
-        counts = np.diff(tm.matrix.indptr)
+        counts = np.count_nonzero(tm.matrix, axis=1)
         for i, state in enumerate(tm.states):
             if state.kind == SL1:
                 assert counts[i] <= 2
-                row = tm.matrix.getrow(i)
-                assert all(p in (0.5, 1.0) for p in row.data)
+                row = tm.matrix[i]
+                assert all(p in (0.5, 1.0) for p in row[row > 0])
 
     def test_state_space_bound_and_ranges(self):
         scenario = make_scenario(interval_m=9.0, p1=0.5, p2=0.5)
@@ -149,10 +148,12 @@ class TestTransitionMatrix:
                 assert thr.v_tx <= state.level <= thr.v_max
 
     def test_coordinate_dump_shape(self):
-        scenario = make_scenario(interval_m=9.0)
+        scenario = make_scenario(interval_m=9.0, p1=0.3, p2=0.6)
         tm = build_transition_matrix(scenario, 100)
         lines = list(tm.coordinate_lines())
-        assert len(lines) == tm.matrix.nnz
+        assert len(lines) == np.count_nonzero(tm.matrix)
+        for i, row in enumerate(tm.successors):
+            assert sorted(row) == np.flatnonzero(tm.matrix[i]).tolist()
         kinds = {OFF, SL0, SL1}
         for line in lines:
             src_kind, src_level, dst_kind, dst_level, prob = line.split(",")
@@ -161,12 +162,54 @@ class TestTransitionMatrix:
 
 
 def _toy_matrix(rows, kinds=None):
-    n = len(rows)
+    matrix = np.asarray(rows, dtype=float)
+    n = len(matrix)
     states = tuple(ChainState(kinds[i] if kinds else OFF, i) for i in range(n))
-    matrix = sp.csr_matrix(np.asarray(rows, dtype=float))
+    successors = tuple(tuple(np.flatnonzero(row).tolist()) for row in matrix)
     thr = ThresholdLevels(v_min=0, v_sl=n, v_tx=n, v_rx1=n + 1, v_rx2=n + 1, v_max=n)
     return TransitionMatrix(states=states, index={s: i for i, s in enumerate(states)},
-                            matrix=matrix, thresholds=thr, granularity=1)
+                            matrix=matrix, successors=successors, thresholds=thr,
+                            granularity=1)
+
+
+@st.composite
+def _multi_class_chains(draw):
+    """Row-stochastic matrices with transient states, a periodic closed
+    class, one or two aperiodic closed classes, and a shuffled order.
+
+    Returns (matrix, start); `start` is a transient state or any state.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    aperiodic = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    n_transient = draw(st.integers(1, 5))
+    n = sum(groups) + sum(aperiodic) + n_transient
+    p = np.zeros((n, n))
+    # Periodic class: group g moves only into group g+1 (mod len(groups)).
+    bounds = np.cumsum([0] + groups)
+    for g in range(len(groups)):
+        nxt = range(bounds[(g + 1) % len(groups)], bounds[(g + 1) % len(groups) + 1])
+        for i in range(bounds[g], bounds[g + 1]):
+            p[i, list(nxt)] = rng.random(len(nxt)) + 0.05
+    first = bounds[-1]
+    for size in aperiodic:
+        block = range(first, first + size)
+        for i in block:
+            p[i, list(block)] = rng.random(size) + 0.05
+        first += size
+    for i in range(first, n):
+        # Transient rows: random mass into the classes, at least 0.2 to one
+        # recurrent state so that every transient state drains, and some
+        # mass among the transients.
+        p[i, :first] = rng.random(first) * (rng.random(first) < 0.5)
+        p[i, rng.integers(first)] += 0.2
+        p[i, first:] = rng.random(n - first) * (rng.random(n - first) < 0.5)
+    p /= p.sum(axis=1, keepdims=True)
+    order = rng.permutation(n)
+    p = p[np.ix_(order, order)]
+    position = np.argsort(order)
+    start = draw(st.one_of(st.integers(first, n - 1), st.integers(0, n - 1)))
+    return p, int(position[start])
 
 
 class TestStationary:
@@ -181,38 +224,50 @@ class TestStationary:
         assert pi == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
     def test_periodic_class_with_random_entry(self):
-        # 0 jumps into a period-2 cycle {1,2}; the lazy chain still converges.
+        # 0 jumps into a period-2 cycle {1,2}: the long-run average is uniform on it.
         tm = _toy_matrix([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         pi = stationary_distribution(tm, tm.states[0])
         assert pi == pytest.approx([0.0, 0.5, 0.5], abs=1e-9)
 
-    def test_matches_direct_solver_on_random_chain(self):
+    def test_matches_oracle_on_random_chain(self):
         rng = np.random.default_rng(4)
         raw = rng.random((6, 6)) + 0.01
         rows = raw / raw.sum(axis=1, keepdims=True)
         tm = _toy_matrix(rows.tolist())
-        pi_iter = stationary_distribution(tm, tm.states[0])
-        pi_direct = stationary_direct(tm, tm.states[0])
-        assert np.abs(pi_iter - pi_direct).max() <= 1e-8
+        pi = stationary_distribution(tm, tm.states[0])
+        assert np.abs(pi - stationary_oracle(tm.matrix, 0)).max() <= 1e-8
 
     def test_absorption_weighting(self):
         # From 0: 30% into absorbing 1, 70% into absorbing 2.
         tm = _toy_matrix([[0.0, 0.3, 0.7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        pi = stationary_direct(tm, tm.states[0])
+        pi = stationary_distribution(tm, tm.states[0])
         assert pi == pytest.approx([0.0, 0.3, 0.7], abs=1e-10)
-        pi_iter = stationary_distribution(tm, tm.states[0])
-        assert pi_iter == pytest.approx([0.0, 0.3, 0.7], abs=1e-8)
+        assert stationary_oracle(tm.matrix, 0) == pytest.approx([0.0, 0.3, 0.7], abs=1e-10)
+
+    def test_start_inside_a_closed_class(self):
+        # Starting in the absorbing state 2 never sees the other class.
+        tm = _toy_matrix([[0.0, 0.3, 0.7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        pi = stationary_distribution(tm, tm.states[2])
+        assert pi.tolist() == [0.0, 0.0, 1.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_multi_class_chains())
+    def test_matches_oracle_on_multi_class_chains(self, chain):
+        p, start = chain
+        tm = _toy_matrix(p)
+        pi = stationary_distribution(tm, tm.states[start])
+        assert np.all(pi >= 0.0)
+        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(pi - stationary_oracle(p, start)).max() <= 1e-8
 
     def test_scenario_chain_residual_and_solver_agreement(self):
         scenario = make_scenario(interval_m=10.0, p1=0.4, p2=0.3, turn_on_fraction=0.62)
         tm = build_transition_matrix(scenario, 200)
         pi = stationary_distribution(tm)
-        pt = tm.matrix.transpose().tocsr()
-        assert float(np.abs(pt @ pi - pi).max()) < 1e-10
+        assert float(np.abs(pi @ tm.matrix - pi).max()) < 1e-10
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pi >= 0)
-        pi_direct = stationary_direct(tm)
-        assert np.abs(pi - pi_direct).max() <= 1e-8
+        assert np.abs(pi - stationary_oracle(tm.matrix, 0)).max() <= 1e-8
 
 
 class TestChainMetrics:

@@ -35,6 +35,8 @@ from .simulator import (
     Scenario,
     SimStats,
     TracePoint,
+    cycle_table,
+    run_cycle,
     run_simulation,
     single_cycle_trace,
 )

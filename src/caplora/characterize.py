@@ -3,25 +3,28 @@ wake-up time, turn-on-threshold sweeps and the chain-vs-simulator accuracy
 grid.  Each driver returns figure-ready rows; CSV rendering lives in the
 CLI layer.
 
-The capacitance/interval analyses ask "can one uplink/downlink cycle run
-to completion, and from which start voltage" using the analytic cycle of
-single_cycle_trace, then search that feasibility boundary by bisection
-(start voltage to 0.1 mV, capacitance to 0.01 mF by default).
+The capacitance/interval analyses run the analytic uplink/downlink cycle
+(simulator.cycle_table and the trace-free simulator.run_cycle, the walk
+behind single_cycle_trace) and search its feasibility boundary by
+bisection.  min_capacitance asks only "does the cycle complete from the
+charging ceiling", one cycle per trial capacitance, bisected to 0.01 mF by
+default; min_tx_interval also needs the start voltage, bisected to 0.1 mV.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import defaults
 from .energy import CircuitConfig, DeviceState, DeviceThresholds, time_to_voltage
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from .markov import solve_chain
-from .simulator import Scenario, cycle_phases, run_simulation, single_cycle_trace
+from .simulator import Scenario, cycle_phases, cycle_table, run_cycle, run_simulation
 
 DL_CASES = ("none", "rx1", "rx2")
 
@@ -76,6 +79,11 @@ def apply_axis(scenario: Scenario, axis: str, value) -> tuple[Scenario, int | No
 
 # -- feasibility searches ---------------------------------------------------
 
+def _ceiling_start(circuit: CircuitConfig) -> float:
+    """The highest start voltage the searches try: just under the charging ceiling."""
+    return circuit.charge_ceiling() - 1e-9
+
+
 def required_cycle_voltage(scenario: Scenario, dl_case: str = "none",
                            tol_v: float = defaults.CYCLE_VOLTAGE_TOL_V) -> float | None:
     """Minimal start voltage completing one uplink/downlink cycle.
@@ -84,11 +92,12 @@ def required_cycle_voltage(scenario: Scenario, dl_case: str = "none",
     when even a capacitor charged to the ceiling cannot fund the cycle.
     """
     circuit = scenario.circuit
+    phases = cycle_table(circuit, scenario.schedule, dl_case)
     lo = circuit.v_min
-    hi = circuit.charge_ceiling() - 1e-9
+    hi = _ceiling_start(circuit)
 
     def completes(v: float) -> bool:
-        return single_cycle_trace(scenario, v, dl_case)[2]
+        return run_cycle(circuit, phases, v)[1]
 
     if not completes(hi):
         return None
@@ -107,10 +116,21 @@ def min_capacitance(scenario: Scenario, dl_case: str = "none",
                     lo_f: float = defaults.CAPACITANCE_SEARCH_LO_F,
                     hi_f: float = defaults.CAPACITANCE_SEARCH_HI_F,
                     tol_f: float = defaults.CAPACITANCE_TOL_F) -> float:
-    """Smallest capacitance whose cycle is feasible from some start voltage."""
+    """Smallest capacitance whose cycle is feasible from some start voltage.
+
+    A cycle is feasible from some start voltage exactly when it completes
+    from the charging ceiling (the top of required_cycle_voltage's
+    bracket), so each trial capacitance costs one trace-free cycle there.
+    A trial replaces only the circuit's capacitor and compiles only the
+    cycle's phases against the scenario's schedule.
+    """
+    circuit, sched = scenario.circuit, scenario.schedule
+    v_start = _ceiling_start(circuit)  # the ceiling does not depend on C
 
     def feasible(c: float) -> bool:
-        return required_cycle_voltage(with_capacitance(scenario, c), dl_case) is not None
+        trial = dataclasses.replace(
+            circuit, capacitor=dataclasses.replace(circuit.capacitor, capacitance=c))
+        return run_cycle(trial, cycle_table(trial, sched, dl_case), v_start)[1]
 
     if not feasible(hi_f):
         raise NoFeasibleCapacitance(
@@ -215,6 +235,15 @@ def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
     return pdr / n, pdl1 / n, pdl2 / n
 
 
+def _map_cells(cell_fn: Callable, cells: list, jobs: int) -> list:
+    """cell_fn over cells, in order; with jobs > 1 in a process pool of at
+    most os.cpu_count() workers."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+            return list(pool.map(cell_fn, cells))
+    return [cell_fn(cell) for cell in cells]
+
+
 def _cell_scenario(spec: SweepSpec, value, m) -> tuple[Scenario, int]:
     """The scenario and granularity of one grid cell; ScenarioError if invalid."""
     scenario, g_override = apply_axis(spec.scenario, spec.axis, value)
@@ -263,12 +292,7 @@ def threshold_sweep(spec: SweepSpec, engine: str = "simulator",
     cells = [(spec, value, m, engines) for value in spec.values for m in m_grid]
     for cell in cells:
         _cell_scenario(*cell[:3])
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(_sweep_cell, cells))
-    else:
-        nested = [_sweep_cell(cell) for cell in cells]
-    return [row for rows in nested for row in rows]
+    return [row for rows in _map_cells(_sweep_cell, cells, jobs) for row in rows]
 
 
 # -- accuracy study ---------------------------------------------------------
@@ -357,10 +381,7 @@ def accuracy_study(base: Scenario,
              for case_id in cases
              for m_class in m_classes
              for (p1, p2) in p_combos]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_accuracy_cell, cells))
-    return [_accuracy_cell(cell) for cell in cells]
+    return _map_cells(_accuracy_cell, cells, jobs)
 
 
 @dataclass(frozen=True)

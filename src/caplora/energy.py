@@ -56,6 +56,9 @@ class DeviceState(str, Enum):
         return self.value
 
 
+_STATES = frozenset(DeviceState)
+
+
 def equivalent_resistance(r_load: float, r_i: float) -> float:
     """Parallel combination R_L * r_i / (R_L + r_i) seen by the capacitor."""
     if r_load <= 0 or r_i <= 0:
@@ -139,7 +142,10 @@ class LoadTable:
                 raise ScenarioError(f"load resistance for {state} must be finite and > 0")
 
     def resistance(self, state: DeviceState) -> float:
-        return getattr(self, DeviceState(state).value)
+        # DeviceState is a str enum, so "tx" and DeviceState.TX are one member.
+        if state not in _STATES:
+            raise ValueError(f"unknown device state {state!r}")
+        return getattr(self, state)
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,10 @@ class CircuitConfig:
         return self.harvester.operating_voltage
 
     def state_params(self, state: DeviceState) -> _StateParams:
-        return self._params[DeviceState(state)]
+        try:
+            return self._params[state]
+        except KeyError:
+            raise ValueError(f"unknown device state {state!r}") from None
 
     def asymptote(self, state: DeviceState) -> float:
         """Voltage the capacitor converges to if the device stays in `state`.

@@ -12,10 +12,12 @@ by time stepping.
 Each scenario compiles one phase table (phase_table, cached as
 Scenario.phases): the seven timed Class A phases of its schedule plus
 the Off and Sleep recharge states, each an energy.Phase whose decay
-factor and ideal-or-parasitic branch are fixed up front.  run_simulation
-and single_cycle_trace share one walk over that table; its results are
-bit-identical to stepping with voltage_after and time_to_voltage, and
-the draw order below is unchanged by it.
+factor and ideal-or-parasitic branch are fixed up front.  run_simulation,
+single_cycle_trace and its trace-free twin run_cycle share one walk over
+compiled phases; its results are bit-identical to stepping with
+voltage_after and time_to_voltage, and the draw order below is unchanged
+by it.  cycle_table compiles just one analytic cycle's phases, for
+searches that try many circuits against one schedule.
 
 Two downlink-cost conventions live here, mirroring how such devices are
 analyzed versus simulated:
@@ -38,6 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .energy import CircuitConfig, DeviceState, Phase, compile_phase
 from .errors import ScenarioError
@@ -129,11 +132,15 @@ _CYCLES = {
 }
 
 
+def _slot(sched: TimingSchedule, slot: str) -> tuple[DeviceState, float]:
+    state, name = _SLOTS[slot]
+    return state, getattr(sched, name)
+
+
 def phase_table(circuit: CircuitConfig, sched: TimingSchedule) -> dict[str, Phase]:
     """Compile the seven timed phases of `sched` plus the Off and Sleep
     recharge states ('off', 'sleep') for one circuit."""
-    table = {slot: compile_phase(circuit, state, getattr(sched, name))
-             for slot, (state, name) in _SLOTS.items()}
+    table = {slot: compile_phase(circuit, *_slot(sched, slot)) for slot in _SLOTS}
     table["off"] = compile_phase(circuit, DeviceState.OFF)
     table["sleep"] = compile_phase(circuit, DeviceState.SLEEP)
     return table
@@ -293,7 +300,14 @@ def cycle_phases(sched: TimingSchedule, dl_case: str) -> list[tuple[DeviceState,
     the first idle second (and the cycle ends there), 'rx2' receives in
     place of the second listening window, 'none' listens through both.
     """
-    return [(_SLOTS[slot][0], getattr(sched, _SLOTS[slot][1])) for slot in _cycle(dl_case)]
+    return [_slot(sched, slot) for slot in _cycle(dl_case)]
+
+
+def cycle_table(circuit: CircuitConfig, sched: TimingSchedule,
+                dl_case: str) -> tuple[Phase, ...]:
+    """Compile only the phases of the analytic cycle for one dl_case, in
+    cycle order, for `circuit` against an existing schedule."""
+    return tuple(compile_phase(circuit, *_slot(sched, slot)) for slot in _cycle(dl_case))
 
 
 def _cycle(dl_case: str) -> tuple[str, ...]:
@@ -304,6 +318,28 @@ def _cycle(dl_case: str) -> tuple[str, ...]:
             f"dl_case must be 'none', 'rx1' or 'rx2', got {dl_case!r}") from None
 
 
+def _cycle_walk(circuit: CircuitConfig, phases: Sequence[Phase], v_start: float,
+                trace: bool) -> tuple[_Walk, bool]:
+    """Walk the compiled cycle `phases` from v_start; (walk, completed)."""
+    if not circuit.v_min <= v_start <= circuit.operating_voltage:
+        raise ScenarioError(
+            f"v_start must lie in [{circuit.v_min}, {circuit.operating_voltage}], got {v_start}"
+        )
+    walk = _Walk(circuit, v_start, off=False, trace=trace)
+    return walk, all(walk.phase(phase) for phase in phases)
+
+
+def run_cycle(circuit: CircuitConfig, phases: Sequence[Phase],
+              v_start: float) -> tuple[float, bool]:
+    """single_cycle_trace without the trace, over phases from cycle_table.
+
+    Returns (final_voltage, completed); completed is False when the
+    capacitor touched the turn-off voltage anywhere in the cycle.
+    """
+    walk, completed = _cycle_walk(circuit, phases, v_start, trace=False)
+    return walk.v, completed
+
+
 def single_cycle_trace(scenario: Scenario, v_start: float,
                        dl_case: str = "none") -> tuple[list[TracePoint], float, bool]:
     """Run exactly one deterministic uplink/downlink cycle from v_start.
@@ -311,16 +347,9 @@ def single_cycle_trace(scenario: Scenario, v_start: float,
     Returns (trace, final_voltage, completed); completed is False when the
     capacitor touched the turn-off voltage anywhere in the cycle.
     """
-    circuit = scenario.circuit
-    if not circuit.v_min <= v_start <= circuit.operating_voltage:
-        raise ScenarioError(
-            f"v_start must lie in [{circuit.v_min}, {circuit.operating_voltage}], got {v_start}"
-        )
-    slots = _cycle(dl_case)
     table = scenario.phases
-    walk = _Walk(circuit, v_start, off=False, trace=True)
-    for slot in slots:
-        if not walk.phase(table[slot]):
-            return walk.points, walk.v, False
-    walk.record(walk.t, DeviceState.SLEEP)
-    return walk.points, walk.v, True
+    walk, completed = _cycle_walk(scenario.circuit, [table[slot] for slot in _cycle(dl_case)],
+                                  v_start, trace=True)
+    if completed:
+        walk.record(walk.t, DeviceState.SLEEP)
+    return walk.points, walk.v, completed

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from caplora import characterize
+from caplora import characterize, defaults
 from caplora.characterize import (
     SweepSpec,
     accuracy_study,
@@ -15,7 +17,8 @@ from caplora.characterize import (
     wakeup_time,
     with_capacitance,
 )
-from caplora.errors import InfeasibleScenario, ScenarioError
+from caplora.errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
+from caplora.simulator import cycle_table, run_cycle
 
 from conftest import make_circuit, make_scenario
 
@@ -95,6 +98,106 @@ class TestMinCapacitance:
         scenario = make_scenario(sf=7, ul_pl=48, dl_pl=48, interval_m=60.0)
         with pytest.raises(InfeasibleScenario):
             min_capacitance(scenario, "rx2", hi_f=2e-3)
+
+
+def reference_min_capacitance(scenario, dl_case,
+                              lo_f=defaults.CAPACITANCE_SEARCH_LO_F,
+                              hi_f=defaults.CAPACITANCE_SEARCH_HI_F,
+                              tol_f=defaults.CAPACITANCE_TOL_F):
+    """The capacitance search as first defined: a trial capacitance is
+    feasible when required_cycle_voltage of the rebuilt scenario finds
+    some start voltage."""
+
+    def feasible(c):
+        return required_cycle_voltage(with_capacitance(scenario, c), dl_case) is not None
+
+    if not feasible(hi_f):
+        raise NoFeasibleCapacitance(f"even {hi_f} F cannot complete the {dl_case} cycle")
+    if feasible(lo_f):
+        return lo_f
+    lo, hi = lo_f, hi_f
+    while hi - lo > tol_f:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def with_capacitor(scenario, **capacitor):
+    circuit = scenario.circuit
+    return dataclasses.replace(scenario, circuit=dataclasses.replace(
+        circuit, capacitor=dataclasses.replace(circuit.capacitor, **capacitor)))
+
+
+def completes_at_ceiling(scenario, c_farads, dl_case):
+    trial = with_capacitance(scenario, c_farads)
+    circuit = trial.circuit
+    phases = cycle_table(circuit, trial.schedule, dl_case)
+    return run_cycle(circuit, phases, circuit.charge_ceiling() - 1e-9)[1]
+
+
+def min_capacitance_or_inf(scenario, dl_case):
+    try:
+        return min_capacitance(scenario, dl_case)
+    except NoFeasibleCapacitance:
+        return math.inf
+
+
+class TestMinCapacitanceExactness:
+    @pytest.mark.parametrize("capacitor", [{}, {"esr": 5.0, "epr": 50e3}],
+                             ids=["ideal", "esr_epr"])
+    @pytest.mark.parametrize("dl_case", ["none", "rx1", "rx2"])
+    @pytest.mark.parametrize("sf", [7, 9, 11])
+    def test_equals_the_start_voltage_search(self, sf, dl_case, capacitor):
+        base = with_capacitor(make_scenario(sf=sf, ul_pl=48, dl_pl=48, interval_m=600.0),
+                              **capacitor)
+        for power_w in (1e-3, 3e-3, 10e-3):
+            scenario = characterize.with_harvest_power(base, power_w)
+            try:
+                want = reference_min_capacitance(scenario, dl_case)
+            except NoFeasibleCapacitance:
+                with pytest.raises(NoFeasibleCapacitance):
+                    min_capacitance(scenario, dl_case)
+                continue
+            assert min_capacitance(scenario, dl_case) == want
+
+
+_sizing_scenarios = st.builds(
+    lambda sf, ul_pl, dl_pl, power_w: make_scenario(
+        sf=sf, ul_pl=ul_pl, dl_pl=dl_pl, power_w=power_w, interval_m=600.0),
+    sf=st.integers(7, 12),
+    ul_pl=st.integers(1, 64),
+    dl_pl=st.integers(1, 64),
+    power_w=st.floats(1e-4, 1e-1),
+)
+_capacitances = st.floats(defaults.CAPACITANCE_SEARCH_LO_F, defaults.CAPACITANCE_SEARCH_HI_F)
+
+
+class TestSizingProperties:
+    """Properties of ideal capacitors that the capacitance bisection relies on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sizing_scenarios, st.sampled_from(characterize.DL_CASES),
+           _capacitances, _capacitances)
+    def test_feasibility_at_the_ceiling_is_monotone_in_capacitance(
+            self, scenario, dl_case, c_a, c_b):
+        c_small, c_large = sorted((c_a, c_b))
+        if completes_at_ceiling(scenario, c_small, dl_case):
+            assert completes_at_ceiling(scenario, c_large, dl_case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sizing_scenarios, st.sampled_from(characterize.DL_CASES),
+           st.floats(1e-4, 1e-1), st.floats(1e-4, 1e-1))
+    def test_min_capacitance_does_not_increase_with_harvest_power(
+            self, scenario, dl_case, p_a, p_b):
+        p_low, p_high = sorted((p_a, p_b))
+        at_low = min_capacitance_or_inf(characterize.with_harvest_power(scenario, p_low),
+                                        dl_case)
+        at_high = min_capacitance_or_inf(characterize.with_harvest_power(scenario, p_high),
+                                         dl_case)
+        assert at_high <= at_low
 
 
 class TestMinTxInterval:

@@ -1,12 +1,14 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import warnings
 
 import pytest
 
-from caplora import defaults
+from caplora import characterize, defaults
 from caplora.cli import HEADERS, main
 from caplora.config import dump_scenario, load_scenario, parse_scenario
 from caplora.energy import CapacitorConfig, HarvesterConfig
@@ -294,3 +296,58 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+# Each file under tests/data holds the recorded stdout of its command line
+# (the README min-cap example and its reference behaviours): sizing answers
+# may change only with a documented fix, never by a speed-up.
+GOLDEN_CALLS = {
+    "min_cap_readme.csv": ["min-cap", "--sf", "7,9,11", "--ul-pl", "48", "--dl-pl", "48",
+                           "--dl-case", "rx2"],
+    "min_interval.csv": ["min-interval", "--capacitance", "0.02", "--power", "0.001",
+                         "--dl-case", "rx2"],
+    "wakeup.csv": ["wakeup", "--capacitance", "0.0047,1", "--power", "0.1",
+                   "--thresholds", "0.56"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))
+def test_sizing_output_is_byte_identical(name, capsys):
+    assert main(GOLDEN_CALLS[name]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    max_workers: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "threshold", "--values", "0.6,0.7", "--m", "9",
+     "--engine", "chain", "--granularity", "100"],
+    ["accuracy", "--cases", "A", "--m-classes", "very_high", "--granularities", "100",
+     "--n", "20", "--seeds", "1"],
+])
+def test_jobs_are_capped_at_the_cpu_count(argv, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(_RecordingPool, "max_workers", [])
+    monkeypatch.setattr(characterize, "ProcessPoolExecutor", _RecordingPool)
+    assert main(argv + ["--jobs", "3"]) == 0
+    assert _RecordingPool.max_workers == [1]

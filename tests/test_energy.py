@@ -196,6 +196,17 @@ class TestCircuitValidation:
         with pytest.raises(ScenarioError):
             DeviceThresholds(v_min=1.8, v_sl=3.4).validate(E)
 
+    def test_states_are_looked_up_by_value(self, circuit_1mw):
+        assert circuit_1mw.state_params("tx") is circuit_1mw.state_params(DeviceState.TX)
+        assert circuit_1mw.loads.resistance("rx") == circuit_1mw.loads.resistance(DeviceState.RX)
+
+    @pytest.mark.parametrize("state", ["bogus", "TX", "capacitance", "__init__", 3, None])
+    def test_unknown_state_raises_value_error(self, circuit_1mw, state):
+        with pytest.raises(ValueError, match="unknown device state"):
+            circuit_1mw.state_params(state)
+        with pytest.raises(ValueError, match="unknown device state"):
+            circuit_1mw.loads.resistance(state)
+
     def test_rejects_sleep_that_cannot_hold_charge(self):
         # A sleep load drawing so much that its equilibrium sits below the
         # 1.8 V turn-off threshold is a broken configuration.

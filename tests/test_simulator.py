@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caplora.cli import main
 from caplora.energy import DeviceState, time_to_voltage, voltage_after
@@ -10,6 +11,8 @@ from caplora.simulator import (
     SimStats,
     TracePoint,
     cycle_phases,
+    cycle_table,
+    run_cycle,
     run_simulation,
     single_cycle_trace,
 )
@@ -313,3 +316,35 @@ class TestReferenceOracle:
             v_start = circuit.v_min + (ceiling - circuit.v_min) * k / 10
             assert single_cycle_trace(scenario, v_start, dl_case) == \
                 reference_cycle(scenario, v_start, dl_case)
+
+
+class TestTraceFreeCycle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(CAPACITORS)), st.sampled_from(["none", "rx1", "rx2"]),
+           st.floats(1e-3, 0.1), st.floats(1e-3, 1e-2), st.floats(0.0, 1.0))
+    def test_matches_single_cycle_trace(self, capacitor, dl_case, c_farads, power_w, u):
+        scenario = make_scenario(interval_m=600.0, power_w=power_w)
+        scenario = dataclasses.replace(scenario, circuit=make_circuit(
+            c_farads=c_farads, power_w=power_w, **CAPACITORS[capacitor]))
+        circuit = scenario.circuit
+        v_start = min(circuit.v_min + u * (circuit.operating_voltage - circuit.v_min),
+                      circuit.operating_voltage)
+        phases = cycle_table(circuit, scenario.schedule, dl_case)
+        _, v_end, completed = single_cycle_trace(scenario, v_start, dl_case)
+        assert run_cycle(circuit, phases, v_start) == (v_end, completed)
+
+    def test_rejects_out_of_range_start(self):
+        circuit = make_scenario().circuit
+        with pytest.raises(ScenarioError, match="v_start"):
+            run_cycle(circuit, (), circuit.v_min - 1e-6)
+        with pytest.raises(ScenarioError, match="v_start"):
+            run_cycle(circuit, (), circuit.operating_voltage + 1e-6)
+
+    def test_cycle_table_follows_cycle_phases(self):
+        scenario = make_scenario(interval_m=9.0)
+        for dl_case in ("none", "rx1", "rx2"):
+            phases = cycle_table(scenario.circuit, scenario.schedule, dl_case)
+            assert [(p.state, p.duration) for p in phases] == \
+                cycle_phases(scenario.schedule, dl_case)
+        with pytest.raises(ScenarioError, match="dl_case"):
+            cycle_table(scenario.circuit, scenario.schedule, "bogus")

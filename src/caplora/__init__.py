@@ -47,8 +47,6 @@ from .markov import (
     TransitionMatrix,
     build_transition_matrix,
     chain_metrics,
-    discrete_time_to_level,
-    discrete_voltage_after,
     solve_chain,
     stationary_distribution,
     threshold_levels,

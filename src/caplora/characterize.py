@@ -80,8 +80,9 @@ def apply_axis(scenario: Scenario, axis: str, value) -> tuple[Scenario, int | No
 # -- feasibility searches ---------------------------------------------------
 
 def _ceiling_start(circuit: CircuitConfig) -> float:
-    """The highest start voltage the searches try: just under the charging ceiling."""
-    return circuit.charge_ceiling() - 1e-9
+    """The highest start voltage the searches try: just under the charging
+    ceiling, and never below the turn-off voltage."""
+    return max(circuit.charge_ceiling() - 1e-9, circuit.v_min)
 
 
 def required_cycle_voltage(scenario: Scenario, dl_case: str = "none",
@@ -167,7 +168,9 @@ def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:
 def wakeup_time(circuit: CircuitConfig, threshold_fraction: float) -> float:
     """Off-state charge time from the turn-off voltage to the threshold.
 
-    math.inf when the threshold exceeds what the harvester can ever reach.
+    The threshold is a load voltage; the Off-state load map turns it into
+    the capacitor voltage the charge must reach.  math.inf when the
+    threshold exceeds what the harvester can ever reach.
     """
     target = threshold_fraction * circuit.operating_voltage
     if target < circuit.v_min:
@@ -175,7 +178,9 @@ def wakeup_time(circuit: CircuitConfig, threshold_fraction: float) -> float:
             f"threshold {threshold_fraction:.3f} * {circuit.operating_voltage} V "
             f"is below the turn-off voltage {circuit.v_min} V"
         )
-    return time_to_voltage(circuit, DeviceState.OFF, circuit.v_min, target)
+    p = circuit.state_params(DeviceState.OFF)
+    v_on = max((target - p.b) / p.a, circuit.v_min)
+    return time_to_voltage(circuit, DeviceState.OFF, circuit.v_min, v_on)
 
 
 # -- threshold sweep --------------------------------------------------------
@@ -255,7 +260,7 @@ def _cell_scenario(spec: SweepSpec, value, m) -> tuple[Scenario, int]:
 def _sweep_cell(args: tuple) -> list[SweepRow]:
     spec, value, m, engines = args
     scenario, g = _cell_scenario(spec, value, m)
-    beyond_ceiling = scenario.circuit.v_sl >= scenario.circuit.asymptote(DeviceState.OFF)
+    beyond_ceiling = scenario.circuit.v_on >= scenario.circuit.asymptote(DeviceState.OFF)
     rows = []
     for engine in engines:
         try:

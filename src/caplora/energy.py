@@ -2,26 +2,34 @@
 
 The harvester is a real DC voltage source: an ideal source E behind a
 series resistance r_i = E^2 / P_harvest that limits the deliverable power.
-The device electronics are a per-state load resistance R_L, so during any
-device state the capacitor voltage follows a single exponential
+The device electronics are a per-state load resistance R_L; source and
+load together are a Thevenin source V_th = E * R_eq / r_i behind
+R_eq = R_L * r_i / (R_L + r_i).  The same circuit expressed as a Norton
+current source I = E / r_i with parallel r_i gives an identical
+trajectory; both forms are implemented and tested for equivalence.
 
-    v(t) = E * (R_eq / r_i) * (1 - exp(-t / (R_eq * C))) + v0 * exp(-t / (R_eq * C))
+A real capacitor adds a series resistance (ESR) and a leakage resistance
+(EPR) across its plates.  The capacitor voltage v_C is the one state:
+during any device state it follows a single exponential
 
-with R_eq = R_L * r_i / (R_L + r_i).  The same circuit expressed as a
-Norton current source I = E / r_i with parallel r_i gives an identical
-v(t); both forms are implemented and tested for equivalence.
+    v_C(t) = L + (v_C(0) - L) * exp(-t / tau)
 
-A real capacitor adds a series resistance (ESR) and a parallel leakage
-resistance (EPR, models self-discharge).  With ESR = 0 and EPR = inf the
-real-capacitor expression reduces exactly to the ideal one; EPR uses an
-explicit math.inf sentinel so that reduction is bit-clean.
+with ratio = EPR / (EPR + R_eq + ESR), tau = (R_eq + ESR) * C * ratio and
+L = V_th * ratio.  The load sees the affine map v_L = a * v_C + b with
+a = R_eq / (R_eq + ESR) and b = V_th * ESR / (R_eq + ESR).  The device
+thresholds are judged on v_L, so each state has a turn-off capacitor
+voltage v_off = (v_min - b) / a, and the device wakes when the Off-state
+load reaches v_sl, at v_C = CircuitConfig.v_on.  An ideal capacitor
+(ESR = 0, EPR = inf) is the case ratio = 1, a = 1, b = 0, where every
+constant reduces bit for bit to tau = R_eq * C and L = V_th; EPR uses an
+explicit math.inf sentinel so that reduction is exact.
 
 compile_phase turns one device state (at a fixed duration, or open-ended
-for the recharge states) into a Phase: the state's asymptote plus
-after/cross callables with the ideal-or-parasitic choice and the decay
-factor fixed in advance.  The simulator walks these; the ideal callables
-evaluate the very expressions of voltage_after and time_to_voltage, so
-both paths give bit-identical floats.
+for the recharge states) into a Phase: its turn-off voltage plus
+after/cross callables with the decay factor fixed in advance.  The
+simulator walks these; they evaluate the very expressions of
+voltage_after and time_to_voltage (a timed phase's crossing is the time
+to its turn-off voltage), so both paths give bit-identical floats.
 
 Everything here is a pure function of its arguments; no shared state.
 """
@@ -120,10 +128,6 @@ class CapacitorConfig:
         if not self.epr > 0:
             raise ScenarioError(f"EPR must be > 0 (math.inf for ideal), got {self.epr}")
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.esr == 0.0 and math.isinf(self.epr)
-
 
 @dataclass(frozen=True)
 class LoadTable:
@@ -165,20 +169,24 @@ class DeviceThresholds:
 
 @dataclass(frozen=True)
 class _StateParams:
-    """Precomputed per-state constants of the ideal-capacitor exponential."""
+    """Precomputed per-state constants: the capacitor exponential and the
+    affine map from capacitor to load voltage."""
 
     r_eq: float
-    tau: float        # R_eq * C
-    v_limit: float    # asymptote E * R_eq / r_i
+    tau: float        # (R_eq + ESR) * C * ratio
+    v_limit: float    # asymptote of v_C: E * R_eq / r_i * ratio
+    a: float          # load voltage v_L = a * v_C + b
+    b: float
+    v_off: float      # v_C at which the load sees v_min: (v_min - b) / a
 
 
 @dataclass(frozen=True)
 class CircuitConfig:
     """Complete electrical description of one device build.
 
-    On construction the per-state exponential constants are cached and the
+    On construction the per-state constants are cached and the
     charging-state sanity assumption is enforced: Off, Sleep and Idle must
-    have their equilibrium voltage above v_min, otherwise the device would
+    settle with their load voltage above v_min, otherwise the device would
     brown out while nominally recharging and the state-transition models
     downstream would be silently wrong.
     """
@@ -193,17 +201,24 @@ class CircuitConfig:
         self.thresholds.validate(self.harvester.operating_voltage)
         r_i = self.harvester.series_resistance
         e = self.harvester.operating_voltage
-        c = self.capacitor.capacitance
+        c, esr, epr = self.capacitor.capacitance, self.capacitor.esr, self.capacitor.epr
         params = {}
         for state in DeviceState:
             r_eq = equivalent_resistance(self.loads.resistance(state), r_i)
-            params[state] = _StateParams(r_eq=r_eq, tau=r_eq * c, v_limit=e * r_eq / r_i)
+            ratio = 1.0 if math.isinf(epr) else epr / (epr + r_eq + esr)
+            v_th = e * r_eq / r_i
+            a = r_eq / (r_eq + esr)
+            b = v_th * esr / (r_eq + esr)
+            params[state] = _StateParams(r_eq=r_eq, tau=(r_eq + esr) * c * ratio,
+                                         v_limit=v_th * ratio, a=a, b=b,
+                                         v_off=(self.thresholds.v_min - b) / a)
         object.__setattr__(self, "_params", params)
         for state in (DeviceState.OFF, DeviceState.SLEEP, DeviceState.IDLE):
-            if params[state].v_limit <= self.thresholds.v_min:
+            p = params[state]
+            if p.v_limit <= p.v_off:
                 raise ScenarioError(
                     f"{state.value}-state equilibrium voltage "
-                    f"{params[state].v_limit:.4f} V is not above the turn-off "
+                    f"{p.a * p.v_limit + p.b:.4f} V is not above the turn-off "
                     f"threshold {self.thresholds.v_min} V; the device could "
                     f"never sustain charge in that state"
                 )
@@ -217,6 +232,12 @@ class CircuitConfig:
         return self.thresholds.v_sl
 
     @property
+    def v_on(self) -> float:
+        """Capacitor voltage at which the Off-state load reaches v_sl: the wake target."""
+        p = self._params[DeviceState.OFF]
+        return (self.thresholds.v_sl - p.b) / p.a
+
+    @property
     def operating_voltage(self) -> float:
         return self.harvester.operating_voltage
 
@@ -227,78 +248,40 @@ class CircuitConfig:
             raise ValueError(f"unknown device state {state!r}") from None
 
     def asymptote(self, state: DeviceState) -> float:
-        """Voltage the capacitor converges to if the device stays in `state`.
+        """Capacitor voltage the device converges to if it stays in `state`.
 
-        For a parasitic capacitor this is the real-model limit, which sits
-        below the ideal one because of the EPR leakage path.
+        EPR leakage puts it below the ideal E * R_eq / r_i.
         """
-        if self.capacitor.is_ideal:
-            return self.state_params(state).v_limit
-        p = self.state_params(state)
-        esr, epr = self.capacitor.esr, self.capacitor.epr
-        e, r_i = self.harvester.operating_voltage, self.harvester.series_resistance
-        return e * p.r_eq * _parasitic_ratio(esr, epr, p.r_eq) / r_i
+        return self.state_params(state).v_limit
 
     def charge_ceiling(self) -> float:
-        """Highest voltage any non-discharging state can ever reach."""
+        """Highest capacitor voltage any non-discharging state can ever reach."""
         return max(
             self.asymptote(s) for s in (DeviceState.OFF, DeviceState.SLEEP, DeviceState.IDLE)
         )
 
 
-def _parasitic_ratio(esr: float, epr: float, r_eq: float) -> float:
-    """(ESR + EPR) / (ESR + EPR + R_eq), with the EPR -> inf limit exact."""
-    if math.isinf(epr):
-        return 1.0
-    return (esr + epr) / (esr + epr + r_eq)
-
-
 def voltage_after(circuit: CircuitConfig, state: DeviceState, v0: float, t: float) -> float:
-    """Load voltage after spending time t in `state`, starting from v0.
+    """Capacitor voltage after spending time t in `state`, starting from v0.
 
-    Uses the ideal single-exponential expression, or the ESR/EPR variant
-    when the capacitor has parasitics.  Monotone in t: rises toward the
-    state asymptote when v0 is below it, decays toward it when above.
+    Monotone in t: rises toward the state asymptote when v0 is below it,
+    decays toward it when above.  The load sees a * v + b of the state.
     """
     if t < 0:
         raise ScenarioError(f"time must be >= 0, got {t}")
     if v0 < 0:
         raise ScenarioError(f"initial voltage must be >= 0, got {v0}")
     p = circuit.state_params(state)
-    if circuit.capacitor.is_ideal:
-        return _ideal_step(p.v_limit, math.exp(-t / p.tau), v0)
-    return voltage_after_parasitic(circuit, state, v0, t)
+    return _step(p.v_limit, math.exp(-t / p.tau), v0)
 
 
-def _ideal_step(v_limit: float, decay: float, v0: float) -> float:
-    """Ideal exponential from v0 once the distance to v_limit shrank by `decay`."""
+def _step(v_limit: float, decay: float, v0: float) -> float:
+    """The exponential from v0 once the distance to v_limit shrank by `decay`."""
     return v_limit * (1.0 - decay) + v0 * decay
 
 
-def _ideal_after(v_limit: float, tau: float, v0: float, t: float) -> float:
-    return _ideal_step(v_limit, math.exp(-t / tau), v0)
-
-
-def voltage_after_parasitic(circuit: CircuitConfig, state: DeviceState,
-                            v0: float, t: float) -> float:
-    """ESR/EPR evolution, usable with any parasitic values.
-
-    Degenerates to the ideal expression for ESR = 0 and EPR = inf (the
-    sentinel keeps that reduction exact); voltage_after dispatches ideal
-    capacitors to the ideal branch, this exists separately so the
-    reduction itself can be verified.
-    """
-    p = circuit.state_params(state)
-    esr, epr = circuit.capacitor.esr, circuit.capacitor.epr
-    c = circuit.capacitor.capacitance
-    e, r_i = circuit.harvester.operating_voltage, circuit.harvester.series_resistance
-    leak = 0.0 if math.isinf(epr) else 1.0 / epr
-    rate = (leak + 1.0 / (esr + p.r_eq)) / c
-    decay = math.exp(-rate * t)
-    instantaneous = (e * p.r_eq * esr / (r_i * (esr + p.r_eq))
-                     + v0 * p.r_eq / (esr + p.r_eq))
-    settled = e * p.r_eq * _parasitic_ratio(esr, epr, p.r_eq) / r_i
-    return instantaneous * decay + settled * (1.0 - decay)
+def _after(v_limit: float, tau: float, v0: float, t: float) -> float:
+    return _step(v_limit, math.exp(-t / tau), v0)
 
 
 def voltage_after_norton(circuit: CircuitConfig, state: DeviceState, v0: float, t: float) -> float:
@@ -315,9 +298,9 @@ def voltage_after_norton(circuit: CircuitConfig, state: DeviceState, v0: float, 
 
 
 def time_to_voltage(circuit: CircuitConfig, state: DeviceState, v_i: float, v_f: float) -> float:
-    """Time for the voltage to move from v_i to v_f while in `state`.
+    """Time for the capacitor voltage to move from v_i to v_f while in `state`.
 
-    Inverts the exponential:  t = -R_eq * C * ln((v_f - v_lim) / (v_i - v_lim)).
+    Inverts the exponential:  t = -tau * ln((v_f - v_lim) / (v_i - v_lim)).
     Returns math.inf when v_f is unreachable: at/beyond the asymptote
     relative to v_i, or within ASYMPTOTE_GUARD_V of it.  The inf return
     composes naturally with deadline checks ("does the crossing happen
@@ -325,13 +308,11 @@ def time_to_voltage(circuit: CircuitConfig, state: DeviceState, v_i: float, v_f:
     """
     if v_i < 0:
         raise ScenarioError(f"initial voltage must be >= 0, got {v_i}")
-    if not circuit.capacitor.is_ideal:
-        return _time_to_voltage_bisect(circuit, state, v_i, v_f)
     p = circuit.state_params(state)
-    return _ideal_time(p.v_limit, p.tau, v_i, v_f)
+    return _time(p.v_limit, p.tau, v_i, v_f)
 
 
-def _ideal_time(v_limit: float, tau: float, v_i: float, v_f: float) -> float:
+def _time(v_limit: float, tau: float, v_i: float, v_f: float) -> float:
     if v_i == v_f:
         return 0.0
     gap_f = v_f - v_limit
@@ -344,87 +325,52 @@ def _ideal_time(v_limit: float, tau: float, v_i: float, v_f: float) -> float:
     return -tau * math.log(gap_f / gap_i)
 
 
-def _time_to_voltage_bisect(circuit: CircuitConfig, state: DeviceState,
-                            v_i: float, v_f: float, tol: float = 1e-9) -> float:
-    """Numerical inverse for the parasitic-capacitor evolution.
-
-    The trajectory is still a single decaying exponential toward the real
-    asymptote, so bracketing + bisection on voltage_after is robust.  Note
-    the parasitic model's t=0 voltage is a divider of v_i, not v_i itself,
-    which is why reachability is judged on the actual trajectory endpoints.
-    """
-    if v_i == v_f:
+def _off_time(v_limit: float, tau: float, v_off: float, v: float) -> float:
+    """Time until the capacitor falls from v to v_off: 0 at or below v_off,
+    math.inf when the state settles at or above it."""
+    if v <= v_off:
         return 0.0
-    start = voltage_after(circuit, state, v_i, 0.0)
-    limit = circuit.asymptote(state)
-    gap_f = v_f - limit
-    gap_s = v_f - start
-    if gap_s == 0.0:
-        return 0.0
-    if abs(gap_f) <= ASYMPTOTE_GUARD_V or (gap_s > 0) == (gap_f > 0):
-        # At the asymptote, or v_f not between the trajectory start and its limit.
+    gap_f = v_off - v_limit
+    if gap_f <= ASYMPTOTE_GUARD_V:
         return math.inf
-
-    def crossed(t: float) -> bool:
-        return (voltage_after(circuit, state, v_i, t) - v_f) * gap_s >= 0.0
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if crossed(hi):
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        return math.inf
-    while True:
-        mid = 0.5 * (lo + hi)
-        v_mid = voltage_after(circuit, state, v_i, mid)
-        if abs(v_mid - v_f) <= tol or (hi - lo) <= 1e-15 * max(1.0, hi):
-            return mid
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid
+    return -tau * math.log(gap_f / (v - v_limit))
 
 
 @dataclass(frozen=True, slots=True)
 class Phase:
     """One device state compiled for a circuit: the simulator's unit of work.
 
-    A timed phase lasts `duration` and `after(v)` is the voltage at its
-    end.  A recharge phase (Off or Sleep until an event the walk decides)
-    has duration None and `after(v, t)` takes the elapsed time too.
-    `cross(v, v_target)` is the time the state needs to move v to
+    A timed phase lasts `duration`; `after(v)` is the capacitor voltage at
+    its end and `cross(v)` the time until the device turns off in it, where
+    the capacitor reaches `v_off` (0 when entered at or below it, math.inf
+    when it never gets there).  Entered above `v_guard` it cannot turn off
+    at all: v_guard is math.inf when the state decays below v_off, v_off
+    otherwise.  A recharge phase (Off or Sleep until an event the walk
+    decides) has duration None; `after(v, t)` takes the elapsed time too
+    and `cross(v, v_target)` is the time the state needs to move v to
     v_target, math.inf when it never gets there.
     """
 
     state: DeviceState
     duration: float | None
-    asymptote: float
+    v_off: float
+    v_guard: float
     after: Callable[..., float]
-    cross: Callable[[float, float], float]
+    cross: Callable[..., float]
 
 
 def compile_phase(circuit: CircuitConfig, state: DeviceState,
                   duration: float | None = None) -> Phase:
-    """Fix the capacitor model, the state constants and, for a timed phase,
-    the decay factor exp(-duration / tau) once, ahead of any walk."""
+    """Fix the state constants and, for a timed phase, the decay factor
+    exp(-duration / tau) once, ahead of any walk."""
     if duration is not None and duration < 0:
         raise ScenarioError(f"time must be >= 0, got {duration}")
     p = circuit.state_params(state)
-    if circuit.capacitor.is_ideal:
-        cross = partial(_ideal_time, p.v_limit, p.tau)
-        if duration is None:
-            after = partial(_ideal_after, p.v_limit, p.tau)
-        else:
-            after = partial(_ideal_step, p.v_limit, math.exp(-duration / p.tau))
+    if duration is None:
+        after = partial(_after, p.v_limit, p.tau)
+        cross = partial(_time, p.v_limit, p.tau)
     else:
-        cross = partial(_time_to_voltage_bisect, circuit, state)
-        after = partial(voltage_after_parasitic, circuit, state)
-        if duration is not None:
-            after = partial(_after_duration, after, duration)
-    return Phase(state, duration, circuit.asymptote(state), after, cross)
-
-
-def _after_duration(after: Callable[[float, float], float], duration: float,
-                    v0: float) -> float:
-    return after(v0, duration)
+        after = partial(_step, p.v_limit, math.exp(-duration / p.tau))
+        cross = partial(_off_time, p.v_limit, p.tau, p.v_off)
+    v_guard = math.inf if p.v_limit < p.v_off else p.v_off
+    return Phase(state, duration, p.v_off, v_guard, after, cross)

@@ -2,22 +2,25 @@
 
 The chain is embedded at the scheduled transmission instants (every
 `interval_m` seconds).  Voltage is quantized to integer levels,
-level = round(v * g) with g levels per volt; time stays continuous within
-a cycle.  System states pair a coarse kind with a voltage level:
+level = round(v_C * g) of the capacitor voltage v_C with g levels per
+volt; time stays continuous within a cycle.  System states pair a coarse
+kind with a voltage level:
 
-    OFF  device below the turn-on threshold, packet lost;
+    OFF  device below the wake target v_on, packet lost;
     SL0  awake but without the energy to finish an uplink (it starts and
          aborts at the turn-off voltage);
     SL1  awake with enough energy, the uplink succeeds.
 
 Transitions compose the discrete voltage map V(state, level, duration)
 phase by phase, re-quantizing after every phase exactly like the voltage
-bookkeeping the metrics use.  Within SL1 the downlink branches follow the
-same window rules as the event simulator: a window always costs its
+bookkeeping the metrics use; one step is energy's phase exponential on
+the state's (tau, asymptote).  Within SL1 the downlink branches follow
+the same window rules as the event simulator: a window always costs its
 preamble at the listening load, a detected downlink additionally costs
 the packet airtime at the receiving load, and any brush with the turn-off
-voltage lands the device Off at v_min, recharging for whatever remains of
-the interval.
+voltage lands the device Off at the dying state's v_off, recharging for
+whatever remains of the interval.  A state dies where its end level sits
+at or below the level of its own v_off.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps the matrix small.  That start state may still reach more than
@@ -34,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .energy import CircuitConfig, DeviceState, time_to_voltage, voltage_after
+from .energy import CircuitConfig, DeviceState, time_to_voltage
 from .errors import InfeasibleScenario, ScenarioError
 from .simulator import Scenario
 
@@ -48,14 +51,15 @@ class ChainState(NamedTuple):
 
 @dataclass(frozen=True)
 class ThresholdLevels:
-    """Quantized decision levels of the chain (all in voltage levels)."""
+    """Quantized decision levels of the chain (all in capacitor voltage levels)."""
 
-    v_min: int
-    v_sl: int
+    v_min: int   # the chain's start: Off at the turn-off voltage
+    v_on: int    # wake target: OFF levels lie below it
     v_tx: int    # minimal sleep level from which an uplink still finishes
     v_rx1: int   # minimal reception-start level surviving window 1 (v_max+1 if none)
     v_rx2: int   # minimal reception-start level surviving window 2 (v_max+1 if none)
     v_max: int
+    v_off: dict  # DeviceState -> level of the state's turn-off voltage
 
 
 def level_of(v: float, g: int) -> int:
@@ -68,27 +72,12 @@ def _check_granularity(g: int) -> None:
         raise ScenarioError(f"granularity must be an integer >= 1, got {g!r}")
 
 
-def discrete_voltage_after(circuit: CircuitConfig, state: DeviceState,
-                           level0: int, t: float, g: int) -> int:
-    """Quantized voltage evolution: de-quantize, evolve, round, clamp."""
-    _check_granularity(g)
-    v = voltage_after(circuit, state, level0 / g, t)
-    return min(max(level_of(v, g), 0), level_of(circuit.operating_voltage, g))
-
-
-def discrete_time_to_level(circuit: CircuitConfig, state: DeviceState,
-                           level_i: int, level_f: int, g: int) -> float:
-    """Time between two quantized levels; math.inf when unreachable."""
-    _check_granularity(g)
-    return time_to_voltage(circuit, state, level_i / g, level_f / g)
-
-
 class _VoltageSteps:
     """Per-(state, duration) cached one-step discrete voltage maps.
 
     Each device phase has a fixed duration, so its exponential decay
-    factor is a constant; one step is then level -> round of a linear map,
-    with no exp() in the hot path.
+    factor is a constant; one step is then level -> round of energy's
+    phase step L * (1 - decay) + v * decay, with no exp() in the hot path.
     """
 
     def __init__(self, circuit: CircuitConfig, g: int):
@@ -102,10 +91,11 @@ class _VoltageSteps:
         cached = self._decay.get(key)
         if cached is None:
             p = self.circuit.state_params(state)
-            cached = (math.exp(-duration / p.tau), p.v_limit)
+            decay = math.exp(-duration / p.tau)
+            cached = (p.v_limit * (1.0 - decay), decay)
             self._decay[key] = cached
-        decay, v_limit = cached
-        v = v_limit + (level0 / self.g - v_limit) * decay
+        settled, decay = cached
+        v = settled + level0 / self.g * decay
         return min(max(level_of(v, self.g), 0), self.v_max)
 
 
@@ -129,33 +119,37 @@ def _min_level_surviving(steps: _VoltageSteps, state: DeviceState, duration: flo
 def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     """Quantized feasibility thresholds for transmit and both receptions.
 
-    Raises InfeasibleScenario when no level can fund a full transmission
-    (the capacitor is simply too small); the reception thresholds use the
-    sentinel v_max + 1 instead, because an unreceivable downlink still
-    leaves a working uplink-only device.
+    A phase survives when its end level lies above the level of its
+    state's turn-off voltage.  Raises InfeasibleScenario when no level can
+    fund a full transmission (the capacitor is simply too small); the
+    reception thresholds use the sentinel v_max + 1 instead, because an
+    unreceivable downlink still leaves a working uplink-only device.
     """
     _check_granularity(g)
     circuit, sched = scenario.circuit, scenario.schedule
     steps = _VoltageSteps(circuit, g)
     v_min = level_of(circuit.v_min, g)
     v_max = steps.v_max
-    survive = v_min + 1
-    v_tx = _min_level_surviving(steps, DeviceState.TX, sched.t_tx, v_min, v_max, survive)
+    v_off = {state: level_of(circuit.state_params(state).v_off, g) for state in DeviceState}
+    v_tx = _min_level_surviving(steps, DeviceState.TX, sched.t_tx, v_min, v_max,
+                                v_off[DeviceState.TX] + 1)
     if v_tx is None:
         raise InfeasibleScenario(
             f"no voltage level up to {circuit.operating_voltage} V can fund a "
             f"{sched.t_tx * 1e3:.1f} ms transmission with C = "
             f"{circuit.capacitor.capacitance * 1e3:.3g} mF"
         )
-    v_rx1 = _min_level_surviving(steps, DeviceState.RX, sched.t_rx1, v_min, v_max, survive)
-    v_rx2 = _min_level_surviving(steps, DeviceState.RX, sched.t_rx2, v_min, v_max, survive)
+    rx_survive = v_off[DeviceState.RX] + 1
+    v_rx1 = _min_level_surviving(steps, DeviceState.RX, sched.t_rx1, v_min, v_max, rx_survive)
+    v_rx2 = _min_level_surviving(steps, DeviceState.RX, sched.t_rx2, v_min, v_max, rx_survive)
     return ThresholdLevels(
         v_min=v_min,
-        v_sl=level_of(circuit.v_sl, g),
+        v_on=level_of(circuit.v_on, g),
         v_tx=v_tx,
         v_rx1=v_max + 1 if v_rx1 is None else v_rx1,
         v_rx2=v_max + 1 if v_rx2 is None else v_rx2,
         v_max=v_max,
+        v_off=v_off,
     )
 
 
@@ -193,11 +187,14 @@ class _RowBuilder:
         self.g = g
         self.thr = thr
         self.steps = _VoltageSteps(self.circuit, g)
-        self.v_min_volts = self.circuit.v_min
-        # Off-state recharge from the turn-off voltage to the turn-on
-        # threshold; a constant of the circuit (inf if v_sl is unreachable).
-        self.t_recharge = time_to_voltage(
-            self.circuit, DeviceState.OFF, self.circuit.v_min, self.circuit.v_sl)
+        self.v_on = self.circuit.v_on
+        # A turn-off in each state leaves the capacitor at that state's
+        # v_off: its level and its Off-state recharge time to the wake
+        # target, constants of the circuit (inf if v_on is unreachable).
+        self.off_start = {}
+        for state in (DeviceState.TX, DeviceState.LISTEN, DeviceState.RX):
+            v_off = self.circuit.state_params(state).v_off
+            self.off_start[state] = (v_off, thr.v_off[state], self._wake_time(v_off))
         if scenario.p2 > 0:
             window2_total = (self.sched.t_tx + self.sched.t_id1 + self.sched.t_l1
                              + self.sched.t_id2 + self.sched.t_l2 + self.sched.t_rx2)
@@ -207,6 +204,12 @@ class _RowBuilder:
                     f"detected window-2 reception ({window2_total:.3f} s)"
                 )
 
+    def _wake_time(self, v: float) -> float:
+        """Off-state charge time from capacitor voltage v to the wake target."""
+        if v >= self.v_on:
+            return 0.0
+        return time_to_voltage(self.circuit, DeviceState.OFF, v, self.v_on)
+
     def _sleep_kind(self, level: int) -> str:
         return SL1 if level >= self.thr.v_tx else SL0
 
@@ -215,27 +218,37 @@ class _RowBuilder:
         nxt = self.steps.step(DeviceState.SLEEP, level, self.scenario.interval_m - elapsed)
         return ChainState(self._sleep_kind(nxt), nxt)
 
-    def _to_off(self, elapsed: float) -> ChainState:
-        """Die at v_min at `elapsed`, then recharge for the remainder."""
-        remaining = self.scenario.interval_m - elapsed
-        if self.t_recharge >= remaining:
-            nxt = self.steps.step(DeviceState.OFF, self.thr.v_min, remaining)
-            return ChainState(OFF, min(nxt, self.thr.v_sl - 1))
-        nxt = self.steps.step(DeviceState.SLEEP, self.thr.v_sl,
-                              remaining - self.t_recharge)
+    def _recharge(self, level: int, t_wake: float, remaining: float) -> ChainState:
+        """Charge Off from `level`, wake after t_wake, sleep out `remaining`."""
+        if t_wake >= remaining:
+            nxt = self.steps.step(DeviceState.OFF, level, remaining)
+            return ChainState(OFF, min(nxt, self.thr.v_on - 1))
+        nxt = self.steps.step(DeviceState.SLEEP, max(level, self.thr.v_on),
+                              remaining - t_wake)
         return ChainState(self._sleep_kind(nxt), nxt)
 
-    def _die_time(self, state: DeviceState, level: int, duration: float) -> float:
-        """Continuous time until v_min inside one phase, capped at its length.
+    def _die(self, state: DeviceState, level: int, duration: float,
+             t_base: float, t_lead: float = 0.0) -> ChainState:
+        """Turn off in `state`, entered at `level` at t_base + t_lead, and
+        recharge for the rest of the interval.
 
-        The cap covers quantization edges where the rounded end level says
-        "died" but the continuous trajectory grazes just above v_min.
+        The device turns off at the continuous v_off crossing, capped at the
+        phase length (the cap covers quantization edges where the rounded
+        end level says "died" but the trajectory grazes just above v_off),
+        and the capacitor stays at v_off.  A phase entered below the level
+        of v_off turns off at once, with the capacitor where it was.
         """
-        t = time_to_voltage(self.circuit, state, level / self.g, self.v_min_volts)
-        return min(t, duration)
+        v_off, off_level, t_wake = self.off_start[state]
+        if level < off_level:
+            t, off_level, t_wake = 0.0, level, self._wake_time(level / self.g)
+        else:
+            t = min(time_to_voltage(self.circuit, state, level / self.g, v_off), duration)
+        return self._recharge(off_level, t_wake,
+                              self.scenario.interval_m - (t_base + (t_lead + t)))
 
     def row(self, state: ChainState) -> dict[ChainState, float]:
         sched, thr, m = self.sched, self.thr, self.scenario.interval_m
+        listen, rx = DeviceState.LISTEN, DeviceState.RX
         dests: dict[ChainState, float] = {}
 
         def add(dest: ChainState, prob: float) -> None:
@@ -243,20 +256,12 @@ class _RowBuilder:
                 dests[dest] = dests.get(dest, 0.0) + prob
 
         if state.kind == OFF:
-            t_charge = time_to_voltage(
-                self.circuit, DeviceState.OFF, state.level / self.g, self.circuit.v_sl)
-            if t_charge >= m:
-                nxt = self.steps.step(DeviceState.OFF, state.level, m)
-                add(ChainState(OFF, min(nxt, thr.v_sl - 1)), 1.0)
-            else:
-                nxt = self.steps.step(DeviceState.SLEEP, thr.v_sl, m - t_charge)
-                add(ChainState(self._sleep_kind(nxt), nxt), 1.0)
+            add(self._recharge(state.level, self._wake_time(state.level / self.g), m), 1.0)
             return dests
 
         if state.kind == SL0:
             # The uplink starts but runs out of energy mid-air.
-            t_abort = self._die_time(DeviceState.TX, state.level, sched.t_tx)
-            add(self._to_off(t_abort), 1.0)
+            add(self._die(DeviceState.TX, state.level, sched.t_tx, 0.0), 1.0)
             return dests
 
         # SL1: the uplink completes, then the two receive windows.
@@ -265,40 +270,37 @@ class _RowBuilder:
         v1 = self.steps.step(DeviceState.IDLE, after_tx, sched.t_id1)
         t_base = sched.t_tx + sched.t_id1
 
-        w1 = self.steps.step(DeviceState.LISTEN, v1, sched.t_l1)
+        w1 = self.steps.step(listen, v1, sched.t_l1)
+        died1 = w1 <= thr.v_off[listen]
         if p1 > 0.0:
-            if w1 >= thr.v_rx1:
-                rx_end = self.steps.step(DeviceState.RX, w1, sched.t_rx1)
+            if died1:
+                add(self._die(listen, v1, sched.t_l1, t_base), p1)
+            elif w1 >= thr.v_rx1:
+                rx_end = self.steps.step(rx, w1, sched.t_rx1)
                 add(self._to_sleep(rx_end, t_base + sched.t_l1 + sched.t_rx1), p1)
-            elif w1 <= thr.v_min:
-                add(self._to_off(t_base + self._die_time(DeviceState.LISTEN, v1, sched.t_l1)), p1)
             else:
-                t_die = sched.t_l1 + self._die_time(DeviceState.RX, w1, sched.t_rx1)
-                add(self._to_off(t_base + t_die), p1)
+                add(self._die(rx, w1, sched.t_rx1, t_base, sched.t_l1), p1)
         if p1 < 1.0:
             silent = 1.0 - p1
-            if w1 <= thr.v_min:
-                add(self._to_off(t_base + self._die_time(DeviceState.LISTEN, v1, sched.t_l1)),
-                    silent)
+            if died1:
+                add(self._die(listen, v1, sched.t_l1, t_base), silent)
                 return dests
             v2 = self.steps.step(DeviceState.IDLE, w1, sched.t_id2)
             t_win2 = t_base + sched.t_l1 + sched.t_id2
-            w2 = self.steps.step(DeviceState.LISTEN, v2, sched.t_l2)
+            w2 = self.steps.step(listen, v2, sched.t_l2)
+            died2 = w2 <= thr.v_off[listen]
             if p2 > 0.0:
-                if w2 >= thr.v_rx2:
-                    rx_end = self.steps.step(DeviceState.RX, w2, sched.t_rx2)
+                if died2:
+                    add(self._die(listen, v2, sched.t_l2, t_win2), silent * p2)
+                elif w2 >= thr.v_rx2:
+                    rx_end = self.steps.step(rx, w2, sched.t_rx2)
                     add(self._to_sleep(rx_end, t_win2 + sched.t_l2 + sched.t_rx2), silent * p2)
-                elif w2 <= thr.v_min:
-                    add(self._to_off(t_win2 + self._die_time(DeviceState.LISTEN, v2, sched.t_l2)),
-                        silent * p2)
                 else:
-                    t_die = sched.t_l2 + self._die_time(DeviceState.RX, w2, sched.t_rx2)
-                    add(self._to_off(t_win2 + t_die), silent * p2)
+                    add(self._die(rx, w2, sched.t_rx2, t_win2, sched.t_l2), silent * p2)
             if p2 < 1.0:
                 quiet = silent * (1.0 - p2)
-                if w2 <= thr.v_min:
-                    add(self._to_off(t_win2 + self._die_time(DeviceState.LISTEN, v2, sched.t_l2)),
-                        quiet)
+                if died2:
+                    add(self._die(listen, v2, sched.t_l2, t_win2), quiet)
                 else:
                     add(self._to_sleep(w2, t_win2 + sched.t_l2), quiet)
         return dests
@@ -442,7 +444,7 @@ def chain_metrics(pi: np.ndarray, tm: TransitionMatrix, scenario: Scenario,
     pdr = 1.0 - off_sl0
     pdl1 = 0.0
     pdl2 = 0.0
-    rx2_floor = thr.v_rx2 if strict_rx2_threshold else thr.v_min
+    rx2_floor = thr.v_rx2 if strict_rx2_threshold else thr.v_off[DeviceState.LISTEN]
     for i, s in enumerate(tm.states):
         if s.kind != SL1 or pi[i] == 0.0:
             continue

@@ -1,23 +1,27 @@
 """Event-based simulation of the intermittent Class A device.
 
-The device starts Off at the turn-off voltage and uplinks are scheduled
+The walk carries the capacitor voltage v_C and judges the thresholds on
+the load voltage, through each state's turn-off voltage Phase.v_off and
+the wake target CircuitConfig.v_on (v_min and v_sl for an ideal
+capacitor).  The device starts Off at v_min and uplinks are scheduled
 every `interval_m` seconds starting at t = 0.  Between cycles it charges
-in Off until the turn-on threshold, then sleeps.  A scheduled uplink is
-lost when the device is Off (or still busy with the previous cycle),
-aborted when the capacitor hits the turn-off voltage mid-transmission,
-and successful otherwise.  Every phase is advanced with the closed-form
-voltage expressions; turn-off crossings are located analytically, never
-by time stepping.
+in Off until v_on, then sleeps.  A scheduled uplink is lost when the
+device is Off (or still busy with the previous cycle), aborted when it
+turns off mid-transmission, and successful otherwise.  A turn-off leaves
+the capacitor at the phase's v_off, or where it was when the phase was
+entered below that; a turn-off at or above v_on wakes the device at
+once.  Every phase is advanced with the closed-form voltage expressions;
+turn-off crossings are located analytically, never by time stepping.
 
 Each scenario compiles one phase table (phase_table, cached as
 Scenario.phases): the seven timed Class A phases of its schedule plus
 the Off and Sleep recharge states, each an energy.Phase whose decay
-factor and ideal-or-parasitic branch are fixed up front.  run_simulation,
-single_cycle_trace and its trace-free twin run_cycle share one walk over
-compiled phases; its results are bit-identical to stepping with
-voltage_after and time_to_voltage, and the draw order below is unchanged
-by it.  cycle_table compiles just one analytic cycle's phases, for
-searches that try many circuits against one schedule.
+factor is fixed up front.  run_simulation, single_cycle_trace and its
+trace-free twin run_cycle share one walk over compiled phases; its
+results are bit-identical to stepping with voltage_after and
+time_to_voltage, and the draw order below is unchanged by it.
+cycle_table compiles just one analytic cycle's phases, for searches that
+try many circuits against one schedule.
 
 Two downlink-cost conventions live here, mirroring how such devices are
 analyzed versus simulated:
@@ -147,16 +151,15 @@ def phase_table(circuit: CircuitConfig, sched: TimingSchedule) -> dict[str, Phas
 
 
 class _Walk:
-    """One device moving through compiled phases: voltage, on/off, clock."""
+    """One device moving through compiled phases: capacitor voltage, on/off, clock."""
 
-    __slots__ = ("v", "off", "t", "v_min", "v_sl", "points")
+    __slots__ = ("v", "off", "t", "v_on", "points")
 
     def __init__(self, circuit: CircuitConfig, v: float, off: bool, trace: bool):
         self.v = v
         self.off = off
         self.t = 0.0
-        self.v_min = circuit.v_min
-        self.v_sl = circuit.v_sl
+        self.v_on = circuit.v_on
         self.points: list[TracePoint] | None = [] if trace else None
 
     def record(self, t: float, state: DeviceState) -> None:
@@ -172,16 +175,17 @@ class _Walk:
     def phase(self, phase: Phase) -> bool:
         """Spend the timed `phase`; False when the device turned off in it.
 
-        A turn-off crossing ends the phase at the crossing instant with the
-        device Off at v_min.  Only genuinely discharging phases can cross.
+        A turn-off ends the phase at the crossing instant with the device
+        Off and the capacitor at the phase's v_off, or at once, where it
+        is, when the phase was entered at or below v_off.
         """
         v, t = self.v, self.t
         if self.points is not None:
             self.record(t, phase.state)
-        if phase.asymptote < v:
-            t_cross = phase.cross(v, self.v_min)
+        if v <= phase.v_guard:
+            t_cross = phase.cross(v)
             if t_cross <= phase.duration:
-                self.v = self.v_min
+                self.v = min(v, phase.v_off)
                 self.off = True
                 self.t = t + t_cross
                 self.record(self.t, DeviceState.OFF)
@@ -197,14 +201,16 @@ class _Walk:
         if t_to <= t_from:
             return
         if self.off:
-            t_wake = off.cross(self.v, self.v_sl)
-            if t_from + t_wake > t_to:
-                self.v = off.after(self.v, t_to - t_from)
-                return
-            self.v = self.v_sl
+            v, v_on = self.v, self.v_on
+            if v < v_on:
+                t_wake = off.cross(v, v_on)
+                if t_from + t_wake > t_to:
+                    self.v = off.after(v, t_to - t_from)
+                    return
+                self.v = v_on
+                t_from += t_wake
             self.off = False
-            self.record(t_from + t_wake, DeviceState.SLEEP)
-            t_from += t_wake
+            self.record(t_from, DeviceState.SLEEP)
         self.v = sleep.after(self.v, t_to - t_from)
 
 

@@ -109,3 +109,34 @@ def stationary_oracle(p: np.ndarray, start: int) -> np.ndarray:
         vector = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
         pi[members] += weight * vector / vector.sum()
     return pi
+
+
+def rk4_capacitor(e, r_i, r_load, esr, epr, c, v0, t, steps: int = 4000):
+    """Fine-step RK4 integration of the harvester-load-capacitor network.
+
+    Independent of caplora.energy: it solves Kirchhoff's current law at the
+    load node at every stage instead of using any closed form.  A source e
+    behind r_i and the load r_load meet the capacitor branch, ESR in series
+    with the capacitance c and its leakage epr across the plates.  All
+    arguments broadcast; returns the capacitor and load voltages at t.
+    """
+    e, r_i, r_load, esr, epr, c, v, t = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (e, r_i, r_load, esr, epr, c, v0, t)))
+
+    def load(v_c):
+        # Node voltage with the ESR conductance multiplied through, so ESR = 0 is exact.
+        return ((e * r_load * esr + v_c * r_i * r_load)
+                / (r_load * esr + r_i * esr + r_i * r_load))
+
+    def slope(v_c):
+        v_l = load(v_c)
+        return ((e - v_l) / r_i - v_l / r_load - v_c / epr) / c
+
+    h = t / steps
+    for _ in range(steps):
+        k1 = slope(v)
+        k2 = slope(v + 0.5 * h * k1)
+        k3 = slope(v + 0.5 * h * k2)
+        k4 = slope(v + h * k3)
+        v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v, load(v)

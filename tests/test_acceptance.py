@@ -24,8 +24,7 @@ from caplora.characterize import (
     wakeup_time,
     with_threshold_fraction,
 )
-from caplora.energy import DeviceState, voltage_after, voltage_after_norton, \
-    voltage_after_parasitic, time_to_voltage
+from caplora.energy import DeviceState, voltage_after, voltage_after_norton, time_to_voltage
 from caplora.markov import build_transition_matrix, stationary_distribution
 from caplora.simulator import run_simulation
 from caplora.timing import RadioConfig, time_on_air
@@ -195,14 +194,25 @@ class TestCriterion7Properties:
         _report("7 norton", "voltage/current source models within 1e-12")
 
     def test_ideal_reduction(self):
-        degenerate = make_circuit(esr=0.0, epr=math.inf)
-        ideal = make_circuit()
-        for state in DeviceState:
-            for v0 in (1.8, 2.5, 3.2):
-                for t in (0.0, 0.05, 1.0, 30.0):
-                    a = voltage_after(ideal, state, v0, t)
-                    b = voltage_after_parasitic(degenerate, state, v0, t)
-                    assert abs(a - b) <= 1e-12 * max(abs(a), 1.0)
+        def ideal(circuit, state, v0, t):
+            # E * R_eq / r_i + (v0 - E * R_eq / r_i) * exp(-t / (R_eq * C)), from the parts.
+            e = circuit.harvester.operating_voltage
+            r_i = e * e / circuit.harvester.harvest_power
+            r_load = circuit.loads.resistance(state)
+            r_eq = r_load * r_i / (r_load + r_i)
+            limit = e * r_eq / r_i
+            return limit + (v0 - limit) * math.exp(-t / (r_eq * circuit.capacitor.capacitance))
+
+        # ESR = 0 / EPR = inf within 1e-12; ESR = 1e-9 ohm / EPR = 1e15 ohm
+        # moves the constants by (R_eq + ESR) / EPR + ESR / R_eq < 1e-10.
+        for (esr, epr), bound in (((0.0, math.inf), 1e-12), ((1e-9, 1e15), 1e-10)):
+            circuit = make_circuit(esr=esr, epr=epr)
+            for state in DeviceState:
+                for v0 in (1.8, 2.5, 3.2):
+                    for t in (0.0, 0.05, 1.0, 30.0):
+                        a = ideal(circuit, state, v0, t)
+                        b = voltage_after(circuit, state, v0, t)
+                        assert abs(a - b) <= bound * max(abs(a), 1.0)
         _report("7 ideal-reduction", "ESR=0/EPR=inf collapses to the ideal form")
 
     def test_voltage_time_round_trip(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,9 +19,10 @@ from caplora.characterize import (
     with_capacitance,
 )
 from caplora.errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
-from caplora.simulator import cycle_table, run_cycle
+from caplora.energy import DeviceState
+from caplora.simulator import cycle_phases, cycle_table, run_cycle
 
-from conftest import make_circuit, make_scenario
+from conftest import make_circuit, make_scenario, rk4_capacitor
 
 
 class TestWakeupTime:
@@ -44,6 +46,17 @@ class TestWakeupTime:
     def test_threshold_below_turn_off_rejected(self):
         with pytest.raises(ScenarioError):
             wakeup_time(make_circuit(), 0.5)
+
+    @pytest.mark.parametrize("esr,epr", [(20.0, math.inf), (20.0, 50e3)])
+    def test_parasitic_threshold_is_a_load_voltage(self, esr, epr):
+        # Charging from v_min for wakeup_time brings the Off-state load, not
+        # the capacitor, to the threshold (checked against the RK4 oracle).
+        circuit = make_circuit(power_w=0.1, esr=esr, epr=epr)
+        t = wakeup_time(circuit, 0.7)
+        e = circuit.operating_voltage
+        _, v_load = rk4_capacitor(e, e * e / 0.1, circuit.loads.off, esr, epr,
+                                  circuit.capacitor.capacitance, circuit.v_min, t)
+        assert float(v_load) == pytest.approx(0.7 * e, abs=1e-9)
 
 
 class TestRequiredCycleVoltage:
@@ -175,8 +188,21 @@ _sizing_scenarios = st.builds(
 _capacitances = st.floats(defaults.CAPACITANCE_SEARCH_LO_F, defaults.CAPACITANCE_SEARCH_HI_F)
 
 
+_parasitics = st.fixed_dictionaries({"esr": st.floats(0.1, 30.0), "epr": st.floats(1e4, 1e6)})
+
+
+def min_capacitance_at_power(scenario, dl_case, power_w):
+    """min_capacitance_or_inf at another harvest power; inf also when the
+    circuit cannot hold charge at that power at all."""
+    try:
+        scenario = characterize.with_harvest_power(scenario, power_w)
+    except ScenarioError:
+        return math.inf
+    return min_capacitance_or_inf(scenario, dl_case)
+
+
 class TestSizingProperties:
-    """Properties of ideal capacitors that the capacitance bisection relies on."""
+    """Properties that the capacitance bisection relies on."""
 
     @settings(max_examples=300, deadline=None)
     @given(_sizing_scenarios, st.sampled_from(characterize.DL_CASES),
@@ -198,6 +224,80 @@ class TestSizingProperties:
         at_high = min_capacitance_or_inf(characterize.with_harvest_power(scenario, p_high),
                                          dl_case)
         assert at_high <= at_low
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sizing_scenarios, _parasitics, st.sampled_from(characterize.DL_CASES),
+           st.floats(1e-4, 1e-1), st.floats(1e-4, 1e-1))
+    def test_parasitic_min_capacitance_does_not_increase_with_harvest_power(
+            self, scenario, capacitor, dl_case, p_a, p_b):
+        p_low, p_high = sorted((p_a, p_b))
+        # Every sampled part holds charge at 0.1 W, the top of the power range.
+        scenario = with_capacitor(characterize.with_harvest_power(scenario, 0.1), **capacitor)
+        at_low = min_capacitance_at_power(scenario, dl_case, p_low)
+        at_high = min_capacitance_at_power(scenario, dl_case, p_high)
+        assert at_high <= at_low
+
+    def test_leaky_capacitor_is_infeasible_not_tiny(self):
+        # ESR 16.67 ohm / EPR 16.37 kohm: at 1 mW the leak holds the
+        # capacitor near 1.96 V, below the ~2.05 V Tx turn-off voltage, so
+        # no capacitance works; at 25 mW it needs more than an ideal one.
+        base = make_scenario(ul_pl=60, interval_m=600.0)
+        leaky = with_capacitor(base, esr=16.67, epr=16370.0)
+        with pytest.raises(NoFeasibleCapacitance):
+            min_capacitance(characterize.with_harvest_power(leaky, 1e-3), "none")
+        at_25mw = min_capacitance(characterize.with_harvest_power(leaky, 25e-3), "none")
+        assert at_25mw >= min_capacitance(characterize.with_harvest_power(base, 25e-3), "none")
+
+
+def rk4_cycle_completes(scenario, capacitances, dl_case):
+    """Run the analytic cycle from the charging ceiling with the RK4 oracle
+    alone, for each capacitance: True where the load voltage stays above
+    v_min throughout.
+
+    Within a phase the load voltage is affine in the monotone capacitor
+    voltage, so checking it at both ends of every phase suffices."""
+    circuit = scenario.circuit
+    e, power = circuit.operating_voltage, circuit.harvester.harvest_power
+    esr, epr = circuit.capacitor.esr, circuit.capacitor.epr
+
+    def run(state, v, t, c, steps):
+        return rk4_capacitor(e, e * e / power, circuit.loads.resistance(state),
+                             esr, epr, c, v, t, steps)
+
+    # The charging states' fixed points do not depend on C: settle each
+    # for 50 time constants of a 47 mF part.
+    v = max(float(run(state, circuit.v_min, 2e4, 47e-3, 400)[0])
+            for state in (DeviceState.OFF, DeviceState.SLEEP, DeviceState.IDLE)) - 1e-9
+    c = np.asarray(capacitances)
+    v = np.full(c.shape, v)
+    ok = np.ones(c.shape, dtype=bool)
+    for state, duration in cycle_phases(scenario.schedule, dl_case):
+        ok &= run(state, v, 0.0, c, 1)[1] > circuit.v_min
+        v, v_load = run(state, v, duration, c, 500)
+        ok &= v_load > circuit.v_min
+    return ok
+
+
+def test_ceiling_below_turn_off_is_infeasible():
+    # ESR 2 kohm / EPR 14 kohm: the load holds above v_min, but the capacitor
+    # never charges past 1.70 V; the searches answer "infeasible" instead of
+    # probing a start voltage below v_min.
+    scenario = with_capacitor(make_scenario(interval_m=600.0), esr=2000.0, epr=14e3)
+    assert scenario.circuit.charge_ceiling() < scenario.circuit.v_min
+    assert required_cycle_voltage(scenario, "none") is None
+    with pytest.raises(NoFeasibleCapacitance):
+        min_capacitance(scenario, "none")
+
+
+class TestParasiticSizingOracle:
+    @pytest.mark.parametrize("sf,dl_case", [(7, "none"), (9, "none"), (11, "rx2")])
+    def test_min_capacitance_is_the_rk4_boundary(self, sf, dl_case):
+        # perfbench's parasitic sizing part: ESR 5 ohm / EPR 50 kohm at 1 mW.
+        scenario = with_capacitor(make_scenario(sf=sf, ul_pl=48, dl_pl=48, interval_m=600.0),
+                                  esr=5.0, epr=50e3)
+        c = min_capacitance(scenario, dl_case)
+        below = c - 1.1 * defaults.CAPACITANCE_TOL_F
+        assert rk4_cycle_completes(scenario, [c, below], dl_case).tolist() == [True, False]
 
 
 class TestMinTxInterval:

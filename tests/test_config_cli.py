@@ -218,6 +218,26 @@ class TestCli:
         assert main(["simulate", "--scenario", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_leaky_capacitor_exits_2_at_load(self, tmp_path, capsys):
+        # EPR = 2 kohm settles the Off state at 0.51 V: the scenario itself
+        # is rejected, before any search probes a start voltage.
+        cfg = tmp_path / "leaky.cfg"
+        cfg.write_text("[capacitor]\nepr_ohms = 2000\n")
+        assert main(["min-cap", "--scenario", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "off-state equilibrium voltage 0.5106 V" in captured.err
+        assert "v_start" not in captured.err and captured.out == ""
+
+    def test_leaky_capacitor_min_cap_is_infeasible(self, tmp_path, capsys):
+        # ESR 16.67 ohm / EPR 16.37 kohm at 1 mW cannot charge above the Tx
+        # turn-off voltage: exit 3, never the 0.1 mF search floor.
+        cfg = tmp_path / "leaky.cfg"
+        cfg.write_text("[capacitor]\nesr_ohms = 16.67\nepr_ohms = 16370\n")
+        assert main(["min-cap", "--scenario", str(cfg), "--sf", "7", "--ul-pl", "60",
+                     "--power", "0.001,0.025"]) == 3
+        captured = capsys.readouterr()
+        assert "infeasible:" in captured.err and "0.0001" not in captured.out
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "small.cfg"
         cfg.write_text("[capacitor]\nc_farads = 0.001\n[traffic]\ninterval_s = 60\n")
@@ -300,9 +320,9 @@ def test_cli_import_leaves_scipy_unloaded():
 
 GOLDEN = pathlib.Path(__file__).parent / "data"
 
-# Each file under tests/data holds the recorded stdout of its command line
-# (the README min-cap example and its reference behaviours): sizing answers
-# may change only with a documented fix, never by a speed-up.
+# Each file under tests/data holds the recorded stdout of its command line:
+# outputs may change only with a documented fix, never by a refactor or a
+# speed-up.  Sizing: the README min-cap example and its reference behaviours.
 GOLDEN_CALLS = {
     "min_cap_readme.csv": ["min-cap", "--sf", "7,9,11", "--ul-pl", "48", "--dl-pl", "48",
                            "--dl-case", "rx2"],
@@ -311,14 +331,41 @@ GOLDEN_CALLS = {
     "wakeup.csv": ["wakeup", "--capacitance", "0.0047,1", "--power", "0.1",
                    "--thresholds", "0.56"],
 }
+# Engines: the README simulate and chain examples, a small two-engine sweep
+# and a single-cycle trace.
+ENGINE_GOLDEN_CALLS = {
+    "simulate_readme.csv": ["simulate", "--m", "9", "--threshold", "0.58", "--n", "1000"],
+    "chain_readme.csv": ["chain", "--granularity", "750", "--m", "40", "--threshold", "0.70"],
+    "sweep_both.csv": ["sweep", "--axis", "threshold", "--values", "0.56:0.64:0.02",
+                       "--m", "5,9", "--engine", "both", "--n", "200", "--seeds", "1,2"],
+    "trace_single_cycle.csv": ["trace", "--single-cycle", "--dl-case", "rx2"],
+}
+
+
+def _assert_golden(argv, name, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))
 def test_sizing_output_is_byte_identical(name, capsys):
-    assert main(GOLDEN_CALLS[name]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
+    _assert_golden(GOLDEN_CALLS[name], name, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_GOLDEN_CALLS))
+def test_engine_output_is_byte_identical(name, capsys):
+    _assert_golden(ENGINE_GOLDEN_CALLS[name], name, capsys)
+
+
+def test_matrix_dump_is_byte_identical(tmp_path, capsys):
+    # stochastic.ini sets p1 = 0.3, p2 = 0.5, so every branch kind is dumped.
+    dump = tmp_path / "matrix.csv"
+    assert main(["chain", "--scenario", str(GOLDEN / "stochastic.ini"), "--granularity", "100",
+                 "--m", "40", "--threshold", "0.7", "--dump-matrix", str(dump)]) == 0
+    assert capsys.readouterr().err == ""
+    assert dump.read_bytes() == (GOLDEN / "chain_matrix.csv").read_bytes()
 
 
 class _RecordingPool:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from caplora.energy import (
@@ -17,7 +18,7 @@ from caplora.energy import (
 )
 from caplora.errors import ScenarioError
 
-from conftest import make_circuit, make_loads
+from conftest import make_circuit, make_loads, rk4_capacitor
 
 E = 3.3
 CHARGING = (DeviceState.OFF, DeviceState.SLEEP, DeviceState.IDLE)
@@ -110,21 +111,45 @@ class TestNortonEquivalence:
                         assert b == pytest.approx(a, rel=1e-12)
 
 
+def ideal_voltage(circuit, state, v0, t):
+    """The ideal-capacitor exponential written out from the component values."""
+    e, power = circuit.harvester.operating_voltage, circuit.harvester.harvest_power
+    r_i = e * e / power
+    r_load = circuit.loads.resistance(state)
+    r_eq = r_load * r_i / (r_load + r_i)
+    limit = e * r_eq / r_i
+    return limit + (v0 - limit) * math.exp(-t / (r_eq * circuit.capacitor.capacitance))
+
+
 class TestParasiticCapacitor:
     def test_ideal_reduction(self):
-        # ESR = 0 / EPR = inf run through the parasitic expression must agree
-        # with the ideal expression to 1e-12 relative.
-        from caplora.energy import voltage_after_parasitic
-
-        ideal = make_circuit()
+        # ESR = 0 / EPR = inf through the one primitive must agree with the
+        # ideal expression to 1e-12 relative, with an identity load map.
         degenerate = make_circuit(esr=0.0, epr=math.inf)
-        assert degenerate.capacitor.is_ideal
         for state in DeviceState:
+            p = degenerate.state_params(state)
+            assert (p.a, p.b, p.v_off) == (1.0, 0.0, degenerate.v_min)
             for v0 in (1.8, 2.5, 3.2):
                 for t in (0.0, 0.01, 1.0, 50.0):
-                    want = voltage_after(ideal, state, v0, t)
-                    got = voltage_after_parasitic(degenerate, state, v0, t)
+                    want = ideal_voltage(degenerate, state, v0, t)
+                    got = voltage_after(degenerate, state, v0, t)
                     assert got == pytest.approx(want, rel=1e-12)
+        assert degenerate.v_on == degenerate.v_sl
+
+    def test_near_ideal_limit(self):
+        # ESR = 1e-9 ohm / EPR = 1e15 ohm moves every constant by at most
+        # (R_eq + ESR) / EPR + ESR / R_eq, about 1e-11 at the 1 mW Off load.
+        near = make_circuit(esr=1e-9, epr=1e15)
+        for state in DeviceState:
+            p = near.state_params(state)
+            assert p.a == pytest.approx(1.0, rel=1e-10)
+            assert p.b == pytest.approx(0.0, abs=1e-10)
+            assert p.v_off == pytest.approx(near.v_min, rel=1e-10)
+            for v0 in (1.8, 2.5, 3.2):
+                for t in (0.0, 0.01, 1.0, 50.0):
+                    want = ideal_voltage(near, state, v0, t)
+                    assert voltage_after(near, state, v0, t) == pytest.approx(want, rel=1e-10)
+        assert near.v_on == pytest.approx(near.v_sl, rel=1e-10)
 
     def test_leaky_capacitor_settles_lower(self):
         # SCCQ12E105PRB-style 1 F part: ESR 1.5 ohm, EPR 550 kohm.
@@ -139,6 +164,58 @@ class TestParasiticCapacitor:
         real = make_circuit(esr=0.0, epr=550e3)
         for state in DeviceState:
             assert voltage_after(real, state, 2.4, 0.0) == pytest.approx(2.4, rel=1e-12)
+
+
+ORACLE_CAPACITORS = {"ideal": {}, "esr_only": {"esr": 20.0},
+                     "esr_epr": {"esr": 20.0, "epr": 50e3},
+                     "leaky_supercap": {"c_farads": 1.0, "esr": 1.5, "epr": 550e3}}
+
+
+STATES = tuple(DeviceState)
+
+
+def _oracle(circuit, v0, t, steps=4000):
+    """rk4_capacitor fed with the raw component values of `circuit`, with
+    the device states along the first axis of v0 and t."""
+    e, power = circuit.harvester.operating_voltage, circuit.harvester.harvest_power
+    cap = circuit.capacitor
+    r_load = np.array([circuit.loads.resistance(state) for state in STATES])
+    r_load = r_load.reshape((-1,) + (1,) * (max(np.ndim(v0), np.ndim(t), 1) - 1))
+    return rk4_capacitor(e, e * e / power, r_load, cap.esr, cap.epr, cap.capacitance,
+                         v0, t, steps)
+
+
+class TestRK4Oracle:
+    @pytest.mark.parametrize("capacitor", sorted(ORACLE_CAPACITORS))
+    def test_capacitor_and_load_voltage(self, capacitor):
+        circuit = make_circuit(**ORACLE_CAPACITORS[capacitor])
+        v0 = np.array([1.8, 2.5, 3.2])[None, :, None]
+        t = np.array([0.0, 0.01, 0.5, 5.0, 40.0])[None, None, :]
+        v_c, v_l = _oracle(circuit, v0, t)
+        for k, i, j in np.ndindex(v_c.shape):
+            p = circuit.state_params(STATES[k])
+            got = voltage_after(circuit, STATES[k], float(v0[0, i, 0]), float(t[0, 0, j]))
+            assert abs(got - v_c[k, i, j]) <= 1e-9
+            assert abs(p.a * got + p.b - v_l[k, i, j]) <= 1e-9
+
+    @pytest.mark.parametrize("capacitor", sorted(ORACLE_CAPACITORS))
+    def test_thresholds_are_load_voltages(self, capacitor):
+        circuit = make_circuit(**ORACLE_CAPACITORS[capacitor])
+        v_off = np.array([circuit.state_params(state).v_off for state in STATES])
+        _, v_l = _oracle(circuit, v_off, 0.0, steps=1)
+        assert np.abs(v_l - circuit.v_min).max() <= 1e-12
+        v_on = _oracle(circuit, circuit.v_on, 0.0, steps=1)[1][STATES.index(DeviceState.OFF)]
+        assert float(v_on) == pytest.approx(circuit.v_sl, abs=1e-12)
+
+    @pytest.mark.parametrize("capacitor", sorted(ORACLE_CAPACITORS))
+    def test_crossing_times(self, capacitor):
+        circuit = make_circuit(**ORACLE_CAPACITORS[capacitor])
+        v_i = 2.6
+        v_f = np.array([v_i + (circuit.asymptote(state) - v_i) * 0.7 for state in STATES])
+        t = np.array([time_to_voltage(circuit, state, v_i, float(v))
+                      for state, v in zip(STATES, v_f)])
+        v_c, _ = _oracle(circuit, v_i, t)
+        assert np.abs(v_c - v_f).max() <= 1e-9
 
 
 class TestTimeToVoltage:
@@ -206,6 +283,18 @@ class TestCircuitValidation:
             circuit_1mw.state_params(state)
         with pytest.raises(ValueError, match="unknown device state"):
             circuit_1mw.loads.resistance(state)
+
+    def test_rejects_leak_that_cannot_hold_charge(self):
+        # EPR = 2 kohm settles the Off state below the turn-off voltage.
+        with pytest.raises(ScenarioError, match="off-state equilibrium voltage 0.5"):
+            make_circuit(epr=2000.0)
+
+    def test_accepts_equilibrium_judged_on_the_load(self):
+        # ESR 2 kohm / EPR 14 kohm settles the Off capacitor near 1.70 V,
+        # below v_min, yet the Off load sits near 1.94 V: a valid circuit.
+        circuit = make_circuit(esr=2000.0, epr=14e3)
+        p = circuit.state_params(DeviceState.OFF)
+        assert p.v_limit < circuit.v_min < p.a * p.v_limit + p.b
 
     def test_rejects_sleep_that_cannot_hold_charge(self):
         # A sleep load drawing so much that its equilibrium sits below the

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caplora.energy import DeviceState, voltage_after
+from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_scenario
+from caplora.energy import DeviceState, time_to_voltage, voltage_after
 from caplora.errors import InfeasibleScenario, ScenarioError
 from caplora.markov import (
     OFF,
@@ -13,9 +15,9 @@ from caplora.markov import (
     ChainState,
     ThresholdLevels,
     TransitionMatrix,
+    _RowBuilder,
+    _VoltageSteps,
     build_transition_matrix,
-    discrete_time_to_level,
-    discrete_voltage_after,
     level_of,
     solve_chain,
     stationary_distribution,
@@ -23,48 +25,60 @@ from caplora.markov import (
 )
 from caplora.simulator import run_simulation
 
-from conftest import make_scenario, stationary_oracle
+from conftest import make_circuit, make_scenario, stationary_oracle
 
 G = 750
 
 
 class TestDiscreteOps:
+    """The one-step discrete voltage map the chain runs."""
+
     def test_zero_time_is_identity(self):
-        circuit = make_scenario(interval_m=9.0).circuit
+        steps = _VoltageSteps(make_scenario(interval_m=9.0).circuit, G)
         for state in DeviceState:
             for level in (1350, 1732, 2400):
-                assert discrete_voltage_after(circuit, state, level, 0.0, G) == level
+                assert steps.step(state, level, 0.0) == level
 
     def test_wakeup_level_at_100mw(self):
         # 17 ms in Off at 100 mW lifts 1.8 V to ~1.848 V = level 1386 at 1 mV/level.
-        circuit = make_scenario(power_w=0.1, interval_m=9.0).circuit
-        got = discrete_voltage_after(circuit, DeviceState.OFF, level_of(1.8, 1000), 0.017, 1000)
+        steps = _VoltageSteps(make_scenario(power_w=0.1, interval_m=9.0).circuit, 1000)
+        got = steps.step(DeviceState.OFF, level_of(1.8, 1000), 0.017)
         assert abs(got - 1848) <= 2
 
     def test_composition_error_at_most_one_level(self):
-        circuit = make_scenario(interval_m=9.0).circuit
+        steps = _VoltageSteps(make_scenario(interval_m=9.0).circuit, G)
         for state in (DeviceState.OFF, DeviceState.TX, DeviceState.LISTEN):
             for level in (1400, 1800, 2200):
                 for t1, t2 in ((0.05, 0.4), (1.0, 2.5), (0.01, 0.01)):
-                    two = discrete_voltage_after(
-                        circuit, state,
-                        discrete_voltage_after(circuit, state, level, t1, G), t2, G)
-                    one = discrete_voltage_after(circuit, state, level, t1 + t2, G)
+                    two = steps.step(state, steps.step(state, level, t1), t2)
+                    one = steps.step(state, level, t1 + t2)
                     assert abs(two - one) <= 1
 
     def test_time_between_levels(self):
         circuit = make_scenario(power_w=0.1, c_farads=1.0, interval_m=9.0).circuit
-        assert discrete_time_to_level(circuit, DeviceState.OFF, 1350, 1350, G) == 0.0
-        t = discrete_time_to_level(circuit, DeviceState.OFF,
-                                   level_of(1.8, G), level_of(0.56 * 3.3, G), G)
+        steps = _VoltageSteps(circuit, G)
+        start, target = level_of(1.8, G), level_of(0.56 * 3.3, G)
+        assert time_to_voltage(circuit, DeviceState.OFF, start / G, start / G) == 0.0
+        t = time_to_voltage(circuit, DeviceState.OFF, start / G, target / G)
         assert t == pytest.approx(3.55, rel=0.02)
-        assert discrete_time_to_level(circuit, DeviceState.OFF, 1350, level_of(3.3, G), G) \
+        assert steps.step(DeviceState.OFF, start, t) == target
+        assert time_to_voltage(circuit, DeviceState.OFF, start / G, level_of(3.3, G) / G) \
             == math.inf
 
+    @pytest.mark.parametrize("esr,epr", [(0.0, math.inf), (20.0, math.inf), (20.0, 50e3)])
+    def test_matches_the_phase_primitive(self, esr, epr):
+        circuit = make_circuit(esr=esr, epr=epr)
+        steps = _VoltageSteps(circuit, G)
+        for state in DeviceState:
+            for level in (1350, 1600, 2100, 2400):
+                for t in (0.0, 0.046, 1.0, 9.0):
+                    want = level_of(voltage_after(circuit, state, level / G, t), G)
+                    assert steps.step(state, level, t) == want
+
     def test_granularity_validated(self):
-        circuit = make_scenario(interval_m=9.0).circuit
+        scenario = make_scenario(interval_m=9.0)
         with pytest.raises(ScenarioError):
-            discrete_voltage_after(circuit, DeviceState.OFF, 10, 1.0, 0)
+            threshold_levels(scenario, 0)
 
 
 class TestThresholdLevels:
@@ -94,7 +108,7 @@ class TestThresholdLevels:
     def test_ordering(self):
         scenario = make_scenario(interval_m=9.0)
         thr = threshold_levels(scenario, G)
-        assert thr.v_min < thr.v_sl <= thr.v_max
+        assert thr.v_min < thr.v_on <= thr.v_max
         assert thr.v_min < thr.v_tx <= thr.v_max
         assert thr.v_rx2 >= thr.v_rx1  # window 2 is never cheaper
 
@@ -141,7 +155,7 @@ class TestTransitionMatrix:
         assert len(tm.states) <= 3 * (thr.v_max + 1)
         for state in tm.states:
             if state.kind == OFF:
-                assert 0 <= state.level < thr.v_sl
+                assert 0 <= state.level < thr.v_on
             elif state.kind == SL0:
                 assert thr.v_min <= state.level < thr.v_tx
             else:
@@ -166,7 +180,8 @@ def _toy_matrix(rows, kinds=None):
     n = len(matrix)
     states = tuple(ChainState(kinds[i] if kinds else OFF, i) for i in range(n))
     successors = tuple(tuple(np.flatnonzero(row).tolist()) for row in matrix)
-    thr = ThresholdLevels(v_min=0, v_sl=n, v_tx=n, v_rx1=n + 1, v_rx2=n + 1, v_max=n)
+    thr = ThresholdLevels(v_min=0, v_on=n, v_tx=n, v_rx1=n + 1, v_rx2=n + 1, v_max=n,
+                          v_off={})
     return TransitionMatrix(states=states, index={s: i for i, s in enumerate(states)},
                             matrix=matrix, successors=successors, thresholds=thr,
                             granularity=1)
@@ -296,3 +311,109 @@ class TestChainMetrics:
         strict = solve_chain(scenario, 200, strict_rx2_threshold=True)
         assert strict.pdl2 <= printed.pdl2
         assert strict.pdr == printed.pdr
+
+
+def _parasitic(scenario, threshold=None, **capacitor):
+    circuit = scenario.circuit
+    cap = dataclasses.replace(circuit.capacitor, **capacitor)
+    circuit = dataclasses.replace(circuit, capacitor=cap)
+    if threshold is not None:
+        circuit = make_circuit(c_farads=cap.capacitance, esr=cap.esr, epr=cap.epr,
+                               power_w=circuit.harvester.harvest_power,
+                               turn_on_fraction=threshold)
+    return dataclasses.replace(scenario, circuit=circuit)
+
+
+class TestParasiticEdgeCases:
+    """ESR 20 ohm puts the Tx turn-off voltage (~2.10 V) above the wake
+    target (~1.98 V at a 60 % threshold)."""
+
+    def _builder(self):
+        scenario = _parasitic(make_scenario(interval_m=9.0), threshold=0.6, esr=20.0)
+        thr = threshold_levels(scenario, G)
+        assert thr.v_off[DeviceState.TX] > thr.v_on
+        return scenario, thr, _RowBuilder(scenario, G, thr)
+
+    def _sleep_from(self, scenario, level, t):
+        return level_of(voltage_after(scenario.circuit, DeviceState.SLEEP, level / G, t), G)
+
+    def test_entered_below_turn_off_dies_at_once(self):
+        # An uplink started below the Tx turn-off level dies at t = 0 and
+        # leaves the capacitor where it was: it wakes at once and sleeps
+        # out the whole interval from that level.
+        scenario, thr, builder = self._builder()
+        level = thr.v_off[DeviceState.TX] - 20
+        (dest, prob), = builder.row(ChainState(SL0, level)).items()
+        assert prob == 1.0
+        assert dest.level == self._sleep_from(scenario, level, 9.0)
+
+    def test_turn_off_above_wake_target_wakes_at_once(self):
+        # A mid-air turn-off leaves the capacitor at the Tx v_off, above
+        # the wake target, so the device sleeps from there at once.
+        scenario, thr, builder = self._builder()
+        level = thr.v_tx - 1
+        v_off = scenario.circuit.state_params(DeviceState.TX).v_off
+        t_abort = time_to_voltage(scenario.circuit, DeviceState.TX, level / G, v_off)
+        assert 0.0 < t_abort < scenario.schedule.t_tx
+        (dest, _), = builder.row(ChainState(SL0, level)).items()
+        assert dest.level == self._sleep_from(scenario, thr.v_off[DeviceState.TX], 9.0 - t_abort)
+
+
+    def test_listen_turns_off_at_its_own_level(self):
+        # An SL1 level whose window-2 preamble ends between the v_min level
+        # and the Listen turn-off level: the device is off.
+        scenario, thr, builder = self._builder()
+        circuit, sched = scenario.circuit, scenario.schedule
+
+        def level_after(state, level, t):
+            return level_of(voltage_after(circuit, state, level / G, t), G)
+
+        def window2(level):
+            v1 = level_after(DeviceState.IDLE, level_after(DeviceState.TX, level, sched.t_tx),
+                             sched.t_id1)
+            v2 = level_after(DeviceState.IDLE, level_after(DeviceState.LISTEN, v1, sched.t_l1),
+                             sched.t_id2)
+            return v2, level_after(DeviceState.LISTEN, v2, sched.t_l2)
+
+        level = next(level for level in range(thr.v_tx, thr.v_max)
+                     if thr.v_min < window2(level)[1] <= thr.v_off[DeviceState.LISTEN])
+        v2 = window2(level)[0]
+        v_off = circuit.state_params(DeviceState.LISTEN).v_off
+        t_off = (sched.t_tx + sched.t_id1 + sched.t_l1 + sched.t_id2
+                 + time_to_voltage(circuit, DeviceState.LISTEN, v2 / G, v_off))
+        t_wake = time_to_voltage(circuit, DeviceState.OFF, v_off, circuit.v_on)
+        want = self._sleep_from(scenario, thr.v_on, 9.0 - t_off - t_wake)
+        (dest, _), = builder.row(ChainState(SL1, level)).items()
+        assert abs(dest.level - want) <= 1
+
+
+# perfbench's parasitic chain cells: (threshold, M) at ESR 20 ohm / EPR 50 kohm.
+PERFBENCH_PARASITIC = [(0.6, 9.0), (0.6, 20.0), (0.7, 9.0), (0.7, 20.0)]
+
+
+class TestParasiticAgreement:
+    def test_perfbench_cells(self):
+        for threshold, m in PERFBENCH_PARASITIC:
+            scenario = _parasitic(make_scenario(interval_m=m), threshold=threshold,
+                                  esr=20.0, epr=50e3)
+            sim = run_simulation(scenario, 1, 1000)[0].pdr
+            for g in (750, 2000, 5000):
+                assert abs(solve_chain(scenario, g).pdr - sim) < 0.01, (threshold, m, g)
+
+    def test_accuracy_grid(self):
+        # Criterion 6's tolerance (|dPDR| < 0.01 on >= 95 % of the cells) on
+        # the accuracy cases at a 70 % threshold with two parasitic capacitors,
+        # plus the perfbench cells.
+        base = make_scenario(interval_m=9.0)
+        cells = [_parasitic(make_scenario(interval_m=m), threshold=threshold,
+                            esr=20.0, epr=50e3)
+                 for threshold, m in PERFBENCH_PARASITIC]
+        for capacitor in ({"esr": 20.0, "epr": 50e3}, {"esr": 1.5, "epr": 550e3}):
+            for case_id in ACCURACY_CASES:
+                for m_class in M_CLASSES:
+                    for p1, p2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)):
+                        scenario = accuracy_case_scenario(base, case_id, m_class, p1, p2, 0.70)
+                        cells.append(_parasitic(scenario, **capacitor))
+        good = sum(abs(solve_chain(s, G).pdr - run_simulation(s, 1, 1000)[0].pdr) < 0.01
+                   for s in cells)
+        assert good >= math.ceil(0.95 * len(cells)), f"only {good}/{len(cells)} cells agree"

@@ -177,9 +177,12 @@ class TestSingleCycle:
 class _ReferenceWalk:
     """The simulator's algorithm stepped with the public closed forms.
 
-    Every phase calls voltage_after / time_to_voltage afresh; draws follow
-    the README order (one when window 1 opens, one more only if window 1
-    stayed silent).  The compiled phase-table walk must match it exactly.
+    Every phase calls voltage_after / time_to_voltage afresh on the
+    capacitor voltage; the device turns off where it reaches the state's
+    v_off (at once when entered at or below it, staying where it is) and
+    wakes at v_on (at once when already there).  Draws follow the README
+    order (one when window 1 opens, one more only if window 1 stayed
+    silent).  The compiled phase-table walk must match it exactly.
     """
 
     def __init__(self, circuit, v, off):
@@ -196,12 +199,12 @@ class _ReferenceWalk:
     def phase(self, state, duration):
         c = self.c
         self.mark(self.t, state)
-        if c.asymptote(state) < self.v:
-            dt = time_to_voltage(c, state, self.v, c.v_min)
-            if dt <= duration:
-                self.v, self.off, self.t = c.v_min, True, self.t + dt
-                self.mark(self.t, DeviceState.OFF)
-                return False
+        v_off = c.state_params(state).v_off
+        dt = time_to_voltage(c, state, self.v, v_off) if self.v > v_off else 0.0
+        if dt <= duration:
+            self.v, self.off, self.t = min(self.v, v_off), True, self.t + dt
+            self.mark(self.t, DeviceState.OFF)
+            return False
         self.v = voltage_after(c, state, self.v, duration)
         self.t += duration
         return True
@@ -209,11 +212,12 @@ class _ReferenceWalk:
     def recharge(self, t_to):
         c = self.c
         if t_to > self.t and self.off:
-            t_wake = time_to_voltage(c, DeviceState.OFF, self.v, c.v_sl)
+            t_wake = time_to_voltage(c, DeviceState.OFF, self.v, c.v_on) if self.v < c.v_on \
+                else 0.0
             if self.t + t_wake > t_to:
                 self.v = voltage_after(c, DeviceState.OFF, self.v, t_to - self.t)
             else:
-                self.v, self.off = c.v_sl, False
+                self.v, self.off = max(self.v, c.v_on), False
                 self.t += t_wake
                 self.mark(self.t, DeviceState.SLEEP)
         if t_to > self.t and not self.off:
@@ -275,7 +279,7 @@ def reference_cycle(scenario, v_start, dl_case):
 
 
 CAPACITORS = {"ideal": {}, "esr_epr": {"esr": 20.0, "epr": 50e3},
-              "esr_only": {"esr": 1.5}}
+              "esr_only": {"esr": 1.5}, "esr_high": {"esr": 20.0}}
 
 
 def _scenario(capacitor, threshold, m, p1, p2, c_farads=4.7e-3):
@@ -286,11 +290,11 @@ def _scenario(capacitor, threshold, m, p1, p2, c_farads=4.7e-3):
 
 
 class TestReferenceOracle:
-    @pytest.mark.parametrize("capacitor", ["ideal", "esr_epr"])
+    @pytest.mark.parametrize("capacitor", ["ideal", "esr_epr", "esr_high"])
     @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0),
                                        (1.0, 1.0), (0.3, 0.5)])
     def test_run_matches_reference_walk(self, capacitor, p1, p2):
-        n = 300 if capacitor == "ideal" else 60
+        n = 300
         for m in (5.0, 9.0, 40.0):
             for threshold in (0.56, 0.6, 0.7, 0.9):
                 scenario = _scenario(capacitor, threshold, m, p1, p2)
@@ -316,6 +320,44 @@ class TestReferenceOracle:
             v_start = circuit.v_min + (ceiling - circuit.v_min) * k / 10
             assert single_cycle_trace(scenario, v_start, dl_case) == \
                 reference_cycle(scenario, v_start, dl_case)
+
+
+class TestParasiticEdgeCases:
+    """ESR 20 ohm puts the Tx turn-off voltage (~2.10 V) above the wake
+    target (~1.98 V at a 60 % threshold)."""
+
+    def _scenario(self, m=9.0):
+        scenario = _scenario("esr_high", 0.6, m, 0.0, 0.0)
+        v_off_tx = scenario.circuit.state_params(DeviceState.TX).v_off
+        assert scenario.circuit.v_min < scenario.circuit.v_on < v_off_tx
+        return scenario, v_off_tx
+
+    def test_phase_entered_below_turn_off_dies_at_once(self):
+        scenario, v_off_tx = self._scenario()
+        v_start = 0.5 * (scenario.circuit.v_min + v_off_tx)
+        trace, v_end, completed = single_cycle_trace(scenario, v_start, "none")
+        assert trace == [TracePoint(0.0, v_start, DeviceState.OFF)]
+        assert (v_end, completed) == (v_start, False)
+        phases = cycle_table(scenario.circuit, scenario.schedule, "none")
+        assert run_cycle(scenario.circuit, phases, v_start) == (v_start, False)
+
+    def test_run_turns_off_at_once_and_wakes_at_once(self):
+        scenario, v_off_tx = self._scenario()
+        stats, trace = run_simulation(scenario, 1, 40, trace=True)
+        assert stats.n_tx_aborted > 0
+        # An Off point left at or above v_on would be a device that failed
+        # to wake at once; only the run's last point may still be Off.
+        assert all(p.voltage < scenario.circuit.v_on for p in trace[:-1]
+                   if p.device_state is DeviceState.OFF)
+        # A mid-air Tx turn-off wakes at v_off (its Off point replaced by a
+        # Sleep one at the same instant); an uplink started below v_off
+        # turns off and wakes at its scheduled instant.
+        mid_air = [p for p in trace if p.device_state is DeviceState.SLEEP
+                   and p.voltage == v_off_tx]
+        at_once = [p for p in trace if p.device_state is DeviceState.SLEEP
+                   and p.voltage < v_off_tx and p.time % scenario.interval_m == 0.0]
+        assert mid_air and at_once
+        assert stats.n_tx_aborted - (len(mid_air) + len(at_once)) in (0, 1)
 
 
 class TestTraceFreeCycle:

@@ -3,6 +3,11 @@ wake-up time, turn-on-threshold sweeps and the chain-vs-simulator accuracy
 grid.  Each driver returns figure-ready rows; CSV rendering lives in the
 CLI layer.
 
+Every grid (the sweep, the accuracy study and the CLI's sizing tables) is
+one evaluate_grid call: the product of named axes around a base scenario,
+each cell built by edit_scenario and validated before any cell is
+measured, then one measure per cell, in a process pool only when jobs > 1.
+
 The capacitance/interval analyses run the analytic uplink/downlink cycle
 (simulator.cycle_table and the trace-free simulator.run_cycle, the walk
 behind single_cycle_trace) and search its feasibility boundary by
@@ -14,11 +19,13 @@ default; min_tx_interval also needs the start voltage, bisected to 0.1 mV.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import defaults
 from .energy import CircuitConfig, DeviceState, DeviceThresholds, time_to_voltage
@@ -31,50 +38,90 @@ DL_CASES = ("none", "rx1", "rx2")
 
 # -- scenario editing -------------------------------------------------------
 
-def with_threshold_fraction(scenario: Scenario, fraction: float) -> Scenario:
-    thresholds = DeviceThresholds(
-        v_min=scenario.circuit.v_min,
-        v_sl=fraction * scenario.circuit.operating_voltage,
-    )
-    return dataclasses.replace(
-        scenario, circuit=dataclasses.replace(scenario.circuit, thresholds=thresholds))
+_WHOLE_EDITS = ("sf", "ul_pl", "dl_pl")
+_SCENARIO_EDITS = ("interval_m", "p1", "p2", "ul_pl", "dl_pl")
+_EDITS = frozenset(_WHOLE_EDITS + _SCENARIO_EDITS + ("threshold", "capacitance", "power"))
 
 
-def with_capacitance(scenario: Scenario, c_farads: float) -> Scenario:
-    capacitor = dataclasses.replace(scenario.circuit.capacitor, capacitance=c_farads)
-    return dataclasses.replace(
-        scenario, circuit=dataclasses.replace(scenario.circuit, capacitor=capacitor))
+def _whole(name: str, value) -> int:
+    if not (math.isfinite(value) and value >= 1 and value == int(value)):
+        raise ScenarioError(f"{name} values must be whole numbers >= 1, got {value!r}")
+    return int(value)
 
 
-def with_harvest_power(scenario: Scenario, power_w: float) -> Scenario:
-    harvester = dataclasses.replace(scenario.circuit.harvester, harvest_power=power_w)
-    return dataclasses.replace(
-        scenario, circuit=dataclasses.replace(scenario.circuit, harvester=harvester))
+def edit_scenario(scenario: Scenario, edits: Mapping[str, float]) -> Scenario:
+    """Return the scenario with named quantities replaced, validated once.
 
-
-def apply_axis(scenario: Scenario, axis: str, value) -> tuple[Scenario, int | None]:
-    """Return the scenario with one swept quantity replaced.
-
-    The granularity axis has no scenario field; it is returned separately.
-    Raises ScenarioError for a value the scenario cannot take.
+    Names: threshold (turn-on fraction of E), capacitance (F), power (W),
+    interval_m (s), p1, p2, and the whole numbers >= 1 sf, ul_pl and dl_pl.
+    Raises ScenarioError for an unknown name or a value the scenario
+    cannot take.
     """
-    if axis in ("ul_pl", "dl_pl", "granularity") and not (value >= 1 and value == int(value)):
-        raise ScenarioError(f"{axis} values must be whole numbers >= 1, got {value!r}")
-    if axis == "threshold":
-        return with_threshold_fraction(scenario, float(value)), None
-    if axis == "capacitance":
-        return with_capacitance(scenario, float(value)), None
-    if axis == "power":
-        return with_harvest_power(scenario, float(value)), None
-    if axis == "interval_m":
-        return dataclasses.replace(scenario, interval_m=float(value)), None
-    if axis == "ul_pl":
-        return dataclasses.replace(scenario, ul_pl=int(value)), None
-    if axis == "dl_pl":
-        return dataclasses.replace(scenario, dl_pl=int(value)), None
-    if axis == "granularity":
-        return scenario, int(value)
-    raise ScenarioError(f"unknown sweep axis {axis!r}")
+    unknown = sorted(set(edits) - _EDITS)
+    if unknown:
+        raise ScenarioError(f"unknown scenario edit {unknown[0]!r}")
+    new = {name: _whole(name, value) if name in _WHOLE_EDITS else float(value)
+           for name, value in edits.items()}
+    circuit = scenario.circuit
+    parts = {}
+    if "threshold" in new:
+        parts["thresholds"] = DeviceThresholds(circuit.v_min,
+                                               new["threshold"] * circuit.operating_voltage)
+    if "capacitance" in new:
+        parts["capacitor"] = dataclasses.replace(circuit.capacitor, capacitance=new["capacitance"])
+    if "power" in new:
+        parts["harvester"] = dataclasses.replace(circuit.harvester, harvest_power=new["power"])
+    changes = {name: new[name] for name in _SCENARIO_EDITS if name in new}
+    if "sf" in new:
+        changes["radio"] = dataclasses.replace(scenario.radio, sf=new["sf"])
+    if parts:
+        changes["circuit"] = dataclasses.replace(circuit, **parts)
+    return dataclasses.replace(scenario, **changes) if changes else scenario
+
+
+# -- grid evaluation --------------------------------------------------------
+
+class GridCell(NamedTuple):
+    """One grid point: its scenario, chain granularity and axis values."""
+
+    scenario: Scenario
+    granularity: int
+    point: tuple  # one value per axis, in axis order
+
+
+def _axis_steps(axis: tuple) -> list[tuple[object, dict]]:
+    """(value, edits) for every value of an axis: (name, values), where each
+    value edits `name`, or a composite (name, values, edits), where the
+    `edits` callable maps each value to the edits it stands for."""
+    name, values, *to_edits = axis
+    edits = to_edits[0] if to_edits else (lambda value: {name: value})
+    return [(value, edits(value)) for value in values]
+
+
+def evaluate_grid(base: Scenario, axes: Sequence[tuple], measure: Callable[[GridCell], object],
+                  granularity: int = defaults.GRANULARITY, jobs: int = 1) -> list:
+    """measure over the product of `axes` around `base`, first axis outermost.
+
+    Axis names are edit_scenario's, plus 'granularity' for the chain's
+    (default `granularity`); a later axis wins where two edit the same
+    name.  Every cell is built and validated before any is measured, so
+    an invalid value raises ScenarioError before any work.  Results come
+    back in grid order; with jobs > 1 the cells run in a process pool of
+    at most os.cpu_count() workers, and `measure` must then be picklable.
+    """
+    cells = []
+    for steps in itertools.product(*(_axis_steps(axis) for axis in axes)):
+        edits = {}
+        for _, step in steps:
+            edits.update(step)
+        g = _whole("granularity", edits.pop("granularity", granularity))
+        cells.append(GridCell(edit_scenario(base, edits), g, tuple(v for v, _ in steps)))
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+            return list(pool.map(measure, cells))
+    return [measure(cell) for cell in cells]
 
 
 # -- feasibility searches ---------------------------------------------------
@@ -193,7 +240,6 @@ class SweepSpec:
     axis: str
     values: tuple
     m_values: tuple = ()          # extra interval grid for threshold sweeps
-    dl_case: str = "none"
     granularity: int = defaults.GRANULARITY
     n_scheduled: int = 1000
     seeds: tuple = (1, 2, 3, 4, 5)
@@ -201,8 +247,6 @@ class SweepSpec:
     def __post_init__(self):
         if list(self.values) != sorted(self.values):
             raise ScenarioError("sweep values must be sorted ascending")
-        if self.dl_case not in DL_CASES:
-            raise ScenarioError(f"dl_case must be one of {DL_CASES}")
 
 
 @dataclass(frozen=True)
@@ -240,26 +284,9 @@ def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
     return pdr / n, pdl1 / n, pdl2 / n
 
 
-def _map_cells(cell_fn: Callable, cells: list, jobs: int) -> list:
-    """cell_fn over cells, in order; with jobs > 1 in a process pool of at
-    most os.cpu_count() workers."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            return list(pool.map(cell_fn, cells))
-    return [cell_fn(cell) for cell in cells]
-
-
-def _cell_scenario(spec: SweepSpec, value, m) -> tuple[Scenario, int]:
-    """The scenario and granularity of one grid cell; ScenarioError if invalid."""
-    scenario, g_override = apply_axis(spec.scenario, spec.axis, value)
-    if m is not None:
-        scenario = dataclasses.replace(scenario, interval_m=float(m))
-    return scenario, g_override if g_override is not None else spec.granularity
-
-
-def _sweep_cell(args: tuple) -> list[SweepRow]:
-    spec, value, m, engines = args
-    scenario, g = _cell_scenario(spec, value, m)
+def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int,
+                cell: GridCell) -> list[SweepRow]:
+    scenario, value = cell.scenario, float(cell.point[0])
     beyond_ceiling = scenario.circuit.v_on >= scenario.circuit.asymptote(DeviceState.OFF)
     rows = []
     for engine in engines:
@@ -267,15 +294,15 @@ def _sweep_cell(args: tuple) -> list[SweepRow]:
             if beyond_ceiling:
                 raise InfeasibleScenario("turn-on threshold beyond the charging ceiling")
             if engine == "simulator":
-                pdr, pdl1, pdl2 = _simulate_mean(scenario, spec.seeds, spec.n_scheduled)
+                pdr, pdl1, pdl2 = _simulate_mean(scenario, seeds, n_scheduled)
             else:
-                result = solve_chain(scenario, g)
+                result = solve_chain(scenario, cell.granularity)
                 pdr, pdl1, pdl2 = result.pdr, result.pdl1, result.pdl2
-            rows.append(SweepRow(spec.axis, float(value), scenario.interval_m,
-                                 engine, pdr, pdl1, pdl2, feasible=True))
+            feasible = True
         except InfeasibleScenario:
-            rows.append(SweepRow(spec.axis, float(value), scenario.interval_m,
-                                 engine, 0.0, 0.0, 0.0, feasible=False))
+            pdr = pdl1 = pdl2 = 0.0
+            feasible = False
+        rows.append(SweepRow(axis, value, scenario.interval_m, engine, pdr, pdl1, pdl2, feasible))
     return rows
 
 
@@ -293,11 +320,10 @@ def threshold_sweep(spec: SweepSpec, engine: str = "simulator",
     engines = ("simulator", "chain") if engine == "both" else (engine,)
     if "simulator" in engines and not spec.seeds:
         raise ScenarioError("a simulator sweep needs at least one seed")
-    m_grid: tuple = spec.m_values or (None,)
-    cells = [(spec, value, m, engines) for value in spec.values for m in m_grid]
-    for cell in cells:
-        _cell_scenario(*cell[:3])
-    return [row for rows in _map_cells(_sweep_cell, cells, jobs) for row in rows]
+    axes = [(spec.axis, spec.values)] + ([("interval_m", spec.m_values)] if spec.m_values else [])
+    measure = partial(_sweep_cell, spec.axis, engines, tuple(spec.seeds), spec.n_scheduled)
+    cells = evaluate_grid(spec.scenario, axes, measure, spec.granularity, jobs)
+    return [row for rows in cells for row in rows]
 
 
 # -- accuracy study ---------------------------------------------------------
@@ -336,33 +362,28 @@ class AccuracyRow:
     chain_seconds: float
 
 
-def accuracy_case_scenario(base: Scenario, case_id: str, m_class: str,
-                           p1: float, p2: float, threshold: float) -> Scenario:
-    case = ACCURACY_CASES[case_id]
-    scenario = dataclasses.replace(
-        base,
-        radio=dataclasses.replace(base.radio, sf=case["sf"]),
-        ul_pl=case["ul_pl"],
-        dl_pl=1,
-        interval_m=case["m"][m_class],
-        p1=p1,
-        p2=p2,
-    )
-    scenario = with_harvest_power(scenario, case["power_w"])
-    scenario = with_capacitance(scenario, 4.7e-3)
-    return with_threshold_fraction(scenario, threshold)
+def accuracy_case_edits(case: tuple[str, str]) -> dict:
+    """edit_scenario edits of one (case id, M class) cell of the grid."""
+    case_id, m_class = case
+    try:
+        spec = ACCURACY_CASES[case_id]
+        return {"sf": spec["sf"], "ul_pl": spec["ul_pl"], "dl_pl": 1, "power": spec["power_w"],
+                "capacitance": 4.7e-3, "interval_m": spec["m"][m_class]}
+    except KeyError:
+        raise ScenarioError(f"no accuracy case {case_id!r} with M class {m_class!r}: cases "
+                            f"are {''.join(ACCURACY_CASES)}, M classes {M_CLASSES}") from None
 
 
-def _accuracy_cell(args: tuple) -> AccuracyRow:
-    base, case_id, m_class, p1, p2, threshold, g, n_scheduled, seeds = args
-    scenario = accuracy_case_scenario(base, case_id, m_class, p1, p2, threshold)
+def _accuracy_cell(n_scheduled: int, seeds: tuple, cell: GridCell) -> AccuracyRow:
+    _, threshold, (case_id, m_class), (p1, p2) = cell.point
+    scenario = cell.scenario
     pdr_sim, _, _ = _simulate_mean(scenario, seeds, n_scheduled)
     t0 = time.perf_counter()
-    result = solve_chain(scenario, g)
+    result = solve_chain(scenario, cell.granularity)
     elapsed = time.perf_counter() - t0
     return AccuracyRow(
         case_id=case_id, m_class=m_class, m_s=scenario.interval_m,
-        p1=p1, p2=p2, threshold=threshold, granularity=g,
+        p1=p1, p2=p2, threshold=threshold, granularity=cell.granularity,
         pdr_sim=pdr_sim, pdr_mc=result.pdr,
         abs_error=abs(pdr_sim - result.pdr), chain_seconds=elapsed,
     )
@@ -380,13 +401,13 @@ def accuracy_study(base: Scenario,
     """Chain-vs-simulator absolute UL PDR error over the scenario grid."""
     if not seeds:
         raise ScenarioError("the accuracy study needs at least one seed")
-    cells = [(base, case_id, m_class, p1, p2, threshold, g, n_scheduled, tuple(seeds))
-             for g in granularities
-             for threshold in thresholds
-             for case_id in cases
-             for m_class in m_classes
-             for (p1, p2) in p_combos]
-    return _map_cells(_accuracy_cell, cells, jobs)
+    axes = [("granularity", granularities),
+            ("threshold", thresholds),
+            (("case", "m_class"), [(c, m) for c in cases for m in m_classes],
+             accuracy_case_edits),
+            (("p1", "p2"), p_combos, lambda p: {"p1": p[0], "p2": p[1]})]
+    return evaluate_grid(base, axes, partial(_accuracy_cell, n_scheduled, tuple(seeds)),
+                         jobs=jobs)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ significant digits, voltages and probabilities 6.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -23,17 +22,15 @@ from . import defaults
 from .characterize import (
     DL_CASES,
     M_CLASSES,
-    P_COMBOS,
     SweepSpec,
     accuracy_study,
     accuracy_summary,
+    edit_scenario,
+    evaluate_grid,
     min_capacitance,
     min_tx_interval,
     threshold_sweep,
     wakeup_time,
-    with_capacitance,
-    with_harvest_power,
-    with_threshold_fraction,
 )
 from .config import LoadedScenario, load_scenario, parse_scenario
 from .errors import InfeasibleScenario, ScenarioError
@@ -95,7 +92,15 @@ def _parse_values(text: str) -> list[float]:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in _parse_values(text)]
+    values = _parse_values(text)
+    if any(v != int(v) for v in values):
+        raise ScenarioError(f"expected whole numbers, got {text!r}")
+    return [int(v) for v in values]
+
+
+def _grid(text: str | None, default: float) -> list[float]:
+    """The values of one grid option, or its default when it is not given."""
+    return _parse_values(text) if text else [default]
 
 
 def _positive_int(text: str) -> int:
@@ -128,13 +133,15 @@ def _emit(args, command: str, rows: list[dict]) -> None:
 
 
 def _load(args) -> LoadedScenario:
+    """The scenario file, or the stock one, with single-value overrides applied."""
     loaded = load_scenario(args.scenario) if args.scenario else parse_scenario("")
-    scenario = loaded.scenario
-    m = getattr(args, "m", None)
-    if isinstance(m, (int, float)):  # sweep's --m is a grid string, not an override
-        scenario = dataclasses.replace(scenario, interval_m=float(m))
-    if getattr(args, "threshold", None) is not None:
-        scenario = with_threshold_fraction(scenario, args.threshold)
+    edits = {}
+    for option, name in (("m", "interval_m"), ("threshold", "threshold"),
+                         ("ul_pl", "ul_pl"), ("dl_pl", "dl_pl")):
+        value = getattr(args, option, None)
+        if isinstance(value, (int, float)):  # sweep's --m is a grid string, not an override
+            edits[name] = value
+    scenario = edit_scenario(loaded.scenario, edits)
     granularity = getattr(args, "granularity", None)
     if granularity is None:
         granularity = loaded.granularity
@@ -330,68 +337,56 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_min_cap(args) -> int:
-    loaded = _load(args)
-    base = loaded.scenario
-    if args.ul_pl:
-        base = dataclasses.replace(base, ul_pl=args.ul_pl)
-    if args.dl_pl:
-        base = dataclasses.replace(base, dl_pl=args.dl_pl)
-    powers = _parse_values(args.power) if args.power else \
-        [base.circuit.harvester.harvest_power]
-    rows = []
-    for sf in _parse_ints(args.sf):
-        for power in powers:
-            scenario = dataclasses.replace(
-                base, radio=dataclasses.replace(base.radio, sf=sf))
-            scenario = with_harvest_power(scenario, power)
-            c_min = min_capacitance(scenario, args.dl_case)
-            rows.append({
-                "sf": sf, "ul_payload_bytes": scenario.ul_pl,
-                "dl_payload_bytes": scenario.dl_pl, "dl_case": args.dl_case,
-                "power_w": f_val(power), "min_capacitance_f": f_val(c_min),
-            })
-    _emit(args, "min-cap", rows)
+    base = _load(args).scenario
+
+    def row(cell):
+        sf, power = cell.point
+        return {
+            "sf": sf, "ul_payload_bytes": cell.scenario.ul_pl,
+            "dl_payload_bytes": cell.scenario.dl_pl, "dl_case": args.dl_case,
+            "power_w": f_val(power),
+            "min_capacitance_f": f_val(min_capacitance(cell.scenario, args.dl_case)),
+        }
+
+    _emit(args, "min-cap", evaluate_grid(base, [
+        ("sf", _parse_ints(args.sf)),
+        ("power", _grid(args.power, base.circuit.harvester.harvest_power)),
+    ], row))
     return 0
 
 
+def _sizing_axes(args, base) -> list[tuple]:
+    """The capacitance x power grid of min-interval and wakeup."""
+    return [("capacitance", _grid(args.capacitance, base.circuit.capacitor.capacitance)),
+            ("power", _grid(args.power, base.circuit.harvester.harvest_power))]
+
+
 def _cmd_min_interval(args) -> int:
-    loaded = _load(args)
-    base = loaded.scenario
-    caps = _parse_values(args.capacitance) if args.capacitance else \
-        [base.circuit.capacitor.capacitance]
-    powers = _parse_values(args.power) if args.power else \
-        [base.circuit.harvester.harvest_power]
-    rows = []
-    for c in caps:
-        for power in powers:
-            scenario = with_harvest_power(with_capacitance(base, c), power)
-            interval = min_tx_interval(scenario, args.dl_case)
-            rows.append({
-                "capacitance_f": f_val(c), "power_w": f_val(power),
-                "dl_case": args.dl_case, "min_interval_s": f_time(interval),
-            })
-    _emit(args, "min-interval", rows)
+    base = _load(args).scenario
+
+    def row(cell):
+        c, power = cell.point
+        return {
+            "capacitance_f": f_val(c), "power_w": f_val(power), "dl_case": args.dl_case,
+            "min_interval_s": f_time(min_tx_interval(cell.scenario, args.dl_case)),
+        }
+
+    _emit(args, "min-interval", evaluate_grid(base, _sizing_axes(args, base), row))
     return 0
 
 
 def _cmd_wakeup(args) -> int:
-    loaded = _load(args)
-    base = loaded.scenario
-    caps = _parse_values(args.capacitance) if args.capacitance else \
-        [base.circuit.capacitor.capacitance]
-    powers = _parse_values(args.power) if args.power else \
-        [base.circuit.harvester.harvest_power]
-    rows = []
-    for c in caps:
-        for power in powers:
-            circuit = with_harvest_power(with_capacitance(base, c), power).circuit
-            for threshold in _parse_values(args.thresholds):
-                rows.append({
-                    "capacitance_f": f_val(c), "power_w": f_val(power),
-                    "threshold": f_val(threshold),
-                    "wakeup_s": f_time(wakeup_time(circuit, threshold)),
-                })
-    _emit(args, "wakeup", rows)
+    base = _load(args).scenario
+
+    def row(cell):
+        c, power, threshold = cell.point
+        return {
+            "capacitance_f": f_val(c), "power_w": f_val(power), "threshold": f_val(threshold),
+            "wakeup_s": f_time(wakeup_time(cell.scenario.circuit, threshold)),
+        }
+
+    axes = _sizing_axes(args, base) + [("threshold", _parse_values(args.thresholds))]
+    _emit(args, "wakeup", evaluate_grid(base, axes, row))
     return 0
 
 
@@ -401,7 +396,6 @@ def _cmd_accuracy(args) -> int:
         loaded.scenario,
         cases=tuple(args.cases),
         m_classes=tuple(args.m_classes.split(",")),
-        p_combos=P_COMBOS,
         thresholds=tuple(_parse_values(args.thresholds)),
         granularities=tuple(_parse_ints(args.granularities)),
         n_scheduled=args.n,

@@ -6,7 +6,7 @@ The device electronics are a per-state load resistance R_L; source and
 load together are a Thevenin source V_th = E * R_eq / r_i behind
 R_eq = R_L * r_i / (R_L + r_i).  The same circuit expressed as a Norton
 current source I = E / r_i with parallel r_i gives an identical
-trajectory; both forms are implemented and tested for equivalence.
+trajectory; the tests check this form against that one.
 
 A real capacitor adds a series resistance (ESR) and a leakage resistance
 (EPR) across its plates.  The capacitor voltage v_C is the one state:
@@ -105,11 +105,6 @@ class HarvesterConfig:
     def series_resistance(self) -> float:
         """r_i = E^2 / P, the resistance that limits the harvester's power."""
         return self.operating_voltage**2 / self.harvest_power
-
-    @property
-    def norton_current(self) -> float:
-        """Equivalent current-source value I = E / r_i."""
-        return self.operating_voltage / self.series_resistance
 
 
 @dataclass(frozen=True)
@@ -282,19 +277,6 @@ def _step(v_limit: float, decay: float, v0: float) -> float:
 
 def _after(v_limit: float, tau: float, v0: float, t: float) -> float:
     return _step(v_limit, math.exp(-t / tau), v0)
-
-
-def voltage_after_norton(circuit: CircuitConfig, state: DeviceState, v0: float, t: float) -> float:
-    """Same evolution computed from the current-source form I * R_eq * (1 - e) + v0 * e.
-
-    Only defined for the ideal capacitor; exists so tests can check the
-    two source models are numerically equivalent.
-    """
-    if t < 0:
-        raise ScenarioError(f"time must be >= 0, got {t}")
-    p = circuit.state_params(state)
-    decay = math.exp(-t / p.tau)
-    return circuit.harvester.norton_current * p.r_eq * (1.0 - decay) + v0 * decay
 
 
 def time_to_voltage(circuit: CircuitConfig, state: DeviceState, v_i: float, v_f: float) -> float:

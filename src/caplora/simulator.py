@@ -167,10 +167,10 @@ class _Walk:
         if points is None:
             return
         point = TracePoint(t, self.v, state)
-        if points and points[-1].time == t:
+        if points and points[-1].time == t and points[-1].device_state is not DeviceState.OFF:
             points[-1] = point  # zero-duration phase; keep the outcome
         else:
-            points.append(point)
+            points.append(point)  # a turn-off stays even when the device wakes at once
 
     def phase(self, phase: Phase) -> bool:
         """Spend the timed `phase`; False when the device turned off in it.

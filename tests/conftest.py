@@ -70,6 +70,21 @@ def make_scenario(sf: int = 7,
     )
 
 
+def voltage_after_norton(circuit, state, v0: float, t: float) -> float:
+    """The ideal capacitor's voltage after t in `state`, from the Norton form.
+
+    Independent of caplora.energy's closed form: the harvester is a current
+    source I = E / r_i with r_i in parallel with the load, so the capacitor
+    charges toward I * R_eq with time constant R_eq * C.  Ideal parts only.
+    """
+    e, power = circuit.harvester.operating_voltage, circuit.harvester.harvest_power
+    r_i = e * e / power
+    r_load = circuit.loads.resistance(state)
+    r_eq = r_load * r_i / (r_load + r_i)
+    decay = math.exp(-t / (r_eq * circuit.capacitor.capacitance))
+    return e / r_i * r_eq * (1.0 - decay) + v0 * decay
+
+
 def stationary_oracle(p: np.ndarray, start: int) -> np.ndarray:
     """Dense reference for the chain's long-run distribution from `start`.
 

@@ -18,18 +18,18 @@ import pytest
 from caplora.characterize import (
     SweepSpec,
     accuracy_study,
+    edit_scenario,
     min_capacitance,
     min_tx_interval,
     threshold_sweep,
     wakeup_time,
-    with_threshold_fraction,
 )
-from caplora.energy import DeviceState, voltage_after, voltage_after_norton, time_to_voltage
+from caplora.energy import DeviceState, voltage_after, time_to_voltage
 from caplora.markov import build_transition_matrix, stationary_distribution
 from caplora.simulator import run_simulation
 from caplora.timing import RadioConfig, time_on_air
 
-from conftest import make_circuit, make_scenario, stationary_oracle
+from conftest import make_circuit, make_scenario, stationary_oracle, voltage_after_norton
 
 N_TX = 1000
 SEEDS = (1, 2, 3, 4, 5)
@@ -42,7 +42,7 @@ def _report(criterion: str, detail: str) -> None:
 
 def _warmup_allowance(scenario, threshold: float, interval: float) -> float:
     """Cold-start loss budget: initial charge time expressed in packets."""
-    t = wakeup_time(with_threshold_fraction(scenario, threshold).circuit, threshold)
+    t = wakeup_time(edit_scenario(scenario, {"threshold": threshold}).circuit, threshold)
     if not math.isfinite(t):
         return 1.0
     return (math.floor(t / interval) + 2) / N_TX

@@ -10,13 +10,13 @@ from caplora.characterize import (
     SweepSpec,
     accuracy_study,
     accuracy_summary,
-    apply_axis,
+    edit_scenario,
+    evaluate_grid,
     min_capacitance,
     min_tx_interval,
     required_cycle_voltage,
     threshold_sweep,
     wakeup_time,
-    with_capacitance,
 )
 from caplora.errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from caplora.energy import DeviceState
@@ -78,7 +78,8 @@ class TestRequiredCycleVoltage:
         # 1 mF capacitor cannot.
         scenario = make_scenario(ul_pl=16, c_farads=3.5e-3, interval_m=9.0)
         assert required_cycle_voltage(scenario, "none") is not None
-        assert required_cycle_voltage(with_capacitance(scenario, 1e-3), "none") is None
+        smaller = edit_scenario(scenario, {"capacitance": 1e-3})
+        assert required_cycle_voltage(smaller, "none") is None
 
     def test_window2_reception_is_the_hungriest(self):
         scenario = make_scenario(interval_m=9.0)
@@ -122,7 +123,8 @@ def reference_min_capacitance(scenario, dl_case,
     some start voltage."""
 
     def feasible(c):
-        return required_cycle_voltage(with_capacitance(scenario, c), dl_case) is not None
+        trial = edit_scenario(scenario, {"capacitance": c})
+        return required_cycle_voltage(trial, dl_case) is not None
 
     if not feasible(hi_f):
         raise NoFeasibleCapacitance(f"even {hi_f} F cannot complete the {dl_case} cycle")
@@ -145,7 +147,7 @@ def with_capacitor(scenario, **capacitor):
 
 
 def completes_at_ceiling(scenario, c_farads, dl_case):
-    trial = with_capacitance(scenario, c_farads)
+    trial = edit_scenario(scenario, {"capacitance": c_farads})
     circuit = trial.circuit
     phases = cycle_table(circuit, trial.schedule, dl_case)
     return run_cycle(circuit, phases, circuit.charge_ceiling() - 1e-9)[1]
@@ -167,7 +169,7 @@ class TestMinCapacitanceExactness:
         base = with_capacitor(make_scenario(sf=sf, ul_pl=48, dl_pl=48, interval_m=600.0),
                               **capacitor)
         for power_w in (1e-3, 3e-3, 10e-3):
-            scenario = characterize.with_harvest_power(base, power_w)
+            scenario = edit_scenario(base, {"power": power_w})
             try:
                 want = reference_min_capacitance(scenario, dl_case)
             except NoFeasibleCapacitance:
@@ -195,7 +197,7 @@ def min_capacitance_at_power(scenario, dl_case, power_w):
     """min_capacitance_or_inf at another harvest power; inf also when the
     circuit cannot hold charge at that power at all."""
     try:
-        scenario = characterize.with_harvest_power(scenario, power_w)
+        scenario = edit_scenario(scenario, {"power": power_w})
     except ScenarioError:
         return math.inf
     return min_capacitance_or_inf(scenario, dl_case)
@@ -219,9 +221,9 @@ class TestSizingProperties:
     def test_min_capacitance_does_not_increase_with_harvest_power(
             self, scenario, dl_case, p_a, p_b):
         p_low, p_high = sorted((p_a, p_b))
-        at_low = min_capacitance_or_inf(characterize.with_harvest_power(scenario, p_low),
+        at_low = min_capacitance_or_inf(edit_scenario(scenario, {"power": p_low}),
                                         dl_case)
-        at_high = min_capacitance_or_inf(characterize.with_harvest_power(scenario, p_high),
+        at_high = min_capacitance_or_inf(edit_scenario(scenario, {"power": p_high}),
                                          dl_case)
         assert at_high <= at_low
 
@@ -232,7 +234,7 @@ class TestSizingProperties:
             self, scenario, capacitor, dl_case, p_a, p_b):
         p_low, p_high = sorted((p_a, p_b))
         # Every sampled part holds charge at 0.1 W, the top of the power range.
-        scenario = with_capacitor(characterize.with_harvest_power(scenario, 0.1), **capacitor)
+        scenario = with_capacitor(edit_scenario(scenario, {"power": 0.1}), **capacitor)
         at_low = min_capacitance_at_power(scenario, dl_case, p_low)
         at_high = min_capacitance_at_power(scenario, dl_case, p_high)
         assert at_high <= at_low
@@ -244,9 +246,9 @@ class TestSizingProperties:
         base = make_scenario(ul_pl=60, interval_m=600.0)
         leaky = with_capacitor(base, esr=16.67, epr=16370.0)
         with pytest.raises(NoFeasibleCapacitance):
-            min_capacitance(characterize.with_harvest_power(leaky, 1e-3), "none")
-        at_25mw = min_capacitance(characterize.with_harvest_power(leaky, 25e-3), "none")
-        assert at_25mw >= min_capacitance(characterize.with_harvest_power(base, 25e-3), "none")
+            min_capacitance(edit_scenario(leaky, {"power": 1e-3}), "none")
+        at_25mw = min_capacitance(edit_scenario(leaky, {"power": 25e-3}), "none")
+        assert at_25mw >= min_capacitance(edit_scenario(base, {"power": 25e-3}), "none")
 
 
 def rk4_cycle_completes(scenario, capacitances, dl_case):
@@ -309,7 +311,7 @@ class TestMinTxInterval:
 
     def test_monotone_in_capacitance_and_power(self):
         base = make_scenario(sf=7, ul_pl=48, dl_pl=1, interval_m=90.0)
-        by_c = [min_tx_interval(with_capacitance(base, c), "none")
+        by_c = [min_tx_interval(edit_scenario(base, {"capacitance": c}), "none")
                 for c in (10e-3, 20e-3, 100e-3)]
         assert by_c == sorted(by_c, reverse=True)
         fast = make_scenario(sf=7, ul_pl=48, dl_pl=1, power_w=1e-2, interval_m=90.0)
@@ -317,8 +319,8 @@ class TestMinTxInterval:
 
     def test_plateau_beyond_100mf(self):
         base = make_scenario(sf=7, ul_pl=48, dl_pl=1, interval_m=90.0)
-        at_100mf = min_tx_interval(with_capacitance(base, 100e-3), "none")
-        at_1f = min_tx_interval(with_capacitance(base, 1.0), "none")
+        at_100mf = min_tx_interval(edit_scenario(base, {"capacitance": 100e-3}), "none")
+        at_1f = min_tx_interval(edit_scenario(base, {"capacitance": 1.0}), "none")
         assert abs(at_1f - at_100mf) / at_100mf < 0.05
 
     def test_infeasible_propagates(self):
@@ -406,16 +408,16 @@ class TestThresholdSweep:
 
     def test_axis_editing(self):
         scenario = make_scenario(interval_m=9.0)
-        edited, g = apply_axis(scenario, "ul_pl", 48)
-        assert edited.ul_pl == 48 and g is None
-        edited, g = apply_axis(scenario, "granularity", 500)
-        assert g == 500
+        edited = edit_scenario(scenario, {"ul_pl": 48})
+        assert edited.ul_pl == 48
+        [cell] = evaluate_grid(scenario, [("granularity", (500,))], lambda cell: cell)
+        assert cell.granularity == 500
         with pytest.raises(ScenarioError):
-            apply_axis(scenario, "bogus", 1)
+            edit_scenario(scenario, {"bogus": 1})
         for axis, value in (("granularity", 0), ("granularity", 2.5), ("ul_pl", 0),
                             ("dl_pl", -1)):
             with pytest.raises(ScenarioError, match="whole numbers"):
-                apply_axis(scenario, axis, value)
+                evaluate_grid(scenario, [(axis, (value,))], lambda cell: cell)
 
 
 class TestSimulateMean:
@@ -476,3 +478,15 @@ class TestAccuracyStudy:
         assert len(summary) == 1
         assert summary[0].n_cells == 1
         assert summary[0].max == row.abs_error
+
+    def test_parallel_matches_serial(self):
+        def without_timing(rows):
+            return [dataclasses.replace(row, chain_seconds=0.0) for row in rows]
+
+        kwargs = dict(cases=("A", "D"), m_classes=("small", "very_high"),
+                      p_combos=((0.0, 0.0), (0.0, 1.0)), thresholds=(0.6, 0.7),
+                      granularities=(100,), n_scheduled=200, seeds=(1, 2))
+        base = make_scenario(interval_m=9.0)
+        serial = accuracy_study(base, jobs=1, **kwargs)
+        assert len(serial) == 16
+        assert without_timing(accuracy_study(base, jobs=2, **kwargs)) == without_timing(serial)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -311,6 +312,59 @@ class TestCli:
         assert states[0] == "tx" and "rx" in states
 
 
+# One invalid value per grid option of every grid command, plus the inputs
+# that used to run: a zero payload read as "not given", fractions truncated
+# to whole numbers, and unknown accuracy cases ending in a KeyError.
+INVALID_GRID_VALUES = {
+    "sweep-values": ["sweep", "--axis", "threshold", "--values", "0.7,1.2"],
+    "sweep-m": ["sweep", "--axis", "threshold", "--values", "0.7", "--m", "40,0"],
+    "sweep-seeds": ["sweep", "--axis", "threshold", "--values", "0.7", "--seeds", "1.9"],
+    "accuracy-cases": ["accuracy", "--cases", "Z"],
+    "accuracy-m-classes": ["accuracy", "--cases", "A", "--m-classes", "small,tiny"],
+    "accuracy-thresholds": ["accuracy", "--cases", "A", "--thresholds", "0.7,0.5"],
+    "accuracy-granularities": ["accuracy", "--cases", "A", "--granularities", "100.7"],
+    "accuracy-seeds": ["accuracy", "--cases", "A", "--seeds", "1.9"],
+    "min-cap-sf": ["min-cap", "--sf", "7,7.5"],
+    "min-cap-power": ["min-cap", "--power", "0.001,-1"],
+    "min-cap-ul-pl": ["min-cap", "--ul-pl", "0"],
+    "min-cap-dl-pl": ["min-cap", "--dl-pl", "0"],
+    "min-interval-capacitance": ["min-interval", "--capacitance", "0.02,0"],
+    "min-interval-power": ["min-interval", "--power", "nan"],
+    "wakeup-thresholds": ["wakeup", "--thresholds", "0.6,0.5"],
+    "wakeup-capacitance": ["wakeup", "--capacitance", "0.0047,-1"],
+    "wakeup-power": ["wakeup", "--power", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_GRID_VALUES))
+def test_invalid_grid_value_exits_2_before_any_cell(name, monkeypatch, capsys):
+    from caplora import cli
+
+    real = characterize.evaluate_grid
+
+    def unmeasured(base, axes, measure, *args, **kwargs):
+        def fail(cell):
+            raise AssertionError(f"{name}: a cell was measured before validation")
+        return real(base, axes, fail, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_grid", unmeasured)
+    monkeypatch.setattr(characterize, "evaluate_grid", unmeasured)
+    assert main(INVALID_GRID_VALUES[name]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_serial_sweep_leaves_the_process_pool_unloaded(tmp_path):
+    code = ("import sys; from caplora.cli import main; "
+            "main(['sweep', '--axis', 'threshold', '--values', '0.6,0.7', '--m', '9', "
+            "'--engine', 'both', '--n', '50', '--seeds', '1', '--out', sys.argv[1]]); "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sweep.csv")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 5
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import caplora.cli, sys; print('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -395,6 +449,6 @@ class _RecordingPool:
 def test_jobs_are_capped_at_the_cpu_count(argv, monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(_RecordingPool, "max_workers", [])
-    monkeypatch.setattr(characterize, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     assert main(argv + ["--jobs", "3"]) == 0
     assert _RecordingPool.max_workers == [1]

@@ -14,11 +14,10 @@ from caplora.energy import (
     load_resistance,
     time_to_voltage,
     voltage_after,
-    voltage_after_norton,
 )
 from caplora.errors import ScenarioError
 
-from conftest import make_circuit, make_loads, rk4_capacitor
+from conftest import make_circuit, make_loads, rk4_capacitor, voltage_after_norton
 
 E = 3.3
 CHARGING = (DeviceState.OFF, DeviceState.SLEEP, DeviceState.IDLE)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_scenario
+from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
 from caplora.energy import DeviceState, time_to_voltage, voltage_after
 from caplora.errors import InfeasibleScenario, ScenarioError
 from caplora.markov import (
@@ -412,7 +412,9 @@ class TestParasiticAgreement:
             for case_id in ACCURACY_CASES:
                 for m_class in M_CLASSES:
                     for p1, p2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)):
-                        scenario = accuracy_case_scenario(base, case_id, m_class, p1, p2, 0.70)
+                        scenario = edit_scenario(base, {
+                            **accuracy_case_edits((case_id, m_class)),
+                            "p1": p1, "p2": p2, "threshold": 0.70})
                         cells.append(_parasitic(scenario, **capacitor))
         good = sum(abs(solve_chain(s, G).pdr - run_simulation(s, 1, 1000)[0].pdr) < 0.01
                    for s in cells)

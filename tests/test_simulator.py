@@ -182,7 +182,8 @@ class _ReferenceWalk:
     v_off (at once when entered at or below it, staying where it is) and
     wakes at v_on (at once when already there).  Draws follow the README
     order (one when window 1 opens, one more only if window 1 stayed
-    silent).  The compiled phase-table walk must match it exactly.
+    silent).  A point replaces one at the same instant unless that one
+    is a turn-off.  The compiled phase-table walk must match it exactly.
     """
 
     def __init__(self, circuit, v, off):
@@ -191,7 +192,8 @@ class _ReferenceWalk:
 
     def mark(self, t, state):
         point = TracePoint(t, self.v, state)
-        if self.trace and self.trace[-1].time == t:
+        if self.trace and self.trace[-1].time == t \
+                and self.trace[-1].device_state is not DeviceState.OFF:
             self.trace[-1] = point
         else:
             self.trace.append(point)
@@ -345,19 +347,40 @@ class TestParasiticEdgeCases:
         scenario, v_off_tx = self._scenario()
         stats, trace = run_simulation(scenario, 1, 40, trace=True)
         assert stats.n_tx_aborted > 0
-        # An Off point left at or above v_on would be a device that failed
-        # to wake at once; only the run's last point may still be Off.
-        assert all(p.voltage < scenario.circuit.v_on for p in trace[:-1]
-                   if p.device_state is DeviceState.OFF)
-        # A mid-air Tx turn-off wakes at v_off (its Off point replaced by a
-        # Sleep one at the same instant); an uplink started below v_off
-        # turns off and wakes at its scheduled instant.
+        # An Off point left at or above v_on must be followed by a Sleep
+        # point at the same instant, or the device failed to wake at once.
+        assert all(nxt.device_state is DeviceState.SLEEP and nxt.time == p.time
+                   for p, nxt in zip(trace, trace[1:])
+                   if p.device_state is DeviceState.OFF and p.voltage >= scenario.circuit.v_on)
+        # A mid-air Tx turn-off wakes at v_off (a Sleep point at the
+        # instant of its Off point); an uplink started below v_off turns
+        # off and wakes at its scheduled instant.
         mid_air = [p for p in trace if p.device_state is DeviceState.SLEEP
                    and p.voltage == v_off_tx]
         at_once = [p for p in trace if p.device_state is DeviceState.SLEEP
                    and p.voltage < v_off_tx and p.time % scenario.interval_m == 0.0]
         assert mid_air and at_once
         assert stats.n_tx_aborted - (len(mid_air) + len(at_once)) in (0, 1)
+
+
+    @pytest.mark.parametrize("capacitor", sorted(CAPACITORS))
+    def test_every_aborted_uplink_shows_an_off_point(self, capacitor):
+        # A Tx turn-off is an Off point right after the Tx point, or, for an
+        # uplink started below the Tx v_off, an Off point at its scheduled
+        # instant; a wake at once must not hide it.
+        aborted = 0
+        for threshold in (0.56, 0.6, 0.7):
+            for m in (5.0, 9.0):
+                scenario = _scenario(capacitor, threshold, m, 0.0, 0.0)
+                n = 300
+                stats, trace = run_simulation(scenario, 1, n, trace=True)
+                scheduled = {k * m for k in range(n)}
+                tx_off = [p for prev, p in zip(trace, trace[1:])
+                          if p.device_state is DeviceState.OFF
+                          and (prev.device_state is DeviceState.TX or p.time in scheduled)]
+                assert len(tx_off) == stats.n_tx_aborted, (threshold, m)
+                aborted += stats.n_tx_aborted
+        assert aborted > 0
 
 
 class TestTraceFreeCycle:

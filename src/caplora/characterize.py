@@ -13,7 +13,10 @@ The capacitance/interval analyses run the analytic uplink/downlink cycle
 behind single_cycle_trace) and search its feasibility boundary by
 bisection.  min_capacitance asks only "does the cycle complete from the
 charging ceiling", one cycle per trial capacitance, bisected to 0.01 mF by
-default; min_tx_interval also needs the start voltage, bisected to 0.1 mV.
+default; min_tx_interval also needs the start voltage, bisected to 0.1 mV,
+and adds the Off phase's charge time to the cycle table's durations.
+wakeup_time is the Off phase's charge time to the circuit's wake target,
+the same helper the Markov chain wakes with.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import defaults
-from .energy import CircuitConfig, DeviceState, DeviceThresholds, time_to_voltage
+from .energy import CircuitConfig, DeviceState, DeviceThresholds, Phase, compile_phase, wake_time
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from .markov import solve_chain
-from .simulator import Scenario, cycle_phases, cycle_table, run_cycle, run_simulation
+from .simulator import Scenario, cycle_table, run_cycle, run_simulation
 
 DL_CASES = ("none", "rx1", "rx2")
 
@@ -94,6 +97,8 @@ def _axis_steps(axis: tuple) -> list[tuple[object, dict]]:
     value edits `name`, or a composite (name, values, edits), where the
     `edits` callable maps each value to the edits it stands for."""
     name, values, *to_edits = axis
+    if not values:
+        raise ScenarioError(f"grid axis {name!r} has no values")
     edits = to_edits[0] if to_edits else (lambda value: {name: value})
     return [(value, edits(value)) for value in values]
 
@@ -105,9 +110,10 @@ def evaluate_grid(base: Scenario, axes: Sequence[tuple], measure: Callable[[Grid
     Axis names are edit_scenario's, plus 'granularity' for the chain's
     (default `granularity`); a later axis wins where two edit the same
     name.  Every cell is built and validated before any is measured, so
-    an invalid value raises ScenarioError before any work.  Results come
-    back in grid order; with jobs > 1 the cells run in a process pool of
-    at most os.cpu_count() workers, and `measure` must then be picklable.
+    an invalid value, or an axis without values, raises ScenarioError
+    before any work.  Results come back in grid order; with jobs > 1 the
+    cells run in a process pool of at most os.cpu_count() workers, and
+    `measure` must then be picklable.
     """
     cells = []
     for steps in itertools.product(*(_axis_steps(axis) for axis in axes)):
@@ -140,7 +146,12 @@ def required_cycle_voltage(scenario: Scenario, dl_case: str = "none",
     when even a capacitor charged to the ceiling cannot fund the cycle.
     """
     circuit = scenario.circuit
-    phases = cycle_table(circuit, scenario.schedule, dl_case)
+    return _start_voltage(circuit, cycle_table(circuit, scenario.schedule, dl_case), tol_v)
+
+
+def _start_voltage(circuit: CircuitConfig, phases: Sequence[Phase],
+                   tol_v: float = defaults.CYCLE_VOLTAGE_TOL_V) -> float | None:
+    """required_cycle_voltage over the compiled cycle `phases`."""
     lo = circuit.v_min
     hi = _ceiling_start(circuit)
 
@@ -201,33 +212,24 @@ def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:
     """Fastest sustainable schedule when the device wakes only to run one
     cycle and turns off right after: charge time from the turn-off voltage
     to the cycle's required start voltage, plus the cycle itself."""
-    v_star = required_cycle_voltage(scenario, dl_case)
+    circuit = scenario.circuit
+    phases = cycle_table(circuit, scenario.schedule, dl_case)
+    v_star = _start_voltage(circuit, phases)
     if v_star is None:
         raise InfeasibleScenario(
-            f"C = {scenario.circuit.capacitor.capacitance} F cannot complete "
-            f"the {dl_case} cycle at {scenario.circuit.harvester.harvest_power} W"
+            f"C = {circuit.capacitor.capacitance} F cannot complete "
+            f"the {dl_case} cycle at {circuit.harvester.harvest_power} W"
         )
-    t_charge = time_to_voltage(scenario.circuit, DeviceState.OFF,
-                               scenario.circuit.v_min, v_star)
-    return t_charge + sum(d for _, d in cycle_phases(scenario.schedule, dl_case))
+    t_charge = compile_phase(circuit, DeviceState.OFF).cross(circuit.v_min, v_star)
+    return t_charge + sum(phase.duration for phase in phases)
 
 
-def wakeup_time(circuit: CircuitConfig, threshold_fraction: float) -> float:
-    """Off-state charge time from the turn-off voltage to the threshold.
-
-    The threshold is a load voltage; the Off-state load map turns it into
-    the capacitor voltage the charge must reach.  math.inf when the
-    threshold exceeds what the harvester can ever reach.
-    """
-    target = threshold_fraction * circuit.operating_voltage
-    if target < circuit.v_min:
-        raise ScenarioError(
-            f"threshold {threshold_fraction:.3f} * {circuit.operating_voltage} V "
-            f"is below the turn-off voltage {circuit.v_min} V"
-        )
-    p = circuit.state_params(DeviceState.OFF)
-    v_on = max((target - p.b) / p.a, circuit.v_min)
-    return time_to_voltage(circuit, DeviceState.OFF, circuit.v_min, v_on)
+def wakeup_time(circuit: CircuitConfig) -> float:
+    """Off-state charge time from the turn-off voltage to the wake target
+    circuit.v_on, where the Off-state load reaches the turn-on threshold.
+    0 when v_on lies at or below v_min; math.inf when the threshold exceeds
+    what the harvester can ever reach."""
+    return wake_time(compile_phase(circuit, DeviceState.OFF), circuit.v_min, circuit.v_on)
 
 
 # -- threshold sweep --------------------------------------------------------
@@ -247,6 +249,9 @@ class SweepSpec:
     def __post_init__(self):
         if list(self.values) != sorted(self.values):
             raise ScenarioError("sweep values must be sorted ascending")
+        if self.axis == "interval_m" and self.m_values:
+            raise ScenarioError("an interval_m sweep takes no extra interval grid: "
+                                "its values are the intervals")
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,9 @@ def f_val(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _parse_values(text: str) -> list[float]:
-    """Parse 'a,b,c' or 'start:stop:step' (stop inclusive) into finite floats."""
+def _parse_values(text: str, option: str) -> list[float]:
+    """Parse the value of grid option `option`, 'a,b,c' or 'start:stop:step'
+    (stop inclusive), into one or more finite floats."""
     is_range = ":" in text
     parts = text.split(":") if is_range else [p for p in text.split(",") if p.strip()]
     try:
@@ -74,33 +75,36 @@ def _parse_values(text: str) -> list[float]:
     if not all(math.isfinite(v) for v in numbers):
         raise ScenarioError(f"values must be finite numbers, got {text!r}")
     if not is_range:
-        return numbers
-    if len(numbers) != 3:
+        values = numbers
+    elif len(numbers) != 3:
         raise ScenarioError(f"range must be start:stop:step, got {text!r}")
-    start, stop, step = numbers
-    if step <= 0:
-        raise ScenarioError(f"range step must be positive, got {text!r}")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12 * max(1.0, abs(stop)):
-            break
-        values.append(round(v, 12))
-        k += 1
+    else:
+        start, stop, step = numbers
+        if step <= 0:
+            raise ScenarioError(f"range step must be positive, got {text!r}")
+        values = []
+        k = 0
+        while True:
+            v = start + k * step
+            if v > stop + 1e-12 * max(1.0, abs(stop)):
+                break
+            values.append(round(v, 12))
+            k += 1
+    if not values:
+        raise ScenarioError(f"{option} needs at least one value, got {text!r}")
     return values
 
 
-def _parse_ints(text: str) -> list[int]:
-    values = _parse_values(text)
+def _parse_ints(text: str, option: str) -> list[int]:
+    values = _parse_values(text, option)
     if any(v != int(v) for v in values):
         raise ScenarioError(f"expected whole numbers, got {text!r}")
     return [int(v) for v in values]
 
 
-def _grid(text: str | None, default: float) -> list[float]:
+def _grid(text: str | None, option: str, default: float) -> list[float]:
     """The values of one grid option, or its default when it is not given."""
-    return _parse_values(text) if text else [default]
+    return [default] if text is None else _parse_values(text, option)
 
 
 def _positive_int(text: str) -> int:
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="voltage/state trajectory as CSV")
     _add_common(p)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--n", type=int, default=5, help="scheduled uplinks to simulate")
+    p.add_argument("--n", type=_positive_int, default=5, help="scheduled uplinks to simulate")
     p.add_argument("--m", type=float, help="override transmission interval (s)")
     p.add_argument("--threshold", type=float, help="override turn-on fraction")
     p.add_argument("--single-cycle", action="store_true",
@@ -190,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="event-based simulation statistics")
     _add_common(p)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--m", type=float)
     p.add_argument("--threshold", type=float)
 
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("simulator", "chain", "both"),
                    default="simulator")
     p.add_argument("--granularity", type=_positive_int)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--seeds", default="1,2,3,4,5")
     p.add_argument("--jobs", type=_positive_int, default=1)
 
@@ -243,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-classes", default=",".join(M_CLASSES))
     p.add_argument("--thresholds", default="0.70")
     p.add_argument("--granularities", default="100,500,750")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--seeds", default="1,2,3,4,5")
     p.add_argument("--jobs", type=_positive_int, default=1)
 
@@ -321,11 +325,11 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         scenario=loaded.scenario,
         axis=args.axis,
-        values=tuple(_parse_values(args.values)),
-        m_values=tuple(_parse_values(args.m)) if args.m else (),
+        values=tuple(_parse_values(args.values, "--values")),
+        m_values=() if args.m is None else tuple(_parse_values(args.m, "--m")),
         granularity=loaded.granularity,
         n_scheduled=args.n,
-        seeds=tuple(_parse_ints(args.seeds)),
+        seeds=tuple(_parse_ints(args.seeds, "--seeds")),
     )
     rows = threshold_sweep(spec, engine=args.engine, jobs=args.jobs)
     _emit(args, "sweep", [{
@@ -349,16 +353,17 @@ def _cmd_min_cap(args) -> int:
         }
 
     _emit(args, "min-cap", evaluate_grid(base, [
-        ("sf", _parse_ints(args.sf)),
-        ("power", _grid(args.power, base.circuit.harvester.harvest_power)),
+        ("sf", _parse_ints(args.sf, "--sf")),
+        ("power", _grid(args.power, "--power", base.circuit.harvester.harvest_power)),
     ], row))
     return 0
 
 
 def _sizing_axes(args, base) -> list[tuple]:
     """The capacitance x power grid of min-interval and wakeup."""
-    return [("capacitance", _grid(args.capacitance, base.circuit.capacitor.capacitance)),
-            ("power", _grid(args.power, base.circuit.harvester.harvest_power))]
+    return [("capacitance", _grid(args.capacitance, "--capacitance",
+                                  base.circuit.capacitor.capacitance)),
+            ("power", _grid(args.power, "--power", base.circuit.harvester.harvest_power))]
 
 
 def _cmd_min_interval(args) -> int:
@@ -382,10 +387,11 @@ def _cmd_wakeup(args) -> int:
         c, power, threshold = cell.point
         return {
             "capacitance_f": f_val(c), "power_w": f_val(power), "threshold": f_val(threshold),
-            "wakeup_s": f_time(wakeup_time(cell.scenario.circuit, threshold)),
+            "wakeup_s": f_time(wakeup_time(cell.scenario.circuit)),
         }
 
-    axes = _sizing_axes(args, base) + [("threshold", _parse_values(args.thresholds))]
+    axes = _sizing_axes(args, base) + [("threshold",
+                                        _parse_values(args.thresholds, "--thresholds"))]
     _emit(args, "wakeup", evaluate_grid(base, axes, row))
     return 0
 
@@ -396,10 +402,10 @@ def _cmd_accuracy(args) -> int:
         loaded.scenario,
         cases=tuple(args.cases),
         m_classes=tuple(args.m_classes.split(",")),
-        thresholds=tuple(_parse_values(args.thresholds)),
-        granularities=tuple(_parse_ints(args.granularities)),
+        thresholds=tuple(_parse_values(args.thresholds, "--thresholds")),
+        granularities=tuple(_parse_ints(args.granularities, "--granularities")),
         n_scheduled=args.n,
-        seeds=tuple(_parse_ints(args.seeds)),
+        seeds=tuple(_parse_ints(args.seeds, "--seeds")),
         jobs=args.jobs,
     )
     _emit(args, "accuracy", [{

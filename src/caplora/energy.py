@@ -26,8 +26,10 @@ explicit math.inf sentinel so that reduction is exact.
 
 compile_phase turns one device state (at a fixed duration, or open-ended
 for the recharge states) into a Phase: its turn-off voltage plus
-after/cross callables with the decay factor fixed in advance.  The
-simulator walks these; they evaluate the very expressions of
+after/cross callables with the decay factor fixed in advance.  Phases are
+the one place the exponential is evaluated for the engines: the simulator
+walks them, the Markov chain quantizes them and the sizing searches run
+and charge with them.  They evaluate the very expressions of
 voltage_after and time_to_voltage (a timed phase's crossing is the time
 to its turn-off voltage), so both paths give bit-identical floats.
 
@@ -356,3 +358,9 @@ def compile_phase(circuit: CircuitConfig, state: DeviceState,
         cross = partial(_off_time, p.v_limit, p.tau, p.v_off)
     v_guard = math.inf if p.v_limit < p.v_off else p.v_off
     return Phase(state, duration, p.v_off, v_guard, after, cross)
+
+
+def wake_time(off: Phase, v: float, v_on: float) -> float:
+    """Off-phase charge time from v to the wake target v_on: 0 at or above
+    it, math.inf when the Off state never gets there."""
+    return 0.0 if v >= v_on else off.cross(v, v_on)

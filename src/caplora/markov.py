@@ -11,16 +11,17 @@ kind with a voltage level:
          aborts at the turn-off voltage);
     SL1  awake with enough energy, the uplink succeeds.
 
-Transitions compose the discrete voltage map V(state, level, duration)
-phase by phase, re-quantizing after every phase exactly like the voltage
-bookkeeping the metrics use; one step is energy's phase exponential on
-the state's (tau, asymptote).  Within SL1 the downlink branches follow
-the same window rules as the event simulator: a window always costs its
-preamble at the listening load, a detected downlink additionally costs
-the packet airtime at the receiving load, and any brush with the turn-off
-voltage lands the device Off at the dying state's v_off, recharging for
-whatever remains of the interval.  A state dies where its end level sits
-at or below the level of its own v_off.
+Transitions step by slot through Scenario.phases, the compiled phase
+table the simulator walks, quantizing after every phase exactly like the
+metrics do: level -> round(phase.after(level / g) * g).  Turn-off levels
+are the phases' v_off, the wake time is the Off phase's crossing.  Within
+SL1 the downlink branches follow the same window rules as the event
+simulator: a window always costs its preamble at the listening load, a
+detected downlink additionally costs the packet airtime at the receiving
+load, and any brush with the turn-off voltage lands the device Off at the
+dying state's v_off, recharging for whatever remains of the interval.  A
+state dies where its end level sits at or below the level of its own
+v_off.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps the matrix small.  That start state may still reach more than
@@ -31,13 +32,12 @@ start state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .energy import CircuitConfig, DeviceState, time_to_voltage
+from .energy import CircuitConfig, Phase, time_to_voltage, wake_time
 from .errors import InfeasibleScenario, ScenarioError
 from .simulator import Scenario
 
@@ -73,43 +73,32 @@ def _check_granularity(g: int) -> None:
 
 
 class _VoltageSteps:
-    """Per-(state, duration) cached one-step discrete voltage maps.
+    """The chain's discrete voltage map: a compiled phase applied to a level.
 
-    Each device phase has a fixed duration, so its exponential decay
-    factor is a constant; one step is then level -> round of energy's
-    phase step L * (1 - decay) + v * decay, with no exp() in the hot path.
+    One step is level -> round(phase.after(level / g) * g), clipped to
+    [0, v_max]; a recharge phase also takes its elapsed time,
+    phase.after(level / g, t).  The exponential itself lives in the phase.
     """
 
     def __init__(self, circuit: CircuitConfig, g: int):
-        self.circuit = circuit
         self.g = g
         self.v_max = level_of(circuit.operating_voltage, g)
-        self._decay: dict[tuple[DeviceState, float], tuple[float, float]] = {}
 
-    def step(self, state: DeviceState, level0: int, duration: float) -> int:
-        key = (state, duration)
-        cached = self._decay.get(key)
-        if cached is None:
-            p = self.circuit.state_params(state)
-            decay = math.exp(-duration / p.tau)
-            cached = (p.v_limit * (1.0 - decay), decay)
-            self._decay[key] = cached
-        settled, decay = cached
-        v = settled + level0 / self.g * decay
-        return min(max(level_of(v, self.g), 0), self.v_max)
+    def step(self, phase: Phase, level: int, *t: float) -> int:
+        return min(max(level_of(phase.after(level / self.g, *t), self.g), 0), self.v_max)
 
 
-def _min_level_surviving(steps: _VoltageSteps, state: DeviceState, duration: float,
+def _min_level_surviving(steps: _VoltageSteps, phase: Phase,
                          lo: int, hi: int, target: int) -> int | None:
     """Smallest start level in [lo, hi] whose end level reaches `target`.
 
     The end level is nondecreasing in the start level, so binary search.
     """
-    if steps.step(state, hi, duration) < target:
+    if steps.step(phase, hi) < target:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        if steps.step(state, mid, duration) >= target:
+        if steps.step(phase, mid) >= target:
             hi = mid
         else:
             lo = mid + 1
@@ -126,22 +115,22 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     unreceivable downlink still leaves a working uplink-only device.
     """
     _check_granularity(g)
-    circuit, sched = scenario.circuit, scenario.schedule
+    circuit, phases = scenario.circuit, scenario.phases
     steps = _VoltageSteps(circuit, g)
     v_min = level_of(circuit.v_min, g)
     v_max = steps.v_max
-    v_off = {state: level_of(circuit.state_params(state).v_off, g) for state in DeviceState}
-    v_tx = _min_level_surviving(steps, DeviceState.TX, sched.t_tx, v_min, v_max,
-                                v_off[DeviceState.TX] + 1)
+    v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
+    tx, rx1, rx2 = phases["tx"], phases["rx1"], phases["rx2"]
+    v_tx = _min_level_surviving(steps, tx, v_min, v_max, v_off[tx.state] + 1)
     if v_tx is None:
         raise InfeasibleScenario(
             f"no voltage level up to {circuit.operating_voltage} V can fund a "
-            f"{sched.t_tx * 1e3:.1f} ms transmission with C = "
+            f"{tx.duration * 1e3:.1f} ms transmission with C = "
             f"{circuit.capacitor.capacitance * 1e3:.3g} mF"
         )
-    rx_survive = v_off[DeviceState.RX] + 1
-    v_rx1 = _min_level_surviving(steps, DeviceState.RX, sched.t_rx1, v_min, v_max, rx_survive)
-    v_rx2 = _min_level_surviving(steps, DeviceState.RX, sched.t_rx2, v_min, v_max, rx_survive)
+    rx_survive = v_off[rx1.state] + 1
+    v_rx1 = _min_level_surviving(steps, rx1, v_min, v_max, rx_survive)
+    v_rx2 = _min_level_surviving(steps, rx2, v_min, v_max, rx_survive)
     return ThresholdLevels(
         v_min=v_min,
         v_on=level_of(circuit.v_on, g),
@@ -181,9 +170,9 @@ class _RowBuilder:
     """Computes the outgoing distribution of one chain state."""
 
     def __init__(self, scenario: Scenario, g: int, thr: ThresholdLevels):
-        self.scenario = scenario
         self.circuit = scenario.circuit
-        self.sched = scenario.schedule
+        self.phases = phases = scenario.phases
+        self.m, self.p1, self.p2 = scenario.interval_m, scenario.p1, scenario.p2
         self.g = g
         self.thr = thr
         self.steps = _VoltageSteps(self.circuit, g)
@@ -191,46 +180,41 @@ class _RowBuilder:
         # A turn-off in each state leaves the capacitor at that state's
         # v_off: its level and its Off-state recharge time to the wake
         # target, constants of the circuit (inf if v_on is unreachable).
-        self.off_start = {}
-        for state in (DeviceState.TX, DeviceState.LISTEN, DeviceState.RX):
-            v_off = self.circuit.state_params(state).v_off
-            self.off_start[state] = (v_off, thr.v_off[state], self._wake_time(v_off))
-        if scenario.p2 > 0:
-            window2_total = (self.sched.t_tx + self.sched.t_id1 + self.sched.t_l1
-                             + self.sched.t_id2 + self.sched.t_l2 + self.sched.t_rx2)
-            if scenario.interval_m <= window2_total:
+        self.off_start = {phase.state: (thr.v_off[phase.state], self._wake_time(phase.v_off))
+                          for phase in (phases["tx"], phases["listen1"], phases["rx1"])}
+        if self.p2 > 0:
+            window2_total = sum(phases[slot].duration for slot in
+                                ("tx", "idle1", "listen1", "idle2", "listen2", "rx2"))
+            if self.m <= window2_total:
                 raise InfeasibleScenario(
-                    f"interval {scenario.interval_m} s cannot contain a "
+                    f"interval {self.m} s cannot contain a "
                     f"detected window-2 reception ({window2_total:.3f} s)"
                 )
 
     def _wake_time(self, v: float) -> float:
         """Off-state charge time from capacitor voltage v to the wake target."""
-        if v >= self.v_on:
-            return 0.0
-        return time_to_voltage(self.circuit, DeviceState.OFF, v, self.v_on)
+        return wake_time(self.phases["off"], v, self.v_on)
 
     def _sleep_kind(self, level: int) -> str:
         return SL1 if level >= self.thr.v_tx else SL0
 
     def _to_sleep(self, level: int, elapsed: float) -> ChainState:
         """Finish the cycle asleep and advance to the next instant."""
-        nxt = self.steps.step(DeviceState.SLEEP, level, self.scenario.interval_m - elapsed)
+        nxt = self.steps.step(self.phases["sleep"], level, self.m - elapsed)
         return ChainState(self._sleep_kind(nxt), nxt)
 
     def _recharge(self, level: int, t_wake: float, remaining: float) -> ChainState:
         """Charge Off from `level`, wake after t_wake, sleep out `remaining`."""
         if t_wake >= remaining:
-            nxt = self.steps.step(DeviceState.OFF, level, remaining)
+            nxt = self.steps.step(self.phases["off"], level, remaining)
             return ChainState(OFF, min(nxt, self.thr.v_on - 1))
-        nxt = self.steps.step(DeviceState.SLEEP, max(level, self.thr.v_on),
+        nxt = self.steps.step(self.phases["sleep"], max(level, self.thr.v_on),
                               remaining - t_wake)
         return ChainState(self._sleep_kind(nxt), nxt)
 
-    def _die(self, state: DeviceState, level: int, duration: float,
-             t_base: float, t_lead: float = 0.0) -> ChainState:
-        """Turn off in `state`, entered at `level` at t_base + t_lead, and
-        recharge for the rest of the interval.
+    def _die(self, phase: Phase, level: int, t_base: float, t_lead: float = 0.0) -> ChainState:
+        """Turn off in the timed `phase`, entered at `level` at t_base + t_lead,
+        and recharge for the rest of the interval.
 
         The device turns off at the continuous v_off crossing, capped at the
         phase length (the cap covers quantization edges where the rounded
@@ -238,17 +222,16 @@ class _RowBuilder:
         and the capacitor stays at v_off.  A phase entered below the level
         of v_off turns off at once, with the capacitor where it was.
         """
-        v_off, off_level, t_wake = self.off_start[state]
+        off_level, t_wake = self.off_start[phase.state]
         if level < off_level:
             t, off_level, t_wake = 0.0, level, self._wake_time(level / self.g)
         else:
-            t = min(time_to_voltage(self.circuit, state, level / self.g, v_off), duration)
-        return self._recharge(off_level, t_wake,
-                              self.scenario.interval_m - (t_base + (t_lead + t)))
+            t = min(time_to_voltage(self.circuit, phase.state, level / self.g, phase.v_off),
+                    phase.duration)
+        return self._recharge(off_level, t_wake, self.m - (t_base + (t_lead + t)))
 
     def row(self, state: ChainState) -> dict[ChainState, float]:
-        sched, thr, m = self.sched, self.thr, self.scenario.interval_m
-        listen, rx = DeviceState.LISTEN, DeviceState.RX
+        thr, m, step, phases = self.thr, self.m, self.steps.step, self.phases
         dests: dict[ChainState, float] = {}
 
         def add(dest: ChainState, prob: float) -> None:
@@ -259,50 +242,52 @@ class _RowBuilder:
             add(self._recharge(state.level, self._wake_time(state.level / self.g), m), 1.0)
             return dests
 
+        tx = phases["tx"]
         if state.kind == SL0:
             # The uplink starts but runs out of energy mid-air.
-            add(self._die(DeviceState.TX, state.level, sched.t_tx, 0.0), 1.0)
+            add(self._die(tx, state.level, 0.0), 1.0)
             return dests
 
         # SL1: the uplink completes, then the two receive windows.
-        p1, p2 = self.scenario.p1, self.scenario.p2
-        after_tx = self.steps.step(DeviceState.TX, state.level, sched.t_tx)
-        v1 = self.steps.step(DeviceState.IDLE, after_tx, sched.t_id1)
-        t_base = sched.t_tx + sched.t_id1
+        p1, p2 = self.p1, self.p2
+        idle1, listen1, rx1 = phases["idle1"], phases["listen1"], phases["rx1"]
+        listen_off = thr.v_off[listen1.state]
+        v1 = step(idle1, step(tx, state.level))
+        t_base = tx.duration + idle1.duration
 
-        w1 = self.steps.step(listen, v1, sched.t_l1)
-        died1 = w1 <= thr.v_off[listen]
+        w1 = step(listen1, v1)
+        died1 = w1 <= listen_off
         if p1 > 0.0:
             if died1:
-                add(self._die(listen, v1, sched.t_l1, t_base), p1)
+                add(self._die(listen1, v1, t_base), p1)
             elif w1 >= thr.v_rx1:
-                rx_end = self.steps.step(rx, w1, sched.t_rx1)
-                add(self._to_sleep(rx_end, t_base + sched.t_l1 + sched.t_rx1), p1)
+                add(self._to_sleep(step(rx1, w1), t_base + listen1.duration + rx1.duration), p1)
             else:
-                add(self._die(rx, w1, sched.t_rx1, t_base, sched.t_l1), p1)
+                add(self._die(rx1, w1, t_base, listen1.duration), p1)
         if p1 < 1.0:
             silent = 1.0 - p1
             if died1:
-                add(self._die(listen, v1, sched.t_l1, t_base), silent)
+                add(self._die(listen1, v1, t_base), silent)
                 return dests
-            v2 = self.steps.step(DeviceState.IDLE, w1, sched.t_id2)
-            t_win2 = t_base + sched.t_l1 + sched.t_id2
-            w2 = self.steps.step(listen, v2, sched.t_l2)
-            died2 = w2 <= thr.v_off[listen]
+            idle2, listen2, rx2 = phases["idle2"], phases["listen2"], phases["rx2"]
+            v2 = step(idle2, w1)
+            t_win2 = t_base + listen1.duration + idle2.duration
+            w2 = step(listen2, v2)
+            died2 = w2 <= listen_off
             if p2 > 0.0:
                 if died2:
-                    add(self._die(listen, v2, sched.t_l2, t_win2), silent * p2)
+                    add(self._die(listen2, v2, t_win2), silent * p2)
                 elif w2 >= thr.v_rx2:
-                    rx_end = self.steps.step(rx, w2, sched.t_rx2)
-                    add(self._to_sleep(rx_end, t_win2 + sched.t_l2 + sched.t_rx2), silent * p2)
+                    add(self._to_sleep(step(rx2, w2), t_win2 + listen2.duration + rx2.duration),
+                        silent * p2)
                 else:
-                    add(self._die(rx, w2, sched.t_rx2, t_win2, sched.t_l2), silent * p2)
+                    add(self._die(rx2, w2, t_win2, listen2.duration), silent * p2)
             if p2 < 1.0:
                 quiet = silent * (1.0 - p2)
                 if died2:
-                    add(self._die(listen, v2, sched.t_l2, t_win2), quiet)
+                    add(self._die(listen2, v2, t_win2), quiet)
                 else:
-                    add(self._to_sleep(w2, t_win2 + sched.t_l2), quiet)
+                    add(self._to_sleep(w2, t_win2 + listen2.duration), quiet)
         return dests
 
 
@@ -437,23 +422,20 @@ def chain_metrics(pi: np.ndarray, tm: TransitionMatrix, scenario: Scenario,
     or above the turn-off level; strict_rx2_threshold switches that
     indicator to the window-2 reception threshold instead.
     """
-    thr, g = tm.thresholds, tm.granularity
-    steps = _VoltageSteps(scenario.circuit, g)
-    sched = scenario.schedule
+    thr, phases = tm.thresholds, scenario.phases
+    step = _VoltageSteps(scenario.circuit, tm.granularity).step
     off_sl0 = sum(float(pi[i]) for i, s in enumerate(tm.states) if s.kind != SL1)
     pdr = 1.0 - off_sl0
     pdl1 = 0.0
     pdl2 = 0.0
-    rx2_floor = thr.v_rx2 if strict_rx2_threshold else thr.v_off[DeviceState.LISTEN]
+    rx2_floor = thr.v_rx2 if strict_rx2_threshold else thr.v_off[phases["listen1"].state]
     for i, s in enumerate(tm.states):
         if s.kind != SL1 or pi[i] == 0.0:
             continue
-        v1 = steps.step(DeviceState.IDLE,
-                        steps.step(DeviceState.TX, s.level, sched.t_tx), sched.t_id1)
+        v1 = step(phases["idle1"], step(phases["tx"], s.level))
         if v1 >= thr.v_rx1:
             pdl1 += scenario.p1 * float(pi[i])
-        v2 = steps.step(DeviceState.IDLE,
-                        steps.step(DeviceState.LISTEN, v1, sched.t_l1), sched.t_id2)
+        v2 = step(phases["idle2"], step(phases["listen1"], v1))
         if v2 >= rx2_floor:
             pdl2 += (1.0 - scenario.p1) * scenario.p2 * float(pi[i])
     return ChainResult(pi=pi, states=tm.states, pdr=pdr, pdl1=pdl1, pdl2=pdl2)

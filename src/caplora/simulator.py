@@ -16,12 +16,14 @@ turn-off crossings are located analytically, never by time stepping.
 Each scenario compiles one phase table (phase_table, cached as
 Scenario.phases): the seven timed Class A phases of its schedule plus
 the Off and Sleep recharge states, each an energy.Phase whose decay
-factor is fixed up front.  run_simulation, single_cycle_trace and its
+factor is fixed up front, addressed by slot ('tx', 'idle1', 'listen1',
+'rx1', 'idle2', 'listen2', 'rx2', 'off', 'sleep'); the Markov chain
+quantizes the same table.  run_simulation, single_cycle_trace and its
 trace-free twin run_cycle share one walk over compiled phases; its
 results are bit-identical to stepping with voltage_after and
 time_to_voltage, and the draw order below is unchanged by it.
-cycle_table compiles just one analytic cycle's phases, for searches that
-try many circuits against one schedule.
+cycle_table compiles just one analytic cycle's phases, in cycle order,
+for the sizing searches; it is the one listing of that cycle.
 
 Two downlink-cost conventions live here, mirroring how such devices are
 analyzed versus simulated:
@@ -299,20 +301,15 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     return stats, (walk.points or [])
 
 
-def cycle_phases(sched: TimingSchedule, dl_case: str) -> list[tuple[DeviceState, float]]:
-    """Phases of the analytic uplink/downlink cycle for one dl_case.
+def cycle_table(circuit: CircuitConfig, sched: TimingSchedule,
+                dl_case: str) -> tuple[Phase, ...]:
+    """Compile only the phases of the analytic cycle for one dl_case, in
+    cycle order, for `circuit` against an existing schedule.
 
     A downlink replaces its listening window: 'rx1' receives right after
     the first idle second (and the cycle ends there), 'rx2' receives in
     place of the second listening window, 'none' listens through both.
     """
-    return [_slot(sched, slot) for slot in _cycle(dl_case)]
-
-
-def cycle_table(circuit: CircuitConfig, sched: TimingSchedule,
-                dl_case: str) -> tuple[Phase, ...]:
-    """Compile only the phases of the analytic cycle for one dl_case, in
-    cycle order, for `circuit` against an existing schedule."""
     return tuple(compile_phase(circuit, *_slot(sched, slot)) for slot in _cycle(dl_case))
 
 

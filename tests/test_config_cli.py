@@ -251,6 +251,10 @@ class TestCli:
          "--granularity", "0"],
         ["sweep", "--axis", "threshold", "--values", "0.7", "--jobs", "0"],
         ["accuracy", "--cases", "A", "--jobs", "-1"],
+        ["sweep", "--axis", "threshold", "--values", "0.7", "--engine", "chain", "--n", "0"],
+        ["simulate", "--n", "0"],
+        ["trace", "--n", "0"],
+        ["accuracy", "--cases", "A", "--n", "0"],
     ])
     def test_nonpositive_granularity_and_jobs_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -314,8 +318,15 @@ class TestCli:
 
 # One invalid value per grid option of every grid command, plus the inputs
 # that used to run: a zero payload read as "not given", fractions truncated
-# to whole numbers, and unknown accuracy cases ending in a KeyError.
+# to whole numbers, unknown accuracy cases ending in a KeyError, empty grid
+# options printing a bare header, and an interval grid that overrode an
+# interval_m axis while its rows printed the axis values.
 INVALID_GRID_VALUES = {
+    "sweep-values-empty": ["sweep", "--axis", "threshold", "--values", ","],
+    "sweep-interval-m-with-m": ["sweep", "--axis", "interval_m", "--values", "5,9", "--m", "20"],
+    "accuracy-cases-empty": ["accuracy", "--cases", ""],
+    "min-cap-sf-empty": ["min-cap", "--sf", ""],
+    "wakeup-thresholds-empty": ["wakeup", "--thresholds", ","],
     "sweep-values": ["sweep", "--axis", "threshold", "--values", "0.7,1.2"],
     "sweep-m": ["sweep", "--axis", "threshold", "--values", "0.7", "--m", "40,0"],
     "sweep-seeds": ["sweep", "--axis", "threshold", "--values", "0.7", "--seeds", "1.9"],
@@ -373,6 +384,9 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 GOLDEN = pathlib.Path(__file__).parent / "data"
+# An ESR 20 ohm / EPR 50 kohm capacitor with p1 = 0.3, p2 = 0.5: the files
+# recorded from it pin the parasitic path of every engine.
+PARASITIC = str(GOLDEN / "parasitic.ini")
 
 # Each file under tests/data holds the recorded stdout of its command line:
 # outputs may change only with a documented fix, never by a refactor or a
@@ -384,6 +398,11 @@ GOLDEN_CALLS = {
                          "--dl-case", "rx2"],
     "wakeup.csv": ["wakeup", "--capacitance", "0.0047,1", "--power", "0.1",
                    "--thresholds", "0.56"],
+    "min_interval_parasitic.csv": ["min-interval", "--scenario", PARASITIC,
+                                   "--capacitance", "0.02,0.047", "--power", "0.001,0.01",
+                                   "--dl-case", "rx2"],
+    "wakeup_parasitic.csv": ["wakeup", "--scenario", PARASITIC, "--capacitance", "0.0047,1",
+                             "--power", "0.1", "--thresholds", "0.56,0.7"],
 }
 # Engines: the README simulate and chain examples, a small two-engine sweep
 # and a single-cycle trace.
@@ -393,6 +412,8 @@ ENGINE_GOLDEN_CALLS = {
     "sweep_both.csv": ["sweep", "--axis", "threshold", "--values", "0.56:0.64:0.02",
                        "--m", "5,9", "--engine", "both", "--n", "200", "--seeds", "1,2"],
     "trace_single_cycle.csv": ["trace", "--single-cycle", "--dl-case", "rx2"],
+    "chain_parasitic_strict.csv": ["chain", "--scenario", PARASITIC, "--granularity", "750",
+                                   "--m", "15", "--threshold", "0.7", "--strict-rx2"],
 }
 
 
@@ -420,6 +441,16 @@ def test_matrix_dump_is_byte_identical(tmp_path, capsys):
                  "--m", "40", "--threshold", "0.7", "--dump-matrix", str(dump)]) == 0
     assert capsys.readouterr().err == ""
     assert dump.read_bytes() == (GOLDEN / "chain_matrix.csv").read_bytes()
+
+
+def test_parasitic_matrix_dump_is_byte_identical(tmp_path, capsys):
+    dump = tmp_path / "matrix.csv"
+    assert main(["chain", "--scenario", PARASITIC, "--granularity", "750", "--m", "15",
+                 "--threshold", "0.7", "--dump-matrix", str(dump)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / "chain_parasitic.csv").read_bytes()
+    assert dump.read_bytes() == (GOLDEN / "chain_parasitic_matrix.csv").read_bytes()
 
 
 class _RecordingPool:

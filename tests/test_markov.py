@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
-from caplora.energy import DeviceState, time_to_voltage, voltage_after
+from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after
 from caplora.errors import InfeasibleScenario, ScenarioError
 from caplora.markov import (
     OFF,
@@ -31,37 +31,45 @@ G = 750
 
 
 class TestDiscreteOps:
-    """The one-step discrete voltage map the chain runs."""
+    """The one-step discrete voltage map the chain runs over compiled phases."""
 
     def test_zero_time_is_identity(self):
-        steps = _VoltageSteps(make_scenario(interval_m=9.0).circuit, G)
+        circuit = make_scenario(interval_m=9.0).circuit
+        steps = _VoltageSteps(circuit, G)
         for state in DeviceState:
+            timed, recharge = compile_phase(circuit, state, 0.0), compile_phase(circuit, state)
             for level in (1350, 1732, 2400):
-                assert steps.step(state, level, 0.0) == level
+                assert steps.step(timed, level) == level
+                assert steps.step(recharge, level, 0.0) == level
 
     def test_wakeup_level_at_100mw(self):
         # 17 ms in Off at 100 mW lifts 1.8 V to ~1.848 V = level 1386 at 1 mV/level.
-        steps = _VoltageSteps(make_scenario(power_w=0.1, interval_m=9.0).circuit, 1000)
-        got = steps.step(DeviceState.OFF, level_of(1.8, 1000), 0.017)
+        scenario = make_scenario(power_w=0.1, interval_m=9.0)
+        steps = _VoltageSteps(scenario.circuit, 1000)
+        got = steps.step(scenario.phases["off"], level_of(1.8, 1000), 0.017)
         assert abs(got - 1848) <= 2
 
     def test_composition_error_at_most_one_level(self):
-        steps = _VoltageSteps(make_scenario(interval_m=9.0).circuit, G)
+        circuit = make_scenario(interval_m=9.0).circuit
+        steps = _VoltageSteps(circuit, G)
         for state in (DeviceState.OFF, DeviceState.TX, DeviceState.LISTEN):
             for level in (1400, 1800, 2200):
                 for t1, t2 in ((0.05, 0.4), (1.0, 2.5), (0.01, 0.01)):
-                    two = steps.step(state, steps.step(state, level, t1), t2)
-                    one = steps.step(state, level, t1 + t2)
+                    first, second, both = (compile_phase(circuit, state, t)
+                                           for t in (t1, t2, t1 + t2))
+                    two = steps.step(second, steps.step(first, level))
+                    one = steps.step(both, level)
                     assert abs(two - one) <= 1
 
     def test_time_between_levels(self):
-        circuit = make_scenario(power_w=0.1, c_farads=1.0, interval_m=9.0).circuit
+        scenario = make_scenario(power_w=0.1, c_farads=1.0, interval_m=9.0)
+        circuit = scenario.circuit
         steps = _VoltageSteps(circuit, G)
         start, target = level_of(1.8, G), level_of(0.56 * 3.3, G)
         assert time_to_voltage(circuit, DeviceState.OFF, start / G, start / G) == 0.0
         t = time_to_voltage(circuit, DeviceState.OFF, start / G, target / G)
         assert t == pytest.approx(3.55, rel=0.02)
-        assert steps.step(DeviceState.OFF, start, t) == target
+        assert steps.step(scenario.phases["off"], start, t) == target
         assert time_to_voltage(circuit, DeviceState.OFF, start / G, level_of(3.3, G) / G) \
             == math.inf
 
@@ -70,10 +78,12 @@ class TestDiscreteOps:
         circuit = make_circuit(esr=esr, epr=epr)
         steps = _VoltageSteps(circuit, G)
         for state in DeviceState:
+            recharge = compile_phase(circuit, state)
             for level in (1350, 1600, 2100, 2400):
                 for t in (0.0, 0.046, 1.0, 9.0):
                     want = level_of(voltage_after(circuit, state, level / G, t), G)
-                    assert steps.step(state, level, t) == want
+                    assert steps.step(compile_phase(circuit, state, t), level) == want
+                    assert steps.step(recharge, level, t) == want
 
     def test_granularity_validated(self):
         scenario = make_scenario(interval_m=9.0)
@@ -121,6 +131,27 @@ class TestTransitionMatrix:
         tm = build_transition_matrix(scenario, 200)
         sums = tm.matrix.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.just({}), st.fixed_dictionaries({"esr": st.floats(0.1, 20.0),
+                                                         "epr": st.floats(5e4, 1e6)})),
+           st.floats(2e-3, 50e-3), st.floats(1e-3, 1e-2), st.floats(0.56, 0.9),
+           st.floats(5.0, 60.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(20, 300))
+    def test_rows_stochastic_over_generated_scenarios(self, capacitor, c_farads, power_w,
+                                                      threshold, m, p1, p2, g):
+        try:
+            circuit = make_circuit(c_farads=c_farads, power_w=power_w,
+                                   turn_on_fraction=threshold, **capacitor)
+            scenario = dataclasses.replace(make_scenario(interval_m=m, p1=p1, p2=p2),
+                                           circuit=circuit)
+            tm = build_transition_matrix(scenario, g)
+        except (ScenarioError, InfeasibleScenario):
+            assume(False)
+        assert np.all(tm.matrix >= 0.0)
+        assert np.all(np.abs(tm.matrix.sum(axis=1) - 1.0) <= 1e-12)
+        for i, row in enumerate(tm.successors):
+            assert sorted(row) == np.flatnonzero(tm.matrix[i]).tolist()
 
     def test_deterministic_chain_has_single_entry_rows(self):
         scenario = make_scenario(interval_m=9.0)

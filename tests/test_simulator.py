@@ -10,7 +10,6 @@ from caplora.errors import ScenarioError
 from caplora.simulator import (
     SimStats,
     TracePoint,
-    cycle_phases,
     cycle_table,
     run_cycle,
     run_simulation,
@@ -161,8 +160,8 @@ class TestSingleCycle:
         for dl_case in ("none", "rx1", "rx2"):
             _, v_end, completed = single_cycle_trace(scenario, v_hi, dl_case)
             v = v_hi
-            for state, duration in cycle_phases(scenario.schedule, dl_case):
-                v = voltage_after(circuit, state, v, duration)
+            for p in cycle_table(circuit, scenario.schedule, dl_case):
+                v = voltage_after(circuit, p.state, v, p.duration)
             if completed:
                 assert v_end == pytest.approx(v, abs=1e-9)
 
@@ -273,8 +272,8 @@ def reference_run(scenario, seed, n_scheduled):
 
 def reference_cycle(scenario, v_start, dl_case):
     walk = _ReferenceWalk(scenario.circuit, v_start, off=False)
-    for state, duration in cycle_phases(scenario.schedule, dl_case):
-        if not walk.phase(state, duration):
+    for p in cycle_table(scenario.circuit, scenario.schedule, dl_case):
+        if not walk.phase(p.state, p.duration):
             return walk.trace, walk.v, False
     walk.mark(walk.t, DeviceState.SLEEP)
     return walk.trace, walk.v, True
@@ -405,11 +404,21 @@ class TestTraceFreeCycle:
         with pytest.raises(ScenarioError, match="v_start"):
             run_cycle(circuit, (), circuit.operating_voltage + 1e-6)
 
-    def test_cycle_table_follows_cycle_phases(self):
+    def test_cycle_table_lists_the_analytic_cycle(self):
+        # A downlink replaces its listening window; rx1 ends the cycle.
         scenario = make_scenario(interval_m=9.0)
-        for dl_case in ("none", "rx1", "rx2"):
-            phases = cycle_table(scenario.circuit, scenario.schedule, dl_case)
-            assert [(p.state, p.duration) for p in phases] == \
-                cycle_phases(scenario.schedule, dl_case)
+        s = scenario.schedule
+        tx, idle, listen, rx = (DeviceState.TX, DeviceState.IDLE, DeviceState.LISTEN,
+                                DeviceState.RX)
+        want = {
+            "none": [(tx, s.t_tx), (idle, s.t_id1), (listen, s.t_l1), (idle, s.t_id2),
+                     (listen, s.t_l2)],
+            "rx1": [(tx, s.t_tx), (idle, s.t_id1), (rx, s.t_rx1)],
+            "rx2": [(tx, s.t_tx), (idle, s.t_id1), (listen, s.t_l1), (idle, s.t_id2),
+                    (rx, s.t_rx2)],
+        }
+        for dl_case, phases in want.items():
+            table = cycle_table(scenario.circuit, s, dl_case)
+            assert [(p.state, p.duration) for p in table] == phases
         with pytest.raises(ScenarioError, match="dl_case"):
             cycle_table(scenario.circuit, scenario.schedule, "bogus")

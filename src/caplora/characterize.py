@@ -152,19 +152,21 @@ def required_cycle_voltage(scenario: Scenario, dl_case: str = "none",
 def _start_voltage(circuit: CircuitConfig, phases: Sequence[Phase],
                    tol_v: float = defaults.CYCLE_VOLTAGE_TOL_V) -> float | None:
     """required_cycle_voltage over the compiled cycle `phases`."""
-    lo = circuit.v_min
-    hi = _ceiling_start(circuit)
+    return _bisect(lambda v: run_cycle(circuit, phases, v)[1],
+                   circuit.v_min, _ceiling_start(circuit), tol_v)
 
-    def completes(v: float) -> bool:
-        return run_cycle(circuit, phases, v)[1]
 
-    if not completes(hi):
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float,
+            tol: float) -> float | None:
+    """The least x in [lo, hi] where the monotone test `holds` is true, to
+    within tol from above: None when it fails at hi, lo when it holds there."""
+    if not holds(hi):
         return None
-    if completes(lo):
+    if holds(lo):
         return lo
-    while hi - lo > tol_v:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if completes(mid):
+        if holds(mid):
             hi = mid
         else:
             lo = mid
@@ -191,21 +193,13 @@ def min_capacitance(scenario: Scenario, dl_case: str = "none",
             circuit, capacitor=dataclasses.replace(circuit.capacitor, capacitance=c))
         return run_cycle(trial, cycle_table(trial, sched, dl_case), v_start)[1]
 
-    if not feasible(hi_f):
+    c = _bisect(feasible, lo_f, hi_f, tol_f)
+    if c is None:
         raise NoFeasibleCapacitance(
             f"even {hi_f} F cannot complete the {dl_case} cycle at "
             f"{scenario.circuit.harvester.harvest_power} W"
         )
-    if feasible(lo_f):
-        return lo_f
-    lo, hi = lo_f, hi_f
-    while hi - lo > tol_f:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return c
 
 
 def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:

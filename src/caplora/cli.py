@@ -143,7 +143,7 @@ def _load(args) -> LoadedScenario:
     for option, name in (("m", "interval_m"), ("threshold", "threshold"),
                          ("ul_pl", "ul_pl"), ("dl_pl", "dl_pl")):
         value = getattr(args, option, None)
-        if isinstance(value, (int, float)):  # sweep's --m is a grid string, not an override
+        if value is not None:
             edits[name] = value
     scenario = edit_scenario(loaded.scenario, edits)
     granularity = getattr(args, "granularity", None)
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("threshold", "interval_m", "capacitance", "power",
                             "ul_pl", "dl_pl", "granularity"))
     p.add_argument("--values", required=True, help="'a,b,c' or 'start:stop:step'")
-    p.add_argument("--m", help="interval grid for threshold sweeps, e.g. '5,9,40'")
+    p.add_argument("--m", dest="m_grid", help="interval grid for threshold sweeps, e.g. '5,9,40'")
     p.add_argument("--engine", choices=("simulator", "chain", "both"),
                    default="simulator")
     p.add_argument("--granularity", type=_positive_int)
@@ -326,7 +326,7 @@ def _cmd_sweep(args) -> int:
         scenario=loaded.scenario,
         axis=args.axis,
         values=tuple(_parse_values(args.values, "--values")),
-        m_values=() if args.m is None else tuple(_parse_values(args.m, "--m")),
+        m_values=() if args.m_grid is None else tuple(_parse_values(args.m_grid, "--m")),
         granularity=loaded.granularity,
         n_scheduled=args.n,
         seeds=tuple(_parse_ints(args.seeds, "--seeds")),

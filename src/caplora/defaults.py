@@ -39,7 +39,6 @@ CODING_RATE = "4/5"
 N_PREAMBLE = 8
 IMPLICIT_HEADER = 1   # IH=1: low-level header disabled
 LOW_DR_OPTIMIZE = 0   # DE=0 for every SF (override in the radio section if needed)
-TX_POWER_DBM = 13.0
 
 # Traffic
 UL_PAYLOAD_BYTES = 16

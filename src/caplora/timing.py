@@ -40,7 +40,6 @@ class RadioConfig:
     n_preamble: int = defaults.N_PREAMBLE
     ih: int = defaults.IMPLICIT_HEADER     # 1 = low-level header disabled
     de: int = defaults.LOW_DR_OPTIMIZE     # 1 = low-data-rate optimization
-    tx_power_dbm: float = defaults.TX_POWER_DBM
 
     def __post_init__(self):
         if not 7 <= self.sf <= 12:
@@ -53,8 +52,6 @@ class RadioConfig:
             raise ScenarioError(f"n_preamble must be >= 0, got {self.n_preamble}")
         if self.ih not in (0, 1) or self.de not in (0, 1):
             raise ScenarioError("ih and de must be 0 or 1")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ScenarioError(f"tx_power_dbm must be finite, got {self.tx_power_dbm}")
 
     @property
     def coding_rate(self) -> str:

@@ -110,13 +110,18 @@ class TestScenarioFiles:
         lambda: CapacitorConfig(4.7e-3, epr=math.nan),
         lambda: make_loads(tx=math.nan),
         lambda: RadioConfig(bw=math.nan),
-        lambda: RadioConfig(tx_power_dbm=math.inf),
         lambda: make_scenario(interval_m=math.nan),
         lambda: make_scenario(interval_m=math.inf),
     ])
     def test_library_validators_reject_non_finite(self, build):
         with pytest.raises(ScenarioError):
             build()
+
+    def test_retired_tx_power_warns_and_is_dropped(self):
+        with pytest.warns(FutureWarning, match=r"\[radio\] tx_power_dbm"):
+            loaded = parse_scenario("[radio]\nsf = 9\ntx_power_dbm = 14\n")
+        assert loaded == parse_scenario("[radio]\nsf = 9\n")
+        assert "tx_power_dbm" not in dump_scenario(loaded)
 
     def test_infinite_epr_spelled_out(self):
         loaded = parse_scenario("[capacitor]\nepr_ohms = inf\n")

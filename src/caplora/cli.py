@@ -306,7 +306,7 @@ def _cmd_chain(args) -> int:
             for line in tm.coordinate_lines():
                 handle.write(line + "\n")
     pi = stationary_distribution(tm)
-    result = chain_metrics(pi, tm, scenario, strict_rx2_threshold=args.strict_rx2)
+    result = chain_metrics(pi, tm, strict_rx2_threshold=args.strict_rx2)
     threshold = scenario.circuit.v_sl / scenario.circuit.operating_voltage
     _emit(args, "chain", [{
         "granularity": loaded.granularity,

@@ -130,7 +130,8 @@ def _resolve_path(path: str) -> str:
 
 
 def parse_scenario(text: str, source: str = "<string>") -> LoadedScenario:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name "", so [DEFAULT] is checked like any other section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
@@ -149,8 +150,8 @@ def parse_scenario(text: str, source: str = "<string>") -> LoadedScenario:
             raw = parser.get(section, key, fallback=None)
             v[key] = stock if raw is None else _parse(kind, section, key, raw)
             if raw is not None and kept is None:  # a retired key: checked, then dropped
-                warnings.warn(f"[{section}] {key} is no longer used; its value is ignored",
-                              FutureWarning, stacklevel=2)
+                warnings.warn(f"{source}: [{section}] {key} is no longer used; its value is "
+                              "ignored", FutureWarning, stacklevel=2)
 
     circuit = CircuitConfig(
         capacitor=CapacitorConfig(v["c_farads"], v["esr_ohms"], v["epr_ohms"]),
@@ -165,8 +166,8 @@ def parse_scenario(text: str, source: str = "<string>") -> LoadedScenario:
     # writes them back out.
     for key in ("ul_payload_bytes", "dl_payload_bytes"):
         if v[key] != FORMAT["traffic"][key][1] and not LORAWAN_PL_MIN <= v[key] <= LORAWAN_PL_MAX:
-            warnings.warn(f"{key} = {v[key]} is outside the usual LoRaWAN frame range "
-                          f"[{LORAWAN_PL_MIN}, {LORAWAN_PL_MAX}]", stacklevel=2)
+            warnings.warn(f"{source}: {key} = {v[key]} is outside the usual LoRaWAN frame "
+                          f"range [{LORAWAN_PL_MIN}, {LORAWAN_PL_MAX}]", stacklevel=2)
     scenario = Scenario(circuit=circuit, radio=radio, ul_pl=v["ul_payload_bytes"],
                         dl_pl=v["dl_payload_bytes"], interval_m=v["interval_s"],
                         p1=v["p1"], p2=v["p2"])

@@ -12,16 +12,17 @@ kind with a voltage level:
     SL1  awake with enough energy, the uplink succeeds.
 
 Transitions step by slot through Scenario.phases, the compiled phase
-table the simulator walks, quantizing after every phase exactly like the
-metrics do: level -> round(phase.after(level / g) * g).  Turn-off levels
-are the phases' v_off, the wake time is the Off phase's crossing.  Within
+table the simulator walks, quantizing after every phase:
+level -> round(phase.after(level / g) * g).  Turn-off levels are the
+phases' v_off, the wake time is the Off phase's crossing.  Within
 SL1 the downlink branches follow the same window rules as the event
 simulator: a window always costs its preamble at the listening load, a
 detected downlink additionally costs the packet airtime at the receiving
 load, and any brush with the turn-off voltage lands the device Off at the
 dying state's v_off, recharging for whatever remains of the interval.  A
 state dies where its end level sits at or below the level of its own
-v_off.
+v_off.  The row builder also records each state's Rewards, read off the
+levels it steps, and every delivery metric is pi . r.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps the matrix small.  That start state may still reach more than
@@ -142,20 +143,31 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     )
 
 
+class Rewards(NamedTuple):
+    """What one visit to a state delivers, per metric; the chain's metrics
+    are the stationary expectations of these."""
+
+    lost: float = 0.0         # 1 for OFF and SL0: the uplink is lost or aborted
+    pdl1: float = 0.0         # p1 * [v1 >= v_rx1], v1 the level entering window 1
+    pdl2: float = 0.0         # (1 - p1) * p2 * [v2 >= Listen v_off], v2 entering window 2
+    pdl2_strict: float = 0.0  # (1 - p1) * p2 * [v2 >= v_rx2]
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic transition matrix over the reachable chain states.
 
     `matrix` is dense (under 700 states even at g = 5000); `successors`
-    holds each row's destinations in the order the row builder emits them.
+    holds each row's destinations in the order the row builder emits them
+    and `rewards` each state's rewards, both in state order.
     """
 
     states: tuple[ChainState, ...]
     index: dict
     matrix: np.ndarray
     successors: tuple[tuple[int, ...], ...]
+    rewards: tuple[Rewards, ...]
     thresholds: ThresholdLevels
-    granularity: int
 
     def coordinate_lines(self) -> Iterable[str]:
         """Debug dump: one 'src_kind,src_level,dst_kind,dst_level,prob' per entry."""
@@ -167,7 +179,7 @@ class TransitionMatrix:
 
 
 class _RowBuilder:
-    """Computes the outgoing distribution of one chain state."""
+    """Computes the outgoing distribution and the rewards of one chain state."""
 
     def __init__(self, scenario: Scenario, g: int, thr: ThresholdLevels):
         self.circuit = scenario.circuit
@@ -230,8 +242,31 @@ class _RowBuilder:
                     phase.duration)
         return self._recharge(off_level, t_wake, self.m - (t_base + (t_lead + t)))
 
-    def row(self, state: ChainState) -> dict[ChainState, float]:
-        thr, m, step, phases = self.thr, self.m, self.steps.step, self.phases
+    def _window(self, add, listen: Phase, rx: Phase, v_rx: int, level: int, t: float,
+                p: float, reach: float) -> tuple[int, bool]:
+        """The receive window entered at `level` at time t, reached with
+        probability `reach`, a downlink coming with probability p.  Adds the
+        detected branch, and the silent one if the device dies listening;
+        returns the level after listening and whether the device died.
+        """
+        step = self.steps.step
+        end = step(listen, level)
+        died = end <= self.thr.v_off[listen.state]
+        detected, silent = reach * p, reach * (1.0 - p)
+        if detected > 0.0:
+            if died:
+                add(self._die(listen, level, t), detected)
+            elif end >= v_rx:
+                add(self._to_sleep(step(rx, end), t + listen.duration + rx.duration), detected)
+            else:
+                add(self._die(rx, end, t, listen.duration), detected)
+        if died and silent > 0.0:
+            add(self._die(listen, level, t), silent)
+        return end, died
+
+    def row(self, state: ChainState) -> tuple[dict[ChainState, float], Rewards]:
+        """The state's outgoing distribution and its rewards."""
+        thr, step, phases = self.thr, self.steps.step, self.phases
         dests: dict[ChainState, float] = {}
 
         def add(dest: ChainState, prob: float) -> None:
@@ -239,56 +274,34 @@ class _RowBuilder:
                 dests[dest] = dests.get(dest, 0.0) + prob
 
         if state.kind == OFF:
-            add(self._recharge(state.level, self._wake_time(state.level / self.g), m), 1.0)
-            return dests
+            add(self._recharge(state.level, self._wake_time(state.level / self.g), self.m), 1.0)
+            return dests, Rewards(lost=1.0)
 
         tx = phases["tx"]
         if state.kind == SL0:
             # The uplink starts but runs out of energy mid-air.
             add(self._die(tx, state.level, 0.0), 1.0)
-            return dests
+            return dests, Rewards(lost=1.0)
 
-        # SL1: the uplink completes, then the two receive windows.
+        # SL1: the uplink completes, then the two receive windows.  Window 2
+        # opens only when window 1 stayed silent and the device is still on.
         p1, p2 = self.p1, self.p2
-        idle1, listen1, rx1 = phases["idle1"], phases["listen1"], phases["rx1"]
-        listen_off = thr.v_off[listen1.state]
+        idle1, listen1, idle2, listen2 = (phases[slot] for slot in
+                                          ("idle1", "listen1", "idle2", "listen2"))
         v1 = step(idle1, step(tx, state.level))
-        t_base = tx.duration + idle1.duration
-
-        w1 = step(listen1, v1)
-        died1 = w1 <= listen_off
-        if p1 > 0.0:
-            if died1:
-                add(self._die(listen1, v1, t_base), p1)
-            elif w1 >= thr.v_rx1:
-                add(self._to_sleep(step(rx1, w1), t_base + listen1.duration + rx1.duration), p1)
-            else:
-                add(self._die(rx1, w1, t_base, listen1.duration), p1)
-        if p1 < 1.0:
-            silent = 1.0 - p1
-            if died1:
-                add(self._die(listen1, v1, t_base), silent)
-                return dests
-            idle2, listen2, rx2 = phases["idle2"], phases["listen2"], phases["rx2"]
-            v2 = step(idle2, w1)
-            t_win2 = t_base + listen1.duration + idle2.duration
-            w2 = step(listen2, v2)
-            died2 = w2 <= listen_off
-            if p2 > 0.0:
-                if died2:
-                    add(self._die(listen2, v2, t_win2), silent * p2)
-                elif w2 >= thr.v_rx2:
-                    add(self._to_sleep(step(rx2, w2), t_win2 + listen2.duration + rx2.duration),
-                        silent * p2)
-                else:
-                    add(self._die(rx2, w2, t_win2, listen2.duration), silent * p2)
-            if p2 < 1.0:
-                quiet = silent * (1.0 - p2)
-                if died2:
-                    add(self._die(listen2, v2, t_win2), quiet)
-                else:
-                    add(self._to_sleep(w2, t_win2 + listen2.duration), quiet)
-        return dests
+        t_win1 = tx.duration + idle1.duration
+        w1, died = self._window(add, listen1, phases["rx1"], thr.v_rx1, v1, t_win1, p1, 1.0)
+        v2 = step(idle2, w1)
+        t_win2 = t_win1 + listen1.duration + idle2.duration
+        silent = 0.0 if died else 1.0 - p1
+        w2, died = self._window(add, listen2, phases["rx2"], thr.v_rx2, v2, t_win2, p2, silent)
+        quiet = silent * (1.0 - p2)
+        if not died and quiet > 0.0:
+            add(self._to_sleep(w2, t_win2 + listen2.duration), quiet)
+        pdl2 = (1.0 - p1) * p2
+        return dests, Rewards(pdl1=p1 if v1 >= thr.v_rx1 else 0.0,
+                              pdl2=pdl2 if v2 >= thr.v_off[listen1.state] else 0.0,
+                              pdl2_strict=pdl2 if v2 >= thr.v_rx2 else 0.0)
 
 
 def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
@@ -299,10 +312,12 @@ def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
     index: dict[ChainState, int] = {initial: 0}
     states: list[ChainState] = [initial]
     rows: list[dict[ChainState, float]] = []
+    rewards: list[Rewards] = []
     frontier = 0
     while frontier < len(states):
-        row = builder.row(states[frontier])
+        row, reward = builder.row(states[frontier])
         rows.append(row)
+        rewards.append(reward)
         for dest in row:
             if dest not in index:
                 index[dest] = len(states)
@@ -314,7 +329,7 @@ def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
     for i, (row, cols) in enumerate(zip(rows, successors)):
         matrix[i, list(cols)] = list(row.values())
     return TransitionMatrix(states=tuple(states), index=index, matrix=matrix,
-                            successors=successors, thresholds=thr, granularity=g)
+                            successors=successors, rewards=tuple(rewards), thresholds=thr)
 
 
 def _closed_classes(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -411,34 +426,16 @@ class ChainResult:
     pdl2: float
 
 
-def chain_metrics(pi: np.ndarray, tm: TransitionMatrix, scenario: Scenario,
+def chain_metrics(pi: np.ndarray, tm: TransitionMatrix,
                   strict_rx2_threshold: bool = False) -> ChainResult:
-    """Delivery metrics from a stationary vector.
+    """Delivery metrics from a stationary vector: pi . r over the builder's
+    Rewards, summed in state order; pdr is one minus the lost mass.
+    strict_rx2_threshold gates pdl2 on the window-2 reception threshold."""
+    def expect(metric: str) -> float:
+        return sum(float(p) * getattr(r, metric) for p, r in zip(pi, tm.rewards))
 
-    pdr is one minus the OFF and SL0 mass.  pdl1 multiplies the SL1 mass
-    by p1 and an indicator that the post-transmit, post-idle voltage can
-    fund the window-1 packet.  pdl2 multiplies by (1 - p1) * p2 and, as
-    the model defines it, only requires the pre-window-2 voltage to sit at
-    or above the turn-off level; strict_rx2_threshold switches that
-    indicator to the window-2 reception threshold instead.
-    """
-    thr, phases = tm.thresholds, scenario.phases
-    step = _VoltageSteps(scenario.circuit, tm.granularity).step
-    off_sl0 = sum(float(pi[i]) for i, s in enumerate(tm.states) if s.kind != SL1)
-    pdr = 1.0 - off_sl0
-    pdl1 = 0.0
-    pdl2 = 0.0
-    rx2_floor = thr.v_rx2 if strict_rx2_threshold else thr.v_off[phases["listen1"].state]
-    for i, s in enumerate(tm.states):
-        if s.kind != SL1 or pi[i] == 0.0:
-            continue
-        v1 = step(phases["idle1"], step(phases["tx"], s.level))
-        if v1 >= thr.v_rx1:
-            pdl1 += scenario.p1 * float(pi[i])
-        v2 = step(phases["idle2"], step(phases["listen1"], v1))
-        if v2 >= rx2_floor:
-            pdl2 += (1.0 - scenario.p1) * scenario.p2 * float(pi[i])
-    return ChainResult(pi=pi, states=tm.states, pdr=pdr, pdl1=pdl1, pdl2=pdl2)
+    return ChainResult(pi=pi, states=tm.states, pdr=1.0 - expect("lost"), pdl1=expect("pdl1"),
+                       pdl2=expect("pdl2_strict" if strict_rx2_threshold else "pdl2"))
 
 
 def solve_chain(scenario: Scenario, g: int,
@@ -446,4 +443,4 @@ def solve_chain(scenario: Scenario, g: int,
     """Build the chain, solve for the stationary vector, return the metrics."""
     tm = build_transition_matrix(scenario, g)
     pi = stationary_distribution(tm)
-    return chain_metrics(pi, tm, scenario, strict_rx2_threshold=strict_rx2_threshold)
+    return chain_metrics(pi, tm, strict_rx2_threshold=strict_rx2_threshold)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -60,6 +61,9 @@ class TestScenarioFiles:
             parse_scenario("[power]\nwatts = 1\n")
         with pytest.raises(ScenarioError, match=r"unknown key"):
             parse_scenario("[radio]\nspreading = 7\n")
+        for text in ("[DEFAULT]\nbogus = 1\n", "[DEFAULT]\nsf = 9\n[radio]\n"):
+            with pytest.raises(ScenarioError, match=r"unknown section \[DEFAULT\]"):
+                parse_scenario(text)
 
     def test_threshold_below_turn_off_rejected(self):
         with pytest.raises(ScenarioError, match="v_min < v_sl"):
@@ -69,9 +73,13 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match=r"\[capacitor\] c_farads"):
             parse_scenario("[capacitor]\nc_farads = tiny\n")
 
-    def test_out_of_range_payload_warns(self):
+    def test_out_of_range_payload_warns(self, tmp_path):
         with pytest.warns(UserWarning, match="dl_payload_bytes = 52"):
             parse_scenario("[traffic]\ndl_payload_bytes = 52\n")
+        cfg = tmp_path / "ack.ini"
+        cfg.write_text("[traffic]\ndl_payload_bytes = 52\n")
+        with pytest.warns(UserWarning, match=re.escape(f"{cfg}: dl_payload_bytes = 52")):
+            load_scenario(str(cfg))
 
     def test_reloading_a_dump_is_silent(self):
         text = dump_scenario(parse_scenario(""))

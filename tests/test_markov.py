@@ -18,6 +18,7 @@ from caplora.markov import (
     _RowBuilder,
     _VoltageSteps,
     build_transition_matrix,
+    chain_metrics,
     level_of,
     solve_chain,
     stationary_distribution,
@@ -214,8 +215,7 @@ def _toy_matrix(rows, kinds=None):
     thr = ThresholdLevels(v_min=0, v_on=n, v_tx=n, v_rx1=n + 1, v_rx2=n + 1, v_max=n,
                           v_off={})
     return TransitionMatrix(states=states, index={s: i for i, s in enumerate(states)},
-                            matrix=matrix, successors=successors, thresholds=thr,
-                            granularity=1)
+                            matrix=matrix, successors=successors, rewards=(), thresholds=thr)
 
 
 @st.composite
@@ -374,7 +374,7 @@ class TestParasiticEdgeCases:
         # out the whole interval from that level.
         scenario, thr, builder = self._builder()
         level = thr.v_off[DeviceState.TX] - 20
-        (dest, prob), = builder.row(ChainState(SL0, level)).items()
+        (dest, prob), = builder.row(ChainState(SL0, level))[0].items()
         assert prob == 1.0
         assert dest.level == self._sleep_from(scenario, level, 9.0)
 
@@ -386,7 +386,7 @@ class TestParasiticEdgeCases:
         v_off = scenario.circuit.state_params(DeviceState.TX).v_off
         t_abort = time_to_voltage(scenario.circuit, DeviceState.TX, level / G, v_off)
         assert 0.0 < t_abort < scenario.schedule.t_tx
-        (dest, _), = builder.row(ChainState(SL0, level)).items()
+        (dest, _), = builder.row(ChainState(SL0, level))[0].items()
         assert dest.level == self._sleep_from(scenario, thr.v_off[DeviceState.TX], 9.0 - t_abort)
 
 
@@ -414,8 +414,62 @@ class TestParasiticEdgeCases:
                  + time_to_voltage(circuit, DeviceState.LISTEN, v2 / G, v_off))
         t_wake = time_to_voltage(circuit, DeviceState.OFF, v_off, circuit.v_on)
         want = self._sleep_from(scenario, thr.v_on, 9.0 - t_off - t_wake)
-        (dest, _), = builder.row(ChainState(SL1, level)).items()
+        (dest, _), = builder.row(ChainState(SL1, level))[0].items()
         assert abs(dest.level - want) <= 1
+
+
+def _pdl_oracle(scenario, g, tm, pi, strict):
+    """The model's delivery metrics over the chain's states, from voltage_after
+    and level_of alone: pdl1 sums p1 * pi over SL1 states whose level after
+    Tx and the first idle, v1, reaches v_rx1; pdl2 sums (1 - p1) * p2 * pi
+    over those whose level entering window 2, v2, reaches the Listen v_off
+    level (v_rx2 when strict).  Each reception threshold is the lowest level
+    from v_min up whose packet ends above the Rx v_off level."""
+    circuit, sched = scenario.circuit, scenario.schedule
+    v_min, v_max = level_of(circuit.v_min, g), level_of(circuit.operating_voltage, g)
+
+    def after(state, level, t):
+        return min(max(level_of(voltage_after(circuit, state, level / g, t), g), 0), v_max)
+
+    def v_off(state):
+        return level_of(circuit.state_params(state).v_off, g)
+
+    def rx_threshold(t_rx):
+        return next((w for w in range(v_min, v_max + 1)
+                     if after(DeviceState.RX, w, t_rx) > v_off(DeviceState.RX)), v_max + 1)
+
+    floor2 = rx_threshold(sched.t_rx2) if strict else v_off(DeviceState.LISTEN)
+    v_rx1 = rx_threshold(sched.t_rx1)
+    pdr = pdl1 = pdl2 = 0.0
+    for state, mass in zip(tm.states, pi):
+        if state.kind != SL1:
+            continue
+        v1 = after(DeviceState.IDLE, after(DeviceState.TX, state.level, sched.t_tx), sched.t_id1)
+        v2 = after(DeviceState.IDLE, after(DeviceState.LISTEN, v1, sched.t_l1), sched.t_id2)
+        pdr += mass
+        pdl1 += scenario.p1 * mass * (v1 >= v_rx1)
+        pdl2 += (1.0 - scenario.p1) * scenario.p2 * mass * (v2 >= floor2)
+    return pdr, pdl1, pdl2
+
+
+class TestMetricsOracle:
+    # Cells chosen so that some states with stationary mass sit exactly on
+    # the pdl1 or the strict pdl2 gate at g = 100.
+    @pytest.mark.parametrize("g", [100, 750])
+    @pytest.mark.parametrize("p1,p2", [(1.0, 0.0), (0.0, 1.0), (0.3, 0.6)])
+    @pytest.mark.parametrize("capacitor", [{}, {"esr": 20.0, "epr": 50e3}])
+    def test_chain_metrics_match_the_model_formula(self, capacitor, p1, p2, g):
+        for threshold, m, c_farads in ((0.56, 8.0, 4.7e-3), (0.7, 8.0, 15e-3),
+                                       (0.7, 9.0, 15e-3), (0.7, 15.0, 15e-3)):
+            scenario = _parasitic(make_scenario(interval_m=m, p1=p1, p2=p2, c_farads=c_farads),
+                                  threshold=threshold, **capacitor)
+            tm = build_transition_matrix(scenario, g)
+            pi = stationary_distribution(tm)
+            for strict in (False, True):
+                got = chain_metrics(pi, tm, strict_rx2_threshold=strict)
+                want = _pdl_oracle(scenario, g, tm, pi, strict)
+                assert (got.pdr, got.pdl1, got.pdl2) == pytest.approx(want, abs=1e-12), \
+                    (threshold, m, strict)
 
 
 # perfbench's parasitic chain cells: (threshold, M) at ESR 20 ohm / EPR 50 kohm.

@@ -6,7 +6,7 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from caplora import defaults
 from caplora.cli import main
@@ -133,6 +133,8 @@ def one_fault_files(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(one_fault_files())
+@example("[DEFAULT]\nbogus = 1\n")       # configparser's defaults section is not special
+@example("[DEFAULT]\nsf = 9\n[radio]\n")
 def test_invalid_input_exits_2(text):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

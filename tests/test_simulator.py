@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from caplora.cli import main
 from caplora.energy import DeviceState, time_to_voltage, voltage_after
@@ -288,6 +288,46 @@ def _scenario(capacitor, threshold, m, p1, p2, c_farads=4.7e-3):
     circuit = make_circuit(c_farads=c_farads, turn_on_fraction=threshold,
                            **CAPACITORS[capacitor])
     return dataclasses.replace(scenario, circuit=circuit)
+
+
+@st.composite
+def _generated_runs(draw):
+    """(scenario, seed, n): a generated operating point and a run of n <= 200 uplinks."""
+    p = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    try:
+        circuit = make_circuit(c_farads=draw(st.floats(2e-3, 50e-3)),
+                               power_w=draw(st.floats(1e-3, 1e-2)),
+                               turn_on_fraction=draw(st.floats(0.56, 0.9)),
+                               **CAPACITORS[draw(st.sampled_from(sorted(CAPACITORS)))])
+        scenario = dataclasses.replace(
+            make_scenario(interval_m=draw(st.floats(3.0, 60.0)), p1=draw(p), p2=draw(p)),
+            circuit=circuit)
+    except ScenarioError:
+        assume(False)
+    return scenario, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 200))
+
+
+class TestCounterProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_generated_runs())
+    def test_counters_partition_and_bound(self, run):
+        scenario, seed, n = run
+        s, _ = run_simulation(scenario, seed, n)
+        assert s.n_tx_success + s.n_tx_lost_off + s.n_tx_aborted == n
+        assert (s.n_dl1_success + s.n_dl1_aborted + s.n_dl2_success + s.n_dl2_aborted
+                <= s.n_tx_success)
+        if scenario.p1 == 0.0:
+            assert s.n_dl1_success == s.n_dl1_aborted == 0
+        if scenario.p2 == 0.0 or scenario.p1 == 1.0:
+            assert s.n_dl2_success == s.n_dl2_aborted == 0
+
+    @settings(max_examples=75, deadline=None)
+    @given(_generated_runs())
+    def test_same_seed_same_run(self, run):
+        scenario, seed, n = run
+        first = run_simulation(scenario, seed, n, trace=True)
+        assert run_simulation(scenario, seed, n, trace=True) == first
+        assert run_simulation(scenario, seed, n)[0] == first[0]
 
 
 class TestReferenceOracle:

@@ -29,18 +29,22 @@ which keeps the matrix small.  That start state may still reach more than
 one closed class; the long-run distribution then weighs each class's
 stationary vector by the probability of being absorbed into it from the
 start state.
+
+numpy is imported by the functions that build or solve a matrix, so
+importing this module (and so caplora) leaves it unloaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .energy import CircuitConfig, Phase, time_to_voltage, wake_time
 from .errors import InfeasibleScenario, ScenarioError
 from .simulator import Scenario
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OFF, SL0, SL1 = "OFF", "SL0", "SL1"
 
@@ -324,6 +328,7 @@ def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
                 states.append(dest)
         frontier += 1
 
+    import numpy as np
     successors = tuple(tuple(index[dest] for dest in row) for row in rows)
     matrix = np.zeros((len(states), len(states)))
     for i, (row, cols) in enumerate(zip(rows, successors)):
@@ -375,6 +380,7 @@ def _closed_classes(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
 def _class_stationary(block: np.ndarray) -> np.ndarray:
     """Stationary vector of an irreducible block: pi (P_C - I) = 0 with the
     last balance equation replaced by sum(pi) = 1."""
+    import numpy as np
     k = block.shape[0]
     a = block.T - np.eye(k)
     a[-1, :] = 1.0
@@ -393,6 +399,7 @@ def stationary_distribution(tm: TransitionMatrix,
     solve, and when `initial` is transient the classes are weighed by
     their absorption probabilities, from one solve on the transient block.
     """
+    import numpy as np
     p = tm.matrix
     start = tm.index[initial] if initial is not None else 0
     classes = _closed_classes(tm.successors)

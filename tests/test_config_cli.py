@@ -396,6 +396,116 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def _python(code: str, *args: str, env=None) -> str:
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# Commands that never build a chain, so they must not pay the numpy import.
+NUMPY_FREE_CALLS = [
+    ["airtime", "--sf", "7", "--pl", "16"],
+    ["min-cap", "--sf", "7", "--ul-pl", "48", "--dl-pl", "48", "--dl-case", "rx2"],
+    ["min-interval", "--capacitance", "0.02", "--power", "0.001", "--dl-case", "rx2"],
+    ["wakeup", "--capacitance", "0.0047", "--power", "0.1", "--thresholds", "0.56"],
+    ["trace", "--single-cycle"],
+    ["simulate", "--m", "9", "--n", "50"],
+    ["sweep", "--axis", "threshold", "--values", "0.6,0.7", "--m", "9", "--engine",
+     "simulator", "--n", "50", "--seeds", "1"],
+]
+
+
+def test_numpy_loads_only_when_a_chain_is_solved():
+    code = """if True:
+        import contextlib, io, json, sys
+        import caplora
+        seen = [["import caplora", 0, "numpy" in sys.modules]]
+        import caplora.cli
+        seen.append(["import caplora.cli", 0, "numpy" in sys.modules])
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = caplora.cli.main(argv)
+            seen.append([argv[0], code, "numpy" in sys.modules])
+        print(json.dumps(seen))
+    """
+    calls = NUMPY_FREE_CALLS + [["chain", "--granularity", "100", "--m", "40"]]
+    seen = json.loads(_python(code, json.dumps(calls)))
+    assert seen[:-1] == [["import caplora", 0, False], ["import caplora.cli", 0, False]] + \
+        [[argv[0], 0, False] for argv in NUMPY_FREE_CALLS]
+    assert seen[-1] == ["chain", 0, True]
+
+
+CHAIN_NAMES = ("ChainResult", "ChainState", "ThresholdLevels", "TransitionMatrix",
+               "build_transition_matrix", "chain_metrics", "solve_chain",
+               "stationary_distribution", "threshold_levels")
+
+
+def test_chain_names_are_the_markov_objects():
+    import caplora
+    from caplora import markov
+
+    for name in CHAIN_NAMES:
+        assert getattr(caplora, name) is getattr(markov, name)
+        assert name in dir(caplora)
+    with pytest.raises(AttributeError, match="caplora"):
+        caplora.no_such_name
+
+
+def test_library_solve_loads_numpy_on_first_solve():
+    code = """if True:
+        import sys
+        from caplora import parse_scenario, solve_chain
+        before = "numpy" in sys.modules
+        result = solve_chain(parse_scenario("").scenario, 100)
+        print(before, "numpy" in sys.modules, 0 <= result.pdr <= 1)
+    """
+    assert _python(code).split() == ["False", "True", "True"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+])
+def test_cli_import_defaults_blas_to_one_thread(preset, expected):
+    # This test process has imported caplora.cli too, so the variables are
+    # removed from the child's environment before the preset is applied.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    code = "import os, sys, caplora.cli; print(*(os.environ.get(v, '-') for v in sys.argv[1:]))"
+    assert _python(code, *BLAS_VARS, env={**env, **preset}).split() == expected
+
+
+def test_library_import_leaves_the_environment_alone():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    code = ("import os; before = dict(os.environ); import caplora; "
+            "print(dict(os.environ) == before)")
+    assert _python(code, env=env).strip() == "True"
+
+
+def test_chain_seconds_leaves_out_the_numpy_import():
+    code = """if True:
+        import sys
+        from caplora import characterize, parse_scenario
+        clock, calls = characterize.time.perf_counter, []
+
+        def checked():
+            assert "numpy" in sys.modules, "the chain timer started before numpy loaded"
+            calls.append(1)
+            return clock()
+
+        characterize.time.perf_counter = checked
+        assert "numpy" not in sys.modules
+        rows = characterize.accuracy_study(parse_scenario("").scenario, cases="A",
+                                           m_classes=("small",), p_combos=((0.0, 0.0),),
+                                           granularities=(100,), n_scheduled=20, seeds=(1,))
+        print(len(rows), len(calls))
+    """
+    assert _python(code).split() == ["1", "2"]
+
+
 GOLDEN = pathlib.Path(__file__).parent / "data"
 # An ESR 20 ohm / EPR 50 kohm capacitor with p1 = 0.3, p2 = 0.5: the files
 # recorded from it pin the parasitic path of every engine.

@@ -537,6 +537,16 @@ ENGINE_GOLDEN_CALLS = {
     "trace_single_cycle.csv": ["trace", "--single-cycle", "--dl-case", "rx2"],
     "chain_parasitic_strict.csv": ["chain", "--scenario", PARASITIC, "--granularity", "750",
                                    "--m", "15", "--threshold", "0.7", "--strict-rx2"],
+    # The README sweep example, and simulator threshold sweeps through the
+    # stochastic and on/off regimes (every rx2 reception aborts at p2 > 0).
+    "sweep_readme.csv": ["sweep", "--axis", "threshold", "--values", "0.55:0.98:0.01",
+                         "--m", "5,9,40", "--engine", "both"],
+    "sweep_stochastic_simulator.csv": ["sweep", "--scenario", str(GOLDEN / "stochastic.ini"),
+                                       "--axis", "threshold", "--values", "0.55:0.98:0.01",
+                                       "--m", "9,40", "--engine", "simulator"],
+    "sweep_parasitic_simulator.csv": ["sweep", "--scenario", PARASITIC, "--axis", "threshold",
+                                      "--values", "0.55:0.98:0.01", "--m", "9,40",
+                                      "--engine", "simulator"],
 }
 
 

@@ -27,7 +27,8 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import defaults
@@ -205,7 +206,7 @@ def min_capacitance(scenario: Scenario, dl_case: str = "none",
 def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:
     """Fastest sustainable schedule when the device wakes only to run one
     cycle and turns off right after: charge time from the turn-off voltage
-    to the cycle's required start voltage, plus the cycle itself."""
+    to the cycle's required start voltage, plus the cycle (summed left to right)."""
     circuit = scenario.circuit
     phases = cycle_table(circuit, scenario.schedule, dl_case)
     v_star = _start_voltage(circuit, phases)
@@ -215,7 +216,7 @@ def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:
             f"the {dl_case} cycle at {circuit.harvester.harvest_power} W"
         )
     t_charge = compile_phase(circuit, DeviceState.OFF).cross(circuit.v_min, v_star)
-    return t_charge + sum(phase.duration for phase in phases)
+    return t_charge + reduce(add, (phase.duration for phase in phases), 0.0)
 
 
 def wakeup_time(circuit: CircuitConfig) -> float:

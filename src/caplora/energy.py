@@ -320,7 +320,7 @@ def _off_time(v_limit: float, tau: float, v_off: float, v: float) -> float:
     return -tau * math.log(gap_f / (v - v_limit))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Phase:
     """One device state compiled for a circuit: the simulator's unit of work.
 
@@ -332,7 +332,7 @@ class Phase:
     otherwise.  A recharge phase (Off or Sleep until an event the walk
     decides) has duration None; `after(v, t)` takes the elapsed time too
     and `cross(v, v_target)` is the time the state needs to move v to
-    v_target, math.inf when it never gets there.
+    v_target, math.inf when it never gets there.  Phases compare by identity.
     """
 
     state: DeviceState

@@ -37,9 +37,11 @@ importing this module (and so caplora) leaves it unloaded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .energy import CircuitConfig, Phase, time_to_voltage, wake_time
+from .energy import CircuitConfig, Phase, wake_time
 from .errors import InfeasibleScenario, ScenarioError
 from .simulator import Scenario
 
@@ -199,8 +201,8 @@ class _RowBuilder:
         self.off_start = {phase.state: (thr.v_off[phase.state], self._wake_time(phase.v_off))
                           for phase in (phases["tx"], phases["listen1"], phases["rx1"])}
         if self.p2 > 0:
-            window2_total = sum(phases[slot].duration for slot in
-                                ("tx", "idle1", "listen1", "idle2", "listen2", "rx2"))
+            window2_total = reduce(add, (phases[slot].duration for slot in (
+                "tx", "idle1", "listen1", "idle2", "listen2", "rx2")), 0.0)
             if self.m <= window2_total:
                 raise InfeasibleScenario(
                     f"interval {self.m} s cannot contain a "
@@ -242,8 +244,7 @@ class _RowBuilder:
         if level < off_level:
             t, off_level, t_wake = 0.0, level, self._wake_time(level / self.g)
         else:
-            t = min(time_to_voltage(self.circuit, phase.state, level / self.g, phase.v_off),
-                    phase.duration)
+            t = min(phase.cross(level / self.g), phase.duration)
         return self._recharge(off_level, t_wake, self.m - (t_base + (t_lead + t)))
 
     def _window(self, add, listen: Phase, rx: Phase, v_rx: int, level: int, t: float,
@@ -436,10 +437,10 @@ class ChainResult:
 def chain_metrics(pi: np.ndarray, tm: TransitionMatrix,
                   strict_rx2_threshold: bool = False) -> ChainResult:
     """Delivery metrics from a stationary vector: pi . r over the builder's
-    Rewards, summed in state order; pdr is one minus the lost mass.
-    strict_rx2_threshold gates pdl2 on the window-2 reception threshold."""
+    Rewards, summed left to right in state order; pdr is one minus the lost
+    mass.  strict_rx2_threshold gates pdl2 on the window-2 reception threshold."""
     def expect(metric: str) -> float:
-        return sum(float(p) * getattr(r, metric) for p, r in zip(pi, tm.rewards))
+        return reduce(add, (float(p) * getattr(r, metric) for p, r in zip(pi, tm.rewards)), 0.0)
 
     return ChainResult(pi=pi, states=tm.states, pdr=1.0 - expect("lost"), pdl1=expect("pdl1"),
                        pdl2=expect("pdl2_strict" if strict_rx2_threshold else "pdl2"))

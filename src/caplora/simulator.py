@@ -25,6 +25,25 @@ time_to_voltage, and the draw order below is unchanged by it.
 cycle_table compiles just one analytic cycle's phases, in cycle order,
 for the sizing searches; it is the one listing of that cycle.
 
+Settling.  With the trace off, run_simulation stops stepping voltages
+once every cycle's outcome is fixed.  Each reachable branch (rx1 if
+p1 > 0, silent if p1 < 1 and p2 < 1, rx2 if p1 < 1 and p2 > 0) maps the
+on-slot voltage x to an outcome (its turn-off phase or none, and the
+slots lost before the next on-slot) and to the next on-slot's voltage.
+Phase and Sleep maps are nondecreasing and turn-off times monotone, so
+both are monotone in x on each side of v_off (where the turn-off phase
+is entered) and of v_on (a turn-off at or above it wakes at once).  An
+interval [L, U] around v_k on which every branch has one outcome at
+L - delta and U + delta, keeps each phase boundary, turn-off level and
+wake instant a margin from its threshold, and sends both ends into
+[L + eta, U - eta] has fixed outcomes and maps into itself.  From then
+on only the draws decide the counters, and a settled walk answers each
+phase from the outcome table.  Tested at k = 1, 2, 4, ..., [L, U] grows
+by hull steps over the images and the completing branches' fixed points
+(their maps are affine).  delta and eta are 2**20 and 2**10 float
+spacings of the voltages and instants involved; eta covers the spread
+of each slot's sleep time (k+1)*M - t at the fastest recharge rate.
+
 Two downlink-cost conventions live here, mirroring how such devices are
 analyzed versus simulated:
 
@@ -48,7 +67,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .energy import CircuitConfig, DeviceState, Phase, compile_phase
+from .energy import CircuitConfig, DeviceState, Phase, compile_phase, wake_time
 from .errors import ScenarioError
 from .timing import RadioConfig, TimingSchedule, class_a_schedule, min_interval_bound
 
@@ -196,24 +215,124 @@ class _Walk:
         self.t = t + phase.duration
         return True
 
-    def recharge_until(self, t_to: float, off: Phase, sleep: Phase) -> None:
-        """Move through Off-charging / wake / Sleep up to time t_to."""
+    def ready(self, t_to: float, off: Phase, sleep: Phase) -> bool:
+        """Move through Off-charging / wake / Sleep up to time t_to; whether an uplink
+        can start then (not while the last cycle holds the radio, nor while Off)."""
         t_from = self.t
+        if t_from > t_to:
+            return False
         self.t = t_to
-        if t_to <= t_from:
-            return
+        if t_to == t_from:
+            return not self.off
         if self.off:
             v, v_on = self.v, self.v_on
             if v < v_on:
                 t_wake = off.cross(v, v_on)
                 if t_from + t_wake > t_to:
                     self.v = off.after(v, t_to - t_from)
-                    return
+                    return False
                 self.v = v_on
                 t_from += t_wake
             self.off = False
             self.record(t_from, DeviceState.SLEEP)
         self.v = sleep.after(self.v, t_to - t_from)
+        return True
+
+
+class _SettledWalk(_Walk):
+    """The walk once settled: each phase's survival and the slots lost after a
+    cycle that ends in it come from the outcome table; no voltage is kept."""
+
+    __slots__ = ("fates", "lost")
+
+    def __init__(self, fates: dict[Phase, tuple[bool, int]]):
+        self.points, self.t, self.fates, self.lost = None, 0.0, fates, 0
+
+    def phase(self, phase: Phase) -> bool:
+        survives, self.lost = self.fates[phase]
+        return survives
+
+    def ready(self, t_to: float, off: Phase, sleep: Phase) -> bool:
+        self.lost -= 1
+        return self.lost < 0
+
+
+class _Settler:
+    """The settle test of run_simulation (see the module docstring)."""
+
+    def __init__(self, scenario: Scenario, n_scheduled: int):
+        circuit, table, p1, p2 = scenario.circuit, scenario.phases, scenario.p1, scenario.p2
+        self.circuit, self.m, self.n = circuit, scenario.interval_m, n_scheduled
+        self.off, self.sleep = table["off"], table["sleep"]
+        silent = ("tx", "idle1", "listen1", "idle2", "listen2")
+        # Silent last: a silent cycle ends in listen2, which rx2 passes through.
+        reachable = {silent[:3] + ("rx1",): p1 > 0, silent + ("rx2",): p1 < 1 and p2 > 0,
+                     silent: p1 < 1 and p2 < 1}
+        self.branches = [tuple(map(table.get, b)) for b, on in reachable.items() if on]
+        e, t_end = circuit.operating_voltage, n_scheduled * self.m
+        tau = min(circuit.state_params(s).tau for s in (DeviceState.OFF, DeviceState.SLEEP))
+        self.delta, self.eps_t = 2**20 * math.ulp(e), 2**20 * math.ulp(t_end)
+        self.eta = 2**10 * (math.ulp(t_end) * e / tau + math.ulp(e))
+
+    def __call__(self, walk: _Walk, k: int) -> tuple[_Walk, float]:
+        """(walk to go on with, next slot to test at) at on-slot k: a settled
+        walk when the test passes, else `walk` itself and 2k."""
+        lo = hi = walk.v
+        for _ in range(4):
+            ends = self._ends(lo, hi, k)
+            if ends is None:
+                break
+            images = [end[1] for pair in ends for end in pair]
+            if self._inside(images, lo, hi):
+                fates: dict[Phase, tuple[bool, int]] = {}
+                for phases, (((fate, lost), _, _), _) in zip(self.branches, ends):
+                    end = len(phases) if fate is None else fate[0] + 1
+                    fates.update(dict.fromkeys(phases[:end], (True, 0)))
+                    fates[phases[end - 1]] = (fate is None, lost)
+                return _SettledWalk(fates), math.inf
+            x0, pad = lo - self.delta, 2 * (self.delta + self.eta)
+            for a, b in ends:
+                slope = (b[1] - a[1]) / (hi + self.delta - x0)
+                if a[0][0] is None and slope < 1:  # a completing branch's affine map
+                    images.append(x0 + (a[1] - x0) / (1 - slope))
+                    pad = max(pad, 2 * (self.delta + self.eta) / (1 - slope))
+            lo, hi = min(lo, *images) - pad, max(hi, *images) + pad
+        return walk, 2 * k
+
+    def _ends(self, lo: float, hi: float, k: int):
+        """Each branch probed at lo - delta and hi + delta, or None when its
+        two outcomes differ or either came within a margin of a threshold."""
+        ends = []
+        for branch in self.branches:
+            a, b = self._probe(branch, lo - self.delta, k), self._probe(branch, hi + self.delta, k)
+            if a[0] != b[0] or a[2] or b[2]:
+                return None
+            ends.append((a, b))
+        return ends
+
+    def _inside(self, images: list[float], lo: float, hi: float) -> bool:
+        return lo + self.eta <= min(images) and max(images) <= hi - self.eta
+
+    def _probe(self, phases: tuple[Phase, ...], x: float, k: int):
+        """Run one branch from x at on-slot k: (outcome, the next on-slot's
+        voltage, whether a threshold came within a margin)."""
+        walk, m, delta = _Walk(self.circuit, x, off=False, trace=False), self.m, self.delta
+        walk.t = t_k = k * m
+        fate, near = None, False
+        for i, phase in enumerate(phases):
+            v = walk.v
+            near = near or min(abs(v - phase.v_off), abs(phase.after(v) - phase.v_off)) < delta
+            if not walk.phase(phase):
+                fate = (i, v <= phase.v_off, walk.v >= walk.v_on)
+                near = near or abs(walk.v - walk.v_on) < delta
+                break
+        # Where the wake instant falls between slots (nan if it never wakes).
+        gap = (walk.t + (wake_time(self.off, walk.v, walk.v_on) if walk.off else 0.0) - t_k) % m
+        near = near or min(gap, m - gap) < self.eps_t
+        j = k + 1
+        while j < self.n and not walk.ready(j * m, self.off, self.sleep):
+            j += 1
+        return (fate, j - k - 1), walk.v, near
 
 
 def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
@@ -238,15 +357,13 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     tx_success = tx_lost = tx_aborted = 0
     dl1_success = dl1_aborted = dl2_success = dl2_aborted = 0
 
+    settle, next_check = _Settler(scenario, n_scheduled), n_scheduled if trace else 1
     for k in range(n_scheduled):
-        t_k = k * interval
-        if walk.t > t_k:
-            tx_lost += 1  # previous cycle still occupying the radio
-            continue
-        walk.recharge_until(t_k, off, sleep)
-        if walk.off:
+        if not walk.ready(k * interval, off, sleep):
             tx_lost += 1
             continue
+        if k >= next_check:
+            walk, next_check = settle(walk, k)
 
         if not walk.phase(tx):
             tx_aborted += 1

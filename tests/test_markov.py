@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from caplora import characterize, markov
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
 from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after
 from caplora.errors import InfeasibleScenario, ScenarioError
@@ -13,6 +15,7 @@ from caplora.markov import (
     SL0,
     SL1,
     ChainState,
+    Rewards,
     ThresholdLevels,
     TransitionMatrix,
     _RowBuilder,
@@ -504,3 +507,22 @@ class TestParasiticAgreement:
         good = sum(abs(solve_chain(s, G).pdr - run_simulation(s, 1, 1000)[0].pdr) < 0.01
                    for s in cells)
         assert good >= math.ceil(0.95 * len(cells)), f"only {good}/{len(cells)} cells agree"
+
+
+def test_sums_add_left_to_right(monkeypatch):
+    """Python 3.12's sum compensates while 3.10 and 3.11 add left to right,
+    so the builtin would print other floats on 3.12.  The chain metrics,
+    the window-2 total and min-interval add left to right instead."""
+    def compensated(*args):
+        raise AssertionError("the builtin sum of floats is compensated since Python 3.12")
+
+    for module in (markov, characterize):
+        monkeypatch.setattr(module, "sum", compensated, raising=False)
+    pi = np.array([1e16, 1.0, -1e16])
+    assert math.fsum(pi) == 1.0          # what a compensated sum gives
+    tm = SimpleNamespace(states=(None,) * 3, rewards=(Rewards(lost=1.0, pdl1=1.0),) * 3)
+    result = chain_metrics(pi, tm)
+    assert (result.pdr, result.pdl1) == (1.0, 0.0)   # (1e16 + 1.0) rounds back to 1e16
+    with pytest.raises(InfeasibleScenario, match="window-2"):
+        build_transition_matrix(make_scenario(interval_m=3.0, p2=1.0), 100)
+    assert characterize.min_tx_interval(make_scenario(), "rx2") > 0.0

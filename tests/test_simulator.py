@@ -1,10 +1,14 @@
 import dataclasses
+import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from caplora import simulator
+from caplora.characterize import edit_scenario
 from caplora.cli import main
+from caplora.config import parse_scenario
 from caplora.energy import DeviceState, time_to_voltage, voltage_after
 from caplora.errors import ScenarioError
 from caplora.simulator import (
@@ -462,3 +466,117 @@ class TestTraceFreeCycle:
             assert [(p.state, p.duration) for p in table] == phases
         with pytest.raises(ScenarioError, match="dl_case"):
             cycle_table(scenario.circuit, scenario.schedule, "bogus")
+
+
+def _settled_slots(monkeypatch) -> list:
+    """Record the on-slot at which each later run_simulation call settles."""
+    slots = []
+    test = simulator._Settler.__call__
+
+    def spy(self, walk, k):
+        result = test(self, walk, k)
+        if isinstance(result[0], simulator._SettledWalk):
+            slots.append(k)
+        return result
+
+    monkeypatch.setattr(simulator._Settler, "__call__", spy)
+    return slots
+
+
+# The benchmark's sim_sweep operating points: criteria 5a-5d and a stochastic one.
+SWEEP_POINTS = ({"interval_m": 8.0, "p1": 1.0, "p2": 0.0, "capacitance": 4.7e-3},
+                {"interval_m": 9.0, "p1": 0.0, "p2": 0.0, "capacitance": 4.7e-3},
+                {"interval_m": 9.0, "p1": 0.0, "p2": 1.0, "capacitance": 4.7e-3},
+                {"interval_m": 60.0, "p1": 0.0, "p2": 1.0, "capacitance": 47e-3},
+                {"interval_m": 40.0, "p1": 0.3, "p2": 0.5, "capacitance": 4.7e-3})
+SETTLE_P = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.5))
+
+
+class TestSettling:
+    """With the trace off the walk stops once every branch's outcome is fixed;
+    the counters must equal the full walk's (trace=True never settles)."""
+
+    def test_exit_fires_on_the_sweep_points(self, monkeypatch):
+        # A regression back to the full walk would leave these cells unsettled.
+        base = parse_scenario("").scenario
+        slots = _settled_slots(monkeypatch)
+        settled = 0
+        for point in SWEEP_POINTS:
+            for i in range(44):
+                slots.clear()
+                run_simulation(edit_scenario(base, dict(point, threshold=round(0.55 + 0.01 * i, 2))),
+                               1, 100)
+                settled += bool(slots)
+        assert settled >= 180
+
+    @pytest.mark.parametrize("capacitor", sorted(CAPACITORS))
+    def test_counters_equal_the_full_walk_on_a_grid(self, capacitor, monkeypatch):
+        # 4 parts x 250 cells: on/off and steady regimes, p in {0, 1} and
+        # stochastic, three run lengths.
+        slots = _settled_slots(monkeypatch)
+        cells = 0
+        for threshold in (0.56, 0.62, 0.7, 0.8, 0.9):
+            for m in (5.0, 9.0, 20.0, 40.0, 60.0):
+                for p1, p2 in SETTLE_P:
+                    for c_farads in (4.7e-3, 47e-3):
+                        scenario = _scenario(capacitor, threshold, m, p1, p2, c_farads)
+                        n = (50, 300, 1000)[cells % 3]
+                        seed = cells
+                        cells += 1
+                        assert run_simulation(scenario, seed, n)[0] == \
+                            run_simulation(scenario, seed, n, trace=True)[0], (threshold, m, p1, p2)
+        assert cells == 250 and len(slots) >= 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(_generated_runs(), st.sampled_from([300, 1500]))
+    def test_settled_counters_equal_the_full_walk(self, run, n):
+        scenario, seed, _ = run
+        assert run_simulation(scenario, seed, n)[0] == run_simulation(scenario, seed, n, trace=True)[0]
+
+    def test_a_cycle_ending_on_the_next_slot_keeps_the_full_walk(self):
+        # M is the rx2 cycle as the walk adds it up: whether the radio is
+        # still busy at the next slot flips with each slot's rounding.
+        scenario = make_scenario(p2=1.0)
+        s, m = scenario.schedule, 0.0
+        for duration in (s.t_tx, s.t_id1, s.t_l1, s.t_id2, s.t_l2, s.t_rx2):
+            m += duration
+        scenario = dataclasses.replace(scenario, interval_m=m,
+                                       circuit=make_circuit(c_farads=47e-3, power_w=0.01))
+        settler = simulator._Settler(scenario, 3000)
+        assert settler._probe(settler.branches[0], 3.0, 5)[2]
+        assert run_simulation(scenario, 1, 3000)[0] == run_simulation(scenario, 1, 3000, trace=True)[0]
+
+    def _settler(self, monkeypatch=None, branch=None):
+        settler = simulator._Settler(make_scenario(interval_m=9.0), 1000)
+        if branch is not None:
+            monkeypatch.setattr(settler, "_probe", lambda phases, x, k: branch(x))
+        return settler
+
+    def test_outcomes_are_judged_a_margin_outside_the_interval(self, monkeypatch):
+        # A synthetic branch: turns off in tx below 1.5 V, maps x to x/2 + 1.
+        settler = self._settler(monkeypatch, lambda x: (
+            (None if x >= 1.5 else (0, False, False), 0), 0.5 * x + 1.0, False))
+        assert settler._ends(1.6, 2.5, 1) is not None
+        assert settler._ends(1.5 + 1e-13, 2.5, 1) is None
+
+    def test_images_keep_a_margin_inside_the_interval(self):
+        settler = self._settler()
+        assert settler._inside([1.7, 2.4], 1.6, 2.5)
+        assert not settler._inside([1.7, 2.5 - 1e-13], 1.6, 2.5)
+        assert not settler._inside([1.6 + 1e-13, 2.4], 1.6, 2.5)
+
+    def test_only_an_interval_that_maps_into_itself_settles(self, monkeypatch):
+        walk = simulator._Walk(make_scenario().circuit, 2.0, off=False, trace=False)
+        drifting = self._settler(monkeypatch, lambda x: ((None, 0), x + 0.1, False))
+        assert drifting(walk, 8) == (walk, 16)
+        contracting = self._settler(monkeypatch, lambda x: ((None, 0), 0.5 * x + 1.0, False))
+        settled, next_check = contracting(walk, 8)
+        assert isinstance(settled, simulator._SettledWalk) and next_check == math.inf
+
+    def test_a_phase_entered_at_its_turn_off_level_is_near(self):
+        settler = self._settler()
+        silent, v_off = settler.branches[-1], settler.branches[-1][0].v_off
+        assert settler._probe(silent, v_off, 1)[2]
+        below, above = (settler._probe(silent, v_off + d, 1) for d in (-1e-6, 1e-6))
+        assert not below[2] and not above[2]
+        assert below[0][0] == (0, True, False) and above[0][0] == (0, False, False)

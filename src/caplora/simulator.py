@@ -291,10 +291,10 @@ class _Settler:
                     fates[phases[end - 1]] = (fate is None, lost)
                 return _SettledWalk(fates), math.inf
             x0, pad = lo - self.delta, 2 * (self.delta + self.eta)
-            for a, b in ends:
-                slope = (b[1] - a[1]) / (hi + self.delta - x0)
-                if a[0][0] is None and slope < 1:  # a completing branch's affine map
-                    images.append(x0 + (a[1] - x0) / (1 - slope))
+            for ((fate, _), image, _), (_, image_hi, _) in ends:
+                slope = (image_hi - image) / (hi + self.delta - x0)
+                if fate is None and slope < 1:  # a completing branch's affine map
+                    images.append(x0 + (image - x0) / (1 - slope))
                     pad = max(pad, 2 * (self.delta + self.eta) / (1 - slope))
             lo, hi = min(lo, *images) - pad, max(hi, *images) + pad
         return walk, 2 * k

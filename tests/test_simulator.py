@@ -471,10 +471,10 @@ class TestTraceFreeCycle:
 def _settled_slots(monkeypatch) -> list:
     """Record the on-slot at which each later run_simulation call settles."""
     slots = []
-    test = simulator._Settler.__call__
+    settle = simulator._Settler.__call__
 
     def spy(self, walk, k):
-        result = test(self, walk, k)
+        result = settle(self, walk, k)
         if isinstance(result[0], simulator._SettledWalk):
             slots.append(k)
         return result

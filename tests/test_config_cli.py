@@ -550,11 +550,71 @@ ENGINE_GOLDEN_CALLS = {
 }
 
 
+STOCHASTIC = str(GOLDEN / "stochastic.ini")
+# One call per subcommand, recorded with --json --out FILE: the files pin
+# each column's JSON type (formatted floats are strings, ints and the sweep's
+# feasible flag are numbers).
+JSON_GOLDEN_CALLS = {
+    "json_airtime.json": ["airtime", "--sf", "12", "--pl", "1"],
+    "json_trace.json": ["trace", "--single-cycle", "--dl-case", "rx1", "--m", "9"],
+    "json_simulate.json": ["simulate", "--m", "9", "--threshold", "0.58", "--n", "100"],
+    "json_chain.json": ["chain", "--scenario", STOCHASTIC, "--granularity", "100", "--m", "40",
+                        "--threshold", "0.7"],
+    "json_sweep.json": ["sweep", "--axis", "threshold", "--values", "0.58,0.999", "--m", "9",
+                        "--engine", "both", "--n", "100", "--seeds", "1",
+                        "--granularity", "100"],
+    "json_min_cap.json": ["min-cap", "--sf", "7,9", "--ul-pl", "48", "--dl-pl", "48",
+                          "--dl-case", "rx2"],
+    "json_min_interval.json": ["min-interval", "--capacitance", "0.02", "--power", "0.001",
+                               "--dl-case", "rx2"],
+    "json_wakeup.json": ["wakeup", "--capacitance", "0.0047", "--power", "0.1",
+                         "--thresholds", "0.56,0.7"],
+    "json_accuracy.json": ["accuracy", "--cases", "A", "--m-classes", "very_high",
+                           "--granularities", "100", "--n", "50", "--seeds", "1,2"],
+}
+# The README accuracy example (run serially: --jobs does not change the rows).
+ACCURACY_README = ["accuracy", "--cases", "AD", "--m-classes", "small,very_high",
+                   "--granularities", "100,500,750"]
+
+
+def _without_chain_seconds(text: str) -> str:
+    """The output with every chain_seconds value, a wall time, blanked."""
+    text = re.sub(r'"chain_seconds": "[^"]*"', '"chain_seconds": ""', text)
+    lines = text.split("\n")
+    if "chain_seconds" not in lines[0].split(","):
+        return text
+    column = lines[0].split(",").index("chain_seconds")
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if i and len(fields) > column:
+            fields[column] = ""
+            lines[i] = ",".join(fields)
+    return "\n".join(lines)
+
+
 def _assert_golden(argv, name, capsys):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(JSON_GOLDEN_CALLS))
+def test_json_file_output_is_identical(name, tmp_path):
+    out = tmp_path / name
+    assert main(JSON_GOLDEN_CALLS[name] + ["--json", "--out", str(out)]) == 0
+    got = out.read_text(encoding="utf-8")
+    assert _without_chain_seconds(got) == _without_chain_seconds(
+        (GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def test_accuracy_readme_example_is_identical_but_for_chain_seconds(capsys):
+    assert main(ACCURACY_README) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    want = (GOLDEN / "accuracy_readme.csv").read_text(encoding="utf-8")
+    assert _without_chain_seconds(captured.out) == _without_chain_seconds(want)
+    assert captured.out.count("\nthreshold=0.7 granularity=") == 3
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))

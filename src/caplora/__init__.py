@@ -52,9 +52,6 @@ from .markov import (
     threshold_levels,
 )
 from .characterize import (
-    AccuracyRow,
-    SweepRow,
-    SweepSpec,
     accuracy_study,
     accuracy_summary,
     min_capacitance,

@@ -1,12 +1,17 @@
 """Experiment drivers: minimum capacitance, feasible transmission interval,
 wake-up time, turn-on-threshold sweeps and the chain-vs-simulator accuracy
-grid.  Each driver returns figure-ready rows; CSV rendering lives in the
-CLI layer.
+grid.  The sweep and the accuracy study return figure-ready rows: plain
+dicts keyed by the column names that caplora.cli.COLUMNS declares, with
+unformatted values.  Formatting and CSV/JSON rendering live in the CLI.
 
 Every grid (the sweep, the accuracy study and the CLI's sizing tables) is
 one evaluate_grid call: the product of named axes around a base scenario,
 each cell built by edit_scenario and validated before any cell is
 measured, then one measure per cell, in a process pool only when jobs > 1.
+Sweep and accuracy cells share one engine-pair measure, _measure: the
+simulator's mean ratios over the seeds, or the chain's metrics with the
+solve's wall time.  A sweep turns an InfeasibleScenario into a
+feasible = False row; the accuracy study lets it propagate.
 
 The capacitance/interval analyses run the analytic uplink/downlink cycle
 (simulator.cycle_table and the trace-free simulator.run_cycle, the walk
@@ -229,38 +234,6 @@ def wakeup_time(circuit: CircuitConfig) -> float:
 
 # -- threshold sweep --------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-axis parameter sweep around a base scenario."""
-
-    scenario: Scenario
-    axis: str
-    values: tuple
-    m_values: tuple = ()          # extra interval grid for threshold sweeps
-    granularity: int = defaults.GRANULARITY
-    n_scheduled: int = 1000
-    seeds: tuple = (1, 2, 3, 4, 5)
-
-    def __post_init__(self):
-        if list(self.values) != sorted(self.values):
-            raise ScenarioError("sweep values must be sorted ascending")
-        if self.axis == "interval_m" and self.m_values:
-            raise ScenarioError("an interval_m sweep takes no extra interval grid: "
-                                "its values are the intervals")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    axis: str
-    value: float
-    m_s: float
-    engine: str
-    pdr: float
-    pdl1: float
-    pdl2: float
-    feasible: bool
-
-
 def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
                    n_scheduled: int) -> tuple[float, float, float]:
     """Mean delivery ratios over one simulator run per seed.
@@ -284,45 +257,72 @@ def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
     return pdr / n, pdl1 / n, pdl2 / n
 
 
+def _measure(engine: str, seeds: tuple, n_scheduled: int,
+             cell: GridCell) -> tuple[float, float, float, float]:
+    """One engine of the pair on one cell: (pdr, pdl1, pdl2, seconds).
+
+    The simulator's ratios are means over `seeds`, with seconds 0.  The
+    chain's are its stationary metrics, and seconds is the wall time of
+    its solve, timed with numpy already imported so that the first import
+    stays out.  InfeasibleScenario propagates.
+    """
+    if engine == "simulator":
+        return (*_simulate_mean(cell.scenario, seeds, n_scheduled), 0.0)
+    import numpy  # noqa: F401
+    t0 = time.perf_counter()
+    result = solve_chain(cell.scenario, cell.granularity)
+    return result.pdr, result.pdl1, result.pdl2, time.perf_counter() - t0
+
+
 def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int,
-                cell: GridCell) -> list[SweepRow]:
-    scenario, value = cell.scenario, float(cell.point[0])
+                cell: GridCell) -> list[dict]:
+    scenario = cell.scenario
     beyond_ceiling = scenario.circuit.v_on >= scenario.circuit.asymptote(DeviceState.OFF)
     rows = []
     for engine in engines:
-        try:
-            if beyond_ceiling:
-                raise InfeasibleScenario("turn-on threshold beyond the charging ceiling")
-            if engine == "simulator":
-                pdr, pdl1, pdl2 = _simulate_mean(scenario, seeds, n_scheduled)
-            else:
-                result = solve_chain(scenario, cell.granularity)
-                pdr, pdl1, pdl2 = result.pdr, result.pdl1, result.pdl2
-            feasible = True
-        except InfeasibleScenario:
-            pdr = pdl1 = pdl2 = 0.0
-            feasible = False
-        rows.append(SweepRow(axis, value, scenario.interval_m, engine, pdr, pdl1, pdl2, feasible))
+        pdr = pdl1 = pdl2 = 0.0
+        feasible = not beyond_ceiling
+        if feasible:
+            try:
+                pdr, pdl1, pdl2, _ = _measure(engine, seeds, n_scheduled, cell)
+            except InfeasibleScenario:
+                feasible = False
+        rows.append({"axis": axis, "value": float(cell.point[0]), "m_s": scenario.interval_m,
+                     "engine": engine, "pdr": pdr, "pdl1": pdl1, "pdl2": pdl2,
+                     "feasible": feasible})
     return rows
 
 
-def threshold_sweep(spec: SweepSpec, engine: str = "simulator",
-                    jobs: int = 1) -> list[SweepRow]:
-    """Evaluate the sweep grid; one row per (value, M, engine).
+def threshold_sweep(scenario: Scenario, *, axis: str, values: Sequence[float],
+                    m_values: Sequence[float] = (),
+                    granularity: int = defaults.GRANULARITY,
+                    n_scheduled: int = 1000,
+                    seeds: Sequence[int] = (1, 2, 3, 4, 5),
+                    engine: str = "simulator",
+                    jobs: int = 1) -> list[dict]:
+    """Evaluate a one-axis sweep around `scenario`; one row per (value, M,
+    engine), keyed by the CLI's sweep columns.
 
-    An invalid value raises ScenarioError before any cell runs.  Cells are
-    independent; with jobs > 1 they run in a process pool, and results come
-    back in grid order.  Physically infeasible cells are kept as pdr = 0
-    rows with the feasible flag cleared.
+    `values` edit `axis` and must be sorted ascending; `m_values`, an extra
+    interval grid, is for axes other than interval_m.  An invalid value
+    raises ScenarioError before any cell runs.  Cells are independent;
+    with jobs > 1 they run in a process pool, and results come back in
+    grid order.  Physically infeasible cells are kept as pdr = 0 rows with
+    feasible False.
     """
+    if list(values) != sorted(values):
+        raise ScenarioError("sweep values must be sorted ascending")
+    if axis == "interval_m" and m_values:
+        raise ScenarioError("an interval_m sweep takes no extra interval grid: "
+                            "its values are the intervals")
     if engine not in ("simulator", "chain", "both"):
         raise ScenarioError(f"engine must be simulator, chain or both, got {engine!r}")
     engines = ("simulator", "chain") if engine == "both" else (engine,)
-    if "simulator" in engines and not spec.seeds:
+    if "simulator" in engines and not seeds:
         raise ScenarioError("a simulator sweep needs at least one seed")
-    axes = [(spec.axis, spec.values)] + ([("interval_m", spec.m_values)] if spec.m_values else [])
-    measure = partial(_sweep_cell, spec.axis, engines, tuple(spec.seeds), spec.n_scheduled)
-    cells = evaluate_grid(spec.scenario, axes, measure, spec.granularity, jobs)
+    axes = [(axis, values)] + ([("interval_m", m_values)] if m_values else [])
+    measure = partial(_sweep_cell, axis, engines, tuple(seeds), n_scheduled)
+    cells = evaluate_grid(scenario, axes, measure, granularity, jobs)
     return [row for rows in cells for row in rows]
 
 
@@ -347,21 +347,6 @@ M_CLASSES = ("small", "medium", "high", "very_high")
 P_COMBOS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class AccuracyRow:
-    case_id: str
-    m_class: str
-    m_s: float
-    p1: float
-    p2: float
-    threshold: float
-    granularity: int
-    pdr_sim: float
-    pdr_mc: float
-    abs_error: float
-    chain_seconds: float
-
-
 def accuracy_case_edits(case: tuple[str, str]) -> dict:
     """edit_scenario edits of one (case id, M class) cell of the grid."""
     case_id, m_class = case
@@ -374,20 +359,14 @@ def accuracy_case_edits(case: tuple[str, str]) -> dict:
                             f"are {''.join(ACCURACY_CASES)}, M classes {M_CLASSES}") from None
 
 
-def _accuracy_cell(n_scheduled: int, seeds: tuple, cell: GridCell) -> AccuracyRow:
+def _accuracy_cell(n_scheduled: int, seeds: tuple, cell: GridCell) -> dict:
     _, threshold, (case_id, m_class), (p1, p2) = cell.point
-    scenario = cell.scenario
-    pdr_sim, _, _ = _simulate_mean(scenario, seeds, n_scheduled)
-    import numpy  # noqa: F401  (the chain's first import stays out of chain_seconds)
-    t0 = time.perf_counter()
-    result = solve_chain(scenario, cell.granularity)
-    elapsed = time.perf_counter() - t0
-    return AccuracyRow(
-        case_id=case_id, m_class=m_class, m_s=scenario.interval_m,
-        p1=p1, p2=p2, threshold=threshold, granularity=cell.granularity,
-        pdr_sim=pdr_sim, pdr_mc=result.pdr,
-        abs_error=abs(pdr_sim - result.pdr), chain_seconds=elapsed,
-    )
+    pdr_sim = _measure("simulator", seeds, n_scheduled, cell)[0]
+    pdr_mc, _, _, seconds = _measure("chain", seeds, n_scheduled, cell)
+    return {"case": case_id, "m_class": m_class, "m_s": cell.scenario.interval_m,
+            "p1": p1, "p2": p2, "threshold": threshold, "granularity": cell.granularity,
+            "pdr_sim": pdr_sim, "pdr_mc": pdr_mc, "abs_error": abs(pdr_sim - pdr_mc),
+            "chain_seconds": seconds}
 
 
 def accuracy_study(base: Scenario,
@@ -398,8 +377,9 @@ def accuracy_study(base: Scenario,
                    granularities: Sequence[int] = (100, 500, 750),
                    n_scheduled: int = 1000,
                    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-                   jobs: int = 1) -> list[AccuracyRow]:
-    """Chain-vs-simulator absolute UL PDR error over the scenario grid."""
+                   jobs: int = 1) -> list[dict]:
+    """Chain-vs-simulator absolute UL PDR error over the scenario grid; one
+    row per cell, keyed by the CLI's accuracy columns."""
     if not seeds:
         raise ScenarioError("the accuracy study needs at least one seed")
     axes = [("granularity", granularities),
@@ -421,11 +401,11 @@ class AccuracySummary:
     max: float
 
 
-def accuracy_summary(rows: Iterable[AccuracyRow]) -> list[AccuracySummary]:
-    """Error percentiles per (threshold, granularity) bucket."""
+def accuracy_summary(rows: Iterable[Mapping]) -> list[AccuracySummary]:
+    """Error percentiles per (threshold, granularity) bucket of accuracy rows."""
     buckets: dict[tuple[float, int], list[float]] = {}
     for row in rows:
-        buckets.setdefault((row.threshold, row.granularity), []).append(row.abs_error)
+        buckets.setdefault((row["threshold"], row["granularity"]), []).append(row["abs_error"])
     out = []
     for (threshold, g), errors in sorted(buckets.items()):
         errors.sort()

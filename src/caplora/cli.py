@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Every subcommand emits one CSV table (stdout by default, --out FILE to
-write a file, --json to emit a JSON array instead); `simulate` and
-`chain` additionally print a one-line `pdr=... pdl1=... pdl2=...`
-summary.  Exit codes: 0 success, 2 invalid configuration or arguments,
+Every subcommand emits one table in the columns COLUMNS declares for it:
+CSV on stdout by default, --out FILE to write a file, --json for a JSON
+array instead.  `simulate` and `chain` also print a one-line
+`pdr=... pdl1=... pdl2=...` summary and `accuracy` its error percentiles,
+except when stdout carries the JSON.  Exit codes: 0 success, 2 invalid
+configuration or arguments or an output path that cannot be written,
 3 physically infeasible request.
 
 Numeric formatting is fixed so outputs are stable: times use 9
@@ -17,7 +19,8 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 # The chain's dense solves are small, and BLAS worker threads roughly double
 # their CPU time.  BLAS reads these variables once, when numpy loads, which
@@ -29,7 +32,6 @@ from . import defaults
 from .characterize import (
     DL_CASES,
     M_CLASSES,
-    SweepSpec,
     accuracy_study,
     accuracy_summary,
     edit_scenario,
@@ -45,22 +47,6 @@ from .markov import build_transition_matrix, chain_metrics, stationary_distribut
 from .simulator import run_simulation, single_cycle_trace
 from .timing import RadioConfig, coding_rate_to_index, time_on_air
 
-HEADERS = {
-    "airtime": ("sf", "bw_hz", "payload_bytes", "time_on_air_s"),
-    "trace": ("time_s", "voltage_v", "state"),
-    "simulate": ("n_scheduled", "n_tx_success", "n_tx_lost_off", "n_tx_aborted",
-                 "n_dl1_success", "n_dl1_aborted", "n_dl2_success", "n_dl2_aborted",
-                 "pdr", "pdl1", "pdl2"),
-    "chain": ("granularity", "m_s", "threshold", "pdr", "pdl1", "pdl2"),
-    "sweep": ("axis", "value", "m_s", "engine", "pdr", "pdl1", "pdl2", "feasible"),
-    "min-cap": ("sf", "ul_payload_bytes", "dl_payload_bytes", "dl_case", "power_w",
-                "min_capacitance_f"),
-    "min-interval": ("capacitance_f", "power_w", "dl_case", "min_interval_s"),
-    "wakeup": ("capacitance_f", "power_w", "threshold", "wakeup_s"),
-    "accuracy": ("case", "m_class", "m_s", "p1", "p2", "threshold", "granularity",
-                 "pdr_sim", "pdr_mc", "abs_error", "chain_seconds"),
-}
-
 
 def f_time(v: float) -> str:
     return f"{v:.9g}"
@@ -68,6 +54,36 @@ def f_time(v: float) -> str:
 
 def f_val(v: float) -> str:
     return f"{v:.6g}"
+
+
+# Each command's output columns, in order: (name, format) or (name, format,
+# get).  format is f_time or f_val for a float, None for an int or text
+# printed as it is, or a conversion; get reads the value off a row, by
+# default the row's `name` item (a dict) or attribute (any other row).
+COLUMNS = {
+    "airtime": (("sf", None), ("bw_hz", f_val), ("payload_bytes", None),
+                ("time_on_air_s", f_time)),
+    "trace": (("time_s", f_time, attrgetter("time")), ("voltage_v", f_val, attrgetter("voltage")),
+              ("state", str, attrgetter("device_state"))),
+    "simulate": (("n_scheduled", None), ("n_tx_success", None), ("n_tx_lost_off", None),
+                 ("n_tx_aborted", None), ("n_dl1_success", None), ("n_dl1_aborted", None),
+                 ("n_dl2_success", None), ("n_dl2_aborted", None),
+                 ("pdr", f_val), ("pdl1", f_val), ("pdl2", f_val)),
+    "chain": (("granularity", None), ("m_s", f_time), ("threshold", f_val),
+              ("pdr", f_val), ("pdl1", f_val), ("pdl2", f_val)),
+    "sweep": (("axis", None), ("value", f_val), ("m_s", f_time), ("engine", None),
+              ("pdr", f_val), ("pdl1", f_val), ("pdl2", f_val), ("feasible", int)),
+    "min-cap": (("sf", None), ("ul_payload_bytes", None), ("dl_payload_bytes", None),
+                ("dl_case", None), ("power_w", f_val), ("min_capacitance_f", f_val)),
+    "min-interval": (("capacitance_f", f_val), ("power_w", f_val), ("dl_case", None),
+                     ("min_interval_s", f_time)),
+    "wakeup": (("capacitance_f", f_val), ("power_w", f_val), ("threshold", f_val),
+               ("wakeup_s", f_time)),
+    "accuracy": (("case", None), ("m_class", None), ("m_s", f_time), ("p1", f_val),
+                 ("p2", f_val), ("threshold", f_val), ("granularity", None),
+                 ("pdr_sim", f_val), ("pdr_mc", f_val), ("abs_error", f_val),
+                 ("chain_seconds", f_val)),
+}
 
 
 def _parse_values(text: str, option: str) -> list[float]:
@@ -125,22 +141,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, command: str, rows: list[dict]) -> None:
-    header = HEADERS[command]
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path!r}: {exc.strerror}")
+
+
+def _emit(args, command: str, rows: Iterable, summary: Sequence[str] = ()) -> None:
+    """Write `rows` in the command's columns, as CSV or with --json as a JSON
+    array, to --out or stdout; then print the summary lines, unless stdout
+    carries the JSON."""
+    table = []
     for row in rows:
-        if tuple(row) != header:
-            raise RuntimeError(f"row fields {tuple(row)} do not match the {command} header")
+        record = {}
+        for name, fmt, *get in COLUMNS[command]:
+            if get:
+                value = get[0](row)
+            else:
+                value = row[name] if isinstance(row, dict) else getattr(row, name)
+            record[name] = value if fmt is None else fmt(value)
+        table.append(record)
     if args.json:
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps(table, indent=2) + "\n"
     else:
-        lines = [",".join(header)]
-        lines += [",".join(str(row[key]) for key in header) for row in rows]
+        lines = [",".join(name for name, *_ in COLUMNS[command])]
+        lines += [",".join(map(str, record.values())) for record in table]
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
+    if args.out or not args.json:
+        for line in summary:
+            print(line)
 
 
 def _load(args) -> LoadedScenario:
@@ -267,11 +302,9 @@ def _cmd_airtime(args) -> int:
                         n_preamble=args.n_preamble, ih=args.ih, de=args.de)
     toa = time_on_air(radio, args.pl)
     if args.out or args.json:
-        _emit(args, "airtime", [{
-            "sf": args.sf, "bw_hz": f_val(args.bw), "payload_bytes": args.pl,
-            "time_on_air_s": f_time(toa),
-        }])
-    if not args.json or args.out:
+        _emit(args, "airtime", [{"sf": args.sf, "bw_hz": args.bw, "payload_bytes": args.pl,
+                                 "time_on_air_s": toa}], [f_time(toa)])
+    else:
         print(f_time(toa))
     return 0
 
@@ -287,19 +320,17 @@ def _cmd_trace(args) -> int:
     else:
         _, points = run_simulation(scenario, seed=args.seed, n_scheduled=args.n,
                                    trace=True)
-    rows = [{"time_s": f_time(p.time), "voltage_v": f_val(p.voltage),
-             "state": str(p.device_state)} for p in points]
-    _emit(args, "trace", rows)
+    _emit(args, "trace", points)
     return 0
 
 
+def _ratios(result) -> str:
+    return f"pdr={f_val(result.pdr)} pdl1={f_val(result.pdl1)} pdl2={f_val(result.pdl2)}"
+
+
 def _cmd_simulate(args) -> int:
-    loaded = _load(args)
-    stats, _ = run_simulation(loaded.scenario, seed=args.seed, n_scheduled=args.n)
-    row = {key: getattr(stats, key) for key in HEADERS["simulate"][:8]}
-    row.update(pdr=f_val(stats.pdr), pdl1=f_val(stats.pdl1), pdl2=f_val(stats.pdl2))
-    _emit(args, "simulate", [row])
-    print(f"pdr={f_val(stats.pdr)} pdl1={f_val(stats.pdl1)} pdl2={f_val(stats.pdl2)}")
+    stats, _ = run_simulation(_load(args).scenario, seed=args.seed, n_scheduled=args.n)
+    _emit(args, "simulate", [stats], [_ratios(stats)])
     return 0
 
 
@@ -308,42 +339,30 @@ def _cmd_chain(args) -> int:
     scenario = loaded.scenario
     tm = build_transition_matrix(scenario, loaded.granularity)
     if args.dump_matrix:
-        with open(args.dump_matrix, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("src_kind,src_level,dst_kind,dst_level,prob\n")
-            for line in tm.coordinate_lines():
-                handle.write(line + "\n")
-    pi = stationary_distribution(tm)
-    result = chain_metrics(pi, tm, strict_rx2_threshold=args.strict_rx2)
-    threshold = scenario.circuit.v_sl / scenario.circuit.operating_voltage
+        _write(args.dump_matrix, "src_kind,src_level,dst_kind,dst_level,prob\n"
+               + "".join(line + "\n" for line in tm.coordinate_lines()))
+    result = chain_metrics(stationary_distribution(tm), tm, strict_rx2_threshold=args.strict_rx2)
     _emit(args, "chain", [{
-        "granularity": loaded.granularity,
-        "m_s": f_time(scenario.interval_m),
-        "threshold": f_val(threshold),
-        "pdr": f_val(result.pdr),
-        "pdl1": f_val(result.pdl1),
-        "pdl2": f_val(result.pdl2),
-    }])
-    print(f"pdr={f_val(result.pdr)} pdl1={f_val(result.pdl1)} pdl2={f_val(result.pdl2)}")
+        "granularity": loaded.granularity, "m_s": scenario.interval_m,
+        "threshold": scenario.circuit.v_sl / scenario.circuit.operating_voltage,
+        "pdr": result.pdr, "pdl1": result.pdl1, "pdl2": result.pdl2,
+    }], [_ratios(result)])
     return 0
 
 
 def _cmd_sweep(args) -> int:
     loaded = _load(args)
-    spec = SweepSpec(
-        scenario=loaded.scenario,
+    _emit(args, "sweep", threshold_sweep(
+        loaded.scenario,
         axis=args.axis,
-        values=tuple(_parse_values(args.values, "--values")),
-        m_values=() if args.m_grid is None else tuple(_parse_values(args.m_grid, "--m")),
+        values=_parse_values(args.values, "--values"),
+        m_values=() if args.m_grid is None else _parse_values(args.m_grid, "--m"),
         granularity=loaded.granularity,
         n_scheduled=args.n,
-        seeds=tuple(_parse_ints(args.seeds, "--seeds")),
-    )
-    rows = threshold_sweep(spec, engine=args.engine, jobs=args.jobs)
-    _emit(args, "sweep", [{
-        "axis": r.axis, "value": f_val(r.value), "m_s": f_time(r.m_s),
-        "engine": r.engine, "pdr": f_val(r.pdr), "pdl1": f_val(r.pdl1),
-        "pdl2": f_val(r.pdl2), "feasible": int(r.feasible),
-    } for r in rows])
+        seeds=_parse_ints(args.seeds, "--seeds"),
+        engine=args.engine,
+        jobs=args.jobs,
+    ))
     return 0
 
 
@@ -352,12 +371,10 @@ def _cmd_min_cap(args) -> int:
 
     def row(cell):
         sf, power = cell.point
-        return {
-            "sf": sf, "ul_payload_bytes": cell.scenario.ul_pl,
-            "dl_payload_bytes": cell.scenario.dl_pl, "dl_case": args.dl_case,
-            "power_w": f_val(power),
-            "min_capacitance_f": f_val(min_capacitance(cell.scenario, args.dl_case)),
-        }
+        return {"sf": sf, "ul_payload_bytes": cell.scenario.ul_pl,
+                "dl_payload_bytes": cell.scenario.dl_pl, "dl_case": args.dl_case,
+                "power_w": power,
+                "min_capacitance_f": min_capacitance(cell.scenario, args.dl_case)}
 
     _emit(args, "min-cap", evaluate_grid(base, [
         ("sf", _parse_ints(args.sf, "--sf")),
@@ -378,10 +395,8 @@ def _cmd_min_interval(args) -> int:
 
     def row(cell):
         c, power = cell.point
-        return {
-            "capacitance_f": f_val(c), "power_w": f_val(power), "dl_case": args.dl_case,
-            "min_interval_s": f_time(min_tx_interval(cell.scenario, args.dl_case)),
-        }
+        return {"capacitance_f": c, "power_w": power, "dl_case": args.dl_case,
+                "min_interval_s": min_tx_interval(cell.scenario, args.dl_case)}
 
     _emit(args, "min-interval", evaluate_grid(base, _sizing_axes(args, base), row))
     return 0
@@ -392,10 +407,8 @@ def _cmd_wakeup(args) -> int:
 
     def row(cell):
         c, power, threshold = cell.point
-        return {
-            "capacitance_f": f_val(c), "power_w": f_val(power), "threshold": f_val(threshold),
-            "wakeup_s": f_time(wakeup_time(cell.scenario.circuit)),
-        }
+        return {"capacitance_f": c, "power_w": power, "threshold": threshold,
+                "wakeup_s": wakeup_time(cell.scenario.circuit)}
 
     axes = _sizing_axes(args, base) + [("threshold",
                                         _parse_values(args.thresholds, "--thresholds"))]
@@ -404,9 +417,8 @@ def _cmd_wakeup(args) -> int:
 
 
 def _cmd_accuracy(args) -> int:
-    loaded = _load(args)
     rows = accuracy_study(
-        loaded.scenario,
+        _load(args).scenario,
         cases=tuple(args.cases),
         m_classes=tuple(args.m_classes.split(",")),
         thresholds=tuple(_parse_values(args.thresholds, "--thresholds")),
@@ -415,17 +427,10 @@ def _cmd_accuracy(args) -> int:
         seeds=tuple(_parse_ints(args.seeds, "--seeds")),
         jobs=args.jobs,
     )
-    _emit(args, "accuracy", [{
-        "case": r.case_id, "m_class": r.m_class, "m_s": f_time(r.m_s),
-        "p1": f_val(r.p1), "p2": f_val(r.p2), "threshold": f_val(r.threshold),
-        "granularity": r.granularity, "pdr_sim": f_val(r.pdr_sim),
-        "pdr_mc": f_val(r.pdr_mc), "abs_error": f_val(r.abs_error),
-        "chain_seconds": f_val(r.chain_seconds),
-    } for r in rows])
-    for s in accuracy_summary(rows):
-        print(f"threshold={f_val(s.threshold)} granularity={s.granularity} "
-              f"cells={s.n_cells} p50={f_val(s.p50)} p90={f_val(s.p90)} "
-              f"max={f_val(s.max)}")
+    _emit(args, "accuracy", rows, [
+        f"threshold={f_val(s.threshold)} granularity={s.granularity} cells={s.n_cells} "
+        f"p50={f_val(s.p50)} p90={f_val(s.p90)} max={f_val(s.max)}"
+        for s in accuracy_summary(rows)])
     return 0
 
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from caplora.characterize import (
-    SweepSpec,
     accuracy_study,
     edit_scenario,
     min_capacitance,
@@ -49,12 +48,11 @@ def _warmup_allowance(scenario, threshold: float, interval: float) -> float:
 
 
 def _sweep(interval, p1=0.0, p2=0.0, c_farads=4.7e-3):
-    spec = SweepSpec(
-        scenario=make_scenario(interval_m=interval, p1=p1, p2=p2, c_farads=c_farads),
+    return threshold_sweep(
+        make_scenario(interval_m=interval, p1=p1, p2=p2, c_farads=c_farads),
         axis="threshold", values=THRESHOLD_GRID,
-        n_scheduled=N_TX, seeds=SEEDS,
+        n_scheduled=N_TX, seeds=SEEDS, engine="simulator",
     )
-    return threshold_sweep(spec, engine="simulator")
 
 
 def test_criterion_1_airtime_oracle_equivalence():
@@ -116,27 +114,27 @@ def test_criterion_5a_rx1_every_8s_any_threshold():
     rows = _sweep(8.0, p1=1.0)
     base = make_scenario(interval_m=8.0)
     for row in rows:
-        allowance = _warmup_allowance(base, row.value, 8.0)
-        assert row.pdr + allowance >= 1.0, f"pdr {row.pdr} at threshold {row.value}"
-        assert row.pdl1 + allowance >= 1.0, f"pdl1 {row.pdl1} at threshold {row.value}"
+        allowance = _warmup_allowance(base, row["value"], 8.0)
+        assert row["pdr"] + allowance >= 1.0, f"pdr {row['pdr']} at threshold {row['value']}"
+        assert row["pdl1"] + allowance >= 1.0, f"pdl1 {row['pdl1']} at threshold {row['value']}"
     _report("5a rx1-every-8s", f"pdr/pdl1 = 1 at all {len(rows)} thresholds")
 
 
 def test_criterion_5b_uplink_every_9s_needs_low_threshold():
     rows = _sweep(9.0)
     base = make_scenario(interval_m=9.0)
-    winners = [r.value for r in rows
-               if 0.56 <= r.value <= 0.60
-               and r.pdr + _warmup_allowance(base, r.value, 9.0) >= 1.0]
+    winners = [r["value"] for r in rows
+               if 0.56 <= r["value"] <= 0.60
+               and r["pdr"] + _warmup_allowance(base, r["value"], 9.0) >= 1.0]
     assert winners, "no threshold in [0.56, 0.60] sustains every-9s uplinks"
-    at_98 = next(r for r in rows if r.value == 0.98)
-    assert at_98.pdr < 0.9
-    _report("5b every-9s", f"thresholds {winners} reach pdr=1; pdr@0.98={at_98.pdr:.3f}")
+    at_98 = next(r for r in rows if r["value"] == 0.98)
+    assert at_98["pdr"] < 0.9
+    _report("5b every-9s", f"thresholds {winners} reach pdr=1; pdr@0.98={at_98['pdr']:.3f}")
 
 
 def test_criterion_5c_no_window2_downlink_at_4p7mf():
     rows = _sweep(9.0, p2=1.0)
-    worst = max(r.pdl2 for r in rows)
+    worst = max(r["pdl2"] for r in rows)
     assert worst == 0.0
     _report("5c rx2-starved", f"pdl2 = 0 at all {len(rows)} thresholds")
 
@@ -144,11 +142,12 @@ def test_criterion_5c_no_window2_downlink_at_4p7mf():
 def test_criterion_5d_47mf_carries_window2_at_60s():
     rows = _sweep(60.0, p2=1.0, c_farads=47e-3)
     base = make_scenario(interval_m=60.0, c_farads=47e-3)
-    best = max(rows, key=lambda r: min(r.pdr, r.pdl2))
-    allowance = _warmup_allowance(base, best.value, 60.0)
-    assert best.pdr + allowance >= 1.0
-    assert best.pdl2 + allowance >= 1.0
-    _report("5d 47mF-rx2", f"threshold {best.value}: pdr={best.pdr:.3f} pdl2={best.pdl2:.3f}")
+    best = max(rows, key=lambda r: min(r["pdr"], r["pdl2"]))
+    allowance = _warmup_allowance(base, best["value"], 60.0)
+    assert best["pdr"] + allowance >= 1.0
+    assert best["pdl2"] + allowance >= 1.0
+    _report("5d 47mF-rx2",
+            f"threshold {best['value']}: pdr={best['pdr']:.3f} pdl2={best['pdl2']:.3f}")
 
 
 def _accuracy_smoke(thresholds, granularities):
@@ -164,18 +163,18 @@ def test_criterion_6_chain_vs_simulator_accuracy():
     t0 = time.perf_counter()
     rows_70 = _accuracy_smoke((0.70,), (100, 500, 750))
     for g in (100, 500, 750):
-        cells = [r for r in rows_70 if r.granularity == g]
-        good = sum(1 for r in cells if r.abs_error < 0.01)
+        cells = [r for r in rows_70 if r["granularity"] == g]
+        good = sum(1 for r in cells if r["abs_error"] < 0.01)
         assert good >= math.ceil(0.9 * len(cells)), \
             f"g={g}: only {good}/{len(cells)} cells under 0.01"
     rows_96 = _accuracy_smoke((0.96,), (1000,))
-    good_96 = sum(1 for r in rows_96 if r.abs_error < 0.03)
+    good_96 = sum(1 for r in rows_96 if r["abs_error"] < 0.03)
     assert good_96 >= math.ceil(0.9 * len(rows_96)), \
         f"only {good_96}/{len(rows_96)} cells under 0.03"
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
-    worst_70 = max(r.abs_error for r in rows_70)
-    worst_96 = max(r.abs_error for r in rows_96)
+    worst_70 = max(r["abs_error"] for r in rows_70)
+    worst_96 = max(r["abs_error"] for r in rows_96)
     _report("6 chain-accuracy",
             f"thr 0.70: worst {worst_70:.4f} over {len(rows_70)} cells; "
             f"thr 0.96/g1000: worst {worst_96:.4f}; smoke grid in {elapsed:.0f} s")

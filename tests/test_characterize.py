@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from caplora import characterize, defaults
 from caplora.characterize import (
-    SweepSpec,
     accuracy_study,
     accuracy_summary,
     edit_scenario,
@@ -340,7 +339,7 @@ class TestMinTxInterval:
 
 class TestThresholdSweep:
     def test_rows_cover_grid_in_order(self):
-        spec = SweepSpec(
+        spec = dict(
             scenario=make_scenario(interval_m=9.0),
             axis="threshold",
             values=(0.56, 0.60, 0.70),
@@ -348,13 +347,13 @@ class TestThresholdSweep:
             n_scheduled=200,
             seeds=(1,),
         )
-        rows = threshold_sweep(spec, engine="both")
+        rows = threshold_sweep(**spec, engine="both")
         assert len(rows) == 3 * 2 * 2
-        assert [r.value for r in rows[:4]] == [0.56, 0.56, 0.56, 0.56]
-        assert {r.engine for r in rows} == {"simulator", "chain"}
+        assert [r["value"] for r in rows[:4]] == [0.56, 0.56, 0.56, 0.56]
+        assert {r["engine"] for r in rows} == {"simulator", "chain"}
 
     def test_engines_agree_on_easy_grid(self):
-        spec = SweepSpec(
+        spec = dict(
             scenario=make_scenario(ul_pl=8, interval_m=40.0),
             axis="threshold",
             values=(0.60, 0.70),
@@ -363,28 +362,28 @@ class TestThresholdSweep:
             n_scheduled=500,
             seeds=(1,),
         )
-        rows = threshold_sweep(spec, engine="both")
-        sim = {r.value: r.pdr for r in rows if r.engine == "simulator"}
-        chain = {r.value: r.pdr for r in rows if r.engine == "chain"}
+        rows = threshold_sweep(**spec, engine="both")
+        sim = {r["value"]: r["pdr"] for r in rows if r["engine"] == "simulator"}
+        chain = {r["value"]: r["pdr"] for r in rows if r["engine"] == "chain"}
         for threshold, pdr_sim in sim.items():
             assert abs(pdr_sim - chain[threshold]) < 0.01
 
     def test_infeasible_threshold_flagged(self):
         # 99.9% of E is beyond the 1 mW charging ceiling; the cell must
         # come back as an infeasible pdr = 0 row, not an exception.
-        spec = SweepSpec(
+        spec = dict(
             scenario=make_scenario(interval_m=9.0),
             axis="threshold",
             values=(0.58, 0.999),
             n_scheduled=100,
             seeds=(1,),
         )
-        rows = threshold_sweep(spec, engine="simulator")
-        by_value = {r.value: r for r in rows}
-        assert by_value[0.58].feasible
-        assert not by_value[0.999].feasible
-        assert by_value[0.999].pdr == 0.0
-        assert by_value[0.999].m_s == 9.0
+        rows = threshold_sweep(**spec, engine="simulator")
+        by_value = {r["value"]: r for r in rows}
+        assert by_value[0.58]["feasible"]
+        assert not by_value[0.999]["feasible"]
+        assert by_value[0.999]["pdr"] == 0.0
+        assert by_value[0.999]["m_s"] == 9.0
 
     @pytest.mark.parametrize("axis,values", [
         ("granularity", (0, 750)),
@@ -399,21 +398,21 @@ class TestThresholdSweep:
         monkeypatch.setattr(characterize, "solve_chain", no_run)
         monkeypatch.setattr(characterize, "run_simulation", no_run)
         # The invalid value sorts first; a valid one follows it.
-        spec = SweepSpec(scenario=make_scenario(interval_m=40.0), axis=axis,
-                         values=values, granularity=100, n_scheduled=50, seeds=(1,))
+        spec = dict(scenario=make_scenario(interval_m=40.0), axis=axis,
+                    values=values, granularity=100, n_scheduled=50, seeds=(1,))
         with pytest.raises(ScenarioError):
-            threshold_sweep(spec, engine="both")
+            threshold_sweep(**spec, engine="both")
 
     def test_parallel_matches_serial(self):
-        spec = SweepSpec(
+        spec = dict(
             scenario=make_scenario(interval_m=9.0),
             axis="capacitance",
             values=(2e-3, 4.7e-3, 10e-3),
             n_scheduled=150,
             seeds=(1, 2),
         )
-        assert threshold_sweep(spec, "simulator", jobs=2) == \
-            threshold_sweep(spec, "simulator", jobs=1)
+        assert threshold_sweep(**spec, engine="simulator", jobs=2) == \
+            threshold_sweep(**spec, engine="simulator", jobs=1)
 
     def test_axis_editing(self):
         scenario = make_scenario(interval_m=9.0)
@@ -464,10 +463,10 @@ class TestSimulateMean:
         assert characterize._simulate_mean(scenario, self.SEEDS, 300) == want
 
     def test_simulator_sweep_needs_a_seed(self):
-        spec = SweepSpec(scenario=make_scenario(), axis="threshold", values=(0.7,), seeds=())
+        spec = dict(scenario=make_scenario(), axis="threshold", values=(0.7,), seeds=())
         with pytest.raises(ScenarioError, match="seed"):
-            threshold_sweep(spec, engine="both")
-        assert len(threshold_sweep(spec, engine="chain")) == 1
+            threshold_sweep(**spec, engine="both")
+        assert len(threshold_sweep(**spec, engine="chain")) == 1
 
 
 class TestAccuracyStudy:
@@ -479,18 +478,18 @@ class TestAccuracyStudy:
             granularities=(200,), n_scheduled=300, seeds=(1,))
         assert len(rows) == 1
         row = rows[0]
-        assert row.case_id == "A" and row.m_s == 40.0
-        assert row.abs_error == pytest.approx(abs(row.pdr_sim - row.pdr_mc))
-        assert row.abs_error < 0.01
-        assert row.chain_seconds > 0
+        assert row["case"] == "A" and row["m_s"] == 40.0
+        assert row["abs_error"] == pytest.approx(abs(row["pdr_sim"] - row["pdr_mc"]))
+        assert row["abs_error"] < 0.01
+        assert row["chain_seconds"] > 0
         summary = accuracy_summary(rows)
         assert len(summary) == 1
         assert summary[0].n_cells == 1
-        assert summary[0].max == row.abs_error
+        assert summary[0].max == row["abs_error"]
 
     def test_parallel_matches_serial(self):
         def without_timing(rows):
-            return [dataclasses.replace(row, chain_seconds=0.0) for row in rows]
+            return [{**row, "chain_seconds": 0.0} for row in rows]
 
         kwargs = dict(cases=("A", "D"), m_classes=("small", "very_high"),
                       p_combos=((0.0, 0.0), (0.0, 1.0)), thresholds=(0.6, 0.7),

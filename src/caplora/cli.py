@@ -2,11 +2,12 @@
 
 Every subcommand emits one table in the columns COLUMNS declares for it:
 CSV on stdout by default, --out FILE to write a file, --json for a JSON
-array instead.  `simulate` and `chain` also print a one-line
-`pdr=... pdl1=... pdl2=...` summary and `accuracy` its error percentiles,
-except when stdout carries the JSON.  Exit codes: 0 success, 2 invalid
-configuration or arguments or an output path that cannot be written,
-3 physically infeasible request.
+array instead; `airtime` prints only its seconds value unless --out or
+--json is given.  `simulate` and `chain` also print a one-line
+`pdr=... pdl1=... pdl2=...` summary, `accuracy` its error percentiles and
+`airtime` its seconds value, except when stdout carries the JSON.
+Exit codes: 0 success, 2 invalid configuration or arguments or an output
+path that cannot be written, 3 physically infeasible request.
 
 Numeric formatting is fixed so outputs are stable: times use 9
 significant digits, voltages and probabilities 6.

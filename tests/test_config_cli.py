@@ -523,6 +523,8 @@ GOLDEN_CALLS = {
                                    "--dl-case", "rx2"],
     "wakeup_parasitic.csv": ["wakeup", "--scenario", PARASITIC, "--capacitance", "0.0047,1",
                              "--power", "0.1", "--thresholds", "0.56,0.7"],
+    "min_cap_parasitic.csv": ["min-cap", "--scenario", PARASITIC, "--sf", "7,9,11",
+                              "--ul-pl", "48", "--dl-pl", "48", "--dl-case", "rx2"],
 }
 # Engines: the README simulate and chain examples, a small two-engine sweep
 # and a single-cycle trace.

@@ -32,11 +32,10 @@ from .timing import (
     time_on_air,
 )
 from .simulator import (
+    CycleCheck,
     Scenario,
     SimStats,
     TracePoint,
-    cycle_table,
-    run_cycle,
     run_simulation,
     single_cycle_trace,
 )

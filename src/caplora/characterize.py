@@ -14,14 +14,16 @@ solve's wall time.  A sweep turns an InfeasibleScenario into a
 feasible = False row; the accuracy study lets it propagate.
 
 The capacitance/interval analyses run the analytic uplink/downlink cycle
-(simulator.cycle_table and the trace-free simulator.run_cycle, the walk
-behind single_cycle_trace) and search its feasibility boundary by
-bisection.  min_capacitance asks only "does the cycle complete from the
-charging ceiling", one cycle per trial capacitance, bisected to 0.01 mF by
-default; min_tx_interval also needs the start voltage, bisected to 0.1 mV,
-and adds the Off phase's charge time to the cycle table's durations.
-wakeup_time is the Off phase's charge time to the circuit's wake target,
-the same helper the Markov chain wakes with.
+of single_cycle_trace through simulator.CycleCheck, compiled once per
+grid cell, and search its feasibility boundary by bisection.
+min_capacitance asks only "does the cycle complete from the charging
+ceiling", bisected to 0.01 mF by default; a trial capacitance costs one
+trace-free pass over the check's table of C-independent phase constants,
+with each phase's tau formed from the trial value, and no circuit or
+phase is rebuilt.  min_tx_interval also needs the start voltage,
+bisected to 0.1 mV, and adds the Off phase's charge time to the cycle's
+durations.  wakeup_time is the Off phase's charge time to the circuit's
+wake target, the same helper the Markov chain wakes with.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import defaults
-from .energy import CircuitConfig, DeviceState, DeviceThresholds, Phase, compile_phase, wake_time
+from .energy import CircuitConfig, DeviceState, DeviceThresholds, compile_phase, wake_time
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from .markov import solve_chain
-from .simulator import Scenario, cycle_table, run_cycle, run_simulation
+from .simulator import CycleCheck, Scenario, run_simulation
 
 DL_CASES = ("none", "rx1", "rx2")
 
@@ -151,15 +153,14 @@ def required_cycle_voltage(scenario: Scenario, dl_case: str = "none",
     Bisects between the turn-off voltage and the charging ceiling; None
     when even a capacitor charged to the ceiling cannot fund the cycle.
     """
-    circuit = scenario.circuit
-    return _start_voltage(circuit, cycle_table(circuit, scenario.schedule, dl_case), tol_v)
+    return _start_voltage(CycleCheck(scenario.circuit, scenario.schedule, dl_case), tol_v)
 
 
-def _start_voltage(circuit: CircuitConfig, phases: Sequence[Phase],
+def _start_voltage(cycle: CycleCheck,
                    tol_v: float = defaults.CYCLE_VOLTAGE_TOL_V) -> float | None:
-    """required_cycle_voltage over the compiled cycle `phases`."""
-    return _bisect(lambda v: run_cycle(circuit, phases, v)[1],
-                   circuit.v_min, _ceiling_start(circuit), tol_v)
+    """required_cycle_voltage over a compiled cycle check."""
+    circuit = cycle.circuit
+    return _bisect(lambda v: cycle.run(v)[1], circuit.v_min, _ceiling_start(circuit), tol_v)
 
 
 def _bisect(holds: Callable[[float], bool], lo: float, hi: float,
@@ -187,19 +188,12 @@ def min_capacitance(scenario: Scenario, dl_case: str = "none",
 
     A cycle is feasible from some start voltage exactly when it completes
     from the charging ceiling (the top of required_cycle_voltage's
-    bracket), so each trial capacitance costs one trace-free cycle there.
-    A trial replaces only the circuit's capacitor and compiles only the
-    cycle's phases against the scenario's schedule.
+    bracket), so each trial capacitance costs one trace-free cycle there,
+    run by one CycleCheck at the trial capacitance.
     """
-    circuit, sched = scenario.circuit, scenario.schedule
-    v_start = _ceiling_start(circuit)  # the ceiling does not depend on C
-
-    def feasible(c: float) -> bool:
-        trial = dataclasses.replace(
-            circuit, capacitor=dataclasses.replace(circuit.capacitor, capacitance=c))
-        return run_cycle(trial, cycle_table(trial, sched, dl_case), v_start)[1]
-
-    c = _bisect(feasible, lo_f, hi_f, tol_f)
+    cycle = CycleCheck(scenario.circuit, scenario.schedule, dl_case)
+    v_start = _ceiling_start(scenario.circuit)  # the ceiling does not depend on C
+    c = _bisect(lambda c: cycle.run(v_start, c)[1], lo_f, hi_f, tol_f)
     if c is None:
         raise NoFeasibleCapacitance(
             f"even {hi_f} F cannot complete the {dl_case} cycle at "
@@ -213,15 +207,15 @@ def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:
     cycle and turns off right after: charge time from the turn-off voltage
     to the cycle's required start voltage, plus the cycle (summed left to right)."""
     circuit = scenario.circuit
-    phases = cycle_table(circuit, scenario.schedule, dl_case)
-    v_star = _start_voltage(circuit, phases)
+    cycle = CycleCheck(circuit, scenario.schedule, dl_case)
+    v_star = _start_voltage(cycle)
     if v_star is None:
         raise InfeasibleScenario(
             f"C = {circuit.capacitor.capacitance} F cannot complete "
             f"the {dl_case} cycle at {circuit.harvester.harvest_power} W"
         )
     t_charge = compile_phase(circuit, DeviceState.OFF).cross(circuit.v_min, v_star)
-    return t_charge + reduce(add, (phase.duration for phase in phases), 0.0)
+    return t_charge + reduce(add, (duration for _, duration in cycle.phases), 0.0)
 
 
 def wakeup_time(circuit: CircuitConfig) -> float:

@@ -15,7 +15,9 @@ during any device state it follows a single exponential
     v_C(t) = L + (v_C(0) - L) * exp(-t / tau)
 
 with ratio = EPR / (EPR + R_eq + ESR), tau = (R_eq + ESR) * C * ratio and
-L = V_th * ratio.  The load sees the affine map v_L = a * v_C + b with
+L = V_th * ratio.  Only tau depends on C (time_constant is its one
+definition), so a sizing search can try a capacitance without rebuilding
+the circuit.  The load sees the affine map v_L = a * v_C + b with
 a = R_eq / (R_eq + ESR) and b = V_th * ESR / (R_eq + ESR).  The device
 thresholds are judged on v_L, so each state has a turn-off capacitor
 voltage v_off = (v_min - b) / a, and the device wakes when the Off-state
@@ -164,17 +166,26 @@ class DeviceThresholds:
             )
 
 
+def time_constant(r_series: float, c: float, ratio: float) -> float:
+    """tau = (R_eq + ESR) * C * ratio of one state, r_series = R_eq + ESR,
+    multiplied in that order so that every caller gets the same float."""
+    return r_series * c * ratio
+
+
 @dataclass(frozen=True)
 class _StateParams:
     """Precomputed per-state constants: the capacitor exponential and the
-    affine map from capacitor to load voltage."""
+    affine map from capacitor to load voltage.  Only tau depends on C."""
 
     r_eq: float
-    tau: float        # (R_eq + ESR) * C * ratio
+    r_series: float   # R_eq + ESR
+    ratio: float      # EPR / (EPR + R_eq + ESR), 1 without leakage
+    tau: float        # time_constant(r_series, C, ratio)
     v_limit: float    # asymptote of v_C: E * R_eq / r_i * ratio
     a: float          # load voltage v_L = a * v_C + b
     b: float
     v_off: float      # v_C at which the load sees v_min: (v_min - b) / a
+    v_guard: float    # math.inf when the state decays below v_off, else v_off
 
 
 @dataclass(frozen=True)
@@ -202,13 +213,16 @@ class CircuitConfig:
         params = {}
         for state in DeviceState:
             r_eq = equivalent_resistance(self.loads.resistance(state), r_i)
+            r_series = r_eq + esr
             ratio = 1.0 if math.isinf(epr) else epr / (epr + r_eq + esr)
             v_th = e * r_eq / r_i
-            a = r_eq / (r_eq + esr)
-            b = v_th * esr / (r_eq + esr)
-            params[state] = _StateParams(r_eq=r_eq, tau=(r_eq + esr) * c * ratio,
-                                         v_limit=v_th * ratio, a=a, b=b,
-                                         v_off=(self.thresholds.v_min - b) / a)
+            a = r_eq / r_series
+            b = v_th * esr / r_series
+            v_limit, v_off = v_th * ratio, (self.thresholds.v_min - b) / a
+            params[state] = _StateParams(
+                r_eq=r_eq, r_series=r_series, ratio=ratio,
+                tau=time_constant(r_series, c, ratio), v_limit=v_limit, a=a, b=b,
+                v_off=v_off, v_guard=math.inf if v_limit < v_off else v_off)
         object.__setattr__(self, "_params", params)
         for state in (DeviceState.OFF, DeviceState.SLEEP, DeviceState.IDLE):
             p = params[state]
@@ -356,8 +370,7 @@ def compile_phase(circuit: CircuitConfig, state: DeviceState,
     else:
         after = partial(_step, p.v_limit, math.exp(-duration / p.tau))
         cross = partial(_off_time, p.v_limit, p.tau, p.v_off)
-    v_guard = math.inf if p.v_limit < p.v_off else p.v_off
-    return Phase(state, duration, p.v_off, v_guard, after, cross)
+    return Phase(state, duration, p.v_off, p.v_guard, after, cross)
 
 
 def wake_time(off: Phase, v: float, v_on: float) -> float:

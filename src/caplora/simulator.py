@@ -18,12 +18,18 @@ Scenario.phases): the seven timed Class A phases of its schedule plus
 the Off and Sleep recharge states, each an energy.Phase whose decay
 factor is fixed up front, addressed by slot ('tx', 'idle1', 'listen1',
 'rx1', 'idle2', 'listen2', 'rx2', 'off', 'sleep'); the Markov chain
-quantizes the same table.  run_simulation, single_cycle_trace and its
-trace-free twin run_cycle share one walk over compiled phases; its
-results are bit-identical to stepping with voltage_after and
-time_to_voltage, and the draw order below is unchanged by it.
-cycle_table compiles just one analytic cycle's phases, in cycle order,
-for the sizing searches; it is the one listing of that cycle.
+quantizes the same table.  run_simulation and single_cycle_trace share
+one walk over compiled phases; its results are bit-identical to stepping
+with voltage_after and time_to_voltage, and the draw order below is
+unchanged by it.
+
+The sizing searches try many capacitances on one analytic cycle, and a
+capacitance changes only each state's tau.  CycleCheck fixes everything
+else of the cycle once (asymptotes, turn-off voltages, guards and
+durations); a trial then forms tau = (R_eq + ESR) * C * ratio in
+energy's operation order and steps each phase by the walk's rule, trace
+free, so it answers exactly what single_cycle_trace answers on a circuit
+rebuilt at that capacitance, with no circuit, schedule or Phase built.
 
 Settling.  With the trace off, run_simulation stops stepping voltages
 once every cycle's outcome is fixed.  Each reachable branch (rx1 if
@@ -65,9 +71,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
-from .energy import CircuitConfig, DeviceState, Phase, compile_phase, wake_time
+from .energy import (CircuitConfig, DeviceState, Phase, _off_time, _step, compile_phase,
+                     time_constant, wake_time)
 from .errors import ScenarioError
 from .timing import RadioConfig, TimingSchedule, class_a_schedule, min_interval_bound
 
@@ -418,18 +424,6 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     return stats, (walk.points or [])
 
 
-def cycle_table(circuit: CircuitConfig, sched: TimingSchedule,
-                dl_case: str) -> tuple[Phase, ...]:
-    """Compile only the phases of the analytic cycle for one dl_case, in
-    cycle order, for `circuit` against an existing schedule.
-
-    A downlink replaces its listening window: 'rx1' receives right after
-    the first idle second (and the cycle ends there), 'rx2' receives in
-    place of the second listening window, 'none' listens through both.
-    """
-    return tuple(compile_phase(circuit, *_slot(sched, slot)) for slot in _cycle(dl_case))
-
-
 def _cycle(dl_case: str) -> tuple[str, ...]:
     try:
         return _CYCLES[dl_case]
@@ -438,26 +432,53 @@ def _cycle(dl_case: str) -> tuple[str, ...]:
             f"dl_case must be 'none', 'rx1' or 'rx2', got {dl_case!r}") from None
 
 
-def _cycle_walk(circuit: CircuitConfig, phases: Sequence[Phase], v_start: float,
-                trace: bool) -> tuple[_Walk, bool]:
-    """Walk the compiled cycle `phases` from v_start; (walk, completed)."""
+def _check_start(circuit: CircuitConfig, v_start: float) -> None:
     if not circuit.v_min <= v_start <= circuit.operating_voltage:
         raise ScenarioError(
             f"v_start must lie in [{circuit.v_min}, {circuit.operating_voltage}], got {v_start}"
         )
-    walk = _Walk(circuit, v_start, off=False, trace=trace)
-    return walk, all(walk.phase(phase) for phase in phases)
 
 
-def run_cycle(circuit: CircuitConfig, phases: Sequence[Phase],
-              v_start: float) -> tuple[float, bool]:
-    """single_cycle_trace without the trace, over phases from cycle_table.
+class CycleCheck:
+    """single_cycle_trace's analytic cycle without the trace, at any capacitance.
 
-    Returns (final_voltage, completed); completed is False when the
-    capacitor touched the turn-off voltage anywhere in the cycle.
+    A downlink replaces its listening window: 'rx1' receives right after
+    the first idle second (and the cycle ends there), 'rx2' receives in
+    place of the second listening window, 'none' listens through both;
+    `phases` lists the cycle's (state, duration) pairs in order.  A trial
+    capacitance changes only each phase's tau, so everything else (the
+    asymptote, turn-off voltage and guard of each state, and the
+    durations) is fixed here once.  run() forms tau with
+    energy.time_constant and steps each phase with energy's _off_time and
+    _step by _Walk.phase's rule, so it gives single_cycle_trace's final
+    voltage and completed flag bit for bit.
     """
-    walk, completed = _cycle_walk(circuit, phases, v_start, trace=False)
-    return walk.v, completed
+
+    __slots__ = ("circuit", "phases", "_steps")
+
+    def __init__(self, circuit: CircuitConfig, sched: TimingSchedule, dl_case: str):
+        self.circuit = circuit
+        self.phases = tuple(_slot(sched, slot) for slot in _cycle(dl_case))
+        params = [circuit.state_params(state) for state, _ in self.phases]
+        self._steps = tuple((duration, p.r_series, p.ratio, p.v_limit, p.v_off, p.v_guard)
+                            for (_, duration), p in zip(self.phases, params))
+
+    def run(self, v_start: float, capacitance: float | None = None) -> tuple[float, bool]:
+        """(final_voltage, completed) of one cycle from v_start with the
+        circuit's capacitor, or one of `capacitance` farads with the same
+        ESR and EPR; completed is False when the capacitor touched the
+        turn-off voltage anywhere in the cycle."""
+        _check_start(self.circuit, v_start)
+        c = self.circuit.capacitor.capacitance if capacitance is None else capacitance
+        if not 0 < c < math.inf:
+            raise ScenarioError(f"capacitance must be finite and > 0, got {c}")
+        v = v_start
+        for duration, r_series, ratio, v_limit, v_off, v_guard in self._steps:
+            tau = time_constant(r_series, c, ratio)
+            if v <= v_guard and _off_time(v_limit, tau, v_off, v) <= duration:
+                return min(v, v_off), False
+            v = _step(v_limit, math.exp(-duration / tau), v)
+        return v, True
 
 
 def single_cycle_trace(scenario: Scenario, v_start: float,
@@ -467,9 +488,10 @@ def single_cycle_trace(scenario: Scenario, v_start: float,
     Returns (trace, final_voltage, completed); completed is False when the
     capacitor touched the turn-off voltage anywhere in the cycle.
     """
-    table = scenario.phases
-    walk, completed = _cycle_walk(scenario.circuit, [table[slot] for slot in _cycle(dl_case)],
-                                  v_start, trace=True)
+    table, circuit, slots = scenario.phases, scenario.circuit, _cycle(dl_case)
+    _check_start(circuit, v_start)
+    walk = _Walk(circuit, v_start, off=False, trace=True)
+    completed = all(walk.phase(table[slot]) for slot in slots)
     if completed:
         walk.record(walk.t, DeviceState.SLEEP)
     return walk.points, walk.v, completed

@@ -19,7 +19,7 @@ from caplora.characterize import (
 )
 from caplora.errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from caplora.energy import DeviceState
-from caplora.simulator import cycle_table, run_cycle
+from caplora.simulator import CycleCheck
 
 from conftest import make_circuit, make_scenario, rk4_capacitor
 
@@ -157,8 +157,8 @@ def with_capacitor(scenario, **capacitor):
 def completes_at_ceiling(scenario, c_farads, dl_case):
     trial = edit_scenario(scenario, {"capacitance": c_farads})
     circuit = trial.circuit
-    phases = cycle_table(circuit, trial.schedule, dl_case)
-    return run_cycle(circuit, phases, circuit.charge_ceiling() - 1e-9)[1]
+    cycle = CycleCheck(circuit, trial.schedule, dl_case)
+    return cycle.run(circuit.charge_ceiling() - 1e-9)[1]
 
 
 def min_capacitance_or_inf(scenario, dl_case):
@@ -169,8 +169,8 @@ def min_capacitance_or_inf(scenario, dl_case):
 
 
 class TestMinCapacitanceExactness:
-    @pytest.mark.parametrize("capacitor", [{}, {"esr": 5.0, "epr": 50e3}],
-                             ids=["ideal", "esr_epr"])
+    @pytest.mark.parametrize("capacitor", [{}, {"esr": 5.0, "epr": 50e3}, {"esr": 5.0}],
+                             ids=["ideal", "esr_epr", "esr_only"])
     @pytest.mark.parametrize("dl_case", ["none", "rx1", "rx2"])
     @pytest.mark.parametrize("sf", [7, 9, 11])
     def test_equals_the_start_voltage_search(self, sf, dl_case, capacitor):
@@ -281,9 +281,9 @@ def rk4_cycle_completes(scenario, capacitances, dl_case):
     c = np.asarray(capacitances)
     v = np.full(c.shape, v)
     ok = np.ones(c.shape, dtype=bool)
-    for p in cycle_table(circuit, scenario.schedule, dl_case):
-        ok &= run(p.state, v, 0.0, c, 1)[1] > circuit.v_min
-        v, v_load = run(p.state, v, p.duration, c, 500)
+    for state, duration in CycleCheck(circuit, scenario.schedule, dl_case).phases:
+        ok &= run(state, v, 0.0, c, 1)[1] > circuit.v_min
+        v, v_load = run(state, v, duration, c, 500)
         ok &= v_load > circuit.v_min
     return ok
 

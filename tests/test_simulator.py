@@ -12,10 +12,9 @@ from caplora.config import parse_scenario
 from caplora.energy import DeviceState, time_to_voltage, voltage_after
 from caplora.errors import ScenarioError
 from caplora.simulator import (
+    CycleCheck,
     SimStats,
     TracePoint,
-    cycle_table,
-    run_cycle,
     run_simulation,
     single_cycle_trace,
 )
@@ -164,8 +163,8 @@ class TestSingleCycle:
         for dl_case in ("none", "rx1", "rx2"):
             _, v_end, completed = single_cycle_trace(scenario, v_hi, dl_case)
             v = v_hi
-            for p in cycle_table(circuit, scenario.schedule, dl_case):
-                v = voltage_after(circuit, p.state, v, p.duration)
+            for state, duration in CycleCheck(circuit, scenario.schedule, dl_case).phases:
+                v = voltage_after(circuit, state, v, duration)
             if completed:
                 assert v_end == pytest.approx(v, abs=1e-9)
 
@@ -276,8 +275,8 @@ def reference_run(scenario, seed, n_scheduled):
 
 def reference_cycle(scenario, v_start, dl_case):
     walk = _ReferenceWalk(scenario.circuit, v_start, off=False)
-    for p in cycle_table(scenario.circuit, scenario.schedule, dl_case):
-        if not walk.phase(p.state, p.duration):
+    for state, duration in CycleCheck(scenario.circuit, scenario.schedule, dl_case).phases:
+        if not walk.phase(state, duration):
             return walk.trace, walk.v, False
     walk.mark(walk.t, DeviceState.SLEEP)
     return walk.trace, walk.v, True
@@ -383,8 +382,8 @@ class TestParasiticEdgeCases:
         trace, v_end, completed = single_cycle_trace(scenario, v_start, "none")
         assert trace == [TracePoint(0.0, v_start, DeviceState.OFF)]
         assert (v_end, completed) == (v_start, False)
-        phases = cycle_table(scenario.circuit, scenario.schedule, "none")
-        assert run_cycle(scenario.circuit, phases, v_start) == (v_start, False)
+        cycle = CycleCheck(scenario.circuit, scenario.schedule, "none")
+        assert cycle.run(v_start) == (v_start, False)
 
     def test_run_turns_off_at_once_and_wakes_at_once(self):
         scenario, v_off_tx = self._scenario()
@@ -437,16 +436,40 @@ class TestTraceFreeCycle:
         circuit = scenario.circuit
         v_start = min(circuit.v_min + u * (circuit.operating_voltage - circuit.v_min),
                       circuit.operating_voltage)
-        phases = cycle_table(circuit, scenario.schedule, dl_case)
+        cycle = CycleCheck(circuit, scenario.schedule, dl_case)
         _, v_end, completed = single_cycle_trace(scenario, v_start, dl_case)
-        assert run_cycle(circuit, phases, v_start) == (v_end, completed)
+        assert cycle.run(v_start) == (v_end, completed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(CAPACITORS)), st.sampled_from(["none", "rx1", "rx2"]),
+           st.floats(1e-4, 1.0), st.floats(1e-3, 1e-2), st.floats(0.0, 1.0))
+    def test_a_trial_capacitance_matches_a_rebuilt_circuit(self, capacitor, dl_case, c_farads,
+                                                           power_w, u):
+        # One check compiled at 4.7 mF answers, at any trial capacitance,
+        # what single_cycle_trace answers on the circuit rebuilt at it.
+        base = make_scenario(interval_m=600.0, power_w=power_w)
+        base = dataclasses.replace(base, circuit=make_circuit(
+            c_farads=4.7e-3, power_w=power_w, **CAPACITORS[capacitor]))
+        rebuilt = dataclasses.replace(base, circuit=make_circuit(
+            c_farads=c_farads, power_w=power_w, **CAPACITORS[capacitor]))
+        circuit = base.circuit
+        v_start = min(circuit.v_min + u * (circuit.charge_ceiling() - circuit.v_min),
+                      circuit.operating_voltage)
+        _, v_end, completed = single_cycle_trace(rebuilt, v_start, dl_case)
+        v_got, completed_got = CycleCheck(circuit, base.schedule, dl_case).run(v_start, c_farads)
+        assert (v_got.hex(), completed_got) == (v_end.hex(), completed)
 
     def test_rejects_out_of_range_start(self):
-        circuit = make_scenario().circuit
+        scenario = make_scenario()
+        circuit = scenario.circuit
+        cycle = CycleCheck(circuit, scenario.schedule, "none")
         with pytest.raises(ScenarioError, match="v_start"):
-            run_cycle(circuit, (), circuit.v_min - 1e-6)
+            cycle.run(circuit.v_min - 1e-6)
         with pytest.raises(ScenarioError, match="v_start"):
-            run_cycle(circuit, (), circuit.operating_voltage + 1e-6)
+            cycle.run(circuit.operating_voltage + 1e-6)
+        for c in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ScenarioError, match="capacitance"):
+                cycle.run(circuit.v_min, c)
 
     def test_cycle_table_lists_the_analytic_cycle(self):
         # A downlink replaces its listening window; rx1 ends the cycle.
@@ -462,10 +485,9 @@ class TestTraceFreeCycle:
                     (rx, s.t_rx2)],
         }
         for dl_case, phases in want.items():
-            table = cycle_table(scenario.circuit, s, dl_case)
-            assert [(p.state, p.duration) for p in table] == phases
+            assert list(CycleCheck(scenario.circuit, s, dl_case).phases) == phases
         with pytest.raises(ScenarioError, match="dl_case"):
-            cycle_table(scenario.circuit, scenario.schedule, "bogus")
+            CycleCheck(scenario.circuit, scenario.schedule, "bogus")
 
 
 def _settled_slots(monkeypatch) -> list:

@@ -10,8 +10,10 @@ each cell built by edit_scenario and validated before any cell is
 measured, then one measure per cell, in a process pool only when jobs > 1.
 Sweep and accuracy cells share one engine-pair measure, _measure: the
 simulator's mean ratios over the seeds, or the chain's metrics with the
-solve's wall time.  A sweep turns an InfeasibleScenario into a
-feasible = False row; the accuracy study lets it propagate.
+solve's wall time.  It raises InfeasibleScenario for a cell whose
+device never wakes (its threshold beyond the charging ceiling) or whose
+chain has no feasible level.  A sweep turns that into a feasible = False
+row; the accuracy study lets it propagate.
 
 The capacitance/interval analyses run the analytic uplink/downlink cycle
 of single_cycle_trace through simulator.CycleCheck, compiled once per
@@ -258,8 +260,15 @@ def _measure(engine: str, seeds: tuple, n_scheduled: int,
     The simulator's ratios are means over `seeds`, with seconds 0.  The
     chain's are its stationary metrics, and seconds is the wall time of
     its solve, timed with numpy already imported so that the first import
-    stays out.  InfeasibleScenario propagates.
+    stays out.  A cell whose device can never wake (its wake target at or
+    beyond the Off state's asymptote) raises InfeasibleScenario before
+    either engine runs; the chain's InfeasibleScenario propagates too.
     """
+    circuit = cell.scenario.circuit
+    if circuit.v_on >= circuit.asymptote(DeviceState.OFF):
+        raise InfeasibleScenario(
+            f"the turn-on threshold ({circuit.v_sl / circuit.operating_voltage:.6g} of E) is "
+            f"beyond the Off state's charging ceiling; the device never wakes")
     if engine == "simulator":
         return (*_simulate_mean(cell.scenario, seeds, n_scheduled), 0.0)
     import numpy  # noqa: F401
@@ -270,18 +279,15 @@ def _measure(engine: str, seeds: tuple, n_scheduled: int,
 
 def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int,
                 cell: GridCell) -> list[dict]:
-    scenario = cell.scenario
-    beyond_ceiling = scenario.circuit.v_on >= scenario.circuit.asymptote(DeviceState.OFF)
     rows = []
     for engine in engines:
         pdr = pdl1 = pdl2 = 0.0
-        feasible = not beyond_ceiling
-        if feasible:
-            try:
-                pdr, pdl1, pdl2, _ = _measure(engine, seeds, n_scheduled, cell)
-            except InfeasibleScenario:
-                feasible = False
-        rows.append({"axis": axis, "value": float(cell.point[0]), "m_s": scenario.interval_m,
+        feasible = True
+        try:
+            pdr, pdl1, pdl2, _ = _measure(engine, seeds, n_scheduled, cell)
+        except InfeasibleScenario:
+            feasible = False
+        rows.append({"axis": axis, "value": float(cell.point[0]), "m_s": cell.scenario.interval_m,
                      "engine": engine, "pdr": pdr, "pdl1": pdl1, "pdl2": pdl2,
                      "feasible": feasible})
     return rows

@@ -312,6 +312,21 @@ class TestCli:
                      "--granularity", "100"]) == 3
         assert "window-2" in capsys.readouterr().err
 
+    def test_accuracy_cell_that_never_wakes_exits_3(self, capsys):
+        # A threshold beyond the Off state's charging ceiling is no cell to
+        # score, not a perfect agreement of two zeros; the sweep keeps the
+        # same cell as a feasible = 0 row.
+        assert main(["accuracy", "--cases", "A", "--m-classes", "very_high", "--thresholds",
+                     "0.999", "--granularities", "100", "--n", "50", "--seeds", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible:") and "never wakes" in captured.err
+        assert main(["sweep", "--axis", "threshold", "--values", "0.7,0.999", "--m", "40",
+                     "--engine", "both", "--n", "50", "--seeds", "1",
+                     "--granularity", "100"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["1", "1", "0", "0"]
+
     def test_sweep_without_seeds_exits_2(self, capsys):
         code = main(["sweep", "--axis", "threshold", "--values", "0.7", "--seeds", ""])
         assert code == 2

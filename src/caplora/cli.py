@@ -7,7 +7,8 @@ array instead; `airtime` prints only its seconds value unless --out or
 `pdr=... pdl1=... pdl2=...` summary, `accuracy` its error percentiles and
 `airtime` its seconds value, except when stdout carries the JSON.
 Exit codes: 0 success, 2 invalid configuration or arguments or an output
-path that cannot be written, 3 physically infeasible request.
+path that cannot be written (checked before any work), 3 physically
+infeasible request.
 
 Numeric formatting is fixed so outputs are stable: times use 9
 significant digits, voltages and probabilities 6.
@@ -16,6 +17,7 @@ significant digits, voltages and probabilities 6.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -140,6 +142,21 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _check_writable(path: str) -> None:
+    """Raise _write's error for a path that it could not write, before any
+    work is done and without creating or truncating the file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ScenarioError(f"cannot write {path!r}: {os.strerror(code)}")
 
 
 def _write(path: str, text: str) -> None:
@@ -452,6 +469,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (getattr(args, "out", None), getattr(args, "dump_matrix", None)):
+            if path:
+                _check_writable(path)
         return _COMMANDS[args.command](args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from caplora import characterize, defaults
+from caplora import characterize, cli, defaults
 from caplora.cli import COLUMNS, main
 from caplora.config import dump_scenario, load_scenario, parse_scenario
 from caplora.energy import CapacitorConfig, HarvesterConfig
@@ -634,16 +634,45 @@ def test_json_on_stdout_is_only_the_json(name, tmp_path, capsys):
         out.read_text(encoding="utf-8"))
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("a cell ran before the output path was checked")
+
+
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--axis", "threshold", "--values", "0.6", "--m", "9", "--n", "20",
-     "--seeds", "1", "--out", "{tmp}"],
+    ["sweep", "--axis", "threshold", "--values", "0.55:0.98:0.01", "--m", "5,9,40",
+     "--engine", "both", "--out", "{tmp}"],
+    ["accuracy", "--cases", "A", "--out", "{tmp}/missing/a.csv"],
+    ["min-cap", "--sf", "7,9", "--out", "{tmp}/file.csv/x.csv"],
     ["chain", "--granularity", "100", "--m", "40", "--dump-matrix", "{tmp}/missing/m.csv"],
+    ["chain", "--granularity", "100", "--m", "40", "--out", "{tmp}/ok.csv",
+     "--dump-matrix", "{tmp}"],
 ])
-def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+def test_unwritable_output_path_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(characterize, "_measure", _never_called)
+    monkeypatch.setattr(cli, "min_capacitance", _never_called)
+    monkeypatch.setattr(cli, "build_transition_matrix", _never_called)
+    (tmp_path / "file.csv").write_text("")
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write '{tmp_path}")
+    assert captured.err.rstrip().endswith(
+        ("Is a directory", "No such file or directory", "Not a directory"))
     assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.csv"]
+
+
+def test_a_run_that_fails_leaves_the_output_file_alone(tmp_path, capsys):
+    leaky = tmp_path / "leaky.cfg"
+    leaky.write_text("[capacitor]\nesr_ohms = 16.67\nepr_ohms = 16370\n")
+    out = tmp_path / "rows.csv"
+    out.write_text("kept\n")
+    assert main(["sweep", "--axis", "threshold", "--values", "0.6,0.2", "--m", "9",
+                 "--out", str(out)]) == 2
+    # Exit 3 from the second cell's search, after the first cell ran.
+    assert main(["min-cap", "--sf", "7", "--dl-case", "rx2", "--power", "0.025,0.001",
+                 "--ul-pl", "60", "--scenario", str(leaky), "--out", str(out)]) == 3
+    assert out.read_text() == "kept\n"
+    assert capsys.readouterr().out == ""
 
 
 def test_readme_lists_each_commands_columns():

@@ -221,15 +221,26 @@ def _add_common(parser, scenario=True, out=True):
                             help="emit a JSON array instead of CSV")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Iterable[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand registered and its
+    help listed, but only the arguments of `commands` (all when None)
+    filled in.  argparse builds a help formatter, which asks for the
+    terminal size, for each argument it adds, so main fills in only the
+    invoked command's; help and error messages are the same either way."""
     parser = argparse.ArgumentParser(
         prog="caplora",
         description="Battery-less LoRaWAN Class A device model: simulator, "
                     "Markov chain and characterization sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if commands is None or name in commands:
+            add_arguments(p)
+    return parser
 
-    p = sub.add_parser("airtime", help="LoRa frame time on air")
+
+def _airtime_arguments(p) -> None:
     p.add_argument("--sf", type=int, required=True)
     p.add_argument("--pl", type=int, required=True, help="payload bytes")
     p.add_argument("--bw", type=float, default=defaults.BANDWIDTH_HZ)
@@ -239,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--de", type=int, default=defaults.LOW_DR_OPTIMIZE)
     _add_common(p, scenario=False)
 
-    p = sub.add_parser("trace", help="voltage/state trajectory as CSV")
+
+def _trace_arguments(p) -> None:
     _add_common(p)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--n", type=_positive_int, default=5, help="scheduled uplinks to simulate")
@@ -251,14 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start voltage for --single-cycle (default: charge ceiling)")
     p.add_argument("--dl-case", choices=DL_CASES, default="none")
 
-    p = sub.add_parser("simulate", help="event-based simulation statistics")
+
+def _simulate_arguments(p) -> None:
     _add_common(p)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--m", type=float)
     p.add_argument("--threshold", type=float)
 
-    p = sub.add_parser("chain", help="Markov chain delivery metrics")
+
+def _chain_arguments(p) -> None:
     _add_common(p)
     p.add_argument("--granularity", type=_positive_int)
     p.add_argument("--m", type=float)
@@ -267,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gate pdl2 on the window-2 reception threshold")
     p.add_argument("--dump-matrix", help="also write the transition matrix here")
 
-    p = sub.add_parser("sweep", help="one-axis parameter sweep")
+
+def _sweep_arguments(p) -> None:
     _add_common(p)
     p.add_argument("--axis", required=True,
                    choices=("threshold", "interval_m", "capacitance", "power",
@@ -281,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="1,2,3,4,5")
     p.add_argument("--jobs", type=_positive_int, default=1)
 
-    p = sub.add_parser("min-cap", help="minimum capacitance per spreading factor")
+
+def _min_cap_arguments(p) -> None:
     _add_common(p)
     p.add_argument("--sf", default="7", help="spreading factors, e.g. '7,9,11'")
     p.add_argument("--ul-pl", type=int)
@@ -289,19 +305,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dl-case", choices=DL_CASES, default="none")
     p.add_argument("--power", help="harvest powers in watts, e.g. '0.001,0.01'")
 
-    p = sub.add_parser("min-interval", help="fastest feasible transmission interval")
+
+def _min_interval_arguments(p) -> None:
     _add_common(p)
     p.add_argument("--dl-case", choices=DL_CASES, default="none")
     p.add_argument("--capacitance", help="capacitances in farads")
     p.add_argument("--power", help="harvest powers in watts")
 
-    p = sub.add_parser("wakeup", help="off-state charge time to the turn-on threshold")
+
+def _wakeup_arguments(p) -> None:
     _add_common(p)
     p.add_argument("--thresholds", default="0.55:0.98:0.01")
     p.add_argument("--capacitance", help="capacitances in farads")
     p.add_argument("--power", help="harvest powers in watts")
 
-    p = sub.add_parser("accuracy", help="chain vs simulator PDR error grid")
+
+def _accuracy_arguments(p) -> None:
     _add_common(p)
     p.add_argument("--cases", default="ABCDE")
     p.add_argument("--m-classes", default=",".join(M_CLASSES))
@@ -310,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--seeds", default="1,2,3,4,5")
     p.add_argument("--jobs", type=_positive_int, default=1)
-
-    return parser
 
 
 def _cmd_airtime(args) -> int:
@@ -452,27 +469,32 @@ def _cmd_accuracy(args) -> int:
     return 0
 
 
+# Each subcommand, in help order: (help, its arguments, its handler).
 _COMMANDS = {
-    "airtime": _cmd_airtime,
-    "trace": _cmd_trace,
-    "simulate": _cmd_simulate,
-    "chain": _cmd_chain,
-    "sweep": _cmd_sweep,
-    "min-cap": _cmd_min_cap,
-    "min-interval": _cmd_min_interval,
-    "wakeup": _cmd_wakeup,
-    "accuracy": _cmd_accuracy,
+    "airtime": ("LoRa frame time on air", _airtime_arguments, _cmd_airtime),
+    "trace": ("voltage/state trajectory as CSV", _trace_arguments, _cmd_trace),
+    "simulate": ("event-based simulation statistics", _simulate_arguments, _cmd_simulate),
+    "chain": ("Markov chain delivery metrics", _chain_arguments, _cmd_chain),
+    "sweep": ("one-axis parameter sweep", _sweep_arguments, _cmd_sweep),
+    "min-cap": ("minimum capacitance per spreading factor", _min_cap_arguments, _cmd_min_cap),
+    "min-interval": ("fastest feasible transmission interval", _min_interval_arguments,
+                     _cmd_min_interval),
+    "wakeup": ("off-state charge time to the turn-on threshold", _wakeup_arguments,
+               _cmd_wakeup),
+    "accuracy": ("chain vs simulator PDR error grid", _accuracy_arguments, _cmd_accuracy),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only options of the top parser (--help) can come before the command.
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    args = build_parser([command] if command else []).parse_args(argv)
     try:
         for path in (getattr(args, "out", None), getattr(args, "dump_matrix", None)):
             if path:
                 _check_writable(path)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

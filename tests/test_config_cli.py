@@ -675,6 +675,43 @@ def test_a_run_that_fails_leaves_the_output_file_alone(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+# Help pages and argparse's usage errors: main builds only the invoked
+# command's arguments, and must print what the fully built parser prints.
+PARSER_CALLS = [["--help"], [], ["bogus"], ["--", "min-cap"], ["min-cap", "--bogus"],
+                ["min-cap", "--sf"], ["airtime"], ["airtime", "--sf", "x", "--pl", "1"],
+                ["sweep", "--values", "1"], ["sweep", "--axis", "bogus", "--values", "1"],
+                ["chain", "--granularity", "0"], ["min-cap", "--dl-case", "bad"]]
+PARSER_CALLS += [[name, "--help"] for name in COLUMNS]
+
+
+def _parser_exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CALLS, ids=lambda argv: " ".join(argv) or "nothing")
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parser_exit(cli.build_parser().parse_args, argv, capsys)
+    assert want[0] == (0 if "--help" in argv else 2)
+    assert (want[1] if "--help" in argv else want[2]).startswith("usage: caplora")
+    assert _parser_exit(main, argv, capsys) == want
+
+
+def test_main_fills_in_only_the_invoked_commands_arguments(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda commands=None: built.append(commands)
+                        or build(commands))
+    assert main(["airtime", "--sf", "7", "--pl", "16"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == [["airtime"], []]
+    capsys.readouterr()
+
+
 def test_readme_lists_each_commands_columns():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     listed = dict(re.findall(r"^\| `([a-z-]+)` \| .* \| ([a-z0-9_,]+) \|$", readme, re.M))

@@ -28,12 +28,13 @@ explicit math.inf sentinel so that reduction is exact.
 
 compile_phase turns one device state (at a fixed duration, or open-ended
 for the recharge states) into a Phase: its turn-off voltage plus
-after/cross callables with the decay factor fixed in advance.  Phases are
-the one place the exponential is evaluated for the engines: the simulator
-walks them, the Markov chain quantizes them and the sizing searches run
-and charge with them.  They evaluate the very expressions of
+after/cross callables with the decay factor fixed in advance.  The
+simulator walks phases, the Markov chain quantizes them and the sizing
+searches charge with them; they evaluate the very expressions of
 voltage_after and time_to_voltage (a timed phase's crossing is the time
-to its turn-off voltage), so both paths give bit-identical floats.
+to its turn-off voltage), so both paths give bit-identical floats.  The
+sizing searches' cycle check (simulator.CycleCheck) applies the same
+_step and _off_time with tau formed at each trial capacitance.
 
 Everything here is a pure function of its arguments; no shared state.
 """

@@ -445,13 +445,11 @@ class CycleCheck:
     A downlink replaces its listening window: 'rx1' receives right after
     the first idle second (and the cycle ends there), 'rx2' receives in
     place of the second listening window, 'none' listens through both;
-    `phases` lists the cycle's (state, duration) pairs in order.  A trial
-    capacitance changes only each phase's tau, so everything else (the
-    asymptote, turn-off voltage and guard of each state, and the
-    durations) is fixed here once.  run() forms tau with
-    energy.time_constant and steps each phase with energy's _off_time and
-    _step by _Walk.phase's rule, so it gives single_cycle_trace's final
-    voltage and completed flag bit for bit.
+    `phases` lists the cycle's (state, duration) pairs in order.  Each
+    step keeps the C-independent constants of its state (see the module
+    docstring); run() forms tau with energy.time_constant and applies
+    _Walk.phase's rule through energy's _off_time and _step, so it gives
+    single_cycle_trace's final voltage and completed flag bit for bit.
     """
 
     __slots__ = ("circuit", "phases", "_steps")

@@ -42,13 +42,22 @@ is entered) and of v_on (a turn-off at or above it wakes at once).  An
 interval [L, U] around v_k on which every branch has one outcome at
 L - delta and U + delta, keeps each phase boundary, turn-off level and
 wake instant a margin from its threshold, and sends both ends into
-[L + eta, U - eta] has fixed outcomes and maps into itself.  From then
-on only the draws decide the counters, and a settled walk answers each
-phase from the outcome table.  Tested at k = 1, 2, 4, ..., [L, U] grows
-by hull steps over the images and the completing branches' fixed points
-(their maps are affine).  delta and eta are 2**20 and 2**10 float
-spacings of the voltages and instants involved; eta covers the spread
-of each slot's sleep time (k+1)*M - t at the fastest recharge rate.
+[L + eta, U - eta] has fixed outcomes and maps into itself.  Tested at
+k = 1, 2, 4, ..., [L, U] grows by hull steps over the images and the
+completing branches' fixed points (their maps are affine).  delta and
+eta are 2**20 and 2**10 float spacings of the voltages and instants
+involved; eta covers the spread of each slot's sleep time (k+1)*M - t
+at the fastest recharge rate.
+
+From the settled on-slot on, each on-slot adds its branch's counters and
+skips its branch's lost slots, and only the draws pick the branch, so
+the per-slot loop stops and the rest of the run is counted from the
+outcomes.  When every reachable branch adds the same counters and loses
+the same slots, the count is arithmetic: ceil(remaining / (1 + lost))
+on-slots, the other slots lost.  Otherwise one tight loop takes the
+draws in the order below and counts the on-slots per branch; the last
+cycle's lost slots are cut off at n_scheduled.  The counters equal the
+full walk's.
 
 Two downlink-cost conventions live here, mirroring how such devices are
 analyzed versus simulated:
@@ -63,6 +72,9 @@ analyzed versus simulated:
 Draw order of the seeded PRNG (Python's random.Random, MT19937): one
 uniform draw when reception window 1 opens, one more when window 2 opens
 (only reached if window 1 detected nothing and the device is still on).
+After settling, draws are taken only while an outcome depends on them:
+in this order when the branches differ, not at all when they end alike.
+Each run owns its generator, so the draws left untaken reach nothing.
 """
 
 from __future__ import annotations
@@ -245,22 +257,56 @@ class _Walk:
         return True
 
 
-class _SettledWalk(_Walk):
-    """The walk once settled: each phase's survival and the slots lost after a
-    cycle that ends in it come from the outcome table; no voltage is kept."""
+# The downlink branches of a cycle: detected in window 1, detected in
+# window 2, or silent in both.  A detected downlink's window is the last two
+# slots of its branch: the preamble, then the packet.
+_BRANCHES = {
+    "rx1": ("tx", "idle1", "listen1", "rx1"),
+    "rx2": ("tx", "idle1", "listen1", "idle2", "listen2", "rx2"),
+    "silent": ("tx", "idle1", "listen1", "idle2", "listen2"),
+}
 
-    __slots__ = ("fates", "lost")
+# An outcome of one branch: the slot the device turned off in (None when the
+# cycle completed) and the slots lost before the next on-slot.
+Outcome = tuple[str | None, int]
 
-    def __init__(self, fates: dict[Phase, tuple[bool, int]]):
-        self.points, self.t, self.fates, self.lost = None, 0.0, fates, 0
 
-    def phase(self, phase: Phase) -> bool:
-        survives, self.lost = self.fates[phase]
-        return survives
+def _tally(branch: str, stop: str | None) -> tuple[str, ...]:
+    """The SimStats counters that one on-slot adds to when its cycle takes
+    `branch` and turns off in slot `stop` (None: completes)."""
+    if stop == "tx":
+        return ("n_tx_aborted",)
+    if branch == "silent" or stop in _BRANCHES[branch][:-2]:
+        return ("n_tx_success",)
+    window = "n_dl1" if branch == "rx1" else "n_dl2"
+    return ("n_tx_success", window + ("_success" if stop is None else "_aborted"))
 
-    def ready(self, t_to: float, off: Phase, sleep: Phase) -> bool:
-        self.lost -= 1
-        return self.lost < 0
+
+def _count_tail(outcomes: dict[str, Outcome], remaining: int, draw, p1: float,
+                p2: float) -> dict[str, int]:
+    """On-slots per branch over the last `remaining` slots of a settled run,
+    the first of them an on-slot (see Settling in the module docstring).
+    The draw loop opens window 1 on every on-slot: a turn-off before it is
+    common to all branches, so the arithmetic count takes that case."""
+    if len({(_tally(b, stop), lost) for b, (stop, lost) in outcomes.items()}) == 1:
+        branch, (_, lost) = next(iter(outcomes.items()))
+        return {branch: -(-remaining // (1 + lost))}
+    step = {b: 1 + lost for b, (_, lost) in outcomes.items()}
+    # With window 2 unopened, the rx2 and silent branches end alike.
+    quiet = "silent" if "silent" in step else "rx2"
+    opens2 = outcomes[quiet][0] in (None, "listen2", "rx2")
+    counts = dict.fromkeys(step, 0)
+    k = 0
+    while k < remaining:
+        if draw() < p1:
+            branch = "rx1"
+        elif opens2 and draw() < p2:
+            branch = "rx2"
+        else:
+            branch = quiet
+        counts[branch] += 1
+        k += step[branch]
+    return counts
 
 
 class _Settler:
@@ -270,32 +316,26 @@ class _Settler:
         circuit, table, p1, p2 = scenario.circuit, scenario.phases, scenario.p1, scenario.p2
         self.circuit, self.m, self.n = circuit, scenario.interval_m, n_scheduled
         self.off, self.sleep = table["off"], table["sleep"]
-        silent = ("tx", "idle1", "listen1", "idle2", "listen2")
-        # Silent last: a silent cycle ends in listen2, which rx2 passes through.
-        reachable = {silent[:3] + ("rx1",): p1 > 0, silent + ("rx2",): p1 < 1 and p2 > 0,
-                     silent: p1 < 1 and p2 < 1}
-        self.branches = [tuple(map(table.get, b)) for b, on in reachable.items() if on]
+        reachable = {"rx1": p1 > 0, "rx2": p1 < 1 and p2 > 0, "silent": p1 < 1 and p2 < 1}
+        self.names = [b for b, on in reachable.items() if on]
+        self.branches = [tuple(map(table.get, _BRANCHES[b])) for b in self.names]
         e, t_end = circuit.operating_voltage, n_scheduled * self.m
         tau = min(circuit.state_params(s).tau for s in (DeviceState.OFF, DeviceState.SLEEP))
         self.delta, self.eps_t = 2**20 * math.ulp(e), 2**20 * math.ulp(t_end)
         self.eta = 2**10 * (math.ulp(t_end) * e / tau + math.ulp(e))
 
-    def __call__(self, walk: _Walk, k: int) -> tuple[_Walk, float]:
-        """(walk to go on with, next slot to test at) at on-slot k: a settled
-        walk when the test passes, else `walk` itself and 2k."""
-        lo = hi = walk.v
+    def __call__(self, v: float, k: int) -> tuple[dict[str, Outcome] | None, float]:
+        """(outcomes, next slot to test at) for on-slot voltage v at on-slot k:
+        each reachable branch's Outcome when the test passes, else None and 2k."""
+        lo = hi = v
         for _ in range(4):
             ends = self._ends(lo, hi, k)
             if ends is None:
                 break
             images = [end[1] for pair in ends for end in pair]
             if self._inside(images, lo, hi):
-                fates: dict[Phase, tuple[bool, int]] = {}
-                for phases, (((fate, lost), _, _), _) in zip(self.branches, ends):
-                    end = len(phases) if fate is None else fate[0] + 1
-                    fates.update(dict.fromkeys(phases[:end], (True, 0)))
-                    fates[phases[end - 1]] = (fate is None, lost)
-                return _SettledWalk(fates), math.inf
+                return {b: (None if fate is None else _BRANCHES[b][fate[0]], lost)
+                        for b, (((fate, lost), _, _), _) in zip(self.names, ends)}, math.inf
             x0, pad = lo - self.delta, 2 * (self.delta + self.eta)
             for ((fate, _), image, _), (_, image_hi, _) in ends:
                 slope = (image_hi - image) / (hi + self.delta - x0)
@@ -303,7 +343,7 @@ class _Settler:
                     images.append(x0 + (image - x0) / (1 - slope))
                     pad = max(pad, 2 * (self.delta + self.eta) / (1 - slope))
             lo, hi = min(lo, *images) - pad, max(hi, *images) + pad
-        return walk, 2 * k
+        return None, 2 * k
 
     def _ends(self, lo: float, hi: float, k: int):
         """Each branch probed at lo - delta and hi + delta, or None when its
@@ -364,12 +404,15 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     dl1_success = dl1_aborted = dl2_success = dl2_aborted = 0
 
     settle, next_check = _Settler(scenario, n_scheduled), n_scheduled if trace else 1
+    settled = None
     for k in range(n_scheduled):
         if not walk.ready(k * interval, off, sleep):
             tx_lost += 1
             continue
         if k >= next_check:
-            walk, next_check = settle(walk, k)
+            settled, next_check = settle(walk.v, k)
+            if settled is not None:
+                break
 
         if not walk.phase(tx):
             tx_aborted += 1
@@ -411,8 +454,7 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
         else:
             walk.record(walk.t, DeviceState.SLEEP)
 
-    stats = SimStats(
-        n_scheduled=n_scheduled,
+    counts = dict(
         n_tx_success=tx_success,
         n_tx_lost_off=tx_lost,
         n_tx_aborted=tx_aborted,
@@ -421,7 +463,14 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
         n_dl2_success=dl2_success,
         n_dl2_aborted=dl2_aborted,
     )
-    return stats, (walk.points or [])
+    if settled is not None:
+        remaining = n_scheduled - k
+        tail = _count_tail(settled, remaining, draw, p1, p2)
+        counts["n_tx_lost_off"] += remaining - sum(tail.values())
+        for branch, on_slots in tail.items():
+            for counter in _tally(branch, settled[branch][0]):
+                counts[counter] += on_slots
+    return SimStats(n_scheduled=n_scheduled, **counts), (walk.points or [])
 
 
 def _cycle(dl_case: str) -> tuple[str, ...]:

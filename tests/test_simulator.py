@@ -495,14 +495,15 @@ class TestTraceFreeCycle:
 
 
 def _settled_slots(monkeypatch) -> list:
-    """Record the on-slot at which each later run_simulation call settles."""
+    """Record (on-slot, branch outcomes) where each later run_simulation
+    call settles."""
     slots = []
     settle = simulator._Settler.__call__
 
-    def spy(self, walk, k):
-        result = settle(self, walk, k)
-        if isinstance(result[0], simulator._SettledWalk):
-            slots.append(k)
+    def spy(self, v, k):
+        result = settle(self, v, k)
+        if result[0] is not None:
+            slots.append((k, result[0]))
         return result
 
     monkeypatch.setattr(simulator._Settler, "__call__", spy)
@@ -572,6 +573,42 @@ class TestSettling:
         assert settler._probe(settler.branches[0], 3.0, 5)[2]
         assert run_simulation(scenario, 1, 3000)[0] == run_simulation(scenario, 1, 3000, trace=True)[0]
 
+    @pytest.mark.parametrize("p1, p2, outcomes", [
+        (0.0, 0.0, {"silent": ("listen2", 2)}),
+        (0.3, 0.5, {"rx1": (None, 0), "rx2": ("listen2", 2), "silent": ("listen2", 2)})])
+    def test_a_settled_tail_is_cut_off_at_every_offset(self, p1, p2, outcomes, monkeypatch):
+        # A 70 % threshold at 9 s: from on-slot 3 a cycle that listens in
+        # window 2 turns off there and loses the next two slots.  Every n up
+        # to three such periods past the settle slot ends the run at each
+        # offset of a cycle, the cut-off included.
+        scenario = make_scenario(interval_m=9.0, p1=p1, p2=p2, turn_on_fraction=0.7)
+        slots = _settled_slots(monkeypatch)
+        for n in range(3, 3 + 3 * 3 + 1):
+            for seed in range(10):
+                slots.clear()
+                assert run_simulation(scenario, seed, n)[0] == \
+                    run_simulation(scenario, seed, n, trace=True)[0], (n, seed)
+                if n >= 6:  # a shorter run caps the settle slot's lost slots
+                    assert slots == [(3, outcomes)]
+
+    def test_branches_that_lose_different_slots_are_counted_apart(self, monkeypatch):
+        # From on-slot 2, a window-1 reception turns off and loses one slot,
+        # a window-2 reception turns off and loses two, and a silent cycle
+        # completes and loses none.
+        circuit = make_circuit(c_farads=8e-3, power_w=12e-3, turn_on_fraction=0.89,
+                               esr=5.0, epr=10e3)
+        scenario = dataclasses.replace(
+            make_scenario(sf=10, dl_pl=222, interval_m=10.0, p1=0.7, p2=0.5), circuit=circuit)
+        outcomes = {"rx1": ("rx1", 1), "rx2": ("rx2", 2), "silent": (None, 0)}
+        slots = _settled_slots(monkeypatch)
+        for n in (*range(2, 2 + 3 * 3 + 1), 300):
+            for seed in range(10):
+                slots.clear()
+                assert run_simulation(scenario, seed, n)[0] == \
+                    run_simulation(scenario, seed, n, trace=True)[0], (n, seed)
+                if n >= 5:
+                    assert slots == [(2, outcomes)]
+
     def _settler(self, monkeypatch=None, branch=None):
         settler = simulator._Settler(make_scenario(interval_m=9.0), 1000)
         if branch is not None:
@@ -592,12 +629,11 @@ class TestSettling:
         assert not settler._inside([1.6 + 1e-13, 2.4], 1.6, 2.5)
 
     def test_only_an_interval_that_maps_into_itself_settles(self, monkeypatch):
-        walk = simulator._Walk(make_scenario().circuit, 2.0, off=False, trace=False)
         drifting = self._settler(monkeypatch, lambda x: ((None, 0), x + 0.1, False))
-        assert drifting(walk, 8) == (walk, 16)
+        assert drifting(2.0, 8) == (None, 16)
         contracting = self._settler(monkeypatch, lambda x: ((None, 0), 0.5 * x + 1.0, False))
-        settled, next_check = contracting(walk, 8)
-        assert isinstance(settled, simulator._SettledWalk) and next_check == math.inf
+        settled, next_check = contracting(2.0, 8)
+        assert settled == {"silent": (None, 0)} and next_check == math.inf
 
     def test_a_phase_entered_at_its_turn_off_level_is_near(self):
         settler = self._settler()

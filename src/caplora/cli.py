@@ -122,10 +122,30 @@ def _parse_values(text: str, option: str) -> list[float]:
 
 
 def _parse_ints(text: str, option: str) -> list[int]:
-    values = _parse_values(text, option)
-    if any(v != int(v) for v in values):
+    """Parse `option` like _parse_values into whole numbers; a list of
+    plain integers is read exactly, also past the 2**53 a float holds."""
+    try:
+        values = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        values = []
+    if values:
+        return values
+    numbers = _parse_values(text, option)
+    if any(v != int(v) for v in numbers):
         raise ScenarioError(f"expected whole numbers, got {text!r}")
-    return [int(v) for v in values]
+    return [int(v) for v in numbers]
+
+
+def _parse_seeds(text: str, option: str) -> list[int]:
+    """Parse `option`'s seeds: whole numbers >= 0, none of them twice.
+    random.Random(-s) draws what Random(s) draws, so a negative seed, like
+    a repeated one, would run one seed twice and count it twice."""
+    seeds = _parse_ints(text, option)
+    if min(seeds) < 0:
+        raise ScenarioError(f"{option} must be >= 0, got {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ScenarioError(f"{option} must not repeat a seed, got {text!r}")
+    return seeds
 
 
 def _grid(text: str | None, option: str, default: float) -> list[float]:
@@ -133,15 +153,24 @@ def _grid(text: str | None, option: str, default: float) -> list[float]:
     return [default] if text is None else _parse_values(text, option)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (exit code 2 otherwise)."""
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit code 2 otherwise)."""
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """argparse type for a seed, at least 0 (see _parse_seeds; exit code 2 otherwise)."""
+    return _int_at_least(text, 0)
 
 
 def _check_writable(path: str) -> None:
@@ -253,7 +282,7 @@ def _airtime_arguments(p) -> None:
 
 def _trace_arguments(p) -> None:
     _add_common(p)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--n", type=_positive_int, default=5, help="scheduled uplinks to simulate")
     p.add_argument("--m", type=float, help="override transmission interval (s)")
     p.add_argument("--threshold", type=float, help="override turn-on fraction")
@@ -266,7 +295,7 @@ def _trace_arguments(p) -> None:
 
 def _simulate_arguments(p) -> None:
     _add_common(p)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--m", type=float)
     p.add_argument("--threshold", type=float)
@@ -394,7 +423,7 @@ def _cmd_sweep(args) -> int:
         m_values=() if args.m_grid is None else _parse_values(args.m_grid, "--m"),
         granularity=loaded.granularity,
         n_scheduled=args.n,
-        seeds=_parse_ints(args.seeds, "--seeds"),
+        seeds=_parse_seeds(args.seeds, "--seeds"),
         engine=args.engine,
         jobs=args.jobs,
     ))
@@ -459,7 +488,7 @@ def _cmd_accuracy(args) -> int:
         thresholds=tuple(_parse_values(args.thresholds, "--thresholds")),
         granularities=tuple(_parse_ints(args.granularities, "--granularities")),
         n_scheduled=args.n,
-        seeds=tuple(_parse_ints(args.seeds, "--seeds")),
+        seeds=tuple(_parse_seeds(args.seeds, "--seeds")),
         jobs=args.jobs,
     )
     _emit(args, "accuracy", rows, [

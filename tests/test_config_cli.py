@@ -332,6 +332,40 @@ class TestCli:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    # random.Random(-s) draws what Random(s) draws: a negative seed, like a
+    # repeated one, would run one seed twice.
+    @pytest.mark.parametrize("seeds, message", [
+        ("1,-1", "must be >= 0"), ("-1", "must be >= 0"), ("1,1", "repeat"),
+        ("3,1,3", "repeat")])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--axis", "threshold", "--values", "0.6", "--m", "40", "--n", "20"],
+        ["accuracy", "--cases", "A", "--m-classes", "very_high", "--granularities", "100",
+         "--n", "20"]])
+    def test_negative_or_repeated_seeds_exit_2(self, command, seeds, message, capsys):
+        assert main([*command, "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("command", ["simulate", "trace"])
+    def test_negative_seed_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-1", "--n", "5"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_seeds_are_read_exactly(self, capsys):
+        # 2**53 + 1 has no float: read through one it ran seed 2**53.
+        seed = str(2**53 + 1)
+        assert cli._parse_seeds(f"{seed},7", "--seeds") == [2**53 + 1, 7]
+        assert main(["simulate", "--scenario", STOCHASTIC, "--m", "40", "--threshold", "0.6",
+                     "--n", "200", "--seed", seed, "--json"]) == 0
+        pdl1 = json.loads(capsys.readouterr().out)[0]["pdl1"]
+        for given, same in ((seed, True), (str(2**53), False)):
+            assert main(["sweep", "--scenario", STOCHASTIC, "--axis", "threshold",
+                         "--values", "0.6", "--m", "40", "--n", "200", "--seeds", given]) == 0
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            assert (row[5] == pdl1) is same
+
     def test_trace_single_cycle(self, capsys):
         code = main(["trace", "--single-cycle", "--dl-case", "rx1", "--m", "9"])
         assert code == 0

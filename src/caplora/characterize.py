@@ -148,21 +148,20 @@ def _ceiling_start(circuit: CircuitConfig) -> float:
     return max(circuit.charge_ceiling() - 1e-9, circuit.v_min)
 
 
-def required_cycle_voltage(scenario: Scenario, dl_case: str = "none",
-                           tol_v: float = defaults.CYCLE_VOLTAGE_TOL_V) -> float | None:
+def required_cycle_voltage(scenario: Scenario, dl_case: str = "none") -> float | None:
     """Minimal start voltage completing one uplink/downlink cycle.
 
     Bisects between the turn-off voltage and the charging ceiling; None
     when even a capacitor charged to the ceiling cannot fund the cycle.
     """
-    return _start_voltage(CycleCheck(scenario.circuit, scenario.schedule, dl_case), tol_v)
+    return _start_voltage(CycleCheck(scenario.circuit, scenario.schedule, dl_case))
 
 
-def _start_voltage(cycle: CycleCheck,
-                   tol_v: float = defaults.CYCLE_VOLTAGE_TOL_V) -> float | None:
+def _start_voltage(cycle: CycleCheck) -> float | None:
     """required_cycle_voltage over a compiled cycle check."""
     circuit = cycle.circuit
-    return _bisect(lambda v: cycle.run(v)[1], circuit.v_min, _ceiling_start(circuit), tol_v)
+    return _bisect(lambda v: cycle.run(v)[1], circuit.v_min, _ceiling_start(circuit),
+                   defaults.CYCLE_VOLTAGE_TOL_V)
 
 
 def _bisect(holds: Callable[[float], bool], lo: float, hi: float,
@@ -277,6 +276,16 @@ def _measure(engine: str, seeds: tuple, n_scheduled: int,
     return result.pdr, result.pdl1, result.pdl2, time.perf_counter() - t0
 
 
+def _check_seeds(seeds: Sequence[int]) -> None:
+    """Seeds are whole numbers >= 0, none of them twice.  random.Random(-s)
+    draws what Random(s) draws, so a negative seed, like a repeated one,
+    would run one seed twice and count it twice."""
+    if any(seed < 0 for seed in seeds):
+        raise ScenarioError(f"seeds must be >= 0, got {list(seeds)}")
+    if len(set(seeds)) < len(seeds):
+        raise ScenarioError(f"seeds must not repeat a seed, got {list(seeds)}")
+
+
 def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int,
                 cell: GridCell) -> list[dict]:
     rows = []
@@ -320,6 +329,7 @@ def threshold_sweep(scenario: Scenario, *, axis: str, values: Sequence[float],
     engines = ("simulator", "chain") if engine == "both" else (engine,)
     if "simulator" in engines and not seeds:
         raise ScenarioError("a simulator sweep needs at least one seed")
+    _check_seeds(seeds)
     axes = [(axis, values)] + ([("interval_m", m_values)] if m_values else [])
     measure = partial(_sweep_cell, axis, engines, tuple(seeds), n_scheduled)
     cells = evaluate_grid(scenario, axes, measure, granularity, jobs)
@@ -382,6 +392,7 @@ def accuracy_study(base: Scenario,
     row per cell, keyed by the CLI's accuracy columns."""
     if not seeds:
         raise ScenarioError("the accuracy study needs at least one seed")
+    _check_seeds(seeds)
     axes = [("granularity", granularities),
             ("threshold", thresholds),
             (("case", "m_class"), [(c, m) for c in cases for m in m_classes],

@@ -136,18 +136,6 @@ def _parse_ints(text: str, option: str) -> list[int]:
     return [int(v) for v in numbers]
 
 
-def _parse_seeds(text: str, option: str) -> list[int]:
-    """Parse `option`'s seeds: whole numbers >= 0, none of them twice.
-    random.Random(-s) draws what Random(s) draws, so a negative seed, like
-    a repeated one, would run one seed twice and count it twice."""
-    seeds = _parse_ints(text, option)
-    if min(seeds) < 0:
-        raise ScenarioError(f"{option} must be >= 0, got {text!r}")
-    if len(set(seeds)) < len(seeds):
-        raise ScenarioError(f"{option} must not repeat a seed, got {text!r}")
-    return seeds
-
-
 def _grid(text: str | None, option: str, default: float) -> list[float]:
     """The values of one grid option, or its default when it is not given."""
     return [default] if text is None else _parse_values(text, option)
@@ -169,7 +157,7 @@ def _positive_int(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    """argparse type for a seed, at least 0 (see _parse_seeds; exit code 2 otherwise)."""
+    """argparse type for a seed, at least 0 (exit code 2 otherwise)."""
     return _int_at_least(text, 0)
 
 
@@ -241,13 +229,11 @@ def _load(args) -> LoadedScenario:
     return LoadedScenario(scenario=scenario, granularity=granularity)
 
 
-def _add_common(parser, scenario=True, out=True):
+def _add_common(parser, scenario=True):
     if scenario:
         parser.add_argument("--scenario", help="scenario file (defaults used if omitted)")
-    if out:
-        parser.add_argument("--out", help="write CSV here instead of stdout")
-        parser.add_argument("--json", action="store_true",
-                            help="emit a JSON array instead of CSV")
+    parser.add_argument("--out", help="write CSV here instead of stdout")
+    parser.add_argument("--json", action="store_true", help="emit a JSON array instead of CSV")
 
 
 def build_parser(commands: Iterable[str] | None = None) -> argparse.ArgumentParser:
@@ -423,7 +409,7 @@ def _cmd_sweep(args) -> int:
         m_values=() if args.m_grid is None else _parse_values(args.m_grid, "--m"),
         granularity=loaded.granularity,
         n_scheduled=args.n,
-        seeds=_parse_seeds(args.seeds, "--seeds"),
+        seeds=_parse_ints(args.seeds, "--seeds"),
         engine=args.engine,
         jobs=args.jobs,
     ))
@@ -488,7 +474,7 @@ def _cmd_accuracy(args) -> int:
         thresholds=tuple(_parse_values(args.thresholds, "--thresholds")),
         granularities=tuple(_parse_ints(args.granularities, "--granularities")),
         n_scheduled=args.n,
-        seeds=tuple(_parse_seeds(args.seeds, "--seeds")),
+        seeds=tuple(_parse_ints(args.seeds, "--seeds")),
         jobs=args.jobs,
     )
     _emit(args, "accuracy", rows, [

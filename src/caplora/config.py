@@ -46,8 +46,6 @@ def _in(path: str):
 
 
 # section -> key -> (kind, stock value, where a LoadedScenario keeps it).
-# A retired key is kept nowhere (None): a file may still set it to a
-# value of its kind, which is then dropped with a FutureWarning.
 FORMAT = {
     "harvester": {
         "e_volts": (FINITE, defaults.OPERATING_VOLTAGE,
@@ -74,7 +72,6 @@ FORMAT = {
         "n_preamble": (INTEGER, defaults.N_PREAMBLE, _in("radio.n_preamble")),
         "ih": (INTEGER, defaults.IMPLICIT_HEADER, _in("radio.ih")),
         "de": (INTEGER, defaults.LOW_DR_OPTIMIZE, _in("radio.de")),
-        "tx_power_dbm": (FINITE, None, None),
     },
     "traffic": {
         "ul_payload_bytes": (INTEGER, defaults.UL_PAYLOAD_BYTES, _in("ul_pl")),
@@ -146,12 +143,9 @@ def parse_scenario(text: str, source: str = "<string>") -> LoadedScenario:
 
     v = {}
     for section, rows in FORMAT.items():
-        for key, (kind, stock, kept) in rows.items():
+        for key, (kind, stock, _) in rows.items():
             raw = parser.get(section, key, fallback=None)
             v[key] = stock if raw is None else _parse(kind, section, key, raw)
-            if raw is not None and kept is None:  # a retired key: checked, then dropped
-                warnings.warn(f"{source}: [{section}] {key} is no longer used; its value is "
-                              "ignored", FutureWarning, stacklevel=2)
 
     circuit = CircuitConfig(
         capacitor=CapacitorConfig(v["c_farads"], v["esr_ohms"], v["epr_ohms"]),
@@ -194,8 +188,7 @@ def dump_scenario(loaded: LoadedScenario) -> str:
     for section, rows in FORMAT.items():
         lines.append(f"[{section}]")
         for key, (kind, _, kept) in rows.items():
-            if kept is not None:
-                value = kept(loaded)
-                lines.append(f"{key} = {value if kind in (INTEGER, TEXT) else repr(value)}")
+            value = kept(loaded)
+            lines.append(f"{key} = {value if kind in (INTEGER, TEXT) else repr(value)}")
         lines.append("")
     return "\n".join(lines)

@@ -19,9 +19,11 @@ SL1 the downlink branches follow the same window rules as the event
 simulator: a window always costs its preamble at the listening load, a
 detected downlink additionally costs the packet airtime at the receiving
 load, and any brush with the turn-off voltage lands the device Off at the
-dying state's v_off, recharging for whatever remains of the interval.  A
-state dies where its end level sits at or below the level of its own
-v_off.  The row builder also records each state's Rewards, read off the
+dying state's v_off, recharging for whatever remains of the interval.
+Scenario keeps the interval above timing.min_interval_bound of its
+reachable branches, so every branch's cycle ends within it.  A state
+dies where its end level sits at or below the level of its own v_off.
+The row builder also records each state's Rewards, read off the
 levels it steps, and every delivery metric is pi . r.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
@@ -200,14 +202,6 @@ class _RowBuilder:
         # target, constants of the circuit (inf if v_on is unreachable).
         self.off_start = {phase.state: (thr.v_off[phase.state], self._wake_time(phase.v_off))
                           for phase in (phases["tx"], phases["listen1"], phases["rx1"])}
-        if self.p2 > 0:
-            window2_total = reduce(add, (phases[slot].duration for slot in (
-                "tx", "idle1", "listen1", "idle2", "listen2", "rx2")), 0.0)
-            if self.m <= window2_total:
-                raise InfeasibleScenario(
-                    f"interval {self.m} s cannot contain a "
-                    f"detected window-2 reception ({window2_total:.3f} s)"
-                )
 
     def _wake_time(self, v: float) -> float:
         """Off-state charge time from capacitor voltage v to the wake target."""
@@ -438,7 +432,8 @@ def chain_metrics(pi: np.ndarray, tm: TransitionMatrix,
                   strict_rx2_threshold: bool = False) -> ChainResult:
     """Delivery metrics from a stationary vector: pi . r over the builder's
     Rewards, summed left to right in state order; pdr is one minus the lost
-    mass.  strict_rx2_threshold gates pdl2 on the window-2 reception threshold."""
+    mass.  strict_rx2_threshold gates pdl2 on v_rx2, the least level whose
+    rx2 packet ends above the turn-off level."""
     def expect(metric: str) -> float:
         return reduce(add, (float(p) * getattr(r, metric) for p, r in zip(pi, tm.rewards)), 0.0)
 
@@ -446,9 +441,7 @@ def chain_metrics(pi: np.ndarray, tm: TransitionMatrix,
                        pdl2=expect("pdl2_strict" if strict_rx2_threshold else "pdl2"))
 
 
-def solve_chain(scenario: Scenario, g: int,
-                strict_rx2_threshold: bool = False) -> ChainResult:
+def solve_chain(scenario: Scenario, g: int) -> ChainResult:
     """Build the chain, solve for the stationary vector, return the metrics."""
     tm = build_transition_matrix(scenario, g)
-    pi = stationary_distribution(tm)
-    return chain_metrics(pi, tm, strict_rx2_threshold=strict_rx2_threshold)
+    return chain_metrics(stationary_distribution(tm), tm)

@@ -6,9 +6,10 @@ the wake target CircuitConfig.v_on (v_min and v_sl for an ideal
 capacitor).  The device starts Off at v_min and uplinks are scheduled
 every `interval_m` seconds starting at t = 0.  Between cycles it charges
 in Off until v_on, then sleeps.  A scheduled uplink is lost when the
-device is Off (or still busy with the previous cycle), aborted when it
-turns off mid-transmission, and successful otherwise.  A turn-off leaves
-the capacitor at the phase's v_off, or where it was when the phase was
+device is Off (or, within float rounding of Scenario's interval bound,
+still busy with the previous cycle), aborted when it turns off
+mid-transmission, and successful otherwise.  A turn-off leaves the
+capacitor at the phase's v_off, or where it was when the phase was
 entered below that; a turn-off at or above v_on wakes the device at
 once.  Every phase is advanced with the closed-form voltage expressions;
 turn-off crossings are located analytically, never by time stepping.
@@ -32,10 +33,10 @@ free, so it answers exactly what single_cycle_trace answers on a circuit
 rebuilt at that capacitance, with no circuit, schedule or Phase built.
 
 Settling.  With the trace off, run_simulation stops stepping voltages
-once every cycle's outcome is fixed.  Each reachable branch (rx1 if
-p1 > 0, silent if p1 < 1 and p2 < 1, rx2 if p1 < 1 and p2 > 0) maps the
-on-slot voltage x to an outcome (its turn-off phase or none, and the
-slots lost before the next on-slot) and to the next on-slot's voltage.
+once every cycle's outcome is fixed.  Each branch of Scenario.branches
+(rx1, rx2 and silent, where reachable) maps the on-slot voltage x to an
+outcome (its turn-off phase or none, and the slots lost before the next
+on-slot) and to the next on-slot's voltage.
 Phase and Sleep maps are nondecreasing and turn-off times monotone, so
 both are monotone in x on each side of v_off (where the turn-off phase
 is entered) and of v_on (a turn-off at or above it wakes at once).  An
@@ -105,12 +106,20 @@ class Scenario:
     def __post_init__(self):
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
             raise ScenarioError(f"p1/p2 must be probabilities, got {self.p1}, {self.p2}")
-        bound = min_interval_bound(self.schedule)
+        bound = min_interval_bound(self.schedule, "rx2" in self.branches)
         if not bound < self.interval_m < math.inf:
             raise ScenarioError(
                 f"transmission interval {self.interval_m} s must be finite and exceed "
                 f"the uplink/downlink sequence bound {bound:.6f} s"
             )
+
+    @property
+    def branches(self) -> tuple[str, ...]:
+        """The downlink branches a cycle can take, in draw order: detected in
+        window 1 (rx1), detected in window 2 (rx2), silent in both."""
+        p1, p2 = self.p1, self.p2
+        reachable = {"rx1": p1 > 0, "rx2": p1 < 1 and p2 > 0, "silent": p1 < 1 and p2 < 1}
+        return tuple(branch for branch, on in reachable.items() if on)
 
     @cached_property
     def schedule(self) -> TimingSchedule:
@@ -313,11 +322,10 @@ class _Settler:
     """The settle test of run_simulation (see the module docstring)."""
 
     def __init__(self, scenario: Scenario, n_scheduled: int):
-        circuit, table, p1, p2 = scenario.circuit, scenario.phases, scenario.p1, scenario.p2
+        circuit, table = scenario.circuit, scenario.phases
         self.circuit, self.m, self.n = circuit, scenario.interval_m, n_scheduled
         self.off, self.sleep = table["off"], table["sleep"]
-        reachable = {"rx1": p1 > 0, "rx2": p1 < 1 and p2 > 0, "silent": p1 < 1 and p2 < 1}
-        self.names = [b for b, on in reachable.items() if on]
+        self.names = scenario.branches
         self.branches = [tuple(map(table.get, _BRANCHES[b])) for b in self.names]
         e, t_end = circuit.operating_voltage, n_scheduled * self.m
         tau = min(circuit.state_params(s).tau for s in (DeviceState.OFF, DeviceState.SLEEP))

@@ -462,6 +462,22 @@ class TestSimulateMean:
         want = self.per_seed_mean(scenario, self.SEEDS, 300)
         assert characterize._simulate_mean(scenario, self.SEEDS, 300) == want
 
+    # random.Random(-s) draws what Random(s) draws: a negative seed, like a
+    # repeated one, would run one seed twice and count it twice.
+    @pytest.mark.parametrize("seeds, message", [
+        ((1, -1), "must be >= 0"), ((-1,), "must be >= 0"), ((1, 1), "repeat"),
+        ((3, 1, 3), "repeat")])
+    def test_negative_or_repeated_seeds_raise_before_any_cell(self, seeds, message,
+                                                              monkeypatch):
+        monkeypatch.setattr(characterize, "_measure", None)  # no cell may run
+        for engine in ("simulator", "chain", "both"):
+            with pytest.raises(ScenarioError, match=message):
+                threshold_sweep(make_scenario(interval_m=40.0), axis="threshold",
+                                values=(0.6,), seeds=seeds, engine=engine)
+        with pytest.raises(ScenarioError, match=message):
+            accuracy_study(make_scenario(), cases=("A",), m_classes=("very_high",),
+                           granularities=(100,), seeds=seeds)
+
     def test_simulator_sweep_needs_a_seed(self):
         spec = dict(scenario=make_scenario(), axis="threshold", values=(0.7,), seeds=())
         with pytest.raises(ScenarioError, match="seed"):

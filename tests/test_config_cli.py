@@ -107,7 +107,6 @@ class TestScenarioFiles:
         "[capacitor]\nepr_ohms = nan\n",
         "[capacitor]\nc_farads = -inf\n",
         "[loads]\noff_ohms = inf\n",
-        "[radio]\ntx_power_dbm = nan\n",
     ])
     def test_non_finite_numbers_rejected(self, text):
         with pytest.raises(ScenarioError, match="finite"):
@@ -129,11 +128,17 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError):
             build()
 
-    def test_retired_tx_power_warns_and_is_dropped(self):
-        with pytest.warns(FutureWarning, match=r"\[radio\] tx_power_dbm"):
-            loaded = parse_scenario("[radio]\nsf = 9\ntx_power_dbm = 14\n")
-        assert loaded == parse_scenario("[radio]\nsf = 9\n")
-        assert "tx_power_dbm" not in dump_scenario(loaded)
+    @pytest.mark.parametrize("value", ["14", "nan"])
+    def test_retired_tx_power_is_an_unknown_key(self, value, tmp_path, capsys):
+        text = f"[radio]\nsf = 9\ntx_power_dbm = {value}\n"
+        with pytest.raises(ScenarioError, match=r"unknown key \[radio\] tx_power_dbm"):
+            parse_scenario(text)
+        cfg = tmp_path / "tx_power.ini"
+        cfg.write_text(text)
+        assert main(["simulate", "--scenario", str(cfg), "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown key [radio] tx_power_dbm" in captured.err
+        assert "tx_power_dbm" not in dump_scenario(parse_scenario("[radio]\nsf = 9\n"))
 
     def test_infinite_epr_spelled_out(self):
         loaded = parse_scenario("[capacitor]\nepr_ohms = inf\n")
@@ -305,12 +310,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
-    def test_chain_interval_too_short_for_window_2_exits_3(self, tmp_path, capsys):
+    def test_chain_interval_too_short_for_window_2_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "w2.cfg"
         cfg.write_text("[traffic]\np2 = 0.5\n")
         assert main(["chain", "--scenario", str(cfg), "--m", "3.1",
-                     "--granularity", "100"]) == 3
-        assert "window-2" in capsys.readouterr().err
+                     "--granularity", "100"]) == 2
+        assert "sequence bound 3.111296 s" in capsys.readouterr().err
+
+    # At 10 W energy never binds.  M = 3.0 s holds the stock SF7 sequence as
+    # the analytic cycle counts it (2.709888 s) but not a window-2 preamble
+    # and packet (3.111296 s).
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--n", "100"], ["chain"],
+        ["sweep", "--axis", "threshold", "--values", "0.7", "--engine", "both", "--n", "100",
+         "--seeds", "1"]])
+    def test_an_interval_without_room_for_a_window_2_reception_exits_2(self, command,
+                                                                      tmp_path, capsys):
+        cfg = tmp_path / "w2.ini"
+        cfg.write_text("[harvester]\npower_watts = 10\n[traffic]\np2 = 1\n")
+        assert main([*command, "--scenario", str(cfg), "--m", "3.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sequence bound 3.111296 s" in captured.err
+
+    @pytest.mark.parametrize("command, pdr", [(["simulate", "--n", "1000"], "0.999"),
+                                              (["chain"], "1")])
+    def test_window_2_never_opens_when_window_1_always_receives(self, command, pdr,
+                                                                tmp_path, capsys):
+        cfg = tmp_path / "w1.ini"
+        cfg.write_text("[harvester]\npower_watts = 10\n[traffic]\np1 = 1\np2 = 1\n")
+        assert main([*command, "--scenario", str(cfg), "--m", "3.0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"pdr={pdr} pdl1={pdr} pdl2=0"
 
     def test_accuracy_cell_that_never_wakes_exits_3(self, capsys):
         # A threshold beyond the Off state's charging ceiling is no cell to
@@ -356,7 +385,7 @@ class TestCli:
     def test_seeds_are_read_exactly(self, capsys):
         # 2**53 + 1 has no float: read through one it ran seed 2**53.
         seed = str(2**53 + 1)
-        assert cli._parse_seeds(f"{seed},7", "--seeds") == [2**53 + 1, 7]
+        assert cli._parse_ints(f"{seed},7", "--seeds") == [2**53 + 1, 7]
         assert main(["simulate", "--scenario", STOCHASTIC, "--m", "40", "--threshold", "0.6",
                      "--n", "200", "--seed", seed, "--json"]) == 0
         pdl1 = json.loads(capsys.readouterr().out)[0]["pdl1"]

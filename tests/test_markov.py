@@ -28,6 +28,7 @@ from caplora.markov import (
     threshold_levels,
 )
 from caplora.simulator import run_simulation
+from caplora.timing import min_interval_bound
 
 from conftest import make_circuit, make_scenario, stationary_oracle
 
@@ -341,8 +342,10 @@ class TestChainMetrics:
 
     def test_strict_rx2_flag_never_increases(self):
         scenario = make_scenario(interval_m=9.0, p2=1.0, turn_on_fraction=0.58)
-        printed = solve_chain(scenario, 200)
-        strict = solve_chain(scenario, 200, strict_rx2_threshold=True)
+        tm = build_transition_matrix(scenario, 200)
+        pi = stationary_distribution(tm)
+        printed = chain_metrics(pi, tm)
+        strict = chain_metrics(pi, tm, strict_rx2_threshold=True)
         assert strict.pdl2 <= printed.pdl2
         assert strict.pdr == printed.pdr
 
@@ -509,6 +512,25 @@ class TestParasiticAgreement:
         assert good >= math.ceil(0.95 * len(cells)), f"only {good}/{len(cells)} cells agree"
 
 
+def test_the_window_2_cycle_fills_the_least_admitted_interval(monkeypatch):
+    # At one float above the bound, the chain's longest cycle, a window-2
+    # reception, sleeps out what is left of the interval from the bound.
+    base = make_scenario(p2=1.0, power_w=10.0)
+    bound = min_interval_bound(base.schedule, rx2_reachable=True)
+    scenario = dataclasses.replace(base, interval_m=math.nextafter(bound, math.inf))
+    elapsed = []
+    to_sleep = _RowBuilder._to_sleep
+
+    def spy(self, level, t):
+        elapsed.append(t)
+        return to_sleep(self, level, t)
+
+    monkeypatch.setattr(_RowBuilder, "_to_sleep", spy)
+    tm = build_transition_matrix(scenario, 100)
+    assert max(elapsed) == bound
+    assert chain_metrics(stationary_distribution(tm), tm).pdl2 == 1.0
+
+
 def test_sums_add_left_to_right(monkeypatch):
     """Python 3.12's sum compensates while 3.10 and 3.11 add left to right,
     so the builtin would print other floats on 3.12.  The chain metrics,
@@ -523,6 +545,6 @@ def test_sums_add_left_to_right(monkeypatch):
     tm = SimpleNamespace(states=(None,) * 3, rewards=(Rewards(lost=1.0, pdl1=1.0),) * 3)
     result = chain_metrics(pi, tm)
     assert (result.pdr, result.pdl1) == (1.0, 0.0)   # (1e16 + 1.0) rounds back to 1e16
-    with pytest.raises(InfeasibleScenario, match="window-2"):
-        build_transition_matrix(make_scenario(interval_m=3.0, p2=1.0), 100)
+    with pytest.raises(ScenarioError, match="bound 3.111296 s"):
+        make_scenario(interval_m=3.0, p2=1.0)
     assert characterize.min_tx_interval(make_scenario(), "rx2") > 0.0

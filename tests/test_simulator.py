@@ -11,6 +11,7 @@ from caplora.cli import main
 from caplora.config import parse_scenario
 from caplora.energy import DeviceState, time_to_voltage, voltage_after
 from caplora.errors import ScenarioError
+from caplora.timing import min_interval_bound
 from caplora.simulator import (
     CycleCheck,
     SimStats,
@@ -32,6 +33,33 @@ class TestScenarioValidation:
             make_scenario(p1=1.5)
         with pytest.raises(ScenarioError):
             make_scenario(p2=-0.1)
+
+    @pytest.mark.parametrize("p1, p2, branches", [
+        (0.0, 0.0, ("silent",)), (1.0, 0.0, ("rx1",)), (1.0, 1.0, ("rx1",)),
+        (0.0, 1.0, ("rx2",)), (0.5, 0.0, ("rx1", "silent")), (0.0, 0.5, ("rx2", "silent")),
+        (0.5, 1.0, ("rx1", "rx2")), (0.5, 0.5, ("rx1", "rx2", "silent"))])
+    def test_the_interval_bound_covers_a_reachable_window_2_reception(self, p1, p2, branches):
+        # The stock SF7 sequence is 2.709888 s as the analytic cycle counts
+        # it, and 3.111296 s with a window-2 preamble and packet.
+        assert make_scenario(p1=p1, p2=p2).branches == branches
+        if "rx2" in branches:
+            with pytest.raises(ScenarioError, match="bound 3.111296 s"):
+                make_scenario(interval_m=3.0, p1=p1, p2=p2)
+        else:
+            assert make_scenario(interval_m=3.0, p1=p1, p2=p2).interval_m == 3.0
+
+    @pytest.mark.parametrize("sf, dl_pl", [(7, 1), (9, 48), (12, 222)])
+    def test_the_window_2_bound_is_the_walks_rx2_cycle(self, sf, dl_pl):
+        # Bit for bit: the walk adds the rx2 branch's durations from t = 0
+        # in the order the bound adds them.
+        scenario = make_scenario(sf=sf, dl_pl=dl_pl, interval_m=60.0, p2=1.0,
+                                 power_w=0.01, c_farads=1.0)
+        circuit = scenario.circuit
+        walk = simulator._Walk(circuit, circuit.charge_ceiling(), off=False, trace=False)
+        assert all(walk.phase(scenario.phases[slot]) for slot in simulator._BRANCHES["rx2"])
+        bound = min_interval_bound(scenario.schedule, rx2_reachable=True)
+        assert walk.t.hex() == bound.hex()
+        assert bound > min_interval_bound(scenario.schedule)
 
 
 class TestDeterminism:
@@ -561,13 +589,14 @@ class TestSettling:
         assert run_simulation(scenario, seed, n)[0] == run_simulation(scenario, seed, n, trace=True)[0]
 
     def test_a_cycle_ending_on_the_next_slot_keeps_the_full_walk(self):
-        # M is the rx2 cycle as the walk adds it up: whether the radio is
-        # still busy at the next slot flips with each slot's rounding.
+        # M is one float above the rx2 cycle as the walk adds it up, the
+        # least interval the bound admits: whether the radio is still busy
+        # at the next slot flips with each slot's rounding.
         scenario = make_scenario(p2=1.0)
         s, m = scenario.schedule, 0.0
         for duration in (s.t_tx, s.t_id1, s.t_l1, s.t_id2, s.t_l2, s.t_rx2):
             m += duration
-        scenario = dataclasses.replace(scenario, interval_m=m,
+        scenario = dataclasses.replace(scenario, interval_m=math.nextafter(m, math.inf),
                                        circuit=make_circuit(c_farads=47e-3, power_w=0.01))
         settler = simulator._Settler(scenario, 3000)
         assert settler._probe(settler.branches[0], 3.0, 5)[2]

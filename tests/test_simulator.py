@@ -11,7 +11,6 @@ from caplora.cli import main
 from caplora.config import parse_scenario
 from caplora.energy import DeviceState, time_to_voltage, voltage_after
 from caplora.errors import ScenarioError
-from caplora.timing import min_interval_bound
 from caplora.simulator import (
     CycleCheck,
     SimStats,
@@ -19,6 +18,7 @@ from caplora.simulator import (
     run_simulation,
     single_cycle_trace,
 )
+from caplora.timing import min_interval_bound
 
 from conftest import make_circuit, make_scenario
 

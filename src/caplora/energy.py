@@ -27,13 +27,14 @@ constant reduces bit for bit to tau = R_eq * C and L = V_th; EPR uses an
 explicit math.inf sentinel so that reduction is exact.
 
 compile_phase turns one device state (at a fixed duration, or open-ended
-for the recharge states) into a Phase: its turn-off voltage plus
-after/cross callables with the decay factor fixed in advance.  The
-simulator walks phases, the Markov chain quantizes them and the sizing
-searches charge with them; they evaluate the very expressions of
-voltage_after and time_to_voltage (a timed phase's crossing is the time
-to its turn-off voltage), so both paths give bit-identical floats.  The
-sizing searches' cycle check (simulator.CycleCheck) applies the same
+for the recharge states) into a Phase: its turn-off voltage, its affine
+constants (v_limit, tau and a timed phase's decay factor, fixed in
+advance) and after/cross callables over them.  The simulator walks
+phases, the Markov chain compiles their constants into its level map and
+the sizing searches charge with them; they evaluate the very expressions
+of voltage_after and time_to_voltage (a timed phase's crossing is the
+time to its turn-off voltage), so both paths give bit-identical floats.
+The sizing searches' cycle check (simulator.CycleCheck) applies the same
 _step and _off_time with tau formed at each trial capacitance.
 
 Everything here is a pure function of its arguments; no shared state.
@@ -348,6 +349,10 @@ class Phase:
     decides) has duration None; `after(v, t)` takes the elapsed time too
     and `cross(v, v_target)` is the time the state needs to move v to
     v_target, math.inf when it never gets there.  Phases compare by identity.
+
+    `after` is the affine map v_limit * (1 - decay) + v * decay, with
+    decay = exp(-duration / tau) fixed for a timed phase (None for a
+    recharge phase, whose decay is exp(-t / tau) of the elapsed t).
     """
 
     state: DeviceState
@@ -356,22 +361,28 @@ class Phase:
     v_guard: float
     after: Callable[..., float]
     cross: Callable[..., float]
+    v_limit: float
+    tau: float
+    decay: float | None
 
 
 def compile_phase(circuit: CircuitConfig, state: DeviceState,
                   duration: float | None = None) -> Phase:
     """Fix the state constants and, for a timed phase, the decay factor
-    exp(-duration / tau) once, ahead of any walk."""
+    exp(-duration / tau) once, ahead of any walk.  The Phase carries them as
+    v_limit, tau and decay (None for a recharge phase)."""
     if duration is not None and duration < 0:
         raise ScenarioError(f"time must be >= 0, got {duration}")
     p = circuit.state_params(state)
     if duration is None:
+        decay = None
         after = partial(_after, p.v_limit, p.tau)
         cross = partial(_time, p.v_limit, p.tau)
     else:
-        after = partial(_step, p.v_limit, math.exp(-duration / p.tau))
+        decay = math.exp(-duration / p.tau)
+        after = partial(_step, p.v_limit, decay)
         cross = partial(_off_time, p.v_limit, p.tau, p.v_off)
-    return Phase(state, duration, p.v_off, p.v_guard, after, cross)
+    return Phase(state, duration, p.v_off, p.v_guard, after, cross, p.v_limit, p.tau, decay)
 
 
 def wake_time(off: Phase, v: float, v_on: float) -> float:

@@ -13,7 +13,14 @@ kind with a voltage level:
 
 Transitions step by slot through Scenario.phases, the compiled phase
 table the simulator walks, quantizing after every phase:
-level -> round(phase.after(level / g) * g).  Turn-off levels are the
+level -> round(phase.after(level / g) * g).  Each chain compiles this
+level map once from the phases' affine constants: a timed slot steps
+min(max(round((offset + level / g * decay) * g), 0), v_max) with
+offset = v_limit * (1 - decay), and each downlink branch's final sleep
+takes the decay over what its cycle leaves of the interval.  These are
+Phase.after's float operations in its order, so the map is bit-identical
+to calling the phases; only the turn-off paths, whose recharge time
+depends on the level, call them per level.  Turn-off levels are the
 phases' v_off, the wake time is the Off phase's crossing.  Within
 SL1 the downlink branches follow the same window rules as the event
 simulator: a window always costs its preamble at the listening load, a
@@ -38,12 +45,13 @@ importing this module (and so caplora) leaves it unloaded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .energy import CircuitConfig, Phase, wake_time
+from .energy import Phase, wake_time
 from .errors import InfeasibleScenario, ScenarioError
 from .simulator import Scenario
 
@@ -81,33 +89,31 @@ def _check_granularity(g: int) -> None:
         raise ScenarioError(f"granularity must be an integer >= 1, got {g!r}")
 
 
-class _VoltageSteps:
-    """The chain's discrete voltage map: a compiled phase applied to a level.
+def _level_step(phase: Phase, g: int, v_max: int, t: float | None = None) -> Callable[[int], int]:
+    """The phase compiled into the chain's level map at a fixed time.
 
-    One step is level -> round(phase.after(level / g) * g), clipped to
-    [0, v_max]; a recharge phase also takes its elapsed time,
-    phase.after(level / g, t).  The exponential itself lives in the phase.
+    level -> round(phase.after(level / g[, t]) * g), clipped to [0, v_max],
+    walked as plain arithmetic on the phase's affine constants: the same
+    float operations, in the same order, as Phase.after, so bit-identical
+    to it.  A timed phase takes its own decay, a recharge phase the decay
+    over the elapsed t.
     """
-
-    def __init__(self, circuit: CircuitConfig, g: int):
-        self.g = g
-        self.v_max = level_of(circuit.operating_voltage, g)
-
-    def step(self, phase: Phase, level: int, *t: float) -> int:
-        return min(max(level_of(phase.after(level / self.g, *t), self.g), 0), self.v_max)
+    decay = phase.decay if t is None else math.exp(-t / phase.tau)
+    offset = phase.v_limit * (1.0 - decay)
+    return lambda level: min(max(round((offset + level / g * decay) * g), 0), v_max)
 
 
-def _min_level_surviving(steps: _VoltageSteps, phase: Phase,
-                         lo: int, hi: int, target: int) -> int | None:
+def _min_level_surviving(step: Callable[[int], int], lo: int, hi: int,
+                         target: int) -> int | None:
     """Smallest start level in [lo, hi] whose end level reaches `target`.
 
     The end level is nondecreasing in the start level, so binary search.
     """
-    if steps.step(phase, hi) < target:
+    if step(hi) < target:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        if steps.step(phase, mid) >= target:
+        if step(mid) >= target:
             hi = mid
         else:
             lo = mid + 1
@@ -125,12 +131,11 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     """
     _check_granularity(g)
     circuit, phases = scenario.circuit, scenario.phases
-    steps = _VoltageSteps(circuit, g)
     v_min = level_of(circuit.v_min, g)
-    v_max = steps.v_max
+    v_max = level_of(circuit.operating_voltage, g)
     v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
     tx, rx1, rx2 = phases["tx"], phases["rx1"], phases["rx2"]
-    v_tx = _min_level_surviving(steps, tx, v_min, v_max, v_off[tx.state] + 1)
+    v_tx = _min_level_surviving(_level_step(tx, g, v_max), v_min, v_max, v_off[tx.state] + 1)
     if v_tx is None:
         raise InfeasibleScenario(
             f"no voltage level up to {circuit.operating_voltage} V can fund a "
@@ -138,8 +143,8 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
             f"{circuit.capacitor.capacitance * 1e3:.3g} mF"
         )
     rx_survive = v_off[rx1.state] + 1
-    v_rx1 = _min_level_surviving(steps, rx1, v_min, v_max, rx_survive)
-    v_rx2 = _min_level_surviving(steps, rx2, v_min, v_max, rx_survive)
+    v_rx1 = _min_level_surviving(_level_step(rx1, g, v_max), v_min, v_max, rx_survive)
+    v_rx2 = _min_level_surviving(_level_step(rx2, g, v_max), v_min, v_max, rx_survive)
     return ThresholdLevels(
         v_min=v_min,
         v_on=level_of(circuit.v_on, g),
@@ -187,41 +192,62 @@ class TransitionMatrix:
 
 
 class _RowBuilder:
-    """Computes the outgoing distribution and the rewards of one chain state."""
+    """Computes the outgoing distribution and the rewards of one chain state.
+
+    The level map is compiled once per chain: a step per timed slot, and
+    per reachable downlink branch (Scenario.branches) the sleep step over
+    what its cycle leaves of the interval.  A branch's cycle ends at a
+    time fixed by the chain, `ends`, its durations added left to right.
+    Die paths recharge from a level-dependent time, so they call the
+    phases themselves.
+    """
 
     def __init__(self, scenario: Scenario, g: int, thr: ThresholdLevels):
-        self.circuit = scenario.circuit
         self.phases = phases = scenario.phases
         self.m, self.p1, self.p2 = scenario.interval_m, scenario.p1, scenario.p2
         self.g = g
         self.thr = thr
-        self.steps = _VoltageSteps(self.circuit, g)
-        self.v_on = self.circuit.v_on
+        self.v_on = scenario.circuit.v_on
+        timed = [phases[slot] for slot in ("tx", "idle1", "listen1", "rx1", "idle2", "listen2",
+                                           "rx2")]
+        tx, idle1, listen1, rx1, idle2, listen2, rx2 = timed
+        self.step = {phase: _level_step(phase, g, thr.v_max) for phase in timed}
+        self.t_win1 = tx.duration + idle1.duration
+        self.t_win2 = self.t_win1 + listen1.duration + idle2.duration
+        ends = {"rx1": self.t_win1 + listen1.duration + rx1.duration,
+                "rx2": self.t_win2 + listen2.duration + rx2.duration,
+                "silent": self.t_win2 + listen2.duration}
+        self.ends = {branch: ends[branch] for branch in scenario.branches}
+        self.sleep_out = {branch: _level_step(phases["sleep"], g, thr.v_max, self.m - end)
+                          for branch, end in self.ends.items()}
         # A turn-off in each state leaves the capacitor at that state's
         # v_off: its level and its Off-state recharge time to the wake
         # target, constants of the circuit (inf if v_on is unreachable).
         self.off_start = {phase.state: (thr.v_off[phase.state], self._wake_time(phase.v_off))
-                          for phase in (phases["tx"], phases["listen1"], phases["rx1"])}
+                          for phase in (tx, listen1, rx1)}
 
     def _wake_time(self, v: float) -> float:
         """Off-state charge time from capacitor voltage v to the wake target."""
         return wake_time(self.phases["off"], v, self.v_on)
 
+    def _level(self, v: float) -> int:
+        return min(max(level_of(v, self.g), 0), self.thr.v_max)
+
     def _sleep_kind(self, level: int) -> str:
         return SL1 if level >= self.thr.v_tx else SL0
 
-    def _to_sleep(self, level: int, elapsed: float) -> ChainState:
-        """Finish the cycle asleep and advance to the next instant."""
-        nxt = self.steps.step(self.phases["sleep"], level, self.m - elapsed)
+    def _to_sleep(self, branch: str, level: int) -> ChainState:
+        """Finish the branch's cycle asleep and advance to the next instant."""
+        nxt = self.sleep_out[branch](level)
         return ChainState(self._sleep_kind(nxt), nxt)
 
     def _recharge(self, level: int, t_wake: float, remaining: float) -> ChainState:
         """Charge Off from `level`, wake after t_wake, sleep out `remaining`."""
         if t_wake >= remaining:
-            nxt = self.steps.step(self.phases["off"], level, remaining)
+            nxt = self._level(self.phases["off"].after(level / self.g, remaining))
             return ChainState(OFF, min(nxt, self.thr.v_on - 1))
-        nxt = self.steps.step(self.phases["sleep"], max(level, self.thr.v_on),
-                              remaining - t_wake)
+        nxt = self._level(self.phases["sleep"].after(max(level, self.thr.v_on) / self.g,
+                                                     remaining - t_wake))
         return ChainState(self._sleep_kind(nxt), nxt)
 
     def _die(self, phase: Phase, level: int, t_base: float, t_lead: float = 0.0) -> ChainState:
@@ -242,21 +268,21 @@ class _RowBuilder:
         return self._recharge(off_level, t_wake, self.m - (t_base + (t_lead + t)))
 
     def _window(self, add, listen: Phase, rx: Phase, v_rx: int, level: int, t: float,
-                p: float, reach: float) -> tuple[int, bool]:
+                p: float, reach: float, branch: str) -> tuple[int, bool]:
         """The receive window entered at `level` at time t, reached with
-        probability `reach`, a downlink coming with probability p.  Adds the
-        detected branch, and the silent one if the device dies listening;
-        returns the level after listening and whether the device died.
+        probability `reach`, a downlink coming with probability p and ending
+        `branch`.  Adds the detected branch, and the silent one if the device
+        dies listening; returns the level after listening and whether the
+        device died.
         """
-        step = self.steps.step
-        end = step(listen, level)
+        end = self.step[listen](level)
         died = end <= self.thr.v_off[listen.state]
         detected, silent = reach * p, reach * (1.0 - p)
         if detected > 0.0:
             if died:
                 add(self._die(listen, level, t), detected)
             elif end >= v_rx:
-                add(self._to_sleep(step(rx, end), t + listen.duration + rx.duration), detected)
+                add(self._to_sleep(branch, self.step[rx](end)), detected)
             else:
                 add(self._die(rx, end, t, listen.duration), detected)
         if died and silent > 0.0:
@@ -265,7 +291,7 @@ class _RowBuilder:
 
     def row(self, state: ChainState) -> tuple[dict[ChainState, float], Rewards]:
         """The state's outgoing distribution and its rewards."""
-        thr, step, phases = self.thr, self.steps.step, self.phases
+        thr, step, phases = self.thr, self.step, self.phases
         dests: dict[ChainState, float] = {}
 
         def add(dest: ChainState, prob: float) -> None:
@@ -287,16 +313,16 @@ class _RowBuilder:
         p1, p2 = self.p1, self.p2
         idle1, listen1, idle2, listen2 = (phases[slot] for slot in
                                           ("idle1", "listen1", "idle2", "listen2"))
-        v1 = step(idle1, step(tx, state.level))
-        t_win1 = tx.duration + idle1.duration
-        w1, died = self._window(add, listen1, phases["rx1"], thr.v_rx1, v1, t_win1, p1, 1.0)
-        v2 = step(idle2, w1)
-        t_win2 = t_win1 + listen1.duration + idle2.duration
+        v1 = step[idle1](step[tx](state.level))
+        w1, died = self._window(add, listen1, phases["rx1"], thr.v_rx1, v1, self.t_win1,
+                                p1, 1.0, "rx1")
+        v2 = step[idle2](w1)
         silent = 0.0 if died else 1.0 - p1
-        w2, died = self._window(add, listen2, phases["rx2"], thr.v_rx2, v2, t_win2, p2, silent)
+        w2, died = self._window(add, listen2, phases["rx2"], thr.v_rx2, v2, self.t_win2,
+                                p2, silent, "rx2")
         quiet = silent * (1.0 - p2)
         if not died and quiet > 0.0:
-            add(self._to_sleep(w2, t_win2 + listen2.duration), quiet)
+            add(self._to_sleep("silent", w2), quiet)
         pdl2 = (1.0 - p1) * p2
         return dests, Rewards(pdl1=p1 if v1 >= thr.v_rx1 else 0.0,
                               pdl2=pdl2 if v2 >= thr.v_off[listen1.state] else 0.0,
@@ -304,32 +330,40 @@ class _RowBuilder:
 
 
 def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
-    """Build the chain over every state reachable from (OFF, level(v_min))."""
+    """Build the chain over every state reachable from (OFF, level(v_min)).
+
+    A breadth-first search numbers each state as a row first emits it and
+    records the row's successors in the same pass; one scatter then fills
+    the dense matrix.
+    """
     thr = threshold_levels(scenario, g)
-    builder = _RowBuilder(scenario, g, thr)
+    row = _RowBuilder(scenario, g, thr).row
     initial = ChainState(OFF, thr.v_min)
     index: dict[ChainState, int] = {initial: 0}
     states: list[ChainState] = [initial]
-    rows: list[dict[ChainState, float]] = []
+    successors: list[tuple[int, ...]] = []
     rewards: list[Rewards] = []
-    frontier = 0
-    while frontier < len(states):
-        row, reward = builder.row(states[frontier])
-        rows.append(row)
-        rewards.append(reward)
-        for dest in row:
+    probs: list[float] = []
+    for state in states:    # the list grows as rows emit new states
+        dests, reward = row(state)
+        cols = []
+        for dest in dests:
             if dest not in index:
                 index[dest] = len(states)
                 states.append(dest)
-        frontier += 1
+            cols.append(index[dest])
+        successors.append(tuple(cols))
+        probs.extend(dests.values())
+        rewards.append(reward)
 
     import numpy as np
-    successors = tuple(tuple(index[dest] for dest in row) for row in rows)
-    matrix = np.zeros((len(states), len(states)))
-    for i, (row, cols) in enumerate(zip(rows, successors)):
-        matrix[i, list(cols)] = list(row.values())
+    n = len(states)
+    matrix = np.zeros((n, n))
+    matrix[np.repeat(np.arange(n), [len(cols) for cols in successors]),
+           [j for cols in successors for j in cols]] = probs
     return TransitionMatrix(states=tuple(states), index=index, matrix=matrix,
-                            successors=successors, rewards=tuple(rewards), thresholds=thr)
+                            successors=tuple(successors), rewards=tuple(rewards),
+                            thresholds=thr)
 
 
 def _closed_classes(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:

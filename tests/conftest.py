@@ -155,3 +155,144 @@ def rk4_capacitor(e, r_i, r_load, esr, epr, c, v0, t, steps: int = 4000):
         k4 = slope(v + h * k3)
         v = v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return v, load(v)
+
+
+def reference_chain(scenario, g: int):
+    """Reference build of the Markov chain: what caplora.markov's
+    build_transition_matrix must return, bit for bit.
+
+    Independent of caplora.markov's compiled level map.  Every voltage
+    step is one Phase.after call at level / g, rounded and clipped to
+    [0, v_max]; every sleep-out sums its own elapsed time; the search keeps
+    each row as a dict and numbers the successors in a second pass.  The
+    rules are the chain's: turn-offs recharge from the state's v_off level
+    (from the level itself when entered below it), window 2 opens only
+    after a silent window 1, and the rewards gate on the levels entering
+    each window.  Returns states, successors, rewards, the thresholds as
+    a dict of ThresholdLevels' fields, the dense matrix, `step` and
+    `ends`, each sleep-out branch's elapsed time.
+    """
+    from types import SimpleNamespace
+
+    from caplora.energy import wake_time
+    from caplora.errors import InfeasibleScenario
+
+    circuit, phases = scenario.circuit, scenario.phases
+    m, p1, p2 = scenario.interval_m, scenario.p1, scenario.p2
+    v_max = round(circuit.operating_voltage * g)
+
+    def step(phase, level, *t):
+        return min(max(round(phase.after(level / g, *t) * g), 0), v_max)
+
+    def least_surviving(phase, target):
+        lo, hi = v_min, v_max
+        if step(phase, hi) < target:
+            return None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if step(phase, mid) >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    v_min, v_on = round(circuit.v_min * g), round(circuit.v_on * g)
+    v_off = {phase.state: round(phase.v_off * g) for phase in phases.values()}
+    tx, idle1, listen1, rx1, idle2, listen2, rx2, off, sleep = (phases[slot] for slot in (
+        "tx", "idle1", "listen1", "rx1", "idle2", "listen2", "rx2", "off", "sleep"))
+    v_tx = least_surviving(tx, v_off[tx.state] + 1)
+    if v_tx is None:
+        raise InfeasibleScenario("no level funds a transmission")
+    v_rx = [least_surviving(rx, v_off[rx.state] + 1) for rx in (rx1, rx2)]
+    v_rx1, v_rx2 = (v_max + 1 if v is None else v for v in v_rx)
+    ends = {}
+
+    def wake(v):
+        return wake_time(off, v, circuit.v_on)
+
+    def sleep_kind(level):
+        return "SL1" if level >= v_tx else "SL0"
+
+    def to_sleep(branch, level, elapsed):
+        ends[branch] = elapsed
+        nxt = step(sleep, level, m - elapsed)
+        return (sleep_kind(nxt), nxt)
+
+    def recharge(level, t_wake, remaining):
+        if t_wake >= remaining:
+            return ("OFF", min(step(off, level, remaining), v_on - 1))
+        nxt = step(sleep, max(level, v_on), remaining - t_wake)
+        return (sleep_kind(nxt), nxt)
+
+    def die(phase, level, t_base, t_lead=0.0):
+        if level < v_off[phase.state]:
+            t, off_level, t_wake = 0.0, level, wake(level / g)
+        else:
+            t = min(phase.cross(level / g), phase.duration)
+            off_level, t_wake = v_off[phase.state], wake(phase.v_off)
+        return recharge(off_level, t_wake, m - (t_base + (t_lead + t)))
+
+    def row(kind, level):
+        dests = {}
+
+        def add(dest, prob):
+            if prob > 0.0:
+                dests[dest] = dests.get(dest, 0.0) + prob
+
+        def window(listen, rx, v_rx, level, t, p, reach, branch):
+            end = step(listen, level)
+            died = end <= v_off[listen.state]
+            detected, silent = reach * p, reach * (1.0 - p)
+            if detected > 0.0:
+                if died:
+                    add(die(listen, level, t), detected)
+                elif end >= v_rx:
+                    add(to_sleep(branch, step(rx, end), t + listen.duration + rx.duration),
+                        detected)
+                else:
+                    add(die(rx, end, t, listen.duration), detected)
+            if died and silent > 0.0:
+                add(die(listen, level, t), silent)
+            return end, died
+
+        if kind == "OFF":
+            add(recharge(level, wake(level / g), m), 1.0)
+            return dests, (1.0, 0.0, 0.0, 0.0)
+        if kind == "SL0":
+            add(die(tx, level, 0.0), 1.0)
+            return dests, (1.0, 0.0, 0.0, 0.0)
+        v1 = step(idle1, step(tx, level))
+        t_win1 = tx.duration + idle1.duration
+        w1, died = window(listen1, rx1, v_rx1, v1, t_win1, p1, 1.0, "rx1")
+        v2 = step(idle2, w1)
+        t_win2 = t_win1 + listen1.duration + idle2.duration
+        silent = 0.0 if died else 1.0 - p1
+        w2, died = window(listen2, rx2, v_rx2, v2, t_win2, p2, silent, "rx2")
+        quiet = silent * (1.0 - p2)
+        if not died and quiet > 0.0:
+            add(to_sleep("silent", w2, t_win2 + listen2.duration), quiet)
+        pdl2 = (1.0 - p1) * p2
+        return dests, (0.0, p1 if v1 >= v_rx1 else 0.0,
+                       pdl2 if v2 >= v_off[listen1.state] else 0.0,
+                       pdl2 if v2 >= v_rx2 else 0.0)
+
+    states, index, rows, rewards = [("OFF", v_min)], {("OFF", v_min): 0}, [], []
+    frontier = 0
+    while frontier < len(states):
+        dests, reward = row(*states[frontier])
+        rows.append(dests)
+        rewards.append(reward)
+        for dest in dests:
+            if dest not in index:
+                index[dest] = len(states)
+                states.append(dest)
+        frontier += 1
+    successors = tuple(tuple(index[dest] for dest in dests) for dests in rows)
+    matrix = np.zeros((len(states), len(states)))
+    for i, dests in enumerate(rows):
+        for dest, prob in dests.items():
+            matrix[i, index[dest]] = prob
+    thresholds = dict(v_min=v_min, v_on=v_on, v_tx=v_tx, v_rx1=v_rx1, v_rx2=v_rx2,
+                      v_max=v_max, v_off=v_off)
+    return SimpleNamespace(states=tuple(states), successors=successors, rewards=tuple(rewards),
+                           thresholds=thresholds, matrix=matrix, step=step, ends=ends)

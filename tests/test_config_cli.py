@@ -800,13 +800,16 @@ def test_engine_output_is_byte_identical(name, capsys):
     _assert_golden(ENGINE_GOLDEN_CALLS[name], name, capsys)
 
 
-def test_matrix_dump_is_byte_identical(tmp_path, capsys):
+# g = 2000 gives a 224-state chain with 670 entries.
+@pytest.mark.parametrize("granularity,golden", [("100", "chain_matrix.csv"),
+                                                ("2000", "chain_stochastic_matrix.csv")])
+def test_matrix_dump_is_byte_identical(granularity, golden, tmp_path, capsys):
     # stochastic.ini sets p1 = 0.3, p2 = 0.5, so every branch kind is dumped.
     dump = tmp_path / "matrix.csv"
-    assert main(["chain", "--scenario", str(GOLDEN / "stochastic.ini"), "--granularity", "100",
-                 "--m", "40", "--threshold", "0.7", "--dump-matrix", str(dump)]) == 0
+    assert main(["chain", "--scenario", str(GOLDEN / "stochastic.ini"), "--granularity",
+                 granularity, "--m", "40", "--threshold", "0.7", "--dump-matrix", str(dump)]) == 0
     assert capsys.readouterr().err == ""
-    assert dump.read_bytes() == (GOLDEN / "chain_matrix.csv").read_bytes()
+    assert dump.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_parasitic_matrix_dump_is_byte_identical(tmp_path, capsys):

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from caplora import characterize, markov
+from caplora import characterize, defaults, markov
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
 from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after
 from caplora.errors import InfeasibleScenario, ScenarioError
@@ -18,8 +18,8 @@ from caplora.markov import (
     Rewards,
     ThresholdLevels,
     TransitionMatrix,
+    _level_step,
     _RowBuilder,
-    _VoltageSteps,
     build_transition_matrix,
     chain_metrics,
     level_of,
@@ -30,65 +30,72 @@ from caplora.markov import (
 from caplora.simulator import run_simulation
 from caplora.timing import min_interval_bound
 
-from conftest import make_circuit, make_scenario, stationary_oracle
+from conftest import make_circuit, make_scenario, reference_chain, stationary_oracle
 
 G = 750
 
 
+def _step(phase, level, *t, g=G):
+    """One step of the chain's compiled level map; a recharge phase takes its time t."""
+    return _level_step(phase, g, level_of(defaults.OPERATING_VOLTAGE, g), *t)(level)
+
+
 class TestDiscreteOps:
-    """The one-step discrete voltage map the chain runs over compiled phases."""
+    """The one-step discrete voltage map the chain compiles from phases."""
 
     def test_zero_time_is_identity(self):
         circuit = make_scenario(interval_m=9.0).circuit
-        steps = _VoltageSteps(circuit, G)
         for state in DeviceState:
             timed, recharge = compile_phase(circuit, state, 0.0), compile_phase(circuit, state)
             for level in (1350, 1732, 2400):
-                assert steps.step(timed, level) == level
-                assert steps.step(recharge, level, 0.0) == level
+                assert _step(timed, level) == level
+                assert _step(recharge, level, 0.0) == level
 
     def test_wakeup_level_at_100mw(self):
         # 17 ms in Off at 100 mW lifts 1.8 V to ~1.848 V = level 1386 at 1 mV/level.
         scenario = make_scenario(power_w=0.1, interval_m=9.0)
-        steps = _VoltageSteps(scenario.circuit, 1000)
-        got = steps.step(scenario.phases["off"], level_of(1.8, 1000), 0.017)
+        got = _step(scenario.phases["off"], level_of(1.8, 1000), 0.017, g=1000)
         assert abs(got - 1848) <= 2
 
     def test_composition_error_at_most_one_level(self):
         circuit = make_scenario(interval_m=9.0).circuit
-        steps = _VoltageSteps(circuit, G)
         for state in (DeviceState.OFF, DeviceState.TX, DeviceState.LISTEN):
             for level in (1400, 1800, 2200):
                 for t1, t2 in ((0.05, 0.4), (1.0, 2.5), (0.01, 0.01)):
                     first, second, both = (compile_phase(circuit, state, t)
                                            for t in (t1, t2, t1 + t2))
-                    two = steps.step(second, steps.step(first, level))
-                    one = steps.step(both, level)
+                    two = _step(second, _step(first, level))
+                    one = _step(both, level)
                     assert abs(two - one) <= 1
 
     def test_time_between_levels(self):
         scenario = make_scenario(power_w=0.1, c_farads=1.0, interval_m=9.0)
         circuit = scenario.circuit
-        steps = _VoltageSteps(circuit, G)
         start, target = level_of(1.8, G), level_of(0.56 * 3.3, G)
         assert time_to_voltage(circuit, DeviceState.OFF, start / G, start / G) == 0.0
         t = time_to_voltage(circuit, DeviceState.OFF, start / G, target / G)
         assert t == pytest.approx(3.55, rel=0.02)
-        assert steps.step(scenario.phases["off"], start, t) == target
+        assert _step(scenario.phases["off"], start, t) == target
         assert time_to_voltage(circuit, DeviceState.OFF, start / G, level_of(3.3, G) / G) \
             == math.inf
 
     @pytest.mark.parametrize("esr,epr", [(0.0, math.inf), (20.0, math.inf), (20.0, 50e3)])
     def test_matches_the_phase_primitive(self, esr, epr):
         circuit = make_circuit(esr=esr, epr=epr)
-        steps = _VoltageSteps(circuit, G)
         for state in DeviceState:
             recharge = compile_phase(circuit, state)
             for level in (1350, 1600, 2100, 2400):
                 for t in (0.0, 0.046, 1.0, 9.0):
                     want = level_of(voltage_after(circuit, state, level / G, t), G)
-                    assert steps.step(compile_phase(circuit, state, t), level) == want
-                    assert steps.step(recharge, level, t) == want
+                    assert _step(compile_phase(circuit, state, t), level) == want
+                    assert _step(recharge, level, t) == want
+
+    def test_ties_round_to_even(self):
+        # v_limit 4 V and decay 1/2 take level 1 at g = 1 to exactly 2.5 V,
+        # a tie, which goes to the even level as level_of rounds it.
+        tie = dataclasses.replace(compile_phase(make_circuit(), DeviceState.IDLE, 1.0),
+                                  v_limit=4.0, decay=0.5)
+        assert _level_step(tie, 1, 10)(1) == level_of(2.5, 1) == 2
 
     def test_granularity_validated(self):
         scenario = make_scenario(interval_m=9.0)
@@ -512,22 +519,68 @@ class TestParasiticAgreement:
         assert good >= math.ceil(0.95 * len(cells)), f"only {good}/{len(cells)} cells agree"
 
 
-def test_the_window_2_cycle_fills_the_least_admitted_interval(monkeypatch):
+# The oracle's capacitors: ideal, ESR only, and ESR with EPR leakage.
+ORACLE_CAPACITORS = ({}, {"esr": 20.0}, {"esr": 20.0, "epr": 50e3})
+# (sf, ul_pl, dl_pl): the stock SF7 frame, and three whose branch end times
+# change if their durations are summed in another order: at 20 B the rx1
+# and window-2 ends, at 36 B the rx2 and window-2 ends, at SF12 rx1 and rx2.
+ORACLE_FRAMES = ((7, 16, 1), (7, 16, 20), (7, 16, 36), (12, 16, 41))
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacitor=st.sampled_from(ORACLE_CAPACITORS), frame=st.sampled_from(ORACLE_FRAMES),
+       p=st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.5)]),
+       g=st.sampled_from([50, 750, 5000]), threshold=st.sampled_from([0.56, 0.7, 0.9]),
+       c_farads=st.sampled_from([4.7e-3, 15e-3]), m=st.floats(0.0, 60.0))
+# Two chains that receive in both windows and in neither.
+@example(capacitor={}, frame=(7, 16, 20), p=(0.3, 0.5), g=50, threshold=0.56,
+         c_farads=15e-3, m=40.0)
+@example(capacitor={}, frame=(7, 16, 36), p=(0.3, 0.5), g=50, threshold=0.9,
+         c_farads=15e-3, m=20.0)
+def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, threshold, c_farads,
+                                                   m):
+    sf, ul_pl, dl_pl = frame
+    base = make_scenario(sf=sf, ul_pl=ul_pl, dl_pl=dl_pl, p1=p[0], p2=p[1], c_farads=c_farads,
+                         interval_m=60.0)
+    # M runs from one float above the interval bound up to 60 s.
+    least = math.nextafter(min_interval_bound(base.schedule, "rx2" in base.branches), math.inf)
+    scenario = _parasitic(dataclasses.replace(base, interval_m=max(m, least)),
+                          threshold=threshold, **capacitor)
+    try:
+        tm = build_transition_matrix(scenario, g)
+    except InfeasibleScenario:
+        with pytest.raises(InfeasibleScenario):
+            reference_chain(scenario, g)
+        return
+    ref = reference_chain(scenario, g)
+    assert tm.states == ref.states
+    assert tm.successors == ref.successors
+    assert tm.rewards == ref.rewards
+    assert dataclasses.asdict(tm.thresholds) == ref.thresholds
+    assert tm.matrix.tobytes() == ref.matrix.tobytes()
+    # Every sleep-out the reference took ends at the same float, and the
+    # compiled steps clip like the reference's at the edges of the range.
+    builder = _RowBuilder(scenario, g, tm.thresholds)
+    assert {branch: builder.ends[branch] for branch in ref.ends} == ref.ends
+    edges = (-1, 0, tm.thresholds.v_max, tm.thresholds.v_max + 1)
+    for phase, step in builder.step.items():
+        assert [step(level) for level in edges] == [ref.step(phase, level) for level in edges]
+    sleep = scenario.phases["sleep"]
+    for branch, step in builder.sleep_out.items():
+        want = [ref.step(sleep, level, scenario.interval_m - builder.ends[branch])
+                for level in edges]
+        assert [step(level) for level in edges] == want
+
+
+def test_the_window_2_cycle_fills_the_least_admitted_interval():
     # At one float above the bound, the chain's longest cycle, a window-2
     # reception, sleeps out what is left of the interval from the bound.
     base = make_scenario(p2=1.0, power_w=10.0)
     bound = min_interval_bound(base.schedule, rx2_reachable=True)
     scenario = dataclasses.replace(base, interval_m=math.nextafter(bound, math.inf))
-    elapsed = []
-    to_sleep = _RowBuilder._to_sleep
-
-    def spy(self, level, t):
-        elapsed.append(t)
-        return to_sleep(self, level, t)
-
-    monkeypatch.setattr(_RowBuilder, "_to_sleep", spy)
+    builder = _RowBuilder(scenario, 100, threshold_levels(scenario, 100))
+    assert builder.ends == {"rx2": bound}
     tm = build_transition_matrix(scenario, 100)
-    assert max(elapsed) == bound
     assert chain_metrics(stationary_distribution(tm), tm).pdl2 == 1.0
 
 

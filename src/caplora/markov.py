@@ -100,7 +100,11 @@ def _level_step(phase: Phase, g: int, v_max: int, t: float | None = None) -> Cal
     """
     decay = phase.decay if t is None else math.exp(-t / phase.tau)
     offset = phase.v_limit * (1.0 - decay)
-    return lambda level: min(max(round((offset + level / g * decay) * g), 0), v_max)
+
+    def step(level: int) -> int:
+        nxt = round((offset + level / g * decay) * g)
+        return 0 if nxt < 0 else v_max if nxt > v_max else nxt   # min and max cost calls
+    return step
 
 
 def _min_level_surviving(step: Callable[[int], int], lo: int, hi: int,
@@ -231,7 +235,8 @@ class _RowBuilder:
         return wake_time(self.phases["off"], v, self.v_on)
 
     def _level(self, v: float) -> int:
-        return min(max(level_of(v, self.g), 0), self.thr.v_max)
+        level, v_max = level_of(v, self.g), self.thr.v_max
+        return 0 if level < 0 else v_max if level > v_max else level
 
     def _sleep_kind(self, level: int) -> str:
         return SL1 if level >= self.thr.v_tx else SL0

@@ -199,11 +199,10 @@ class _RowBuilder:
     """Computes the outgoing distribution and the rewards of one chain state.
 
     The level map is compiled once per chain: a step per timed slot, and
-    per reachable downlink branch (Scenario.branches) the sleep step over
-    what its cycle leaves of the interval.  A branch's cycle ends at a
-    time fixed by the chain, `ends`, its durations added left to right.
+    per reachable branch (Scenario.branches) the sleep over what is left
+    of the interval after its cycle `ends`, durations added left to right.
     Die paths recharge from a level-dependent time, so they call the
-    phases themselves.
+    phases per level.
     """
 
     def __init__(self, scenario: Scenario, g: int, thr: ThresholdLevels):
@@ -212,9 +211,8 @@ class _RowBuilder:
         self.g = g
         self.thr = thr
         self.v_on = scenario.circuit.v_on
-        timed = [phases[slot] for slot in ("tx", "idle1", "listen1", "rx1", "idle2", "listen2",
-                                           "rx2")]
-        tx, idle1, listen1, rx1, idle2, listen2, rx2 = timed
+        tx, idle1, listen1, rx1, idle2, listen2, rx2 = timed = [
+            phases[slot] for slot in ("tx", "idle1", "listen1", "rx1", "idle2", "listen2", "rx2")]
         self.step = {phase: _level_step(phase, g, thr.v_max) for phase in timed}
         self.t_win1 = tx.duration + idle1.duration
         self.t_win2 = self.t_win1 + listen1.duration + idle2.duration

@@ -54,6 +54,7 @@ DL_CASES = ("none", "rx1", "rx2")
 _WHOLE_EDITS = ("sf", "ul_pl", "dl_pl")
 _SCENARIO_EDITS = ("interval_m", "p1", "p2", "ul_pl", "dl_pl")
 _EDITS = frozenset(_WHOLE_EDITS + _SCENARIO_EDITS + ("threshold", "capacitance", "power"))
+_TRAFFIC_EDITS = frozenset(("interval_m", "p1", "p2"))
 
 
 def _whole(name: str, value) -> int:
@@ -68,7 +69,8 @@ def edit_scenario(scenario: Scenario, edits: Mapping[str, float]) -> Scenario:
     Names: threshold (turn-on fraction of E), capacitance (F), power (W),
     interval_m (s), p1, p2, and the whole numbers >= 1 sf, ul_pl and dl_pl.
     Raises ScenarioError for an unknown name or a value the scenario
-    cannot take.
+    cannot take.  Edits of interval_m, p1 and p2 alone share the source's
+    schedule and phase table, so a grid over them compiles it once.
     """
     unknown = sorted(set(edits) - _EDITS)
     if unknown:
@@ -89,7 +91,14 @@ def edit_scenario(scenario: Scenario, edits: Mapping[str, float]) -> Scenario:
         changes["radio"] = dataclasses.replace(scenario.radio, sf=new["sf"])
     if parts:
         changes["circuit"] = dataclasses.replace(circuit, **parts)
-    return dataclasses.replace(scenario, **changes) if changes else scenario
+    if not changes:
+        return scenario
+    edited = dataclasses.replace(scenario, **changes)
+    if changes.keys() <= _TRAFFIC_EDITS:
+        # Same circuit, radio and payloads: the edited scenario shares the
+        # source's schedule and phase table, compiled once.
+        edited.__dict__.update(schedule=scenario.schedule, phases=scenario.phases)
+    return edited
 
 
 # -- grid evaluation --------------------------------------------------------

@@ -39,26 +39,36 @@ outcome (its turn-off phase or none, and the slots lost before the next
 on-slot) and to the next on-slot's voltage.
 Phase and Sleep maps are nondecreasing and turn-off times monotone, so
 both are monotone in x on each side of v_off (where the turn-off phase
-is entered) and of v_on (a turn-off at or above it wakes at once).  An
-interval [L, U] around v_k on which every branch has one outcome at
-L - delta and U + delta, keeps each phase boundary, turn-off level and
-wake instant a margin from its threshold, and sends both ends into
-[L + eta, U - eta] has fixed outcomes and maps into itself.  Tested at
-k = 1, 2, 4, ..., [L, U] grows by hull steps over the images and the
-completing branches' fixed points (their maps are affine).  delta and
-eta are 2**20 and 2**10 float spacings of the voltages and instants
+is entered) and of v_on (a turn-off at or above it wakes at once).  The
+test at on-slot k takes a period p and intervals I_0 (around v_k), I_1,
+..., I_{p-1}, one per on-slot of the period, each probed at its own
+on-slot index (k plus the slots before it in the period).  When every
+branch has one outcome at each interval's ends L - delta and U + delta,
+keeps each phase boundary, turn-off level and wake instant a margin from
+its threshold, and sends both ends of I_i into the next interval shrunk
+by eta ([L + eta, U - eta], I_{p-1} into I_0), the outcomes are fixed
+and repeat with period p.  Tested at k = 1, 2, 4, ..., each interval
+grows by hull steps over the images mapped into it and, at p = 1, the
+completing branches' fixed points (their maps are affine).  p = 1 is
+tested first.  When that fails on a single-branch scenario (p1, p2 in
+{0, 1}), the on/off orbit of the branch's map is stepped from v_k for
+up to _MAX_PERIOD on-slots, and the least p whose return lands within
+the starting pad 2 * (delta + eta) of v_k is tested too.  delta and eta
+are 2**20 and 2**10 float spacings of the voltages and instants
 involved; eta covers the spread of each slot's sleep time (k+1)*M - t
 at the fastest recharge rate.
 
 From the settled on-slot on, each on-slot adds its branch's counters and
 skips its branch's lost slots, and only the draws pick the branch, so
 the per-slot loop stops and the rest of the run is counted from the
-outcomes.  When every reachable branch adds the same counters and loses
-the same slots, the count is arithmetic: ceil(remaining / (1 + lost))
-on-slots, the other slots lost.  Otherwise one tight loop takes the
-draws in the order below and counts the on-slots per branch; the last
-cycle's lost slots are cut off at n_scheduled.  The counters equal the
-full walk's.
+outcomes.  When at each on-slot of the period every reachable branch
+adds the same counters and loses the same slots, the count is
+arithmetic: whole periods of P = sum(1 + lost) slots, then the on-slots
+of the partial period that start before n_scheduled, the other slots
+lost (at p = 1, ceil(remaining / (1 + lost)) on-slots).  Otherwise
+(p = 1, several branches) one tight loop takes the draws in the order
+below and counts the on-slots per branch; the last cycle's lost slots
+are cut off at n_scheduled.  The counters equal the full walk's.
 
 Two downlink-cost conventions live here, mirroring how such devices are
 analyzed versus simulated:
@@ -74,7 +84,8 @@ Draw order of the seeded PRNG (Python's random.Random, MT19937): one
 uniform draw when reception window 1 opens, one more when window 2 opens
 (only reached if window 1 detected nothing and the device is still on).
 After settling, draws are taken only while an outcome depends on them:
-in this order when the branches differ, not at all when they end alike.
+in this order when the branches differ, not at all when they end alike
+(a periodic run has one branch).
 Each run owns its generator, so the draws left untaken reach nothing.
 """
 
@@ -279,6 +290,9 @@ _BRANCHES = {
 # cycle completed) and the slots lost before the next on-slot.
 Outcome = tuple[str | None, int]
 
+# The longest period, in on-slots, of the on/off orbits the settle test looks for.
+_MAX_PERIOD = 16
+
 
 def _tally(branch: str, stop: str | None) -> tuple[str, ...]:
     """The SimStats counters that one on-slot adds to when its cycle takes
@@ -291,31 +305,54 @@ def _tally(branch: str, stop: str | None) -> tuple[str, ...]:
     return ("n_tx_success", window + ("_success" if stop is None else "_aborted"))
 
 
-def _count_tail(outcomes: dict[str, Outcome], remaining: int, draw, p1: float,
-                p2: float) -> dict[str, int]:
-    """On-slots per branch over the last `remaining` slots of a settled run,
-    the first of them an on-slot (see Settling in the module docstring).
-    The draw loop opens window 1 on every on-slot: a turn-off before it is
-    common to all branches, so the arithmetic count takes that case."""
-    if len({(_tally(b, stop), lost) for b, (stop, lost) in outcomes.items()}) == 1:
-        branch, (_, lost) = next(iter(outcomes.items()))
-        return {branch: -(-remaining // (1 + lost))}
+def _count_tail(cycle: tuple[dict[str, Outcome], ...], remaining: int, draw, p1: float,
+                p2: float) -> list[dict[str, int]]:
+    """On-slots per branch of each on-slot of the settled `cycle` over the
+    last `remaining` slots of a run, the first of them cycle[0]'s on-slot
+    (see Settling in the module docstring).  The draw loop opens window 1
+    on every on-slot: a turn-off before it is common to all branches, so
+    the arithmetic count takes that case."""
+    if all(len({(_tally(b, stop), lost) for b, (stop, lost) in outcomes.items()}) == 1
+           for outcomes in cycle):
+        firsts = [next(iter(outcomes.items())) for outcomes in cycle]
+        starts, period = [], 0
+        for _, (_, lost) in firsts:
+            starts.append(period)
+            period += 1 + lost
+        periods, rest = divmod(remaining, period)
+        return [{branch: periods + (start < rest)} for (branch, _), start in zip(firsts, starts)]
+    (outcomes,) = cycle  # branches that end apart settle with period 1
     step = {b: 1 + lost for b, (_, lost) in outcomes.items()}
     # With window 2 unopened, the rx2 and silent branches end alike.
     quiet = "silent" if "silent" in step else "rx2"
     opens2 = outcomes[quiet][0] in (None, "listen2", "rx2")
+    n1 = n2 = n_quiet = 0
+    if max(step.values()) == 1:
+        for _ in range(remaining):
+            if draw() < p1:
+                n1 += 1
+            elif opens2 and draw() < p2:
+                n2 += 1
+        n_quiet = remaining - n1 - n2
+    else:
+        # An unreachable branch's step is never taken: its draw never passes.
+        step1, step2, step_quiet = step.get("rx1", 0), step.get("rx2", 0), step[quiet]
+        k = 0
+        while k < remaining:
+            if draw() < p1:
+                n1 += 1
+                k += step1
+            elif opens2 and draw() < p2:
+                n2 += 1
+                k += step2
+            else:
+                n_quiet += 1
+                k += step_quiet
     counts = dict.fromkeys(step, 0)
-    k = 0
-    while k < remaining:
-        if draw() < p1:
-            branch = "rx1"
-        elif opens2 and draw() < p2:
-            branch = "rx2"
-        else:
-            branch = quiet
-        counts[branch] += 1
-        k += step[branch]
-    return counts
+    for branch, n in (("rx1", n1), ("rx2", n2), (quiet, n_quiet)):
+        if n:
+            counts[branch] += n
+    return [counts]
 
 
 class _Settler:
@@ -331,27 +368,70 @@ class _Settler:
         tau = min(circuit.state_params(s).tau for s in (DeviceState.OFF, DeviceState.SLEEP))
         self.delta, self.eps_t = 2**20 * math.ulp(e), 2**20 * math.ulp(t_end)
         self.eta = 2**10 * (math.ulp(t_end) * e / tau + math.ulp(e))
+        self.pad = 2 * (self.delta + self.eta)
 
-    def __call__(self, v: float, k: int) -> tuple[dict[str, Outcome] | None, float]:
-        """(outcomes, next slot to test at) for on-slot voltage v at on-slot k:
-        each reachable branch's Outcome when the test passes, else None and 2k."""
-        lo = hi = v
+    def __call__(self, v: float, k: int) -> tuple[tuple[dict[str, Outcome], ...] | None, float]:
+        """(cycle, next slot to test at) for on-slot voltage v at on-slot k:
+        each on-slot's branch Outcomes over one period when the test passes,
+        else None and 2k.  Period 1 is tested first; a single branch is then
+        tested at the least period its orbit from v returns in."""
+        cycle = self._test([v], k)
+        if cycle is None and len(self.branches) == 1:
+            orbit = self._orbit(v, k)
+            if len(orbit) > 1:
+                cycle = self._test(orbit, k)
+        return (None, 2 * k) if cycle is None else (cycle, math.inf)
+
+    def _orbit(self, v: float, k: int) -> list[float]:
+        """The on-slot voltages from v at on-slot k up to the least period,
+        at most _MAX_PERIOD on-slots, whose return lands within the pad of
+        v, or [v] when none does."""
+        orbit, x = [v], v
+        for _ in range(_MAX_PERIOD):
+            (_, lost), x, _ = self._probe(self.branches[0], x, k)
+            k += 1 + lost
+            if abs(x - v) <= self.pad:
+                return orbit
+            orbit.append(x)
+        return [v]
+
+    def _test(self, orbit: list[float], k: int) -> tuple[dict[str, Outcome], ...] | None:
+        """Each on-slot's branch outcomes over the period p = len(orbit) when
+        intervals I_0, ..., I_{p-1} around the orbit's voltages have fixed
+        outcomes and each maps into the next, I_{p-1} into I_0; else None.
+        A round probes the intervals in turn and grows each one that an
+        image leaves; a round that grows none passes."""
+        p, bounds = len(orbit), [(x, x) for x in orbit]
         for _ in range(4):
-            ends = self._ends(lo, hi, k)
-            if ends is None:
-                break
-            images = [end[1] for pair in ends for end in pair]
-            if self._inside(images, lo, hi):
-                return {b: (None if fate is None else _BRANCHES[b][fate[0]], lost)
-                        for b, (((fate, lost), _, _), _) in zip(self.names, ends)}, math.inf
-            x0, pad = lo - self.delta, 2 * (self.delta + self.eta)
-            for ((fate, _), image, _), (_, image_hi, _) in ends:
-                slope = (image_hi - image) / (hi + self.delta - x0)
-                if fate is None and slope < 1:  # a completing branch's affine map
-                    images.append(x0 + (image - x0) / (1 - slope))
-                    pad = max(pad, 2 * (self.delta + self.eta) / (1 - slope))
-            lo, hi = min(lo, *images) - pad, max(hi, *images) + pad
-        return None, 2 * k
+            cycle, slot, grown = [], k, False
+            for i in range(p):
+                lo, hi = bounds[i]
+                ends = self._ends(lo, hi, slot)
+                if ends is None:
+                    return None
+                cycle.append({b: (None if fate is None else _BRANCHES[b][fate[0]], lost)
+                              for b, (((fate, lost), _, _), _) in zip(self.names, ends)})
+                slot += 1 + ends[0][0][0][1]  # each step is probed at its own on-slot
+                images = [end[1] for pair in ends for end in pair]
+                j = (i + 1) % p
+                if not self._inside(images, *bounds[j]):
+                    bounds[j] = self._grow(*bounds[j], images, ends if j == i else ())
+                    grown = True
+            if not grown:
+                return tuple(cycle)
+        return None
+
+    def _grow(self, lo: float, hi: float, images: list[float], ends) -> tuple[float, float]:
+        """The hull of [lo, hi] and the images, padded; `ends` are the
+        probes of [lo, hi] when it maps into itself, whose completing
+        branches' fixed points join the hull (their maps are affine)."""
+        x0, pad = lo - self.delta, self.pad
+        for ((fate, _), image, _), (_, image_hi, _) in ends:
+            slope = (image_hi - image) / (hi + self.delta - x0)
+            if fate is None and slope < 1:
+                images.append(x0 + (image - x0) / (1 - slope))
+                pad = max(pad, self.pad / (1 - slope))
+        return min(lo, *images) - pad, max(hi, *images) + pad
 
     def _ends(self, lo: float, hi: float, k: int):
         """Each branch probed at lo - delta and hi + delta, or None when its
@@ -473,11 +553,12 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     )
     if settled is not None:
         remaining = n_scheduled - k
-        tail = _count_tail(settled, remaining, draw, p1, p2)
-        counts["n_tx_lost_off"] += remaining - sum(tail.values())
-        for branch, on_slots in tail.items():
-            for counter in _tally(branch, settled[branch][0]):
-                counts[counter] += on_slots
+        counts["n_tx_lost_off"] += remaining
+        for outcomes, tail in zip(settled, _count_tail(settled, remaining, draw, p1, p2)):
+            for branch, on_slots in tail.items():
+                counts["n_tx_lost_off"] -= on_slots
+                for counter in _tally(branch, outcomes[branch][0]):
+                    counts[counter] += on_slots
     return SimStats(n_scheduled=n_scheduled, **counts), (walk.points or [])
 
 

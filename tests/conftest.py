@@ -296,3 +296,37 @@ def reference_chain(scenario, g: int):
                       v_max=v_max, v_off=v_off)
     return SimpleNamespace(states=tuple(states), successors=successors, rewards=tuple(rewards),
                            thresholds=thresholds, matrix=matrix, step=step, ends=ends)
+
+
+def reference_count_tail(outcomes, remaining: int, draw, p1: float, p2: float) -> dict:
+    """Reference count of a settled period-1 tail: what caplora.simulator's
+    _count_tail must return for the one-step cycle (outcomes,), from the
+    same generator.
+
+    On-slots per branch over the last `remaining` slots, the first of them
+    an on-slot.  When every branch adds the same counters and loses the
+    same slots, ceil(remaining / (1 + lost)) on-slots of the first branch
+    and no draw.  Otherwise one draw when window 1 opens and one more when
+    window 2 opens (after a silent window 1, and only when the quiet
+    branch reaches it), with a dict count per on-slot.
+    """
+    from caplora.simulator import _tally
+
+    if len({(_tally(b, stop), lost) for b, (stop, lost) in outcomes.items()}) == 1:
+        branch, (_, lost) = next(iter(outcomes.items()))
+        return {branch: -(-remaining // (1 + lost))}
+    step = {b: 1 + lost for b, (_, lost) in outcomes.items()}
+    quiet = "silent" if "silent" in step else "rx2"
+    opens2 = outcomes[quiet][0] in (None, "listen2", "rx2")
+    counts = dict.fromkeys(step, 0)
+    k = 0
+    while k < remaining:
+        if draw() < p1:
+            branch = "rx1"
+        elif opens2 and draw() < p2:
+            branch = "rx2"
+        else:
+            branch = quiet
+        counts[branch] += 1
+        k += step[branch]
+    return counts

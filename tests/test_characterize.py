@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caplora import characterize, defaults
+from caplora import characterize, defaults, simulator
 from caplora.characterize import (
     accuracy_study,
     accuracy_summary,
@@ -413,6 +413,33 @@ class TestThresholdSweep:
         )
         assert threshold_sweep(**spec, engine="simulator", jobs=2) == \
             threshold_sweep(**spec, engine="simulator", jobs=1)
+
+    def test_traffic_edits_share_one_phase_table(self, monkeypatch):
+        # One case, granularity x four M: interval_m, p1 and p2 leave the
+        # circuit, radio and payloads, so every cell shares the base
+        # scenario's phase table, and the rows equal those of cells that
+        # compile their own.
+        compiled = []
+        phase_table = simulator.phase_table
+
+        def counted(*args):
+            compiled.append(args)
+            return phase_table(*args)
+
+        monkeypatch.setattr(simulator, "phase_table", counted)
+        spec = dict(scenario=make_scenario(ul_pl=8, interval_m=40.0), axis="granularity",
+                    values=(100, 200), m_values=(5.0, 10.0, 35.0, 40.0), engine="chain")
+        rows = threshold_sweep(**spec)
+        assert len(rows) == 8 and len(compiled) == 1
+        monkeypatch.setattr(characterize, "_TRAFFIC_EDITS", frozenset())
+        assert threshold_sweep(**spec) == rows and len(compiled) == 1 + 8
+
+    def test_only_traffic_edits_keep_the_phase_table(self):
+        scenario = make_scenario(interval_m=9.0)
+        edited = edit_scenario(scenario, {"interval_m": 12.0, "p1": 0.5, "p2": 1.0})
+        assert edited.phases is scenario.phases and edited.schedule is scenario.schedule
+        for edits in ({"threshold": 0.7}, {"ul_pl": 48}, {"sf": 9}, {"capacitance": 0.01}):
+            assert edit_scenario(scenario, edits).phases is not scenario.phases
 
     def test_axis_editing(self):
         scenario = make_scenario(interval_m=9.0)

@@ -624,6 +624,16 @@ ENGINE_GOLDEN_CALLS = {
     "sweep_parasitic_simulator.csv": ["sweep", "--scenario", PARASITIC, "--axis", "threshold",
                                       "--values", "0.55:0.98:0.01", "--m", "9,40",
                                       "--engine", "simulator"],
+    # Simulator threshold sweeps through on/off orbits whose on-slot
+    # voltages cycle with a period: window 1 always detected, and the ESR/EPR
+    # part without downlinks.
+    "sweep_rx1_simulator.csv": ["sweep", "--scenario", str(GOLDEN / "rx1.ini"), "--axis",
+                                "threshold", "--values", "0.55:0.98:0.01", "--m", "5,20",
+                                "--engine", "simulator"],
+    "sweep_parasitic_quiet_simulator.csv": ["sweep", "--scenario",
+                                            str(GOLDEN / "parasitic_quiet.ini"), "--axis",
+                                            "threshold", "--values", "0.55:0.98:0.01",
+                                            "--m", "9,40", "--engine", "simulator"],
 }
 
 

@@ -20,7 +20,7 @@ from caplora.simulator import (
 )
 from caplora.timing import min_interval_bound
 
-from conftest import make_circuit, make_scenario
+from conftest import make_circuit, make_scenario, reference_count_tail
 
 
 class TestScenarioValidation:
@@ -321,10 +321,13 @@ def _scenario(capacitor, threshold, m, p1, p2, c_farads=4.7e-3):
     return dataclasses.replace(scenario, circuit=circuit)
 
 
+_P = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
 @st.composite
 def _generated_runs(draw):
     """(scenario, seed, n): a generated operating point and a run of n <= 200 uplinks."""
-    p = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    p = _P
     try:
         circuit = make_circuit(c_farads=draw(st.floats(2e-3, 50e-3)),
                                power_w=draw(st.floats(1e-3, 1e-2)),
@@ -336,6 +339,22 @@ def _generated_runs(draw):
     except ScenarioError:
         assume(False)
     return scenario, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 200))
+
+
+@st.composite
+def _single_branch_runs(draw):
+    """(scenario, seed, n) with one reachable branch, through the on/off
+    regimes whose on-slot voltages cycle with a period."""
+    p1, p2 = draw(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
+    try:
+        circuit = make_circuit(turn_on_fraction=draw(st.floats(0.55, 0.98)),
+                               **CAPACITORS[draw(st.sampled_from(["ideal", "esr_only",
+                                                                  "esr_epr"]))])
+        scenario = dataclasses.replace(
+            make_scenario(interval_m=draw(st.floats(5.0, 40.0)), p1=p1, p2=p2), circuit=circuit)
+    except ScenarioError:
+        assume(False)
+    return scenario, draw(st.integers(0, 2**32 - 1)), 1
 
 
 class TestCounterProperties:
@@ -523,8 +542,8 @@ class TestTraceFreeCycle:
 
 
 def _settled_slots(monkeypatch) -> list:
-    """Record (on-slot, branch outcomes) where each later run_simulation
-    call settles."""
+    """Record (on-slot, settled cycle of branch outcomes) where each later
+    run_simulation call settles."""
     slots = []
     settle = simulator._Settler.__call__
 
@@ -545,24 +564,38 @@ SWEEP_POINTS = ({"interval_m": 8.0, "p1": 1.0, "p2": 0.0, "capacitance": 4.7e-3}
                 {"interval_m": 60.0, "p1": 0.0, "p2": 1.0, "capacitance": 47e-3},
                 {"interval_m": 40.0, "p1": 0.3, "p2": 0.5, "capacitance": 4.7e-3})
 SETTLE_P = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.5))
+THRESHOLDS = [round(0.55 + 0.01 * i, 2) for i in range(44)]
 
 
 class TestSettling:
     """With the trace off the walk stops once every branch's outcome is fixed;
     the counters must equal the full walk's (trace=True never settles)."""
 
-    def test_exit_fires_on_the_sweep_points(self, monkeypatch):
+    @pytest.mark.parametrize("cells, runs, least, most", [
         # A regression back to the full walk would leave these cells unsettled.
+        ([dict(point, threshold=t) for point in SWEEP_POINTS for t in THRESHOLDS], (100,),
+         180, 220),
+        # The README sweep's on/off cells, M = 5 and 9 s (sim_sweep's point
+        # 5b) at thresholds 0.76-0.98, settle at periods 2 and 3.
+        ([{"interval_m": m, "threshold": t} for m in (5.0, 9.0) for t in THRESHOLDS[21:]],
+         (1000, 3000), 92, 92),
+        # Orbits with no period up to _MAX_PERIOD on-slots (none up to 40,
+        # and 17) walk to the end.
+        ([{"interval_m": 5.0, "capacitance": 47e-3, "threshold": 0.6, "p1": 1.0},
+          {"interval_m": 8.0, "capacitance": 47e-3, "threshold": 0.9}], (1000,), 0, 0)],
+        ids=["sweep_points", "on_off", "no_period"])
+    def test_exit_fires_on_the_sweep_points(self, cells, runs, least, most, monkeypatch):
         base = parse_scenario("").scenario
         slots = _settled_slots(monkeypatch)
         settled = 0
-        for point in SWEEP_POINTS:
-            for i in range(44):
+        for cell in cells:
+            scenario = edit_scenario(base, cell)
+            for n in runs:
                 slots.clear()
-                run_simulation(edit_scenario(base, dict(point, threshold=round(0.55 + 0.01 * i, 2))),
-                               1, 100)
+                stats = run_simulation(scenario, 1, n)[0]
                 settled += bool(slots)
-        assert settled >= 180
+                assert stats == run_simulation(scenario, 1, n, trace=True)[0], (cell, n)
+        assert least <= settled <= most
 
     @pytest.mark.parametrize("capacitor", sorted(CAPACITORS))
     def test_counters_equal_the_full_walk_on_a_grid(self, capacitor, monkeypatch):
@@ -582,10 +615,12 @@ class TestSettling:
                             run_simulation(scenario, seed, n, trace=True)[0], (threshold, m, p1, p2)
         assert cells == 250 and len(slots) >= 100
 
+    @pytest.mark.parametrize("runs", [_generated_runs(), _single_branch_runs()],
+                             ids=["generated", "single_branch"])
     @settings(max_examples=60, deadline=None)
-    @given(_generated_runs(), st.sampled_from([300, 1500]))
-    def test_settled_counters_equal_the_full_walk(self, run, n):
-        scenario, seed, _ = run
+    @given(data=st.data(), n=st.sampled_from([300, 1500]))
+    def test_settled_counters_equal_the_full_walk(self, runs, data, n):
+        scenario, seed, _ = data.draw(runs)
         assert run_simulation(scenario, seed, n)[0] == run_simulation(scenario, seed, n, trace=True)[0]
 
     def test_a_cycle_ending_on_the_next_slot_keeps_the_full_walk(self):
@@ -602,23 +637,34 @@ class TestSettling:
         assert settler._probe(settler.branches[0], 3.0, 5)[2]
         assert run_simulation(scenario, 1, 3000)[0] == run_simulation(scenario, 1, 3000, trace=True)[0]
 
-    @pytest.mark.parametrize("p1, p2, outcomes", [
-        (0.0, 0.0, {"silent": ("listen2", 2)}),
-        (0.3, 0.5, {"rx1": (None, 0), "rx2": ("listen2", 2), "silent": ("listen2", 2)})])
-    def test_a_settled_tail_is_cut_off_at_every_offset(self, p1, p2, outcomes, monkeypatch):
+    @pytest.mark.parametrize("edits, slot, cycle", [
         # A 70 % threshold at 9 s: from on-slot 3 a cycle that listens in
-        # window 2 turns off there and loses the next two slots.  Every n up
-        # to three such periods past the settle slot ends the run at each
-        # offset of a cycle, the cut-off included.
-        scenario = make_scenario(interval_m=9.0, p1=p1, p2=p2, turn_on_fraction=0.7)
+        # window 2 turns off there and loses the next two slots.
+        ({"p1": 0.0, "p2": 0.0}, 3, ({"silent": ("listen2", 2)},)),
+        ({"p1": 0.3, "p2": 0.5}, 3,
+         ({"rx1": (None, 0), "rx2": ("listen2", 2), "silent": ("listen2", 2)},)),
+        # On/off orbits: at 80 % a completing cycle alternates with one that
+        # turns off in window 2 and loses five slots (sim_sweep's 5b); at
+        # 5 s and 76 % the period has three on-slots.
+        ({"turn_on_fraction": 0.8}, 54, ({"silent": (None, 0)}, {"silent": ("listen2", 5)})),
+        ({"interval_m": 5.0, "turn_on_fraction": 0.76}, 31,
+         ({"silent": (None, 0)}, {"silent": ("tx", 6)}, {"silent": ("listen2", 7)}))],
+        ids=["silent", "stochastic", "period_2", "period_3"])
+    def test_a_settled_tail_is_cut_off_at_every_offset(self, edits, slot, cycle, monkeypatch):
+        # Every n up to three periods past the settle slot ends the run at
+        # each offset of a period, the cut-off included.
+        scenario = make_scenario(**{"interval_m": 9.0, "turn_on_fraction": 0.7, **edits})
+        period = sum(max(1 + lost for _, lost in outcomes.values()) for outcomes in cycle)
         slots = _settled_slots(monkeypatch)
-        for n in range(3, 3 + 3 * 3 + 1):
+        for n in range(slot, slot + 3 * period + 1):
             for seed in range(10):
                 slots.clear()
                 assert run_simulation(scenario, seed, n)[0] == \
                     run_simulation(scenario, seed, n, trace=True)[0], (n, seed)
-                if n >= 6:  # a shorter run caps the settle slot's lost slots
-                    assert slots == [(3, outcomes)]
+                # A shorter run caps the settle slot's lost slots, and an
+                # orbit's return must reach the on-slot after its period.
+                if n >= slot + period + (len(cycle) > 1):
+                    assert slots == [(slot, cycle)]
 
     def test_branches_that_lose_different_slots_are_counted_apart(self, monkeypatch):
         # From on-slot 2, a window-1 reception turns off and loses one slot,
@@ -628,7 +674,7 @@ class TestSettling:
                                esr=5.0, epr=10e3)
         scenario = dataclasses.replace(
             make_scenario(sf=10, dl_pl=222, interval_m=10.0, p1=0.7, p2=0.5), circuit=circuit)
-        outcomes = {"rx1": ("rx1", 1), "rx2": ("rx2", 2), "silent": (None, 0)}
+        outcomes = ({"rx1": ("rx1", 1), "rx2": ("rx2", 2), "silent": (None, 0)},)
         slots = _settled_slots(monkeypatch)
         for n in (*range(2, 2 + 3 * 3 + 1), 300):
             for seed in range(10):
@@ -637,6 +683,22 @@ class TestSettling:
                     run_simulation(scenario, seed, n, trace=True)[0], (n, seed)
                 if n >= 5:
                     assert slots == [(2, outcomes)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(p1=_P, p2=_P, data=st.data(), remaining=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_the_tail_counts_what_the_reference_tail_counts(self, p1, p2, data, remaining,
+                                                             seed):
+        # Random outcomes and lost slots per reachable branch; the same
+        # counts from the same seed, with the same draws taken.
+        lossless = data.draw(st.booleans())
+        outcomes = {b: (data.draw(st.sampled_from((None, *simulator._BRANCHES[b]))),
+                        0 if lossless else data.draw(st.integers(0, 4)))
+                    for b in make_scenario(p1=p1, p2=p2).branches}
+        ours, reference = random.Random(seed), random.Random(seed)
+        assert simulator._count_tail((outcomes,), remaining, ours.random, p1, p2) == \
+            [reference_count_tail(outcomes, remaining, reference.random, p1, p2)]
+        assert ours.random() == reference.random()
 
     def _settler(self, monkeypatch=None, branch=None):
         settler = simulator._Settler(make_scenario(interval_m=9.0), 1000)
@@ -662,7 +724,31 @@ class TestSettling:
         assert drifting(2.0, 8) == (None, 16)
         contracting = self._settler(monkeypatch, lambda x: ((None, 0), 0.5 * x + 1.0, False))
         settled, next_check = contracting(2.0, 8)
-        assert settled == {"silent": (None, 0)} and next_check == math.inf
+        assert settled == ({"silent": (None, 0)},) and next_check == math.inf
+
+    def test_intervals_that_map_into_one_another_in_turn_settle(self, monkeypatch):
+        # A synthetic on/off branch: completes below 2.25 V and maps x to
+        # x/10 + 2.7; turns off in tx above, loses two slots and maps x to
+        # x/10 + 1.5.  Its orbit 1.77/0.99, 2.878... has period 2, and each
+        # step is probed at its own on-slot.
+        probed = []
+
+        def on_off(phases, x, k):
+            probed.append(k)
+            off = x >= 2.25
+            return (((0, False, False) if off else None, 2 * off),
+                    0.1 * x + (1.5 if off else 2.7), False)
+
+        settler = self._settler()
+        monkeypatch.setattr(settler, "_probe", on_off)
+        low = 1.77 / 0.99
+        settled, next_check = settler(low, 8)
+        assert settled == ({"silent": (None, 0)}, {"silent": ("tx", 2)})
+        assert next_check == math.inf
+        probed.clear()
+        assert settler._test([low, 0.1 * low + 2.7], 8) == settled and set(probed) == {8, 9}
+        # From 2 V the orbit has not yet converged: its return misses the pad.
+        assert settler(2.0, 8) == (None, 16)
 
     def test_a_phase_entered_at_its_turn_off_level_is_near(self):
         settler = self._settler()

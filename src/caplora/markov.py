@@ -22,8 +22,9 @@ Phase.after's float operations in its order, so the map is bit-identical
 to calling the phases; only the turn-off paths, whose recharge time
 depends on the level, call them per level.  Turn-off levels are the
 phases' v_off, the wake time is the Off phase's crossing.  Within
-SL1 the downlink branches follow the same window rules as the event
-simulator: a window always costs its preamble at the listening load, a
+SL1 the downlink branches read the event simulator's branch table,
+simulator._BRANCHES, for their slots: a window always costs its
+preamble at the listening load, a
 detected downlink additionally costs the packet airtime at the receiving
 load, and any brush with the turn-off voltage lands the device Off at the
 dying state's v_off, recharging for whatever remains of the interval.
@@ -53,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .energy import Phase, wake_time
 from .errors import InfeasibleScenario, ScenarioError
-from .simulator import Scenario
+from .simulator import _BRANCHES, Scenario
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,6 +125,11 @@ def _min_level_surviving(step: Callable[[int], int], lo: int, hi: int,
     return lo
 
 
+def _elapsed(phases: dict[str, Phase], slots: tuple[str, ...]) -> float:
+    """The slots' durations added left to right."""
+    return reduce(add, (phases[slot].duration for slot in slots))
+
+
 def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     """Quantized feasibility thresholds for transmit and both receptions.
 
@@ -138,7 +144,8 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     v_min = level_of(circuit.v_min, g)
     v_max = level_of(circuit.operating_voltage, g)
     v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
-    tx, rx1, rx2 = phases["tx"], phases["rx1"], phases["rx2"]
+    tx = phases["tx"]
+    rx1, rx2 = (phases[_BRANCHES[branch].slots[-1]] for branch in ("rx1", "rx2"))
     v_tx = _min_level_surviving(_level_step(tx, g, v_max), v_min, v_max, v_off[tx.state] + 1)
     if v_tx is None:
         raise InfeasibleScenario(
@@ -200,7 +207,9 @@ class _RowBuilder:
 
     The level map is compiled once per chain: a step per timed slot, and
     per reachable branch (Scenario.branches) the sleep over what is left
-    of the interval after its cycle `ends`, durations added left to right.
+    of the interval after its cycle `ends`.  Each detected branch's window
+    is the last two slots of simulator._BRANCHES, and it opens when the
+    slots before them end; times add the slots' durations left to right.
     Die paths recharge from a level-dependent time, so they call the
     phases per level.
     """
@@ -211,22 +220,23 @@ class _RowBuilder:
         self.g = g
         self.thr = thr
         self.v_on = scenario.circuit.v_on
-        tx, idle1, listen1, rx1, idle2, listen2, rx2 = timed = [
-            phases[slot] for slot in ("tx", "idle1", "listen1", "rx1", "idle2", "listen2", "rx2")]
-        self.step = {phase: _level_step(phase, g, thr.v_max) for phase in timed}
-        self.t_win1 = tx.duration + idle1.duration
-        self.t_win2 = self.t_win1 + listen1.duration + idle2.duration
-        ends = {"rx1": self.t_win1 + listen1.duration + rx1.duration,
-                "rx2": self.t_win2 + listen2.duration + rx2.duration,
-                "silent": self.t_win2 + listen2.duration}
-        self.ends = {branch: ends[branch] for branch in scenario.branches}
+        self.step = {phase: _level_step(phase, g, thr.v_max)
+                     for phase in phases.values() if phase.duration is not None}
+        # Each detected branch's window: (listen, rx, the level the packet
+        # needs to start, the time the window opens).
+        self.windows = {}
+        for branch, v_rx in (("rx1", thr.v_rx1), ("rx2", thr.v_rx2)):
+            *lead, listen, rx = _BRANCHES[branch].slots
+            self.windows[branch] = (phases[listen], phases[rx], v_rx, _elapsed(phases, lead))
+        self.ends = {branch: _elapsed(phases, _BRANCHES[branch].slots)
+                     for branch in scenario.branches}
         self.sleep_out = {branch: _level_step(phases["sleep"], g, thr.v_max, self.m - end)
                           for branch, end in self.ends.items()}
         # A turn-off in each state leaves the capacitor at that state's
         # v_off: its level and its Off-state recharge time to the wake
         # target, constants of the circuit (inf if v_on is unreachable).
         self.off_start = {phase.state: (thr.v_off[phase.state], self._wake_time(phase.v_off))
-                          for phase in (tx, listen1, rx1)}
+                          for phase in map(phases.get, ("tx", "listen1", "rx1"))}
 
     def _wake_time(self, v: float) -> float:
         """Off-state charge time from capacitor voltage v to the wake target."""
@@ -270,14 +280,15 @@ class _RowBuilder:
             t = min(phase.cross(level / self.g), phase.duration)
         return self._recharge(off_level, t_wake, self.m - (t_base + (t_lead + t)))
 
-    def _window(self, add, listen: Phase, rx: Phase, v_rx: int, level: int, t: float,
-                p: float, reach: float, branch: str) -> tuple[int, bool]:
-        """The receive window entered at `level` at time t, reached with
-        probability `reach`, a downlink coming with probability p and ending
-        `branch`.  Adds the detected branch, and the silent one if the device
-        dies listening; returns the level after listening and whether the
-        device died.
+    def _window(self, add, branch: str, level: int, p: float,
+                reach: float) -> tuple[int, bool]:
+        """The receive window of the detected `branch`, entered at `level`,
+        reached with probability `reach`, a downlink coming with probability
+        p.  Adds the detected branch, and the silent one if the device dies
+        listening; returns the level after listening and whether the device
+        died.
         """
+        listen, rx, v_rx, t = self.windows[branch]
         end = self.step[listen](level)
         died = end <= self.thr.v_off[listen.state]
         detected, silent = reach * p, reach * (1.0 - p)
@@ -314,21 +325,17 @@ class _RowBuilder:
         # SL1: the uplink completes, then the two receive windows.  Window 2
         # opens only when window 1 stayed silent and the device is still on.
         p1, p2 = self.p1, self.p2
-        idle1, listen1, idle2, listen2 = (phases[slot] for slot in
-                                          ("idle1", "listen1", "idle2", "listen2"))
-        v1 = step[idle1](step[tx](state.level))
-        w1, died = self._window(add, listen1, phases["rx1"], thr.v_rx1, v1, self.t_win1,
-                                p1, 1.0, "rx1")
-        v2 = step[idle2](w1)
+        v1 = step[phases["idle1"]](step[tx](state.level))
+        w1, died = self._window(add, "rx1", v1, p1, 1.0)
+        v2 = step[phases["idle2"]](w1)
         silent = 0.0 if died else 1.0 - p1
-        w2, died = self._window(add, listen2, phases["rx2"], thr.v_rx2, v2, self.t_win2,
-                                p2, silent, "rx2")
+        w2, died = self._window(add, "rx2", v2, p2, silent)
         quiet = silent * (1.0 - p2)
         if not died and quiet > 0.0:
             add(self._to_sleep("silent", w2), quiet)
         pdl2 = (1.0 - p1) * p2
         return dests, Rewards(pdl1=p1 if v1 >= thr.v_rx1 else 0.0,
-                              pdl2=pdl2 if v2 >= thr.v_off[listen1.state] else 0.0,
+                              pdl2=pdl2 if v2 >= thr.v_off[phases["listen1"].state] else 0.0,
                               pdl2_strict=pdl2 if v2 >= thr.v_rx2 else 0.0)
 
 

@@ -71,14 +71,17 @@ below and counts the on-slots per branch; the last cycle's lost slots
 are cut off at n_scheduled.  The counters equal the full walk's.
 
 Two downlink-cost conventions live here, mirroring how such devices are
-analyzed versus simulated:
+analyzed versus simulated.  Both read one branch table, _BRANCHES, which
+lists each branch's slots and the counters its window feeds:
 
-* run_simulation (and the Markov chain built on the same rules) treats a
-  detected downlink as the full preamble window at the listening load
-  followed by the whole packet airtime at the receiving load.
-* single_cycle_trace implements the leaner analytic cycle used by the
-  capacitance/interval characterization, where a downlink simply replaces
-  the corresponding listening window with one packet reception.
+* run_simulation (and the Markov chain built on the same table) walks a
+  branch's slots, so a detected downlink costs the full preamble window
+  at the listening load followed by the whole packet airtime at the
+  receiving load.
+* single_cycle_trace and CycleCheck run the leaner analytic cycle used by
+  the capacitance/interval characterization: a branch's slots with the
+  detected window's listening slot dropped, so the downlink simply
+  replaces it with one packet reception ('none' runs silent's slots).
 
 Draw order of the seeded PRNG (Python's random.Random, MT19937): one
 uniform draw when reception window 1 opens, one more when window 2 opens
@@ -93,8 +96,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .energy import (CircuitConfig, DeviceState, Phase, _off_time, _step, compile_phase,
                      time_constant, wake_time)
@@ -187,11 +192,24 @@ _SLOTS = {
     "rx2": (DeviceState.RX, "t_rx2"),
 }
 
-# The analytic cycle per dl_case: a downlink replaces its listening window.
-_CYCLES = {
-    "none": ("tx", "idle1", "listen1", "idle2", "listen2"),
-    "rx1": ("tx", "idle1", "rx1"),
-    "rx2": ("tx", "idle1", "listen1", "idle2", "rx2"),
+
+class _Branch(NamedTuple):
+    slots: tuple[str, ...]   # the slots walked; a detected window is the last two
+    counter: str | None      # the SimStats counters that window feeds
+    odds: str | None         # the Scenario probability of the draw that detects it
+
+
+# The Class A branch rule, in draw order: a downlink detected in window 1,
+# one detected in window 2, or silence in both.  A detected downlink's
+# window is the last two slots of its branch, the preamble at the listening
+# load and then the packet; the draw that detects it is taken as its
+# listening slot opens.  A window-1 downlink ends the cycle, and window 2
+# opens only after a silent window 1, so each detected branch follows
+# silent's slots up to its listening slot.
+_BRANCHES = {
+    "rx1": _Branch(("tx", "idle1", "listen1", "rx1"), "n_dl1", "p1"),
+    "rx2": _Branch(("tx", "idle1", "listen1", "idle2", "listen2", "rx2"), "n_dl2", "p2"),
+    "silent": _Branch(("tx", "idle1", "listen1", "idle2", "listen2"), None, None),
 }
 
 
@@ -277,15 +295,6 @@ class _Walk:
         return True
 
 
-# The downlink branches of a cycle: detected in window 1, detected in
-# window 2, or silent in both.  A detected downlink's window is the last two
-# slots of its branch: the preamble, then the packet.
-_BRANCHES = {
-    "rx1": ("tx", "idle1", "listen1", "rx1"),
-    "rx2": ("tx", "idle1", "listen1", "idle2", "listen2", "rx2"),
-    "silent": ("tx", "idle1", "listen1", "idle2", "listen2"),
-}
-
 # An outcome of one branch: the slot the device turned off in (None when the
 # cycle completed) and the slots lost before the next on-slot.
 Outcome = tuple[str | None, int]
@@ -299,10 +308,10 @@ def _tally(branch: str, stop: str | None) -> tuple[str, ...]:
     `branch` and turns off in slot `stop` (None: completes)."""
     if stop == "tx":
         return ("n_tx_aborted",)
-    if branch == "silent" or stop in _BRANCHES[branch][:-2]:
+    slots, counter, _ = _BRANCHES[branch]
+    if counter is None or stop in slots[:-2]:
         return ("n_tx_success",)
-    window = "n_dl1" if branch == "rx1" else "n_dl2"
-    return ("n_tx_success", window + ("_success" if stop is None else "_aborted"))
+    return ("n_tx_success", counter + ("_success" if stop is None else "_aborted"))
 
 
 def _count_tail(cycle: tuple[dict[str, Outcome], ...], remaining: int, draw, p1: float,
@@ -325,7 +334,7 @@ def _count_tail(cycle: tuple[dict[str, Outcome], ...], remaining: int, draw, p1:
     step = {b: 1 + lost for b, (_, lost) in outcomes.items()}
     # With window 2 unopened, the rx2 and silent branches end alike.
     quiet = "silent" if "silent" in step else "rx2"
-    opens2 = outcomes[quiet][0] in (None, "listen2", "rx2")
+    opens2 = outcomes[quiet][0] not in _BRANCHES["rx2"].slots[:-2]
     n1 = n2 = n_quiet = 0
     if max(step.values()) == 1:
         for _ in range(remaining):
@@ -363,7 +372,7 @@ class _Settler:
         self.circuit, self.m, self.n = circuit, scenario.interval_m, n_scheduled
         self.off, self.sleep = table["off"], table["sleep"]
         self.names = scenario.branches
-        self.branches = [tuple(map(table.get, _BRANCHES[b])) for b in self.names]
+        self.branches = [tuple(map(table.get, _BRANCHES[b].slots)) for b in self.names]
         e, t_end = circuit.operating_voltage, n_scheduled * self.m
         tau = min(circuit.state_params(s).tau for s in (DeviceState.OFF, DeviceState.SLEEP))
         self.delta, self.eps_t = 2**20 * math.ulp(e), 2**20 * math.ulp(t_end)
@@ -409,7 +418,7 @@ class _Settler:
                 ends = self._ends(lo, hi, slot)
                 if ends is None:
                     return None
-                cycle.append({b: (None if fate is None else _BRANCHES[b][fate[0]], lost)
+                cycle.append({b: (None if fate is None else _BRANCHES[b].slots[fate[0]], lost)
                               for b, (((fate, lost), _, _), _) in zip(self.names, ends)})
                 slot += 1 + ends[0][0][0][1]  # each step is probed at its own on-slot
                 images = [end[1] for pair in ends for end in pair]
@@ -480,94 +489,67 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     if n_scheduled < 1:
         raise ScenarioError(f"n_scheduled must be >= 1, got {n_scheduled}")
     table = scenario.phases
-    tx, idle1, listen1, rx1 = table["tx"], table["idle1"], table["listen1"], table["rx1"]
-    idle2, listen2, rx2 = table["idle2"], table["listen2"], table["rx2"]
-    off, sleep = table["off"], table["sleep"]
-    p1, p2, interval = scenario.p1, scenario.p2, scenario.interval_m
+    off, sleep, interval = table["off"], table["sleep"], scenario.interval_m
+    # Each branch's (slot, phase, fork) steps.  A cycle walks silent's; a
+    # detected branch's listening slot forks it with (odds, branch, steps),
+    # and a detection goes on in that branch's steps from the same slot.
+    steps = {b: [(slot, table[slot], None) for slot in spec.slots]
+             for b, spec in _BRANCHES.items()}
+    silent = steps["silent"]
+    for b, spec in _BRANCHES.items():
+        if spec.odds is not None:
+            i = len(spec.slots) - 2
+            silent[i] = (*silent[i][:2], (getattr(scenario, spec.odds), b, steps[b]))
     draw = random.Random(seed).random
     walk = _Walk(scenario.circuit, scenario.circuit.v_min, off=True, trace=trace)
     walk.record(0.0, DeviceState.OFF)
 
-    tx_success = tx_lost = tx_aborted = 0
-    dl1_success = dl1_aborted = dl2_success = dl2_aborted = 0
-
+    ended: Counter[tuple[str, str | None]] = Counter()   # on-slots per (branch, stop)
     settle, next_check = _Settler(scenario, n_scheduled), n_scheduled if trace else 1
     settled = None
     for k in range(n_scheduled):
         if not walk.ready(k * interval, off, sleep):
-            tx_lost += 1
             continue
         if k >= next_check:
             settled, next_check = settle(walk.v, k)
             if settled is not None:
                 break
-
-        if not walk.phase(tx):
-            tx_aborted += 1
-            continue
-        tx_success += 1
-
-        if not walk.phase(idle1):
-            continue
-
-        # Reception window 1: preamble at the listening load, then the
-        # packet itself at the receiving load when one was detected.
-        detected1 = draw() < p1
-        if not walk.phase(listen1):
-            if detected1:
-                dl1_aborted += 1
-            continue
-        if detected1:
-            if walk.phase(rx1):
-                dl1_success += 1
-                walk.record(walk.t, DeviceState.SLEEP)
-            else:
-                dl1_aborted += 1
-            continue  # window 2 only opens when window 1 stayed silent
-
-        if not walk.phase(idle2):
-            continue
-
-        detected2 = draw() < p2
-        if not walk.phase(listen2):
-            if detected2:
-                dl2_aborted += 1
-            continue
-        if detected2:
-            if walk.phase(rx2):
-                dl2_success += 1
-                walk.record(walk.t, DeviceState.SLEEP)
-            else:
-                dl2_aborted += 1
+        branch, path, i, stop = "silent", silent, 0, None
+        while i < len(path):
+            slot, phase, fork = path[i]
+            if fork is not None and draw() < fork[0]:
+                branch, path = fork[1], fork[2]
+            if not walk.phase(phase):
+                stop = slot
+                break
+            i += 1
         else:
             walk.record(walk.t, DeviceState.SLEEP)
+        ended[branch, stop] += 1
 
-    counts = dict(
-        n_tx_success=tx_success,
-        n_tx_lost_off=tx_lost,
-        n_tx_aborted=tx_aborted,
-        n_dl1_success=dl1_success,
-        n_dl1_aborted=dl1_aborted,
-        n_dl2_success=dl2_success,
-        n_dl2_aborted=dl2_aborted,
-    )
     if settled is not None:
-        remaining = n_scheduled - k
-        counts["n_tx_lost_off"] += remaining
-        for outcomes, tail in zip(settled, _count_tail(settled, remaining, draw, p1, p2)):
+        for outcomes, tail in zip(settled, _count_tail(settled, n_scheduled - k, draw,
+                                                      scenario.p1, scenario.p2)):
             for branch, on_slots in tail.items():
-                counts["n_tx_lost_off"] -= on_slots
-                for counter in _tally(branch, outcomes[branch][0]):
-                    counts[counter] += on_slots
-    return SimStats(n_scheduled=n_scheduled, **counts), (walk.points or [])
+                ended[branch, outcomes[branch][0]] += on_slots
+    counts = dict.fromkeys(("n_tx_success", "n_tx_aborted", "n_dl1_success", "n_dl1_aborted",
+                            "n_dl2_success", "n_dl2_aborted"), 0)
+    for (branch, stop), on_slots in ended.items():
+        for counter in _tally(branch, stop):
+            counts[counter] += on_slots
+    lost = n_scheduled - counts["n_tx_success"] - counts["n_tx_aborted"]
+    return SimStats(n_scheduled=n_scheduled, n_tx_lost_off=lost, **counts), (walk.points or [])
 
 
 def _cycle(dl_case: str) -> tuple[str, ...]:
-    try:
-        return _CYCLES[dl_case]
-    except KeyError:
-        raise ScenarioError(
-            f"dl_case must be 'none', 'rx1' or 'rx2', got {dl_case!r}") from None
+    """The analytic cycle's slots: silent's for 'none', else the branch's
+    with the downlink in place of its listening slot."""
+    if dl_case == "none":
+        return _BRANCHES["silent"].slots
+    if dl_case not in ("rx1", "rx2"):
+        raise ScenarioError(f"dl_case must be 'none', 'rx1' or 'rx2', got {dl_case!r}")
+    slots = _BRANCHES[dl_case].slots
+    return slots[:-2] + slots[-1:]
 
 
 def _check_start(circuit: CircuitConfig, v_start: float) -> None:

@@ -298,21 +298,39 @@ def reference_chain(scenario, g: int):
                            thresholds=thresholds, matrix=matrix, step=step, ends=ends)
 
 
+# The SimStats counters that an on-slot adds to when its cycle takes a
+# branch and turns off in a slot (None: completes), written out apart from
+# caplora.simulator's branch table.  A turn-off in tx aborts the uplink; a
+# detected downlink's window (its listening slot and its packet) feeds its
+# window's counters, a success only when the cycle completes.
+REFERENCE_TALLY = {
+    **{(branch, "tx"): ("n_tx_aborted",) for branch in ("rx1", "rx2", "silent")},
+    ("rx1", "idle1"): ("n_tx_success",),
+    ("rx1", "listen1"): ("n_tx_success", "n_dl1_aborted"),
+    ("rx1", "rx1"): ("n_tx_success", "n_dl1_aborted"),
+    ("rx1", None): ("n_tx_success", "n_dl1_success"),
+    **{("rx2", stop): ("n_tx_success",) for stop in ("idle1", "listen1", "idle2")},
+    ("rx2", "listen2"): ("n_tx_success", "n_dl2_aborted"),
+    ("rx2", "rx2"): ("n_tx_success", "n_dl2_aborted"),
+    ("rx2", None): ("n_tx_success", "n_dl2_success"),
+    **{("silent", stop): ("n_tx_success",)
+       for stop in ("idle1", "listen1", "idle2", "listen2", None)},
+}
+
+
 def reference_count_tail(outcomes, remaining: int, draw, p1: float, p2: float) -> dict:
     """Reference count of a settled period-1 tail: what caplora.simulator's
     _count_tail must return for the one-step cycle (outcomes,), from the
     same generator.
 
     On-slots per branch over the last `remaining` slots, the first of them
-    an on-slot.  When every branch adds the same counters and loses the
-    same slots, ceil(remaining / (1 + lost)) on-slots of the first branch
-    and no draw.  Otherwise one draw when window 1 opens and one more when
-    window 2 opens (after a silent window 1, and only when the quiet
-    branch reaches it), with a dict count per on-slot.
+    an on-slot.  When every branch adds the same counters (REFERENCE_TALLY)
+    and loses the same slots, ceil(remaining / (1 + lost)) on-slots of the
+    first branch and no draw.  Otherwise one draw when window 1 opens and
+    one more when window 2 opens (after a silent window 1, and only when
+    the quiet branch reaches it), with a dict count per on-slot.
     """
-    from caplora.simulator import _tally
-
-    if len({(_tally(b, stop), lost) for b, (stop, lost) in outcomes.items()}) == 1:
+    if len({(REFERENCE_TALLY[b, stop], lost) for b, (stop, lost) in outcomes.items()}) == 1:
         branch, (_, lost) = next(iter(outcomes.items()))
         return {branch: -(-remaining // (1 + lost))}
     step = {b: 1 + lost for b, (_, lost) in outcomes.items()}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from caplora import characterize, defaults, markov
+from caplora import characterize, defaults, markov, simulator
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
 from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after
 from caplora.errors import InfeasibleScenario, ScenarioError
@@ -587,11 +587,12 @@ def test_the_window_2_cycle_fills_the_least_admitted_interval():
 def test_sums_add_left_to_right(monkeypatch):
     """Python 3.12's sum compensates while 3.10 and 3.11 add left to right,
     so the builtin would print other floats on 3.12.  The chain metrics,
-    the window-2 total and min-interval add left to right instead."""
+    the window-2 total, the branch table's window and cycle times and
+    min-interval add left to right instead."""
     def compensated(*args):
         raise AssertionError("the builtin sum of floats is compensated since Python 3.12")
 
-    for module in (markov, characterize):
+    for module in (markov, characterize, simulator):
         monkeypatch.setattr(module, "sum", compensated, raising=False)
     pi = np.array([1e16, 1.0, -1e16])
     assert math.fsum(pi) == 1.0          # what a compensated sum gives
@@ -601,3 +602,7 @@ def test_sums_add_left_to_right(monkeypatch):
     with pytest.raises(ScenarioError, match="bound 3.111296 s"):
         make_scenario(interval_m=3.0, p2=1.0)
     assert characterize.min_tx_interval(make_scenario(), "rx2") > 0.0
+    scenario = make_scenario(interval_m=40.0, p1=0.3, p2=0.5)
+    assert set(_RowBuilder(scenario, 50, threshold_levels(scenario, 50)).ends) == \
+        {"rx1", "rx2", "silent"}
+    assert run_simulation(scenario, 1, 20, trace=True)[0].n_scheduled == 20

@@ -20,7 +20,7 @@ from caplora.simulator import (
 )
 from caplora.timing import min_interval_bound
 
-from conftest import make_circuit, make_scenario, reference_count_tail
+from conftest import REFERENCE_TALLY, make_circuit, make_scenario, reference_count_tail
 
 
 class TestScenarioValidation:
@@ -56,7 +56,7 @@ class TestScenarioValidation:
                                  power_w=0.01, c_farads=1.0)
         circuit = scenario.circuit
         walk = simulator._Walk(circuit, circuit.charge_ceiling(), off=False, trace=False)
-        assert all(walk.phase(scenario.phases[slot]) for slot in simulator._BRANCHES["rx2"])
+        assert all(walk.phase(scenario.phases[slot]) for slot in simulator._BRANCHES["rx2"].slots)
         bound = min_interval_bound(scenario.schedule, rx2_reachable=True)
         assert walk.t.hex() == bound.hex()
         assert bound > min_interval_bound(scenario.schedule)
@@ -116,6 +116,32 @@ class TestWindowStructure:
         stats, trace = run_simulation(scenario, seed=11, n_scheduled=50, trace=True)
         listens = sum(1 for p in trace if p.device_state is DeviceState.LISTEN)
         assert listens == 2 * stats.n_tx_success
+
+    @pytest.mark.parametrize("p1, p2, branch, slots, counter", [
+        (1.0, 0.0, "rx1", (("TX", "t_tx"), ("IDLE", "t_id1"), ("LISTEN", "t_l1"), ("RX", "t_rx1")),
+         "n_dl1_success"),
+        (0.0, 1.0, "rx2", (("TX", "t_tx"), ("IDLE", "t_id1"), ("LISTEN", "t_l1"), ("IDLE", "t_id2"),
+                           ("LISTEN", "t_l2"), ("RX", "t_rx2")), "n_dl2_success"),
+        (0.0, 0.0, "silent", (("TX", "t_tx"), ("IDLE", "t_id1"), ("LISTEN", "t_l1"),
+                              ("IDLE", "t_id2"), ("LISTEN", "t_l2")), None)],
+        ids=["rx1", "rx2", "silent"])
+    def test_a_completed_cycle_walks_its_branch_slots(self, p1, p2, branch, slots, counter):
+        # The one on-slot at 10 W completes and walks its branch's slots in
+        # order, each for its schedule duration, then sleeps; the table
+        # lists the same (state, duration) slots.
+        scenario = make_scenario(power_w=10.0, p1=p1, p2=p2, interval_m=5.0)
+        stats, trace = run_simulation(scenario, seed=1, n_scheduled=2, trace=True)
+        assert (stats.n_tx_lost_off, stats.n_tx_success) == (1, 1)
+        assert [name for name in ("n_dl1_success", "n_dl2_success")
+                if getattr(stats, name)] == ([counter] if counter else [])
+        cycle = [point for point in trace if point.time >= scenario.interval_m]
+        assert [point.device_state for point in cycle] == \
+            [DeviceState[state] for state, _ in slots] + [DeviceState.SLEEP]
+        s = scenario.schedule
+        assert [b.time - a.time for a, b in zip(cycle, cycle[1:])] == \
+            pytest.approx([getattr(s, name) for _, name in slots], rel=1e-9)
+        assert [simulator._SLOTS[slot] for slot in simulator._BRANCHES[branch].slots] == \
+            [(DeviceState[state], name) for state, name in slots]
 
     def test_pdr_nondecreasing_in_interval(self):
         pdrs = []
@@ -692,13 +718,22 @@ class TestSettling:
         # Random outcomes and lost slots per reachable branch; the same
         # counts from the same seed, with the same draws taken.
         lossless = data.draw(st.booleans())
-        outcomes = {b: (data.draw(st.sampled_from((None, *simulator._BRANCHES[b]))),
+        outcomes = {b: (data.draw(st.sampled_from([stop for (branch, stop) in REFERENCE_TALLY
+                                                   if branch == b])),
                         0 if lossless else data.draw(st.integers(0, 4)))
                     for b in make_scenario(p1=p1, p2=p2).branches}
         ours, reference = random.Random(seed), random.Random(seed)
         assert simulator._count_tail((outcomes,), remaining, ours.random, p1, p2) == \
             [reference_count_tail(outcomes, remaining, reference.random, p1, p2)]
         assert ours.random() == reference.random()
+
+    def test_the_tally_is_the_reference_tally(self):
+        # Every (branch, stop) of the branch table adds the reference's counters.
+        ends = {(branch, stop) for branch, spec in simulator._BRANCHES.items()
+                for stop in (None, *spec.slots)}
+        assert ends == set(REFERENCE_TALLY)
+        for branch, stop in ends:
+            assert simulator._tally(branch, stop) == REFERENCE_TALLY[branch, stop]
 
     def _settler(self, monkeypatch=None, branch=None):
         settler = simulator._Settler(make_scenario(interval_m=9.0), 1000)

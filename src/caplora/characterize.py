@@ -44,7 +44,7 @@ from . import defaults
 from .energy import CircuitConfig, DeviceState, DeviceThresholds, compile_phase, wake_time
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from .markov import solve_chain
-from .simulator import CycleCheck, Scenario, run_simulation
+from .simulator import CycleCheck, Scenario, run_seeds
 
 DL_CASES = ("none", "rx1", "rx2")
 
@@ -242,16 +242,11 @@ def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
                    n_scheduled: int) -> tuple[float, float, float]:
     """Mean delivery ratios over one simulator run per seed.
 
-    With p1, p2 in {0, 1} every `random() < p` test has a fixed outcome,
-    so all seeds give the same run: it is simulated once and counted once
-    per seed, with the same summation.
+    The runs come from simulator.run_seeds, which walks and tests the
+    seed-free start once per cell and, when every draw has a fixed
+    outcome, runs once for every seed; each seed is counted once.
     """
-    if scenario.p1 in (0.0, 1.0) and scenario.p2 in (0.0, 1.0):
-        stats, _ = run_simulation(scenario, seed=seeds[0], n_scheduled=n_scheduled)
-        runs = [stats] * len(seeds)
-    else:
-        runs = [run_simulation(scenario, seed=seed, n_scheduled=n_scheduled)[0]
-                for seed in seeds]
+    runs = run_seeds(scenario, seeds, n_scheduled)
     pdr = pdl1 = pdl2 = 0.0
     for stats in runs:
         pdr += stats.pdr

@@ -47,13 +47,17 @@ branch has one outcome at each interval's ends L - delta and U + delta,
 keeps each phase boundary, turn-off level and wake instant a margin from
 its threshold, and sends both ends of I_i into the next interval shrunk
 by eta ([L + eta, U - eta], I_{p-1} into I_0), the outcomes are fixed
-and repeat with period p.  Tested at k = 1, 2, 4, ..., each interval
-grows by hull steps over the images mapped into it and, at p = 1, the
-completing branches' fixed points (their maps are affine).  p = 1 is
-tested first.  When that fails on a single-branch scenario (p1, p2 in
-{0, 1}), the on/off orbit of the branch's map is stepped from v_k for
-up to _MAX_PERIOD on-slots, and the least p whose return lands within
-the starting pad 2 * (delta + eta) of v_k is tested too.  delta and eta
+and repeat with period p.  Each interval grows by hull steps over the
+images mapped into it and, at p = 1, the completing branches' fixed
+points (their maps are affine).  p = 1 is tested at on-slots k = 1, 2,
+4, ..., each failure doubling the slot.  A run with one reachable
+branch (Scenario.branches) also keeps the _MAX_PERIOD on-slot voltages
+it walked before v_k.  When v_k lands within the pad 2 * (delta + eta)
+of the voltage p >= 2 on-slots back, the least such p is tested too,
+from v_k and the p - 1 voltages that followed the one it returned to.
+The history shows the return without a probe ahead, so that test runs
+at the first on-slot where it does, and after a failure at k not before
+2k; the test at k = 1, 2, 4, ... tries it as well.  delta and eta
 are 2**20 and 2**10 float spacings of the voltages and instants
 involved; eta covers the spread of each slot's sleep time (k+1)*M - t
 at the fastest recharge rate.
@@ -90,16 +94,26 @@ After settling, draws are taken only while an outcome depends on them:
 in this order when the branches differ, not at all when they end alike
 (a periodic run has one branch).
 Each run owns its generator, so the draws left untaken reach nothing.
+
+Seed-free start.  A run is seed-free until a draw with 0 < p < 1 picks a
+branch.  No draw is taken before the first on-slot's cycle, and with one
+reachable branch every draw passes or fails whatever its value.  So
+run_seeds walks the cold start to the first on-slot and tests it there
+once for all seeds.  Each seed then counts the settled tail with its own
+generator, or walks on from a copy of the walk when the test failed;
+with one reachable branch a single walk serves every seed.
+run_simulation is the one-seed case of the same walk.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from itertools import islice
+from typing import NamedTuple, Sequence
 
 from .energy import (CircuitConfig, DeviceState, Phase, _off_time, _step, compile_phase,
                      time_constant, wake_time)
@@ -239,6 +253,12 @@ class _Walk:
         self.v_on = circuit.v_on
         self.points: list[TracePoint] | None = [] if trace else None
 
+    def copy(self) -> _Walk:
+        walk = _Walk.__new__(_Walk)
+        walk.v, walk.off, walk.t, walk.v_on = self.v, self.off, self.t, self.v_on
+        walk.points = None if self.points is None else list(self.points)
+        return walk
+
     def record(self, t: float, state: DeviceState) -> None:
         points = self.points
         if points is None:
@@ -299,7 +319,8 @@ class _Walk:
 # cycle completed) and the slots lost before the next on-slot.
 Outcome = tuple[str | None, int]
 
-# The longest period, in on-slots, of the on/off orbits the settle test looks for.
+# The longest period, in on-slots, of the on/off orbits the settle test looks
+# for: a single-branch run keeps that many on-slot voltages before the current one.
 _MAX_PERIOD = 16
 
 
@@ -379,30 +400,28 @@ class _Settler:
         self.eta = 2**10 * (math.ulp(t_end) * e / tau + math.ulp(e))
         self.pad = 2 * (self.delta + self.eta)
 
-    def __call__(self, v: float, k: int) -> tuple[tuple[dict[str, Outcome], ...] | None, float]:
-        """(cycle, next slot to test at) for on-slot voltage v at on-slot k:
-        each on-slot's branch Outcomes over one period when the test passes,
+    def __call__(self, v: float, k: int, history: Sequence[float] | None = None
+                 ) -> tuple[tuple[dict[str, Outcome], ...] | None, float]:
+        """(cycle, next slot to test at) for on-slot voltage v at on-slot k,
+        after the on-slot voltages `history` (the latest last): each
+        on-slot's branch Outcomes over one period when the test passes,
         else None and 2k.  Period 1 is tested first; a single branch is then
-        tested at the least period its orbit from v returns in."""
+        tested at the least period whose return the history shows."""
         cycle = self._test([v], k)
-        if cycle is None and len(self.branches) == 1:
-            orbit = self._orbit(v, k)
-            if len(orbit) > 1:
-                cycle = self._test(orbit, k)
+        if cycle is None and history and len(self.branches) == 1:
+            p = self.period(v, history)
+            if p:
+                cycle = self._test([v, *list(history)[1 - p:]], k)
         return (None, 2 * k) if cycle is None else (cycle, math.inf)
 
-    def _orbit(self, v: float, k: int) -> list[float]:
-        """The on-slot voltages from v at on-slot k up to the least period,
-        at most _MAX_PERIOD on-slots, whose return lands within the pad of
-        v, or [v] when none does."""
-        orbit, x = [v], v
-        for _ in range(_MAX_PERIOD):
-            (_, lost), x, _ = self._probe(self.branches[0], x, k)
-            k += 1 + lost
-            if abs(x - v) <= self.pad:
-                return orbit
-            orbit.append(x)
-        return [v]
+    def period(self, v: float, history: Sequence[float]) -> int:
+        """The least p >= 2 whose return v lands within the pad of the
+        on-slot voltage p on-slots back in `history`, or 0 when none does."""
+        lo, hi = v - self.pad, v + self.pad
+        for p, x in enumerate(islice(reversed(history), 1, None), 2):
+            if lo <= x <= hi:
+                return p
+        return 0
 
     def _test(self, orbit: list[float], k: int) -> tuple[dict[str, Outcome], ...] | None:
         """Each on-slot's branch outcomes over the period p = len(orbit) when
@@ -486,10 +505,28 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     outcome counters and, when trace is set, the state/voltage trajectory
     at phase boundaries.
     """
+    return _simulate(scenario, (seed,), n_scheduled, trace)[0]
+
+
+def run_seeds(scenario: Scenario, seeds: Sequence[int], n_scheduled: int = 1000) -> list[SimStats]:
+    """run_simulation's counters for each of `seeds`, in order; the
+    seed-free start is walked and tested once (see the module docstring)."""
+    if not seeds:
+        raise ScenarioError("run_seeds needs at least one seed")
+    return [stats for stats, _ in _simulate(scenario, seeds, n_scheduled, False)]
+
+
+def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
+              trace: bool) -> list[tuple[SimStats, list[TracePoint]]]:
+    """One (counters, trace) run per seed, sharing the seed-free start."""
     if n_scheduled < 1:
         raise ScenarioError(f"n_scheduled must be >= 1, got {n_scheduled}")
+    interval = scenario.interval_m
+    if not math.isfinite(n_scheduled * interval):
+        raise ScenarioError(f"the run's horizon n_scheduled * interval_m must be finite, "
+                            f"got {n_scheduled} slots of {interval} s")
     table = scenario.phases
-    off, sleep, interval = table["off"], table["sleep"], scenario.interval_m
+    off, sleep = table["off"], table["sleep"]
     # Each branch's (slot, phase, fork) steps.  A cycle walks silent's; a
     # detected branch's listening slot forks it with (odds, branch, steps),
     # and a detection goes on in that branch's steps from the same slot.
@@ -500,45 +537,83 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
         if spec.odds is not None:
             i = len(spec.slots) - 2
             silent[i] = (*silent[i][:2], (getattr(scenario, spec.odds), b, steps[b]))
-    draw = random.Random(seed).random
+    settle = _Settler(scenario, n_scheduled)
+    single = len(scenario.branches) == 1
+
+    def walk_on(walk: _Walk, k: int, next_check: float, draw):
+        """Walk from slot k to the settle slot or the end: (on-slots per
+        (branch, stop), settled cycle or None, the slot it stopped at, the
+        next slot to test at).  With no draw it stops at the first on-slot,
+        after its test and before its cycle; walk_on(walk, k, ...) goes on
+        from there, as the walk is ready at k.  Only a run with one reachable
+        branch keeps the on-slot history, and it is walked in one call."""
+        ended: Counter[tuple[str, str | None]] = Counter()
+        history = deque(maxlen=_MAX_PERIOD) if single and not trace else None
+        next_orbit = 0
+        for k in range(k, n_scheduled):
+            if not walk.ready(k * interval, off, sleep):
+                continue
+            v = walk.v
+            orbit = history and k >= next_orbit and settle.period(v, history)
+            if k >= next_check or orbit:
+                settled, retry = settle(v, k, history)
+                if settled is not None:
+                    return ended, settled, k, next_check
+                if k >= next_check:
+                    next_check = retry
+                if orbit:
+                    next_orbit = retry
+            if draw is None:
+                return ended, None, k, next_check
+            if history is not None:
+                history.append(v)
+            branch, path, i, stop = "silent", silent, 0, None
+            while i < len(path):
+                slot, phase, fork = path[i]
+                if fork is not None and draw() < fork[0]:
+                    branch, path = fork[1], fork[2]
+                if not walk.phase(phase):
+                    stop = slot
+                    break
+                i += 1
+            else:
+                walk.record(walk.t, DeviceState.SLEEP)
+            ended[branch, stop] += 1
+        return ended, None, n_scheduled, next_check
+
+    def stats(ended, settled, k: int, draw) -> SimStats:
+        counts = dict.fromkeys(("n_tx_success", "n_tx_aborted", "n_dl1_success",
+                                "n_dl1_aborted", "n_dl2_success", "n_dl2_aborted"), 0)
+        ends = list(ended.items())
+        if settled is not None:
+            tails = _count_tail(settled, n_scheduled - k, draw, scenario.p1, scenario.p2)
+            ends += [((branch, outcomes[branch][0]), on_slots)
+                     for outcomes, tail in zip(settled, tails) for branch, on_slots in tail.items()]
+        for (branch, stop), on_slots in ends:
+            for counter in _tally(branch, stop):
+                counts[counter] += on_slots
+        lost = n_scheduled - counts["n_tx_success"] - counts["n_tx_aborted"]
+        return SimStats(n_scheduled=n_scheduled, n_tx_lost_off=lost, **counts)
+
     walk = _Walk(scenario.circuit, scenario.circuit.v_min, off=True, trace=trace)
     walk.record(0.0, DeviceState.OFF)
-
-    ended: Counter[tuple[str, str | None]] = Counter()   # on-slots per (branch, stop)
-    settle, next_check = _Settler(scenario, n_scheduled), n_scheduled if trace else 1
-    settled = None
-    for k in range(n_scheduled):
-        if not walk.ready(k * interval, off, sleep):
-            continue
-        if k >= next_check:
-            settled, next_check = settle(walk.v, k)
-            if settled is not None:
-                break
-        branch, path, i, stop = "silent", silent, 0, None
-        while i < len(path):
-            slot, phase, fork = path[i]
-            if fork is not None and draw() < fork[0]:
-                branch, path = fork[1], fork[2]
-            if not walk.phase(phase):
-                stop = slot
-                break
-            i += 1
+    first_check = n_scheduled if trace else 1
+    if single:
+        # Every draw passes or fails whatever its value: one walk serves every seed.
+        draw = random.Random(seeds[0]).random
+        run = stats(*walk_on(walk, 0, first_check, draw)[:3], draw), (walk.points or [])
+        return [run] * len(seeds)
+    # No draw is taken before the first on-slot's cycle.
+    start, settled, k0, next_check = walk_on(walk, 0, first_check, None)
+    runs = []
+    for seed in seeds:
+        draw = random.Random(seed).random
+        if settled is None:
+            own = walk.copy()
+            runs.append((stats(*walk_on(own, k0, next_check, draw)[:3], draw), own.points or []))
         else:
-            walk.record(walk.t, DeviceState.SLEEP)
-        ended[branch, stop] += 1
-
-    if settled is not None:
-        for outcomes, tail in zip(settled, _count_tail(settled, n_scheduled - k, draw,
-                                                      scenario.p1, scenario.p2)):
-            for branch, on_slots in tail.items():
-                ended[branch, outcomes[branch][0]] += on_slots
-    counts = dict.fromkeys(("n_tx_success", "n_tx_aborted", "n_dl1_success", "n_dl1_aborted",
-                            "n_dl2_success", "n_dl2_aborted"), 0)
-    for (branch, stop), on_slots in ended.items():
-        for counter in _tally(branch, stop):
-            counts[counter] += on_slots
-    lost = n_scheduled - counts["n_tx_success"] - counts["n_tx_aborted"]
-    return SimStats(n_scheduled=n_scheduled, n_tx_lost_off=lost, **counts), (walk.points or [])
+            runs.append((stats(start, settled, k0, draw), walk.points or []))
+    return runs
 
 
 def _cycle(dl_case: str) -> tuple[str, ...]:

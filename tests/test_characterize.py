@@ -396,7 +396,7 @@ class TestThresholdSweep:
             raise AssertionError("an engine ran before validation")
 
         monkeypatch.setattr(characterize, "solve_chain", no_run)
-        monkeypatch.setattr(characterize, "run_simulation", no_run)
+        monkeypatch.setattr(characterize, "run_seeds", no_run)
         # The invalid value sorts first; a valid one follows it.
         spec = dict(scenario=make_scenario(interval_m=40.0), axis=axis,
                     values=values, granularity=100, n_scheduled=50, seeds=(1,))
@@ -462,7 +462,7 @@ class TestSimulateMean:
     def per_seed_mean(scenario, seeds, n):
         pdr = pdl1 = pdl2 = 0.0
         for seed in seeds:
-            stats = characterize.run_simulation(scenario, seed=seed, n_scheduled=n)[0]
+            stats = simulator.run_simulation(scenario, seed=seed, n_scheduled=n)[0]
             pdr += stats.pdr
             pdl1 += stats.pdl1
             pdl2 += stats.pdl2
@@ -471,18 +471,23 @@ class TestSimulateMean:
     @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     def test_seed_free_cells_run_once_and_equal_the_per_seed_mean(self, p1, p2,
                                                                   monkeypatch):
+        # Every draw has a fixed outcome, so the five seeds share one walk:
+        # as many phases as one run steps.
         scenario = make_scenario(interval_m=9.0, turn_on_fraction=0.58, p1=p1, p2=p2)
         want = self.per_seed_mean(scenario, self.SEEDS, 300)
-        calls = []
-        real = characterize.run_simulation
+        phases = []
+        real = simulator._Walk.phase
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["seed"])
-            return real(*args, **kwargs)
+        def counting(walk, phase):
+            phases.append(phase)
+            return real(walk, phase)
 
-        monkeypatch.setattr(characterize, "run_simulation", counting)
+        monkeypatch.setattr(simulator._Walk, "phase", counting)
+        simulator.run_simulation(scenario, seed=3, n_scheduled=300)
+        one_run = len(phases)
+        phases.clear()
         assert characterize._simulate_mean(scenario, self.SEEDS, 300) == want
-        assert calls == [3]
+        assert len(phases) == one_run > 0
 
     def test_stochastic_cells_run_every_seed(self):
         scenario = make_scenario(interval_m=9.0, turn_on_fraction=0.58, p1=0.3, p2=0.5)

@@ -293,6 +293,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert "finite" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv", [["simulate", "--m", "1e306", "--n", "1000"],
+                                      ["simulate", "--m", "1e308", "--n", "5"],
+                                      ["trace", "--m", "1e308", "--n", "3"]])
+    def test_a_horizon_past_the_largest_float_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("axis,values", [
         ("granularity", "0,750"),
         ("granularity", "0.5,750"),

@@ -61,6 +61,18 @@ class TestScenarioValidation:
         assert walk.t.hex() == bound.hex()
         assert bound > min_interval_bound(scenario.schedule)
 
+    @pytest.mark.parametrize("m, n, trace", [(1e306, 1000, False), (1e308, 5, False),
+                                             (1e308, 3, True)])
+    def test_a_horizon_past_the_largest_float_is_rejected(self, m, n, trace):
+        # k * M would turn inf part way through the run (at k = 180 for
+        # 1e306 s), and with it every later slot and the settle margins.
+        scenario = make_scenario(interval_m=m)
+        with pytest.raises(ScenarioError, match="finite"):
+            run_simulation(scenario, 1, n, trace=trace)
+        with pytest.raises(ScenarioError, match="finite"):
+            simulator.run_seeds(dataclasses.replace(scenario, p1=0.5), (1, 2), n)
+        assert run_simulation(make_scenario(interval_m=1e305), 1, 1000)[0].pdr > 0.99
+
 
 class TestDeterminism:
     def test_bit_identical_reruns(self):
@@ -573,8 +585,8 @@ def _settled_slots(monkeypatch) -> list:
     slots = []
     settle = simulator._Settler.__call__
 
-    def spy(self, v, k):
-        result = settle(self, v, k)
+    def spy(self, v, k, history=None):
+        result = settle(self, v, k, history)
         if result[0] is not None:
             slots.append((k, result[0]))
         return result
@@ -671,9 +683,10 @@ class TestSettling:
          ({"rx1": (None, 0), "rx2": ("listen2", 2), "silent": ("listen2", 2)},)),
         # On/off orbits: at 80 % a completing cycle alternates with one that
         # turns off in window 2 and loses five slots (sim_sweep's 5b); at
-        # 5 s and 76 % the period has three on-slots.
-        ({"turn_on_fraction": 0.8}, 54, ({"silent": (None, 0)}, {"silent": ("listen2", 5)})),
-        ({"interval_m": 5.0, "turn_on_fraction": 0.76}, 31,
+        # 5 s and 76 % the period has three on-slots.  Each settles at the
+        # first on-slot whose history shows the orbit's return.
+        ({"turn_on_fraction": 0.8}, 40, ({"silent": (None, 0)}, {"silent": ("listen2", 5)})),
+        ({"interval_m": 5.0, "turn_on_fraction": 0.76}, 47,
          ({"silent": (None, 0)}, {"silent": ("tx", 6)}, {"silent": ("listen2", 7)}))],
         ids=["silent", "stochastic", "period_2", "period_3"])
     def test_a_settled_tail_is_cut_off_at_every_offset(self, edits, slot, cycle, monkeypatch):
@@ -687,8 +700,9 @@ class TestSettling:
                 slots.clear()
                 assert run_simulation(scenario, seed, n)[0] == \
                     run_simulation(scenario, seed, n, trace=True)[0], (n, seed)
-                # A shorter run caps the settle slot's lost slots, and an
-                # orbit's return must reach the on-slot after its period.
+                # A shorter run caps the lost slots of the probes, and the
+                # image of a period's last on-slot must reach the on-slot
+                # after the period.
                 if n >= slot + period + (len(cycle) > 1):
                     assert slots == [(slot, cycle)]
 
@@ -755,10 +769,11 @@ class TestSettling:
         assert not settler._inside([1.6 + 1e-13, 2.4], 1.6, 2.5)
 
     def test_only_an_interval_that_maps_into_itself_settles(self, monkeypatch):
+        # The drifting map's history never returns, so no period is tested.
         drifting = self._settler(monkeypatch, lambda x: ((None, 0), x + 0.1, False))
-        assert drifting(2.0, 8) == (None, 16)
+        assert drifting(2.0, 8, [1.7, 1.8, 1.9]) == (None, 16)
         contracting = self._settler(monkeypatch, lambda x: ((None, 0), 0.5 * x + 1.0, False))
-        settled, next_check = contracting(2.0, 8)
+        settled, next_check = contracting(2.0, 8, [2.0, 2.0])
         assert settled == ({"silent": (None, 0)},) and next_check == math.inf
 
     def test_intervals_that_map_into_one_another_in_turn_settle(self, monkeypatch):
@@ -768,22 +783,42 @@ class TestSettling:
         # step is probed at its own on-slot.
         probed = []
 
-        def on_off(phases, x, k):
-            probed.append(k)
+        def step(x):
             off = x >= 2.25
             return (((0, False, False) if off else None, 2 * off),
                     0.1 * x + (1.5 if off else 2.7), False)
 
+        def on_off(phases, x, k):
+            probed.append(k)
+            return step(x)
+
         settler = self._settler()
         monkeypatch.setattr(settler, "_probe", on_off)
         low = 1.77 / 0.99
-        settled, next_check = settler(low, 8)
+        high = 0.1 * low + 2.7
+        settled, next_check = settler(low, 8, [high, low, high])
         assert settled == ({"silent": (None, 0)}, {"silent": ("tx", 2)})
         assert next_check == math.inf
+        # The history holds the orbit, so nothing is probed past its period.
+        assert set(probed) == {8, 9}
         probed.clear()
-        assert settler._test([low, 0.1 * low + 2.7], 8) == settled and set(probed) == {8, 9}
-        # From 2 V the orbit has not yet converged: its return misses the pad.
-        assert settler(2.0, 8) == (None, 16)
+        assert settler._test([low, high], 8) == settled and set(probed) == {8, 9}
+        # Two on-slots after 2 V the orbit has not yet converged: its return
+        # misses the pad, and no period is tested.
+        history = [2.0, step(2.0)[1]]
+        assert settler(step(history[-1])[1], 8, history) == (None, 16)
+        assert settler.period(step(history[-1])[1], history) == 0
+
+    def test_the_period_is_the_least_return_in_the_history(self):
+        settler = self._settler()
+        pad = settler.pad
+        assert settler.period(1.0, []) == settler.period(1.0, [1.0]) == 0
+        # A return one on-slot back is period 1, which the history does not test.
+        assert settler.period(1.0, [2.0, 1.0]) == 0
+        assert settler.period(1.0, [1.0 + pad, 2.0]) == 2
+        assert settler.period(1.0, [1.0 - 2 * pad, 2.0]) == 0
+        assert settler.period(1.0, [1.0, 3.0, 1.5, 2.5, 2.0]) == 5
+        assert settler.period(1.0, [1.0, 3.0, 1.0, 2.5, 2.0]) == 3
 
     def test_a_phase_entered_at_its_turn_off_level_is_near(self):
         settler = self._settler()
@@ -792,3 +827,87 @@ class TestSettling:
         below, above = (settler._probe(silent, v_off + d, 1) for d in (-1e-6, 1e-6))
         assert not below[2] and not above[2]
         assert below[0][0] == (0, True, False) and above[0][0] == (0, False, False)
+
+
+class TestSharedStart:
+    """run_seeds walks and tests the seed-free start once per cell; each
+    seed's counters must equal its own full walk's."""
+
+    # Seed 0, an ordinary seed and one past 2**53; the cells settle at their
+    # first test, settle later, or never (M = 40 s at 94 % for the ideal part,
+    # 9 s at 70 % for the ESR/EPR one).
+    SEEDS = (0, 1, 2**53 + 1)
+    CELLS = ((9.0, 0.57), (9.0, 0.7), (9.0, 0.98), (40.0, 0.7), (40.0, 0.94))
+
+    @pytest.mark.parametrize("capacitor", ["ideal", "esr_epr"])
+    @pytest.mark.parametrize("p1, p2", [(0.3, 0.5), (0.5, 0.5)])
+    def test_each_seed_equals_its_own_full_walk(self, capacitor, p1, p2, monkeypatch):
+        tests = []
+        real = simulator._Settler.__call__
+        monkeypatch.setattr(simulator._Settler, "__call__", lambda self, v, k, history=None: (
+            tests.append(k) or real(self, v, k, history)))
+        first_fails = differs = 0
+        for m, threshold in self.CELLS:
+            scenario = _scenario(capacitor, threshold, m, p1, p2)
+            tests.clear()
+            runs = simulator.run_seeds(scenario, self.SEEDS, 1000)
+            first_fails += len(tests) > 1  # the shared test failed; each seed walked on
+            for seed, stats in zip(self.SEEDS, runs):
+                want = run_simulation(scenario, seed, 1000, trace=True)[0]
+                assert dataclasses.astuple(stats) == dataclasses.astuple(want), \
+                    (m, threshold, seed)
+            differs += len(set(runs)) > 1
+        assert first_fails >= 2 and differs >= 2
+
+    def test_the_shared_walk_matches_the_reference_walk(self):
+        # Independent of the compiled walk: the public closed forms, stepped.
+        for capacitor in ("ideal", "esr_epr"):
+            scenario = _scenario(capacitor, 0.7, 9.0, 0.3, 0.5)
+            runs = simulator.run_seeds(scenario, self.SEEDS, 300)
+            assert runs == [reference_run(scenario, seed, 300)[0] for seed in self.SEEDS]
+
+    def test_a_cell_settled_at_its_first_on_slot_is_tested_once(self, monkeypatch):
+        # sim_sweep's stochastic point at 70 %: every seed settles at the
+        # first on-slot, which the five seeds share.
+        scenario = _scenario("ideal", 0.7, 40.0, 0.3, 0.5)
+        want = [run_simulation(scenario, seed, 1000)[0] for seed in range(1, 6)]
+        slots = _settled_slots(monkeypatch)
+        tests = []
+        real = simulator._Settler._test
+        monkeypatch.setattr(simulator._Settler, "_test",
+                            lambda self, orbit, k: tests.append(k) or real(self, orbit, k))
+        assert simulator.run_seeds(scenario, range(1, 6), 1000) == want
+        assert len(tests) == 1 and slots == [(tests[0], slots[0][1])]
+        assert len(set(want)) > 1
+
+    @pytest.mark.parametrize("p1", [0.0, 0.5])
+    def test_no_seed_is_an_error(self, p1):
+        with pytest.raises(ScenarioError, match="at least one seed"):
+            simulator.run_seeds(make_scenario(p1=p1), (), 100)
+
+    def test_one_reachable_branch_walks_once_for_every_seed(self, monkeypatch):
+        # p1 = 1 never opens window 2, so p2 = 0.5 is never drawn.
+        scenario = make_scenario(interval_m=9.0, turn_on_fraction=0.8, p1=1.0, p2=0.5)
+        want = run_simulation(scenario, 0, 1000)[0]
+        slots = _settled_slots(monkeypatch)
+        assert simulator.run_seeds(scenario, range(5), 1000) == [want] * 5
+        assert len(slots) == 1
+
+    def test_the_periodic_search_probes_nothing_ahead(self, monkeypatch):
+        # The README sweep's on/off cells (M = 5 and 9 s, thresholds
+        # 0.76-0.98).  Searching 16 on-slots ahead at each failed test, the
+        # forward search took 54-74 probes per run (2,745 over the 46 runs);
+        # read off the walk's history, the period costs only the probes of
+        # the tests that settle or fail.
+        probes = []
+        real = simulator._Settler._probe
+        monkeypatch.setattr(simulator._Settler, "_probe",
+                            lambda self, *args: probes.append(1) or real(self, *args))
+        base = parse_scenario("").scenario
+        per_run = []
+        for m in (5.0, 9.0):
+            for threshold in THRESHOLDS[21:]:
+                probes.clear()
+                run_simulation(edit_scenario(base, {"interval_m": m, "threshold": threshold}), 1)
+                per_run.append(len(probes))
+        assert len(per_run) == 46 and max(per_run) < 54 and sum(per_run) < 2745 // 2

@@ -242,9 +242,9 @@ def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
                    n_scheduled: int) -> tuple[float, float, float]:
     """Mean delivery ratios over one simulator run per seed.
 
-    The runs come from simulator.run_seeds, which walks and tests the
-    seed-free start once per cell and, when every draw has a fixed
-    outcome, runs once for every seed; each seed is counted once.
+    The runs come from simulator.run_seeds, whose seeds share the settle
+    test of their common start and, when every draw has a fixed outcome,
+    one run; each seed is counted once.
     """
     runs = run_seeds(scenario, seeds, n_scheduled)
     pdr = pdl1 = pdl2 = 0.0
@@ -280,14 +280,19 @@ def _measure(engine: str, seeds: tuple, n_scheduled: int,
     return result.pdr, result.pdl1, result.pdl2, time.perf_counter() - t0
 
 
+def _check_distinct(name: str, values: Sequence) -> None:
+    """Each of `values` once: one given twice would run twice and count twice."""
+    if len(set(values)) < len(values):
+        raise ScenarioError(f"{name} must not repeat a value, got {list(values)}")
+
+
 def _check_seeds(seeds: Sequence[int]) -> None:
     """Seeds are whole numbers >= 0, none of them twice.  random.Random(-s)
     draws what Random(s) draws, so a negative seed, like a repeated one,
     would run one seed twice and count it twice."""
     if any(seed < 0 for seed in seeds):
         raise ScenarioError(f"seeds must be >= 0, got {list(seeds)}")
-    if len(set(seeds)) < len(seeds):
-        raise ScenarioError(f"seeds must not repeat a seed, got {list(seeds)}")
+    _check_distinct("seeds", seeds)
 
 
 def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int,
@@ -393,10 +398,16 @@ def accuracy_study(base: Scenario,
                    seeds: Sequence[int] = (1, 2, 3, 4, 5),
                    jobs: int = 1) -> list[dict]:
     """Chain-vs-simulator absolute UL PDR error over the scenario grid; one
-    row per cell, keyed by the CLI's accuracy columns."""
+    row per cell, keyed by the CLI's accuracy columns.  A repeated seed or
+    grid value raises ScenarioError before any cell runs: its cells would
+    count twice in accuracy_summary."""
     if not seeds:
         raise ScenarioError("the accuracy study needs at least one seed")
     _check_seeds(seeds)
+    for name, values in (("cases", cases), ("m_classes", m_classes),
+                         ("p_combos", [tuple(p) for p in p_combos]),
+                         ("thresholds", thresholds), ("granularities", granularities)):
+        _check_distinct(name, values)
     axes = [("granularity", granularities),
             ("threshold", thresholds),
             (("case", "m_class"), [(c, m) for c in cases for m in m_classes],

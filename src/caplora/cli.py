@@ -276,7 +276,8 @@ def _trace_arguments(p) -> None:
                    help="trace one analytic cycle instead of a full run")
     p.add_argument("--v-start", type=float,
                    help="start voltage for --single-cycle (default: charge ceiling)")
-    p.add_argument("--dl-case", choices=DL_CASES, default="none")
+    p.add_argument("--dl-case", choices=DL_CASES,
+                   help="downlink of --single-cycle (default: none)")
 
 
 def _simulate_arguments(p) -> None:
@@ -360,13 +361,15 @@ def _cmd_airtime(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    if not args.single_cycle and (args.v_start is not None or args.dl_case is not None):
+        raise ScenarioError("--v-start and --dl-case apply only with --single-cycle")
     loaded = _load(args)
     scenario = loaded.scenario
     if args.single_cycle:
         v_start = args.v_start
         if v_start is None:
             v_start = scenario.circuit.charge_ceiling() - 1e-6
-        points, _, _ = single_cycle_trace(scenario, v_start, args.dl_case)
+        points, _, _ = single_cycle_trace(scenario, v_start, args.dl_case or "none")
     else:
         _, points = run_simulation(scenario, seed=args.seed, n_scheduled=args.n,
                                    trace=True)

@@ -95,14 +95,11 @@ in this order when the branches differ, not at all when they end alike
 (a periodic run has one branch).
 Each run owns its generator, so the draws left untaken reach nothing.
 
-Seed-free start.  A run is seed-free until a draw with 0 < p < 1 picks a
-branch.  No draw is taken before the first on-slot's cycle, and with one
-reachable branch every draw passes or fails whatever its value.  So
-run_seeds walks the cold start to the first on-slot and tests it there
-once for all seeds.  Each seed then counts the settled tail with its own
-generator, or walks on from a copy of the walk when the test failed;
-with one reachable branch a single walk serves every seed.
-run_simulation is the one-seed case of the same walk.
+Seed-free start.  No draw is taken before the first on-slot's cycle, so
+every seed of a cell reaches its first on-slot at the same voltage.  The
+settle test memoizes its answer on (v, k), so run_seeds tests that start
+once for all seeds.  With one reachable branch every draw passes or fails
+whatever its value, so one run serves every seed.
 """
 
 from __future__ import annotations
@@ -253,12 +250,6 @@ class _Walk:
         self.v_on = circuit.v_on
         self.points: list[TracePoint] | None = [] if trace else None
 
-    def copy(self) -> _Walk:
-        walk = _Walk.__new__(_Walk)
-        walk.v, walk.off, walk.t, walk.v_on = self.v, self.off, self.t, self.v_on
-        walk.points = None if self.points is None else list(self.points)
-        return walk
-
     def record(self, t: float, state: DeviceState) -> None:
         points = self.points
         if points is None:
@@ -399,6 +390,9 @@ class _Settler:
         self.delta, self.eps_t = 2**20 * math.ulp(e), 2**20 * math.ulp(t_end)
         self.eta = 2**10 * (math.ulp(t_end) * e / tau + math.ulp(e))
         self.pad = 2 * (self.delta + self.eta)
+        # Answers by (v, k).  A run asks each k once, so an answer serves only
+        # the runs of other seeds, which share a start (see the module docstring).
+        self.memo: dict[tuple[float, int], tuple] = {}
 
     def __call__(self, v: float, k: int, history: Sequence[float] | None = None
                  ) -> tuple[tuple[dict[str, Outcome], ...] | None, float]:
@@ -407,12 +401,15 @@ class _Settler:
         on-slot's branch Outcomes over one period when the test passes,
         else None and 2k.  Period 1 is tested first; a single branch is then
         tested at the least period whose return the history shows."""
-        cycle = self._test([v], k)
-        if cycle is None and history and len(self.branches) == 1:
-            p = self.period(v, history)
-            if p:
-                cycle = self._test([v, *list(history)[1 - p:]], k)
-        return (None, 2 * k) if cycle is None else (cycle, math.inf)
+        answer = self.memo.get((v, k))
+        if answer is None:
+            cycle = self._test([v], k)
+            if cycle is None and history and len(self.branches) == 1:
+                p = self.period(v, history)
+                if p:
+                    cycle = self._test([v, *list(history)[1 - p:]], k)
+            answer = self.memo[v, k] = (None, 2 * k) if cycle is None else (cycle, math.inf)
+        return answer
 
     def period(self, v: float, history: Sequence[float]) -> int:
         """The least p >= 2 whose return v lands within the pad of the
@@ -509,8 +506,8 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
 
 
 def run_seeds(scenario: Scenario, seeds: Sequence[int], n_scheduled: int = 1000) -> list[SimStats]:
-    """run_simulation's counters for each of `seeds`, in order; the
-    seed-free start is walked and tested once (see the module docstring)."""
+    """run_simulation's counters for each of `seeds`, in order; the seeds
+    share the settle test of their common start (see the module docstring)."""
     if not seeds:
         raise ScenarioError("run_seeds needs at least one seed")
     return [stats for stats, _ in _simulate(scenario, seeds, n_scheduled, False)]
@@ -518,7 +515,8 @@ def run_seeds(scenario: Scenario, seeds: Sequence[int], n_scheduled: int = 1000)
 
 def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
               trace: bool) -> list[tuple[SimStats, list[TracePoint]]]:
-    """One (counters, trace) run per seed, sharing the seed-free start."""
+    """One (counters, trace) run per seed, or one for all seeds when a
+    single branch is reachable; the runs share one settle test."""
     if n_scheduled < 1:
         raise ScenarioError(f"n_scheduled must be >= 1, got {n_scheduled}")
     interval = scenario.interval_m
@@ -540,17 +538,15 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
     settle = _Settler(scenario, n_scheduled)
     single = len(scenario.branches) == 1
 
-    def walk_on(walk: _Walk, k: int, next_check: float, draw):
-        """Walk from slot k to the settle slot or the end: (on-slots per
-        (branch, stop), settled cycle or None, the slot it stopped at, the
-        next slot to test at).  With no draw it stops at the first on-slot,
-        after its test and before its cycle; walk_on(walk, k, ...) goes on
-        from there, as the walk is ready at k.  Only a run with one reachable
-        branch keeps the on-slot history, and it is walked in one call."""
+    def run(seed: int) -> tuple[SimStats, list[TracePoint]]:
+        draw = random.Random(seed).random
+        walk = _Walk(scenario.circuit, scenario.circuit.v_min, off=True, trace=trace)
+        walk.record(0.0, DeviceState.OFF)
+        # On-slots per (branch, stop); only a single-branch run keeps the history.
         ended: Counter[tuple[str, str | None]] = Counter()
         history = deque(maxlen=_MAX_PERIOD) if single and not trace else None
-        next_orbit = 0
-        for k in range(k, n_scheduled):
+        next_check, next_orbit = (n_scheduled if trace else 1), 0
+        for k in range(n_scheduled):
             if not walk.ready(k * interval, off, sleep):
                 continue
             v = walk.v
@@ -558,13 +554,15 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
             if k >= next_check or orbit:
                 settled, retry = settle(v, k, history)
                 if settled is not None:
-                    return ended, settled, k, next_check
+                    tails = _count_tail(settled, n_scheduled - k, draw, scenario.p1, scenario.p2)
+                    for outcomes, tail in zip(settled, tails):
+                        for branch, on_slots in tail.items():
+                            ended[branch, outcomes[branch][0]] += on_slots
+                    break
                 if k >= next_check:
                     next_check = retry
                 if orbit:
                     next_orbit = retry
-            if draw is None:
-                return ended, None, k, next_check
             if history is not None:
                 history.append(v)
             branch, path, i, stop = "silent", silent, 0, None
@@ -579,41 +577,18 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
             else:
                 walk.record(walk.t, DeviceState.SLEEP)
             ended[branch, stop] += 1
-        return ended, None, n_scheduled, next_check
-
-    def stats(ended, settled, k: int, draw) -> SimStats:
         counts = dict.fromkeys(("n_tx_success", "n_tx_aborted", "n_dl1_success",
                                 "n_dl1_aborted", "n_dl2_success", "n_dl2_aborted"), 0)
-        ends = list(ended.items())
-        if settled is not None:
-            tails = _count_tail(settled, n_scheduled - k, draw, scenario.p1, scenario.p2)
-            ends += [((branch, outcomes[branch][0]), on_slots)
-                     for outcomes, tail in zip(settled, tails) for branch, on_slots in tail.items()]
-        for (branch, stop), on_slots in ends:
+        for (branch, stop), on_slots in ended.items():
             for counter in _tally(branch, stop):
                 counts[counter] += on_slots
         lost = n_scheduled - counts["n_tx_success"] - counts["n_tx_aborted"]
-        return SimStats(n_scheduled=n_scheduled, n_tx_lost_off=lost, **counts)
+        return SimStats(n_scheduled=n_scheduled, n_tx_lost_off=lost, **counts), walk.points or []
 
-    walk = _Walk(scenario.circuit, scenario.circuit.v_min, off=True, trace=trace)
-    walk.record(0.0, DeviceState.OFF)
-    first_check = n_scheduled if trace else 1
     if single:
-        # Every draw passes or fails whatever its value: one walk serves every seed.
-        draw = random.Random(seeds[0]).random
-        run = stats(*walk_on(walk, 0, first_check, draw)[:3], draw), (walk.points or [])
-        return [run] * len(seeds)
-    # No draw is taken before the first on-slot's cycle.
-    start, settled, k0, next_check = walk_on(walk, 0, first_check, None)
-    runs = []
-    for seed in seeds:
-        draw = random.Random(seed).random
-        if settled is None:
-            own = walk.copy()
-            runs.append((stats(*walk_on(own, k0, next_check, draw)[:3], draw), own.points or []))
-        else:
-            runs.append((stats(start, settled, k0, draw), walk.points or []))
-    return runs
+        # Every draw passes or fails whatever its value: one run serves every seed.
+        return [run(seeds[0])] * len(seeds)
+    return [run(seed) for seed in seeds]
 
 
 def _cycle(dl_case: str) -> tuple[str, ...]:

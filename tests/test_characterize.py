@@ -546,3 +546,17 @@ class TestAccuracyStudy:
         serial = accuracy_study(base, jobs=1, **kwargs)
         assert len(serial) == 16
         assert without_timing(accuracy_study(base, jobs=2, **kwargs)) == without_timing(serial)
+
+    # A repeated value would run its cells twice and weigh them twice in
+    # accuracy_summary's percentiles.
+    @pytest.mark.parametrize("edit", [
+        {"cases": "AA"}, {"cases": ("A", "D", "A")}, {"m_classes": ("small", "small")},
+        {"p_combos": ((0.0, 1.0), [0.0, 1.0])}, {"thresholds": (0.7, 0.70)},
+        {"granularities": (100, 200, 100)}])
+    def test_repeated_grid_values_raise_before_any_cell(self, edit, monkeypatch):
+        monkeypatch.setattr(characterize, "_measure", None)  # no cell may run
+        kwargs = dict(cases=("A",), m_classes=("small",), p_combos=((0.0, 0.0),),
+                      granularities=(100,), n_scheduled=10, seeds=(1,))
+        (name,) = edit
+        with pytest.raises(ScenarioError, match=f"{name} must not repeat a value"):
+            accuracy_study(make_scenario(), **{**kwargs, **edit})

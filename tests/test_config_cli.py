@@ -404,6 +404,15 @@ class TestCli:
             row = capsys.readouterr().out.splitlines()[1].split(",")
             assert (row[5] == pdl1) is same
 
+    # Without --single-cycle the trace is a full run from the cold start,
+    # which neither option shapes.
+    @pytest.mark.parametrize("option", [["--v-start", "2.5"], ["--dl-case", "rx1"],
+                                        ["--dl-case", "none"]])
+    def test_single_cycle_options_need_single_cycle(self, option, capsys):
+        assert main(["trace", "--n", "1", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "only with --single-cycle" in captured.err
+
     def test_trace_single_cycle(self, capsys):
         code = main(["trace", "--single-cycle", "--dl-case", "rx1", "--m", "9"])
         assert code == 0
@@ -432,6 +441,12 @@ INVALID_GRID_VALUES = {
     "accuracy-thresholds": ["accuracy", "--cases", "A", "--thresholds", "0.7,0.5"],
     "accuracy-granularities": ["accuracy", "--cases", "A", "--granularities", "100.7"],
     "accuracy-seeds": ["accuracy", "--cases", "A", "--seeds", "1.9"],
+    # A repeated value would count its cells twice in the summary.
+    "accuracy-cases-repeat": ["accuracy", "--cases", "AA"],
+    "accuracy-m-classes-repeat": ["accuracy", "--cases", "A", "--m-classes", "small,small"],
+    "accuracy-thresholds-repeat": ["accuracy", "--cases", "A", "--thresholds", "0.7,0.70"],
+    "accuracy-granularities-repeat": ["accuracy", "--cases", "A", "--m-classes", "small",
+                                      "--granularities", "10,10", "--n", "10"],
     "min-cap-sf": ["min-cap", "--sf", "7,7.5"],
     "min-cap-power": ["min-cap", "--power", "0.001,-1"],
     "min-cap-ul-pl": ["min-cap", "--ul-pl", "0"],

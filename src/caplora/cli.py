@@ -268,8 +268,8 @@ def _airtime_arguments(p) -> None:
 
 def _trace_arguments(p) -> None:
     _add_common(p)
-    p.add_argument("--seed", type=_seed, default=1)
-    p.add_argument("--n", type=_positive_int, default=5, help="scheduled uplinks to simulate")
+    p.add_argument("--seed", type=_seed)
+    p.add_argument("--n", type=_positive_int, help="scheduled uplinks to simulate")
     p.add_argument("--m", type=float, help="override transmission interval (s)")
     p.add_argument("--threshold", type=float, help="override turn-on fraction")
     p.add_argument("--single-cycle", action="store_true",
@@ -363,6 +363,8 @@ def _cmd_airtime(args) -> int:
 def _cmd_trace(args) -> int:
     if not args.single_cycle and (args.v_start is not None or args.dl_case is not None):
         raise ScenarioError("--v-start and --dl-case apply only with --single-cycle")
+    if args.single_cycle and (args.seed is not None or args.n is not None):
+        raise ScenarioError("--seed and --n apply only without --single-cycle")
     loaded = _load(args)
     scenario = loaded.scenario
     if args.single_cycle:
@@ -371,8 +373,8 @@ def _cmd_trace(args) -> int:
             v_start = scenario.circuit.charge_ceiling() - 1e-6
         points, _, _ = single_cycle_trace(scenario, v_start, args.dl_case or "none")
     else:
-        _, points = run_simulation(scenario, seed=args.seed, n_scheduled=args.n,
-                                   trace=True)
+        _, points = run_simulation(scenario, seed=1 if args.seed is None else args.seed,
+                                   n_scheduled=5 if args.n is None else args.n, trace=True)
     _emit(args, "trace", points)
     return 0
 

@@ -23,11 +23,12 @@ to calling the phases; only the turn-off paths, whose recharge time
 depends on the level, call them per level.  Turn-off levels are the
 phases' v_off, the wake time is the Off phase's crossing.  Within
 SL1 the downlink branches read the event simulator's branch table,
-simulator._BRANCHES, for their slots: a window always costs its
-preamble at the listening load, a
-detected downlink additionally costs the packet airtime at the receiving
-load, and any brush with the turn-off voltage lands the device Off at the
-dying state's v_off, recharging for whatever remains of the interval.
+simulator._BRANCHES: their slots, and the SL1 fork path and the branch
+odds derived from it (simulator._PATH, Scenario.branch_odds).  A window
+always costs its preamble at the listening load, a detected downlink
+additionally costs the packet airtime at the receiving load, and any
+brush with the turn-off voltage lands the device Off at the dying
+state's v_off, recharging for whatever remains of the interval.
 Scenario keeps the interval above timing.min_interval_bound of its
 reachable branches, so every branch's cycle ends within it.  A state
 dies where its end level sits at or below the level of its own v_off.
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .energy import Phase, wake_time
 from .errors import InfeasibleScenario, ScenarioError
-from .simulator import _BRANCHES, Scenario
+from .simulator import _BRANCHES, _PATH, Scenario
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,23 +109,6 @@ def _level_step(phase: Phase, g: int, v_max: int, t: float | None = None) -> Cal
     return step
 
 
-def _min_level_surviving(step: Callable[[int], int], lo: int, hi: int,
-                         target: int) -> int | None:
-    """Smallest start level in [lo, hi] whose end level reaches `target`.
-
-    The end level is nondecreasing in the start level, so binary search.
-    """
-    if step(hi) < target:
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if step(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _elapsed(phases: dict[str, Phase], slots: tuple[str, ...]) -> float:
     """The slots' durations added left to right."""
     return reduce(add, (phases[slot].duration for slot in slots))
@@ -137,34 +121,38 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     state's turn-off voltage.  Raises InfeasibleScenario when no level can
     fund a full transmission (the capacitor is simply too small); the
     reception thresholds use the sentinel v_max + 1 instead, because an
-    unreceivable downlink still leaves a working uplink-only device.
+    unreceivable downlink still leaves a working uplink-only device.  The
+    packet slot of each detected branch on the fork path sets its v_<branch>.
     """
     _check_granularity(g)
     circuit, phases = scenario.circuit, scenario.phases
     v_min = level_of(circuit.v_min, g)
     v_max = level_of(circuit.operating_voltage, g)
     v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
+
+    def least(phase: Phase) -> int:
+        """Least start level surviving `phase`, v_max + 1 if none; bisected."""
+        step, target = _level_step(phase, g, v_max), v_off[phase.state] + 1
+        lo, hi = v_min, v_max + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if step(mid) >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
     tx = phases["tx"]
-    rx1, rx2 = (phases[_BRANCHES[branch].slots[-1]] for branch in ("rx1", "rx2"))
-    v_tx = _min_level_surviving(_level_step(tx, g, v_max), v_min, v_max, v_off[tx.state] + 1)
-    if v_tx is None:
+    v_tx = least(tx)
+    if v_tx > v_max:
         raise InfeasibleScenario(
             f"no voltage level up to {circuit.operating_voltage} V can fund a "
             f"{tx.duration * 1e3:.1f} ms transmission with C = "
             f"{circuit.capacitor.capacitance * 1e3:.3g} mF"
         )
-    rx_survive = v_off[rx1.state] + 1
-    v_rx1 = _min_level_surviving(_level_step(rx1, g, v_max), v_min, v_max, rx_survive)
-    v_rx2 = _min_level_surviving(_level_step(rx2, g, v_max), v_min, v_max, rx_survive)
-    return ThresholdLevels(
-        v_min=v_min,
-        v_on=level_of(circuit.v_on, g),
-        v_tx=v_tx,
-        v_rx1=v_max + 1 if v_rx1 is None else v_rx1,
-        v_rx2=v_max + 1 if v_rx2 is None else v_rx2,
-        v_max=v_max,
-        v_off=v_off,
-    )
+    v_rx = {f"v_{b}": least(phases[_BRANCHES[b].slots[-1]]) for _, b in _PATH if b}
+    return ThresholdLevels(v_min=v_min, v_on=level_of(circuit.v_on, g), v_tx=v_tx,
+                           v_max=v_max, v_off=v_off, **v_rx)
 
 
 class Rewards(NamedTuple):
@@ -172,18 +160,18 @@ class Rewards(NamedTuple):
     are the stationary expectations of these."""
 
     lost: float = 0.0         # 1 for OFF and SL0: the uplink is lost or aborted
-    pdl1: float = 0.0         # p1 * [v1 >= v_rx1], v1 the level entering window 1
-    pdl2: float = 0.0         # (1 - p1) * p2 * [v2 >= Listen v_off], v2 entering window 2
-    pdl2_strict: float = 0.0  # (1 - p1) * p2 * [v2 >= v_rx2]
+    pdl1: float = 0.0         # q_rx1 * [v1 >= v_rx1], v1 the level entering window 1
+    pdl2: float = 0.0         # q_rx2 * [v2 >= Listen v_off], v2 entering window 2
+    pdl2_strict: float = 0.0  # q_rx2 * [v2 >= v_rx2]; q_b is Scenario.branch_odds
 
 
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic transition matrix over the reachable chain states.
 
-    `matrix` is dense (under 700 states even at g = 5000); `successors`
-    holds each row's destinations in the order the row builder emits them
-    and `rewards` each state's rewards, both in state order.
+    `matrix` is dense, over the reachable states only; `successors` holds
+    each row's destinations in the order the row builder emits them and
+    `rewards` each state's rewards, both in state order.
     """
 
     states: tuple[ChainState, ...]
@@ -207,27 +195,33 @@ class _RowBuilder:
 
     The level map is compiled once per chain: a step per timed slot, and
     per reachable branch (Scenario.branches) the sleep over what is left
-    of the interval after its cycle `ends`.  Each detected branch's window
-    is the last two slots of simulator._BRANCHES, and it opens when the
-    slots before them end; times add the slots' durations left to right.
-    Die paths recharge from a level-dependent time, so they call the
-    phases per level.
+    of the interval after its cycle `ends`.  A detected branch's window,
+    the last two slots of simulator._BRANCHES, sits on the fork path at
+    its listening slot and opens when the slots before them end; times
+    add the slots' durations left to right.  Die paths recharge from a
+    level-dependent time, so they call the phases per level.
     """
 
     def __init__(self, scenario: Scenario, g: int, thr: ThresholdLevels):
         self.phases = phases = scenario.phases
-        self.m, self.p1, self.p2 = scenario.interval_m, scenario.p1, scenario.p2
+        self.m = scenario.interval_m
         self.g = g
         self.thr = thr
         self.v_on = scenario.circuit.v_on
         self.step = {phase: _level_step(phase, g, thr.v_max)
                      for phase in phases.values() if phase.duration is not None}
-        # Each detected branch's window: (listen, rx, the level the packet
-        # needs to start, the time the window opens).
-        self.windows = {}
-        for branch, v_rx in (("rx1", thr.v_rx1), ("rx2", thr.v_rx2)):
-            *lead, listen, rx = _BRANCHES[branch].slots
-            self.windows[branch] = (phases[listen], phases[rx], v_rx, _elapsed(phases, lead))
+        # (step, window) per slot of the fork path; a window is (branch, listen, rx,
+        # rx's step, the level rx needs, listen's v_off level, its opening time, p).
+        self.path = []
+        for slot, branch in _PATH:
+            window = None
+            if branch is not None:
+                (*lead, listen, rx), odds = _BRANCHES[branch].slots, _BRANCHES[branch].odds
+                window = (branch, phases[listen], phases[rx], self.step[phases[rx]],
+                          getattr(thr, f"v_{branch}"), thr.v_off[phases[listen].state],
+                          _elapsed(phases, lead), getattr(scenario, odds))
+            self.path.append((self.step[phases[slot]], window))
+        self.q1, self.q2 = (scenario.branch_odds[b][0] for _, b in _PATH if b)
         self.ends = {branch: _elapsed(phases, _BRANCHES[branch].slots)
                      for branch in scenario.branches}
         self.sleep_out = {branch: _level_step(phases["sleep"], g, thr.v_max, self.m - end)
@@ -280,32 +274,9 @@ class _RowBuilder:
             t = min(phase.cross(level / self.g), phase.duration)
         return self._recharge(off_level, t_wake, self.m - (t_base + (t_lead + t)))
 
-    def _window(self, add, branch: str, level: int, p: float,
-                reach: float) -> tuple[int, bool]:
-        """The receive window of the detected `branch`, entered at `level`,
-        reached with probability `reach`, a downlink coming with probability
-        p.  Adds the detected branch, and the silent one if the device dies
-        listening; returns the level after listening and whether the device
-        died.
-        """
-        listen, rx, v_rx, t = self.windows[branch]
-        end = self.step[listen](level)
-        died = end <= self.thr.v_off[listen.state]
-        detected, silent = reach * p, reach * (1.0 - p)
-        if detected > 0.0:
-            if died:
-                add(self._die(listen, level, t), detected)
-            elif end >= v_rx:
-                add(self._to_sleep(branch, self.step[rx](end)), detected)
-            else:
-                add(self._die(rx, end, t, listen.duration), detected)
-        if died and silent > 0.0:
-            add(self._die(listen, level, t), silent)
-        return end, died
-
     def row(self, state: ChainState) -> tuple[dict[ChainState, float], Rewards]:
         """The state's outgoing distribution and its rewards."""
-        thr, step, phases = self.thr, self.step, self.phases
+        thr, phases = self.thr, self.phases
         dests: dict[ChainState, float] = {}
 
         def add(dest: ChainState, prob: float) -> None:
@@ -316,27 +287,41 @@ class _RowBuilder:
             add(self._recharge(state.level, self._wake_time(state.level / self.g), self.m), 1.0)
             return dests, Rewards(lost=1.0)
 
-        tx = phases["tx"]
         if state.kind == SL0:
             # The uplink starts but runs out of energy mid-air.
-            add(self._die(tx, state.level, 0.0), 1.0)
+            add(self._die(phases["tx"], state.level, 0.0), 1.0)
             return dests, Rewards(lost=1.0)
 
-        # SL1: the uplink completes, then the two receive windows.  Window 2
-        # opens only when window 1 stayed silent and the device is still on.
-        p1, p2 = self.p1, self.p2
-        v1 = step[phases["idle1"]](step[tx](state.level))
-        w1, died = self._window(add, "rx1", v1, p1, 1.0)
-        v2 = step[phases["idle2"]](w1)
-        silent = 0.0 if died else 1.0 - p1
-        w2, died = self._window(add, "rx2", v2, p2, silent)
-        quiet = silent * (1.0 - p2)
-        if not died and quiet > 0.0:
-            add(self._to_sleep("silent", w2), quiet)
-        pdl2 = (1.0 - p1) * p2
-        return dests, Rewards(pdl1=p1 if v1 >= thr.v_rx1 else 0.0,
-                              pdl2=pdl2 if v2 >= thr.v_off[phases["listen1"].state] else 0.0,
-                              pdl2_strict=pdl2 if v2 >= thr.v_rx2 else 0.0)
+        # SL1: the uplink completes, then the fork path's receive windows.  A
+        # window, reached with probability `reach`, opens only when the earlier
+        # ones stayed silent and the device is still on.  It adds its detected
+        # branch, and the silent one if the device dies listening.
+        level, reach, opened = state.level, 1.0, []
+        for step, window in self.path:
+            end = step(level)
+            if window is not None:
+                branch, listen, rx, rx_step, v_rx, v_off, t, p = window
+                opened.append(level)
+                died = end <= v_off
+                detected, reach = reach * p, reach * (1.0 - p)
+                if detected > 0.0:
+                    if died:
+                        add(self._die(listen, level, t), detected)
+                    elif end >= v_rx:
+                        add(self._to_sleep(branch, rx_step(end)), detected)
+                    else:
+                        add(self._die(rx, end, t, listen.duration), detected)
+                if died:
+                    if reach > 0.0:
+                        add(self._die(listen, level, t), reach)
+                    reach = 0.0
+            level = end
+        if reach > 0.0:
+            add(self._to_sleep("silent", level), reach)
+        v1, v2 = opened   # the levels entering windows 1 and 2
+        return dests, Rewards(pdl1=self.q1 if v1 >= thr.v_rx1 else 0.0,
+                              pdl2=self.q2 if v2 >= thr.v_off[phases["listen1"].state] else 0.0,
+                              pdl2_strict=self.q2 if v2 >= thr.v_rx2 else 0.0)
 
 
 def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:

@@ -76,7 +76,9 @@ are cut off at n_scheduled.  The counters equal the full walk's.
 
 Two downlink-cost conventions live here, mirroring how such devices are
 analyzed versus simulated.  Both read one branch table, _BRANCHES, which
-lists each branch's slots and the counters its window feeds:
+lists each branch's slots, the counters its window feeds and its draw's
+odds; each branch's odds per on-slot (Scenario.branch_odds) and the fork
+path (_PATH) that every engine walks derive from it too:
 
 * run_simulation (and the Markov chain built on the same table) walks a
   branch's slots, so a detected downlink costs the full preamble window
@@ -88,8 +90,8 @@ lists each branch's slots and the counters its window feeds:
   replaces it with one packet reception ('none' runs silent's slots).
 
 Draw order of the seeded PRNG (Python's random.Random, MT19937): one
-uniform draw when reception window 1 opens, one more when window 2 opens
-(only reached if window 1 detected nothing and the device is still on).
+uniform draw at each fork of _PATH as its window opens, window 2's only
+if window 1 detected nothing and the device is still on.
 After settling, draws are taken only while an outcome depends on them:
 in this order when the branches differ, not at all when they end alike
 (a periodic run has one branch).
@@ -140,13 +142,24 @@ class Scenario:
                 f"the uplink/downlink sequence bound {bound:.6f} s"
             )
 
-    @property
+    @cached_property
+    def branch_odds(self) -> dict[str, tuple[float, bool]]:
+        """Each branch's odds per on-slot, in draw order, and whether a cycle
+        can take it: a detected branch's draw times every earlier window's
+        miss, silent all the misses.  Reachability goes factor by factor, so
+        a product that underflows to 0 drops no branch the walk can draw."""
+        odds, miss, reachable = {}, 1.0, True
+        for branch, spec in _BRANCHES.items():
+            p = 1.0 if spec.odds is None else getattr(self, spec.odds)  # silent: certain
+            odds[branch] = (miss * p, reachable and p > 0.0)
+            miss, reachable = miss * (1.0 - p), reachable and p < 1.0
+        return odds
+
+    @cached_property
     def branches(self) -> tuple[str, ...]:
         """The downlink branches a cycle can take, in draw order: detected in
         window 1 (rx1), detected in window 2 (rx2), silent in both."""
-        p1, p2 = self.p1, self.p2
-        reachable = {"rx1": p1 > 0, "rx2": p1 < 1 and p2 > 0, "silent": p1 < 1 and p2 < 1}
-        return tuple(branch for branch, on in reachable.items() if on)
+        return tuple(branch for branch, (_, on) in self.branch_odds.items() if on)
 
     @cached_property
     def schedule(self) -> TimingSchedule:
@@ -222,6 +235,11 @@ _BRANCHES = {
     "rx2": _Branch(("tx", "idle1", "listen1", "idle2", "listen2", "rx2"), "n_dl2", "p2"),
     "silent": _Branch(("tx", "idle1", "listen1", "idle2", "listen2"), None, None),
 }
+
+# The fork path: silent's slots, each paired with the detected branch whose
+# draw is taken as that slot opens (its listening slot), else None.
+_FORKS = {len(spec.slots) - 2: branch for branch, spec in _BRANCHES.items() if spec.odds}
+_PATH = tuple((slot, _FORKS.get(i)) for i, slot in enumerate(_BRANCHES["silent"].slots))
 
 
 def _slot(sched: TimingSchedule, slot: str) -> tuple[DeviceState, float]:
@@ -344,8 +362,9 @@ def _count_tail(cycle: tuple[dict[str, Outcome], ...], remaining: int, draw, p1:
         return [{branch: periods + (start < rest)} for (branch, _), start in zip(firsts, starts)]
     (outcomes,) = cycle  # branches that end apart settle with period 1
     step = {b: 1 + lost for b, (_, lost) in outcomes.items()}
-    # With window 2 unopened, the rx2 and silent branches end alike.
-    quiet = "silent" if "silent" in step else "rx2"
+    # An undetected cycle counts as the last reachable branch: silent, or rx2
+    # when p2 = 1, which ends alike when window 2 stays unopened.
+    *_, quiet = step
     opens2 = outcomes[quiet][0] not in _BRANCHES["rx2"].slots[:-2]
     n1 = n2 = n_quiet = 0
     if max(step.values()) == 1:
@@ -525,16 +544,12 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
                             f"got {n_scheduled} slots of {interval} s")
     table = scenario.phases
     off, sleep = table["off"], table["sleep"]
-    # Each branch's (slot, phase, fork) steps.  A cycle walks silent's; a
-    # detected branch's listening slot forks it with (odds, branch, steps),
-    # and a detection goes on in that branch's steps from the same slot.
+    # A cycle walks the fork path's (slot, phase, fork) steps; a fork (its draw's
+    # odds, branch, steps) that detects goes on in the branch's steps from that slot.
     steps = {b: [(slot, table[slot], None) for slot in spec.slots]
-             for b, spec in _BRANCHES.items()}
-    silent = steps["silent"]
-    for b, spec in _BRANCHES.items():
-        if spec.odds is not None:
-            i = len(spec.slots) - 2
-            silent[i] = (*silent[i][:2], (getattr(scenario, spec.odds), b, steps[b]))
+             for b, spec in _BRANCHES.items() if spec.odds}
+    silent = [(slot, table[slot], b and (getattr(scenario, _BRANCHES[b].odds), b, steps[b]))
+              for slot, b in _PATH]
     settle = _Settler(scenario, n_scheduled)
     single = len(scenario.branches) == 1
 

@@ -413,6 +413,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "only with --single-cycle" in captured.err
 
+    # With --single-cycle the trace is one analytic cycle, which takes no
+    # draw and schedules no uplinks.
+    @pytest.mark.parametrize("option", [["--seed", "5"], ["--n", "3"], ["--seed", "1"],
+                                        ["--seed", "5", "--n", "3"]])
+    def test_full_run_options_refuse_single_cycle(self, option, capsys):
+        assert main(["trace", "--single-cycle", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "only without --single-cycle" in captured.err
+
+    def test_the_full_run_trace_defaults_to_seed_1_and_5_uplinks(self, capsys):
+        assert main(["trace"]) == 0
+        default = capsys.readouterr().out
+        assert main(["trace", "--seed", "1", "--n", "5"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_trace_single_cycle(self, capsys):
         code = main(["trace", "--single-cycle", "--dl-case", "rx1", "--m", "9"])
         assert code == 0

@@ -37,16 +37,37 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("p1, p2, branches", [
         (0.0, 0.0, ("silent",)), (1.0, 0.0, ("rx1",)), (1.0, 1.0, ("rx1",)),
         (0.0, 1.0, ("rx2",)), (0.5, 0.0, ("rx1", "silent")), (0.0, 0.5, ("rx2", "silent")),
-        (0.5, 1.0, ("rx1", "rx2")), (0.5, 0.5, ("rx1", "rx2", "silent"))])
+        (0.5, 1.0, ("rx1", "rx2")), (0.5, 0.5, ("rx1", "rx2", "silent")),
+        (1 - 2**-53, 1e-310, ("rx1", "rx2", "silent"))])
     def test_the_interval_bound_covers_a_reachable_window_2_reception(self, p1, p2, branches):
         # The stock SF7 sequence is 2.709888 s as the analytic cycle counts
-        # it, and 3.111296 s with a window-2 preamble and packet.
+        # it, and 3.111296 s with a window-2 preamble and packet.  The last
+        # case reaches rx2 though its odds (1 - p1) * p2 underflow to 0.
         assert make_scenario(p1=p1, p2=p2).branches == branches
         if "rx2" in branches:
             with pytest.raises(ScenarioError, match="bound 3.111296 s"):
                 make_scenario(interval_m=3.0, p1=p1, p2=p2)
         else:
             assert make_scenario(interval_m=3.0, p1=p1, p2=p2).interval_m == 3.0
+
+    @pytest.mark.parametrize("p1, p2", [(p1, p2) for p1 in (0.0, 0.3, 1.0)
+                                        for p2 in (0.0, 0.5, 1.0)] + [(1 - 2**-53, 1e-310)])
+    def test_the_branch_odds_are_the_draw_order_products(self, p1, p2):
+        # rx1 is detected by its own draw, rx2 by its draw after a window-1
+        # miss, silent by two misses; each is reachable when every factor of
+        # its product is above 0, whether or not the product underflows.
+        scenario = make_scenario(p1=p1, p2=p2)
+        assert scenario.branch_odds == {
+            "rx1": (p1, p1 > 0),
+            "rx2": ((1.0 - p1) * p2, p1 < 1 and p2 > 0),
+            "silent": ((1.0 - p1) * (1.0 - p2), p1 < 1 and p2 < 1),
+        }
+        assert scenario.branches == tuple(
+            b for b, (_, reachable) in scenario.branch_odds.items() if reachable)
+
+    def test_the_fork_path_forks_each_detected_branch_at_its_listening_slot(self):
+        assert simulator._PATH == (("tx", None), ("idle1", None), ("listen1", "rx1"),
+                                   ("idle2", None), ("listen2", "rx2"))
 
     @pytest.mark.parametrize("sf, dl_pl", [(7, 1), (9, 48), (12, 222)])
     def test_the_window_2_bound_is_the_walks_rx2_cycle(self, sf, dl_pl):

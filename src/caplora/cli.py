@@ -6,9 +6,10 @@ array instead; `airtime` prints only its seconds value unless --out or
 --json is given.  `simulate` and `chain` also print a one-line
 `pdr=... pdl1=... pdl2=...` summary, `accuracy` its error percentiles and
 `airtime` its seconds value, except when stdout carries the JSON.
-Exit codes: 0 success, 2 invalid configuration or arguments or an output
-path that cannot be written (checked before any work), 3 physically
-infeasible request.
+Exit codes: 0 success, 2 invalid configuration or arguments, such as an
+option outside the modes OPTIONS gives it, or an output path that cannot
+be written or that --out and --dump-matrix share (checked before any
+work), 3 physically infeasible request.
 
 Numeric formatting is fixed so outputs are stable: times use 9
 significant digits, voltages and probabilities 6.
@@ -59,6 +60,26 @@ def f_val(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _int_at_least(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit code 2 otherwise)."""
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """argparse type for a seed, at least 0 (exit code 2 otherwise)."""
+    return _int_at_least(text, 0)
+
+
 # Each command's output columns, in order: (name, format) or (name, format,
 # get).  format is f_time or f_val for a float, None for an int or text
 # printed as it is, or a conversion; get reads the value off a row, by
@@ -86,6 +107,94 @@ COLUMNS = {
                  ("p2", f_val), ("threshold", f_val), ("granularity", None),
                  ("pdr_sim", f_val), ("pdr_mc", f_val), ("abs_error", f_val),
                  ("chain_seconds", f_val)),
+}
+
+
+# Each command's options, in help order: (flag, add_argument keywords), or
+# (flag, keywords, (where, applies)) for an option that applies only in some
+# modes.  applies(args) says whether the parsed arguments are in one; main
+# rejects the option elsewhere with "<flag> applies only <where>".  argparse
+# gives it a None default, so that a default never counts as given, and
+# _check_modes then fills in the keywords' default.
+_FULL_RUN = ("without --single-cycle", lambda args: not args.single_cycle)
+_ONE_CYCLE = ("with --single-cycle", attrgetter("single_cycle"))
+_SEEDED = ("with --engine simulator or both", lambda args: args.engine != "chain")
+_ONE_GRANULARITY = ("with --engine chain or both and an --axis other than granularity",
+                    lambda args: args.engine != "simulator" and args.axis != "granularity")
+_CHAINED = ("with --engine chain or both",
+            lambda args: args.engine != "simulator" or args.axis != "granularity")
+
+_SCENARIO = ("--scenario", dict(help="scenario file (defaults used if omitted)"))
+_OUTPUT = (("--out", dict(help="write CSV here instead of stdout")),
+           ("--json", dict(action="store_true", help="emit a JSON array instead of CSV")))
+_GRID = (("--capacitance", dict(help="capacitances in farads")),
+         ("--power", dict(help="harvest powers in watts")))
+
+OPTIONS = {
+    "airtime": (("--sf", dict(type=int, required=True)),
+                ("--pl", dict(type=int, required=True, help="payload bytes")),
+                ("--bw", dict(type=float, default=defaults.BANDWIDTH_HZ)),
+                ("--coding-rate", dict(default=defaults.CODING_RATE)),
+                ("--n-preamble", dict(type=int, default=defaults.N_PREAMBLE)),
+                ("--ih", dict(type=int, default=defaults.IMPLICIT_HEADER)),
+                ("--de", dict(type=int, default=defaults.LOW_DR_OPTIMIZE)),
+                *_OUTPUT),
+    "trace": (_SCENARIO, *_OUTPUT,
+              ("--seed", dict(type=_seed, default=1), _FULL_RUN),
+              ("--n", dict(type=_positive_int, default=5, help="scheduled uplinks to simulate"),
+               _FULL_RUN),
+              ("--m", dict(type=float, help="override transmission interval (s)"), _FULL_RUN),
+              ("--threshold", dict(type=float, help="override turn-on fraction"), _FULL_RUN),
+              ("--single-cycle", dict(action="store_true",
+                                      help="trace one analytic cycle instead of a full run")),
+              ("--v-start", dict(type=float, help="start voltage for --single-cycle "
+                                                  "(default: charge ceiling)"), _ONE_CYCLE),
+              ("--dl-case", dict(choices=DL_CASES, default="none",
+                                 help="downlink of --single-cycle (default: none)"), _ONE_CYCLE)),
+    "simulate": (_SCENARIO, *_OUTPUT,
+                 ("--seed", dict(type=_seed, default=1)),
+                 ("--n", dict(type=_positive_int, default=1000)),
+                 ("--m", dict(type=float)),
+                 ("--threshold", dict(type=float))),
+    "chain": (_SCENARIO, *_OUTPUT,
+              ("--granularity", dict(type=_positive_int)),
+              ("--m", dict(type=float)),
+              ("--threshold", dict(type=float)),
+              ("--strict-rx2", dict(action="store_true",
+                                    help="gate pdl2 on the window-2 reception threshold")),
+              ("--dump-matrix", dict(help="also write the transition matrix here"))),
+    "sweep": (_SCENARIO, *_OUTPUT,
+              ("--axis", dict(required=True, choices=("threshold", "interval_m", "capacitance",
+                                                      "power", "ul_pl", "dl_pl", "granularity")),
+               _CHAINED),
+              ("--values", dict(required=True, help="'a,b,c' or 'start:stop:step'")),
+              ("--m", dict(dest="m_grid",
+                           help="interval grid for threshold sweeps, e.g. '5,9,40'")),
+              ("--engine", dict(choices=("simulator", "chain", "both"), default="simulator")),
+              ("--granularity", dict(type=_positive_int), _ONE_GRANULARITY),
+              ("--n", dict(type=_positive_int, default=1000), _SEEDED),
+              ("--seeds", dict(default="1,2,3,4,5"), _SEEDED),
+              ("--jobs", dict(type=_positive_int, default=1))),
+    "min-cap": (_SCENARIO, *_OUTPUT,
+                ("--sf", dict(default="7", help="spreading factors, e.g. '7,9,11'")),
+                ("--ul-pl", dict(type=int)),
+                ("--dl-pl", dict(type=int)),
+                ("--dl-case", dict(choices=DL_CASES, default="none")),
+                ("--power", dict(help="harvest powers in watts, e.g. '0.001,0.01'"))),
+    "min-interval": (_SCENARIO, *_OUTPUT,
+                     ("--dl-case", dict(choices=DL_CASES, default="none")),
+                     *_GRID),
+    "wakeup": (_SCENARIO, *_OUTPUT,
+               ("--thresholds", dict(default="0.55:0.98:0.01")),
+               *_GRID),
+    "accuracy": (_SCENARIO, *_OUTPUT,
+                 ("--cases", dict(default="ABCDE")),
+                 ("--m-classes", dict(default=",".join(M_CLASSES))),
+                 ("--thresholds", dict(default="0.70")),
+                 ("--granularities", dict(default="100,500,750")),
+                 ("--n", dict(type=_positive_int, default=1000)),
+                 ("--seeds", dict(default="1,2,3,4,5")),
+                 ("--jobs", dict(type=_positive_int, default=1))),
 }
 
 
@@ -139,26 +248,6 @@ def _parse_ints(text: str, option: str) -> list[int]:
 def _grid(text: str | None, option: str, default: float) -> list[float]:
     """The values of one grid option, or its default when it is not given."""
     return [default] if text is None else _parse_values(text, option)
-
-
-def _int_at_least(text: str, minimum: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (exit code 2 otherwise)."""
-    return _int_at_least(text, 1)
-
-
-def _seed(text: str) -> int:
-    """argparse type for a seed, at least 0 (exit code 2 otherwise)."""
-    return _int_at_least(text, 0)
 
 
 def _check_writable(path: str) -> None:
@@ -229,13 +318,6 @@ def _load(args) -> LoadedScenario:
     return LoadedScenario(scenario=scenario, granularity=granularity)
 
 
-def _add_common(parser, scenario=True):
-    if scenario:
-        parser.add_argument("--scenario", help="scenario file (defaults used if omitted)")
-    parser.add_argument("--out", help="write CSV here instead of stdout")
-    parser.add_argument("--json", action="store_true", help="emit a JSON array instead of CSV")
-
-
 def build_parser(commands: Iterable[str] | None = None) -> argparse.ArgumentParser:
     """The command-line parser, with every subcommand registered and its
     help listed, but only the arguments of `commands` (all when None)
@@ -248,103 +330,25 @@ def build_parser(commands: Iterable[str] | None = None) -> argparse.ArgumentPars
                     "Markov chain and characterization sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if commands is None or name in commands:
-            add_arguments(p)
+            for flag, kwargs, *mode in OPTIONS[name]:
+                p.add_argument(flag, **({**kwargs, "default": None} if mode else kwargs))
     return parser
 
 
-def _airtime_arguments(p) -> None:
-    p.add_argument("--sf", type=int, required=True)
-    p.add_argument("--pl", type=int, required=True, help="payload bytes")
-    p.add_argument("--bw", type=float, default=defaults.BANDWIDTH_HZ)
-    p.add_argument("--coding-rate", default=defaults.CODING_RATE)
-    p.add_argument("--n-preamble", type=int, default=defaults.N_PREAMBLE)
-    p.add_argument("--ih", type=int, default=defaults.IMPLICIT_HEADER)
-    p.add_argument("--de", type=int, default=defaults.LOW_DR_OPTIMIZE)
-    _add_common(p, scenario=False)
-
-
-def _trace_arguments(p) -> None:
-    _add_common(p)
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--n", type=_positive_int, help="scheduled uplinks to simulate")
-    p.add_argument("--m", type=float, help="override transmission interval (s)")
-    p.add_argument("--threshold", type=float, help="override turn-on fraction")
-    p.add_argument("--single-cycle", action="store_true",
-                   help="trace one analytic cycle instead of a full run")
-    p.add_argument("--v-start", type=float,
-                   help="start voltage for --single-cycle (default: charge ceiling)")
-    p.add_argument("--dl-case", choices=DL_CASES,
-                   help="downlink of --single-cycle (default: none)")
-
-
-def _simulate_arguments(p) -> None:
-    _add_common(p)
-    p.add_argument("--seed", type=_seed, default=1)
-    p.add_argument("--n", type=_positive_int, default=1000)
-    p.add_argument("--m", type=float)
-    p.add_argument("--threshold", type=float)
-
-
-def _chain_arguments(p) -> None:
-    _add_common(p)
-    p.add_argument("--granularity", type=_positive_int)
-    p.add_argument("--m", type=float)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--strict-rx2", action="store_true",
-                   help="gate pdl2 on the window-2 reception threshold")
-    p.add_argument("--dump-matrix", help="also write the transition matrix here")
-
-
-def _sweep_arguments(p) -> None:
-    _add_common(p)
-    p.add_argument("--axis", required=True,
-                   choices=("threshold", "interval_m", "capacitance", "power",
-                            "ul_pl", "dl_pl", "granularity"))
-    p.add_argument("--values", required=True, help="'a,b,c' or 'start:stop:step'")
-    p.add_argument("--m", dest="m_grid", help="interval grid for threshold sweeps, e.g. '5,9,40'")
-    p.add_argument("--engine", choices=("simulator", "chain", "both"),
-                   default="simulator")
-    p.add_argument("--granularity", type=_positive_int)
-    p.add_argument("--n", type=_positive_int, default=1000)
-    p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-
-
-def _min_cap_arguments(p) -> None:
-    _add_common(p)
-    p.add_argument("--sf", default="7", help="spreading factors, e.g. '7,9,11'")
-    p.add_argument("--ul-pl", type=int)
-    p.add_argument("--dl-pl", type=int)
-    p.add_argument("--dl-case", choices=DL_CASES, default="none")
-    p.add_argument("--power", help="harvest powers in watts, e.g. '0.001,0.01'")
-
-
-def _min_interval_arguments(p) -> None:
-    _add_common(p)
-    p.add_argument("--dl-case", choices=DL_CASES, default="none")
-    p.add_argument("--capacitance", help="capacitances in farads")
-    p.add_argument("--power", help="harvest powers in watts")
-
-
-def _wakeup_arguments(p) -> None:
-    _add_common(p)
-    p.add_argument("--thresholds", default="0.55:0.98:0.01")
-    p.add_argument("--capacitance", help="capacitances in farads")
-    p.add_argument("--power", help="harvest powers in watts")
-
-
-def _accuracy_arguments(p) -> None:
-    _add_common(p)
-    p.add_argument("--cases", default="ABCDE")
-    p.add_argument("--m-classes", default=",".join(M_CLASSES))
-    p.add_argument("--thresholds", default="0.70")
-    p.add_argument("--granularities", default="100,500,750")
-    p.add_argument("--n", type=_positive_int, default=1000)
-    p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+def _check_modes(args) -> None:
+    """Reject an option given outside its modes; fill in the default of one not given."""
+    for flag, kwargs, (where, applies) in (row for row in OPTIONS[args.command] if len(row) == 3):
+        dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+        value = getattr(args, dest)
+        if value is None:
+            setattr(args, dest, kwargs.get("default"))
+        elif not applies(args):
+            # A mode-bound choice, such as --axis granularity, names its value.
+            name = f"{flag} {value}" if "choices" in kwargs else flag
+            raise ScenarioError(f"{name} applies only {where}")
 
 
 def _cmd_airtime(args) -> int:
@@ -361,20 +365,14 @@ def _cmd_airtime(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if not args.single_cycle and (args.v_start is not None or args.dl_case is not None):
-        raise ScenarioError("--v-start and --dl-case apply only with --single-cycle")
-    if args.single_cycle and (args.seed is not None or args.n is not None):
-        raise ScenarioError("--seed and --n apply only without --single-cycle")
-    loaded = _load(args)
-    scenario = loaded.scenario
+    scenario = _load(args).scenario
     if args.single_cycle:
         v_start = args.v_start
         if v_start is None:
             v_start = scenario.circuit.charge_ceiling() - 1e-6
-        points, _, _ = single_cycle_trace(scenario, v_start, args.dl_case or "none")
+        points, _, _ = single_cycle_trace(scenario, v_start, args.dl_case)
     else:
-        _, points = run_simulation(scenario, seed=1 if args.seed is None else args.seed,
-                                   n_scheduled=5 if args.n is None else args.n, trace=True)
+        _, points = run_simulation(scenario, seed=args.seed, n_scheduled=args.n, trace=True)
     _emit(args, "trace", points)
     return 0
 
@@ -489,19 +487,17 @@ def _cmd_accuracy(args) -> int:
     return 0
 
 
-# Each subcommand, in help order: (help, its arguments, its handler).
+# Each subcommand, in help order: (help, its handler).
 _COMMANDS = {
-    "airtime": ("LoRa frame time on air", _airtime_arguments, _cmd_airtime),
-    "trace": ("voltage/state trajectory as CSV", _trace_arguments, _cmd_trace),
-    "simulate": ("event-based simulation statistics", _simulate_arguments, _cmd_simulate),
-    "chain": ("Markov chain delivery metrics", _chain_arguments, _cmd_chain),
-    "sweep": ("one-axis parameter sweep", _sweep_arguments, _cmd_sweep),
-    "min-cap": ("minimum capacitance per spreading factor", _min_cap_arguments, _cmd_min_cap),
-    "min-interval": ("fastest feasible transmission interval", _min_interval_arguments,
-                     _cmd_min_interval),
-    "wakeup": ("off-state charge time to the turn-on threshold", _wakeup_arguments,
-               _cmd_wakeup),
-    "accuracy": ("chain vs simulator PDR error grid", _accuracy_arguments, _cmd_accuracy),
+    "airtime": ("LoRa frame time on air", _cmd_airtime),
+    "trace": ("voltage/state trajectory as CSV", _cmd_trace),
+    "simulate": ("event-based simulation statistics", _cmd_simulate),
+    "chain": ("Markov chain delivery metrics", _cmd_chain),
+    "sweep": ("one-axis parameter sweep", _cmd_sweep),
+    "min-cap": ("minimum capacitance per spreading factor", _cmd_min_cap),
+    "min-interval": ("fastest feasible transmission interval", _cmd_min_interval),
+    "wakeup": ("off-state charge time to the turn-on threshold", _cmd_wakeup),
+    "accuracy": ("chain vs simulator PDR error grid", _cmd_accuracy),
 }
 
 
@@ -511,10 +507,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = next((arg for arg in argv if arg in _COMMANDS), None)
     args = build_parser([command] if command else []).parse_args(argv)
     try:
-        for path in (getattr(args, "out", None), getattr(args, "dump_matrix", None)):
-            if path:
-                _check_writable(path)
-        return _COMMANDS[args.command][2](args)
+        _check_modes(args)
+        paths = [path for path in (args.out, getattr(args, "dump_matrix", None)) if path]
+        for path in paths:
+            _check_writable(path)
+        if len({os.path.realpath(path) for path in paths}) < len(paths):
+            raise ScenarioError(f"--out and --dump-matrix both name {paths[1]!r}")
+        return _COMMANDS[args.command][1](args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -429,7 +429,7 @@ class TestCli:
         assert capsys.readouterr().out == default
 
     def test_trace_single_cycle(self, capsys):
-        code = main(["trace", "--single-cycle", "--dl-case", "rx1", "--m", "9"])
+        code = main(["trace", "--single-cycle", "--dl-case", "rx1"])
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == csv_header("trace")
@@ -682,7 +682,7 @@ STOCHASTIC = str(GOLDEN / "stochastic.ini")
 # feasible flag are numbers).
 JSON_GOLDEN_CALLS = {
     "json_airtime.json": ["airtime", "--sf", "12", "--pl", "1"],
-    "json_trace.json": ["trace", "--single-cycle", "--dl-case", "rx1", "--m", "9"],
+    "json_trace.json": ["trace", "--single-cycle", "--dl-case", "rx1"],
     "json_simulate.json": ["simulate", "--m", "9", "--threshold", "0.58", "--n", "100"],
     "json_chain.json": ["chain", "--scenario", STOCHASTIC, "--granularity", "100", "--m", "40",
                         "--threshold", "0.7"],
@@ -773,6 +773,21 @@ def test_unwritable_output_path_exits_2(argv, tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file.csv"]
 
 
+@pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+def test_out_and_dump_matrix_in_one_file_exit_2(spelling, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_transition_matrix", _never_called)
+    out = tmp_path / "rows.csv"
+    out.write_text("kept\n")
+    dump = {"same": out, "dot": f"{tmp_path}/./rows.csv", "symlink": tmp_path / "link.csv"}
+    if spelling == "symlink":
+        dump[spelling].symlink_to(out)
+    assert main(["chain", "--m", "9", "--out", str(out),
+                 "--dump-matrix", str(dump[spelling])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --out and --dump-matrix")
+    assert out.read_text() == "kept\n"
+
+
 def test_a_run_that_fails_leaves_the_output_file_alone(tmp_path, capsys):
     leaky = tmp_path / "leaky.cfg"
     leaky.write_text("[capacitor]\nesr_ohms = 16.67\nepr_ohms = 16370\n")
@@ -822,6 +837,109 @@ def test_main_fills_in_only_the_invoked_commands_arguments(monkeypatch, capsys):
         main(["--help"])
     assert built == [["airtime"], []]
     capsys.readouterr()
+
+
+# The arguments that put a call in each mode of its command: every engine
+# and axis of a sweep, a trace with and without --single-cycle, and the
+# required arguments of every other command.
+def _choices(command, flag):
+    return next(kwargs["choices"] for other, kwargs, *_ in cli.OPTIONS[command] if other == flag)
+
+
+MODES = {command: [[]] for command in cli.OPTIONS}
+MODES["airtime"] = [["--sf", "7", "--pl", "16"]]
+MODES["trace"] = [[], ["--single-cycle"]]
+MODES["sweep"] = [["--axis", axis, "--values", "1", "--engine", engine]
+                  for axis in _choices("sweep", "--axis")
+                  for engine in _choices("sweep", "--engine")]
+
+
+def _sample(flag, kwargs):
+    """The words that give `flag` a value its type and choices accept."""
+    if kwargs.get("action") == "store_true":
+        return [flag]
+    return [flag, kwargs["choices"][0] if "choices" in kwargs else
+            {"--out": "rows.csv", "--dump-matrix": "matrix.csv"}.get(flag, "1")]
+
+
+def test_only_the_documented_options_are_mode_bound():
+    bound = {command: sorted(row[0] for row in rows if len(row) == 3)
+             for command, rows in cli.OPTIONS.items()}
+    assert {command: flags for command, flags in bound.items() if flags} == {
+        "trace": ["--dl-case", "--m", "--n", "--seed", "--threshold", "--v-start"],
+        "sweep": ["--axis", "--granularity", "--n", "--seeds"]}
+
+
+@pytest.mark.parametrize("command", sorted(cli.OPTIONS))
+def test_each_option_runs_only_in_the_modes_it_applies_to(command, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (cli._COMMANDS[command][0], lambda args: ran.append(args) or 0))
+    rows = cli.OPTIONS[command]
+    for mode in MODES[command]:
+        in_mode = cli.build_parser([command]).parse_args([command, *mode])
+        for flag, kwargs, *_ in rows:
+            argv = [command, *mode] + ([] if flag in mode else _sample(flag, kwargs))
+            # The given options whose modes exclude this call, in table order.
+            excluded = [other for other, _, *where in rows
+                        if other in argv and where and not where[0][1](in_mode)]
+            ran.clear()
+            assert main(argv) == (2 if excluded else 0), argv
+            captured = capsys.readouterr()
+            if excluded:
+                assert captured.out == "" and not ran
+                assert captured.err.startswith(f"error: {excluded[0]}")
+                assert "applies only" in captured.err
+                continue
+            assert "applies only" not in captured.err
+            # A mode-bound option not given reaches the command at its default.
+            for other, other_kwargs, *other_where in rows:
+                if other_where and other not in argv:
+                    dest = other_kwargs.get("dest", other[2:].replace("-", "_"))
+                    assert getattr(ran[0], dest) == other_kwargs.get("default"), (argv, other)
+
+
+# Calls that ran and ignored an option before each option declared its modes.
+IGNORED_OPTIONS = [
+    ["trace", "--single-cycle", "--m", "9"],
+    ["trace", "--single-cycle", "--scenario", PARASITIC, "--threshold", "0.9"],
+    ["sweep", "--axis", "threshold", "--values", "0.7", "--engine", "simulator",
+     "--granularity", "3"],
+    ["sweep", "--axis", "threshold", "--values", "0.7", "--engine", "chain", "--n", "7",
+     "--seeds", "9"],
+    ["sweep", "--axis", "granularity", "--values", "100,200", "--m", "9", "--engine",
+     "simulator"],
+    ["sweep", "--axis", "granularity", "--values", "100,200", "--m", "9"],
+    ["sweep", "--axis", "granularity", "--values", "100,200", "--m", "9", "--engine", "chain",
+     "--granularity", "50"],
+]
+
+
+@pytest.mark.parametrize("argv", IGNORED_OPTIONS, ids=" ".join)
+def test_an_option_outside_its_modes_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "applies only" in captured.err
+
+
+# test_invalid_sweep_values_exit_2 gives --granularity with a granularity
+# axis, which now stops at the mode check; these reach the values check.
+@pytest.mark.parametrize("values", ["0,750", "0.5,750"])
+def test_invalid_granularity_axis_values_exit_2(values, capsys):
+    assert main(["sweep", "--axis", "granularity", "--values", values, "--m", "40",
+                 "--engine", "chain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: granularity values must be whole numbers >= 1")
+
+
+def test_min_cap_takes_a_downlink_payload_without_a_downlink(capsys):
+    # perfbench's sizing workload makes this call; the payload is printed.
+    assert main(["min-cap", "--sf", "7", "--ul-pl", "8", "--dl-pl", "48",
+                 "--dl-case", "none"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("7,8,48,none,")
 
 
 def test_readme_lists_each_commands_columns():

@@ -25,7 +25,6 @@ from .timing import (
     RadioConfig,
     TimingSchedule,
     class_a_schedule,
-    min_interval_bound,
     payload_symbols,
     preamble_time,
     symbol_time,
@@ -36,6 +35,7 @@ from .simulator import (
     Scenario,
     SimStats,
     TracePoint,
+    min_interval_bound,
     run_simulation,
     single_cycle_trace,
 )

@@ -36,15 +36,14 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import partial, reduce
-from operator import add
+from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import defaults
 from .energy import CircuitConfig, DeviceState, DeviceThresholds, compile_phase, wake_time
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from .markov import solve_chain
-from .simulator import CycleCheck, Scenario, run_seeds
+from .simulator import CycleCheck, Scenario, _cycle, _length, run_seeds
 
 DL_CASES = ("none", "rx1", "rx2")
 
@@ -225,7 +224,7 @@ def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:
             f"the {dl_case} cycle at {circuit.harvester.harvest_power} W"
         )
     t_charge = compile_phase(circuit, DeviceState.OFF).cross(circuit.v_min, v_star)
-    return t_charge + reduce(add, (duration for _, duration in cycle.phases), 0.0)
+    return t_charge + _length(scenario.schedule, _cycle(dl_case))
 
 
 def wakeup_time(circuit: CircuitConfig) -> float:

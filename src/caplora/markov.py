@@ -29,11 +29,11 @@ always costs its preamble at the listening load, a detected downlink
 additionally costs the packet airtime at the receiving load, and any
 brush with the turn-off voltage lands the device Off at the dying
 state's v_off, recharging for whatever remains of the interval.
-Scenario keeps the interval above timing.min_interval_bound of its
-reachable branches, so every branch's cycle ends within it.  A state
-dies where its end level sits at or below the level of its own v_off.
-The row builder also records each state's Rewards, read off the
-levels it steps, and every delivery metric is pi . r.
+Scenario keeps the interval above simulator.min_interval_bound, which
+covers each reachable branch, so every branch's cycle ends within it.
+A state dies where its end level sits at or below the level of its own
+v_off.  The row builder also records each state's Rewards, read off
+the levels it steps, and every delivery metric is pi . r.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps the matrix small.  That start state may still reach more than
@@ -48,6 +48,7 @@ importing this module (and so caplora) leaves it unloaded.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -55,7 +56,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .energy import Phase, wake_time
 from .errors import InfeasibleScenario, ScenarioError
-from .simulator import _BRANCHES, _PATH, Scenario
+from .simulator import _BRANCHES, _PATH, Scenario, _length
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,11 +110,6 @@ def _level_step(phase: Phase, g: int, v_max: int, t: float | None = None) -> Cal
     return step
 
 
-def _elapsed(phases: dict[str, Phase], slots: tuple[str, ...]) -> float:
-    """The slots' durations added left to right."""
-    return reduce(add, (phases[slot].duration for slot in slots))
-
-
 def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     """Quantized feasibility thresholds for transmit and both receptions.
 
@@ -133,14 +129,8 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     def least(phase: Phase) -> int:
         """Least start level surviving `phase`, v_max + 1 if none; bisected."""
         step, target = _level_step(phase, g, v_max), v_off[phase.state] + 1
-        lo, hi = v_min, v_max + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if step(mid) >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return v_min + bisect_left(range(v_min, v_max + 1), True,
+                                   key=lambda level: step(level) >= target)
 
     tx = phases["tx"]
     v_tx = least(tx)
@@ -198,8 +188,9 @@ class _RowBuilder:
     of the interval after its cycle `ends`.  A detected branch's window,
     the last two slots of simulator._BRANCHES, sits on the fork path at
     its listening slot and opens when the slots before them end; times
-    add the slots' durations left to right.  Die paths recharge from a
-    level-dependent time, so they call the phases per level.
+    are simulator._length of the slots on the schedule the phases were
+    compiled from.  Die paths recharge from a level-dependent time, so
+    they call the phases per level.
     """
 
     def __init__(self, scenario: Scenario, g: int, thr: ThresholdLevels):
@@ -219,10 +210,10 @@ class _RowBuilder:
                 (*lead, listen, rx), odds = _BRANCHES[branch].slots, _BRANCHES[branch].odds
                 window = (branch, phases[listen], phases[rx], self.step[phases[rx]],
                           getattr(thr, f"v_{branch}"), thr.v_off[phases[listen].state],
-                          _elapsed(phases, lead), getattr(scenario, odds))
+                          _length(scenario.schedule, tuple(lead)), getattr(scenario, odds))
             self.path.append((self.step[phases[slot]], window))
         self.q1, self.q2 = (scenario.branch_odds[b][0] for _, b in _PATH if b)
-        self.ends = {branch: _elapsed(phases, _BRANCHES[branch].slots)
+        self.ends = {branch: _length(scenario.schedule, _BRANCHES[branch].slots)
                      for branch in scenario.branches}
         self.sleep_out = {branch: _level_step(phases["sleep"], g, thr.v_max, self.m - end)
                           for branch, end in self.ends.items()}

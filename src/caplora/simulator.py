@@ -110,14 +110,15 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
+from operator import add, attrgetter
 from typing import NamedTuple, Sequence
 
 from .energy import (CircuitConfig, DeviceState, Phase, _off_time, _step, compile_phase,
                      time_constant, wake_time)
 from .errors import ScenarioError
-from .timing import RadioConfig, TimingSchedule, class_a_schedule, min_interval_bound
+from .timing import RadioConfig, TimingSchedule, class_a_schedule
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ class Scenario:
     def __post_init__(self):
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
             raise ScenarioError(f"p1/p2 must be probabilities, got {self.p1}, {self.p2}")
-        bound = min_interval_bound(self.schedule, "rx2" in self.branches)
+        bound = min_interval_bound(self.schedule, self.branches)
         if not bound < self.interval_m < math.inf:
             raise ScenarioError(
                 f"transmission interval {self.interval_m} s must be finite and exceed "
@@ -240,6 +241,38 @@ _BRANCHES = {
 # draw is taken as that slot opens (its listening slot), else None.
 _FORKS = {len(spec.slots) - 2: branch for branch, spec in _BRANCHES.items() if spec.odds}
 _PATH = tuple((slot, _FORKS.get(i)) for i, slot in enumerate(_BRANCHES["silent"].slots))
+
+
+def _cycle(dl_case: str) -> tuple[str, ...]:
+    """The analytic cycle's slots: silent's for 'none', else the branch's
+    with the downlink in place of its listening slot."""
+    if dl_case == "none":
+        return _BRANCHES["silent"].slots
+    if dl_case not in ("rx1", "rx2"):
+        raise ScenarioError(f"dl_case must be 'none', 'rx1' or 'rx2', got {dl_case!r}")
+    slots = _BRANCHES[dl_case].slots
+    return slots[:-2] + slots[-1:]
+
+
+# One TimingSchedule getter per cycle and per window's opening slots, in slot order.
+_ANALYTIC = tuple(map(_cycle, ("none", "rx1", "rx2")))
+_FIELDS = {slots: attrgetter(*(_SLOTS[slot][1] for slot in slots))
+           for slots in (*_ANALYTIC, *(spec.slots for spec in _BRANCHES.values()),
+                         *(spec.slots[:-2] for spec in _BRANCHES.values() if spec.odds))}
+
+
+def _length(sched: TimingSchedule, slots: tuple[str, ...]) -> float:
+    """The slots' durations in `sched`, added left to right as a walk adds them."""
+    return reduce(add, _FIELDS[slots](sched))
+
+
+def min_interval_bound(sched: TimingSchedule, branches: Sequence[str] = ()) -> float:
+    """Lower bound on the transmission interval M, which callers keep M strictly
+    above: the longest Class A cycle, each analytic one and each of the given
+    `branches` (Scenario.branches), its slots added left to right as the
+    simulator and the chain add them."""
+    return max([_length(sched, slots) for slots in _ANALYTIC]
+               + [_length(sched, _BRANCHES[branch].slots) for branch in branches])
 
 
 def _slot(sched: TimingSchedule, slot: str) -> tuple[DeviceState, float]:
@@ -604,17 +637,6 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
         # Every draw passes or fails whatever its value: one run serves every seed.
         return [run(seeds[0])] * len(seeds)
     return [run(seed) for seed in seeds]
-
-
-def _cycle(dl_case: str) -> tuple[str, ...]:
-    """The analytic cycle's slots: silent's for 'none', else the branch's
-    with the downlink in place of its listening slot."""
-    if dl_case == "none":
-        return _BRANCHES["silent"].slots
-    if dl_case not in ("rx1", "rx2"):
-        raise ScenarioError(f"dl_case must be 'none', 'rx1' or 'rx2', got {dl_case!r}")
-    slots = _BRANCHES[dl_case].slots
-    return slots[:-2] + slots[-1:]
 
 
 def _check_start(circuit: CircuitConfig, v_start: float) -> None:

@@ -145,16 +145,3 @@ def class_a_schedule(radio: RadioConfig, ul_pl: int, dl_pl: int) -> TimingSchedu
         t_rx2=time_on_air(radio, dl_pl, sf=RX2_SF),
     )
 
-
-def min_interval_bound(sched: TimingSchedule, rx2_reachable: bool = False) -> float:
-    """Lower bound on the transmission interval M: callers keep M strictly
-    above it so one uplink/downlink sequence fits between transmissions.
-
-    The analytic cycle ends with max(t_rx2, t_l2), a downlink replacing its
-    listening window; a reachable window-2 reception costs the simulator and
-    the chain t_l2 + t_rx2, and the bound adds them left to right as they do.
-    """
-    head = sched.t_tx + sched.t_id1 + sched.t_l1 + sched.t_id2
-    if rx2_reachable:
-        return head + sched.t_l2 + sched.t_rx2
-    return head + max(sched.t_rx2, sched.t_l2)

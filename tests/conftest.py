@@ -70,6 +70,18 @@ def make_scenario(sf: int = 7,
     )
 
 
+def reference_interval_bound(sched, rx2_reachable: bool = False) -> float:
+    """The interval bound written out by hand, what
+    caplora.simulator.min_interval_bound must return bit for bit: the
+    sequence up to window 2, then window 2's longer of preamble and packet
+    (a downlink replacing its listening window), or both when a window-2
+    reception is reachable, added left to right."""
+    head = sched.t_tx + sched.t_id1 + sched.t_l1 + sched.t_id2
+    if rx2_reachable:
+        return head + sched.t_l2 + sched.t_rx2
+    return head + max(sched.t_rx2, sched.t_l2)
+
+
 def voltage_after_norton(circuit, state, v0: float, t: float) -> float:
     """The ideal capacitor's voltage after t in `state`, from the Norton form.
 

@@ -27,8 +27,7 @@ from caplora.markov import (
     stationary_distribution,
     threshold_levels,
 )
-from caplora.simulator import run_simulation
-from caplora.timing import min_interval_bound
+from caplora.simulator import min_interval_bound, run_simulation
 
 from conftest import make_circuit, make_scenario, reference_chain, stationary_oracle
 
@@ -543,7 +542,7 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
     base = make_scenario(sf=sf, ul_pl=ul_pl, dl_pl=dl_pl, p1=p[0], p2=p[1], c_farads=c_farads,
                          interval_m=60.0)
     # M runs from one float above the interval bound up to 60 s.
-    least = math.nextafter(min_interval_bound(base.schedule, "rx2" in base.branches), math.inf)
+    least = math.nextafter(min_interval_bound(base.schedule, base.branches), math.inf)
     scenario = _parasitic(dataclasses.replace(base, interval_m=max(m, least)),
                           threshold=threshold, **capacitor)
     try:
@@ -576,7 +575,7 @@ def test_the_window_2_cycle_fills_the_least_admitted_interval():
     # At one float above the bound, the chain's longest cycle, a window-2
     # reception, sleeps out what is left of the interval from the bound.
     base = make_scenario(p2=1.0, power_w=10.0)
-    bound = min_interval_bound(base.schedule, rx2_reachable=True)
+    bound = min_interval_bound(base.schedule, base.branches)
     scenario = dataclasses.replace(base, interval_m=math.nextafter(bound, math.inf))
     builder = _RowBuilder(scenario, 100, threshold_levels(scenario, 100))
     assert builder.ends == {"rx2": bound}

@@ -15,10 +15,10 @@ from caplora.simulator import (
     CycleCheck,
     SimStats,
     TracePoint,
+    min_interval_bound,
     run_simulation,
     single_cycle_trace,
 )
-from caplora.timing import min_interval_bound
 
 from conftest import REFERENCE_TALLY, make_circuit, make_scenario, reference_count_tail
 
@@ -78,7 +78,7 @@ class TestScenarioValidation:
         circuit = scenario.circuit
         walk = simulator._Walk(circuit, circuit.charge_ceiling(), off=False, trace=False)
         assert all(walk.phase(scenario.phases[slot]) for slot in simulator._BRANCHES["rx2"].slots)
-        bound = min_interval_bound(scenario.schedule, rx2_reachable=True)
+        bound = min_interval_bound(scenario.schedule, scenario.branches)
         assert walk.t.hex() == bound.hex()
         assert bound > min_interval_bound(scenario.schedule)
 

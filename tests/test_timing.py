@@ -2,18 +2,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caplora.errors import NegativeIdleError, ScenarioError
+from caplora.simulator import min_interval_bound
 from caplora.timing import (
     RadioConfig,
     class_a_schedule,
     coding_rate_to_index,
-    min_interval_bound,
     payload_symbols,
     preamble_time,
     symbol_time,
     time_on_air,
 )
+
+from conftest import make_scenario, reference_interval_bound
 
 
 def oracle_payload_symbols(pl, sf, ih, de, cr):
@@ -142,6 +145,26 @@ class TestMinIntervalBound:
         small = min_interval_bound(class_a_schedule(RadioConfig(sf=7), 16, 1))
         large = min_interval_bound(class_a_schedule(RadioConfig(sf=12), 48, 48))
         assert large > small
+
+    @settings(max_examples=400, deadline=None)
+    @given(sf=st.integers(7, 12), ul_pl=st.integers(1, 250), dl_pl=st.integers(1, 250),
+           bw=st.sampled_from([125e3, 250e3, 500e3]), n_preamble=st.sampled_from([0, 6, 8, 16]),
+           de=st.integers(0, 1), cr_index=st.integers(1, 4),
+           p=st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.0),
+                              (0.3, 0.5), (1 - 2**-53, 1e-310)]))
+    def test_the_table_bound_is_the_hand_written_bound(self, sf, ul_pl, dl_pl, bw, n_preamble,
+                                                      de, cr_index, p):
+        # The longest cycle of the slot tables is the hand-written formula,
+        # bit for bit, and no reachable branch's cycle runs past it.
+        sched = class_a_schedule(RadioConfig(sf=sf, bw=bw, n_preamble=n_preamble, de=de,
+                                             cr_index=cr_index), ul_pl, dl_pl)
+        branches = make_scenario(p1=p[0], p2=p[1]).branches
+        bound = min_interval_bound(sched, branches)
+        assert bound.hex() == reference_interval_bound(sched, "rx2" in branches).hex()
+        head = sched.t_tx + sched.t_id1 + sched.t_l1 + sched.t_id2
+        cycles = {"rx1": sched.t_tx + sched.t_id1 + sched.t_l1 + sched.t_rx1,
+                  "rx2": head + sched.t_l2 + sched.t_rx2, "silent": head + sched.t_l2}
+        assert all(cycles[branch] <= bound for branch in branches)
 
 
 class TestRadioConfig:

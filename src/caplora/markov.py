@@ -36,13 +36,18 @@ v_off.  The row builder also records each state's Rewards, read off
 the levels it steps, and every delivery metric is pi . r.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
-which keeps the matrix small.  That start state may still reach more than
+which keeps it small, and is kept as its rows: each state's successors
+and their probabilities.  That start state may still reach more than
 one closed class; the long-run distribution then weighs each class's
 stationary vector by the probability of being absorbed into it from the
-start state.
+start state.  The solver reads the rows: a closed class in which every
+state has one successor is a cycle, uniform in the long run, and only
+the other blocks are scattered into numpy for a linear solve.
 
-numpy is imported by the functions that build or solve a matrix, so
-importing this module (and so caplora) leaves it unloaded.
+numpy is imported only to solve a class that is not a single cycle, to
+weigh classes by absorption, or to build the dense matrix on request, so
+importing this module (and so caplora), and building and solving a
+deterministic chain, leave it unloaded.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -159,25 +164,36 @@ class Rewards(NamedTuple):
 class TransitionMatrix:
     """Row-stochastic transition matrix over the reachable chain states.
 
-    `matrix` is dense, over the reachable states only; `successors` holds
-    each row's destinations in the order the row builder emits them and
-    `rewards` each state's rewards, both in state order.
+    `successors` holds each row's destinations in the order the row
+    builder emits them, `probabilities` their probabilities in the same
+    order, and `rewards` each state's rewards, all in state order.  The
+    dense `matrix` is built from these rows on first access.
     """
 
     states: tuple[ChainState, ...]
     index: dict
-    matrix: np.ndarray
     successors: tuple[tuple[int, ...], ...]
+    probabilities: tuple[tuple[float, ...], ...]
     rewards: tuple[Rewards, ...]
     thresholds: ThresholdLevels
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix over the reachable states, from one scatter of the rows."""
+        import numpy as np
+        n = len(self.states)
+        matrix = np.zeros((n, n))
+        matrix[np.repeat(np.arange(n), [len(cols) for cols in self.successors]),
+               [j for cols in self.successors for j in cols]] = \
+            [p for row in self.probabilities for p in row]
+        return matrix
+
     def coordinate_lines(self) -> Iterable[str]:
         """Debug dump: one 'src_kind,src_level,dst_kind,dst_level,prob' per entry."""
-        for i, row in enumerate(self.successors):
-            src = self.states[i]
-            for j in row:
+        for src, row, probs in zip(self.states, self.successors, self.probabilities):
+            for j, p in zip(row, probs):
                 dst = self.states[j]
-                yield f"{src.kind},{src.level},{dst.kind},{dst.level},{self.matrix[i, j]:.12g}"
+                yield f"{src.kind},{src.level},{dst.kind},{dst.level},{p:.12g}"
 
 
 class _RowBuilder:
@@ -319,8 +335,7 @@ def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
     """Build the chain over every state reachable from (OFF, level(v_min)).
 
     A breadth-first search numbers each state as a row first emits it and
-    records the row's successors in the same pass; one scatter then fills
-    the dense matrix.
+    records the row's successors and probabilities in the same pass.
     """
     thr = threshold_levels(scenario, g)
     row = _RowBuilder(scenario, g, thr).row
@@ -328,8 +343,8 @@ def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
     index: dict[ChainState, int] = {initial: 0}
     states: list[ChainState] = [initial]
     successors: list[tuple[int, ...]] = []
+    probabilities: list[tuple[float, ...]] = []
     rewards: list[Rewards] = []
-    probs: list[float] = []
     for state in states:    # the list grows as rows emit new states
         dests, reward = row(state)
         cols = []
@@ -339,16 +354,10 @@ def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
                 states.append(dest)
             cols.append(index[dest])
         successors.append(tuple(cols))
-        probs.extend(dests.values())
+        probabilities.append(tuple(dests.values()))
         rewards.append(reward)
-
-    import numpy as np
-    n = len(states)
-    matrix = np.zeros((n, n))
-    matrix[np.repeat(np.arange(n), [len(cols) for cols in successors]),
-           [j for cols in successors for j in cols]] = probs
-    return TransitionMatrix(states=tuple(states), index=index, matrix=matrix,
-                            successors=tuple(successors), rewards=tuple(rewards),
+    return TransitionMatrix(states=tuple(states), index=index, successors=tuple(successors),
+                            probabilities=tuple(probabilities), rewards=tuple(rewards),
                             thresholds=thr)
 
 
@@ -392,12 +401,25 @@ def _closed_classes(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return closed
 
 
-def _class_stationary(block: np.ndarray) -> np.ndarray:
-    """Stationary vector of an irreducible block: pi (P_C - I) = 0 with the
-    last balance equation replaced by sum(pi) = 1."""
+def _class_stationary(tm: TransitionMatrix, members: list[int]) -> list[float] | np.ndarray:
+    """Stationary vector of the closed class `members`, from its rows.
+
+    A cycle, a class in which every state has one successor, has the
+    closed form 1/L on its L states.  Any other class solves pi (P_C - I)
+    = 0 with the last balance equation replaced by sum(pi) = 1, its rows
+    scattered straight into a = P_C^T - I.
+    """
+    k = len(members)
+    if all(len(tm.successors[i]) == 1 for i in members):
+        return [1.0 / k] * k
     import numpy as np
-    k = block.shape[0]
-    a = block.T - np.eye(k)
+    local = {i: r for r, i in enumerate(members)}
+    cols = [r for r, i in enumerate(members) for _ in tm.successors[i]]
+    a = np.zeros((k, k))
+    a[[local[j] for i in members for j in tm.successors[i]], cols] = \
+        [p for i in members for p in tm.probabilities[i]]
+    diagonal = np.arange(k)
+    a[diagonal, diagonal] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(k)
     b[-1] = 1.0
@@ -405,57 +427,80 @@ def _class_stationary(block: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _absorption_weights(tm: TransitionMatrix, classes: list[list[int]],
+                        start: int) -> list[float]:
+    """Probability of absorption into each closed class from the transient
+    `start`: the expected visits to each transient state, from one solve on
+    the transient block I - Q scattered from the rows, times each state's
+    step into the class."""
+    import numpy as np
+    owner = {i: c for c, members in enumerate(classes) for i in members}
+    transient = [i for i in range(len(tm.states)) if i not in owner]
+    local = {i: t for t, i in enumerate(transient)}
+    lhs = np.eye(len(transient))
+    into = np.zeros((len(classes), len(transient)))
+    for t, i in enumerate(transient):
+        for j, p in zip(tm.successors[i], tm.probabilities[i]):
+            if j in local:
+                lhs[t, local[j]] -= p
+            else:
+                into[owner[j], t] += p
+    visits = np.linalg.solve(lhs.T, [float(i == start) for i in transient])
+    return [visits @ column for column in into]
+
+
 def stationary_distribution(tm: TransitionMatrix,
-                            initial: ChainState | None = None) -> np.ndarray:
-    """Long-run (Cesaro-limit) state distribution observed from `initial`.
+                            initial: ChainState | None = None) -> list[float]:
+    """Long-run (Cesaro-limit) state distribution observed from `initial`,
+    in state order.
 
     Exact for periodic and deterministic chains alike: each closed class
-    reachable from `initial` gets its stationary vector from one linear
-    solve, and when `initial` is transient the classes are weighed by
-    their absorption probabilities, from one solve on the transient block.
+    reachable from `initial` gets its stationary vector, a cycle's in
+    closed form and any other class's from one linear solve, and when
+    `initial` is transient and more than one class is closed the classes
+    are weighed by their absorption probabilities.  A lone cycle's 1/L is
+    the answer as it stands; otherwise the weighed vectors are normalized
+    once more.
     """
-    import numpy as np
-    p = tm.matrix
     start = tm.index[initial] if initial is not None else 0
     classes = _closed_classes(tm.successors)
     home = [members for members in classes if start in members]
     if home or len(classes) == 1:
         classes, weights = home or classes, [1.0]
     else:
-        transient = np.ones(len(p), dtype=bool)
-        for members in classes:
-            transient[members] = False
-        transient = np.flatnonzero(transient)
-        # Expected visits to each transient state from `start`, times the
-        # probability of stepping from there into each class.
-        lhs = np.eye(len(transient)) - p[np.ix_(transient, transient)]
-        visits = np.linalg.solve(lhs.T, (transient == start).astype(float))
-        weights = [visits @ p[np.ix_(transient, members)].sum(axis=1) for members in classes]
-    pi = np.zeros(len(p))
-    for members, weight in zip(classes, weights):
-        pi[members] += weight * _class_stationary(p[np.ix_(members, members)])
-    return pi / pi.sum()
+        weights = _absorption_weights(tm, classes, start)
+    vectors = [_class_stationary(tm, members) for members in classes]
+    if len(classes) == 1 and isinstance(vectors[0], list):
+        pi = [0.0] * len(tm.states)
+        for i, p in zip(classes[0], vectors[0]):
+            pi[i] = p
+        return pi
+    import numpy as np
+    pi = np.zeros(len(tm.states))
+    for members, weight, vector in zip(classes, weights, vectors):
+        pi[members] += weight * np.asarray(vector)
+    return (pi / pi.sum()).tolist()
 
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Stationary distribution plus the three delivery metrics."""
+    """Stationary distribution, a list in state order, plus the three delivery metrics."""
 
-    pi: np.ndarray
+    pi: list[float]
     states: tuple[ChainState, ...]
     pdr: float
     pdl1: float
     pdl2: float
 
 
-def chain_metrics(pi: np.ndarray, tm: TransitionMatrix,
+def chain_metrics(pi: list[float], tm: TransitionMatrix,
                   strict_rx2_threshold: bool = False) -> ChainResult:
     """Delivery metrics from a stationary vector: pi . r over the builder's
     Rewards, summed left to right in state order; pdr is one minus the lost
     mass.  strict_rx2_threshold gates pdl2 on v_rx2, the least level whose
     rx2 packet ends above the turn-off level."""
     def expect(metric: str) -> float:
-        return reduce(add, (float(p) * getattr(r, metric) for p, r in zip(pi, tm.rewards)), 0.0)
+        return reduce(add, (p * getattr(r, metric) for p, r in zip(pi, tm.rewards)), 0.0)
 
     return ChainResult(pi=pi, states=tm.states, pdr=1.0 - expect("lost"), pdl1=expect("pdl1"),
                        pdl2=expect("pdl2_strict" if strict_rx2_threshold else "pdl2"))

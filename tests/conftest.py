@@ -97,14 +97,9 @@ def voltage_after_norton(circuit, state, v0: float, t: float) -> float:
     return e / r_i * r_eq * (1.0 - decay) + v0 * decay
 
 
-def stationary_oracle(p: np.ndarray, start: int) -> np.ndarray:
-    """Dense reference for the chain's long-run distribution from `start`.
-
-    Independent of caplora.markov: closed classes come from the boolean
-    transitive closure, each class's vector is its eigenvector for
-    eigenvalue 1, and classes are weighted by absorption probabilities
-    from a least-squares solve on the transient block.
-    """
+def _dense_classes(p: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Closed classes, each sorted, and the sorted transient states of the
+    dense matrix `p`, from the boolean transitive closure."""
     n = p.shape[0]
     reach = (p > 0) | np.eye(n, dtype=bool)
     while True:
@@ -121,8 +116,20 @@ def stationary_oracle(p: np.ndarray, start: int) -> np.ndarray:
             members = np.flatnonzero(reach[i] & reach[:, i])
             seen[members] = True
             classes.append(members)
-    transient = np.flatnonzero(~recurrent)
-    if recurrent[start]:
+    return classes, np.flatnonzero(~recurrent)
+
+
+def stationary_oracle(p: np.ndarray, start: int) -> np.ndarray:
+    """Dense reference for the chain's long-run distribution from `start`.
+
+    Independent of caplora.markov: closed classes come from the boolean
+    transitive closure, each class's vector is its eigenvector for
+    eigenvalue 1, and classes are weighted by absorption probabilities
+    from a least-squares solve on the transient block.
+    """
+    n = p.shape[0]
+    classes, transient = _dense_classes(p)
+    if start not in transient:
         weights = [1.0 if start in members else 0.0 for members in classes]
     else:
         lhs = np.eye(len(transient)) - p[np.ix_(transient, transient)]
@@ -136,6 +143,37 @@ def stationary_oracle(p: np.ndarray, start: int) -> np.ndarray:
         vector = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
         pi[members] += weight * vector / vector.sum()
     return pi
+
+
+def reference_stationary(p: np.ndarray, start: int) -> np.ndarray:
+    """The stationary solve as caplora.markov once ran it on the dense
+    matrix `p`: what stationary_distribution must return bit for bit on a
+    chain that is not a lone cycle, and within 2 ulp on one.
+
+    Each closed class's block p[ix_(C, C)] solves pi (P_C - I) = 0 with the
+    last balance equation replaced by sum(pi) = 1.  A start in a class, or
+    a lone class, takes weight 1; otherwise each class is weighed by the
+    visits to the transient states, from one solve on I - Q, times their
+    steps into it.  The weighed vectors are normalized once more.
+    """
+    classes, transient = _dense_classes(p)
+    home = [members for members in classes if start in members]
+    if home or len(classes) == 1:
+        classes, weights = home or classes, [1.0]
+    else:
+        lhs = np.eye(len(transient)) - p[np.ix_(transient, transient)]
+        visits = np.linalg.solve(lhs.T, (transient == start).astype(float))
+        weights = [visits @ p[np.ix_(transient, members)].sum(axis=1) for members in classes]
+    pi = np.zeros(len(p))
+    for members, weight in zip(classes, weights):
+        k = len(members)
+        a = p[np.ix_(members, members)].T - np.eye(k)
+        a[-1, :] = 1.0
+        b = np.zeros(k)
+        b[-1] = 1.0
+        vector = np.clip(np.linalg.solve(a, b), 0.0, None)
+        pi[members] += weight * (vector / vector.sum())
+    return pi / pi.sum()
 
 
 def rk4_capacitor(e, r_i, r_load, esr, epr, c, v0, t, steps: int = 4000):

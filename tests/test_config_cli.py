@@ -528,9 +528,12 @@ NUMPY_FREE_CALLS = [
     ["sweep", "--axis", "threshold", "--values", "0.6,0.7", "--m", "9", "--engine",
      "simulator", "--n", "50", "--seeds", "1"],
 ]
+# The README chain example: p1 = p2 = 0, so every row has one successor and
+# the chain ends in a cycle, solved in closed form.
+README_CHAIN = ["chain", "--granularity", "750", "--m", "40", "--threshold", "0.70"]
 
 
-def test_numpy_loads_only_when_a_chain_is_solved():
+def test_numpy_loads_only_when_a_chain_needs_a_solve(tmp_path):
     code = """if True:
         import contextlib, io, json, sys
         import caplora
@@ -543,10 +546,12 @@ def test_numpy_loads_only_when_a_chain_is_solved():
             seen.append([argv[0], code, "numpy" in sys.modules])
         print(json.dumps(seen))
     """
-    calls = NUMPY_FREE_CALLS + [["chain", "--granularity", "100", "--m", "40"]]
-    seen = json.loads(_python(code, json.dumps(calls)))
+    cycle_chains = [README_CHAIN, README_CHAIN + ["--dump-matrix", str(tmp_path / "m.csv")]]
+    stochastic = ["chain", "--scenario", str(GOLDEN / "stochastic.ini"), "--granularity", "100",
+                  "--m", "40"]
+    seen = json.loads(_python(code, json.dumps(NUMPY_FREE_CALLS + cycle_chains + [stochastic])))
     assert seen[:-1] == [["import caplora", 0, False], ["import caplora.cli", 0, False]] + \
-        [[argv[0], 0, False] for argv in NUMPY_FREE_CALLS]
+        [[argv[0], 0, False] for argv in NUMPY_FREE_CALLS + cycle_chains]
     assert seen[-1] == ["chain", 0, True]
 
 
@@ -566,15 +571,17 @@ def test_chain_names_are_the_markov_objects():
         caplora.no_such_name
 
 
-def test_library_solve_loads_numpy_on_first_solve():
+def test_library_solve_loads_numpy_only_for_a_stochastic_chain():
     code = """if True:
         import sys
         from caplora import parse_scenario, solve_chain
-        before = "numpy" in sys.modules
-        result = solve_chain(parse_scenario("").scenario, 100)
-        print(before, "numpy" in sys.modules, 0 <= result.pdr <= 1)
+        stock = solve_chain(parse_scenario("").scenario, 100)
+        seen = ["numpy" in sys.modules, 0 <= stock.pdr <= 1]
+        stochastic = solve_chain(parse_scenario(open(sys.argv[1]).read()).scenario, 100)
+        print(*seen, "numpy" in sys.modules, 0 <= stochastic.pdr <= 1)
     """
-    assert _python(code).split() == ["False", "True", "True"]
+    assert _python(code, str(GOLDEN / "stochastic.ini")).split() == ["False", "True", "True",
+                                                                     "True"]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -977,6 +984,17 @@ def test_matrix_dump_is_byte_identical(granularity, golden, tmp_path, capsys):
                  granularity, "--m", "40", "--threshold", "0.7", "--dump-matrix", str(dump)]) == 0
     assert capsys.readouterr().err == ""
     assert dump.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_cycle_matrix_dump_is_byte_identical(tmp_path, capsys):
+    # The README chain example's rows, each with one successor, read without
+    # a dense matrix.
+    dump = tmp_path / "matrix.csv"
+    assert main(README_CHAIN + ["--dump-matrix", str(dump)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / "chain_readme.csv").read_bytes()
+    assert dump.read_bytes() == (GOLDEN / "chain_cycle_matrix.csv").read_bytes()
 
 
 def test_parasitic_matrix_dump_is_byte_identical(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import pathlib
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from caplora import characterize, defaults, markov, simulator
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
+from caplora.config import load_scenario
 from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after
 from caplora.errors import InfeasibleScenario, ScenarioError
 from caplora.markov import (
@@ -29,9 +32,16 @@ from caplora.markov import (
 )
 from caplora.simulator import min_interval_bound, run_simulation
 
-from conftest import make_circuit, make_scenario, reference_chain, stationary_oracle
+from conftest import (
+    make_circuit,
+    make_scenario,
+    reference_chain,
+    reference_stationary,
+    stationary_oracle,
+)
 
 G = 750
+PARASITIC_INI = str(pathlib.Path(__file__).parent / "data" / "parasitic.ini")
 
 
 def _step(phase, level, *t, g=G):
@@ -222,10 +232,12 @@ def _toy_matrix(rows, kinds=None):
     n = len(matrix)
     states = tuple(ChainState(kinds[i] if kinds else OFF, i) for i in range(n))
     successors = tuple(tuple(np.flatnonzero(row).tolist()) for row in matrix)
+    probabilities = tuple(tuple(row[list(cols)].tolist()) for row, cols in zip(matrix, successors))
     thr = ThresholdLevels(v_min=0, v_on=n, v_tx=n, v_rx1=n + 1, v_rx2=n + 1, v_max=n,
                           v_off={})
     return TransitionMatrix(states=states, index={s: i for i, s in enumerate(states)},
-                            matrix=matrix, successors=successors, rewards=(), thresholds=thr)
+                            successors=successors, probabilities=probabilities, rewards=(),
+                            thresholds=thr)
 
 
 @st.composite
@@ -304,7 +316,7 @@ class TestStationary:
         # Starting in the absorbing state 2 never sees the other class.
         tm = _toy_matrix([[0.0, 0.3, 0.7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         pi = stationary_distribution(tm, tm.states[2])
-        assert pi.tolist() == [0.0, 0.0, 1.0]
+        assert list(pi) == [0.0, 0.0, 1.0]
 
     @settings(max_examples=150, deadline=None)
     @given(_multi_class_chains())
@@ -312,8 +324,8 @@ class TestStationary:
         p, start = chain
         tm = _toy_matrix(p)
         pi = stationary_distribution(tm, tm.states[start])
-        assert np.all(pi >= 0.0)
-        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert min(pi) >= 0.0
+        assert sum(pi) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(pi - stationary_oracle(p, start)).max() <= 1e-8
 
     def test_scenario_chain_residual_and_solver_agreement(self):
@@ -321,9 +333,71 @@ class TestStationary:
         tm = build_transition_matrix(scenario, 200)
         pi = stationary_distribution(tm)
         assert float(np.abs(pi @ tm.matrix - pi).max()) < 1e-10
-        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(pi >= 0)
+        assert sum(pi) == pytest.approx(1.0, abs=1e-12)
+        assert min(pi) >= 0
         assert np.abs(pi - stationary_oracle(tm.matrix, 0)).max() <= 1e-8
+
+
+def _grid_chains(p_combos, granularities):
+    """The accuracy grid's chains at a 70 % threshold, infeasible cells left out."""
+    base = make_scenario(interval_m=9.0)
+    for case_id in ACCURACY_CASES:
+        for m_class in M_CLASSES:
+            for p1, p2 in p_combos:
+                scenario = edit_scenario(base, {**accuracy_case_edits((case_id, m_class)),
+                                                "p1": p1, "p2": p2, "threshold": 0.70})
+                for g in granularities:
+                    try:
+                        yield build_transition_matrix(scenario, g)
+                    except InfeasibleScenario:
+                        pass
+
+
+class TestSolveFromRows:
+    """The solver reads the rows: its bits are the dense solve's, a cycle
+    takes its closed form, and the dense matrix is never built."""
+
+    def test_stochastic_chains_keep_the_dense_bits(self):
+        parasitic = edit_scenario(load_scenario(PARASITIC_INI).scenario,
+                                  {"threshold": 0.7, "interval_m": 15.0})
+        chains = [tm for tm in (*_grid_chains(((0.5, 0.5), (0.3, 0.7)), (750, 2000)),
+                                build_transition_matrix(parasitic, G))
+                  if any(len(row) > 1 for row in tm.successors)]
+        assert len(chains) > 60
+        for tm in chains:
+            pi = stationary_distribution(tm)
+            chain_metrics(pi, tm)
+            assert "matrix" not in tm.__dict__
+            want = reference_stationary(tm.matrix, 0)
+            assert [p.hex() for p in pi] == [p.hex() for p in want.tolist()]
+
+    def test_cycle_chains_take_one_over_their_length(self, monkeypatch):
+        chains = list(_grid_chains(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), (G,)))
+        assert len(chains) > 40
+        for tm in chains:
+            assert all(len(row) == 1 for row in tm.successors)
+            with monkeypatch.context() as patch:
+                patch.setitem(sys.modules, "numpy", None)   # any numpy import fails
+                pi = stationary_distribution(tm)
+                chain_metrics(pi, tm)
+            assert "matrix" not in tm.__dict__
+            cycle = [p for p in pi if p > 0.0]
+            assert cycle == [1.0 / len(cycle)] * len(cycle)
+            want = reference_stationary(tm.matrix, 0).tolist()
+            assert all(abs(p - q) <= 2 * math.ulp(q) for p, q in zip(pi, want))
+
+    @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (0.3, 0.5)])
+    def test_solve_chain_leaves_the_matrix_unbuilt(self, p1, p2, monkeypatch):
+        built = []
+
+        def recording(scenario, g):
+            built.append(build_transition_matrix(scenario, g))
+            return built[-1]
+
+        monkeypatch.setattr(markov, "build_transition_matrix", recording)
+        result = solve_chain(make_scenario(interval_m=40.0, p1=p1, p2=p2), G)
+        assert type(result.pi) is list and len(result.pi) == len(built[0].states)
+        assert "matrix" not in built[0].__dict__
 
 
 class TestChainMetrics:
@@ -593,7 +667,7 @@ def test_sums_add_left_to_right(monkeypatch):
 
     for module in (markov, characterize, simulator):
         monkeypatch.setattr(module, "sum", compensated, raising=False)
-    pi = np.array([1e16, 1.0, -1e16])
+    pi = [1e16, 1.0, -1e16]
     assert math.fsum(pi) == 1.0          # what a compensated sum gives
     tm = SimpleNamespace(states=(None,) * 3, rewards=(Rewards(lost=1.0, pdl1=1.0),) * 3)
     result = chain_metrics(pi, tm)

@@ -11,6 +11,10 @@ option outside the modes OPTIONS gives it, or an output path that cannot
 be written or that --out and --dump-matrix share (checked before any
 work), 3 physically infeasible request.
 
+main(argv) returns the exit code (--help and argparse's usage errors
+raise SystemExit with theirs) and may be called repeatedly in one
+process: it builds each command's parser once and reuses it.
+
 Numeric formatting is fixed so outputs are stable: times use 9
 significant digits, voltages and probabilities 6.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -338,6 +343,15 @@ def build_parser(commands: Iterable[str] | None = None) -> argparse.ArgumentPars
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """main's parser for `command` (None: argv names none), built on first
+    use and reused: parse_args leaves a parser as it was, every OPTIONS
+    default is immutable, and argparse takes the help width when it
+    formats help or an error, not from the build."""
+    return build_parser([command] if command else [])
+
+
 def _check_modes(args) -> None:
     """Reject an option given outside its modes; fill in the default of one not given."""
     for flag, kwargs, (where, applies) in (row for row in OPTIONS[args.command] if len(row) == 3):
@@ -505,7 +519,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Only options of the top parser (--help) can come before the command.
     command = next((arg for arg in argv if arg in _COMMANDS), None)
-    args = build_parser([command] if command else []).parse_args(argv)
+    args = _parser(command).parse_args(argv)
     try:
         _check_modes(args)
         paths = [path for path in (args.out, getattr(args, "dump_matrix", None)) if path]

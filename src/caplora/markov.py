@@ -44,10 +44,9 @@ start state.  The solver reads the rows: a closed class in which every
 state has one successor is a cycle, uniform in the long run, and only
 the other blocks are scattered into numpy for a linear solve.
 
-numpy is imported only to solve a class that is not a single cycle, to
-weigh classes by absorption, or to build the dense matrix on request, so
-importing this module (and so caplora), and building and solving a
-deterministic chain, leave it unloaded.
+numpy is imported only to solve a class that is not a single cycle or to
+weigh classes by absorption, so importing this module (and so caplora),
+and building and solving a deterministic chain, leave it unloaded.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -166,8 +165,7 @@ class TransitionMatrix:
 
     `successors` holds each row's destinations in the order the row
     builder emits them, `probabilities` their probabilities in the same
-    order, and `rewards` each state's rewards, all in state order.  The
-    dense `matrix` is built from these rows on first access.
+    order, and `rewards` each state's rewards, all in state order.
     """
 
     states: tuple[ChainState, ...]
@@ -176,17 +174,6 @@ class TransitionMatrix:
     probabilities: tuple[tuple[float, ...], ...]
     rewards: tuple[Rewards, ...]
     thresholds: ThresholdLevels
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense matrix over the reachable states, from one scatter of the rows."""
-        import numpy as np
-        n = len(self.states)
-        matrix = np.zeros((n, n))
-        matrix[np.repeat(np.arange(n), [len(cols) for cols in self.successors]),
-               [j for cols in self.successors for j in cols]] = \
-            [p for row in self.probabilities for p in row]
-        return matrix
 
     def coordinate_lines(self) -> Iterable[str]:
         """Debug dump: one 'src_kind,src_level,dst_kind,dst_level,prob' per entry."""

@@ -145,6 +145,17 @@ def stationary_oracle(p: np.ndarray, start: int) -> np.ndarray:
     return pi
 
 
+def dense_matrix(tm) -> np.ndarray:
+    """The dense matrix of a caplora.markov.TransitionMatrix over its
+    reachable states, from one scatter of its rows."""
+    n = len(tm.states)
+    matrix = np.zeros((n, n))
+    matrix[np.repeat(np.arange(n), [len(cols) for cols in tm.successors]),
+           [j for cols in tm.successors for j in cols]] = \
+        [p for row in tm.probabilities for p in row]
+    return matrix
+
+
 def reference_stationary(p: np.ndarray, start: int) -> np.ndarray:
     """The stationary solve as caplora.markov once ran it on the dense
     matrix `p`: what stationary_distribution must return bit for bit on a

@@ -28,7 +28,8 @@ from caplora.markov import build_transition_matrix, stationary_distribution
 from caplora.simulator import run_simulation
 from caplora.timing import RadioConfig, time_on_air
 
-from conftest import make_circuit, make_scenario, stationary_oracle, voltage_after_norton
+from conftest import (dense_matrix, make_circuit, make_scenario, stationary_oracle,
+                      voltage_after_norton)
 
 N_TX = 1000
 SEEDS = (1, 2, 3, 4, 5)
@@ -231,7 +232,7 @@ class TestCriterion7Properties:
         for p1, p2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.4, 0.7)):
             scenario = make_scenario(interval_m=9.0, p1=p1, p2=p2)
             tm = build_transition_matrix(scenario, 300)
-            sums = tm.matrix.sum(axis=1)
+            sums = dense_matrix(tm).sum(axis=1)
             assert np.all(np.abs(sums - 1.0) <= 1e-12)
         _report("7 row-sums", "all rows sum to 1 within 1e-12")
 
@@ -239,9 +240,9 @@ class TestCriterion7Properties:
         scenario = make_scenario(interval_m=10.0, p1=0.4, p2=0.3, turn_on_fraction=0.62)
         tm = build_transition_matrix(scenario, 300)
         pi = stationary_distribution(tm)
-        residual = float(np.abs(pi @ tm.matrix - pi).max())
+        residual = float(np.abs(pi @ dense_matrix(tm) - pi).max())
         assert residual < 1e-10
-        gap = float(np.abs(pi - stationary_oracle(tm.matrix, 0)).max())
+        gap = float(np.abs(pi - stationary_oracle(dense_matrix(tm), 0)).max())
         assert gap <= 1e-8
         _report("7 stationary", f"residual {residual:.2e}, solver gap {gap:.2e}")
 

@@ -834,16 +834,77 @@ def test_help_and_usage_errors_match_the_full_parser(argv, capsys, monkeypatch):
     assert _parser_exit(main, argv, capsys) == want
 
 
-def test_main_fills_in_only_the_invoked_commands_arguments(monkeypatch, capsys):
+def _record_builds(monkeypatch) -> list:
+    """Empty main's parser cache and record each build_parser call's commands."""
     built = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda commands=None: built.append(commands)
                         or build(commands))
+    cli._parser.cache_clear()
+    return built
+
+
+def test_main_fills_in_only_the_invoked_commands_arguments(monkeypatch, capsys):
+    built = _record_builds(monkeypatch)
+    assert main(["airtime", "--sf", "7", "--pl", "16"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == [["airtime"], []]
+    # A second call of either reuses its parser.
     assert main(["airtime", "--sf", "7", "--pl", "16"]) == 0
     with pytest.raises(SystemExit):
         main(["--help"])
     assert built == [["airtime"], []]
     capsys.readouterr()
+
+
+# An interleaved sequence of calls: the README sizing calls, a chain sweep,
+# JSON, help pages, a usage error and a mode rejection.  The test runs it
+# twice, at COLUMNS cycling through WIDTHS, so that a reused parser prints
+# help at a width other than the one it was built at.
+REUSE_CALLS = [
+    ["min-cap", "--sf", "7,9,11", "--ul-pl", "48", "--dl-pl", "48", "--dl-case", "rx2"],
+    ["--help"],
+    ["min-interval", "--capacitance", "0.02", "--power", "0.001", "--dl-case", "rx2"],
+    ["min-cap", "--bogus"],
+    ["sweep", "--axis", "granularity", "--values", "100,200", "--m", "9", "--engine", "chain"],
+    ["min-cap", "--help"],
+    ["wakeup", "--capacitance", "0.02", "--thresholds", "0.6,0.8"],
+    ["airtime", "--sf", "7", "--pl", "16", "--json"],
+    ["sweep", "--axis", "granularity", "--values", "100,200", "--m", "9", "--engine", "simulator"],
+]
+WIDTHS = ("40", "120", "72")
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parsers_answer_like_fresh_ones(monkeypatch, capsys):
+    runs = [(argv, WIDTHS[(i + k) % len(WIDTHS)])
+            for k in range(2) for i, argv in enumerate(REUSE_CALLS)]
+    want = []
+    for argv, width in runs:
+        monkeypatch.setenv("COLUMNS", width)
+        cli._parser.cache_clear()
+        want.append(_outcome(argv, capsys))
+    built = _record_builds(monkeypatch)
+    for (argv, width), fresh in zip(runs, want):
+        monkeypatch.setenv("COLUMNS", width)
+        assert _outcome(argv, capsys) == fresh, (argv, width)
+    # Each command's parser was built once, by its first call.
+    commands = [next((arg for arg in argv if arg in cli._COMMANDS), None) for argv in REUSE_CALLS]
+    assert built == [[c] if c else [] for c in dict.fromkeys(commands)]
+    # The widths matter: the two passes print --help differently.
+    helps = [fresh for (argv, _), fresh in zip(runs, want) if argv == ["min-cap", "--help"]]
+    assert helps[0][0] == 0 and helps[0][1] != helps[1][1]
+    codes = [fresh[0] for fresh in want[:len(REUSE_CALLS)]]
+    assert codes == [0, 0, 0, 2, 0, 0, 0, 0, 2]
 
 
 # The arguments that put a call in each mode of its command: every engine

@@ -33,6 +33,7 @@ from caplora.markov import (
 from caplora.simulator import min_interval_bound, run_simulation
 
 from conftest import (
+    dense_matrix,
     make_circuit,
     make_scenario,
     reference_chain,
@@ -150,7 +151,7 @@ class TestTransitionMatrix:
     def test_rows_stochastic(self, p1, p2):
         scenario = make_scenario(interval_m=9.0, p1=p1, p2=p2)
         tm = build_transition_matrix(scenario, 200)
-        sums = tm.matrix.sum(axis=1)
+        sums = dense_matrix(tm).sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -169,20 +170,21 @@ class TestTransitionMatrix:
             tm = build_transition_matrix(scenario, g)
         except (ScenarioError, InfeasibleScenario):
             assume(False)
-        assert np.all(tm.matrix >= 0.0)
-        assert np.all(np.abs(tm.matrix.sum(axis=1) - 1.0) <= 1e-12)
+        matrix = dense_matrix(tm)
+        assert np.all(matrix >= 0.0)
+        assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-12)
         for i, row in enumerate(tm.successors):
-            assert sorted(row) == np.flatnonzero(tm.matrix[i]).tolist()
+            assert sorted(row) == np.flatnonzero(matrix[i]).tolist()
 
     def test_deterministic_chain_has_single_entry_rows(self):
         scenario = make_scenario(interval_m=9.0)
         tm = build_transition_matrix(scenario, 200)
-        assert np.all(np.count_nonzero(tm.matrix, axis=1) == 1)
+        assert np.all(np.count_nonzero(dense_matrix(tm), axis=1) == 1)
 
     def test_branch_counts(self):
         scenario = make_scenario(interval_m=9.0, p1=0.5, p2=0.25, turn_on_fraction=0.6)
         tm = build_transition_matrix(scenario, 200)
-        counts = np.count_nonzero(tm.matrix, axis=1)
+        counts = np.count_nonzero(dense_matrix(tm), axis=1)
         for i, state in enumerate(tm.states):
             if state.kind in (OFF, SL0):
                 assert counts[i] == 1
@@ -193,11 +195,12 @@ class TestTransitionMatrix:
         # p1 = 0.5, p2 = 0: SL1 rows split into at most two half-weight branches.
         scenario = make_scenario(interval_m=9.0, p1=0.5, turn_on_fraction=0.6)
         tm = build_transition_matrix(scenario, 200)
-        counts = np.count_nonzero(tm.matrix, axis=1)
+        matrix = dense_matrix(tm)
+        counts = np.count_nonzero(matrix, axis=1)
         for i, state in enumerate(tm.states):
             if state.kind == SL1:
                 assert counts[i] <= 2
-                row = tm.matrix[i]
+                row = matrix[i]
                 assert all(p in (0.5, 1.0) for p in row[row > 0])
 
     def test_state_space_bound_and_ranges(self):
@@ -217,9 +220,10 @@ class TestTransitionMatrix:
         scenario = make_scenario(interval_m=9.0, p1=0.3, p2=0.6)
         tm = build_transition_matrix(scenario, 100)
         lines = list(tm.coordinate_lines())
-        assert len(lines) == np.count_nonzero(tm.matrix)
+        matrix = dense_matrix(tm)
+        assert len(lines) == np.count_nonzero(matrix)
         for i, row in enumerate(tm.successors):
-            assert sorted(row) == np.flatnonzero(tm.matrix[i]).tolist()
+            assert sorted(row) == np.flatnonzero(matrix[i]).tolist()
         kinds = {OFF, SL0, SL1}
         for line in lines:
             src_kind, src_level, dst_kind, dst_level, prob = line.split(",")
@@ -303,14 +307,14 @@ class TestStationary:
         rows = raw / raw.sum(axis=1, keepdims=True)
         tm = _toy_matrix(rows.tolist())
         pi = stationary_distribution(tm, tm.states[0])
-        assert np.abs(pi - stationary_oracle(tm.matrix, 0)).max() <= 1e-8
+        assert np.abs(pi - stationary_oracle(dense_matrix(tm), 0)).max() <= 1e-8
 
     def test_absorption_weighting(self):
         # From 0: 30% into absorbing 1, 70% into absorbing 2.
         tm = _toy_matrix([[0.0, 0.3, 0.7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         pi = stationary_distribution(tm, tm.states[0])
         assert pi == pytest.approx([0.0, 0.3, 0.7], abs=1e-10)
-        assert stationary_oracle(tm.matrix, 0) == pytest.approx([0.0, 0.3, 0.7], abs=1e-10)
+        assert stationary_oracle(dense_matrix(tm), 0) == pytest.approx([0.0, 0.3, 0.7], abs=1e-10)
 
     def test_start_inside_a_closed_class(self):
         # Starting in the absorbing state 2 never sees the other class.
@@ -332,10 +336,10 @@ class TestStationary:
         scenario = make_scenario(interval_m=10.0, p1=0.4, p2=0.3, turn_on_fraction=0.62)
         tm = build_transition_matrix(scenario, 200)
         pi = stationary_distribution(tm)
-        assert float(np.abs(pi @ tm.matrix - pi).max()) < 1e-10
+        assert float(np.abs(pi @ dense_matrix(tm) - pi).max()) < 1e-10
         assert sum(pi) == pytest.approx(1.0, abs=1e-12)
         assert min(pi) >= 0
-        assert np.abs(pi - stationary_oracle(tm.matrix, 0)).max() <= 1e-8
+        assert np.abs(pi - stationary_oracle(dense_matrix(tm), 0)).max() <= 1e-8
 
 
 def _grid_chains(p_combos, granularities):
@@ -353,9 +357,16 @@ def _grid_chains(p_combos, granularities):
                         pass
 
 
+def _carries_no_dense_matrix(tm) -> bool:
+    """TransitionMatrix has no dense-matrix attribute, and none of `tm`'s
+    fields is an array: the chain is kept as its rows only."""
+    return not hasattr(TransitionMatrix, "matrix") and not any(
+        isinstance(value, np.ndarray) for value in vars(tm).values())
+
+
 class TestSolveFromRows:
     """The solver reads the rows: its bits are the dense solve's, a cycle
-    takes its closed form, and the dense matrix is never built."""
+    takes its closed form, and the chain carries no dense matrix."""
 
     def test_stochastic_chains_keep_the_dense_bits(self):
         parasitic = edit_scenario(load_scenario(PARASITIC_INI).scenario,
@@ -367,8 +378,8 @@ class TestSolveFromRows:
         for tm in chains:
             pi = stationary_distribution(tm)
             chain_metrics(pi, tm)
-            assert "matrix" not in tm.__dict__
-            want = reference_stationary(tm.matrix, 0)
+            assert _carries_no_dense_matrix(tm)
+            want = reference_stationary(dense_matrix(tm), 0)
             assert [p.hex() for p in pi] == [p.hex() for p in want.tolist()]
 
     def test_cycle_chains_take_one_over_their_length(self, monkeypatch):
@@ -380,10 +391,10 @@ class TestSolveFromRows:
                 patch.setitem(sys.modules, "numpy", None)   # any numpy import fails
                 pi = stationary_distribution(tm)
                 chain_metrics(pi, tm)
-            assert "matrix" not in tm.__dict__
+            assert _carries_no_dense_matrix(tm)
             cycle = [p for p in pi if p > 0.0]
             assert cycle == [1.0 / len(cycle)] * len(cycle)
-            want = reference_stationary(tm.matrix, 0).tolist()
+            want = reference_stationary(dense_matrix(tm), 0).tolist()
             assert all(abs(p - q) <= 2 * math.ulp(q) for p, q in zip(pi, want))
 
     @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (0.3, 0.5)])
@@ -397,7 +408,7 @@ class TestSolveFromRows:
         monkeypatch.setattr(markov, "build_transition_matrix", recording)
         result = solve_chain(make_scenario(interval_m=40.0, p1=p1, p2=p2), G)
         assert type(result.pi) is list and len(result.pi) == len(built[0].states)
-        assert "matrix" not in built[0].__dict__
+        assert _carries_no_dense_matrix(built[0])
 
 
 class TestChainMetrics:
@@ -630,7 +641,7 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
     assert tm.successors == ref.successors
     assert tm.rewards == ref.rewards
     assert dataclasses.asdict(tm.thresholds) == ref.thresholds
-    assert tm.matrix.tobytes() == ref.matrix.tobytes()
+    assert dense_matrix(tm).tobytes() == ref.matrix.tobytes()
     # Every sleep-out the reference took ends at the same float, and the
     # compiled steps clip like the reference's at the edges of the range.
     builder = _RowBuilder(scenario, g, tm.thresholds)

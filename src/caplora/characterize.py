@@ -6,8 +6,13 @@ unformatted values.  Formatting and CSV/JSON rendering live in the CLI.
 
 Every grid (the sweep, the accuracy study and the CLI's sizing tables) is
 one evaluate_grid call: the product of named axes around a base scenario,
-each cell built by edit_scenario and validated before any cell is
-measured, then one measure per cell, in a process pool only when jobs > 1.
+each cell built by edit_scenario's rules and validated before any cell
+is measured, then one measure per cell, in a process pool only when
+jobs > 1.  A grid builds each of its distinct parts once: cells with
+equal circuit edits (threshold, capacitance, power) share a circuit,
+cells with equal sf a radio, cells with equal (sf, ul_pl, dl_pl) a
+schedule, cells sharing circuit and schedule a phase table, and cells
+with equal edits one scenario.  The parts live for one call.
 Sweep and accuracy cells share one engine-pair measure, _measure: the
 simulator's mean ratios over the seeds, or the chain's metrics with the
 solve's wall time.  It raises InfeasibleScenario for a cell whose
@@ -51,9 +56,9 @@ DL_CASES = ("none", "rx1", "rx2")
 # -- scenario editing -------------------------------------------------------
 
 _WHOLE_EDITS = ("sf", "ul_pl", "dl_pl")
-_SCENARIO_EDITS = ("interval_m", "p1", "p2", "ul_pl", "dl_pl")
-_EDITS = frozenset(_WHOLE_EDITS + _SCENARIO_EDITS + ("threshold", "capacitance", "power"))
-_TRAFFIC_EDITS = frozenset(("interval_m", "p1", "p2"))
+_SCENARIO_EDITS = ("ul_pl", "dl_pl", "interval_m", "p1", "p2")
+_CIRCUIT_EDITS = ("threshold", "capacitance", "power")
+_EDITS = frozenset(_WHOLE_EDITS + _SCENARIO_EDITS + _CIRCUIT_EDITS)
 
 
 def _whole(name: str, value) -> int:
@@ -62,42 +67,101 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
+class _CellBuilder:
+    """Edited scenarios around one base, each distinct part built once and
+    shared as the module docstring says.  The base's own parts are the
+    first of each, so an edit to a value the base already has reuses them.
+    A part is validated when it is first built, in the order capacitor and
+    harvester, radio, circuit, scenario (p, then the interval bound on the
+    shared schedule), so each cell raises what it would raise built alone.
+    The memo lives as long as the builder: one evaluate_grid or
+    edit_scenario call.
+    """
+
+    def __init__(self, base: Scenario):
+        self.base = base
+        circuit_key = (None,) * len(_CIRCUIT_EDITS)
+        schedule_key = (base.radio.sf, base.ul_pl, base.dl_pl)
+        self.circuits = {circuit_key: base.circuit}
+        self.radios = {base.radio.sf: base.radio}
+        self.schedules = {schedule_key: base.schedule}
+        # The first scenario on each (circuit, schedule): the phase table's owner.
+        self.tables = {(circuit_key, schedule_key): base}
+        self.scenarios = {(circuit_key, base.radio.sf,
+                           *(getattr(base, name) for name in _SCENARIO_EDITS)): base}
+
+    def __call__(self, edits: Mapping[str, float]) -> Scenario:
+        unknown = sorted(set(edits) - _EDITS)
+        if unknown:
+            raise ScenarioError(f"unknown scenario edit {unknown[0]!r}")
+        new = {name: _whole(name, value) if name in _WHOLE_EDITS else float(value)
+               for name, value in edits.items()}
+        base = self.base
+        circuit_key = tuple(map(new.get, _CIRCUIT_EDITS))
+        circuit = self.circuits.get(circuit_key)
+        if circuit is None:
+            parts = self._circuit_parts(new)
+        sf = new.get("sf", base.radio.sf)
+        radio = self.radios.get(sf)
+        if radio is None:
+            radio = self.radios[sf] = dataclasses.replace(base.radio, sf=sf)
+        if circuit is None:
+            circuit = self.circuits[circuit_key] = dataclasses.replace(base.circuit, **parts)
+        fields = {name: new.get(name, getattr(base, name)) for name in _SCENARIO_EDITS}
+        schedule_key = (sf, fields["ul_pl"], fields["dl_pl"])
+        key = (circuit_key, sf, *fields.values())
+        scenario = self.scenarios.get(key)
+        if scenario is None:
+            shared = {}
+            if schedule_key in self.schedules:
+                shared["schedule"] = self.schedules[schedule_key]
+            owner = self.tables.get((circuit_key, schedule_key))
+            if owner is not None:
+                shared["phases"] = owner.phases
+            scenario = _seeded_scenario(dict(fields, circuit=circuit, radio=radio), shared)
+            self.scenarios[key] = scenario
+            self.schedules.setdefault(schedule_key, scenario.schedule)
+            self.tables.setdefault((circuit_key, schedule_key), scenario)
+        return scenario
+
+    def _circuit_parts(self, new: dict) -> dict:
+        """The base circuit's parts that the edits replace, capacitor and
+        harvester validated here."""
+        circuit = self.base.circuit
+        parts = {}
+        if "threshold" in new:
+            parts["thresholds"] = DeviceThresholds(circuit.v_min,
+                                                   new["threshold"] * circuit.operating_voltage)
+        if "capacitance" in new:
+            parts["capacitor"] = dataclasses.replace(circuit.capacitor,
+                                                     capacitance=new["capacitance"])
+        if "power" in new:
+            parts["harvester"] = dataclasses.replace(circuit.harvester, harvest_power=new["power"])
+        return parts
+
+
+def _seeded_scenario(fields: dict, shared: dict) -> Scenario:
+    """Scenario(**fields) with its `shared` cached parts (schedule, phases)
+    in place before __post_init__ validates it, so the interval bound is
+    checked on the shared schedule and none is compiled."""
+    scenario = object.__new__(Scenario)
+    scenario.__dict__.update(fields, **shared)
+    scenario.__post_init__()
+    return scenario
+
+
 def edit_scenario(scenario: Scenario, edits: Mapping[str, float]) -> Scenario:
     """Return the scenario with named quantities replaced, validated once.
 
     Names: threshold (turn-on fraction of E), capacitance (F), power (W),
     interval_m (s), p1, p2, and the whole numbers >= 1 sf, ul_pl and dl_pl.
     Raises ScenarioError for an unknown name or a value the scenario
-    cannot take.  Edits of interval_m, p1 and p2 alone share the source's
-    schedule and phase table, so a grid over them compiles it once.
+    cannot take.  The result is a grid of one cell: it shares each part
+    the edits leave as the source has it (circuit, radio, schedule and,
+    when both circuit and schedule are the source's, the phase table), and
+    it is the source itself when there are no edits.
     """
-    unknown = sorted(set(edits) - _EDITS)
-    if unknown:
-        raise ScenarioError(f"unknown scenario edit {unknown[0]!r}")
-    new = {name: _whole(name, value) if name in _WHOLE_EDITS else float(value)
-           for name, value in edits.items()}
-    circuit = scenario.circuit
-    parts = {}
-    if "threshold" in new:
-        parts["thresholds"] = DeviceThresholds(circuit.v_min,
-                                               new["threshold"] * circuit.operating_voltage)
-    if "capacitance" in new:
-        parts["capacitor"] = dataclasses.replace(circuit.capacitor, capacitance=new["capacitance"])
-    if "power" in new:
-        parts["harvester"] = dataclasses.replace(circuit.harvester, harvest_power=new["power"])
-    changes = {name: new[name] for name in _SCENARIO_EDITS if name in new}
-    if "sf" in new:
-        changes["radio"] = dataclasses.replace(scenario.radio, sf=new["sf"])
-    if parts:
-        changes["circuit"] = dataclasses.replace(circuit, **parts)
-    if not changes:
-        return scenario
-    edited = dataclasses.replace(scenario, **changes)
-    if changes.keys() <= _TRAFFIC_EDITS:
-        # Same circuit, radio and payloads: the edited scenario shares the
-        # source's schedule and phase table, compiled once.
-        edited.__dict__.update(schedule=scenario.schedule, phases=scenario.phases)
-    return edited
+    return _CellBuilder(scenario)(edits)
 
 
 # -- grid evaluation --------------------------------------------------------
@@ -129,17 +193,19 @@ def evaluate_grid(base: Scenario, axes: Sequence[tuple], measure: Callable[[Grid
     (default `granularity`); a later axis wins where two edit the same
     name.  Every cell is built and validated before any is measured, so
     an invalid value, or an axis without values, raises ScenarioError
-    before any work.  Results come back in grid order; with jobs > 1 the
-    cells run in a process pool of at most os.cpu_count() workers, and
-    `measure` must then be picklable.
+    before any work.  Each distinct circuit, radio, schedule, phase table
+    and scenario of the grid is built once and shared by its cells (see
+    the module docstring), and nothing is kept after the call.  Results come
+    back in grid order; with jobs > 1 the cells run in a process pool of
+    at most os.cpu_count() workers, and `measure` must then be picklable.
     """
-    cells = []
+    cells, build = [], _CellBuilder(base)
     for steps in itertools.product(*(_axis_steps(axis) for axis in axes)):
         edits = {}
         for _, step in steps:
             edits.update(step)
         g = _whole("granularity", edits.pop("granularity", granularity))
-        cells.append(GridCell(edit_scenario(base, edits), g, tuple(v for v, _ in steps)))
+        cells.append(GridCell(build(edits), g, tuple(v for v, _ in steps)))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ScenarioError
 
@@ -71,6 +71,8 @@ class DeviceState(str, Enum):
 
 
 _STATES = frozenset(DeviceState)
+# The states in declaration order, as a tuple: iterating the Enum is slower.
+_STATE_ORDER = tuple(DeviceState)
 
 
 def equivalent_resistance(r_load: float, r_i: float) -> float:
@@ -174,10 +176,11 @@ def time_constant(r_series: float, c: float, ratio: float) -> float:
     return r_series * c * ratio
 
 
-@dataclass(frozen=True)
-class _StateParams:
+class _StateParams(NamedTuple):
     """Precomputed per-state constants: the capacitor exponential and the
-    affine map from capacitor to load voltage.  Only tau depends on C."""
+    affine map from capacitor to load voltage.  Only tau depends on C.  A
+    NamedTuple, because every circuit builds six and a tuple is the
+    cheapest immutable record to build."""
 
     r_eq: float
     r_series: float   # R_eq + ESR
@@ -213,8 +216,8 @@ class CircuitConfig:
         e = self.harvester.operating_voltage
         c, esr, epr = self.capacitor.capacitance, self.capacitor.esr, self.capacitor.epr
         params = {}
-        for state in DeviceState:
-            r_eq = equivalent_resistance(self.loads.resistance(state), r_i)
+        for state in _STATE_ORDER:
+            r_eq = equivalent_resistance(getattr(self.loads, state), r_i)
             r_series = r_eq + esr
             ratio = 1.0 if math.isinf(epr) else epr / (epr + r_eq + esr)
             v_th = e * r_eq / r_i

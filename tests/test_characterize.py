@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caplora import characterize, defaults, simulator
+from caplora import characterize, cli, defaults, simulator
 from caplora.characterize import (
     accuracy_study,
     accuracy_summary,
@@ -18,7 +18,8 @@ from caplora.characterize import (
     wakeup_time,
 )
 from caplora.errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
-from caplora.energy import DeviceState
+from caplora.config import parse_scenario
+from caplora.energy import CircuitConfig, DeviceState
 from caplora.simulator import CycleCheck
 
 from conftest import make_circuit, make_scenario, rk4_capacitor
@@ -418,7 +419,7 @@ class TestThresholdSweep:
         # One case, granularity x four M: interval_m, p1 and p2 leave the
         # circuit, radio and payloads, so every cell shares the base
         # scenario's phase table, and the rows equal those of cells that
-        # compile their own.
+        # compile their own: one sweep per cell, around a base at its M.
         compiled = []
         phase_table = simulator.phase_table
 
@@ -427,12 +428,14 @@ class TestThresholdSweep:
             return phase_table(*args)
 
         monkeypatch.setattr(simulator, "phase_table", counted)
-        spec = dict(scenario=make_scenario(ul_pl=8, interval_m=40.0), axis="granularity",
-                    values=(100, 200), m_values=(5.0, 10.0, 35.0, 40.0), engine="chain")
-        rows = threshold_sweep(**spec)
+        granularities, m_values = (100, 200), (5.0, 10.0, 35.0, 40.0)
+        rows = threshold_sweep(make_scenario(ul_pl=8, interval_m=40.0), axis="granularity",
+                               values=granularities, m_values=m_values, engine="chain")
         assert len(rows) == 8 and len(compiled) == 1
-        monkeypatch.setattr(characterize, "_TRAFFIC_EDITS", frozenset())
-        assert threshold_sweep(**spec) == rows and len(compiled) == 1 + 8
+        own = [row for g in granularities for m in m_values
+               for row in threshold_sweep(make_scenario(ul_pl=8, interval_m=m),
+                                          axis="granularity", values=(g,), engine="chain")]
+        assert own == rows and len(compiled) == 1 + 8
 
     def test_only_traffic_edits_keep_the_phase_table(self):
         scenario = make_scenario(interval_m=9.0)
@@ -453,6 +456,191 @@ class TestThresholdSweep:
                             ("dl_pl", -1)):
             with pytest.raises(ScenarioError, match="whole numbers"):
                 evaluate_grid(scenario, [(axis, (value,))], lambda cell: cell)
+
+
+def _cell_edits(axes, cell) -> dict:
+    """The edits of one cell of a grid over plain (name, values) axes."""
+    return {name: value for (name, _), value in zip(axes, cell.point) if name != "granularity"}
+
+
+def _read_phases(cell):
+    cell.scenario.phases
+    return cell
+
+
+def _never_measured(cell):
+    raise AssertionError("a cell was measured before the grid was validated")
+
+
+def _bits(scenario):
+    """The scenario's schedule and phase constants as exact float hex."""
+    hexed = lambda x: x if x is None else float.hex(x)
+    schedule = tuple(map(hexed, dataclasses.astuple(scenario.schedule)))
+    phases = {slot: tuple(hexed(getattr(phase, name))
+                          for name in ("v_limit", "tau", "decay", "v_off", "v_guard"))
+              for slot, phase in scenario.phases.items()}
+    return schedule, phases
+
+
+class TestGridParts:
+    """A grid builds each distinct circuit, radio, schedule, phase table and
+    scenario once, and cells that share a part are the cells that would
+    build it equal."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"circuits": 0, "schedules": 0, "phase_tables": 0}
+        post_init = CircuitConfig.__post_init__
+
+        def circuit(self):
+            counts["circuits"] += 1
+            post_init(self)
+
+        def counted(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(CircuitConfig, "__post_init__", circuit)
+        monkeypatch.setattr(simulator, "class_a_schedule",
+                            counted("schedules", simulator.class_a_schedule))
+        monkeypatch.setattr(simulator, "phase_table",
+                            counted("phase_tables", simulator.phase_table))
+        return counts
+
+    # (base, axes, parts built, distinct (circuits, radios, schedules, scenarios)).
+    GRIDS = {
+        # The min-cap grid: 3 circuits, 6 radios and 6 schedules, of which
+        # the base's sf 7 one is already built, and 18 phase tables.
+        "sf x power": (dict(ul_pl=16, dl_pl=48, interval_m=600.0),
+                       [("sf", (7, 8, 9, 10, 11, 12)), ("power", (1e-3, 3e-3, 1e-2))],
+                       {"circuits": 3, "schedules": 5, "phase_tables": 18}, (3, 6, 6, 18)),
+        # Two intervals on each of 8 circuits: one schedule, 8 phase tables.
+        "threshold x capacitance x power x interval": (
+            dict(interval_m=40.0),
+            [("threshold", (0.6, 0.7)), ("capacitance", (4.7e-3, 1e-2)),
+             ("power", (1e-3, 1e-2)), ("interval_m", (9.0, 40.0))],
+            {"circuits": 8, "schedules": 0, "phase_tables": 8}, (8, 1, 1, 16)),
+        # A chain sweep over granularity x --m: the base's circuit, schedule
+        # and phase table, and one scenario per M, the base's own at 40 s.
+        "granularity x interval": (
+            dict(ul_pl=8, interval_m=40.0),
+            [("granularity", (100, 200)), ("interval_m", (9.0, 40.0, 60.0))],
+            {"circuits": 0, "schedules": 0, "phase_tables": 1}, (1, 1, 1, 3)),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_each_distinct_part_is_built_once(self, grid, built):
+        base_spec, axes, parts, distinct = self.GRIDS[grid]
+        base = make_scenario(**base_spec)
+        built.update(dict.fromkeys(built, 0))
+        cells = evaluate_grid(base, axes, _read_phases)
+        assert built == parts
+        scenarios = [cell.scenario for cell in cells]
+        assert tuple(len({id(getattr(s, part)) for s in scenarios})
+                     for part in ("circuit", "radio", "schedule")) == distinct[:3]
+        assert len({id(s) for s in scenarios}) == distinct[3]
+        assert len({id(s.phases) for s in scenarios}) == len(
+            {(id(s.circuit), id(s.schedule)) for s in scenarios})
+        for cell in cells:
+            alone = edit_scenario(base, _cell_edits(axes, cell))
+            assert cell.scenario == alone
+            assert _bits(cell.scenario) == _bits(alone)
+
+    def test_traffic_grid_compiles_no_schedule(self, built):
+        base = make_scenario(interval_m=40.0)
+        built.update(dict.fromkeys(built, 0))
+        cells = evaluate_grid(base, [("interval_m", (9.0, 12.0)), ("p1", (0.0, 0.5)),
+                                     ("p2", (0.0, 1.0))], _read_phases)
+        assert built == {"circuits": 0, "schedules": 0, "phase_tables": 1}
+        for cell in cells:
+            assert cell.scenario.schedule is base.schedule and cell.scenario.phases is base.phases
+
+    def test_nothing_outlives_one_call(self, built):
+        base = make_scenario(interval_m=600.0)
+        axes = [("sf", (7, 9)), ("power", (1e-3, 1e-2))]
+        built.update(dict.fromkeys(built, 0))
+        first = evaluate_grid(base, axes, _read_phases)
+        once = dict(built)
+        second = evaluate_grid(base, axes, _read_phases)
+        assert built == {part: 2 * count for part, count in once.items()}
+        assert all(a.scenario is not b.scenario and a.scenario.circuit is not b.scenario.circuit
+                   for a, b in zip(first, second))
+        assert edit_scenario(base, {"power": 1e-2}).circuit is not \
+            edit_scenario(base, {"power": 1e-2}).circuit
+
+
+# SF12's preamble overruns the 1 s gap before window 1 at this bandwidth.
+NARROW = "[radio]\nbw_hz = 31250\n"
+# The first ScenarioError of an edit (a dict) or a grid (a list of axes)
+# with several invalid values.  Each cell is validated in the order
+# capacitor and harvester, radio, circuit (thresholds and the charging
+# states), scenario (p and interval), and the grid in cell order.
+FIRST_ERRORS = {
+    "power after a valid one": (
+        "", [("power", (1e-3, -1.0))], "harvest power must be finite and > 0, got -1.0"),
+    "harvester before radio": (
+        "", {"sf": 13, "power": -1}, "harvest power must be finite and > 0, got -1.0"),
+    "capacitor before thresholds": (
+        "", {"threshold": 1.2, "capacitance": -1}, "capacitance must be finite and > 0, got -1.0"),
+    "capacitor in a later cell": (
+        "", [("threshold", (0.7, 1.2)), ("capacitance", (0.01, 0.0))],
+        "capacitance must be finite and > 0, got 0.0"),
+    "radio on a built circuit": (
+        "", [("power", (1e-3,)), ("sf", (7, 13))], "sf must be in 7..12, got 13"),
+    "radio before thresholds": ("", {"threshold": 1.2, "sf": 13}, "sf must be in 7..12, got 13"),
+    "thresholds": (
+        "", [("threshold", (0.7, 0.05))],
+        "thresholds must satisfy 0 < v_min < v_sl < E, got v_min=1.8, v_sl=0.165, E=3.3"),
+    "charging state": ("", [("capacitance", (0.02,)), ("power", (1e-3, 1e-5))],
+                       "off-state equilibrium voltage 1.1723 V is not above the turn-off "
+                       "threshold 1.8 V; the device could never sustain charge in that state"),
+    "p before interval": ("", {"p1": 2.0, "interval_m": 1.0},
+                          "p1/p2 must be probabilities, got 2.0, 0.0"),
+    "interval on a built schedule": (
+        "", [("power", (1e-3, 1e-2)), ("interval_m", (9.0, 1.0))],
+        "transmission interval 1.0 s must be finite and exceed the uplink/downlink "
+        "sequence bound 2.709888 s"),
+    "p before the schedule": (NARROW, {"sf": 12, "p1": 2.0},
+                              "p1/p2 must be probabilities, got 2.0, 0.0"),
+    "thresholds before the schedule": (
+        NARROW, {"sf": 12, "threshold": 1.2},
+        "thresholds must satisfy 0 < v_min < v_sl < E, got v_min=1.8, v_sl=3.9599999999999995, "
+        "E=3.3"),
+    "schedule": (NARROW, [("power", (1e-3,)), ("sf", (9, 12))],
+                 "first listening window (1.606 s) does not fit in the 1 s gap before window 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ERRORS))
+def test_first_error_of_an_invalid_grid(case):
+    text, edits, message = FIRST_ERRORS[case]
+    base = parse_scenario(text).scenario
+    with pytest.raises(ScenarioError) as raised:
+        if isinstance(edits, dict):
+            edit_scenario(base, edits)
+        else:
+            evaluate_grid(base, edits, _never_measured)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["min-cap", "--sf", "7,13", "--power", "0.001,-1"],
+     "harvest power must be finite and > 0, got -1.0"),
+    (["wakeup", "--thresholds", "0.7,1.2", "--capacitance", "0.01,0", "--power", "0.1"],
+     "thresholds must satisfy 0 < v_min < v_sl < E, got v_min=1.8, v_sl=3.9599999999999995, "
+     "E=3.3"),
+    (["min-interval", "--capacitance", "0.02", "--power", "0.001,0.00001"],
+     "off-state equilibrium voltage 1.1723 V is not above the turn-off threshold 1.8 V; the "
+     "device could never sustain charge in that state"),
+])
+def test_cli_reports_the_first_error_before_any_search(argv, message, capsys, monkeypatch):
+    for search in ("min_capacitance", "min_tx_interval", "wakeup_time"):
+        monkeypatch.setattr(cli, search, _never_measured)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 class TestSimulateMean:

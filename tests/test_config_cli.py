@@ -649,6 +649,14 @@ GOLDEN_CALLS = {
                              "--power", "0.1", "--thresholds", "0.56,0.7"],
     "min_cap_parasitic.csv": ["min-cap", "--scenario", PARASITIC, "--sf", "7,9,11",
                               "--ul-pl", "48", "--dl-pl", "48", "--dl-case", "rx2"],
+    # Grids whose cells mix radio and circuit edits, so that cells share
+    # some parts and not others.
+    "min_cap_grid.csv": ["min-cap", "--sf", "7,8,9,10,11,12", "--ul-pl", "16", "--dl-pl", "48",
+                         "--dl-case", "rx2", "--power", "0.001,0.003,0.01"],
+    "min_interval_grid.csv": ["min-interval", "--capacitance", "0.02,0.047,0.1",
+                              "--power", "0.001,0.003,0.01"],
+    "wakeup_grid.csv": ["wakeup", "--thresholds", "0.55:0.98:0.01", "--capacitance", "0.0047,1",
+                        "--power", "0.1,1"],
 }
 # Engines: the README simulate and chain examples, a small two-engine sweep
 # and a single-cycle trace.
@@ -660,6 +668,10 @@ ENGINE_GOLDEN_CALLS = {
     "trace_single_cycle.csv": ["trace", "--single-cycle", "--dl-case", "rx2"],
     "chain_parasitic_strict.csv": ["chain", "--scenario", PARASITIC, "--granularity", "750",
                                    "--m", "15", "--threshold", "0.7", "--strict-rx2"],
+    # A circuit axis crossed with an interval grid, on both engines.
+    "sweep_power_both.csv": ["sweep", "--axis", "power", "--values", "0.001,0.003,0.01",
+                             "--m", "9,40", "--engine", "both", "--n", "200", "--seeds", "1,2",
+                             "--granularity", "750"],
     # The README sweep example, and simulator threshold sweeps through the
     # stochastic and on/off regimes (every rx2 reception aborts at p2 > 0).
     "sweep_readme.csv": ["sweep", "--axis", "threshold", "--values", "0.55:0.98:0.01",

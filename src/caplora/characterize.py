@@ -27,10 +27,12 @@ min_capacitance asks only "does the cycle complete from the charging
 ceiling", bisected to 0.01 mF by default; a trial capacitance costs one
 trace-free pass over the check's table of C-independent phase constants,
 with each phase's tau formed from the trial value, and no circuit or
-phase is rebuilt.  min_tx_interval also needs the start voltage,
-bisected to 0.1 mV, and adds the Off phase's charge time to the cycle's
-durations.  wakeup_time is the Off phase's charge time to the circuit's
-wake target, the same helper the Markov chain wakes with.
+phase is rebuilt.  A search checks its start voltage and the ends of its
+bracket once; the trials between them run unchecked.  min_tx_interval
+also needs the start voltage, bisected to 0.1 mV, and adds the Off
+phase's charge time to the cycle's durations.  wakeup_time is the Off
+phase's charge time to the circuit's wake target, the same helper the
+Markov chain wakes with.
 """
 
 from __future__ import annotations
@@ -234,16 +236,21 @@ def required_cycle_voltage(scenario: Scenario, dl_case: str = "none") -> float |
 def _start_voltage(cycle: CycleCheck) -> float | None:
     """required_cycle_voltage over a compiled cycle check."""
     circuit = cycle.circuit
-    return _bisect(lambda v: cycle.run(v)[1], circuit.v_min, _ceiling_start(circuit),
-                   defaults.CYCLE_VOLTAGE_TOL_V)
+    c = circuit.capacitor.capacitance
+    return _bisect(lambda v: cycle.step(v, c)[1], circuit.v_min, _ceiling_start(circuit),
+                   defaults.CYCLE_VOLTAGE_TOL_V, cycle.check)
 
 
-def _bisect(holds: Callable[[float], bool], lo: float, hi: float,
-            tol: float) -> float | None:
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float,
+            check: Callable[[float], object]) -> float | None:
     """The least x in [lo, hi] where the monotone test `holds` is true, to
-    within tol from above: None when it fails at hi, lo when it holds there."""
+    within tol from above: None when it fails at hi, lo when it holds there.
+    `check` validates each end of the bracket just before it is tried; every
+    trial between two valid ends is valid, so `holds` need not check."""
+    check(hi)
     if not holds(hi):
         return None
+    check(lo)
     if holds(lo):
         return lo
     while hi - lo > tol:
@@ -268,7 +275,8 @@ def min_capacitance(scenario: Scenario, dl_case: str = "none",
     """
     cycle = CycleCheck(scenario.circuit, scenario.schedule, dl_case)
     v_start = _ceiling_start(scenario.circuit)  # the ceiling does not depend on C
-    c = _bisect(lambda c: cycle.run(v_start, c)[1], lo_f, hi_f, tol_f)
+    c = _bisect(lambda c: cycle.step(v_start, c)[1], lo_f, hi_f, tol_f,
+                lambda c: cycle.check(v_start, c))
     if c is None:
         raise NoFeasibleCapacitance(
             f"even {hi_f} F cannot complete the {dl_case} cycle at "

@@ -13,16 +13,20 @@ kind with a voltage level:
 
 Transitions step by slot through Scenario.phases, the compiled phase
 table the simulator walks, quantizing after every phase:
-level -> round(phase.after(level / g) * g).  Each chain compiles this
-level map once from the phases' affine constants: a timed slot steps
-min(max(round((offset + level / g * decay) * g), 0), v_max) with
+level -> round(phase.after(level / g) * g).  Each chain compiles its
+rows once (_RowBuilder) from the phases' affine constants: a timed slot
+steps min(max(round((offset + level / g * decay) * g), 0), v_max) with
 offset = v_limit * (1 - decay), and each downlink branch's final sleep
 takes the decay over what its cycle leaves of the interval.  These are
 Phase.after's float operations in its order, so the map is bit-identical
-to calling the phases; only the turn-off paths, whose recharge time
-depends on the level, call them per level.  Turn-off levels are the
-phases' v_off, the wake time is the Off phase's crossing.  Within
-SL1 the downlink branches read the event simulator's branch table,
+to calling the phases, and a row walks the slots inline; only the
+turn-off paths, whose recharge time depends on the level, call the
+phases per level.  Turn-off levels are the phases' v_off, the wake time
+is the Off phase's crossing.  The feasibility thresholds are read in
+closed form: a slot's step is monotone and affine before it rounds, so
+inverting it guesses the least surviving level, and a walk with the
+step itself from the guess finds the exact one.  Within SL1 the
+downlink branches read the event simulator's branch table,
 simulator._BRANCHES: their slots, and the SL1 fork path and the branch
 odds derived from it (simulator._PATH, Scenario.branch_odds).  A window
 always costs its preamble at the listening load, a detected downlink
@@ -37,12 +41,14 @@ the levels it steps, and every delivery metric is pi . r.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps it small, and is kept as its rows: each state's successors
-and their probabilities.  That start state may still reach more than
-one closed class; the long-run distribution then weighs each class's
-stationary vector by the probability of being absorbed into it from the
-start state.  The solver reads the rows: a closed class in which every
-state has one successor is a cycle, uniform in the long run, and only
-the other blocks are scattered into numpy for a linear solve.
+and their probabilities.  Rows name their successors as plain
+(kind, level) tuples; the search makes each state a ChainState once.
+That start state may still reach more than one closed class; the
+long-run distribution then weighs each class's stationary vector by the
+probability of being absorbed into it from the start state.  The solver
+reads the rows: a closed class in which every state has one successor
+is a cycle, uniform in the long run, and only the other blocks are
+scattered into numpy for a linear solve.
 
 numpy is imported only to solve a class that is not a single cycle or to
 weigh classes by absorption, so importing this module (and so caplora),
@@ -52,10 +58,8 @@ and building and solving a deterministic chain, leave it unloaded.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .energy import Phase, wake_time
@@ -96,17 +100,24 @@ def _check_granularity(g: int) -> None:
         raise ScenarioError(f"granularity must be an integer >= 1, got {g!r}")
 
 
+def _affine(phase: Phase, t: float | None = None) -> tuple[float, float]:
+    """The phase's level map as (offset, decay): v -> offset + v * decay,
+    offset = v_limit * (1 - decay), the float operations of Phase.after.  A
+    timed phase takes its own decay, a recharge phase the decay over the
+    elapsed t."""
+    decay = phase.decay if t is None else math.exp(-t / phase.tau)
+    return phase.v_limit * (1.0 - decay), decay
+
+
 def _level_step(phase: Phase, g: int, v_max: int, t: float | None = None) -> Callable[[int], int]:
     """The phase compiled into the chain's level map at a fixed time.
 
     level -> round(phase.after(level / g[, t]) * g), clipped to [0, v_max],
     walked as plain arithmetic on the phase's affine constants: the same
     float operations, in the same order, as Phase.after, so bit-identical
-    to it.  A timed phase takes its own decay, a recharge phase the decay
-    over the elapsed t.
+    to it.  The row builder inlines this expression.
     """
-    decay = phase.decay if t is None else math.exp(-t / phase.tau)
-    offset = phase.v_limit * (1.0 - decay)
+    offset, decay = _affine(phase, t)
 
     def step(level: int) -> int:
         nxt = round((offset + level / g * decay) * g)
@@ -114,11 +125,32 @@ def _level_step(phase: Phase, g: int, v_max: int, t: float | None = None) -> Cal
     return step
 
 
+def _least_level(phase: Phase, g: int, v_min: int, v_max: int, target: int) -> int:
+    """Least start level in [v_min, v_max] whose step through `phase` ends at
+    or above `target`, v_max + 1 if none.  The step is monotone and affine
+    before it rounds, so inverting offset + level / g * decay =
+    (target - 1/2) / g guesses the boundary, and walking the step itself
+    from the guess lands on it exactly."""
+    step = _level_step(phase, g, v_max)
+    offset, decay = _affine(phase)
+    if decay > 0.0:
+        guess = (target - 0.5 - offset * g) / decay
+    else:   # the phase forgets where it started: every level steps alike
+        guess = -math.inf if step(v_min) >= target else math.inf
+    level = math.ceil(max(v_min, min(guess, v_max + 1)))
+    while level > v_min and step(level - 1) >= target:
+        level -= 1
+    while level <= v_max and step(level) < target:
+        level += 1
+    return level
+
+
 def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     """Quantized feasibility thresholds for transmit and both receptions.
 
     A phase survives when its end level lies above the level of its
-    state's turn-off voltage.  Raises InfeasibleScenario when no level can
+    state's turn-off voltage; _least_level reads each least surviving
+    level in closed form.  Raises InfeasibleScenario when no level can
     fund a full transmission (the capacitor is simply too small); the
     reception thresholds use the sentinel v_max + 1 instead, because an
     unreceivable downlink still leaves a working uplink-only device.  The
@@ -131,10 +163,7 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
 
     def least(phase: Phase) -> int:
-        """Least start level surviving `phase`, v_max + 1 if none; bisected."""
-        step, target = _level_step(phase, g, v_max), v_off[phase.state] + 1
-        return v_min + bisect_left(range(v_min, v_max + 1), True,
-                                   key=lambda level: step(level) >= target)
+        return _least_level(phase, g, v_min, v_max, v_off[phase.state] + 1)
 
     tx = phases["tx"]
     v_tx = least(tx)
@@ -157,6 +186,9 @@ class Rewards(NamedTuple):
     pdl1: float = 0.0         # q_rx1 * [v1 >= v_rx1], v1 the level entering window 1
     pdl2: float = 0.0         # q_rx2 * [v2 >= Listen v_off], v2 entering window 2
     pdl2_strict: float = 0.0  # q_rx2 * [v2 >= v_rx2]; q_b is Scenario.branch_odds
+
+
+_LOST = Rewards(lost=1.0)
 
 
 @dataclass(frozen=True)
@@ -184,145 +216,151 @@ class TransitionMatrix:
 
 
 class _RowBuilder:
-    """Computes the outgoing distribution and the rewards of one chain state.
+    """One chain's rows, compiled: `row((kind, level))` is the state's
+    outgoing distribution, keyed by plain (kind, level) tuples, and its
+    Rewards.
 
-    The level map is compiled once per chain: a step per timed slot, and
-    per reachable branch (Scenario.branches) the sleep over what is left
-    of the interval after its cycle `ends`.  A detected branch's window,
-    the last two slots of simulator._BRANCHES, sits on the fork path at
-    its listening slot and opens when the slots before them end; times
-    are simulator._length of the slots on the schedule the phases were
-    compiled from.  Die paths recharge from a level-dependent time, so
-    they call the phases per level.
+    Every per-chain constant is bound once into `row`: each timed slot's
+    affine (offset, decay) in `steps`; per reachable branch
+    (Scenario.branches) the sleep-out over what is left of the interval
+    after its cycle `ends`, in `sleep_out`; per turn-off phase its state's
+    v_off level, the Off-state wake time from that v_off, its crossing and
+    its length; and the Off and Sleep phases' `after`.  A detected branch's
+    window, the last two slots of simulator._BRANCHES, sits on the fork
+    path at its listening slot and opens when the slots before them end;
+    times are simulator._length of the slots on the schedule the phases
+    were compiled from.  The SL1 row steps the fork path's timed slots
+    inline with _level_step's expression.  A turn-off recharges from a
+    level-dependent time, so it calls Phase.cross, Phase.after and
+    wake_time per row; a window that dies listening turns off once for
+    its detected and its silent mass.  The rewards are shared: one Rewards
+    per outcome of the gates.
     """
 
     def __init__(self, scenario: Scenario, g: int, thr: ThresholdLevels):
-        self.phases = phases = scenario.phases
-        self.m = scenario.interval_m
-        self.g = g
-        self.thr = thr
-        self.v_on = scenario.circuit.v_on
-        self.step = {phase: _level_step(phase, g, thr.v_max)
-                     for phase in phases.values() if phase.duration is not None}
-        # (step, window) per slot of the fork path; a window is (branch, listen, rx,
-        # rx's step, the level rx needs, listen's v_off level, its opening time, p).
-        self.path = []
+        phases, schedule, m = scenario.phases, scenario.schedule, scenario.interval_m
+        v_max, v_on, v_tx = thr.v_max, thr.v_on, thr.v_tx
+        off, wake_v = phases["off"], scenario.circuit.v_on
+        off_after, sleep_after = off.after, phases["sleep"].after
+        self.steps = steps = {phase: _affine(phase)
+                              for phase in phases.values() if phase.duration is not None}
+        self.ends = {branch: _length(schedule, _BRANCHES[branch].slots)
+                     for branch in scenario.branches}
+        self.sleep_out = sleep_out = {branch: _affine(phases["sleep"], m - end)
+                                      for branch, end in self.ends.items()}
+        def turn_off(phase: Phase) -> tuple:
+            # A turn-off in the phase leaves the capacitor at its state's
+            # v_off: that level, its Off-state recharge time to the wake
+            # target (inf if v_on is unreachable), the crossing and the length.
+            return (thr.v_off[phase.state], wake_time(off, phase.v_off, wake_v), phase.cross,
+                    phase.duration)
+
+        # (offset, decay, window) per slot of the fork path; a window is (p,
+        # its opening time, listen's and rx's turn-offs, listen's length,
+        # rx's step, the level rx needs, listen's v_off level, the branch's
+        # sleep-out).
+        path = []
         for slot, branch in _PATH:
             window = None
             if branch is not None:
                 (*lead, listen, rx), odds = _BRANCHES[branch].slots, _BRANCHES[branch].odds
-                window = (branch, phases[listen], phases[rx], self.step[phases[rx]],
-                          getattr(thr, f"v_{branch}"), thr.v_off[phases[listen].state],
-                          _length(scenario.schedule, tuple(lead)), getattr(scenario, odds))
-            self.path.append((self.step[phases[slot]], window))
-        self.q1, self.q2 = (scenario.branch_odds[b][0] for _, b in _PATH if b)
-        self.ends = {branch: _length(scenario.schedule, _BRANCHES[branch].slots)
-                     for branch in scenario.branches}
-        self.sleep_out = {branch: _level_step(phases["sleep"], g, thr.v_max, self.m - end)
-                          for branch, end in self.ends.items()}
-        # A turn-off in each state leaves the capacitor at that state's
-        # v_off: its level and its Off-state recharge time to the wake
-        # target, constants of the circuit (inf if v_on is unreachable).
-        self.off_start = {phase.state: (thr.v_off[phase.state], self._wake_time(phase.v_off))
-                          for phase in map(phases.get, ("tx", "listen1", "rx1"))}
+                listen, rx = phases[listen], phases[rx]
+                window = (getattr(scenario, odds), _length(schedule, tuple(lead)),
+                          turn_off(listen), turn_off(rx), listen.duration, steps[rx],
+                          getattr(thr, f"v_{branch}"), thr.v_off[listen.state],
+                          sleep_out.get(branch))
+            path.append((*steps[phases[slot]], window))
+        tx, quiet = turn_off(phases["tx"]), sleep_out.get("silent")
+        v_rx1, v_rx2, v_listen = thr.v_rx1, thr.v_rx2, thr.v_off[phases["listen1"].state]
+        q1, q2 = (scenario.branch_odds[b][0] for _, b in _PATH if b)
+        rewarded = {(a, b, c): Rewards(0.0, q1 if a else 0.0, q2 if b else 0.0, q2 if c else 0.0)
+                    for a, b, c in product((False, True), repeat=3)}
 
-    def _wake_time(self, v: float) -> float:
-        """Off-state charge time from capacitor voltage v to the wake target."""
-        return wake_time(self.phases["off"], v, self.v_on)
+        def recharge(level: int, t_wake: float, remaining: float) -> tuple[str, int]:
+            """Charge Off from `level`, wake after t_wake, sleep out `remaining`."""
+            if t_wake >= remaining:
+                nxt = round(off_after(level / g, remaining) * g)
+                nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+                return OFF, nxt if nxt < v_on else v_on - 1
+            nxt = round(sleep_after((level if level > v_on else v_on) / g, remaining - t_wake) * g)
+            nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+            return SL1 if nxt >= v_tx else SL0, nxt
 
-    def _level(self, v: float) -> int:
-        level, v_max = level_of(v, self.g), self.thr.v_max
-        return 0 if level < 0 else v_max if level > v_max else level
+        def die(phase: tuple, level: int, t_base: float, t_lead: float = 0.0) -> tuple[str, int]:
+            """Turn off in the timed phase (a turn_off tuple), entered at
+            `level` at t_base + t_lead, and recharge for the rest of the
+            interval.
 
-    def _sleep_kind(self, level: int) -> str:
-        return SL1 if level >= self.thr.v_tx else SL0
+            The device turns off at the continuous v_off crossing, capped at
+            the phase length (the cap covers quantization edges where the
+            rounded end level says "died" but the trajectory grazes just above
+            v_off), and the capacitor stays at v_off.  A phase entered below
+            the level of v_off turns off at once, with the capacitor where it
+            was.
+            """
+            off_level, t_wake, cross, duration = phase
+            if level < off_level:
+                t, off_level, t_wake = 0.0, level, wake_time(off, level / g, wake_v)
+            else:
+                t = min(cross(level / g), duration)
+            return recharge(off_level, t_wake, m - (t_base + (t_lead + t)))
 
-    def _to_sleep(self, branch: str, level: int) -> ChainState:
-        """Finish the branch's cycle asleep and advance to the next instant."""
-        nxt = self.sleep_out[branch](level)
-        return ChainState(self._sleep_kind(nxt), nxt)
+        def row(state: tuple[str, int]) -> tuple[dict[tuple[str, int], float], Rewards]:
+            kind, level = state
+            if kind == OFF:
+                return {recharge(level, wake_time(off, level / g, wake_v), m): 1.0}, _LOST
+            if kind == SL0:   # the uplink starts but runs out of energy mid-air
+                return {die(tx, level, 0.0): 1.0}, _LOST
+            # SL1: the uplink completes, then the fork path's receive windows.  A
+            # window, reached with probability `reach`, opens only when the
+            # earlier ones stayed silent and the device is still on.  It adds its
+            # detected branch, and the silent one if the device dies listening.
+            dests: dict[tuple[str, int], float] = {}
+            reach, opened = 1.0, []
+            for offset, decay, window in path:
+                end = round((offset + level / g * decay) * g)
+                end = 0 if end < 0 else v_max if end > v_max else end
+                if window is not None:
+                    p, t, listen, rx, t_listen, (rx_offset, rx_decay), v_rx, v_off, out = window
+                    opened.append(level)
+                    detected, reach = reach * p, reach * (1.0 - p)
+                    if end <= v_off:   # died listening
+                        if detected > 0.0 or reach > 0.0:
+                            dest = die(listen, level, t)
+                            if detected > 0.0:
+                                dests[dest] = dests.get(dest, 0.0) + detected
+                            if reach > 0.0:
+                                dests[dest] = dests.get(dest, 0.0) + reach
+                        reach = 0.0
+                    elif detected > 0.0:
+                        if end >= v_rx:   # received: sleep out the branch's cycle
+                            nxt = round((rx_offset + end / g * rx_decay) * g)
+                            nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+                            nxt = round((out[0] + nxt / g * out[1]) * g)
+                            nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+                            dest = (SL1 if nxt >= v_tx else SL0, nxt)
+                        else:
+                            dest = die(rx, end, t, t_listen)
+                        dests[dest] = dests.get(dest, 0.0) + detected
+                level = end
+            if reach > 0.0:
+                nxt = round((quiet[0] + level / g * quiet[1]) * g)
+                nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+                dest = (SL1 if nxt >= v_tx else SL0, nxt)
+                dests[dest] = dests.get(dest, 0.0) + reach
+            v1, v2 = opened   # the levels entering windows 1 and 2
+            return dests, rewarded[v1 >= v_rx1, v2 >= v_listen, v2 >= v_rx2]
 
-    def _recharge(self, level: int, t_wake: float, remaining: float) -> ChainState:
-        """Charge Off from `level`, wake after t_wake, sleep out `remaining`."""
-        if t_wake >= remaining:
-            nxt = self._level(self.phases["off"].after(level / self.g, remaining))
-            return ChainState(OFF, min(nxt, self.thr.v_on - 1))
-        nxt = self._level(self.phases["sleep"].after(max(level, self.thr.v_on) / self.g,
-                                                     remaining - t_wake))
-        return ChainState(self._sleep_kind(nxt), nxt)
-
-    def _die(self, phase: Phase, level: int, t_base: float, t_lead: float = 0.0) -> ChainState:
-        """Turn off in the timed `phase`, entered at `level` at t_base + t_lead,
-        and recharge for the rest of the interval.
-
-        The device turns off at the continuous v_off crossing, capped at the
-        phase length (the cap covers quantization edges where the rounded
-        end level says "died" but the trajectory grazes just above v_off),
-        and the capacitor stays at v_off.  A phase entered below the level
-        of v_off turns off at once, with the capacitor where it was.
-        """
-        off_level, t_wake = self.off_start[phase.state]
-        if level < off_level:
-            t, off_level, t_wake = 0.0, level, self._wake_time(level / self.g)
-        else:
-            t = min(phase.cross(level / self.g), phase.duration)
-        return self._recharge(off_level, t_wake, self.m - (t_base + (t_lead + t)))
-
-    def row(self, state: ChainState) -> tuple[dict[ChainState, float], Rewards]:
-        """The state's outgoing distribution and its rewards."""
-        thr, phases = self.thr, self.phases
-        dests: dict[ChainState, float] = {}
-
-        def add(dest: ChainState, prob: float) -> None:
-            if prob > 0.0:
-                dests[dest] = dests.get(dest, 0.0) + prob
-
-        if state.kind == OFF:
-            add(self._recharge(state.level, self._wake_time(state.level / self.g), self.m), 1.0)
-            return dests, Rewards(lost=1.0)
-
-        if state.kind == SL0:
-            # The uplink starts but runs out of energy mid-air.
-            add(self._die(phases["tx"], state.level, 0.0), 1.0)
-            return dests, Rewards(lost=1.0)
-
-        # SL1: the uplink completes, then the fork path's receive windows.  A
-        # window, reached with probability `reach`, opens only when the earlier
-        # ones stayed silent and the device is still on.  It adds its detected
-        # branch, and the silent one if the device dies listening.
-        level, reach, opened = state.level, 1.0, []
-        for step, window in self.path:
-            end = step(level)
-            if window is not None:
-                branch, listen, rx, rx_step, v_rx, v_off, t, p = window
-                opened.append(level)
-                died = end <= v_off
-                detected, reach = reach * p, reach * (1.0 - p)
-                if detected > 0.0:
-                    if died:
-                        add(self._die(listen, level, t), detected)
-                    elif end >= v_rx:
-                        add(self._to_sleep(branch, rx_step(end)), detected)
-                    else:
-                        add(self._die(rx, end, t, listen.duration), detected)
-                if died:
-                    if reach > 0.0:
-                        add(self._die(listen, level, t), reach)
-                    reach = 0.0
-            level = end
-        if reach > 0.0:
-            add(self._to_sleep("silent", level), reach)
-        v1, v2 = opened   # the levels entering windows 1 and 2
-        return dests, Rewards(pdl1=self.q1 if v1 >= thr.v_rx1 else 0.0,
-                              pdl2=self.q2 if v2 >= thr.v_off[phases["listen1"].state] else 0.0,
-                              pdl2_strict=self.q2 if v2 >= thr.v_rx2 else 0.0)
+        self.row = row
 
 
 def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
     """Build the chain over every state reachable from (OFF, level(v_min)).
 
     A breadth-first search numbers each state as a row first emits it and
-    records the row's successors and probabilities in the same pass.
+    records the row's successors and probabilities in the same pass.  Rows
+    emit plain (kind, level) tuples, which hash and compare equal to
+    ChainState; each state is made a ChainState once, when it is found.
     """
     thr = threshold_levels(scenario, g)
     row = _RowBuilder(scenario, g, thr).row
@@ -336,10 +374,12 @@ def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
         dests, reward = row(state)
         cols = []
         for dest in dests:
-            if dest not in index:
-                index[dest] = len(states)
-                states.append(dest)
-            cols.append(index[dest])
+            j = index.get(dest)
+            if j is None:
+                found = ChainState(*dest)
+                j = index[found] = len(states)
+                states.append(found)
+            cols.append(j)
         successors.append(tuple(cols))
         probabilities.append(tuple(dests.values()))
         rewards.append(reward)
@@ -486,11 +526,12 @@ def chain_metrics(pi: list[float], tm: TransitionMatrix,
     Rewards, summed left to right in state order; pdr is one minus the lost
     mass.  strict_rx2_threshold gates pdl2 on v_rx2, the least level whose
     rx2 packet ends above the turn-off level."""
-    def expect(metric: str) -> float:
-        return reduce(add, (p * getattr(r, metric) for p, r in zip(pi, tm.rewards)), 0.0)
-
-    return ChainResult(pi=pi, states=tm.states, pdr=1.0 - expect("lost"), pdl1=expect("pdl1"),
-                       pdl2=expect("pdl2_strict" if strict_rx2_threshold else "pdl2"))
+    lost = pdl1 = pdl2 = 0.0
+    for p, (r_lost, r_pdl1, r_pdl2, r_strict) in zip(pi, tm.rewards):
+        lost += p * r_lost
+        pdl1 += p * r_pdl1
+        pdl2 += p * (r_strict if strict_rx2_threshold else r_pdl2)
+    return ChainResult(pi=pi, states=tm.states, pdr=1.0 - lost, pdl1=pdl1, pdl2=pdl2)
 
 
 def solve_chain(scenario: Scenario, g: int) -> ChainResult:

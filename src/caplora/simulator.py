@@ -654,9 +654,10 @@ class CycleCheck:
     place of the second listening window, 'none' listens through both;
     `phases` lists the cycle's (state, duration) pairs in order.  Each
     step keeps the C-independent constants of its state (see the module
-    docstring); run() forms tau with energy.time_constant and applies
-    _Walk.phase's rule through energy's _off_time and _step, so it gives
-    single_cycle_trace's final voltage and completed flag bit for bit.
+    docstring); run() checks its inputs and step() forms tau with
+    energy.time_constant and applies _Walk.phase's rule through energy's
+    _off_time and _step, so it gives single_cycle_trace's final voltage and
+    completed flag bit for bit.
     """
 
     __slots__ = ("circuit", "phases", "_steps")
@@ -673,10 +674,19 @@ class CycleCheck:
         circuit's capacitor, or one of `capacitance` farads with the same
         ESR and EPR; completed is False when the capacitor touched the
         turn-off voltage anywhere in the cycle."""
+        return self.step(v_start, self.check(v_start, capacitance))
+
+    def check(self, v_start: float, capacitance: float | None = None) -> float:
+        """Validate run's inputs, in run's order; the capacitance it takes."""
         _check_start(self.circuit, v_start)
         c = self.circuit.capacitor.capacitance if capacitance is None else capacitance
         if not 0 < c < math.inf:
             raise ScenarioError(f"capacitance must be finite and > 0, got {c}")
+        return c
+
+    def step(self, v_start: float, c: float) -> tuple[float, bool]:
+        """run at capacitance c without its checks, for a search whose
+        bracket ends passed them: every trial between them is valid too."""
         v = v_start
         for duration, r_series, ratio, v_limit, v_off, v_guard in self._steps:
             tau = time_constant(r_series, c, ratio)

@@ -122,6 +122,44 @@ class TestMinCapacitance:
         with pytest.raises(InfeasibleScenario):
             min_capacitance(scenario, "rx2", hi_f=2e-3)
 
+    def test_each_search_checks_its_bracket_once(self, monkeypatch):
+        # The start voltage and the two ends of the bracket are checked once
+        # per search, in the order the trials reach them; the trials run
+        # unchecked, and never through run().
+        checked, check = [], CycleCheck.check
+
+        def counted(cycle, *args):
+            checked.append(args)
+            return check(cycle, *args)
+
+        def no_run(*args):
+            raise AssertionError("a search trial went through CycleCheck.run")
+
+        monkeypatch.setattr(CycleCheck, "check", counted)
+        monkeypatch.setattr(CycleCheck, "run", no_run)
+        scenario = make_scenario(sf=7, ul_pl=48, dl_pl=1, c_farads=20e-3, interval_m=60.0)
+        circuit = scenario.circuit
+        ceiling = circuit.charge_ceiling() - 1e-9
+        assert min_capacitance(scenario, "rx2") > 0.0
+        assert checked == [(ceiling, defaults.CAPACITANCE_SEARCH_HI_F),
+                           (ceiling, defaults.CAPACITANCE_SEARCH_LO_F)]
+        checked.clear()
+        assert min_tx_interval(scenario, "rx2") > 0.0
+        assert checked == [(ceiling,), (circuit.v_min,)]
+
+    @pytest.mark.parametrize("bracket,error,message", [
+        ({"lo_f": 0.0}, ScenarioError, "capacitance must be finite and > 0, got 0.0"),
+        ({"hi_f": math.inf}, ScenarioError, "capacitance must be finite and > 0, got inf"),
+        ({"hi_f": -1.0, "lo_f": math.nan}, ScenarioError,
+         "capacitance must be finite and > 0, got -1.0"),
+        # The upper end fails before the lower end is tried, as it always did.
+        ({"hi_f": 2e-3, "lo_f": math.nan}, NoFeasibleCapacitance, "even 0.002 F cannot"),
+    ])
+    def test_an_invalid_bracket_fails_as_its_first_trial_would(self, bracket, error, message):
+        scenario = make_scenario(sf=7, ul_pl=48, dl_pl=48, interval_m=60.0)
+        with pytest.raises(error, match=message):
+            min_capacitance(scenario, "rx2", **bracket)
+
 
 def reference_min_capacitance(scenario, dl_case,
                               lo_f=defaults.CAPACITANCE_SEARCH_LO_F,

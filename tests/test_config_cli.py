@@ -692,6 +692,12 @@ ENGINE_GOLDEN_CALLS = {
                                             str(GOLDEN / "parasitic_quiet.ini"), "--axis",
                                             "threshold", "--values", "0.55:0.98:0.01",
                                             "--m", "9,40", "--engine", "simulator"],
+    # Chain granularity sweeps at p = (0.5, 0.5) with 8 B uplinks: stochastic
+    # chains whose listening windows turn the device off, up to 665 states.
+    "sweep_granularity_stochastic.csv": ["sweep", "--scenario",
+                                         str(GOLDEN / "stochastic_even.ini"), "--axis",
+                                         "granularity", "--values", "750,2000,5000",
+                                         "--m", "5,10,35,40", "--engine", "chain"],
 }
 
 

@@ -21,6 +21,7 @@ from caplora.markov import (
     Rewards,
     ThresholdLevels,
     TransitionMatrix,
+    _least_level,
     _level_step,
     _RowBuilder,
     build_transition_matrix,
@@ -143,6 +144,72 @@ class TestThresholdLevels:
         assert thr.v_min < thr.v_on <= thr.v_max
         assert thr.v_min < thr.v_tx <= thr.v_max
         assert thr.v_rx2 >= thr.v_rx1  # window 2 is never cheaper
+
+
+def _scanned_threshold(phase, g, v_min, v_max):
+    """The least level in [v_min, v_max] whose Phase.after end, rounded and
+    clipped, lies above the level of the phase's v_off; v_max + 1 if none.
+    Every level is tried from v_min up."""
+    target = level_of(phase.v_off, g) + 1
+    return next((level for level in range(v_min, v_max + 1)
+                 if min(max(level_of(phase.after(level / g), g), 0), v_max) >= target),
+                v_max + 1)
+
+
+# (v_limit, decay, g, target) of steps whose inverted guess misses the least
+# level: a tie that rounds to the even level below the target (the walk goes
+# up), and offsets a few ulps off a tie whose inverse lands above the level
+# (the walk goes down).  Decay 0 steps every level to one end level.
+MISSED_GUESSES = [(2.0, 0.75, 750, 2063), (1.1737539689026355, 0.394853371536401, 1, 2),
+                  (-1.9154465831380607, 0.8302894778275844, 7, 14),
+                  (3.0782657354518954, 0.15749409514016244, 2000, 5764),
+                  (2.39630280097315, 0.24906402871352118, 750, 1710),
+                  (3.0, 0.0, 750, 2000), (3.0, 0.0, 750, 2300)]
+
+
+@pytest.mark.parametrize("v_limit,decay,g,target", MISSED_GUESSES)
+def test_least_level_walks_to_the_scanned_level(v_limit, decay, g, target):
+    phase = dataclasses.replace(compile_phase(make_circuit(), DeviceState.TX, 0.05),
+                                v_limit=v_limit, decay=decay)
+    v_min, v_max = level_of(1.8, g), level_of(3.3, g)
+    step = _level_step(phase, g, v_max)
+    want = next((level for level in range(v_min, v_max + 1) if step(level) >= target),
+                v_max + 1)
+    assert _least_level(phase, g, v_min, v_max, target) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacitor=st.sampled_from(({}, {"esr": 20.0}, {"esr": 20.0, "epr": 50e3})),
+       frame=st.sampled_from(((7, 16, 1), (7, 8, 1), (9, 48, 1), (12, 16, 51))),
+       c_farads=st.sampled_from([0.1e-3, 1e-3, 4.7e-3, 47e-3]),
+       power_w=st.sampled_from([1e-3, 1e-2]), threshold=st.sampled_from([0.56, 0.7, 0.9]),
+       g=st.integers(1, 20_000))
+# The sentinel: window 2's packet drains 1 mF at every level, window 1's does not.
+@example(capacitor={}, frame=(7, 16, 1), c_farads=1e-3, power_w=1e-3, threshold=0.7, g=50)
+# No level funds the uplink: InfeasibleScenario.
+@example(capacitor={}, frame=(7, 16, 1), c_farads=0.1e-3, power_w=1e-3, threshold=0.7, g=50)
+@example(capacitor={"esr": 20.0, "epr": 50e3}, frame=(7, 8, 1), c_farads=4.7e-3, power_w=1e-3,
+         threshold=0.7, g=20_000)
+@example(capacitor={}, frame=(7, 16, 1), c_farads=4.7e-3, power_w=1e-3, threshold=0.7, g=1)
+def test_threshold_levels_are_the_scanned_levels(capacitor, frame, c_farads, power_w, threshold,
+                                                 g):
+    sf, ul_pl, dl_pl = frame
+    scenario = _parasitic(make_scenario(sf=sf, ul_pl=ul_pl, dl_pl=dl_pl, c_farads=c_farads,
+                                        power_w=power_w, interval_m=300.0),
+                          threshold=threshold, **capacitor)
+    circuit, phases = scenario.circuit, scenario.phases
+    v_min, v_max = level_of(circuit.v_min, g), level_of(circuit.operating_voltage, g)
+    v_tx, v_rx1, v_rx2 = (_scanned_threshold(phases[slot], g, v_min, v_max)
+                          for slot in ("tx", "rx1", "rx2"))
+    if v_tx > v_max:
+        with pytest.raises(InfeasibleScenario):
+            threshold_levels(scenario, g)
+        return
+    thr = threshold_levels(scenario, g)
+    assert (thr.v_min, thr.v_max, thr.v_tx, thr.v_rx1, thr.v_rx2) == \
+        (v_min, v_max, v_tx, v_rx1, v_rx2)
+    assert thr.v_on == level_of(circuit.v_on, g)
+    assert thr.v_off == {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
 
 
 class TestTransitionMatrix:
@@ -471,9 +538,9 @@ class TestParasiticEdgeCases:
         # out the whole interval from that level.
         scenario, thr, builder = self._builder()
         level = thr.v_off[DeviceState.TX] - 20
-        (dest, prob), = builder.row(ChainState(SL0, level))[0].items()
+        ((_, got), prob), = builder.row(ChainState(SL0, level))[0].items()
         assert prob == 1.0
-        assert dest.level == self._sleep_from(scenario, level, 9.0)
+        assert got == self._sleep_from(scenario, level, 9.0)
 
     def test_turn_off_above_wake_target_wakes_at_once(self):
         # A mid-air turn-off leaves the capacitor at the Tx v_off, above
@@ -483,8 +550,8 @@ class TestParasiticEdgeCases:
         v_off = scenario.circuit.state_params(DeviceState.TX).v_off
         t_abort = time_to_voltage(scenario.circuit, DeviceState.TX, level / G, v_off)
         assert 0.0 < t_abort < scenario.schedule.t_tx
-        (dest, _), = builder.row(ChainState(SL0, level))[0].items()
-        assert dest.level == self._sleep_from(scenario, thr.v_off[DeviceState.TX], 9.0 - t_abort)
+        ((_, got), _), = builder.row(ChainState(SL0, level))[0].items()
+        assert got == self._sleep_from(scenario, thr.v_off[DeviceState.TX], 9.0 - t_abort)
 
 
     def test_listen_turns_off_at_its_own_level(self):
@@ -511,8 +578,8 @@ class TestParasiticEdgeCases:
                  + time_to_voltage(circuit, DeviceState.LISTEN, v2 / G, v_off))
         t_wake = time_to_voltage(circuit, DeviceState.OFF, v_off, circuit.v_on)
         want = self._sleep_from(scenario, thr.v_on, 9.0 - t_off - t_wake)
-        (dest, _), = builder.row(ChainState(SL1, level))[0].items()
-        assert abs(dest.level - want) <= 1
+        ((_, got), _), = builder.row(ChainState(SL1, level))[0].items()
+        assert abs(got - want) <= 1
 
 
 def _pdl_oracle(scenario, g, tm, pi, strict):
@@ -621,6 +688,12 @@ ORACLE_FRAMES = ((7, 16, 1), (7, 16, 20), (7, 16, 36), (12, 16, 41))
          c_farads=15e-3, m=40.0)
 @example(capacitor={}, frame=(7, 16, 36), p=(0.3, 0.5), g=50, threshold=0.9,
          c_farads=15e-3, m=20.0)
+# The heaviest chain_grid cells of the benchmark: case A at p = (0.5, 0.5)
+# (665 states) and case D at p = (0.3, 0.7), both at g = 5000.
+@example(capacitor={}, frame=(7, 8, 1), p=(0.5, 0.5), g=5000, threshold=0.7,
+         c_farads=4.7e-3, m=35.0)
+@example(capacitor={}, frame=(7, 16, 1), p=(0.3, 0.7), g=5000, threshold=0.7,
+         c_farads=4.7e-3, m=40.0)
 def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, threshold, c_farads,
                                                    m):
     sf, ul_pl, dl_pl = frame
@@ -643,17 +716,25 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
     assert dataclasses.asdict(tm.thresholds) == ref.thresholds
     assert dense_matrix(tm).tobytes() == ref.matrix.tobytes()
     # Every sleep-out the reference took ends at the same float, and the
-    # compiled steps clip like the reference's at the edges of the range.
+    # compiled (offset, decay) of each step, walked as the row walks it,
+    # clips like the reference's at the edges of the range.
     builder = _RowBuilder(scenario, g, tm.thresholds)
     assert {branch: builder.ends[branch] for branch in ref.ends} == ref.ends
-    edges = (-1, 0, tm.thresholds.v_max, tm.thresholds.v_max + 1)
-    for phase, step in builder.step.items():
-        assert [step(level) for level in edges] == [ref.step(phase, level) for level in edges]
+    v_max = tm.thresholds.v_max
+    edges = (-1, 0, v_max, v_max + 1)
+
+    def compiled(affine, level):
+        offset, decay = affine
+        return min(max(round((offset + level / g * decay) * g), 0), v_max)
+
+    for phase, affine in builder.steps.items():
+        assert [compiled(affine, level) for level in edges] == \
+            [ref.step(phase, level) for level in edges]
     sleep = scenario.phases["sleep"]
-    for branch, step in builder.sleep_out.items():
+    for branch, affine in builder.sleep_out.items():
         want = [ref.step(sleep, level, scenario.interval_m - builder.ends[branch])
                 for level in edges]
-        assert [step(level) for level in edges] == want
+        assert [compiled(affine, level) for level in edges] == want
 
 
 def test_the_window_2_cycle_fills_the_least_admitted_interval():

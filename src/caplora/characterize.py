@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from . import defaults
 from .energy import CircuitConfig, DeviceState, DeviceThresholds, compile_phase, wake_time
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
-from .markov import solve_chain
+from .markov import _check_granularity, solve_chain
 from .simulator import CycleCheck, Scenario, _cycle, _length, run_seeds
 
 DL_CASES = ("none", "rx1", "rx2")
@@ -207,6 +207,7 @@ def evaluate_grid(base: Scenario, axes: Sequence[tuple], measure: Callable[[Grid
         for _, step in steps:
             edits.update(step)
         g = _whole("granularity", edits.pop("granularity", granularity))
+        _check_granularity(g, base.circuit.operating_voltage)   # E is no grid axis
         cells.append(GridCell(build(edits), g, tuple(v for v, _ in steps)))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -165,8 +165,6 @@ OPTIONS = {
               ("--granularity", dict(type=_positive_int)),
               ("--m", dict(type=float)),
               ("--threshold", dict(type=float)),
-              ("--strict-rx2", dict(action="store_true",
-                                    help="gate pdl2 on the window-2 reception threshold")),
               ("--dump-matrix", dict(help="also write the transition matrix here"))),
     "sweep": (_SCENARIO, *_OUTPUT,
               ("--axis", dict(required=True, choices=("threshold", "interval_m", "capacitance",
@@ -408,7 +406,7 @@ def _cmd_chain(args) -> int:
     if args.dump_matrix:
         _write(args.dump_matrix, "src_kind,src_level,dst_kind,dst_level,prob\n"
                + "".join(line + "\n" for line in tm.coordinate_lines()))
-    result = chain_metrics(stationary_distribution(tm), tm, strict_rx2_threshold=args.strict_rx2)
+    result = chain_metrics(stationary_distribution(tm), tm)
     _emit(args, "chain", [{
         "granularity": loaded.granularity, "m_s": scenario.interval_m,
         "threshold": scenario.circuit.v_sl / scenario.circuit.operating_voltage,

@@ -36,8 +36,9 @@ state's v_off, recharging for whatever remains of the interval.
 Scenario keeps the interval above simulator.min_interval_bound, which
 covers each reachable branch, so every branch's cycle ends within it.
 A state dies where its end level sits at or below the level of its own
-v_off.  The row builder also records each state's Rewards, read off
-the levels it steps, and every delivery metric is pi . r.
+v_off.  The row builder also records each state's Rewards, and every
+delivery metric is pi . r: a window's downlink counts on the transition
+that survives listening, starts the packet at v_rx or above and sleeps.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps it small, and is kept as its rows: each state's successors
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .energy import Phase, wake_time
@@ -95,9 +95,14 @@ def level_of(v: float, g: int) -> int:
     return round(v * g)
 
 
-def _check_granularity(g: int) -> None:
+def _check_granularity(g: int, e: float) -> int:
+    """The level of the operating voltage e, for a whole g >= 1 that keeps it
+    an exact float: past 2**53 the threshold search would walk levels one by one."""
     if not isinstance(g, int) or g < 1:
         raise ScenarioError(f"granularity must be an integer >= 1, got {g!r}")
+    if level_of(e, g) > 2**53:
+        raise ScenarioError(f"granularity {g} puts the level of {e} V past 2**53")
+    return level_of(e, g)
 
 
 def _affine(phase: Phase, t: float | None = None) -> tuple[float, float]:
@@ -156,10 +161,9 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     unreceivable downlink still leaves a working uplink-only device.  The
     packet slot of each detected branch on the fork path sets its v_<branch>.
     """
-    _check_granularity(g)
     circuit, phases = scenario.circuit, scenario.phases
+    v_max = _check_granularity(g, circuit.operating_voltage)
     v_min = level_of(circuit.v_min, g)
-    v_max = level_of(circuit.operating_voltage, g)
     v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
 
     def least(phase: Phase) -> int:
@@ -182,10 +186,9 @@ class Rewards(NamedTuple):
     """What one visit to a state delivers, per metric; the chain's metrics
     are the stationary expectations of these."""
 
-    lost: float = 0.0         # 1 for OFF and SL0: the uplink is lost or aborted
-    pdl1: float = 0.0         # q_rx1 * [v1 >= v_rx1], v1 the level entering window 1
-    pdl2: float = 0.0         # q_rx2 * [v2 >= Listen v_off], v2 entering window 2
-    pdl2_strict: float = 0.0  # q_rx2 * [v2 >= v_rx2]; q_b is Scenario.branch_odds
+    lost: float = 0.0   # 1 for OFF and SL0: the uplink is lost or aborted
+    pdl1: float = 0.0   # q_rx1 if the rx1 branch's transition receives, else 0
+    pdl2: float = 0.0   # q_rx2 likewise; q_b is Scenario.branch_odds
 
 
 _LOST = Rewards(lost=1.0)
@@ -234,7 +237,7 @@ class _RowBuilder:
     level-dependent time, so it calls Phase.cross, Phase.after and
     wake_time per row; a window that dies listening turns off once for
     its detected and its silent mass.  The rewards are shared: one Rewards
-    per outcome of the gates.
+    per set of windows whose transition receives.
     """
 
     def __init__(self, scenario: Scenario, g: int, thr: ThresholdLevels):
@@ -258,8 +261,8 @@ class _RowBuilder:
         # (offset, decay, window) per slot of the fork path; a window is (p,
         # its opening time, listen's and rx's turn-offs, listen's length,
         # rx's step, the level rx needs, listen's v_off level, the branch's
-        # sleep-out).
-        path = []
+        # sleep-out, its bit in the set of receiving windows).
+        path, bits = [], 1
         for slot, branch in _PATH:
             window = None
             if branch is not None:
@@ -268,13 +271,12 @@ class _RowBuilder:
                 window = (getattr(scenario, odds), _length(schedule, tuple(lead)),
                           turn_off(listen), turn_off(rx), listen.duration, steps[rx],
                           getattr(thr, f"v_{branch}"), thr.v_off[listen.state],
-                          sleep_out.get(branch))
+                          sleep_out.get(branch), bits)
+                bits *= 2
             path.append((*steps[phases[slot]], window))
         tx, quiet = turn_off(phases["tx"]), sleep_out.get("silent")
-        v_rx1, v_rx2, v_listen = thr.v_rx1, thr.v_rx2, thr.v_off[phases["listen1"].state]
         q1, q2 = (scenario.branch_odds[b][0] for _, b in _PATH if b)
-        rewarded = {(a, b, c): Rewards(0.0, q1 if a else 0.0, q2 if b else 0.0, q2 if c else 0.0)
-                    for a, b, c in product((False, True), repeat=3)}
+        rewarded = [Rewards(0.0, q1 if r & 1 else 0.0, q2 if r & 2 else 0.0) for r in range(bits)]
 
         def recharge(level: int, t_wake: float, remaining: float) -> tuple[str, int]:
             """Charge Off from `level`, wake after t_wake, sleep out `remaining`."""
@@ -314,15 +316,15 @@ class _RowBuilder:
             # SL1: the uplink completes, then the fork path's receive windows.  A
             # window, reached with probability `reach`, opens only when the
             # earlier ones stayed silent and the device is still on.  It adds its
-            # detected branch, and the silent one if the device dies listening.
+            # detected branch, and the silent one if the device dies listening;
+            # the detected branch that sleeps out its cycle receives.
             dests: dict[tuple[str, int], float] = {}
-            reach, opened = 1.0, []
+            reach, received = 1.0, 0
             for offset, decay, window in path:
                 end = round((offset + level / g * decay) * g)
                 end = 0 if end < 0 else v_max if end > v_max else end
                 if window is not None:
-                    p, t, listen, rx, t_listen, (rx_offset, rx_decay), v_rx, v_off, out = window
-                    opened.append(level)
+                    p, t, listen, rx, t_l, (rx_offset, rx_decay), v_rx, v_off, out, bit = window
                     detected, reach = reach * p, reach * (1.0 - p)
                     if end <= v_off:   # died listening
                         if detected > 0.0 or reach > 0.0:
@@ -339,8 +341,9 @@ class _RowBuilder:
                             nxt = round((out[0] + nxt / g * out[1]) * g)
                             nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
                             dest = (SL1 if nxt >= v_tx else SL0, nxt)
+                            received |= bit
                         else:
-                            dest = die(rx, end, t, t_listen)
+                            dest = die(rx, end, t, t_l)
                         dests[dest] = dests.get(dest, 0.0) + detected
                 level = end
             if reach > 0.0:
@@ -348,8 +351,7 @@ class _RowBuilder:
                 nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
                 dest = (SL1 if nxt >= v_tx else SL0, nxt)
                 dests[dest] = dests.get(dest, 0.0) + reach
-            v1, v2 = opened   # the levels entering windows 1 and 2
-            return dests, rewarded[v1 >= v_rx1, v2 >= v_listen, v2 >= v_rx2]
+            return dests, rewarded[received]
 
         self.row = row
 
@@ -520,17 +522,15 @@ class ChainResult:
     pdl2: float
 
 
-def chain_metrics(pi: list[float], tm: TransitionMatrix,
-                  strict_rx2_threshold: bool = False) -> ChainResult:
+def chain_metrics(pi: list[float], tm: TransitionMatrix) -> ChainResult:
     """Delivery metrics from a stationary vector: pi . r over the builder's
     Rewards, summed left to right in state order; pdr is one minus the lost
-    mass.  strict_rx2_threshold gates pdl2 on v_rx2, the least level whose
-    rx2 packet ends above the turn-off level."""
+    mass, each pdl the mass whose transition receives, times the branch odds."""
     lost = pdl1 = pdl2 = 0.0
-    for p, (r_lost, r_pdl1, r_pdl2, r_strict) in zip(pi, tm.rewards):
+    for p, (r_lost, r_pdl1, r_pdl2) in zip(pi, tm.rewards):
         lost += p * r_lost
         pdl1 += p * r_pdl1
-        pdl2 += p * (r_strict if strict_rx2_threshold else r_pdl2)
+        pdl2 += p * r_pdl2
     return ChainResult(pi=pi, states=tm.states, pdr=1.0 - lost, pdl1=pdl1, pdl2=pdl2)
 
 

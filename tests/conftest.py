@@ -228,8 +228,8 @@ def reference_chain(scenario, g: int):
     each row as a dict and numbers the successors in a second pass.  The
     rules are the chain's: turn-offs recharge from the state's v_off level
     (from the level itself when entered below it), window 2 opens only
-    after a silent window 1, and the rewards gate on the levels entering
-    each window.  Returns states, successors, rewards, the thresholds as
+    after a silent window 1, and a window's reward is its branch's odds on
+    the rows whose detected branch survives listening and its packet.  Returns states, successors, rewards, the thresholds as
     a dict of ThresholdLevels' fields, the dense matrix, `step` and
     `ends`, each sleep-out branch's elapsed time.
     """
@@ -304,38 +304,37 @@ def reference_chain(scenario, g: int):
             end = step(listen, level)
             died = end <= v_off[listen.state]
             detected, silent = reach * p, reach * (1.0 - p)
+            received = False
             if detected > 0.0:
                 if died:
                     add(die(listen, level, t), detected)
                 elif end >= v_rx:
                     add(to_sleep(branch, step(rx, end), t + listen.duration + rx.duration),
                         detected)
+                    received = True
                 else:
                     add(die(rx, end, t, listen.duration), detected)
             if died and silent > 0.0:
                 add(die(listen, level, t), silent)
-            return end, died
+            return end, died, received
 
         if kind == "OFF":
             add(recharge(level, wake(level / g), m), 1.0)
-            return dests, (1.0, 0.0, 0.0, 0.0)
+            return dests, (1.0, 0.0, 0.0)
         if kind == "SL0":
             add(die(tx, level, 0.0), 1.0)
-            return dests, (1.0, 0.0, 0.0, 0.0)
+            return dests, (1.0, 0.0, 0.0)
         v1 = step(idle1, step(tx, level))
         t_win1 = tx.duration + idle1.duration
-        w1, died = window(listen1, rx1, v_rx1, v1, t_win1, p1, 1.0, "rx1")
+        w1, died, got1 = window(listen1, rx1, v_rx1, v1, t_win1, p1, 1.0, "rx1")
         v2 = step(idle2, w1)
         t_win2 = t_win1 + listen1.duration + idle2.duration
         silent = 0.0 if died else 1.0 - p1
-        w2, died = window(listen2, rx2, v_rx2, v2, t_win2, p2, silent, "rx2")
+        w2, died, got2 = window(listen2, rx2, v_rx2, v2, t_win2, p2, silent, "rx2")
         quiet = silent * (1.0 - p2)
         if not died and quiet > 0.0:
             add(to_sleep("silent", w2, t_win2 + listen2.duration), quiet)
-        pdl2 = (1.0 - p1) * p2
-        return dests, (0.0, p1 if v1 >= v_rx1 else 0.0,
-                       pdl2 if v2 >= v_off[listen1.state] else 0.0,
-                       pdl2 if v2 >= v_rx2 else 0.0)
+        return dests, (0.0, p1 if got1 else 0.0, (1.0 - p1) * p2 if got2 else 0.0)
 
     states, index, rows, rewards = [("OFF", v_min)], {("OFF", v_min): 0}, [], []
     frontier = 0

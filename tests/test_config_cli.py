@@ -455,6 +455,11 @@ INVALID_GRID_VALUES = {
     "accuracy-m-classes": ["accuracy", "--cases", "A", "--m-classes", "small,tiny"],
     "accuracy-thresholds": ["accuracy", "--cases", "A", "--thresholds", "0.7,0.5"],
     "accuracy-granularities": ["accuracy", "--cases", "A", "--granularities", "100.7"],
+    # A granularity whose levels are no longer exact floats, after a valid one.
+    "sweep-granularity-past-2**53": ["sweep", "--axis", "granularity", "--values", "750,1e30",
+                                     "--engine", "chain"],
+    "accuracy-granularities-past-2**53": ["accuracy", "--cases", "A", "--granularities",
+                                          f"100,{10**24}"],
     "accuracy-seeds": ["accuracy", "--cases", "A", "--seeds", "1.9"],
     # A repeated value would count its cells twice in the summary.
     "accuracy-cases-repeat": ["accuracy", "--cases", "AA"],
@@ -666,8 +671,10 @@ ENGINE_GOLDEN_CALLS = {
     "sweep_both.csv": ["sweep", "--axis", "threshold", "--values", "0.56:0.64:0.02",
                        "--m", "5,9", "--engine", "both", "--n", "200", "--seeds", "1,2"],
     "trace_single_cycle.csv": ["trace", "--single-cycle", "--dl-case", "rx2"],
-    "chain_parasitic_strict.csv": ["chain", "--scenario", PARASITIC, "--granularity", "750",
-                                   "--m", "15", "--threshold", "0.7", "--strict-rx2"],
+    # The abstract's downlink-size finding: at 47 mF and M = 60 s, with every
+    # downlink in window 2, larger downlinks deliver less.
+    "dl_sizes.csv": ["sweep", "--scenario", str(GOLDEN / "dl_sizes.ini"), "--axis", "dl_pl",
+                     "--values", "1,4,16,51", "--m", "60", "--engine", "both"],
     # A circuit axis crossed with an interval grid, on both engines.
     "sweep_power_both.csv": ["sweep", "--axis", "power", "--values", "0.001,0.003,0.01",
                              "--m", "9,40", "--engine", "both", "--n", "200", "--seeds", "1,2",
@@ -1074,6 +1081,35 @@ def test_cycle_matrix_dump_is_byte_identical(tmp_path, capsys):
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / "chain_readme.csv").read_bytes()
     assert dump.read_bytes() == (GOLDEN / "chain_cycle_matrix.csv").read_bytes()
+
+
+def test_the_engines_agree_on_downlink_sizes():
+    rows = (GOLDEN / "dl_sizes.csv").read_text(encoding="utf-8").splitlines()[1:]
+    by_engine = {}
+    for row in rows:
+        _, value, _, engine, *metrics, _ = row.split(",")
+        by_engine.setdefault(engine, {})[int(value)] = [float(x) for x in metrics]
+    assert [by_engine["chain"][size][2] for size in (1, 4, 16, 51)] == [1, 0.714286, 0.5, 0.2]
+    for size, chain in by_engine["chain"].items():
+        sim = by_engine["simulator"][size]
+        assert all(abs(a - b) < 0.01 for a, b in zip(chain, sim)), size
+
+
+@pytest.mark.parametrize("argv", [["chain", "--granularity", str(10**24)],
+                                  ["sweep", "--axis", "granularity", "--values", "1e30",
+                                   "--engine", "chain"]])
+def test_a_granularity_past_exact_levels_exits_2(argv):
+    # A fresh process, so that a search that never returns fails the test.
+    code = "import sys; from caplora.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == "" and "past 2**53" in done.stderr
+
+
+def test_the_stock_chain_answers_at_a_granularity_of_10_to_the_15(capsys):
+    assert main(["chain", "--granularity", str(10**15)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"{10**15},10,0.7,")
 
 
 def test_parasitic_matrix_dump_is_byte_identical(tmp_path, capsys):

@@ -11,8 +11,12 @@ is measured, then one measure per cell, in a process pool only when
 jobs > 1.  A grid builds each of its distinct parts once: cells with
 equal circuit edits (threshold, capacitance, power) share a circuit,
 cells with equal sf a radio, cells with equal (sf, ul_pl, dl_pl) a
-schedule, cells sharing circuit and schedule a phase table, and cells
-with equal edits one scenario.  The parts live for one call.
+schedule, cells with equal capacitance and power edits on one schedule a
+phase table (the threshold sets only the wake target v_on, which no
+phase reads), cells with equal (p1, p2) their branch odds, and cells
+with equal edits one scenario.  The simulator's cells also share each
+seed's tail where their runs settle before any draw (see simulator's
+"Seed-free start").  The parts live for one call.
 Sweep and accuracy cells share one engine-pair measure, _measure: the
 simulator's mean ratios over the seeds, or the chain's metrics with the
 solve's wall time.  It raises InfeasibleScenario for a cell whose
@@ -87,8 +91,10 @@ class _CellBuilder:
         self.circuits = {circuit_key: base.circuit}
         self.radios = {base.radio.sf: base.radio}
         self.schedules = {schedule_key: base.schedule}
-        # The first scenario on each (circuit, schedule): the phase table's owner.
-        self.tables = {(circuit_key, schedule_key): base}
+        # The first scenario on each (circuit but its threshold, schedule): the
+        # phase table's owner; and on each (p1, p2): the branch odds' owner.
+        self.tables = {(circuit_key[1:], schedule_key): base}
+        self.odds = {(base.p1, base.p2): base}
         self.scenarios = {(circuit_key, base.radio.sf,
                            *(getattr(base, name) for name in _SCENARIO_EDITS)): base}
 
@@ -117,13 +123,18 @@ class _CellBuilder:
             shared = {}
             if schedule_key in self.schedules:
                 shared["schedule"] = self.schedules[schedule_key]
-            owner = self.tables.get((circuit_key, schedule_key))
+            table_key, odds_key = (circuit_key[1:], schedule_key), (fields["p1"], fields["p2"])
+            owner = self.tables.get(table_key)
             if owner is not None:
                 shared["phases"] = owner.phases
+            owner = self.odds.get(odds_key)
+            if owner is not None:
+                shared["branch_odds"], shared["branches"] = owner.branch_odds, owner.branches
             scenario = _seeded_scenario(dict(fields, circuit=circuit, radio=radio), shared)
             self.scenarios[key] = scenario
             self.schedules.setdefault(schedule_key, scenario.schedule)
-            self.tables.setdefault((circuit_key, schedule_key), scenario)
+            self.tables.setdefault(table_key, scenario)
+            self.odds.setdefault(odds_key, scenario)
         return scenario
 
     def _circuit_parts(self, new: dict) -> dict:
@@ -143,9 +154,10 @@ class _CellBuilder:
 
 
 def _seeded_scenario(fields: dict, shared: dict) -> Scenario:
-    """Scenario(**fields) with its `shared` cached parts (schedule, phases)
-    in place before __post_init__ validates it, so the interval bound is
-    checked on the shared schedule and none is compiled."""
+    """Scenario(**fields) with its `shared` cached parts (schedule, phases,
+    branch odds) in place before __post_init__ validates it, so the
+    interval bound is checked on the shared schedule and branches and
+    none is recomputed."""
     scenario = object.__new__(Scenario)
     scenario.__dict__.update(fields, **shared)
     scenario.__post_init__()
@@ -159,9 +171,10 @@ def edit_scenario(scenario: Scenario, edits: Mapping[str, float]) -> Scenario:
     interval_m (s), p1, p2, and the whole numbers >= 1 sf, ul_pl and dl_pl.
     Raises ScenarioError for an unknown name or a value the scenario
     cannot take.  The result is a grid of one cell: it shares each part
-    the edits leave as the source has it (circuit, radio, schedule and,
-    when both circuit and schedule are the source's, the phase table), and
-    it is the source itself when there are no edits.
+    the edits leave as the source has it (circuit, radio, schedule, branch
+    odds and, when the schedule and the capacitance and power are the
+    source's, the phase table, whatever the threshold), and it is the
+    source itself when there are no edits.
     """
     return _CellBuilder(scenario)(edits)
 
@@ -312,15 +325,16 @@ def wakeup_time(circuit: CircuitConfig) -> float:
 
 # -- threshold sweep --------------------------------------------------------
 
-def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
-                   n_scheduled: int) -> tuple[float, float, float]:
+def _simulate_mean(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
+                   tails: dict | None = None) -> tuple[float, float, float]:
     """Mean delivery ratios over one simulator run per seed.
 
     The runs come from simulator.run_seeds, whose seeds share the settle
     test of their common start and, when every draw has a fixed outcome,
-    one run; each seed is counted once.
+    one run; each seed is counted once.  `tails` is the grid's store of
+    seed tails that run_seeds shares between cells.
     """
-    runs = run_seeds(scenario, seeds, n_scheduled)
+    runs = run_seeds(scenario, seeds, n_scheduled, tails)
     pdr = pdl1 = pdl2 = 0.0
     for stats in runs:
         pdr += stats.pdr
@@ -330,11 +344,12 @@ def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
     return pdr / n, pdl1 / n, pdl2 / n
 
 
-def _measure(engine: str, seeds: tuple, n_scheduled: int,
-             cell: GridCell) -> tuple[float, float, float, float]:
+def _measure(engine: str, seeds: tuple, n_scheduled: int, cell: GridCell,
+             tails: dict | None = None) -> tuple[float, float, float, float]:
     """One engine of the pair on one cell: (pdr, pdl1, pdl2, seconds).
 
-    The simulator's ratios are means over `seeds`, with seconds 0.  The
+    The simulator's ratios are means over `seeds`, with seconds 0; its
+    runs share seed tails with the grid's other cells through `tails`.  The
     chain's are its stationary metrics, and seconds is the wall time of
     its solve, timed with numpy already imported so that the first import
     stays out.  A cell whose device can never wake (its wake target at or
@@ -347,7 +362,7 @@ def _measure(engine: str, seeds: tuple, n_scheduled: int,
             f"the turn-on threshold ({circuit.v_sl / circuit.operating_voltage:.6g} of E) is "
             f"beyond the Off state's charging ceiling; the device never wakes")
     if engine == "simulator":
-        return (*_simulate_mean(cell.scenario, seeds, n_scheduled), 0.0)
+        return (*_simulate_mean(cell.scenario, seeds, n_scheduled, tails), 0.0)
     import numpy  # noqa: F401
     t0 = time.perf_counter()
     result = solve_chain(cell.scenario, cell.granularity)
@@ -369,14 +384,14 @@ def _check_seeds(seeds: Sequence[int]) -> None:
     _check_distinct("seeds", seeds)
 
 
-def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int,
+def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int, tails: dict,
                 cell: GridCell) -> list[dict]:
     rows = []
     for engine in engines:
         pdr = pdl1 = pdl2 = 0.0
         feasible = True
         try:
-            pdr, pdl1, pdl2, _ = _measure(engine, seeds, n_scheduled, cell)
+            pdr, pdl1, pdl2, _ = _measure(engine, seeds, n_scheduled, cell, tails)
         except InfeasibleScenario:
             feasible = False
         rows.append({"axis": axis, "value": float(cell.point[0]), "m_s": cell.scenario.interval_m,
@@ -414,7 +429,8 @@ def threshold_sweep(scenario: Scenario, *, axis: str, values: Sequence[float],
         raise ScenarioError("a simulator sweep needs at least one seed")
     _check_seeds(seeds)
     axes = [(axis, values)] + ([("interval_m", m_values)] if m_values else [])
-    measure = partial(_sweep_cell, axis, engines, tuple(seeds), n_scheduled)
+    # One store of seed tails per call; each pool task gets its own copy.
+    measure = partial(_sweep_cell, axis, engines, tuple(seeds), n_scheduled, {})
     cells = evaluate_grid(scenario, axes, measure, granularity, jobs)
     return [row for rows in cells for row in rows]
 
@@ -452,9 +468,9 @@ def accuracy_case_edits(case: tuple[str, str]) -> dict:
                             f"are {''.join(ACCURACY_CASES)}, M classes {M_CLASSES}") from None
 
 
-def _accuracy_cell(n_scheduled: int, seeds: tuple, cell: GridCell) -> dict:
+def _accuracy_cell(n_scheduled: int, seeds: tuple, tails: dict, cell: GridCell) -> dict:
     _, threshold, (case_id, m_class), (p1, p2) = cell.point
-    pdr_sim = _measure("simulator", seeds, n_scheduled, cell)[0]
+    pdr_sim = _measure("simulator", seeds, n_scheduled, cell, tails)[0]
     pdr_mc, _, _, seconds = _measure("chain", seeds, n_scheduled, cell)
     return {"case": case_id, "m_class": m_class, "m_s": cell.scenario.interval_m,
             "p1": p1, "p2": p2, "threshold": threshold, "granularity": cell.granularity,
@@ -487,7 +503,7 @@ def accuracy_study(base: Scenario,
             (("case", "m_class"), [(c, m) for c in cases for m in m_classes],
              accuracy_case_edits),
             (("p1", "p2"), p_combos, lambda p: {"p1": p[0], "p2": p[1]})]
-    return evaluate_grid(base, axes, partial(_accuracy_cell, n_scheduled, tuple(seeds)),
+    return evaluate_grid(base, axes, partial(_accuracy_cell, n_scheduled, tuple(seeds), {}),
                          jobs=jobs)
 
 

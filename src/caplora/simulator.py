@@ -101,7 +101,11 @@ Seed-free start.  No draw is taken before the first on-slot's cycle, so
 every seed of a cell reaches its first on-slot at the same voltage.  The
 settle test memoizes its answer on (v, k), so run_seeds tests that start
 once for all seeds.  With one reachable branch every draw passes or fails
-whatever its value, so one run serves every seed.
+whatever its value, so one run serves every seed.  A run that settles
+before it walks a cycle has drawn nothing, so its draw-loop tail depends
+only on the seed, the slots left, p1, p2 and the settled outcomes; the
+cells of one grid share each seed's tail through run_seeds' `tails`,
+which lives for one grid call.
 """
 
 from __future__ import annotations
@@ -377,6 +381,21 @@ def _tally(branch: str, stop: str | None) -> tuple[str, ...]:
     return ("n_tx_success", counter + ("_success" if stop is None else "_aborted"))
 
 
+def _ends_alike(cycle: tuple[dict[str, Outcome], ...]) -> bool:
+    """Whether at each on-slot of the settled `cycle` every reachable branch
+    adds the same counters and loses the same slots: its tail then takes no
+    draw and is arithmetic."""
+    return all(len({(_tally(b, stop), lost) for b, (stop, lost) in outcomes.items()}) == 1
+               for outcomes in cycle)
+
+
+def _tail_key(seed: int, remaining: int, cycle: tuple[dict[str, Outcome], ...], p1: float,
+              p2: float) -> tuple:
+    """What a draw-loop tail reads besides its generator's state: the key of
+    a seed's tail among the runs of one grid that drew nothing before it."""
+    return (seed, remaining, p1, p2, *(tuple(outcomes.items()) for outcomes in cycle))
+
+
 def _count_tail(cycle: tuple[dict[str, Outcome], ...], remaining: int, draw, p1: float,
                 p2: float) -> list[dict[str, int]]:
     """On-slots per branch of each on-slot of the settled `cycle` over the
@@ -384,8 +403,7 @@ def _count_tail(cycle: tuple[dict[str, Outcome], ...], remaining: int, draw, p1:
     (see Settling in the module docstring).  The draw loop opens window 1
     on every on-slot: a turn-off before it is common to all branches, so
     the arithmetic count takes that case."""
-    if all(len({(_tally(b, stop), lost) for b, (stop, lost) in outcomes.items()}) == 1
-           for outcomes in cycle):
+    if _ends_alike(cycle):
         firsts = [next(iter(outcomes.items())) for outcomes in cycle]
         starts, period = [], 0
         for _, (_, lost) in firsts:
@@ -557,18 +575,22 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     return _simulate(scenario, (seed,), n_scheduled, trace)[0]
 
 
-def run_seeds(scenario: Scenario, seeds: Sequence[int], n_scheduled: int = 1000) -> list[SimStats]:
+def run_seeds(scenario: Scenario, seeds: Sequence[int], n_scheduled: int = 1000,
+              tails: dict | None = None) -> list[SimStats]:
     """run_simulation's counters for each of `seeds`, in order; the seeds
-    share the settle test of their common start (see the module docstring)."""
+    share the settle test of their common start.  `tails`, when given,
+    holds the draw-loop tails of runs that drew nothing before settling,
+    for the other cells of one grid to reuse (see the module docstring)."""
     if not seeds:
         raise ScenarioError("run_seeds needs at least one seed")
-    return [stats for stats, _ in _simulate(scenario, seeds, n_scheduled, False)]
+    return [stats for stats, _ in _simulate(scenario, seeds, n_scheduled, False, tails)]
 
 
 def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
-              trace: bool) -> list[tuple[SimStats, list[TracePoint]]]:
+              trace: bool, tails: dict | None = None) -> list[tuple[SimStats, list[TracePoint]]]:
     """One (counters, trace) run per seed, or one for all seeds when a
-    single branch is reachable; the runs share one settle test."""
+    single branch is reachable; the runs share one settle test, and those
+    that settle before any draw share their tails through `tails`."""
     if n_scheduled < 1:
         raise ScenarioError(f"n_scheduled must be >= 1, got {n_scheduled}")
     interval = scenario.interval_m
@@ -585,6 +607,7 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
               for slot, b in _PATH]
     settle = _Settler(scenario, n_scheduled)
     single = len(scenario.branches) == 1
+    p1, p2 = scenario.p1, scenario.p2
 
     def run(seed: int) -> tuple[SimStats, list[TracePoint]]:
         draw = random.Random(seed).random
@@ -602,8 +625,16 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
             if k >= next_check or orbit:
                 settled, retry = settle(v, k, history)
                 if settled is not None:
-                    tails = _count_tail(settled, n_scheduled - k, draw, scenario.p1, scenario.p2)
-                    for outcomes, tail in zip(settled, tails):
+                    remaining = n_scheduled - k
+                    if tails is None or ended or _ends_alike(settled):
+                        counted = _count_tail(settled, remaining, draw, p1, p2)
+                    else:
+                        # Nothing walked, so nothing drawn: the tail is the seed's alone.
+                        key = _tail_key(seed, remaining, settled, p1, p2)
+                        counted = tails.get(key)
+                        if counted is None:
+                            counted = tails[key] = _count_tail(settled, remaining, draw, p1, p2)
+                    for outcomes, tail in zip(settled, counted):
                         for branch, on_slots in tail.items():
                             ended[branch, outcomes[branch][0]] += on_slots
                     break

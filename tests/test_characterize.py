@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -475,11 +476,49 @@ class TestThresholdSweep:
                                           axis="granularity", values=(g,), engine="chain")]
         assert own == rows and len(compiled) == 1 + 8
 
+    THRESHOLDS = cli._parse_values("0.55:0.98:0.01", "--values")
+
+    @staticmethod
+    def _count_tails(monkeypatch) -> list:
+        """The slots left at each later _count_tail call."""
+        calls = []
+        real = simulator._count_tail
+        monkeypatch.setattr(simulator, "_count_tail",
+                            lambda *args: calls.append(args[1]) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("axis", ["threshold", "p1", "p2"])
+    def test_stochastic_rows_equal_each_cell_swept_alone(self, axis, monkeypatch):
+        # The cells share each seed's tail where a run settles before any
+        # draw; every row must be what its cell gives with no other cell.
+        values = self.THRESHOLDS if axis == "threshold" else (0.2, 0.3, 0.5, 0.7)
+        spec = dict(scenario=make_scenario(interval_m=60.0, p1=0.3, p2=0.5), axis=axis,
+                    m_values=(9.0, 60.0), seeds=(7, 3, 11), engine="simulator")
+        calls = self._count_tails(monkeypatch)
+        rows = threshold_sweep(**spec, values=values)
+        shared = len(calls)
+        alone = [row for value in values for m in spec["m_values"]
+                 for row in threshold_sweep(**dict(spec, m_values=(m,)), values=(value,))]
+        assert rows == alone
+        # Thresholds share tails; cells of other odds count their own.
+        alone_calls = len(calls) - shared
+        assert 0 < shared < alone_calls if axis == "threshold" else shared == alone_calls > 0
+
+    def test_no_tail_outlives_its_sweep(self, monkeypatch):
+        spec = dict(scenario=make_scenario(interval_m=40.0, p1=0.3, p2=0.5), axis="threshold",
+                    values=(0.6, 0.65, 0.7), seeds=(1, 2), engine="simulator")
+        calls = self._count_tails(monkeypatch)
+        first = threshold_sweep(**spec)
+        once = len(calls)
+        assert threshold_sweep(**spec) == first
+        assert len(calls) == 2 * once and once > 0
+
     def test_only_traffic_edits_keep_the_phase_table(self):
         scenario = make_scenario(interval_m=9.0)
-        edited = edit_scenario(scenario, {"interval_m": 12.0, "p1": 0.5, "p2": 1.0})
-        assert edited.phases is scenario.phases and edited.schedule is scenario.schedule
-        for edits in ({"threshold": 0.7}, {"ul_pl": 48}, {"sf": 9}, {"capacitance": 0.01}):
+        for edits in ({"interval_m": 12.0, "p1": 0.5, "p2": 1.0}, {"threshold": 0.7}):
+            edited = edit_scenario(scenario, edits)
+            assert edited.phases is scenario.phases and edited.schedule is scenario.schedule
+        for edits in ({"ul_pl": 48}, {"sf": 9}, {"capacitance": 0.01}):
             assert edit_scenario(scenario, edits).phases is not scenario.phases
 
     def test_axis_editing(self):
@@ -520,6 +559,17 @@ def _bits(scenario):
     return schedule, phases
 
 
+def _phase_fields(table):
+    """Every field of every phase, each float as exact hex; `after` and
+    `cross` as their partial's func and args."""
+    def value(x):
+        if isinstance(x, partial):
+            return x.func, tuple(map(value, x.args))
+        return float.hex(x) if isinstance(x, float) else x
+    return {slot: tuple(value(getattr(phase, field.name)) for field in dataclasses.fields(phase))
+            for slot, phase in table.items()}
+
+
 class TestGridParts:
     """A grid builds each distinct circuit, radio, schedule, phase table and
     scenario once, and cells that share a part are the cells that would
@@ -554,12 +604,13 @@ class TestGridParts:
         "sf x power": (dict(ul_pl=16, dl_pl=48, interval_m=600.0),
                        [("sf", (7, 8, 9, 10, 11, 12)), ("power", (1e-3, 3e-3, 1e-2))],
                        {"circuits": 3, "schedules": 5, "phase_tables": 18}, (3, 6, 6, 18)),
-        # Two intervals on each of 8 circuits: one schedule, 8 phase tables.
+        # Two intervals on each of 8 circuits: one schedule, and one phase
+        # table per (capacitance, power), which both thresholds share.
         "threshold x capacitance x power x interval": (
             dict(interval_m=40.0),
             [("threshold", (0.6, 0.7)), ("capacitance", (4.7e-3, 1e-2)),
              ("power", (1e-3, 1e-2)), ("interval_m", (9.0, 40.0))],
-            {"circuits": 8, "schedules": 0, "phase_tables": 8}, (8, 1, 1, 16)),
+            {"circuits": 8, "schedules": 0, "phase_tables": 4}, (8, 1, 1, 16)),
         # A chain sweep over granularity x --m: the base's circuit, schedule
         # and phase table, and one scenario per M, the base's own at 40 s.
         "granularity x interval": (
@@ -580,11 +631,26 @@ class TestGridParts:
                      for part in ("circuit", "radio", "schedule")) == distinct[:3]
         assert len({id(s) for s in scenarios}) == distinct[3]
         assert len({id(s.phases) for s in scenarios}) == len(
-            {(id(s.circuit), id(s.schedule)) for s in scenarios})
+            {(s.circuit.capacitor, s.circuit.harvester, id(s.schedule)) for s in scenarios})
         for cell in cells:
             alone = edit_scenario(base, _cell_edits(axes, cell))
             assert cell.scenario == alone
             assert _bits(cell.scenario) == _bits(alone)
+
+    @pytest.mark.parametrize("parasitics", [{}, {"esr": 20.0, "epr": 50e3}],
+                             ids=["ideal", "esr_epr"])
+    def test_thresholds_share_the_table_each_would_compile(self, parasitics, built):
+        # The threshold sets only v_on, which no phase reads.
+        base = dataclasses.replace(make_scenario(interval_m=40.0),
+                                   circuit=make_circuit(**parasitics))
+        built.update(dict.fromkeys(built, 0))
+        cells = evaluate_grid(base, [("threshold", TestThresholdSweep.THRESHOLDS)],
+                              _read_phases)
+        assert len(cells) == 44 and built["phase_tables"] == 1
+        assert {id(cell.scenario.phases) for cell in cells} == {id(base.phases)}
+        for cell in cells:
+            own = simulator.phase_table(cell.scenario.circuit, cell.scenario.schedule)
+            assert _phase_fields(cell.scenario.phases) == _phase_fields(own)
 
     def test_traffic_grid_compiles_no_schedule(self, built):
         base = make_scenario(interval_m=40.0)

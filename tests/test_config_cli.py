@@ -686,6 +686,11 @@ ENGINE_GOLDEN_CALLS = {
     "sweep_stochastic_simulator.csv": ["sweep", "--scenario", str(GOLDEN / "stochastic.ini"),
                                        "--axis", "threshold", "--values", "0.55:0.98:0.01",
                                        "--m", "9,40", "--engine", "simulator"],
+    # Seed tails: at M = 5 s every tail is arithmetic, at M = 60 s every
+    # one is a draw loop that the thresholds share for each seed.
+    "sweep_stochastic_tails.csv": ["sweep", "--scenario", str(GOLDEN / "stochastic.ini"),
+                                   "--axis", "threshold", "--values", "0.55:0.98:0.01",
+                                   "--m", "5,60", "--engine", "simulator", "--seeds", "7,3,11"],
     "sweep_parasitic_simulator.csv": ["sweep", "--scenario", PARASITIC, "--axis", "threshold",
                                       "--values", "0.55:0.98:0.01", "--m", "9,40",
                                       "--engine", "simulator"],

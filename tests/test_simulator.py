@@ -912,6 +912,43 @@ class TestSharedStart:
         with pytest.raises(ScenarioError, match="at least one seed"):
             simulator.run_seeds(make_scenario(p1=p1), (), 100)
 
+    def test_a_run_that_drew_before_settling_ignores_a_stored_tail(self, monkeypatch):
+        # SF7, 51 B downlinks, 4.7 mF at 3 mW, threshold 0.69, M = 5 s: the
+        # run walks (and draws in) five on-slots before its branches settle
+        # apart.  A store holding the answer its seed gives from a fresh
+        # generator, under the key the run looks up, must not be read.
+        scenario = dataclasses.replace(
+            make_scenario(dl_pl=51, interval_m=5.0, p1=0.7, p2=0.5),
+            circuit=make_circuit(c_farads=4.7e-3, power_w=3e-3, turn_on_fraction=0.69))
+        seed, n = 1, 300
+        tails = []
+        real = simulator._count_tail
+
+        def spy(cycle, remaining, draw, p1, p2):
+            counted = real(cycle, remaining, draw, p1, p2)
+            tails.append((cycle, remaining, counted))
+            return counted
+
+        monkeypatch.setattr(simulator, "_count_tail", spy)
+        want = simulator.run_seeds(scenario, (seed,), n)
+        [(cycle, remaining, counted)] = tails
+        assert not simulator._ends_alike(cycle) and remaining < n - 1
+        fresh = real(cycle, remaining, random.Random(seed).random, 0.7, 0.5)
+        assert fresh != counted
+        stored = {simulator._tail_key(seed, remaining, cycle, 0.7, 0.5): fresh}
+        assert simulator.run_seeds(scenario, (seed,), n, stored) == want
+        assert len(tails) == 2
+
+    def test_a_run_that_settles_before_any_draw_stores_its_tail(self):
+        # sim_sweep's stochastic point at 70 %: the first on-slot settles,
+        # so each seed's tail goes to the store and the next cell reads it.
+        scenario = _scenario("ideal", 0.7, 40.0, 0.3, 0.5)
+        seeds, stored = (1, 2, 3), {}
+        want = simulator.run_seeds(scenario, seeds, 1000)
+        assert simulator.run_seeds(scenario, seeds, 1000, stored) == want
+        assert [key[0] for key in stored] == list(seeds)
+        assert simulator.run_seeds(scenario, seeds, 1000, stored) == want
+
     def test_one_reachable_branch_walks_once_for_every_seed(self, monkeypatch):
         # p1 = 1 never opens window 2, so p2 = 0.5 is never drawn.
         scenario = make_scenario(interval_m=9.0, turn_on_fraction=0.8, p1=1.0, p2=0.5)

@@ -30,15 +30,8 @@ from .timing import (
     symbol_time,
     time_on_air,
 )
-from .simulator import (
-    CycleCheck,
-    Scenario,
-    SimStats,
-    TracePoint,
-    min_interval_bound,
-    run_simulation,
-    single_cycle_trace,
-)
+from .cycle import Scenario, min_interval_bound
+from .simulator import SimStats, TracePoint, run_simulation, single_cycle_trace
 from .markov import (
     ChainResult,
     ChainState,
@@ -51,6 +44,7 @@ from .markov import (
     threshold_levels,
 )
 from .characterize import (
+    CycleCheck,
     accuracy_study,
     accuracy_summary,
     min_capacitance,

@@ -16,7 +16,8 @@ phase table (the threshold sets only the wake target v_on, which no
 phase reads), cells with equal (p1, p2) their branch odds, and cells
 with equal edits one scenario.  The simulator's cells also share each
 seed's tail where their runs settle before any draw (see simulator's
-"Seed-free start").  The parts live for one call.
+"Seed-free start").  The parts live for one call; cycle.seeded_scenario
+puts a cell's shared parts in its Scenario.
 Sweep and accuracy cells share one engine-pair measure, _measure: the
 simulator's mean ratios over the seeds, or the chain's metrics with the
 solve's wall time.  It raises InfeasibleScenario for a cell whose
@@ -25,18 +26,21 @@ chain has no feasible level.  A sweep turns that into a feasible = False
 row; the accuracy study lets it propagate.
 
 The capacitance/interval analyses run the analytic uplink/downlink cycle
-of single_cycle_trace through simulator.CycleCheck, compiled once per
-grid cell, and search its feasibility boundary by bisection.
-min_capacitance asks only "does the cycle complete from the charging
-ceiling", bisected to 0.01 mF by default; a trial capacitance costs one
-trace-free pass over the check's table of C-independent phase constants,
-with each phase's tau formed from the trial value, and no circuit or
-phase is rebuilt.  A search checks its start voltage and the ends of its
-bracket once; the trials between them run unchecked.  min_tx_interval
-also needs the start voltage, bisected to 0.1 mV, and adds the Off
-phase's charge time to the cycle's durations.  wakeup_time is the Off
-phase's charge time to the circuit's wake target, the same helper the
-Markov chain wakes with.
+of single_cycle_trace (cycle.analytic_slots) through CycleCheck and
+search its feasibility boundary by bisection.  A capacitance changes
+only each state's tau, so CycleCheck, compiled once per grid cell, fixes
+everything else of the cycle (asymptotes, turn-off voltages, guards and
+durations); a trial forms tau = (R_eq + ESR) * C * ratio in energy's
+operation order and steps each phase by the simulator walk's rule,
+trace free, so it answers exactly what single_cycle_trace answers on a
+circuit rebuilt at that capacitance, with no circuit, schedule or Phase
+built.  min_capacitance asks only "does the cycle complete from the
+charging ceiling", bisected to 0.01 mF by default.  A search checks its
+start voltage and the ends of its bracket once; the trials between them
+run unchecked.  min_tx_interval also needs the start voltage, bisected
+to 0.1 mV, and adds the Off phase's charge time to the cycle's
+durations.  wakeup_time is the Off phase's charge time to the circuit's
+wake target, the same helper the Markov chain wakes with.
 """
 
 from __future__ import annotations
@@ -51,12 +55,14 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import defaults
-from .energy import CircuitConfig, DeviceState, DeviceThresholds, compile_phase, wake_time
+from .cycle import (Scenario, analytic_slots, check_start, cycle_length, seeded_scenario,
+                    slot_timing)
+from .energy import (CircuitConfig, DeviceState, DeviceThresholds, compile_phase, decay_step,
+                     off_time, time_constant, wake_time)
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
-from .markov import _check_granularity, solve_chain
-from .simulator import CycleCheck, Scenario, _cycle, _length, run_seeds
-
-DL_CASES = ("none", "rx1", "rx2")
+from .markov import check_granularity, solve_chain
+from .simulator import run_seeds
+from .timing import TimingSchedule
 
 
 # -- scenario editing -------------------------------------------------------
@@ -130,7 +136,7 @@ class _CellBuilder:
             owner = self.odds.get(odds_key)
             if owner is not None:
                 shared["branch_odds"], shared["branches"] = owner.branch_odds, owner.branches
-            scenario = _seeded_scenario(dict(fields, circuit=circuit, radio=radio), shared)
+            scenario = seeded_scenario(dict(fields, circuit=circuit, radio=radio), shared)
             self.scenarios[key] = scenario
             self.schedules.setdefault(schedule_key, scenario.schedule)
             self.tables.setdefault(table_key, scenario)
@@ -151,17 +157,6 @@ class _CellBuilder:
         if "power" in new:
             parts["harvester"] = dataclasses.replace(circuit.harvester, harvest_power=new["power"])
         return parts
-
-
-def _seeded_scenario(fields: dict, shared: dict) -> Scenario:
-    """Scenario(**fields) with its `shared` cached parts (schedule, phases,
-    branch odds) in place before __post_init__ validates it, so the
-    interval bound is checked on the shared schedule and branches and
-    none is recomputed."""
-    scenario = object.__new__(Scenario)
-    scenario.__dict__.update(fields, **shared)
-    scenario.__post_init__()
-    return scenario
 
 
 def edit_scenario(scenario: Scenario, edits: Mapping[str, float]) -> Scenario:
@@ -220,7 +215,7 @@ def evaluate_grid(base: Scenario, axes: Sequence[tuple], measure: Callable[[Grid
         for _, step in steps:
             edits.update(step)
         g = _whole("granularity", edits.pop("granularity", granularity))
-        _check_granularity(g, base.circuit.operating_voltage)   # E is no grid axis
+        check_granularity(g, base.circuit.operating_voltage)   # E is no grid axis
         cells.append(GridCell(build(edits), g, tuple(v for v, _ in steps)))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -231,6 +226,56 @@ def evaluate_grid(base: Scenario, axes: Sequence[tuple], measure: Callable[[Grid
 
 
 # -- feasibility searches ---------------------------------------------------
+
+class CycleCheck:
+    """single_cycle_trace's analytic cycle without the trace, at any capacitance.
+
+    A downlink replaces its listening window: 'rx1' receives right after
+    the first idle second (and the cycle ends there), 'rx2' receives in
+    place of the second listening window, 'none' listens through both;
+    `phases` lists the cycle's (state, duration) pairs in order.  Each
+    step keeps the C-independent constants of its state (see the module
+    docstring); run() checks its inputs and step() forms tau with
+    energy.time_constant and applies the simulator walk's phase rule
+    through energy's off_time and decay_step, so it gives
+    single_cycle_trace's final voltage and completed flag bit for bit.
+    """
+
+    __slots__ = ("circuit", "phases", "_steps")
+
+    def __init__(self, circuit: CircuitConfig, sched: TimingSchedule, dl_case: str):
+        self.circuit = circuit
+        self.phases = tuple(slot_timing(sched, slot) for slot in analytic_slots(dl_case))
+        params = [circuit.state_params(state) for state, _ in self.phases]
+        self._steps = tuple((duration, p.r_series, p.ratio, p.v_limit, p.v_off, p.v_guard)
+                            for (_, duration), p in zip(self.phases, params))
+
+    def run(self, v_start: float, capacitance: float | None = None) -> tuple[float, bool]:
+        """(final_voltage, completed) of one cycle from v_start with the
+        circuit's capacitor, or one of `capacitance` farads with the same
+        ESR and EPR; completed is False when the capacitor touched the
+        turn-off voltage anywhere in the cycle."""
+        return self.step(v_start, self.check(v_start, capacitance))
+
+    def check(self, v_start: float, capacitance: float | None = None) -> float:
+        """Validate run's inputs, in run's order; the capacitance it takes."""
+        check_start(self.circuit, v_start)
+        c = self.circuit.capacitor.capacitance if capacitance is None else capacitance
+        if not 0 < c < math.inf:
+            raise ScenarioError(f"capacitance must be finite and > 0, got {c}")
+        return c
+
+    def step(self, v_start: float, c: float) -> tuple[float, bool]:
+        """run at capacitance c without its checks, for a search whose
+        bracket ends passed them: every trial between them is valid too."""
+        v = v_start
+        for duration, r_series, ratio, v_limit, v_off, v_guard in self._steps:
+            tau = time_constant(r_series, c, ratio)
+            if v <= v_guard and off_time(v_limit, tau, v_off, v) <= duration:
+                return min(v, v_off), False
+            v = decay_step(v_limit, math.exp(-duration / tau), v)
+        return v, True
+
 
 def _ceiling_start(circuit: CircuitConfig) -> float:
     """The highest start voltage the searches try: just under the charging
@@ -244,12 +289,8 @@ def required_cycle_voltage(scenario: Scenario, dl_case: str = "none") -> float |
     Bisects between the turn-off voltage and the charging ceiling; None
     when even a capacitor charged to the ceiling cannot fund the cycle.
     """
-    return _start_voltage(CycleCheck(scenario.circuit, scenario.schedule, dl_case))
-
-
-def _start_voltage(cycle: CycleCheck) -> float | None:
-    """required_cycle_voltage over a compiled cycle check."""
-    circuit = cycle.circuit
+    circuit = scenario.circuit
+    cycle = CycleCheck(circuit, scenario.schedule, dl_case)
     c = circuit.capacitor.capacitance
     return _bisect(lambda v: cycle.step(v, c)[1], circuit.v_min, _ceiling_start(circuit),
                    defaults.CYCLE_VOLTAGE_TOL_V, cycle.check)
@@ -304,15 +345,14 @@ def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:
     cycle and turns off right after: charge time from the turn-off voltage
     to the cycle's required start voltage, plus the cycle (summed left to right)."""
     circuit = scenario.circuit
-    cycle = CycleCheck(circuit, scenario.schedule, dl_case)
-    v_star = _start_voltage(cycle)
+    v_star = required_cycle_voltage(scenario, dl_case)
     if v_star is None:
         raise InfeasibleScenario(
             f"C = {circuit.capacitor.capacitance} F cannot complete "
             f"the {dl_case} cycle at {circuit.harvester.harvest_power} W"
         )
     t_charge = compile_phase(circuit, DeviceState.OFF).cross(circuit.v_min, v_star)
-    return t_charge + _length(scenario.schedule, _cycle(dl_case))
+    return t_charge + cycle_length(scenario.schedule, analytic_slots(dl_case))
 
 
 def wakeup_time(circuit: CircuitConfig) -> float:

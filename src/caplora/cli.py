@@ -39,7 +39,6 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import defaults
 from .characterize import (
-    DL_CASES,
     M_CLASSES,
     accuracy_study,
     accuracy_summary,
@@ -51,6 +50,7 @@ from .characterize import (
     wakeup_time,
 )
 from .config import LoadedScenario, load_scenario, parse_scenario
+from .cycle import DL_CASES
 from .errors import InfeasibleScenario, ScenarioError
 from .markov import build_transition_matrix, chain_metrics, stationary_distribution
 from .simulator import run_simulation, single_cycle_trace

@@ -25,8 +25,8 @@ from operator import attrgetter
 
 from . import defaults
 from .energy import CapacitorConfig, CircuitConfig, DeviceThresholds, HarvesterConfig, LoadTable
+from .cycle import Scenario
 from .errors import ScenarioError
-from .simulator import Scenario
 from .timing import LORAWAN_PL_MAX, LORAWAN_PL_MIN, RadioConfig, coding_rate_to_index
 
 SCENARIO_DIR_ENV = "CAPLORA_SCENARIO_DIR"

@@ -29,13 +29,14 @@ explicit math.inf sentinel so that reduction is exact.
 compile_phase turns one device state (at a fixed duration, or open-ended
 for the recharge states) into a Phase: its turn-off voltage, its affine
 constants (v_limit, tau and a timed phase's decay factor, fixed in
-advance) and after/cross callables over them.  The simulator walks
-phases, the Markov chain compiles their constants into its level map and
-the sizing searches charge with them; they evaluate the very expressions
-of voltage_after and time_to_voltage (a timed phase's crossing is the
-time to its turn-off voltage), so both paths give bit-identical floats.
-The sizing searches' cycle check (simulator.CycleCheck) applies the same
-_step and _off_time with tau formed at each trial capacitance.
+advance) and after/cross callables over them.  cycle.phase_table
+compiles a scenario's phases: the simulator walks them, the Markov chain
+compiles their constants into its level map and the sizing searches
+charge with them; they evaluate the very expressions of voltage_after
+and time_to_voltage (a timed phase's crossing is the time to its
+turn-off voltage), so both paths give bit-identical floats.
+The sizing searches' cycle check (characterize.CycleCheck) applies the
+same decay_step and off_time with tau formed at each trial capacitance.
 
 Everything here is a pure function of its arguments; no shared state.
 """
@@ -288,16 +289,16 @@ def voltage_after(circuit: CircuitConfig, state: DeviceState, v0: float, t: floa
     if v0 < 0:
         raise ScenarioError(f"initial voltage must be >= 0, got {v0}")
     p = circuit.state_params(state)
-    return _step(p.v_limit, math.exp(-t / p.tau), v0)
+    return decay_step(p.v_limit, math.exp(-t / p.tau), v0)
 
 
-def _step(v_limit: float, decay: float, v0: float) -> float:
+def decay_step(v_limit: float, decay: float, v0: float) -> float:
     """The exponential from v0 once the distance to v_limit shrank by `decay`."""
     return v_limit * (1.0 - decay) + v0 * decay
 
 
 def _after(v_limit: float, tau: float, v0: float, t: float) -> float:
-    return _step(v_limit, math.exp(-t / tau), v0)
+    return decay_step(v_limit, math.exp(-t / tau), v0)
 
 
 def time_to_voltage(circuit: CircuitConfig, state: DeviceState, v_i: float, v_f: float) -> float:
@@ -328,7 +329,7 @@ def _time(v_limit: float, tau: float, v_i: float, v_f: float) -> float:
     return -tau * math.log(gap_f / gap_i)
 
 
-def _off_time(v_limit: float, tau: float, v_off: float, v: float) -> float:
+def off_time(v_limit: float, tau: float, v_off: float, v: float) -> float:
     """Time until the capacitor falls from v to v_off: 0 at or below v_off,
     math.inf when the state settles at or above it."""
     if v <= v_off:
@@ -383,8 +384,8 @@ def compile_phase(circuit: CircuitConfig, state: DeviceState,
         cross = partial(_time, p.v_limit, p.tau)
     else:
         decay = math.exp(-duration / p.tau)
-        after = partial(_step, p.v_limit, decay)
-        cross = partial(_off_time, p.v_limit, p.tau, p.v_off)
+        after = partial(decay_step, p.v_limit, decay)
+        cross = partial(off_time, p.v_limit, p.tau, p.v_off)
     return Phase(state, duration, p.v_off, p.v_guard, after, cross, p.v_limit, p.tau, decay)
 
 

@@ -26,14 +26,14 @@ is the Off phase's crossing.  The feasibility thresholds are read in
 closed form: a slot's step is monotone and affine before it rounds, so
 inverting it guesses the least surviving level, and a walk with the
 step itself from the guess finds the exact one.  Within SL1 the
-downlink branches read the event simulator's branch table,
-simulator._BRANCHES: their slots, and the SL1 fork path and the branch
-odds derived from it (simulator._PATH, Scenario.branch_odds).  A window
+downlink branches read the branch table the event simulator walks,
+cycle.BRANCHES: their slots, and the SL1 fork path and the branch odds
+derived from it (cycle.PATH, Scenario.branch_odds).  A window
 always costs its preamble at the listening load, a detected downlink
 additionally costs the packet airtime at the receiving load, and any
 brush with the turn-off voltage lands the device Off at the dying
 state's v_off, recharging for whatever remains of the interval.
-Scenario keeps the interval above simulator.min_interval_bound, which
+Scenario keeps the interval above cycle.min_interval_bound, which
 covers each reachable branch, so every branch's cycle ends within it.
 A state dies where its end level sits at or below the level of its own
 v_off.  The row builder also records each state's Rewards, and every
@@ -62,9 +62,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
+from .cycle import BRANCHES, PATH, Scenario, cycle_length
 from .energy import Phase, wake_time
 from .errors import InfeasibleScenario, ScenarioError
-from .simulator import _BRANCHES, _PATH, Scenario, _length
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,7 +95,7 @@ def level_of(v: float, g: int) -> int:
     return round(v * g)
 
 
-def _check_granularity(g: int, e: float) -> int:
+def check_granularity(g: int, e: float) -> int:
     """The level of the operating voltage e, for a whole g >= 1 that keeps it
     an exact float: past 2**53 the threshold search would walk levels one by one."""
     if not isinstance(g, int) or g < 1:
@@ -162,7 +162,7 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     packet slot of each detected branch on the fork path sets its v_<branch>.
     """
     circuit, phases = scenario.circuit, scenario.phases
-    v_max = _check_granularity(g, circuit.operating_voltage)
+    v_max = check_granularity(g, circuit.operating_voltage)
     v_min = level_of(circuit.v_min, g)
     v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
 
@@ -177,7 +177,7 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
             f"{tx.duration * 1e3:.1f} ms transmission with C = "
             f"{circuit.capacitor.capacitance * 1e3:.3g} mF"
         )
-    v_rx = {f"v_{b}": least(phases[_BRANCHES[b].slots[-1]]) for _, b in _PATH if b}
+    v_rx = {f"v_{b}": least(phases[BRANCHES[b].slots[-1]]) for _, b in PATH if b}
     return ThresholdLevels(v_min=v_min, v_on=level_of(circuit.v_on, g), v_tx=v_tx,
                            v_max=v_max, v_off=v_off, **v_rx)
 
@@ -229,9 +229,9 @@ class _RowBuilder:
     after its cycle `ends`, in `sleep_out`; per turn-off phase its state's
     v_off level, the Off-state wake time from that v_off, its crossing and
     its length; and the Off and Sleep phases' `after`.  A detected branch's
-    window, the last two slots of simulator._BRANCHES, sits on the fork
+    window, the last two slots of cycle.BRANCHES, sits on the fork
     path at its listening slot and opens when the slots before them end;
-    times are simulator._length of the slots on the schedule the phases
+    times are cycle.cycle_length of the slots on the schedule the phases
     were compiled from.  The SL1 row steps the fork path's timed slots
     inline with _level_step's expression.  A turn-off recharges from a
     level-dependent time, so it calls Phase.cross, Phase.after and
@@ -247,7 +247,7 @@ class _RowBuilder:
         off_after, sleep_after = off.after, phases["sleep"].after
         self.steps = steps = {phase: _affine(phase)
                               for phase in phases.values() if phase.duration is not None}
-        self.ends = {branch: _length(schedule, _BRANCHES[branch].slots)
+        self.ends = {branch: cycle_length(schedule, BRANCHES[branch].slots)
                      for branch in scenario.branches}
         self.sleep_out = sleep_out = {branch: _affine(phases["sleep"], m - end)
                                       for branch, end in self.ends.items()}
@@ -263,19 +263,19 @@ class _RowBuilder:
         # rx's step, the level rx needs, listen's v_off level, the branch's
         # sleep-out, its bit in the set of receiving windows).
         path, bits = [], 1
-        for slot, branch in _PATH:
+        for slot, branch in PATH:
             window = None
             if branch is not None:
-                (*lead, listen, rx), odds = _BRANCHES[branch].slots, _BRANCHES[branch].odds
+                (*lead, listen, rx), odds = BRANCHES[branch].slots, BRANCHES[branch].odds
                 listen, rx = phases[listen], phases[rx]
-                window = (getattr(scenario, odds), _length(schedule, tuple(lead)),
+                window = (getattr(scenario, odds), cycle_length(schedule, tuple(lead)),
                           turn_off(listen), turn_off(rx), listen.duration, steps[rx],
                           getattr(thr, f"v_{branch}"), thr.v_off[listen.state],
                           sleep_out.get(branch), bits)
                 bits *= 2
             path.append((*steps[phases[slot]], window))
         tx, quiet = turn_off(phases["tx"]), sleep_out.get("silent")
-        q1, q2 = (scenario.branch_odds[b][0] for _, b in _PATH if b)
+        q1, q2 = (scenario.branch_odds[b][0] for _, b in PATH if b)
         rewarded = [Rewards(0.0, q1 if r & 1 else 0.0, q2 if r & 2 else 0.0) for r in range(bits)]
 
         def recharge(level: int, t_wake: float, remaining: float) -> tuple[str, int]:

@@ -14,23 +14,11 @@ entered below that; a turn-off at or above v_on wakes the device at
 once.  Every phase is advanced with the closed-form voltage expressions;
 turn-off crossings are located analytically, never by time stepping.
 
-Each scenario compiles one phase table (phase_table, cached as
-Scenario.phases): the seven timed Class A phases of its schedule plus
-the Off and Sleep recharge states, each an energy.Phase whose decay
-factor is fixed up front, addressed by slot ('tx', 'idle1', 'listen1',
-'rx1', 'idle2', 'listen2', 'rx2', 'off', 'sleep'); the Markov chain
-quantizes the same table.  run_simulation and single_cycle_trace share
-one walk over compiled phases; its results are bit-identical to stepping
-with voltage_after and time_to_voltage, and the draw order below is
-unchanged by it.
-
-The sizing searches try many capacitances on one analytic cycle, and a
-capacitance changes only each state's tau.  CycleCheck fixes everything
-else of the cycle once (asymptotes, turn-off voltages, guards and
-durations); a trial then forms tau = (R_eq + ESR) * C * ratio in
-energy's operation order and steps each phase by the walk's rule, trace
-free, so it answers exactly what single_cycle_trace answers on a circuit
-rebuilt at that capacitance, with no circuit, schedule or Phase built.
+The walk steps through Scenario.phases, the phase table of caplora.cycle,
+along the fork path cycle.PATH; its results are bit-identical to
+stepping with voltage_after and time_to_voltage, and the draw order below
+is unchanged by it.  single_cycle_trace walks one analytic cycle
+(cycle.analytic_slots) of the same table.
 
 Settling.  With the trace off, run_simulation stops stepping voltages
 once every cycle's outcome is fixed.  Each branch of Scenario.branches
@@ -74,23 +62,8 @@ lost (at p = 1, ceil(remaining / (1 + lost)) on-slots).  Otherwise
 below and counts the on-slots per branch; the last cycle's lost slots
 are cut off at n_scheduled.  The counters equal the full walk's.
 
-Two downlink-cost conventions live here, mirroring how such devices are
-analyzed versus simulated.  Both read one branch table, _BRANCHES, which
-lists each branch's slots, the counters its window feeds and its draw's
-odds; each branch's odds per on-slot (Scenario.branch_odds) and the fork
-path (_PATH) that every engine walks derive from it too:
-
-* run_simulation (and the Markov chain built on the same table) walks a
-  branch's slots, so a detected downlink costs the full preamble window
-  at the listening load followed by the whole packet airtime at the
-  receiving load.
-* single_cycle_trace and CycleCheck run the leaner analytic cycle used by
-  the capacitance/interval characterization: a branch's slots with the
-  detected window's listening slot dropped, so the downlink simply
-  replaces it with one packet reception ('none' runs silent's slots).
-
 Draw order of the seeded PRNG (Python's random.Random, MT19937): one
-uniform draw at each fork of _PATH as its window opens, window 2's only
+uniform draw at each fork of PATH as its window opens, window 2's only
 if window 1 detected nothing and the device is still on.
 After settling, draws are taken only while an outcome depends on them:
 in this order when the branches differ, not at all when they end alike
@@ -114,66 +87,12 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
 from itertools import islice
-from operator import add, attrgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .energy import (CircuitConfig, DeviceState, Phase, _off_time, _step, compile_phase,
-                     time_constant, wake_time)
+from .cycle import BRANCHES, PATH, Scenario, analytic_slots, check_start
+from .energy import CircuitConfig, DeviceState, Phase, wake_time
 from .errors import ScenarioError
-from .timing import RadioConfig, TimingSchedule, class_a_schedule
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One complete operating point: circuit, radio, traffic and downlink odds."""
-
-    circuit: CircuitConfig
-    radio: RadioConfig
-    ul_pl: int
-    dl_pl: int
-    interval_m: float
-    p1: float = 0.0
-    p2: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
-            raise ScenarioError(f"p1/p2 must be probabilities, got {self.p1}, {self.p2}")
-        bound = min_interval_bound(self.schedule, self.branches)
-        if not bound < self.interval_m < math.inf:
-            raise ScenarioError(
-                f"transmission interval {self.interval_m} s must be finite and exceed "
-                f"the uplink/downlink sequence bound {bound:.6f} s"
-            )
-
-    @cached_property
-    def branch_odds(self) -> dict[str, tuple[float, bool]]:
-        """Each branch's odds per on-slot, in draw order, and whether a cycle
-        can take it: a detected branch's draw times every earlier window's
-        miss, silent all the misses.  Reachability goes factor by factor, so
-        a product that underflows to 0 drops no branch the walk can draw."""
-        odds, miss, reachable = {}, 1.0, True
-        for branch, spec in _BRANCHES.items():
-            p = 1.0 if spec.odds is None else getattr(self, spec.odds)  # silent: certain
-            odds[branch] = (miss * p, reachable and p > 0.0)
-            miss, reachable = miss * (1.0 - p), reachable and p < 1.0
-        return odds
-
-    @cached_property
-    def branches(self) -> tuple[str, ...]:
-        """The downlink branches a cycle can take, in draw order: detected in
-        window 1 (rx1), detected in window 2 (rx2), silent in both."""
-        return tuple(branch for branch, (_, on) in self.branch_odds.items() if on)
-
-    @cached_property
-    def schedule(self) -> TimingSchedule:
-        return class_a_schedule(self.radio, self.ul_pl, self.dl_pl)
-
-    @cached_property
-    def phases(self) -> dict[str, Phase]:
-        """The compiled phase table, built on first use (see phase_table)."""
-        return phase_table(self.circuit, self.schedule)
 
 
 @dataclass(frozen=True)
@@ -208,89 +127,6 @@ class SimStats:
     @property
     def pdl2(self) -> float:
         return self.n_dl2_success / self.n_scheduled
-
-
-# Timed Class A phases: slot name -> (device state, TimingSchedule field).
-_SLOTS = {
-    "tx": (DeviceState.TX, "t_tx"),
-    "idle1": (DeviceState.IDLE, "t_id1"),
-    "listen1": (DeviceState.LISTEN, "t_l1"),
-    "rx1": (DeviceState.RX, "t_rx1"),
-    "idle2": (DeviceState.IDLE, "t_id2"),
-    "listen2": (DeviceState.LISTEN, "t_l2"),
-    "rx2": (DeviceState.RX, "t_rx2"),
-}
-
-
-class _Branch(NamedTuple):
-    slots: tuple[str, ...]   # the slots walked; a detected window is the last two
-    counter: str | None      # the SimStats counters that window feeds
-    odds: str | None         # the Scenario probability of the draw that detects it
-
-
-# The Class A branch rule, in draw order: a downlink detected in window 1,
-# one detected in window 2, or silence in both.  A detected downlink's
-# window is the last two slots of its branch, the preamble at the listening
-# load and then the packet; the draw that detects it is taken as its
-# listening slot opens.  A window-1 downlink ends the cycle, and window 2
-# opens only after a silent window 1, so each detected branch follows
-# silent's slots up to its listening slot.
-_BRANCHES = {
-    "rx1": _Branch(("tx", "idle1", "listen1", "rx1"), "n_dl1", "p1"),
-    "rx2": _Branch(("tx", "idle1", "listen1", "idle2", "listen2", "rx2"), "n_dl2", "p2"),
-    "silent": _Branch(("tx", "idle1", "listen1", "idle2", "listen2"), None, None),
-}
-
-# The fork path: silent's slots, each paired with the detected branch whose
-# draw is taken as that slot opens (its listening slot), else None.
-_FORKS = {len(spec.slots) - 2: branch for branch, spec in _BRANCHES.items() if spec.odds}
-_PATH = tuple((slot, _FORKS.get(i)) for i, slot in enumerate(_BRANCHES["silent"].slots))
-
-
-def _cycle(dl_case: str) -> tuple[str, ...]:
-    """The analytic cycle's slots: silent's for 'none', else the branch's
-    with the downlink in place of its listening slot."""
-    if dl_case == "none":
-        return _BRANCHES["silent"].slots
-    if dl_case not in ("rx1", "rx2"):
-        raise ScenarioError(f"dl_case must be 'none', 'rx1' or 'rx2', got {dl_case!r}")
-    slots = _BRANCHES[dl_case].slots
-    return slots[:-2] + slots[-1:]
-
-
-# One TimingSchedule getter per cycle and per window's opening slots, in slot order.
-_ANALYTIC = tuple(map(_cycle, ("none", "rx1", "rx2")))
-_FIELDS = {slots: attrgetter(*(_SLOTS[slot][1] for slot in slots))
-           for slots in (*_ANALYTIC, *(spec.slots for spec in _BRANCHES.values()),
-                         *(spec.slots[:-2] for spec in _BRANCHES.values() if spec.odds))}
-
-
-def _length(sched: TimingSchedule, slots: tuple[str, ...]) -> float:
-    """The slots' durations in `sched`, added left to right as a walk adds them."""
-    return reduce(add, _FIELDS[slots](sched))
-
-
-def min_interval_bound(sched: TimingSchedule, branches: Sequence[str] = ()) -> float:
-    """Lower bound on the transmission interval M, which callers keep M strictly
-    above: the longest Class A cycle, each analytic one and each of the given
-    `branches` (Scenario.branches), its slots added left to right as the
-    simulator and the chain add them."""
-    return max([_length(sched, slots) for slots in _ANALYTIC]
-               + [_length(sched, _BRANCHES[branch].slots) for branch in branches])
-
-
-def _slot(sched: TimingSchedule, slot: str) -> tuple[DeviceState, float]:
-    state, name = _SLOTS[slot]
-    return state, getattr(sched, name)
-
-
-def phase_table(circuit: CircuitConfig, sched: TimingSchedule) -> dict[str, Phase]:
-    """Compile the seven timed phases of `sched` plus the Off and Sleep
-    recharge states ('off', 'sleep') for one circuit."""
-    table = {slot: compile_phase(circuit, *_slot(sched, slot)) for slot in _SLOTS}
-    table["off"] = compile_phase(circuit, DeviceState.OFF)
-    table["sleep"] = compile_phase(circuit, DeviceState.SLEEP)
-    return table
 
 
 class _Walk:
@@ -375,7 +211,7 @@ def _tally(branch: str, stop: str | None) -> tuple[str, ...]:
     `branch` and turns off in slot `stop` (None: completes)."""
     if stop == "tx":
         return ("n_tx_aborted",)
-    slots, counter, _ = _BRANCHES[branch]
+    slots, counter, _ = BRANCHES[branch]
     if counter is None or stop in slots[:-2]:
         return ("n_tx_success",)
     return ("n_tx_success", counter + ("_success" if stop is None else "_aborted"))
@@ -416,7 +252,7 @@ def _count_tail(cycle: tuple[dict[str, Outcome], ...], remaining: int, draw, p1:
     # An undetected cycle counts as the last reachable branch: silent, or rx2
     # when p2 = 1, which ends alike when window 2 stays unopened.
     *_, quiet = step
-    opens2 = outcomes[quiet][0] not in _BRANCHES["rx2"].slots[:-2]
+    opens2 = outcomes[quiet][0] not in BRANCHES["rx2"].slots[:-2]
     n1 = n2 = n_quiet = 0
     if max(step.values()) == 1:
         for _ in range(remaining):
@@ -454,7 +290,7 @@ class _Settler:
         self.circuit, self.m, self.n = circuit, scenario.interval_m, n_scheduled
         self.off, self.sleep = table["off"], table["sleep"]
         self.names = scenario.branches
-        self.branches = [tuple(map(table.get, _BRANCHES[b].slots)) for b in self.names]
+        self.branches = [tuple(map(table.get, BRANCHES[b].slots)) for b in self.names]
         e, t_end = circuit.operating_voltage, n_scheduled * self.m
         tau = min(circuit.state_params(s).tau for s in (DeviceState.OFF, DeviceState.SLEEP))
         self.delta, self.eps_t = 2**20 * math.ulp(e), 2**20 * math.ulp(t_end)
@@ -504,7 +340,7 @@ class _Settler:
                 ends = self._ends(lo, hi, slot)
                 if ends is None:
                     return None
-                cycle.append({b: (None if fate is None else _BRANCHES[b].slots[fate[0]], lost)
+                cycle.append({b: (None if fate is None else BRANCHES[b].slots[fate[0]], lost)
                               for b, (((fate, lost), _, _), _) in zip(self.names, ends)})
                 slot += 1 + ends[0][0][0][1]  # each step is probed at its own on-slot
                 images = [end[1] for pair in ends for end in pair]
@@ -602,9 +438,9 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
     # A cycle walks the fork path's (slot, phase, fork) steps; a fork (its draw's
     # odds, branch, steps) that detects goes on in the branch's steps from that slot.
     steps = {b: [(slot, table[slot], None) for slot in spec.slots]
-             for b, spec in _BRANCHES.items() if spec.odds}
-    silent = [(slot, table[slot], b and (getattr(scenario, _BRANCHES[b].odds), b, steps[b]))
-              for slot, b in _PATH]
+             for b, spec in BRANCHES.items() if spec.odds}
+    silent = [(slot, table[slot], b and (getattr(scenario, BRANCHES[b].odds), b, steps[b]))
+              for slot, b in PATH]
     settle = _Settler(scenario, n_scheduled)
     single = len(scenario.branches) == 1
     p1, p2 = scenario.p1, scenario.p2
@@ -670,63 +506,6 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
     return [run(seed) for seed in seeds]
 
 
-def _check_start(circuit: CircuitConfig, v_start: float) -> None:
-    if not circuit.v_min <= v_start <= circuit.operating_voltage:
-        raise ScenarioError(
-            f"v_start must lie in [{circuit.v_min}, {circuit.operating_voltage}], got {v_start}"
-        )
-
-
-class CycleCheck:
-    """single_cycle_trace's analytic cycle without the trace, at any capacitance.
-
-    A downlink replaces its listening window: 'rx1' receives right after
-    the first idle second (and the cycle ends there), 'rx2' receives in
-    place of the second listening window, 'none' listens through both;
-    `phases` lists the cycle's (state, duration) pairs in order.  Each
-    step keeps the C-independent constants of its state (see the module
-    docstring); run() checks its inputs and step() forms tau with
-    energy.time_constant and applies _Walk.phase's rule through energy's
-    _off_time and _step, so it gives single_cycle_trace's final voltage and
-    completed flag bit for bit.
-    """
-
-    __slots__ = ("circuit", "phases", "_steps")
-
-    def __init__(self, circuit: CircuitConfig, sched: TimingSchedule, dl_case: str):
-        self.circuit = circuit
-        self.phases = tuple(_slot(sched, slot) for slot in _cycle(dl_case))
-        params = [circuit.state_params(state) for state, _ in self.phases]
-        self._steps = tuple((duration, p.r_series, p.ratio, p.v_limit, p.v_off, p.v_guard)
-                            for (_, duration), p in zip(self.phases, params))
-
-    def run(self, v_start: float, capacitance: float | None = None) -> tuple[float, bool]:
-        """(final_voltage, completed) of one cycle from v_start with the
-        circuit's capacitor, or one of `capacitance` farads with the same
-        ESR and EPR; completed is False when the capacitor touched the
-        turn-off voltage anywhere in the cycle."""
-        return self.step(v_start, self.check(v_start, capacitance))
-
-    def check(self, v_start: float, capacitance: float | None = None) -> float:
-        """Validate run's inputs, in run's order; the capacitance it takes."""
-        _check_start(self.circuit, v_start)
-        c = self.circuit.capacitor.capacitance if capacitance is None else capacitance
-        if not 0 < c < math.inf:
-            raise ScenarioError(f"capacitance must be finite and > 0, got {c}")
-        return c
-
-    def step(self, v_start: float, c: float) -> tuple[float, bool]:
-        """run at capacitance c without its checks, for a search whose
-        bracket ends passed them: every trial between them is valid too."""
-        v = v_start
-        for duration, r_series, ratio, v_limit, v_off, v_guard in self._steps:
-            tau = time_constant(r_series, c, ratio)
-            if v <= v_guard and _off_time(v_limit, tau, v_off, v) <= duration:
-                return min(v, v_off), False
-            v = _step(v_limit, math.exp(-duration / tau), v)
-        return v, True
-
-
 def single_cycle_trace(scenario: Scenario, v_start: float,
                        dl_case: str = "none") -> tuple[list[TracePoint], float, bool]:
     """Run exactly one deterministic uplink/downlink cycle from v_start.
@@ -734,8 +513,8 @@ def single_cycle_trace(scenario: Scenario, v_start: float,
     Returns (trace, final_voltage, completed); completed is False when the
     capacitor touched the turn-off voltage anywhere in the cycle.
     """
-    table, circuit, slots = scenario.phases, scenario.circuit, _cycle(dl_case)
-    _check_start(circuit, v_start)
+    table, circuit, slots = scenario.phases, scenario.circuit, analytic_slots(dl_case)
+    check_start(circuit, v_start)
     walk = _Walk(circuit, v_start, off=False, trace=True)
     completed = all(walk.phase(table[slot]) for slot in slots)
     if completed:

@@ -55,7 +55,7 @@ def make_scenario(sf: int = 7,
                   power_w: float = defaults.HARVEST_POWER_W,
                   c_farads: float = defaults.CAPACITANCE_F,
                   turn_on_fraction: float = defaults.TURN_ON_FRACTION):
-    from caplora.simulator import Scenario
+    from caplora.cycle import Scenario
     from caplora.timing import RadioConfig
 
     return Scenario(
@@ -72,7 +72,7 @@ def make_scenario(sf: int = 7,
 
 def reference_interval_bound(sched, rx2_reachable: bool = False) -> float:
     """The interval bound written out by hand, what
-    caplora.simulator.min_interval_bound must return bit for bit: the
+    caplora.cycle.min_interval_bound must return bit for bit: the
     sequence up to window 2, then window 2's longer of preamble and packet
     (a downlink replacing its listening window), or both when a window-2
     reception is reachable, added left to right."""
@@ -360,7 +360,7 @@ def reference_chain(scenario, g: int):
 
 # The SimStats counters that an on-slot adds to when its cycle takes a
 # branch and turns off in a slot (None: completes), written out apart from
-# caplora.simulator's branch table.  A turn-off in tx aborts the uplink; a
+# caplora.cycle's branch table.  A turn-off in tx aborts the uplink; a
 # detected downlink's window (its listening slot and its packet) feeds its
 # window's counters, a success only when the cycle completes.
 REFERENCE_TALLY = {

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caplora import characterize, cli, defaults, simulator
+from caplora import characterize, cli, cycle, defaults, simulator
 from caplora.characterize import (
+    CycleCheck,
     accuracy_study,
     accuracy_summary,
     edit_scenario,
@@ -21,7 +22,6 @@ from caplora.characterize import (
 from caplora.errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from caplora.config import parse_scenario
 from caplora.energy import CircuitConfig, DeviceState
-from caplora.simulator import CycleCheck
 
 from conftest import make_circuit, make_scenario, rk4_capacitor
 
@@ -255,7 +255,7 @@ class TestSizingProperties:
     """Properties that the capacitance bisection relies on."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_sizing_scenarios, st.sampled_from(characterize.DL_CASES),
+    @given(_sizing_scenarios, st.sampled_from(cycle.DL_CASES),
            _capacitances, _capacitances)
     def test_feasibility_at_the_ceiling_is_monotone_in_capacitance(
             self, scenario, dl_case, c_a, c_b):
@@ -264,7 +264,7 @@ class TestSizingProperties:
             assert completes_at_ceiling(scenario, c_large, dl_case)
 
     @settings(max_examples=100, deadline=None)
-    @given(_sizing_scenarios, st.sampled_from(characterize.DL_CASES),
+    @given(_sizing_scenarios, st.sampled_from(cycle.DL_CASES),
            st.floats(1e-4, 1e-1), st.floats(1e-4, 1e-1))
     def test_min_capacitance_does_not_increase_with_harvest_power(
             self, scenario, dl_case, p_a, p_b):
@@ -276,7 +276,7 @@ class TestSizingProperties:
         assert at_high <= at_low
 
     @settings(max_examples=100, deadline=None)
-    @given(_sizing_scenarios, _parasitics, st.sampled_from(characterize.DL_CASES),
+    @given(_sizing_scenarios, _parasitics, st.sampled_from(cycle.DL_CASES),
            st.floats(1e-4, 1e-1), st.floats(1e-4, 1e-1))
     def test_parasitic_min_capacitance_does_not_increase_with_harvest_power(
             self, scenario, capacitor, dl_case, p_a, p_b):
@@ -460,13 +460,13 @@ class TestThresholdSweep:
         # scenario's phase table, and the rows equal those of cells that
         # compile their own: one sweep per cell, around a base at its M.
         compiled = []
-        phase_table = simulator.phase_table
+        phase_table = cycle.phase_table
 
         def counted(*args):
             compiled.append(args)
             return phase_table(*args)
 
-        monkeypatch.setattr(simulator, "phase_table", counted)
+        monkeypatch.setattr(cycle, "phase_table", counted)
         granularities, m_values = (100, 200), (5.0, 10.0, 35.0, 40.0)
         rows = threshold_sweep(make_scenario(ul_pl=8, interval_m=40.0), axis="granularity",
                                values=granularities, m_values=m_values, engine="chain")
@@ -591,10 +591,10 @@ class TestGridParts:
             return call
 
         monkeypatch.setattr(CircuitConfig, "__post_init__", circuit)
-        monkeypatch.setattr(simulator, "class_a_schedule",
-                            counted("schedules", simulator.class_a_schedule))
-        monkeypatch.setattr(simulator, "phase_table",
-                            counted("phase_tables", simulator.phase_table))
+        monkeypatch.setattr(cycle, "class_a_schedule",
+                            counted("schedules", cycle.class_a_schedule))
+        monkeypatch.setattr(cycle, "phase_table",
+                            counted("phase_tables", cycle.phase_table))
         return counts
 
     # (base, axes, parts built, distinct (circuits, radios, schedules, scenarios)).
@@ -649,7 +649,7 @@ class TestGridParts:
         assert len(cells) == 44 and built["phase_tables"] == 1
         assert {id(cell.scenario.phases) for cell in cells} == {id(base.phases)}
         for cell in cells:
-            own = simulator.phase_table(cell.scenario.circuit, cell.scenario.schedule)
+            own = cycle.phase_table(cell.scenario.circuit, cell.scenario.schedule)
             assert _phase_fields(cell.scenario.phases) == _phase_fields(own)
 
     def test_traffic_grid_compiles_no_schedule(self, built):

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import json
 import math
@@ -574,6 +575,49 @@ def test_chain_names_are_the_markov_objects():
         assert name in dir(caplora)
     with pytest.raises(AttributeError, match="caplora"):
         caplora.no_such_name
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _boundary_breaches(path: pathlib.Path, package: set) -> list[str]:
+    """Where the module at `path` imports an underscore name from a caplora
+    module, or reads one as an attribute of a caplora module it imported."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules, breaches = set(), []   # local names bound to caplora modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                source = "caplora" + (f".{node.module}" if node.module else "")
+            elif node.level == 0 and (node.module or "").split(".")[0] == "caplora":
+                source = node.module
+            else:
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    breaches.append(f"{path.name}:{node.lineno} imports {source}.{alias.name}")
+                elif source == "caplora" and alias.name in package:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "caplora":
+                    modules.add(alias.asname or "caplora")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                breaches.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
+    return breaches
+
+
+def test_no_caplora_module_uses_another_modules_private_names():
+    files = sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+    package = {path.stem for path in files}
+    assert {"cycle", "simulator", "markov", "characterize"} <= package
+    assert [breach for path in files for breach in _boundary_breaches(path, package)] == []
 
 
 def test_library_solve_loads_numpy_only_for_a_stochastic_chain():

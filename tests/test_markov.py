@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
 
-from caplora import characterize, defaults, markov, simulator
+from caplora import characterize, cycle, defaults, markov, simulator
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
 from caplora.config import load_scenario
 from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after
@@ -31,7 +31,8 @@ from caplora.markov import (
     stationary_distribution,
     threshold_levels,
 )
-from caplora.simulator import min_interval_bound, run_simulation
+from caplora.cycle import min_interval_bound
+from caplora.simulator import run_simulation
 
 from conftest import (
     dense_matrix,
@@ -793,7 +794,7 @@ def test_sums_add_left_to_right(monkeypatch):
     def compensated(*args):
         raise AssertionError("the builtin sum of floats is compensated since Python 3.12")
 
-    for module in (markov, characterize, simulator):
+    for module in (markov, characterize, simulator, cycle):
         monkeypatch.setattr(module, "sum", compensated, raising=False)
     pi = [1e16, 1.0, -1e16]
     assert math.fsum(pi) == 1.0          # what a compensated sum gives

@@ -6,19 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from caplora import simulator
-from caplora.characterize import edit_scenario
+from caplora.characterize import CycleCheck, edit_scenario
 from caplora.cli import main
 from caplora.config import parse_scenario
 from caplora.energy import DeviceState, time_to_voltage, voltage_after
 from caplora.errors import ScenarioError
-from caplora.simulator import (
-    CycleCheck,
-    SimStats,
-    TracePoint,
-    min_interval_bound,
-    run_simulation,
-    single_cycle_trace,
-)
+from caplora.cycle import _SLOTS, BRANCHES, PATH, min_interval_bound
+from caplora.simulator import SimStats, TracePoint, run_simulation, single_cycle_trace
 
 from conftest import REFERENCE_TALLY, make_circuit, make_scenario, reference_count_tail
 
@@ -66,7 +60,7 @@ class TestScenarioValidation:
             b for b, (_, reachable) in scenario.branch_odds.items() if reachable)
 
     def test_the_fork_path_forks_each_detected_branch_at_its_listening_slot(self):
-        assert simulator._PATH == (("tx", None), ("idle1", None), ("listen1", "rx1"),
+        assert PATH == (("tx", None), ("idle1", None), ("listen1", "rx1"),
                                    ("idle2", None), ("listen2", "rx2"))
 
     @pytest.mark.parametrize("sf, dl_pl", [(7, 1), (9, 48), (12, 222)])
@@ -77,7 +71,7 @@ class TestScenarioValidation:
                                  power_w=0.01, c_farads=1.0)
         circuit = scenario.circuit
         walk = simulator._Walk(circuit, circuit.charge_ceiling(), off=False, trace=False)
-        assert all(walk.phase(scenario.phases[slot]) for slot in simulator._BRANCHES["rx2"].slots)
+        assert all(walk.phase(scenario.phases[slot]) for slot in BRANCHES["rx2"].slots)
         bound = min_interval_bound(scenario.schedule, scenario.branches)
         assert walk.t.hex() == bound.hex()
         assert bound > min_interval_bound(scenario.schedule)
@@ -173,7 +167,7 @@ class TestWindowStructure:
         s = scenario.schedule
         assert [b.time - a.time for a, b in zip(cycle, cycle[1:])] == \
             pytest.approx([getattr(s, name) for _, name in slots], rel=1e-9)
-        assert [simulator._SLOTS[slot] for slot in simulator._BRANCHES[branch].slots] == \
+        assert [_SLOTS[slot] for slot in BRANCHES[branch].slots] == \
             [(DeviceState[state], name) for state, name in slots]
 
     def test_pdr_nondecreasing_in_interval(self):
@@ -764,7 +758,7 @@ class TestSettling:
 
     def test_the_tally_is_the_reference_tally(self):
         # Every (branch, stop) of the branch table adds the reference's counters.
-        ends = {(branch, stop) for branch, spec in simulator._BRANCHES.items()
+        ends = {(branch, stop) for branch, spec in BRANCHES.items()
                 for stop in (None, *spec.slots)}
         assert ends == set(REFERENCE_TALLY)
         for branch, stop in ends:

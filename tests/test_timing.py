@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caplora.errors import NegativeIdleError, ScenarioError
-from caplora.simulator import min_interval_bound
+from caplora.cycle import min_interval_bound
 from caplora.timing import (
     RadioConfig,
     class_a_schedule,

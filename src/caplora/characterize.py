@@ -61,7 +61,7 @@ from .energy import (CircuitConfig, DeviceState, DeviceThresholds, compile_phase
                      off_time, time_constant, wake_time)
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from .markov import check_granularity, solve_chain
-from .simulator import run_seeds
+from .simulator import check_seeds, run_seeds
 from .timing import TimingSchedule
 
 
@@ -415,15 +415,6 @@ def _check_distinct(name: str, values: Sequence) -> None:
         raise ScenarioError(f"{name} must not repeat a value, got {list(values)}")
 
 
-def _check_seeds(seeds: Sequence[int]) -> None:
-    """Seeds are whole numbers >= 0, none of them twice.  random.Random(-s)
-    draws what Random(s) draws, so a negative seed, like a repeated one,
-    would run one seed twice and count it twice."""
-    if any(seed < 0 for seed in seeds):
-        raise ScenarioError(f"seeds must be >= 0, got {list(seeds)}")
-    _check_distinct("seeds", seeds)
-
-
 def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int, tails: dict,
                 cell: GridCell) -> list[dict]:
     rows = []
@@ -467,7 +458,7 @@ def threshold_sweep(scenario: Scenario, *, axis: str, values: Sequence[float],
     engines = ("simulator", "chain") if engine == "both" else (engine,)
     if "simulator" in engines and not seeds:
         raise ScenarioError("a simulator sweep needs at least one seed")
-    _check_seeds(seeds)
+    check_seeds(seeds)
     axes = [(axis, values)] + ([("interval_m", m_values)] if m_values else [])
     # One store of seed tails per call; each pool task gets its own copy.
     measure = partial(_sweep_cell, axis, engines, tuple(seeds), n_scheduled, {})
@@ -533,7 +524,7 @@ def accuracy_study(base: Scenario,
     count twice in accuracy_summary."""
     if not seeds:
         raise ScenarioError("the accuracy study needs at least one seed")
-    _check_seeds(seeds)
+    check_seeds(seeds)
     for name, values in (("cases", cases), ("m_classes", m_classes),
                          ("p_combos", [tuple(p) for p in p_combos]),
                          ("thresholds", thresholds), ("granularities", granularities)):

@@ -30,9 +30,9 @@ compile_phase turns one device state (at a fixed duration, or open-ended
 for the recharge states) into a Phase: its turn-off voltage, its affine
 constants (v_limit, tau and a timed phase's decay factor, fixed in
 advance) and after/cross callables over them.  cycle.phase_table
-compiles a scenario's phases: the simulator walks them, the Markov chain
-compiles their constants into its level map and the sizing searches
-charge with them; they evaluate the very expressions of voltage_after
+compiles a scenario's phases: the simulator compiles their constants
+into its walk, the Markov chain into its level map, and the sizing
+searches charge with them; they evaluate the very expressions of voltage_after
 and time_to_voltage (a timed phase's crossing is the time to its
 turn-off voltage), so both paths give bit-identical floats.
 The sizing searches' cycle check (characterize.CycleCheck) applies the

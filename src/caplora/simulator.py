@@ -14,11 +14,18 @@ entered below that; a turn-off at or above v_on wakes the device at
 once.  Every phase is advanced with the closed-form voltage expressions;
 turn-off crossings are located analytically, never by time stepping.
 
-The walk steps through Scenario.phases, the phase table of caplora.cycle,
-along the fork path cycle.PATH; its results are bit-identical to
-stepping with voltage_after and time_to_voltage, and the draw order below
-is unchanged by it.  single_cycle_trace walks one analytic cycle
-(cycle.analytic_slots) of the same table.
+Each simulation compiles Scenario.phases, the phase table of
+caplora.cycle, into plain per-phase constants (_Step) once, and each run
+walks them along the fork path cycle.PATH in two closures
+(_compile_walk): cycle walks one cycle from an on-slot, next_on charges,
+wakes and sleeps up to the next on-slot.  They evaluate each phase's
+after and cross, and the recharge states' time_to_voltage, with the same
+float operations in the same order, so every voltage, instant and
+counter is bit-identical to stepping through the Phases with them; the
+draw order below is unchanged by it.  The settle probe steps the same
+constants, and run_simulation's trace and single_cycle_trace, which
+walks one analytic cycle (cycle.analytic_slots), record their points
+from the same closures.
 
 Settling.  With the trace off, run_simulation stops stepping voltages
 once every cycle's outcome is fixed.  Each branch of Scenario.branches
@@ -68,7 +75,8 @@ if window 1 detected nothing and the device is still on.
 After settling, draws are taken only while an outcome depends on them:
 in this order when the branches differ, not at all when they end alike
 (a periodic run has one branch).
-Each run owns its generator, so the draws left untaken reach nothing.
+Each run owns its generator, so the draws left untaken reach nothing;
+it is seeded at the run's first draw, and a run that takes none seeds none.
 
 Seed-free start.  No draw is taken before the first on-slot's cycle, so
 every seed of a cell reaches its first on-slot at the same voltage.  The
@@ -88,10 +96,10 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cycle import BRANCHES, PATH, Scenario, analytic_slots, check_start
-from .energy import CircuitConfig, DeviceState, Phase, wake_time
+from .energy import ASYMPTOTE_GUARD_V, DeviceState, Phase, wake_time
 from .errors import ScenarioError
 
 
@@ -129,72 +137,139 @@ class SimStats:
         return self.n_dl2_success / self.n_scheduled
 
 
-class _Walk:
-    """One device moving through compiled phases: capacitor voltage, on/off, clock."""
+class _Step(NamedTuple):
+    """A timed phase compiled for the walk: its constants, in the order the
+    walk unpacks them.  The walk steps v to offset + v * decay, the sum
+    decay_step forms (float addition commutes), and times a turn-off from
+    v as off_time does, -tau * log(gap / (v - v_limit)), so each step is
+    bit for bit the Phase's after and cross.  A NamedTuple, because the
+    walk unpacks one per phase and a tuple unpacks fastest."""
 
-    __slots__ = ("v", "off", "t", "v_on", "points")
+    v_guard: float    # entered above it, the phase cannot turn the device off
+    v_off: float
+    v_limit: float
+    tau: float
+    gap: float        # v_off - v_limit
+    duration: float
+    offset: float     # v_limit * (1.0 - decay)
+    decay: float
+    state: DeviceState
 
-    def __init__(self, circuit: CircuitConfig, v: float, off: bool, trace: bool):
-        self.v = v
-        self.off = off
-        self.t = 0.0
-        self.v_on = circuit.v_on
-        self.points: list[TracePoint] | None = [] if trace else None
 
-    def record(self, t: float, state: DeviceState) -> None:
-        points = self.points
-        if points is None:
-            return
-        point = TracePoint(t, self.v, state)
-        if points and points[-1].time == t and points[-1].device_state is not DeviceState.OFF:
-            points[-1] = point  # zero-duration phase; keep the outcome
-        else:
-            points.append(point)  # a turn-off stays even when the device wakes at once
+def _step(phase: Phase) -> _Step:
+    """Compile the timed `phase`.  Its v_guard takes in off_time's asymptote
+    guard: a state that settles less than ASYMPTOTE_GUARD_V below v_off
+    (or at or above it) turns the device off only when entered at or below
+    v_off."""
+    v_limit, decay = phase.v_limit, phase.decay
+    gap = phase.v_off - v_limit
+    return _Step(math.inf if gap > ASYMPTOTE_GUARD_V else phase.v_off, phase.v_off, v_limit,
+                 phase.tau, gap, phase.duration, v_limit * (1.0 - decay), decay, phase.state)
 
-    def phase(self, phase: Phase) -> bool:
-        """Spend the timed `phase`; False when the device turned off in it.
 
-        A turn-off ends the phase at the crossing instant with the device
-        Off and the capacitor at the phase's v_off, or at once, where it
-        is, when the phase was entered at or below v_off.
-        """
-        v, t = self.v, self.t
-        if self.points is not None:
-            self.record(t, phase.state)
-        if v <= phase.v_guard:
-            t_cross = phase.cross(v)
-            if t_cross <= phase.duration:
-                self.v = min(v, phase.v_off)
-                self.off = True
-                self.t = t + t_cross
-                self.record(self.t, DeviceState.OFF)
-                return False
-        self.v = phase.after(v)
-        self.t = t + phase.duration
-        return True
+def _steps(scenario: Scenario) -> dict[str, _Step]:
+    """The timed phases of the scenario's phase table, compiled by slot."""
+    return {slot: _step(phase) for slot, phase in scenario.phases.items()
+            if phase.duration is not None}
 
-    def ready(self, t_to: float, off: Phase, sleep: Phase) -> bool:
-        """Move through Off-charging / wake / Sleep up to time t_to; whether an uplink
-        can start then (not while the last cycle holds the radio, nor while Off)."""
-        t_from = self.t
-        if t_from > t_to:
-            return False
-        self.t = t_to
-        if t_to == t_from:
-            return not self.off
-        if self.off:
-            v, v_on = self.v, self.v_on
-            if v < v_on:
-                t_wake = off.cross(v, v_on)
-                if t_from + t_wake > t_to:
-                    self.v = off.after(v, t_to - t_from)
-                    return False
-                self.v = v_on
-                t_from += t_wake
-            self.off = False
-            self.record(t_from, DeviceState.SLEEP)
-        self.v = sleep.after(self.v, t_to - t_from)
-        return True
+
+# A walked path: per slot its name, compiled phase and fork, the fork being
+# None or (the draw's odds, the detected branch, that branch's path).
+ForkPath = tuple[tuple[str, _Step, tuple | None], ...]
+
+
+def _path(steps: dict[str, _Step], slots: Sequence[str]) -> ForkPath:
+    """The path through `slots`, without a fork."""
+    return tuple((slot, steps[slot], None) for slot in slots)
+
+
+def _record(points: list[TracePoint], t: float, v: float, state: DeviceState) -> None:
+    point = TracePoint(t, v, state)
+    if points and points[-1].time == t and points[-1].device_state is not DeviceState.OFF:
+        points[-1] = point  # zero-duration phase; keep the outcome
+    else:
+        points.append(point)  # a turn-off stays even when the device wakes at once
+
+
+def _compile_walk(scenario: Scenario, n_scheduled: int, points: list[TracePoint] | None):
+    """The walk of `scenario` over n_scheduled slots as two closures over
+    its compiled constants, each appending its trace points to `points`
+    unless that is None:
+
+    cycle(v, t, path, draw) walks one cycle from an on-slot at time t with
+    capacitor voltage v along `path`, taking a fork's draw as its slot
+    opens: (branch, the slot it turned off in or None, v, t).  A turn-off
+    ends the cycle at the crossing instant with the capacitor at the
+    phase's v_off, or at once, where it is, when the phase was entered at
+    or below v_off.
+
+    next_on(v, t, off, j) moves the device, at time t and on or Off, through
+    Off-charging, wake and Sleep to the first slot j, j + 1, ... < n_scheduled
+    where an uplink can start (not while the last cycle holds the radio,
+    nor while Off): (that slot or n_scheduled, v there).
+    """
+    off_phase, sleep_phase = scenario.phases["off"], scenario.phases["sleep"]
+    m, v_on = scenario.interval_m, scenario.circuit.v_on
+    off_limit, off_tau = off_phase.v_limit, off_phase.tau
+    sleep_limit, sleep_tau = sleep_phase.v_limit, sleep_phase.tau
+    # From v < v_on, time_to_voltage reaches v_on only when the Off asymptote
+    # lies more than its guard above v_on and v - off_limit rounds below
+    # wake_gap; the wake time is then its logarithm.
+    wake_gap = v_on - off_limit
+    wakes = wake_gap < -ASYMPTOTE_GUARD_V
+    log, exp = math.log, math.exp
+
+    def cycle(v: float, t: float, path: ForkPath, draw) -> tuple[str, str | None, float, float]:
+        branch, i, end = "silent", 0, len(path)
+        while i < end:
+            slot, step, fork = path[i]
+            if fork is not None and draw() < fork[0]:
+                branch, path = fork[1], fork[2]
+                end = len(path)
+            v_guard, v_off, v_limit, tau, gap, duration, offset, decay, state = step
+            if points is not None:
+                _record(points, t, v, state)
+            if v <= v_guard:
+                t_cross = 0.0 if v <= v_off else -tau * log(gap / (v - v_limit))
+                if t_cross <= duration:
+                    v, t = min(v, v_off), t + t_cross
+                    if points is not None:
+                        _record(points, t, v, DeviceState.OFF)
+                    return branch, slot, v, t
+            v = offset + v * decay
+            t += duration
+            i += 1
+        if points is not None:
+            _record(points, t, v, DeviceState.SLEEP)
+        return branch, None, v, t
+
+    def next_on(v: float, t: float, off: bool, j: int) -> tuple[int, float]:
+        while j < n_scheduled:
+            t_to = j * m
+            if t < t_to:
+                if off:
+                    if v < v_on:
+                        gap = v - off_limit
+                        t_wake = -off_tau * log(wake_gap / gap) if wakes and gap < wake_gap \
+                            else math.inf
+                        if t + t_wake > t_to:
+                            decay = exp(-(t_to - t) / off_tau)
+                            v, t = off_limit * (1.0 - decay) + v * decay, t_to
+                            j += 1
+                            continue
+                        v = v_on
+                        t += t_wake
+                    off = False
+                    if points is not None:
+                        _record(points, t, v, DeviceState.SLEEP)
+                decay = exp(-(t_to - t) / sleep_tau)
+                return j, sleep_limit * (1.0 - decay) + v * decay
+            if t == t_to and not off:
+                return j, v
+            j += 1
+        return j, v
+
+    return cycle, next_on
 
 
 # An outcome of one branch: the slot the device turned off in (None when the
@@ -286,11 +361,13 @@ class _Settler:
     """The settle test of run_simulation (see the module docstring)."""
 
     def __init__(self, scenario: Scenario, n_scheduled: int):
-        circuit, table = scenario.circuit, scenario.phases
-        self.circuit, self.m, self.n = circuit, scenario.interval_m, n_scheduled
-        self.off, self.sleep = table["off"], table["sleep"]
+        circuit = scenario.circuit
+        self.m, self.v_on, self.off = scenario.interval_m, circuit.v_on, scenario.phases["off"]
+        # The compiled phases, which the run loop walks too.
+        self.steps = steps = _steps(scenario)
         self.names = scenario.branches
-        self.branches = [tuple(map(table.get, BRANCHES[b].slots)) for b in self.names]
+        self.branches = [tuple(map(steps.get, BRANCHES[b].slots)) for b in self.names]
+        _, self.next_on = _compile_walk(scenario, n_scheduled, None)
         e, t_end = circuit.operating_voltage, n_scheduled * self.m
         tau = min(circuit.state_params(s).tau for s in (DeviceState.OFF, DeviceState.SLEEP))
         self.delta, self.eps_t = 2**20 * math.ulp(e), 2**20 * math.ulp(t_end)
@@ -378,26 +455,29 @@ class _Settler:
     def _inside(self, images: list[float], lo: float, hi: float) -> bool:
         return lo + self.eta <= min(images) and max(images) <= hi - self.eta
 
-    def _probe(self, phases: tuple[Phase, ...], x: float, k: int):
-        """Run one branch from x at on-slot k: (outcome, the next on-slot's
-        voltage, whether a threshold came within a margin)."""
-        walk, m, delta = _Walk(self.circuit, x, off=False, trace=False), self.m, self.delta
-        walk.t = t_k = k * m
-        fate, near = None, False
-        for i, phase in enumerate(phases):
-            v = walk.v
-            near = near or min(abs(v - phase.v_off), abs(phase.after(v) - phase.v_off)) < delta
-            if not walk.phase(phase):
-                fate = (i, v <= phase.v_off, walk.v >= walk.v_on)
-                near = near or abs(walk.v - walk.v_on) < delta
-                break
+    def _probe(self, phases: tuple[_Step, ...], x: float, k: int):
+        """Run one branch's compiled phases from x at on-slot k: (outcome,
+        the next on-slot's voltage, whether a threshold came within a
+        margin).  Each phase steps as cycle's does (see _compile_walk)."""
+        m, delta, v_on, log = self.m, self.delta, self.v_on, math.log
+        v, t = x, k * m
+        t_k, fate, near = t, None, False
+        for i, (v_guard, v_off, v_limit, tau, gap, duration, offset, decay, _) in enumerate(phases):
+            after = offset + v * decay
+            near = near or -delta < v - v_off < delta or -delta < after - v_off < delta
+            if v <= v_guard:
+                t_cross = 0.0 if v <= v_off else -tau * log(gap / (v - v_limit))
+                if t_cross <= duration:
+                    below, v, t = v <= v_off, min(v, v_off), t + t_cross
+                    fate = (i, below, v >= v_on)
+                    near = near or -delta < v - v_on < delta
+                    break
+            v, t = after, t + duration
         # Where the wake instant falls between slots (nan if it never wakes).
-        gap = (walk.t + (wake_time(self.off, walk.v, walk.v_on) if walk.off else 0.0) - t_k) % m
-        near = near or min(gap, m - gap) < self.eps_t
-        j = k + 1
-        while j < self.n and not walk.ready(j * m, self.off, self.sleep):
-            j += 1
-        return (fate, j - k - 1), walk.v, near
+        lag = (t + (wake_time(self.off, v, v_on) if fate is not None else 0.0) - t_k) % m
+        near = near or lag < self.eps_t or m - lag < self.eps_t
+        j, v = self.next_on(v, t, fate is not None, k + 1)
+        return (fate, j - k - 1), v, near
 
 
 def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
@@ -411,6 +491,18 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
     return _simulate(scenario, (seed,), n_scheduled, trace)[0]
 
 
+def check_seeds(seeds: Sequence[int]) -> None:
+    """Seeds are whole numbers >= 0, none of them twice.  random.Random(-s)
+    draws what Random(s) draws, so a negative seed, like a repeated one,
+    would run one seed twice and count it twice."""
+    if any(isinstance(seed, bool) or not isinstance(seed, int) for seed in seeds):
+        raise ScenarioError(f"seeds must be whole numbers, got {list(seeds)}")
+    if any(seed < 0 for seed in seeds):
+        raise ScenarioError(f"seeds must be >= 0, got {list(seeds)}")
+    if len(set(seeds)) < len(seeds):
+        raise ScenarioError(f"seeds must not repeat a value, got {list(seeds)}")
+
+
 def run_seeds(scenario: Scenario, seeds: Sequence[int], n_scheduled: int = 1000,
               tails: dict | None = None) -> list[SimStats]:
     """run_simulation's counters for each of `seeds`, in order; the seeds
@@ -419,6 +511,7 @@ def run_seeds(scenario: Scenario, seeds: Sequence[int], n_scheduled: int = 1000,
     for the other cells of one grid to reuse (see the module docstring)."""
     if not seeds:
         raise ScenarioError("run_seeds needs at least one seed")
+    check_seeds(seeds)
     return [stats for stats, _ in _simulate(scenario, seeds, n_scheduled, False, tails)]
 
 
@@ -427,49 +520,53 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
     """One (counters, trace) run per seed, or one for all seeds when a
     single branch is reachable; the runs share one settle test, and those
     that settle before any draw share their tails through `tails`."""
+    if isinstance(n_scheduled, bool) or not isinstance(n_scheduled, int):
+        raise ScenarioError(f"n_scheduled must be a whole number of slots, got {n_scheduled!r}")
     if n_scheduled < 1:
         raise ScenarioError(f"n_scheduled must be >= 1, got {n_scheduled}")
     interval = scenario.interval_m
     if not math.isfinite(n_scheduled * interval):
         raise ScenarioError(f"the run's horizon n_scheduled * interval_m must be finite, "
                             f"got {n_scheduled} slots of {interval} s")
-    table = scenario.phases
-    off, sleep = table["off"], table["sleep"]
-    # A cycle walks the fork path's (slot, phase, fork) steps; a fork (its draw's
-    # odds, branch, steps) that detects goes on in the branch's steps from that slot.
-    steps = {b: [(slot, table[slot], None) for slot in spec.slots]
-             for b, spec in BRANCHES.items() if spec.odds}
-    silent = [(slot, table[slot], b and (getattr(scenario, BRANCHES[b].odds), b, steps[b]))
-              for slot, b in PATH]
     settle = _Settler(scenario, n_scheduled)
+    # A cycle walks the fork path; a fork that detects goes on along its
+    # branch's path from that slot.
+    table = settle.steps
+    paths = {b: _path(table, spec.slots) for b, spec in BRANCHES.items() if spec.odds}
+    silent = tuple((slot, table[slot], b and (getattr(scenario, BRANCHES[b].odds), b, paths[b]))
+                   for slot, b in PATH)
     single = len(scenario.branches) == 1
-    p1, p2 = scenario.p1, scenario.p2
+    p1, p2, v_min = scenario.p1, scenario.p2, scenario.circuit.v_min
 
     def run(seed: int) -> tuple[SimStats, list[TracePoint]]:
-        draw = random.Random(seed).random
-        walk = _Walk(scenario.circuit, scenario.circuit.v_min, off=True, trace=trace)
-        walk.record(0.0, DeviceState.OFF)
+        # The generator is seeded at the run's first draw: a run that settles
+        # before it walks a cycle often takes none.
+        draw = None
+        points = [TracePoint(0.0, v_min, DeviceState.OFF)] if trace else None
+        cycle, next_on = _compile_walk(scenario, n_scheduled, points)
         # On-slots per (branch, stop); only a single-branch run keeps the history.
         ended: Counter[tuple[str, str | None]] = Counter()
         history = deque(maxlen=_MAX_PERIOD) if single and not trace else None
         next_check, next_orbit = (n_scheduled if trace else 1), 0
-        for k in range(n_scheduled):
-            if not walk.ready(k * interval, off, sleep):
-                continue
-            v = walk.v
+        k, v = next_on(v_min, 0.0, True, 0)
+        while k < n_scheduled:
             orbit = history and k >= next_orbit and settle.period(v, history)
             if k >= next_check or orbit:
                 settled, retry = settle(v, k, history)
                 if settled is not None:
                     remaining = n_scheduled - k
-                    if tails is None or ended or _ends_alike(settled):
+                    if _ends_alike(settled):
+                        counted = _count_tail(settled, remaining, None, p1, p2)
+                    elif tails is None or ended:
+                        draw = draw or random.Random(seed).random
                         counted = _count_tail(settled, remaining, draw, p1, p2)
                     else:
                         # Nothing walked, so nothing drawn: the tail is the seed's alone.
                         key = _tail_key(seed, remaining, settled, p1, p2)
                         counted = tails.get(key)
                         if counted is None:
-                            counted = tails[key] = _count_tail(settled, remaining, draw, p1, p2)
+                            counted = tails[key] = _count_tail(
+                                settled, remaining, random.Random(seed).random, p1, p2)
                     for outcomes, tail in zip(settled, counted):
                         for branch, on_slots in tail.items():
                             ended[branch, outcomes[branch][0]] += on_slots
@@ -480,25 +577,18 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
                     next_orbit = retry
             if history is not None:
                 history.append(v)
-            branch, path, i, stop = "silent", silent, 0, None
-            while i < len(path):
-                slot, phase, fork = path[i]
-                if fork is not None and draw() < fork[0]:
-                    branch, path = fork[1], fork[2]
-                if not walk.phase(phase):
-                    stop = slot
-                    break
-                i += 1
-            else:
-                walk.record(walk.t, DeviceState.SLEEP)
+            if draw is None:
+                draw = random.Random(seed).random
+            branch, stop, v, t = cycle(v, k * interval, silent, draw)
             ended[branch, stop] += 1
+            k, v = next_on(v, t, stop is not None, k + 1)
         counts = dict.fromkeys(("n_tx_success", "n_tx_aborted", "n_dl1_success",
                                 "n_dl1_aborted", "n_dl2_success", "n_dl2_aborted"), 0)
         for (branch, stop), on_slots in ended.items():
             for counter in _tally(branch, stop):
                 counts[counter] += on_slots
         lost = n_scheduled - counts["n_tx_success"] - counts["n_tx_aborted"]
-        return SimStats(n_scheduled=n_scheduled, n_tx_lost_off=lost, **counts), walk.points or []
+        return SimStats(n_scheduled=n_scheduled, n_tx_lost_off=lost, **counts), points or []
 
     if single:
         # Every draw passes or fails whatever its value: one run serves every seed.
@@ -513,10 +603,9 @@ def single_cycle_trace(scenario: Scenario, v_start: float,
     Returns (trace, final_voltage, completed); completed is False when the
     capacitor touched the turn-off voltage anywhere in the cycle.
     """
-    table, circuit, slots = scenario.phases, scenario.circuit, analytic_slots(dl_case)
-    check_start(circuit, v_start)
-    walk = _Walk(circuit, v_start, off=False, trace=True)
-    completed = all(walk.phase(table[slot]) for slot in slots)
-    if completed:
-        walk.record(walk.t, DeviceState.SLEEP)
-    return walk.points, walk.v, completed
+    slots = analytic_slots(dl_case)
+    check_start(scenario.circuit, v_start)
+    points: list[TracePoint] = []
+    cycle, _ = _compile_walk(scenario, 1, points)
+    _, stop, v, _ = cycle(v_start, 0.0, _path(_steps(scenario), slots), None)
+    return points, v, stop is None

@@ -7,10 +7,12 @@ from caplora import defaults
 from caplora.energy import (
     CapacitorConfig,
     CircuitConfig,
+    DeviceState,
     DeviceThresholds,
     HarvesterConfig,
     LoadTable,
 )
+from caplora.simulator import TracePoint
 
 
 def make_loads(**overrides) -> LoadTable:
@@ -95,6 +97,76 @@ def voltage_after_norton(circuit, state, v0: float, t: float) -> float:
     r_eq = r_load * r_i / (r_load + r_i)
     decay = math.exp(-t / (r_eq * circuit.capacitor.capacitance))
     return e / r_i * r_eq * (1.0 - decay) + v0 * decay
+
+
+class PhaseWalk:
+    """The walk as caplora.simulator stepped it before its phases were
+    compiled: one device moving through the Phases of a phase table, with
+    capacitor voltage `v`, Off flag `off` and clock `t`.  Each step calls
+    the Phase's after and cross, so the compiled walk must match it bit
+    for bit."""
+
+    def __init__(self, circuit, v: float, off: bool, trace: bool):
+        self.v = v
+        self.off = off
+        self.t = 0.0
+        self.v_on = circuit.v_on
+        self.points = [] if trace else None
+
+    def record(self, t: float, state) -> None:
+        points = self.points
+        if points is None:
+            return
+        point = TracePoint(t, self.v, state)
+        if points and points[-1].time == t and points[-1].device_state is not DeviceState.OFF:
+            points[-1] = point  # zero-duration phase; keep the outcome
+        else:
+            points.append(point)  # a turn-off stays even when the device wakes at once
+
+    def phase(self, phase) -> bool:
+        """Spend the timed `phase`; False when the device turned off in it.
+
+        A turn-off ends the phase at the crossing instant with the device
+        Off and the capacitor at the phase's v_off, or at once, where it
+        is, when the phase was entered at or below v_off.
+        """
+        v, t = self.v, self.t
+        if self.points is not None:
+            self.record(t, phase.state)
+        if v <= phase.v_guard:
+            t_cross = phase.cross(v)
+            if t_cross <= phase.duration:
+                self.v = min(v, phase.v_off)
+                self.off = True
+                self.t = t + t_cross
+                self.record(self.t, DeviceState.OFF)
+                return False
+        self.v = phase.after(v)
+        self.t = t + phase.duration
+        return True
+
+    def ready(self, t_to: float, off, sleep) -> bool:
+        """Move through Off-charging / wake / Sleep up to time t_to; whether an uplink
+        can start then (not while the last cycle holds the radio, nor while Off)."""
+        t_from = self.t
+        if t_from > t_to:
+            return False
+        self.t = t_to
+        if t_to == t_from:
+            return not self.off
+        if self.off:
+            v, v_on = self.v, self.v_on
+            if v < v_on:
+                t_wake = off.cross(v, v_on)
+                if t_from + t_wake > t_to:
+                    self.v = off.after(v, t_to - t_from)
+                    return False
+                self.v = v_on
+                t_from += t_wake
+            self.off = False
+            self.record(t_from, DeviceState.SLEEP)
+        self.v = sleep.after(self.v, t_to - t_from)
+        return True
 
 
 def _dense_classes(p: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

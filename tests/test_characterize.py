@@ -748,7 +748,7 @@ def test_cli_reports_the_first_error_before_any_search(argv, message, capsys, mo
 
 
 class TestSimulateMean:
-    SEEDS = (3, 1, 4, 1, 5)
+    SEEDS = (3, 1, 4, 5, 9)
 
     @staticmethod
     def per_seed_mean(scenario, seeds, n):
@@ -764,22 +764,34 @@ class TestSimulateMean:
     def test_seed_free_cells_run_once_and_equal_the_per_seed_mean(self, p1, p2,
                                                                   monkeypatch):
         # Every draw has a fixed outcome, so the five seeds share one walk:
-        # as many phases as one run steps.
+        # as many compiled walks, walked cycles and settle probes as one
+        # run takes.
         scenario = make_scenario(interval_m=9.0, turn_on_fraction=0.58, p1=p1, p2=p2)
         want = self.per_seed_mean(scenario, self.SEEDS, 300)
-        phases = []
-        real = simulator._Walk.phase
+        walked = []
+        compile_walk, probe = simulator._compile_walk, simulator._Settler._probe
 
-        def counting(walk, phase):
-            phases.append(phase)
-            return real(walk, phase)
+        def counting_walk(*args):
+            walked.append("walk")
+            cycle, next_on = compile_walk(*args)
 
-        monkeypatch.setattr(simulator._Walk, "phase", counting)
+            def counting_cycle(*cycle_args):
+                walked.append("cycle")
+                return cycle(*cycle_args)
+
+            return counting_cycle, next_on
+
+        def counting_probe(settler, *args):
+            walked.append("probe")
+            return probe(settler, *args)
+
+        monkeypatch.setattr(simulator, "_compile_walk", counting_walk)
+        monkeypatch.setattr(simulator._Settler, "_probe", counting_probe)
         simulator.run_simulation(scenario, seed=3, n_scheduled=300)
-        one_run = len(phases)
-        phases.clear()
+        one_run = len(walked)
+        walked.clear()
         assert characterize._simulate_mean(scenario, self.SEEDS, 300) == want
-        assert len(phases) == one_run > 0
+        assert len(walked) == one_run > 0
 
     def test_stochastic_cells_run_every_seed(self):
         scenario = make_scenario(interval_m=9.0, turn_on_fraction=0.58, p1=0.3, p2=0.5)

@@ -735,6 +735,10 @@ ENGINE_GOLDEN_CALLS = {
     "sweep_stochastic_tails.csv": ["sweep", "--scenario", str(GOLDEN / "stochastic.ini"),
                                    "--axis", "threshold", "--values", "0.55:0.98:0.01",
                                    "--m", "5,60", "--engine", "simulator", "--seeds", "7,3,11"],
+    # At M = 20 s none of the runs settle: each walks all of its 1,000 slots.
+    "sweep_unsettled_simulator.csv": ["sweep", "--scenario", str(GOLDEN / "stochastic.ini"),
+                                      "--axis", "threshold", "--values", "0.55:0.98:0.01",
+                                      "--m", "20", "--engine", "simulator", "--seeds", "7,3"],
     "sweep_parasitic_simulator.csv": ["sweep", "--scenario", PARASITIC, "--axis", "threshold",
                                       "--values", "0.55:0.98:0.01", "--m", "9,40",
                                       "--engine", "simulator"],

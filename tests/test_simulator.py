@@ -9,12 +9,14 @@ from caplora import simulator
 from caplora.characterize import CycleCheck, edit_scenario
 from caplora.cli import main
 from caplora.config import parse_scenario
-from caplora.energy import DeviceState, time_to_voltage, voltage_after
+from caplora.energy import (DeviceState, compile_phase, time_to_voltage, voltage_after,
+                            wake_time)
 from caplora.errors import ScenarioError
 from caplora.cycle import _SLOTS, BRANCHES, PATH, min_interval_bound
 from caplora.simulator import SimStats, TracePoint, run_simulation, single_cycle_trace
 
-from conftest import REFERENCE_TALLY, make_circuit, make_scenario, reference_count_tail
+from conftest import (REFERENCE_TALLY, PhaseWalk, make_circuit, make_scenario,
+                      reference_count_tail)
 
 
 class TestScenarioValidation:
@@ -69,11 +71,11 @@ class TestScenarioValidation:
         # in the order the bound adds them.
         scenario = make_scenario(sf=sf, dl_pl=dl_pl, interval_m=60.0, p2=1.0,
                                  power_w=0.01, c_farads=1.0)
-        circuit = scenario.circuit
-        walk = simulator._Walk(circuit, circuit.charge_ceiling(), off=False, trace=False)
-        assert all(walk.phase(scenario.phases[slot]) for slot in BRANCHES["rx2"].slots)
+        cycle, _ = simulator._compile_walk(scenario, 1, None)
+        rx2 = simulator._path(simulator._steps(scenario), BRANCHES["rx2"].slots)
+        _, stop, _, t = cycle(scenario.circuit.charge_ceiling(), 0.0, rx2, None)
         bound = min_interval_bound(scenario.schedule, scenario.branches)
-        assert walk.t.hex() == bound.hex()
+        assert stop is None and t.hex() == bound.hex()
         assert bound > min_interval_bound(scenario.schedule)
 
     @pytest.mark.parametrize("m, n, trace", [(1e306, 1000, False), (1e308, 5, False),
@@ -87,6 +89,39 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="finite"):
             simulator.run_seeds(dataclasses.replace(scenario, p1=0.5), (1, 2), n)
         assert run_simulation(make_scenario(interval_m=1e305), 1, 1000)[0].pdr > 0.99
+
+
+    @pytest.mark.parametrize("n", [True, False, 2.5, 1000.0, "10", None])
+    def test_n_scheduled_is_a_whole_number_of_slots(self, n):
+        # True once counted as one slot and ran with pdr 0.0; 2.5 raised a bare TypeError.
+        message = f"n_scheduled must be a whole number of slots, got {n!r}"
+        with pytest.raises(ScenarioError) as raised:
+            run_simulation(make_scenario(), 1, n)
+        assert str(raised.value) == message
+        for trace in (False, True):
+            with pytest.raises(ScenarioError, match="whole number"):
+                run_simulation(make_scenario(), 1, n, trace=trace)
+        with pytest.raises(ScenarioError, match="whole number"):
+            simulator.run_seeds(make_scenario(p1=0.5), (1, 2), n)
+
+    # random.Random(-s) draws what Random(s) draws: run_seeds once ran
+    # seeds (1, -1) as seed 1 twice, (True, 2) as seeds 1 and 2 and 2.5 as
+    # a seed of its own.
+    @pytest.mark.parametrize("seeds, message", [
+        ([1, -1], "seeds must be >= 0, got [1, -1]"), ((-3,), "seeds must be >= 0, got [-3]"),
+        ([2.5, 3], "seeds must be whole numbers, got [2.5, 3]"),
+        ([True, 2], "seeds must be whole numbers, got [True, 2]"),
+        (["1"], "seeds must be whole numbers, got ['1']"),
+        ((1, 1), "seeds must not repeat a value, got [1, 1]"),
+        ([3, 1, 3], "seeds must not repeat a value, got [3, 1, 3]")])
+    @pytest.mark.parametrize("p1", [0.0, 0.5])
+    def test_run_seeds_rejects_negative_or_repeated_seeds(self, seeds, message, p1):
+        with pytest.raises(ScenarioError) as raised:
+            simulator.run_seeds(make_scenario(p1=p1), seeds, 10)
+        assert str(raised.value) == message
+        with pytest.raises(ScenarioError) as raised:
+            simulator.check_seeds(seeds)
+        assert str(raised.value) == message
 
 
 class TestDeterminism:
@@ -464,6 +499,147 @@ class TestReferenceOracle:
             v_start = circuit.v_min + (ceiling - circuit.v_min) * k / 10
             assert single_cycle_trace(scenario, v_start, dl_case) == \
                 reference_cycle(scenario, v_start, dl_case)
+
+
+def _compiled_phase(scenario, phase, v, t):
+    """The compiled walk's step through the timed `phase` from v at time t:
+    (completed, v, t, Off, trace points), floats as hex."""
+    points = []
+    cycle, _ = simulator._compile_walk(scenario, 1, points)
+    _, stop, v, t = cycle(v, t, (("slot", simulator._step(phase), None),), None)
+    return stop is None, v.hex(), t.hex(), stop is not None, points
+
+
+def _oracle_phase(scenario, phase, v, t):
+    """PhaseWalk's step through `phase`, with the Sleep point a completed cycle ends on."""
+    walk = PhaseWalk(scenario.circuit, v, off=False, trace=True)
+    walk.t = t
+    completed = walk.phase(phase)
+    if completed:
+        walk.record(walk.t, DeviceState.SLEEP)
+    return completed, walk.v.hex(), walk.t.hex(), walk.off, walk.points
+
+
+def _compiled_recharge(scenario, v, t, off, j, n):
+    """The compiled walk from v at time t, Off or on, through slots j, ...,
+    n - 1: (the slot an uplink can start in, or n; v; the clock and Off
+    flag at that slot; trace points), floats as hex."""
+    points = []
+    _, next_on = simulator._compile_walk(scenario, n, points)
+    j, v = next_on(v, t, off, j)
+    return j, v.hex(), ((j * scenario.interval_m).hex(), False) if j < n else None, points
+
+
+def _oracle_recharge(scenario, v, t, off, j, n):
+    walk = PhaseWalk(scenario.circuit, v, off, trace=True)
+    walk.t = t
+    table = scenario.phases
+    while j < n and not walk.ready(j * scenario.interval_m, table["off"], table["sleep"]):
+        j += 1
+    return j, walk.v.hex(), (walk.t.hex(), walk.off) if j < n else None, walk.points
+
+
+@st.composite
+def _walk_scenarios(draw):
+    """A scenario on an ideal, ESR-only or ESR/EPR part, whose Off state
+    may settle below the wake target."""
+    try:
+        circuit = make_circuit(c_farads=draw(st.floats(1e-3, 0.1)),
+                               power_w=draw(st.floats(1e-3, 0.1)),
+                               turn_on_fraction=draw(st.floats(0.56, 0.98)),
+                               **CAPACITORS[draw(st.sampled_from(["ideal", "esr_only",
+                                                                  "esr_epr"]))])
+        return dataclasses.replace(make_scenario(interval_m=draw(st.floats(3.0, 60.0))),
+                                   circuit=circuit)
+    except ScenarioError:
+        assume(False)
+
+
+def _around(*marks):
+    """A voltage at, or one float either side of, one of `marks`, or anywhere in [0, 3.6]."""
+    edges = sorted({x for mark in marks
+                    for x in (mark, math.nextafter(mark, -math.inf), math.nextafter(mark, math.inf))})
+    return st.one_of(st.sampled_from(edges), st.floats(0.0, 3.6))
+
+
+class TestCompiledWalk:
+    """The compiled walk (simulator._compile_walk over simulator._step's
+    constants) steps bit for bit as conftest.PhaseWalk steps through the
+    Phases: voltage, clock and Off flag as float hex, and the trace."""
+
+    @pytest.mark.parametrize("capacitor", ["ideal", "esr_only", "esr_epr"])
+    def test_each_phase_case(self, capacitor):
+        scenario = _scenario(capacitor, 0.7, 9.0, 0.0, 0.0)
+        tx, idle = scenario.phases["tx"], scenario.phases["idle1"]
+        assert tx.v_guard == math.inf and idle.v_guard == idle.v_off
+        # A Tx phase whose turn-off from 2.6 V falls exactly at its end.
+        crossing = compile_phase(scenario.circuit, DeviceState.TX, tx.cross(2.6))
+        assert crossing.cross(2.6) == crossing.duration
+        cases = [(tx, tx.v_off), (tx, math.nextafter(tx.v_off, 0.0)), (tx, tx.v_off - 0.1),
+                 (tx, tx.v_off + 1e-4), (tx, 3.0), (idle, idle.v_off), (idle, 2.5),
+                 (crossing, 2.6), (crossing, math.nextafter(2.6, 3.0))]
+        outcomes = set()
+        for phase, v in cases:
+            for t in (0.0, 27.0):
+                got = _compiled_phase(scenario, phase, v, t)
+                assert got == _oracle_phase(scenario, phase, v, t), (phase.state, v, t)
+                outcomes.add(got[0])
+        assert not _compiled_phase(scenario, crossing, 2.6, 0.0)[0]
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("capacitor", ["ideal", "esr_only", "esr_epr"])
+    def test_each_recharge_case(self, capacitor):
+        m = 9.0
+        scenario = _scenario(capacitor, 0.7, m, 0.0, 0.0)
+        circuit, off = scenario.circuit, scenario.phases["off"]
+        v_min, v_on = circuit.v_min, circuit.v_on
+        # Off from v_on - 10 mV wakes within a slot; from v_min it takes
+        # more than two slots; at 98 % the ESR/EPR part never wakes.
+        assert wake_time(off, v_on - 0.01, v_on) < m < 2 * m < wake_time(off, v_min, v_on)
+        never = _scenario(capacitor, 0.98, m, 0.0, 0.0)
+        assert (wake_time(never.phases["off"], v_min, never.circuit.v_on) == math.inf) == \
+            (capacitor == "esr_epr")
+        cases = [
+            (scenario, v_on - 0.01, 0.0, True, 1, 2),      # Off, wakes inside the interval
+            (scenario, v_min, 0.0, True, 1, 2),            # Off, does not wake
+            (scenario, v_min, 0.0, True, 1, 6),            # Off, wakes slots later
+            (scenario, v_on, 0.5, True, 1, 2),             # Off at v_on: wakes at once
+            (scenario, v_on + 0.1, 0.5, True, 1, 2),       # Off above v_on: wakes at once
+            (scenario, 2.5, m + 0.5, False, 1, 3),         # busy at slot 1
+            (scenario, 2.5, m, False, 1, 3),               # t_to == t, on
+            (scenario, 2.5, m, True, 1, 3),                # t_to == t, Off
+            (scenario, 2.5, 0.5, False, 1, 2),             # Sleep
+            (never, v_min, 0.0, True, 1, 4),
+        ]
+        for case in cases:
+            assert _compiled_recharge(*case) == _oracle_recharge(*case), case[1:]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_the_compiled_step_is_the_phase_walk(self, data):
+        scenario = data.draw(_walk_scenarios())
+        phase = scenario.phases[data.draw(st.sampled_from(sorted(_SLOTS)))]
+        v = data.draw(_around(phase.v_off, 2.6))
+        if data.draw(st.booleans()):
+            # A duration up to and past the turn-off from v, when it turns off.
+            t_cross = phase.cross(v)
+            duration = data.draw(st.one_of(st.floats(0.0, 1.0), st.just(t_cross)) if
+                                 t_cross < math.inf else st.floats(0.0, 1.0))
+            phase = compile_phase(scenario.circuit, phase.state, duration)
+        t = data.draw(st.floats(0.0, 1e4))
+        assert _compiled_phase(scenario, phase, v, t) == _oracle_phase(scenario, phase, v, t)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_the_compiled_recharge_is_the_phase_walk(self, data):
+        scenario = data.draw(_walk_scenarios())
+        circuit, m = scenario.circuit, scenario.interval_m
+        j = data.draw(st.integers(0, 200))
+        # At the slot, busy past it, or between the slot before and the slot.
+        t = data.draw(st.one_of(st.just(j * m), st.floats(max(0.0, (j - 1) * m), (j + 1) * m)))
+        v = data.draw(_around(circuit.v_min, circuit.v_on, scenario.phases["off"].v_limit))
+        case = (scenario, v, t, data.draw(st.booleans()), j, j + data.draw(st.integers(1, 4)))
+        assert _compiled_recharge(*case) == _oracle_recharge(*case)
 
 
 class TestParasiticEdgeCases:

@@ -84,17 +84,23 @@ class Scenario:
 
     @cached_property
     def phases(self) -> dict[str, Phase]:
-        """The compiled phase table, built on first use (see phase_table)."""
-        return phase_table(self.circuit, self.schedule)
+        """The compiled phase table, built on first use (see phase_table), or
+        the table of the scenario it shares one with (seeded_scenario)."""
+        owner = self.__dict__.pop("_phases_of", None)
+        return phase_table(self.circuit, self.schedule) if owner is None else owner.phases
 
 
-def seeded_scenario(fields: dict, shared: dict) -> Scenario:
+def seeded_scenario(fields: dict, shared: dict, phases_of: Scenario | None = None) -> Scenario:
     """Scenario(**fields) with its `shared` cached parts (schedule, phases,
     branch_odds, branches) in place before __post_init__ validates it, so
     the interval bound is checked on the shared schedule and branches and
-    none is recomputed."""
+    none is recomputed.  `phases_of`, a scenario whose phase table this one
+    shares, lends it on first use: read from there, and compiled there if
+    nothing has read it yet, so a table nobody reads is never compiled."""
     scenario = object.__new__(Scenario)
     scenario.__dict__.update(fields, **shared)
+    if phases_of is not None:
+        scenario.__dict__["_phases_of"] = phases_of
     scenario.__post_init__()
     return scenario
 

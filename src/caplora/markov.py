@@ -13,19 +13,24 @@ kind with a voltage level:
 
 Transitions step by slot through Scenario.phases, the compiled phase
 table the simulator walks, quantizing after every phase:
-level -> round(phase.after(level / g) * g).  Each chain compiles its
-rows once (_RowBuilder) from the phases' affine constants: a timed slot
-steps min(max(round((offset + level / g * decay) * g), 0), v_max) with
+level -> round(phase.after(level / g) * g).  The build binds each
+chain's constants once and computes its rows inline in one
+breadth-first pass (_search): a timed slot steps
+min(max(round((offset + level / g * decay) * g), 0), v_max) with
 offset = v_limit * (1 - decay), and each downlink branch's final sleep
 takes the decay over what its cycle leaves of the interval.  These are
 Phase.after's float operations in its order, so the map is bit-identical
-to calling the phases, and a row walks the slots inline; only the
-turn-off paths, whose recharge time depends on the level, call the
-phases per level.  Turn-off levels are the phases' v_off, the wake time
-is the Off phase's crossing.  The feasibility thresholds are read in
-closed form: a slot's step is monotone and affine before it rounds, so
-inverting it guesses the least surviving level, and a walk with the
-step itself from the guess finds the exact one.  Within SL1 the
+to calling the phases; only the turn-off paths, whose recharge time
+depends on the level, call the phases per level, and each chain turns
+off from each (slot, level) once.  Turn-off levels are the phases'
+v_off, the wake time is the Off phase's crossing.  What depends only on
+the phase table and g (_Quantized: the thresholds but v_on, the slots'
+affine steps, the branches' cycle and window times, and per wake target
+the turn-off constants) is built once per grid and shared by its cells
+through build_transition_matrix's `parts`.  The feasibility thresholds
+are read in closed form: a slot's step is monotone and affine before it
+rounds, so inverting it guesses the least surviving level, and a walk
+with the step itself from the guess finds the exact one.  Within SL1 the
 downlink branches read the branch table the event simulator walks,
 cycle.BRANCHES: their slots, and the SL1 fork path and the branch odds
 derived from it (cycle.PATH, Scenario.branch_odds).  A window
@@ -36,20 +41,28 @@ state's v_off, recharging for whatever remains of the interval.
 Scenario keeps the interval above cycle.min_interval_bound, which
 covers each reachable branch, so every branch's cycle ends within it.
 A state dies where its end level sits at or below the level of its own
-v_off.  The row builder also records each state's Rewards, and every
+v_off.  The build also records each state's Rewards, and every
 delivery metric is pi . r: a window's downlink counts on the transition
 that survives listening, starts the packet at v_rx or above and sleeps.
 
+Inside the build a level is a whole float, not an int: levels and g lie
+below 2**53, so level / g and x * g are the int arithmetic's floats, and
+x + 2**52 - 2**52 rounds a step's x >= 0 half to even, as round(x) does,
+without making an int (from 2**52 up every float is whole already).  The
+search keys each state by one such float, -1 - level for OFF and the
+level itself awake (SL1 at or above v_tx), and makes each state a
+ChainState, with an int level, once, at the end.
+
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps it small, and is kept as its rows: each state's successors
-and their probabilities.  Rows name their successors as plain
-(kind, level) tuples; the search makes each state a ChainState once.
-That start state may still reach more than one closed class; the
-long-run distribution then weighs each class's stationary vector by the
-probability of being absorbed into it from the start state.  The solver
-reads the rows: a closed class in which every state has one successor
-is a cycle, uniform in the long run, and only the other blocks are
-scattered into numpy for a linear solve.
+and their probabilities.  That start state may still reach more than one
+closed class; the long-run distribution then weighs each class's
+stationary vector by the probability of being absorbed into it from the
+start state.  The solver reads the rows.  Rows that each have one
+successor, in the search's breadth-first numbering, are a path into one
+cycle, read off the numbering and uniform in the long run; any other
+chain's closed classes come from a Tarjan search, and only the blocks
+that are not cycles are scattered into numpy for a linear solve.
 
 numpy is imported only to solve a class that is not a single cycle or to
 weigh classes by absorption, so importing this module (and so caplora),
@@ -60,7 +73,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .cycle import BRANCHES, PATH, Scenario, cycle_length
 from .energy import Phase, wake_time
@@ -120,7 +134,7 @@ def _level_step(phase: Phase, g: int, v_max: int, t: float | None = None) -> Cal
     level -> round(phase.after(level / g[, t]) * g), clipped to [0, v_max],
     walked as plain arithmetic on the phase's affine constants: the same
     float operations, in the same order, as Phase.after, so bit-identical
-    to it.  The row builder inlines this expression.
+    to it.  The build inlines this expression on whole-float levels.
     """
     offset, decay = _affine(phase, t)
 
@@ -150,6 +164,85 @@ def _least_level(phase: Phase, g: int, v_min: int, v_max: int, target: int) -> i
     return level
 
 
+class _Quantized:
+    """One phase table at g levels per volt: what every chain on it shares,
+    whatever its interval and odds.
+
+    That is ThresholdLevels but v_on; each timed slot's affine (offset,
+    decay) in `steps`; each detected branch's window on the fork path, its
+    listening slot and its packet (the last two of its slots), in
+    `windows`; each branch's cycle length in `ends` and each window's
+    opening time in `opens`, cycle.cycle_length of its slots; and per wake
+    target (wake) its ThresholdLevels and turn-off tuples.  A table is
+    compiled for one circuit but its turn-on threshold, which sets only
+    v_on, so a grid's cells on one table share one _Quantized per g through
+    build_transition_matrix's `parts`.  Raises InfeasibleScenario as
+    threshold_levels does.
+    """
+
+    def __init__(self, scenario: Scenario, g: int):
+        circuit, phases = scenario.circuit, scenario.phases
+        self.phases = phases    # held, so no other table takes its id while this lives
+        self.v_max = v_max = check_granularity(g, circuit.operating_voltage)
+        self.v_min = v_min = level_of(circuit.v_min, g)
+        self.v_off = v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
+
+        def least(phase: Phase) -> int:
+            return _least_level(phase, g, v_min, v_max, v_off[phase.state] + 1)
+
+        tx = phases["tx"]
+        self.v_tx = least(tx)
+        if self.v_tx > v_max:
+            raise InfeasibleScenario(
+                f"no voltage level up to {circuit.operating_voltage} V can fund a "
+                f"{tx.duration * 1e3:.1f} ms transmission with C = "
+                f"{circuit.capacitor.capacitance * 1e3:.3g} mF"
+            )
+        self.windows = windows = {branch: BRANCHES[branch].slots[-2:] for _, branch in PATH
+                                  if branch}
+        # The packet slot of each detected branch sets its v_<branch>.
+        self.v_rx = {f"v_{branch}": least(phases[rx]) for branch, (_, rx) in windows.items()}
+        self.g = g
+        self.steps = {slot: _affine(phase)
+                      for slot, phase in phases.items() if phase.duration is not None}
+        schedule = scenario.schedule
+        self.ends = {branch: cycle_length(schedule, spec.slots)
+                     for branch, spec in BRANCHES.items()}
+        self.opens = {branch: cycle_length(schedule, BRANCHES[branch].slots[:-2])
+                      for branch in windows}
+        self._wakes: dict[float, tuple[ThresholdLevels, dict[str, tuple]]] = {}
+
+    def wake(self, wake_v: float) -> tuple[ThresholdLevels, dict[str, tuple]]:
+        """The ThresholdLevels at the wake target wake_v and, per slot a
+        device can turn off in (the uplink and each window's two), its
+        state's v_off level, the Off-state recharge time from v_off to wake_v
+        (inf if unreachable), the phase's crossing and its length; once per
+        wake target."""
+        wake = self._wakes.get(wake_v)
+        if wake is None:
+            thr = ThresholdLevels(v_min=self.v_min, v_on=level_of(wake_v, self.g), v_tx=self.v_tx,
+                                  v_max=self.v_max, v_off=self.v_off, **self.v_rx)
+            turn_offs = {}
+            for slot in ("tx", *chain.from_iterable(self.windows.values())):
+                phase = self.phases[slot]
+                turn_offs[slot] = (self.v_off[phase.state],
+                                   wake_time(self.phases["off"], phase.v_off, wake_v),
+                                   phase.cross, phase.duration)
+            wake = self._wakes[wake_v] = thr, turn_offs
+        return wake
+
+
+def _quantized(scenario: Scenario, g: int, parts: dict | None) -> _Quantized:
+    """The scenario's phase table at g, from `parts` when it holds it."""
+    if parts is None:
+        return _Quantized(scenario, g)
+    key = (id(scenario.phases), g)
+    table = parts.get(key)
+    if table is None:
+        table = parts[key] = _Quantized(scenario, g)
+    return table
+
+
 def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     """Quantized feasibility thresholds for transmit and both receptions.
 
@@ -161,25 +254,7 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     unreceivable downlink still leaves a working uplink-only device.  The
     packet slot of each detected branch on the fork path sets its v_<branch>.
     """
-    circuit, phases = scenario.circuit, scenario.phases
-    v_max = check_granularity(g, circuit.operating_voltage)
-    v_min = level_of(circuit.v_min, g)
-    v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
-
-    def least(phase: Phase) -> int:
-        return _least_level(phase, g, v_min, v_max, v_off[phase.state] + 1)
-
-    tx = phases["tx"]
-    v_tx = least(tx)
-    if v_tx > v_max:
-        raise InfeasibleScenario(
-            f"no voltage level up to {circuit.operating_voltage} V can fund a "
-            f"{tx.duration * 1e3:.1f} ms transmission with C = "
-            f"{circuit.capacitor.capacitance * 1e3:.3g} mF"
-        )
-    v_rx = {f"v_{b}": least(phases[BRANCHES[b].slots[-1]]) for _, b in PATH if b}
-    return ThresholdLevels(v_min=v_min, v_on=level_of(circuit.v_on, g), v_tx=v_tx,
-                           v_max=v_max, v_off=v_off, **v_rx)
+    return _Quantized(scenario, g).wake(scenario.circuit.v_on)[0]
 
 
 class Rewards(NamedTuple):
@@ -192,14 +267,15 @@ class Rewards(NamedTuple):
 
 
 _LOST = Rewards(lost=1.0)
+_CERTAIN = (1.0,)
 
 
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic transition matrix over the reachable chain states.
 
-    `successors` holds each row's destinations in the order the row
-    builder emits them, `probabilities` their probabilities in the same
+    `successors` holds each row's destinations in the order the build
+    emits them, `probabilities` their probabilities in the same
     order, and `rewards` each state's rewards, all in state order.
     """
 
@@ -218,117 +294,143 @@ class TransitionMatrix:
                 yield f"{src.kind},{src.level},{dst.kind},{dst.level},{p:.12g}"
 
 
-class _RowBuilder:
-    """One chain's rows, compiled: `row((kind, level))` is the state's
-    outgoing distribution, keyed by plain (kind, level) tuples, and its
-    Rewards.
+# From 2**52 up every float is a whole number, so below it x + _WHOLE - _WHOLE
+# rounds a float x >= 0 half to even, as round(x) does (see the module docstring).
+_WHOLE = 2.0 ** 52
 
-    Every per-chain constant is bound once into `row`: each timed slot's
-    affine (offset, decay) in `steps`; per reachable branch
-    (Scenario.branches) the sleep-out over what is left of the interval
-    after its cycle `ends`, in `sleep_out`; per turn-off phase its state's
-    v_off level, the Off-state wake time from that v_off, its crossing and
-    its length; and the Off and Sleep phases' `after`.  A detected branch's
-    window, the last two slots of cycle.BRANCHES, sits on the fork
-    path at its listening slot and opens when the slots before them end;
-    times are cycle.cycle_length of the slots on the schedule the phases
-    were compiled from.  The SL1 row steps the fork path's timed slots
-    inline with _level_step's expression.  A turn-off recharges from a
-    level-dependent time, so it calls Phase.cross, Phase.after and
-    wake_time per row; a window that dies listening turns off once for
-    its detected and its silent mass.  The rewards are shared: one Rewards
-    per set of windows whose transition receives.
+
+def build_transition_matrix(scenario: Scenario, g: int, parts: dict | None = None
+                            ) -> TransitionMatrix:
+    """Build the chain over every state reachable from (OFF, level(v_min)).
+
+    `parts`, when given, is a grid's store of what its chains share: each
+    phase table's quantized constants per g (_Quantized), kept as long as
+    the caller keeps the dict; characterize keeps one per grid call.
     """
+    return _search(scenario, g, parts)
 
-    def __init__(self, scenario: Scenario, g: int, thr: ThresholdLevels):
-        phases, schedule, m = scenario.phases, scenario.schedule, scenario.interval_m
-        v_max, v_on, v_tx = thr.v_max, thr.v_on, thr.v_tx
-        off, wake_v = phases["off"], scenario.circuit.v_on
-        off_after, sleep_after = off.after, phases["sleep"].after
-        self.steps = steps = {phase: _affine(phase)
-                              for phase in phases.values() if phase.duration is not None}
-        self.ends = {branch: cycle_length(schedule, BRANCHES[branch].slots)
-                     for branch in scenario.branches}
-        self.sleep_out = sleep_out = {branch: _affine(phases["sleep"], m - end)
-                                      for branch, end in self.ends.items()}
-        def turn_off(phase: Phase) -> tuple:
-            # A turn-off in the phase leaves the capacitor at its state's
-            # v_off: that level, its Off-state recharge time to the wake
-            # target (inf if v_on is unreachable), the crossing and the length.
-            return (thr.v_off[phase.state], wake_time(off, phase.v_off, wake_v), phase.cross,
-                    phase.duration)
 
-        # (offset, decay, window) per slot of the fork path; a window is (p,
-        # its opening time, listen's and rx's turn-offs, listen's length,
-        # rx's step, the level rx needs, listen's v_off level, the branch's
-        # sleep-out, its bit in the set of receiving windows).
-        path, bits = [], 1
-        for slot, branch in PATH:
-            window = None
-            if branch is not None:
-                (*lead, listen, rx), odds = BRANCHES[branch].slots, BRANCHES[branch].odds
-                listen, rx = phases[listen], phases[rx]
-                window = (getattr(scenario, odds), cycle_length(schedule, tuple(lead)),
-                          turn_off(listen), turn_off(rx), listen.duration, steps[rx],
-                          getattr(thr, f"v_{branch}"), thr.v_off[listen.state],
-                          sleep_out.get(branch), bits)
-                bits *= 2
-            path.append((*steps[phases[slot]], window))
-        tx, quiet = turn_off(phases["tx"]), sleep_out.get("silent")
-        q1, q2 = (scenario.branch_odds[b][0] for _, b in PATH if b)
-        rewarded = [Rewards(0.0, q1 if r & 1 else 0.0, q2 if r & 2 else 0.0) for r in range(bits)]
+def _search(scenario: Scenario, g: int, parts: dict | None = None,
+            start: ChainState | None = None) -> TransitionMatrix:
+    """The chain over every state reachable from `start`, by default
+    (OFF, level(v_min)), in one breadth-first pass.
 
-        def recharge(level: int, t_wake: float, remaining: float) -> tuple[str, int]:
-            """Charge Off from `level`, wake after t_wake, sleep out `remaining`."""
-            if t_wake >= remaining:
-                nxt = round(off_after(level / g, remaining) * g)
-                nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
-                return OFF, nxt if nxt < v_on else v_on - 1
-            nxt = round(sleep_after((level if level > v_on else v_on) / g, remaining - t_wake) * g)
-            nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
-            return SL1 if nxt >= v_tx else SL0, nxt
+    The search numbers each state as a row first emits it, computes the
+    row inline and records its successors and probabilities in the same
+    pass.  Keys and levels are whole floats (see the module docstring);
+    a step's x = (offset + level / g * decay) * g sums nonnegative terms,
+    so x >= 0 and only v_max can clip it.
+    """
+    table = _quantized(scenario, g, parts)
+    thr, turn_offs = table.wake(scenario.circuit.v_on)
+    phases, m, wake_v = scenario.phases, scenario.interval_m, scenario.circuit.v_on
+    # Levels and g as floats: below 2**53 both convert exactly, so level / g
+    # and x * g are the int arithmetic's floats.
+    g, v_max, v_tx, v_on = float(g), float(thr.v_max), float(thr.v_tx), float(thr.v_on)
+    whole, steps, off, sleep = _WHOLE, table.steps, phases["off"], phases["sleep"]
+    off_limit, off_tau, sleep_limit, sleep_tau = off.v_limit, off.tau, sleep.v_limit, sleep.tau
 
-        def die(phase: tuple, level: int, t_base: float, t_lead: float = 0.0) -> tuple[str, int]:
-            """Turn off in the timed phase (a turn_off tuple), entered at
-            `level` at t_base + t_lead, and recharge for the rest of the
-            interval.
+    def recharge(level: float, t_wake: float, remaining: float) -> float:
+        """Charge Off from `level`, wake after t_wake, sleep out `remaining`
+        (_affine's map at that time): the destination's key."""
+        if t_wake >= remaining:
+            decay = math.exp(-remaining / off_tau)
+            x = (off_limit * (1.0 - decay) + level / g * decay) * g
+            nxt = x if x >= whole else x + whole - whole
+            nxt = v_max if nxt > v_max else nxt
+            return -1.0 - (nxt if nxt < v_on else v_on - 1.0)
+        decay = math.exp(-(remaining - t_wake) / sleep_tau)
+        x = (sleep_limit * (1.0 - decay) + (level if level > v_on else v_on) / g * decay) * g
+        nxt = x if x >= whole else x + whole - whole
+        return v_max if nxt > v_max else nxt
 
-            The device turns off at the continuous v_off crossing, capped at
-            the phase length (the cap covers quantization edges where the
-            rounded end level says "died" but the trajectory grazes just above
-            v_off), and the capacitor stays at v_off.  A phase entered below
-            the level of v_off turns off at once, with the capacitor where it
-            was.
-            """
-            off_level, t_wake, cross, duration = phase
-            if level < off_level:
-                t, off_level, t_wake = 0.0, level, wake_time(off, level / g, wake_v)
-            else:
-                t = min(cross(level / g), duration)
-            return recharge(off_level, t_wake, m - (t_base + (t_lead + t)))
+    def dying(slot: str, t_base: float, t_lead: float = 0.0) -> Callable[[float], float]:
+        """Turn-offs in the timed slot entered at t_base + t_lead, each
+        level's once: die(level) turns off from `level` and recharges for
+        the rest of the interval.
 
-        def row(state: tuple[str, int]) -> tuple[dict[tuple[str, int], float], Rewards]:
-            kind, level = state
-            if kind == OFF:
-                return {recharge(level, wake_time(off, level / g, wake_v), m): 1.0}, _LOST
-            if kind == SL0:   # the uplink starts but runs out of energy mid-air
-                return {die(tx, level, 0.0): 1.0}, _LOST
+        The device turns off at the continuous v_off crossing, capped at
+        the phase length (the cap covers quantization edges where the
+        rounded end level says "died" but the trajectory grazes just above
+        v_off), and the capacitor stays at v_off.  A phase entered below
+        the level of v_off turns off at once, with the capacitor where it
+        was.
+        """
+        off_level, t_wake, cross, duration = turn_offs[slot]
+        memo: dict[float, float] = {}
+
+        def die(level: float) -> float:
+            dest = memo.get(level)
+            if dest is None:
+                if level < off_level:
+                    dest = recharge(level, wake_time(off, level / g, wake_v),
+                                    m - (t_base + (t_lead + 0.0)))
+                else:
+                    t = cross(level / g)
+                    dest = recharge(off_level, t_wake,
+                                    m - (t_base + (t_lead + (duration if duration < t else t))))
+                memo[level] = dest
+            return dest
+        return die
+
+    # (offset, decay, window) per slot of the fork path; a window is (p, 1 -
+    # p, listening's v_off level, its die, the level the packet needs, the
+    # packet's offset, decay and die, the branch's sleep-out offset and
+    # decay, its bit in the set of receiving windows).  A branch no cycle
+    # takes (p = 0, or an earlier window certain) gets no mass, and a NaN
+    # sleep-out that no row reads.
+    sleep_out = {branch: _affine(sleep, m - table.ends[branch]) for branch in scenario.branches}
+    path, bits = [], 1
+    for slot, branch in PATH:
+        window = None
+        if branch is not None:
+            listen, rx = table.windows[branch]
+            p, t = getattr(scenario, BRANCHES[branch].odds), table.opens[branch]
+            window = (p, 1.0 - p, float(turn_offs[listen][0]), dying(listen, t),
+                      float(getattr(thr, f"v_{branch}")), *steps[rx],
+                      dying(rx, t, phases[listen].duration),
+                      *sleep_out.get(branch, (math.nan, math.nan)), bits)
+            bits *= 2
+        path.append((*steps[slot], window))
+    die_tx = dying("tx", 0.0)
+    quiet_offset, quiet_decay = sleep_out.get("silent", (math.nan, math.nan))
+    q1, q2 = (scenario.branch_odds[b][0] for _, b in PATH if b)
+    rewarded = [Rewards(0.0, q1 if r & 1 else 0.0, q2 if r & 2 else 0.0) for r in range(bits)]
+
+    if start is None:
+        start = ChainState(OFF, thr.v_min)
+    keys = [-1.0 - start.level if start.kind == OFF else float(start.level)]
+    index = {keys[0]: 0}
+    successors: list[tuple[int, ...]] = []
+    probabilities: list[tuple[float, ...]] = []
+    rewards: list[Rewards] = []
+    for key in keys:    # the list grows as rows emit new states
+        if key < 0.0:   # OFF
+            level = -1.0 - key
+            dest = recharge(level, wake_time(off, level / g, wake_v), m)
+        elif key < v_tx:   # SL0: the uplink starts but runs out of energy mid-air
+            dest = die_tx(key)
+        else:
             # SL1: the uplink completes, then the fork path's receive windows.  A
             # window, reached with probability `reach`, opens only when the
-            # earlier ones stayed silent and the device is still on.  It adds its
-            # detected branch, and the silent one if the device dies listening;
-            # the detected branch that sleeps out its cycle receives.
-            dests: dict[tuple[str, int], float] = {}
+            # earlier ones stayed silent and the device is still on.  It adds
+            # its detected branch, and the silent one if the device dies
+            # listening; the detected branch that sleeps out its cycle receives.
+            level = key
+            dests: dict[float, float] = {}
             reach, received = 1.0, 0
             for offset, decay, window in path:
-                end = round((offset + level / g * decay) * g)
-                end = 0 if end < 0 else v_max if end > v_max else end
+                x = (offset + level / g * decay) * g
+                end = x if x >= whole else x + whole - whole
+                if end > v_max:
+                    end = v_max
                 if window is not None:
-                    p, t, listen, rx, t_l, (rx_offset, rx_decay), v_rx, v_off, out, bit = window
-                    detected, reach = reach * p, reach * (1.0 - p)
+                    (p, miss, v_off, die_listen, v_rx, rx_offset, rx_decay, die_rx, out_offset,
+                     out_decay, bit) = window
+                    detected, reach = reach * p, reach * miss
                     if end <= v_off:   # died listening
                         if detected > 0.0 or reach > 0.0:
-                            dest = die(listen, level, t)
+                            dest = die_listen(level)
                             if detected > 0.0:
                                 dests[dest] = dests.get(dest, 0.0) + detected
                             if reach > 0.0:
@@ -336,97 +438,111 @@ class _RowBuilder:
                         reach = 0.0
                     elif detected > 0.0:
                         if end >= v_rx:   # received: sleep out the branch's cycle
-                            nxt = round((rx_offset + end / g * rx_decay) * g)
-                            nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
-                            nxt = round((out[0] + nxt / g * out[1]) * g)
-                            nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
-                            dest = (SL1 if nxt >= v_tx else SL0, nxt)
+                            x = (rx_offset + end / g * rx_decay) * g
+                            nxt = x if x >= whole else x + whole - whole
+                            x = (out_offset + (v_max if nxt > v_max else nxt) / g * out_decay) * g
+                            dest = x if x >= whole else x + whole - whole
+                            if dest > v_max:
+                                dest = v_max
                             received |= bit
                         else:
-                            dest = die(rx, end, t, t_l)
+                            dest = die_rx(end)
                         dests[dest] = dests.get(dest, 0.0) + detected
                 level = end
             if reach > 0.0:
-                nxt = round((quiet[0] + level / g * quiet[1]) * g)
-                nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
-                dest = (SL1 if nxt >= v_tx else SL0, nxt)
+                x = (quiet_offset + level / g * quiet_decay) * g
+                dest = x if x >= whole else x + whole - whole
+                if dest > v_max:
+                    dest = v_max
                 dests[dest] = dests.get(dest, 0.0) + reach
-            return dests, rewarded[received]
-
-        self.row = row
-
-
-def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
-    """Build the chain over every state reachable from (OFF, level(v_min)).
-
-    A breadth-first search numbers each state as a row first emits it and
-    records the row's successors and probabilities in the same pass.  Rows
-    emit plain (kind, level) tuples, which hash and compare equal to
-    ChainState; each state is made a ChainState once, when it is found.
-    """
-    thr = threshold_levels(scenario, g)
-    row = _RowBuilder(scenario, g, thr).row
-    initial = ChainState(OFF, thr.v_min)
-    index: dict[ChainState, int] = {initial: 0}
-    states: list[ChainState] = [initial]
-    successors: list[tuple[int, ...]] = []
-    probabilities: list[tuple[float, ...]] = []
-    rewards: list[Rewards] = []
-    for state in states:    # the list grows as rows emit new states
-        dests, reward = row(state)
-        cols = []
-        for dest in dests:
-            j = index.get(dest)
-            if j is None:
-                found = ChainState(*dest)
-                j = index[found] = len(states)
-                states.append(found)
-            cols.append(j)
-        successors.append(tuple(cols))
-        probabilities.append(tuple(dests.values()))
-        rewards.append(reward)
-    return TransitionMatrix(states=tuple(states), index=index, successors=tuple(successors),
-                            probabilities=tuple(probabilities), rewards=tuple(rewards),
-                            thresholds=thr)
+            cols = []
+            for dest in dests:
+                j = index.get(dest)
+                if j is None:
+                    j = index[dest] = len(keys)
+                    keys.append(dest)
+                cols.append(j)
+            successors.append(tuple(cols))
+            probabilities.append(tuple(dests.values()))
+            rewards.append(rewarded[received])
+            continue
+        j = index.get(dest)
+        if j is None:
+            j = index[dest] = len(keys)
+            keys.append(dest)
+        successors.append((j,))
+        probabilities.append(_CERTAIN)
+        rewards.append(_LOST)
+    make = tuple.__new__   # ChainState(kind, level) without the namedtuple's Python frame
+    states = tuple([make(ChainState, (OFF, int(-1.0 - key)) if key < 0.0 else
+                         (SL1 if key >= v_tx else SL0, int(key))) for key in keys])
+    return TransitionMatrix(states=states, index=dict(zip(states, range(len(states)))),
+                            successors=tuple(successors), probabilities=tuple(probabilities),
+                            rewards=tuple(rewards), thresholds=thr)
 
 
 def _closed_classes(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Closed classes: the strongly connected components that no edge
-    leaves, from an iterative Tarjan search."""
+    """Closed classes, each sorted: the strongly connected components that
+    no edge leaves.
+
+    Rows that each have one successor, numbered as a breadth-first search
+    from state 0 numbers them, form a path 0 -> 1 -> ... -> n - 1 whose
+    last row points back: the one closed class is the cycle from there to
+    n - 1.  Any other chain takes an iterative Tarjan search that marks a
+    finished state with an order past every number, so an edge into a
+    finished component is skipped by the low-link test and flags that the
+    component of its tail leaks; a root whose component leaks nothing is
+    closed.
+    """
     n = len(successors)
-    order, low, component = [-1] * n, [0] * n, [-1] * n
+    if len(successors[-1]) == 1 and all(len(row) == 1 and row[0] == i
+                                        for i, row in zip(range(1, n), successors)):
+        return [list(range(successors[-1][0], n))]
+    done = n + 1
+    order, low, leaks, at = [0] * n, [0] * n, [False] * n, [0] * n
     stack: list[int] = []
-    calls: list[tuple[int, Iterator[int]]] = []
     closed: list[list[int]] = []
     count = 0
     for root in range(n):
-        if order[root] >= 0:
+        if order[root]:
             continue
-        calls.append((root, iter(successors[root])))
-        order[root] = low[root] = count = count + 1
+        count += 1
+        order[root] = low[root] = count
+        at[root] = len(stack)
         stack.append(root)
+        calls = [(root, iter(successors[root]))]
         while calls:
             v, edges = calls[-1]
             for w in edges:
-                if order[w] < 0:
-                    calls.append((w, iter(successors[w])))
-                    order[w] = low[w] = count = count + 1
+                o = order[w]
+                if not o:
+                    count += 1
+                    order[w] = low[w] = count
+                    at[w] = len(stack)
                     stack.append(w)
+                    calls.append((w, iter(successors[w])))
                     break
-                if component[w] < 0:    # w is on the stack
-                    low[v] = min(low[v], order[w])
+                if o < low[v]:   # on the stack: a finished state's order is `done`
+                    low[v] = o
+                elif o == done:
+                    leaks[v] = True
             else:
                 calls.pop()
-                if calls:
-                    low[calls[-1][0]] = min(low[calls[-1][0]], low[v])
                 if low[v] == order[v]:
-                    members = stack[stack.index(v):]
-                    del stack[len(stack) - len(members):]
+                    members = stack[at[v]:]
+                    del stack[at[v]:]
                     for w in members:
-                        component[w] = v
-                    # Edges out of the component lead to components found earlier.
-                    if all(component[w] == v for u in members for w in successors[u]):
+                        order[w] = done
+                    if not leaks[v]:
                         closed.append(sorted(members))
+                    if calls:
+                        leaks[calls[-1][0]] = True
+                elif calls:
+                    u = calls[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if leaks[v]:
+                        leaks[u] = True
     return closed
 
 
@@ -442,13 +558,16 @@ def _class_stationary(tm: TransitionMatrix, members: list[int]) -> list[float] |
     if all(len(tm.successors[i]) == 1 for i in members):
         return [1.0 / k] * k
     import numpy as np
-    local = {i: r for r, i in enumerate(members)}
-    cols = [r for r, i in enumerate(members) for _ in tm.successors[i]]
+    successors = tm.successors
+    # One pass over the class's rows: row r's successor j lands at a[local[j], r].
+    local = np.empty(len(successors), dtype=np.intp)
+    local[members] = np.arange(k)
+    targets = np.fromiter(chain.from_iterable(map(successors.__getitem__, members)), np.intp)
     a = np.zeros((k, k))
-    a[[local[j] for i in members for j in tm.successors[i]], cols] = \
-        [p for i in members for p in tm.probabilities[i]]
-    diagonal = np.arange(k)
-    a[diagonal, diagonal] -= 1.0
+    a[local[targets], np.repeat(np.arange(k), [len(successors[i]) for i in members])] = \
+        np.fromiter(chain.from_iterable(map(tm.probabilities.__getitem__, members)), float,
+                    len(targets))
+    a.flat[::k + 1] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(k)
     b[-1] = 1.0
@@ -534,7 +653,8 @@ def chain_metrics(pi: list[float], tm: TransitionMatrix) -> ChainResult:
     return ChainResult(pi=pi, states=tm.states, pdr=1.0 - lost, pdl1=pdl1, pdl2=pdl2)
 
 
-def solve_chain(scenario: Scenario, g: int) -> ChainResult:
-    """Build the chain, solve for the stationary vector, return the metrics."""
-    tm = build_transition_matrix(scenario, g)
+def solve_chain(scenario: Scenario, g: int, parts: dict | None = None) -> ChainResult:
+    """Build the chain, solve for the stationary vector, return the metrics;
+    `parts` is build_transition_matrix's."""
+    tm = build_transition_matrix(scenario, g, parts)
     return chain_metrics(stationary_distribution(tm), tm)

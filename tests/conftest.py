@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from caplora import defaults
+from caplora.cycle import BRANCHES, PATH, cycle_length
 from caplora.energy import (
     CapacitorConfig,
     CircuitConfig,
@@ -11,6 +12,17 @@ from caplora.energy import (
     DeviceThresholds,
     HarvesterConfig,
     LoadTable,
+    wake_time,
+)
+from caplora.markov import (
+    OFF,
+    SL0,
+    SL1,
+    ChainState,
+    Rewards,
+    TransitionMatrix,
+    _affine,
+    threshold_levels,
 )
 from caplora.simulator import TracePoint
 
@@ -428,6 +440,231 @@ def reference_chain(scenario, g: int):
                       v_max=v_max, v_off=v_off)
     return SimpleNamespace(states=tuple(states), successors=successors, rewards=tuple(rewards),
                            thresholds=thresholds, matrix=matrix, step=step, ends=ends)
+
+
+# -- the chain build before it became one pass --------------------------------
+# caplora.markov's row builder, search and closed-class search as they ran
+# before the build keyed states by whole floats, memoized its turn-offs and
+# shared its constants per grid: the oracle the build and _closed_classes
+# must match bit for bit.
+
+_LOST = Rewards(lost=1.0)
+
+
+class ReferenceRowBuilder:
+    """The row builder as caplora.markov ran it before the build became one
+    pass over float levels; one chain's rows, compiled: `row((kind,
+    level))` is the state's outgoing distribution, keyed by plain (kind,
+    level) tuples, and its Rewards.
+
+    Every per-chain constant is bound once into `row`: each timed slot's
+    affine (offset, decay) in `steps`; per reachable branch
+    (Scenario.branches) the sleep-out over what is left of the interval
+    after its cycle `ends`, in `sleep_out`; per turn-off phase its state's
+    v_off level, the Off-state wake time from that v_off, its crossing and
+    its length; and the Off and Sleep phases' `after`.  A detected branch's
+    window, the last two slots of cycle.BRANCHES, sits on the fork
+    path at its listening slot and opens when the slots before them end;
+    times are cycle.cycle_length of the slots on the schedule the phases
+    were compiled from.  The SL1 row steps the fork path's timed slots
+    inline with _level_step's expression.  A turn-off recharges from a
+    level-dependent time, so it calls Phase.cross, Phase.after and
+    wake_time per row; a window that dies listening turns off once for
+    its detected and its silent mass.  The rewards are shared: one Rewards
+    per set of windows whose transition receives.
+    """
+
+    def __init__(self, scenario, g: int, thr):
+        phases, schedule, m = scenario.phases, scenario.schedule, scenario.interval_m
+        v_max, v_on, v_tx = thr.v_max, thr.v_on, thr.v_tx
+        off, wake_v = phases["off"], scenario.circuit.v_on
+        off_after, sleep_after = off.after, phases["sleep"].after
+        self.steps = steps = {phase: _affine(phase)
+                              for phase in phases.values() if phase.duration is not None}
+        self.ends = {branch: cycle_length(schedule, BRANCHES[branch].slots)
+                     for branch in scenario.branches}
+        self.sleep_out = sleep_out = {branch: _affine(phases["sleep"], m - end)
+                                      for branch, end in self.ends.items()}
+        def turn_off(phase) -> tuple:
+            # A turn-off in the phase leaves the capacitor at its state's
+            # v_off: that level, its Off-state recharge time to the wake
+            # target (inf if v_on is unreachable), the crossing and the length.
+            return (thr.v_off[phase.state], wake_time(off, phase.v_off, wake_v), phase.cross,
+                    phase.duration)
+
+        # (offset, decay, window) per slot of the fork path; a window is (p,
+        # its opening time, listen's and rx's turn-offs, listen's length,
+        # rx's step, the level rx needs, listen's v_off level, the branch's
+        # sleep-out, its bit in the set of receiving windows).
+        path, bits = [], 1
+        for slot, branch in PATH:
+            window = None
+            if branch is not None:
+                (*lead, listen, rx), odds = BRANCHES[branch].slots, BRANCHES[branch].odds
+                listen, rx = phases[listen], phases[rx]
+                window = (getattr(scenario, odds), cycle_length(schedule, tuple(lead)),
+                          turn_off(listen), turn_off(rx), listen.duration, steps[rx],
+                          getattr(thr, f"v_{branch}"), thr.v_off[listen.state],
+                          sleep_out.get(branch), bits)
+                bits *= 2
+            path.append((*steps[phases[slot]], window))
+        tx, quiet = turn_off(phases["tx"]), sleep_out.get("silent")
+        q1, q2 = (scenario.branch_odds[b][0] for _, b in PATH if b)
+        rewarded = [Rewards(0.0, q1 if r & 1 else 0.0, q2 if r & 2 else 0.0) for r in range(bits)]
+
+        def recharge(level: int, t_wake: float, remaining: float) -> tuple[str, int]:
+            """Charge Off from `level`, wake after t_wake, sleep out `remaining`."""
+            if t_wake >= remaining:
+                nxt = round(off_after(level / g, remaining) * g)
+                nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+                return OFF, nxt if nxt < v_on else v_on - 1
+            nxt = round(sleep_after((level if level > v_on else v_on) / g, remaining - t_wake) * g)
+            nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+            return SL1 if nxt >= v_tx else SL0, nxt
+
+        def die(phase: tuple, level: int, t_base: float, t_lead: float = 0.0) -> tuple[str, int]:
+            """Turn off in the timed phase (a turn_off tuple), entered at
+            `level` at t_base + t_lead, and recharge for the rest of the
+            interval.
+
+            The device turns off at the continuous v_off crossing, capped at
+            the phase length (the cap covers quantization edges where the
+            rounded end level says "died" but the trajectory grazes just above
+            v_off), and the capacitor stays at v_off.  A phase entered below
+            the level of v_off turns off at once, with the capacitor where it
+            was.
+            """
+            off_level, t_wake, cross, duration = phase
+            if level < off_level:
+                t, off_level, t_wake = 0.0, level, wake_time(off, level / g, wake_v)
+            else:
+                t = min(cross(level / g), duration)
+            return recharge(off_level, t_wake, m - (t_base + (t_lead + t)))
+
+        def row(state: tuple[str, int]) -> tuple[dict, Rewards]:
+            kind, level = state
+            if kind == OFF:
+                return {recharge(level, wake_time(off, level / g, wake_v), m): 1.0}, _LOST
+            if kind == SL0:   # the uplink starts but runs out of energy mid-air
+                return {die(tx, level, 0.0): 1.0}, _LOST
+            # SL1: the uplink completes, then the fork path's receive windows.  A
+            # window, reached with probability `reach`, opens only when the
+            # earlier ones stayed silent and the device is still on.  It adds its
+            # detected branch, and the silent one if the device dies listening;
+            # the detected branch that sleeps out its cycle receives.
+            dests: dict[tuple[str, int], float] = {}
+            reach, received = 1.0, 0
+            for offset, decay, window in path:
+                end = round((offset + level / g * decay) * g)
+                end = 0 if end < 0 else v_max if end > v_max else end
+                if window is not None:
+                    p, t, listen, rx, t_l, (rx_offset, rx_decay), v_rx, v_off, out, bit = window
+                    detected, reach = reach * p, reach * (1.0 - p)
+                    if end <= v_off:   # died listening
+                        if detected > 0.0 or reach > 0.0:
+                            dest = die(listen, level, t)
+                            if detected > 0.0:
+                                dests[dest] = dests.get(dest, 0.0) + detected
+                            if reach > 0.0:
+                                dests[dest] = dests.get(dest, 0.0) + reach
+                        reach = 0.0
+                    elif detected > 0.0:
+                        if end >= v_rx:   # received: sleep out the branch's cycle
+                            nxt = round((rx_offset + end / g * rx_decay) * g)
+                            nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+                            nxt = round((out[0] + nxt / g * out[1]) * g)
+                            nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+                            dest = (SL1 if nxt >= v_tx else SL0, nxt)
+                            received |= bit
+                        else:
+                            dest = die(rx, end, t, t_l)
+                        dests[dest] = dests.get(dest, 0.0) + detected
+                level = end
+            if reach > 0.0:
+                nxt = round((quiet[0] + level / g * quiet[1]) * g)
+                nxt = 0 if nxt < 0 else v_max if nxt > v_max else nxt
+                dest = (SL1 if nxt >= v_tx else SL0, nxt)
+                dests[dest] = dests.get(dest, 0.0) + reach
+            return dests, rewarded[received]
+
+        self.row = row
+
+
+def reference_build(scenario, g: int):
+    """caplora.markov.build_transition_matrix as it ran before it became one
+    pass over float levels, what the build must return bit for bit: the
+    chain over every state reachable from (OFF, level(v_min)).
+
+    A breadth-first search numbers each state as a row first emits it and
+    records the row's successors and probabilities in the same pass.  Rows
+    emit plain (kind, level) tuples, which hash and compare equal to
+    ChainState; each state is made a ChainState once, when it is found.
+    """
+    thr = threshold_levels(scenario, g)
+    row = ReferenceRowBuilder(scenario, g, thr).row
+    initial = ChainState(OFF, thr.v_min)
+    index = {initial: 0}
+    states: list[ChainState] = [initial]
+    successors: list[tuple[int, ...]] = []
+    probabilities: list[tuple[float, ...]] = []
+    rewards: list[Rewards] = []
+    for state in states:    # the list grows as rows emit new states
+        dests, reward = row(state)
+        cols = []
+        for dest in dests:
+            j = index.get(dest)
+            if j is None:
+                found = ChainState(*dest)
+                j = index[found] = len(states)
+                states.append(found)
+            cols.append(j)
+        successors.append(tuple(cols))
+        probabilities.append(tuple(dests.values()))
+        rewards.append(reward)
+    return TransitionMatrix(states=tuple(states), index=index, successors=tuple(successors),
+                            probabilities=tuple(probabilities), rewards=tuple(rewards),
+                            thresholds=thr)
+
+
+def reference_closed_classes(successors):
+    """caplora.markov._closed_classes as it ran before it read cycles off the
+    breadth-first numbering: the strongly connected components that no edge
+    leaves, each sorted, in the order an iterative Tarjan search closes them."""
+    n = len(successors)
+    order, low, component = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    calls: list = []
+    closed: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        calls.append((root, iter(successors[root])))
+        order[root] = low[root] = count = count + 1
+        stack.append(root)
+        while calls:
+            v, edges = calls[-1]
+            for w in edges:
+                if order[w] < 0:
+                    calls.append((w, iter(successors[w])))
+                    order[w] = low[w] = count = count + 1
+                    stack.append(w)
+                    break
+                if component[w] < 0:    # w is on the stack
+                    low[v] = min(low[v], order[w])
+            else:
+                calls.pop()
+                if calls:
+                    low[calls[-1][0]] = min(low[calls[-1][0]], low[v])
+                if low[v] == order[v]:
+                    members = stack[stack.index(v):]
+                    del stack[len(stack) - len(members):]
+                    for w in members:
+                        component[w] = v
+                    # Edges out of the component lead to components found earlier.
+                    if all(component[w] == v for u in members for w in successors[u]):
+                        closed.append(sorted(members))
+    return closed
 
 
 # The SimStats counters that an on-slot adds to when its cycle takes a

@@ -652,6 +652,15 @@ class TestGridParts:
             own = cycle.phase_table(cell.scenario.circuit, cell.scenario.schedule)
             assert _phase_fields(cell.scenario.phases) == _phase_fields(own)
 
+    def test_the_wakeup_grid_compiles_no_phase_table(self, built, capsys):
+        # wakeup reads only each cell's circuit: the cells that share a table
+        # borrow it on first use, and no cell uses one.
+        argv = ["wakeup", "--thresholds", "0.55:0.98:0.01", "--capacitance", "0.0047,1",
+                "--power", "0.1"]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 44 * 2
+        assert built["phase_tables"] == 0
+
     def test_traffic_grid_compiles_no_schedule(self, built):
         base = make_scenario(interval_m=40.0)
         built.update(dict.fromkeys(built, 0))

@@ -1125,6 +1125,20 @@ def test_matrix_dump_is_byte_identical(granularity, golden, tmp_path, capsys):
     assert dump.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+# chain_grid's largest block: case A at p = (0.5, 0.5), 665 states and 1,964
+# entries at g = 5000.
+EVEN_5000 = ["chain", "--scenario", str(GOLDEN / "stochastic_even.ini"), "--granularity",
+             "5000", "--m", "35", "--threshold", "0.7"]
+
+
+def test_the_largest_matrix_dump_is_byte_identical(tmp_path, capsys):
+    dump = tmp_path / "matrix.csv"
+    with pytest.warns(UserWarning, match="ul_payload_bytes = 8"):
+        assert main(EVEN_5000 + ["--dump-matrix", str(dump)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "5000,35,0.7,1,0.5,0"
+    assert dump.read_bytes() == (GOLDEN / "chain_even5000_matrix.csv").read_bytes()
+
+
 def test_cycle_matrix_dump_is_byte_identical(tmp_path, capsys):
     # The README chain example's rows, each with one successor, read without
     # a dense matrix.

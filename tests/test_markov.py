@@ -2,11 +2,13 @@ import dataclasses
 import math
 import pathlib
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, reject, settings, strategies as st
+from hypothesis import (HealthCheck, assume, event, example, given, reject, settings,
+                        strategies as st)
 
 from caplora import characterize, cycle, defaults, markov, simulator
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
@@ -21,9 +23,12 @@ from caplora.markov import (
     Rewards,
     ThresholdLevels,
     TransitionMatrix,
+    _affine,
+    _closed_classes,
     _least_level,
     _level_step,
-    _RowBuilder,
+    _Quantized,
+    _search,
     build_transition_matrix,
     chain_metrics,
     level_of,
@@ -35,21 +40,33 @@ from caplora.cycle import min_interval_bound
 from caplora.simulator import run_simulation
 
 from conftest import (
+    ReferenceRowBuilder,
+    _dense_classes,
     dense_matrix,
     make_circuit,
     make_scenario,
+    reference_build,
     reference_chain,
+    reference_closed_classes,
     reference_stationary,
     stationary_oracle,
 )
 
 G = 750
 PARASITIC_INI = str(pathlib.Path(__file__).parent / "data" / "parasitic.ini")
+EVEN_INI = str(pathlib.Path(__file__).parent / "data" / "stochastic_even.ini")
 
 
 def _step(phase, level, *t, g=G):
     """One step of the chain's compiled level map; a recharge phase takes its time t."""
     return _level_step(phase, g, level_of(defaults.OPERATING_VOLTAGE, g), *t)(level)
+
+
+def _row(scenario, g, state):
+    """The build's row of `state`: the first row of the chain searched from it."""
+    tm = _search(scenario, g, start=state)
+    return {tm.states[j]: p for j, p in zip(tm.successors[0], tm.probabilities[0])}, \
+        tm.rewards[0]
 
 
 class TestDiscreteOps:
@@ -450,6 +467,19 @@ class TestSolveFromRows:
             want = reference_stationary(dense_matrix(tm), 0)
             assert [p.hex() for p in pi] == [p.hex() for p in want.tolist()]
 
+    def test_the_largest_chain_keeps_the_dense_bits(self):
+        # tests/data/chain_even5000_matrix.csv: 665 states, a closed class of
+        # 664 behind the transient start, chain_grid's largest LAPACK block.
+        with pytest.warns(UserWarning, match="ul_payload_bytes = 8"):
+            base = load_scenario(EVEN_INI).scenario
+        scenario = edit_scenario(base, {"threshold": 0.7, "interval_m": 35.0})
+        tm = build_transition_matrix(scenario, 5000)
+        assert len(tm.states) == 665 and sum(map(len, tm.successors)) == 1964
+        pi = stationary_distribution(tm)
+        assert sum(p > 0.0 for p in pi) == 664
+        want = reference_stationary(dense_matrix(tm), 0)
+        assert [p.hex() for p in pi] == [p.hex() for p in want.tolist()]
+
     def test_cycle_chains_take_one_over_their_length(self, monkeypatch):
         chains = list(_grid_chains(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), (G,)))
         assert len(chains) > 40
@@ -469,8 +499,8 @@ class TestSolveFromRows:
     def test_solve_chain_leaves_the_matrix_unbuilt(self, p1, p2, monkeypatch):
         built = []
 
-        def recording(scenario, g):
-            built.append(build_transition_matrix(scenario, g))
+        def recording(scenario, g, *parts):
+            built.append(build_transition_matrix(scenario, g, *parts))
             return built[-1]
 
         monkeypatch.setattr(markov, "build_transition_matrix", recording)
@@ -519,7 +549,7 @@ class TestParasiticEdgeCases:
         scenario = _parasitic(make_scenario(interval_m=9.0), threshold=0.6, esr=20.0)
         thr = threshold_levels(scenario, G)
         assert thr.v_off[DeviceState.TX] > thr.v_on
-        return scenario, thr, _RowBuilder(scenario, G, thr)
+        return scenario, thr, SimpleNamespace(row=partial(_row, scenario, G))
 
     def _sleep_from(self, scenario, level, t):
         return level_of(voltage_after(scenario.circuit, DeviceState.SLEEP, level / G, t), G)
@@ -709,8 +739,8 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
     # Every sleep-out the reference took ends at the same float, and the
     # compiled (offset, decay) of each step, walked as the row walks it,
     # clips like the reference's at the edges of the range.
-    builder = _RowBuilder(scenario, g, tm.thresholds)
-    assert {branch: builder.ends[branch] for branch in ref.ends} == ref.ends
+    table = _Quantized(scenario, g)
+    assert {branch: table.ends[branch] for branch in ref.ends} == ref.ends
     v_max = tm.thresholds.v_max
     edges = (-1, 0, v_max, v_max + 1)
 
@@ -718,14 +748,137 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
         offset, decay = affine
         return min(max(round((offset + level / g * decay) * g), 0), v_max)
 
-    for phase, affine in builder.steps.items():
+    for slot, affine in table.steps.items():
         assert [compiled(affine, level) for level in edges] == \
-            [ref.step(phase, level) for level in edges]
+            [ref.step(scenario.phases[slot], level) for level in edges]
     sleep = scenario.phases["sleep"]
-    for branch, affine in builder.sleep_out.items():
-        want = [ref.step(sleep, level, scenario.interval_m - builder.ends[branch])
-                for level in edges]
-        assert [compiled(affine, level) for level in edges] == want
+    for branch in scenario.branches:
+        elapsed = scenario.interval_m - table.ends[branch]
+        want = [ref.step(sleep, level, elapsed) for level in edges]
+        assert [compiled(_affine(sleep, elapsed), level) for level in edges] == want
+
+
+# The one-pass build against the builder it replaced (conftest.reference_build):
+# every state, successor, probability bit, reward and closed class, on random
+# scenarios with ideal and ESR/EPR parts, certain and interior odds.  The
+# start is transient in most chains; no scenario of the model drawn so far
+# reaches two closed classes, which test_closed_classes_are_the_dense_ones
+# covers on random digraphs.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(sf=st.integers(7, 9), ul_pl=st.integers(1, 48), c_farads=st.floats(4.7e-3, 47e-3),
+       power_w=st.floats(1e-3, 10e-3), threshold=st.floats(0.56, 0.9), m=st.floats(3.0, 90.0),
+       p=st.one_of(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),
+                   st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+       capacitor=st.sampled_from(({}, {"esr": 20.0, "epr": 50e3})), g=st.integers(100, 5000))
+# chain_grid's largest chain: case A at p = (0.5, 0.5), 665 states.
+@example(sf=7, ul_pl=8, c_farads=4.7e-3, power_w=1e-3, threshold=0.7, m=35.0, p=(0.5, 0.5),
+         capacitor={}, g=5000)
+# An ESR/EPR chain that forks in both windows.
+@example(sf=7, ul_pl=16, c_farads=4.7e-3, power_w=1e-3, threshold=0.7, m=20.0, p=(0.3, 0.7),
+         capacitor={"esr": 20.0, "epr": 50e3}, g=2000)
+def test_the_one_pass_build_is_the_reference_build(sf, ul_pl, c_farads, power_w, threshold, m,
+                                                    p, capacitor, g):
+    try:
+        circuit = make_circuit(c_farads=c_farads, power_w=power_w, turn_on_fraction=threshold,
+                               **capacitor)
+        scenario = dataclasses.replace(make_scenario(sf=sf, ul_pl=ul_pl, interval_m=90.0,
+                                                     p1=p[0], p2=p[1]),
+                                       circuit=circuit, interval_m=m)
+    except ScenarioError:
+        reject()
+    try:
+        tm = build_transition_matrix(scenario, g)
+    except InfeasibleScenario:
+        with pytest.raises(InfeasibleScenario):
+            reference_build(scenario, g)
+        return
+    ref = reference_build(scenario, g)
+    event("forks" if any(len(row) > 1 for row in tm.successors) else "one successor per row")
+    event("transient start" if 0 not in reference_closed_classes(ref.successors)[0]
+          else "recurrent start")
+    assert tm.states == ref.states and tm.index == ref.index
+    assert all(type(state.level) is int for state in tm.states)
+    assert tm.successors == ref.successors
+    assert [[q.hex() for q in row] for row in tm.probabilities] == \
+        [[q.hex() for q in row] for row in ref.probabilities]
+    assert tm.rewards == ref.rewards and tm.thresholds == ref.thresholds
+    assert _closed_classes(tm.successors) == reference_closed_classes(ref.successors)
+
+
+# Timed slots with decay 1/2 at g = 16 levels per volt: level L steps to
+# 8 v_limit + L / 2 exactly, a tie for every odd L.  At 1 V many rows turn
+# off, at 2 V the steps settle on 32 through ties, and at 4 V they overrun
+# v_max = 53, which the step clips.
+@pytest.mark.parametrize("v_limit", [1.0, 2.0, 4.0])
+def test_every_row_rounds_ties_to_even(v_limit):
+    base = make_scenario(interval_m=9.0, p1=0.5, p2=0.5)
+    fields = {field.name: getattr(base, field.name) for field in dataclasses.fields(base)}
+    tie = {slot: phase if phase.duration is None else
+           dataclasses.replace(phase, v_limit=v_limit, decay=0.5)
+           for slot, phase in base.phases.items()}
+    scenario = cycle.seeded_scenario(fields, {"phases": tie})
+    thr = threshold_levels(scenario, 16)
+    reference = ReferenceRowBuilder(scenario, 16, thr)
+    states = [ChainState(OFF, level) for level in range(thr.v_on)] + \
+        [ChainState(SL1 if level >= thr.v_tx else SL0, level)
+         for level in range(thr.v_min, thr.v_max + 1)]
+    for state in states:
+        assert _row(scenario, 16, state) == reference.row(state), state
+
+
+@st.composite
+def _digraphs(draw):
+    """Successor rows, each nonempty and without repeats: a functional graph
+    in breadth-first numbering (a path, then a cycle or a self-loop);
+    strongly connected blocks behind a transient prefix whose rows lead on
+    or into the blocks; or rows drawn at random.  Half are relabelled."""
+    kind = draw(st.sampled_from(("functional", "blocks", "random")))
+    if kind == "functional":
+        n = draw(st.integers(1, 12))
+        rows = [[i + 1] for i in range(n - 1)] + [[draw(st.integers(0, n - 1))]]
+    elif kind == "blocks":
+        n_transient = draw(st.integers(0, 5))
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        n = n_transient + sum(sizes)
+        rows = [draw(st.lists(st.integers(i, n - 1), min_size=1, max_size=3, unique=True))
+                for i in range(n_transient)]
+        first = n_transient
+        for size in sizes:
+            block = list(range(first, first + size))
+            for r in range(size):
+                extra = draw(st.lists(st.sampled_from(block), max_size=2))
+                rows.append(list(dict.fromkeys([block[(r + 1) % size], *extra])))
+            first += size
+    else:
+        n = draw(st.integers(1, 10))
+        rows = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+                for _ in range(n)]
+    if draw(st.booleans()):
+        label = draw(st.permutations(range(n)))
+        relabelled = [None] * n
+        for i, row in enumerate(rows):
+            relabelled[label[i]] = [label[j] for j in row]
+        rows = relabelled
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_digraphs())
+@example(((0,),))                       # one self-loop
+@example(((1,), (2,), (3,), (1,)))      # a path into a cycle
+@example(((1,), (2,), (2,)))            # a path into a self-loop
+@example(((1,), (0,), (0,)))            # one successor each, not breadth-first
+@example(((1, 2), (1,), (3,), (2,)))    # a transient start, two closed classes
+def test_closed_classes_are_the_dense_ones(successors):
+    n = len(successors)
+    p = np.zeros((n, n))
+    for i, row in enumerate(successors):
+        p[i, list(row)] = 1.0 / len(row)
+    classes, _ = _dense_classes(p)
+    got = _closed_classes(successors)
+    assert sorted(got) == [members.tolist() for members in classes]
+    assert got == reference_closed_classes(successors)
 
 
 # Differential check of the engines on random deterministic scenarios: the
@@ -780,8 +933,8 @@ def test_the_window_2_cycle_fills_the_least_admitted_interval():
     base = make_scenario(p2=1.0, power_w=10.0)
     bound = min_interval_bound(base.schedule, base.branches)
     scenario = dataclasses.replace(base, interval_m=math.nextafter(bound, math.inf))
-    builder = _RowBuilder(scenario, 100, threshold_levels(scenario, 100))
-    assert builder.ends == {"rx2": bound}
+    ends = _Quantized(scenario, 100).ends
+    assert {branch: ends[branch] for branch in scenario.branches} == {"rx2": bound}
     tm = build_transition_matrix(scenario, 100)
     assert chain_metrics(stationary_distribution(tm), tm).pdl2 == 1.0
 
@@ -805,6 +958,7 @@ def test_sums_add_left_to_right(monkeypatch):
         make_scenario(interval_m=3.0, p2=1.0)
     assert characterize.min_tx_interval(make_scenario(), "rx2") > 0.0
     scenario = make_scenario(interval_m=40.0, p1=0.3, p2=0.5)
-    assert set(_RowBuilder(scenario, 50, threshold_levels(scenario, 50)).ends) == \
+    assert set(_Quantized(scenario, 50).ends) == set(scenario.branches) == \
         {"rx1", "rx2", "silent"}
+    assert len(build_transition_matrix(scenario, 50).states) > 1
     assert run_simulation(scenario, 1, 20, trace=True)[0].n_scheduled == 20

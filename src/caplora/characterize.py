@@ -393,10 +393,9 @@ def _measure(engine: str, seeds: tuple, n_scheduled: int, cell: GridCell,
 
     The simulator's ratios are means over `seeds`, with seconds 0; its
     runs share seed tails with the grid's other cells through `tails`.  The
-    chain's are its stationary metrics, and seconds is the wall time of
-    its solve, timed with numpy already imported so that the first import
-    stays out; its chains share each phase table's quantized parts with
-    the grid's other cells through `chains`.  A cell whose device can
+    chain's are its long-run metrics, and seconds is the wall time of its
+    solve; its chains share each phase table's quantized parts with the
+    grid's other cells through `chains`.  A cell whose device can
     never wake (its wake target at or beyond the Off state's asymptote)
     raises InfeasibleScenario before either engine runs; the chain's
     InfeasibleScenario propagates too.
@@ -408,7 +407,6 @@ def _measure(engine: str, seeds: tuple, n_scheduled: int, cell: GridCell,
             f"beyond the Off state's charging ceiling; the device never wakes")
     if engine == "simulator":
         return (*_simulate_mean(cell.scenario, seeds, n_scheduled, tails), 0.0)
-    import numpy  # noqa: F401
     t0 = time.perf_counter()
     result = solve_chain(cell.scenario, cell.granularity, chains)
     return result.pdr, result.pdl1, result.pdl2, time.perf_counter() - t0
@@ -509,6 +507,8 @@ def _accuracy_cell(n_scheduled: int, seeds: tuple, tails: dict, chains: dict,
                    cell: GridCell) -> dict:
     _, threshold, (case_id, m_class), (p1, p2) = cell.point
     pdr_sim = _measure("simulator", seeds, n_scheduled, cell, tails)[0]
+    # numpy loads before the chain's timer starts: chain_seconds leaves its import out.
+    import numpy  # noqa: F401
     pdr_mc, _, _, seconds = _measure("chain", seeds, n_scheduled, cell, chains=chains)
     return {"case": case_id, "m_class": m_class, "m_s": cell.scenario.interval_m,
             "p1": p1, "p2": p2, "threshold": threshold, "granularity": cell.granularity,

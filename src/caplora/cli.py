@@ -52,7 +52,7 @@ from .characterize import (
 from .config import LoadedScenario, load_scenario, parse_scenario
 from .cycle import DL_CASES
 from .errors import InfeasibleScenario, ScenarioError
-from .markov import build_transition_matrix, chain_metrics, stationary_distribution
+from .markov import build_transition_matrix, long_run_metrics
 from .simulator import run_simulation, single_cycle_trace
 from .timing import RadioConfig, coding_rate_to_index, time_on_air
 
@@ -406,7 +406,7 @@ def _cmd_chain(args) -> int:
     if args.dump_matrix:
         _write(args.dump_matrix, "src_kind,src_level,dst_kind,dst_level,prob\n"
                + "".join(line + "\n" for line in tm.coordinate_lines()))
-    result = chain_metrics(stationary_distribution(tm), tm)
+    result = long_run_metrics(tm)
     _emit(args, "chain", [{
         "granularity": loaded.granularity, "m_s": scenario.interval_m,
         "threshold": scenario.circuit.v_sl / scenario.circuit.operating_voltage,

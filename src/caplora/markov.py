@@ -55,24 +55,31 @@ ChainState, with an int level, once, at the end.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps it small, and is kept as its rows: each state's successors
-and their probabilities.  That start state may still reach more than one
-closed class; the long-run distribution then weighs each class's
-stationary vector by the probability of being absorbed into it from the
-start state.  The solver reads the rows.  Rows that each have one
-successor, in the search's breadth-first numbering, are a path into one
-cycle, read off the numbering and uniform in the long run; any other
-chain's closed classes come from a Tarjan search, and only the blocks
-that are not cycles are scattered into numpy for a linear solve.
+and their probabilities.  Its closed classes are found once per chain
+(TransitionMatrix.closed_classes).  Rows that each have one successor,
+in the search's breadth-first numbering, are a path into one cycle, read
+off the numbering; any other chain's closed classes come from a Tarjan
+search.  When the start reaches one closed class and every state of it
+carries the same Rewards r, every metric pi . r is r whatever pi is,
+since pi sums to one on the class (Kemeny and Snell, Finite Markov
+Chains, 1960): long_run_metrics reads r and forms no pi.  Any other
+chain takes its stationary vector.  A cycle's is uniform, 1/L on its L
+states; every other class's rows are scattered into numpy for a linear
+solve.  A start that reaches more than one closed class weighs each
+class's stationary vector by the probability of being absorbed into it.
 
-numpy is imported only to solve a class that is not a single cycle or to
-weigh classes by absorption, so importing this module (and so caplora),
-and building and solving a deterministic chain, leave it unloaded.
+numpy is imported only to solve a class whose states carry two or more
+Rewards and that is not a single cycle, or to weigh classes by
+absorption, so importing this module (and so caplora), and building and
+solving a deterministic chain or one whose class carries one Rewards,
+leave it unloaded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
@@ -277,6 +284,8 @@ class TransitionMatrix:
     `successors` holds each row's destinations in the order the build
     emits them, `probabilities` their probabilities in the same
     order, and `rewards` each state's rewards, all in state order.
+    `closed_classes` is _closed_classes of the rows, found on first read
+    and kept.
     """
 
     states: tuple[ChainState, ...]
@@ -285,6 +294,10 @@ class TransitionMatrix:
     probabilities: tuple[tuple[float, ...], ...]
     rewards: tuple[Rewards, ...]
     thresholds: ThresholdLevels
+
+    @cached_property
+    def closed_classes(self) -> list[list[int]]:
+        return _closed_classes(self.successors)
 
     def coordinate_lines(self) -> Iterable[str]:
         """Debug dump: one 'src_kind,src_level,dst_kind,dst_level,prob' per entry."""
@@ -608,10 +621,11 @@ def stationary_distribution(tm: TransitionMatrix,
     `initial` is transient and more than one class is closed the classes
     are weighed by their absorption probabilities.  A lone cycle's 1/L is
     the answer as it stands; otherwise the weighed vectors are normalized
-    once more.
+    once more.  long_run_metrics calls this only for a chain whose reached
+    class carries two or more Rewards, or that reaches two or more classes.
     """
     start = tm.index[initial] if initial is not None else 0
-    classes = _closed_classes(tm.successors)
+    classes = tm.closed_classes
     home = [members for members in classes if start in members]
     if home or len(classes) == 1:
         classes, weights = home or classes, [1.0]
@@ -632,13 +646,23 @@ def stationary_distribution(tm: TransitionMatrix,
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Stationary distribution, a list in state order, plus the three delivery metrics."""
+    """The three delivery metrics of the chain `tm`, and its states.
 
-    pi: list[float]
+    pi, the long-run distribution in state order, is
+    stationary_distribution(tm): the vector the metrics were summed from,
+    or, where long_run_metrics read them off a one-Rewards class, formed
+    on first read.  Either way it is kept, the same list on every read.
+    """
+
     states: tuple[ChainState, ...]
     pdr: float
     pdl1: float
     pdl2: float
+    tm: TransitionMatrix = field(repr=False, compare=False)
+
+    @cached_property
+    def pi(self) -> list[float]:
+        return stationary_distribution(self.tm)
 
 
 def chain_metrics(pi: list[float], tm: TransitionMatrix) -> ChainResult:
@@ -650,11 +674,34 @@ def chain_metrics(pi: list[float], tm: TransitionMatrix) -> ChainResult:
         lost += p * r_lost
         pdl1 += p * r_pdl1
         pdl2 += p * r_pdl2
-    return ChainResult(pi=pi, states=tm.states, pdr=1.0 - lost, pdl1=pdl1, pdl2=pdl2)
+    result = ChainResult(states=tm.states, pdr=1.0 - lost, pdl1=pdl1, pdl2=pdl2, tm=tm)
+    vars(result)["pi"] = pi   # where cached_property keeps it: `pi` is read, not solved again
+    return result
+
+
+def long_run_metrics(tm: TransitionMatrix) -> ChainResult:
+    """The delivery metrics of the chain `tm`, observed from its start.
+
+    When the start reaches exactly one closed class and all its states
+    carry one Rewards r, pi . r = r (pi sums to one on the class), so the
+    metrics are r, pdr = 1 - r.lost, and no pi is formed.  Every other
+    chain takes chain_metrics(stationary_distribution(tm), tm).  The
+    classes are sorted, so the start, state 0, lies in a class only as its
+    first member; a transient start in a chain with one closed class is
+    absorbed into it.
+    """
+    classes = tm.closed_classes
+    reached = [members for members in classes if members[0] == 0] or classes
+    if len(reached) == 1:
+        rewards = tm.rewards
+        reward = rewards[reached[0][0]]
+        if all(rewards[i] == reward for i in reached[0]):
+            return ChainResult(states=tm.states, pdr=1.0 - reward.lost, pdl1=reward.pdl1,
+                               pdl2=reward.pdl2, tm=tm)
+    return chain_metrics(stationary_distribution(tm), tm)
 
 
 def solve_chain(scenario: Scenario, g: int, parts: dict | None = None) -> ChainResult:
-    """Build the chain, solve for the stationary vector, return the metrics;
-    `parts` is build_transition_matrix's."""
-    tm = build_transition_matrix(scenario, g, parts)
-    return chain_metrics(stationary_distribution(tm), tm)
+    """Build the chain and return long_run_metrics of it; `parts` is
+    build_transition_matrix's."""
+    return long_run_metrics(build_transition_matrix(scenario, g, parts))

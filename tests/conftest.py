@@ -187,7 +187,8 @@ def _dense_classes(p: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     n = p.shape[0]
     reach = (p > 0) | np.eye(n, dtype=bool)
     while True:
-        wider = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        # Path counts as floats: whole and below 2**53, so exact, and BLAS multiplies them.
+        wider = (reach.astype(float) @ reach.astype(float)) > 0
         if (wider == reach).all():
             break
         reach = wider

@@ -20,6 +20,8 @@ from caplora.timing import RadioConfig
 
 from conftest import make_loads, make_scenario
 
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
 
 def csv_header(command: str) -> str:
     return ",".join(name for name, *_ in COLUMNS[command])
@@ -523,7 +525,10 @@ def _python(code: str, *args: str, env=None) -> str:
     return done.stdout
 
 
-# Commands that never build a chain, so they must not pay the numpy import.
+# Commands that solve no chain with numpy, so they must not pay its import:
+# those that build no chain, the README sweep, whose deterministic chains
+# each end in a cycle, and stochastic chains at M = 40 s, each reaching one
+# closed class whose states carry one Rewards.
 NUMPY_FREE_CALLS = [
     ["airtime", "--sf", "7", "--pl", "16"],
     ["min-cap", "--sf", "7", "--ul-pl", "48", "--dl-pl", "48", "--dl-case", "rx2"],
@@ -533,6 +538,12 @@ NUMPY_FREE_CALLS = [
     ["simulate", "--m", "9", "--n", "50"],
     ["sweep", "--axis", "threshold", "--values", "0.6,0.7", "--m", "9", "--engine",
      "simulator", "--n", "50", "--seeds", "1"],
+    ["sweep", "--axis", "threshold", "--values", "0.55:0.98:0.01", "--m", "5,9,40", "--engine",
+     "both"],
+    ["sweep", "--scenario", str(GOLDEN / "stochastic.ini"), "--axis", "granularity",
+     "--values", "100,750", "--m", "40", "--engine", "chain"],
+    ["chain", "--scenario", str(GOLDEN / "stochastic.ini"), "--granularity", "100",
+     "--m", "40"],
 ]
 # The README chain example: p1 = p2 = 0, so every row has one successor and
 # the chain ends in a cycle, solved in closed form.
@@ -553,8 +564,9 @@ def test_numpy_loads_only_when_a_chain_needs_a_solve(tmp_path):
         print(json.dumps(seen))
     """
     cycle_chains = [README_CHAIN, README_CHAIN + ["--dump-matrix", str(tmp_path / "m.csv")]]
-    stochastic = ["chain", "--scenario", str(GOLDEN / "stochastic.ini"), "--granularity", "100",
-                  "--m", "40"]
+    # At its own 10 s interval the file's chain reaches a class of 16 states
+    # that carry two Rewards: its metrics need the stationary solve.
+    stochastic = ["chain", "--scenario", str(GOLDEN / "stochastic.ini"), "--granularity", "100"]
     seen = json.loads(_python(code, json.dumps(NUMPY_FREE_CALLS + cycle_chains + [stochastic])))
     assert seen[:-1] == [["import caplora", 0, False], ["import caplora.cli", 0, False]] + \
         [[argv[0], 0, False] for argv in NUMPY_FREE_CALLS + cycle_chains]
@@ -676,7 +688,6 @@ def test_chain_seconds_leaves_out_the_numpy_import():
     assert _python(code).split() == ["1", "2"]
 
 
-GOLDEN = pathlib.Path(__file__).parent / "data"
 # An ESR 20 ohm / EPR 50 kohm capacitor with p1 = 0.3, p2 = 0.5: the files
 # recorded from it pin the parasitic path of every engine.
 PARASITIC = str(GOLDEN / "parasitic.ini")

@@ -13,7 +13,8 @@ from hypothesis import (HealthCheck, assume, event, example, given, reject, sett
 from caplora import characterize, cycle, defaults, markov, simulator
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
 from caplora.config import load_scenario
-from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after
+from caplora.energy import (DeviceState, _after, _time, compile_phase, time_to_voltage,
+                            voltage_after)
 from caplora.errors import InfeasibleScenario, ScenarioError
 from caplora.markov import (
     OFF,
@@ -32,6 +33,7 @@ from caplora.markov import (
     build_transition_matrix,
     chain_metrics,
     level_of,
+    long_run_metrics,
     solve_chain,
     stationary_distribution,
     threshold_levels,
@@ -316,7 +318,7 @@ class TestTransitionMatrix:
             assert 0.0 < float(prob) <= 1.0
 
 
-def _toy_matrix(rows, kinds=None):
+def _toy_matrix(rows, kinds=None, rewards=()):
     matrix = np.asarray(rows, dtype=float)
     n = len(matrix)
     states = tuple(ChainState(kinds[i] if kinds else OFF, i) for i in range(n))
@@ -325,8 +327,8 @@ def _toy_matrix(rows, kinds=None):
     thr = ThresholdLevels(v_min=0, v_on=n, v_tx=n, v_rx1=n + 1, v_rx2=n + 1, v_max=n,
                           v_off={})
     return TransitionMatrix(states=states, index={s: i for i, s in enumerate(states)},
-                            successors=successors, probabilities=probabilities, rewards=(),
-                            thresholds=thr)
+                            successors=successors, probabilities=probabilities,
+                            rewards=tuple(rewards), thresholds=thr)
 
 
 @st.composite
@@ -507,6 +509,36 @@ class TestSolveFromRows:
         result = solve_chain(make_scenario(interval_m=40.0, p1=p1, p2=p2), G)
         assert type(result.pi) is list and len(result.pi) == len(built[0].states)
         assert _carries_no_dense_matrix(built[0])
+
+
+# Rewards of the hand-built chains: a lost uplink, and two delivering ones.
+_LOST, _RX1, _RX2 = Rewards(lost=1.0), Rewards(pdl1=0.25), Rewards(pdl2=0.5)
+
+
+# long_run_metrics reads the rewards of a class only when it is the one
+# closed class the start reaches and its states carry one Rewards.
+@pytest.mark.parametrize("rows,rewards,want", [
+    # A transient start absorbed 30 % into state 1 and 70 % into state 2,
+    # each a class of one Rewards: the metrics weigh both.
+    ([[0.0, 0.3, 0.7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (_LOST, _LOST, _RX1),
+     (0.7, 0.175, 0.0)),
+    # The start in the cycle 0 <-> 1; the closed state 2 lies out of its reach.
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], (_RX1, _RX1, _LOST),
+     (1.0, 0.25, 0.0)),
+    # A transient start that reaches state 2 only; state 1 is closed and unreached.
+    ([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (_LOST, _LOST, _RX2),
+     (1.0, 0.0, 0.5)),
+    # One class, the cycle 1 -> 2 -> 1 behind the start, with two Rewards.
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], (_LOST, _LOST, _RX2),
+     (0.5, 0.0, 0.25)),
+])
+def test_long_run_metrics_weigh_the_reached_classes(rows, rewards, want):
+    tm = _toy_matrix(rows, rewards=rewards)
+    result = long_run_metrics(tm)
+    assert (result.pdr, result.pdl1, result.pdl2) == pytest.approx(want, abs=1e-12)
+    solved = chain_metrics(stationary_distribution(tm), tm)
+    assert (result.pdr, result.pdl1, result.pdl2) == (solved.pdr, solved.pdl1, solved.pdl2)
+    assert result.pi == stationary_distribution(tm)
 
 
 class TestChainMetrics:
@@ -806,6 +838,61 @@ def test_the_one_pass_build_is_the_reference_build(sf, ul_pl, c_farads, power_w,
     assert _closed_classes(tm.successors) == reference_closed_classes(ref.successors)
 
 
+# long_run_metrics against the solve on random scenarios, drawn as for the
+# one-pass build: where the start reaches one closed class whose states all
+# carry one Rewards r, the metrics are r exactly, with numpy unloadable, and
+# the oracle's pi . r within 1e-12; every other chain's metrics are
+# chain_metrics(stationary_distribution(tm), tm) bit for bit.  Either way
+# pi, once read, is stationary_distribution(tm).
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(sf=st.integers(7, 9), ul_pl=st.integers(1, 48), c_farads=st.floats(4.7e-3, 47e-3),
+       power_w=st.floats(1e-3, 10e-3), threshold=st.floats(0.56, 0.9), m=st.floats(3.0, 90.0),
+       p=st.one_of(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),
+                   st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+       capacitor=st.sampled_from(({}, {"esr": 20.0, "epr": 50e3})), g=st.integers(100, 2000))
+# tests/data/stochastic.ini at g = 100: at M = 40 s a class of 23 states
+# with one Rewards, at its own 10 s a class of 16 states with two.
+@example(sf=7, ul_pl=16, c_farads=4.7e-3, power_w=1e-3, threshold=0.7, m=40.0, p=(0.3, 0.5),
+         capacitor={}, g=100)
+@example(sf=7, ul_pl=16, c_farads=4.7e-3, power_w=1e-3, threshold=0.7, m=10.0, p=(0.3, 0.5),
+         capacitor={}, g=100)
+def test_a_class_with_one_reward_is_its_reward(sf, ul_pl, c_farads, power_w, threshold, m, p,
+                                               capacitor, g):
+    try:
+        circuit = make_circuit(c_farads=c_farads, power_w=power_w, turn_on_fraction=threshold,
+                               **capacitor)
+        scenario = dataclasses.replace(make_scenario(sf=sf, ul_pl=ul_pl, interval_m=90.0,
+                                                     p1=p[0], p2=p[1]),
+                                       circuit=circuit, interval_m=m)
+        tm = build_transition_matrix(scenario, g)
+    except (ScenarioError, InfeasibleScenario):
+        reject()
+    classes = reference_closed_classes(tm.successors)
+    rewards = {tm.rewards[i] for members in classes for i in members}
+    if len(classes) == 1 and len(rewards) == 1:
+        event("one reward")
+        (reward,) = rewards
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sys.modules, "numpy", None)   # any numpy import fails
+            result = long_run_metrics(tm)
+        assert (result.pdr, result.pdl1, result.pdl2) == \
+            (1.0 - reward.lost, reward.pdl1, reward.pdl2)
+        oracle = stationary_oracle(dense_matrix(tm), 0) @ np.array(tm.rewards)
+        assert (result.pdr, result.pdl1, result.pdl2) == \
+            pytest.approx((1.0 - oracle[0], oracle[1], oracle[2]), abs=1e-12)
+    else:
+        event("two or more rewards" if len(classes) == 1 else "two or more classes")
+        result = long_run_metrics(tm)
+        want = chain_metrics(stationary_distribution(tm), tm)
+        assert [x.hex() for x in (result.pdr, result.pdl1, result.pdl2)] == \
+            [x.hex() for x in (want.pdr, want.pdl1, want.pdl2)]
+    assert result.states == tm.states
+    pi = result.pi
+    assert result.pi is pi and [q.hex() for q in pi] == \
+        [q.hex() for q in stationary_distribution(tm)]
+
+
 # Timed slots with decay 1/2 at g = 16 levels per volt: level L steps to
 # 8 v_limit + L / 2 exactly, a tie for every odd L.  At 1 V many rows turn
 # off, at 2 V the steps settle on 32 through ties, and at 4 V they overrun
@@ -825,6 +912,39 @@ def test_every_row_rounds_ties_to_even(v_limit):
          for level in range(thr.v_min, thr.v_max + 1)]
     for state in states:
         assert _row(scenario, 16, state) == reference.row(state), state
+    # An Off phase that settles at 1 V, below the wake target, and halves its
+    # distance to it over the 9 s interval: every OFF row stays Off, and
+    # level L ends at 8 + L / 2, a tie for every odd L.
+    tau = 12.984255368000671
+    assert math.exp(-9.0 / tau) == 0.5
+    off = dataclasses.replace(base.phases["off"], v_limit=1.0, tau=tau,
+                              after=partial(_after, 1.0, tau), cross=partial(_time, 1.0, tau))
+    stays_off = cycle.seeded_scenario(fields, {"phases": {**tie, "off": off}})
+    reference = ReferenceRowBuilder(stays_off, 16, threshold_levels(stays_off, 16))
+    assert _row(stays_off, 16, ChainState(OFF, 1)) == ({ChainState(OFF, 8): 1.0}, Rewards(1.0))
+    for state in states[:thr.v_on]:
+        assert _row(stays_off, 16, state) == reference.row(state), state
+
+
+def test_a_turn_off_sums_the_rest_of_its_interval_from_the_right():
+    # From SL1 level 1475 the window-1 packet turns the device off t into
+    # it, where the window opens at t_base and listening lasts t_lead.  At
+    # this M the rest of the interval m - (t_base + (t_lead + t)) ends at or
+    # before the Off wake time, so the device stays Off; summed as
+    # m - ((t_base + t_lead) + t) it would end one float past it and wake.
+    scenario = make_scenario(p1=1.0, turn_on_fraction=0.6, interval_m=7.784478601117753)
+    table = _Quantized(scenario, G)
+    off_level, t_wake, cross, duration = table.wake(scenario.circuit.v_on)[1]["rx1"]
+    end = 1475
+    for slot in ("tx", "idle1", "listen1"):
+        end = _step(scenario.phases[slot], end)
+    t_base, t_lead, t = table.opens["rx1"], scenario.phases["listen1"].duration, cross(end / G)
+    assert off_level <= end < table.v_rx["v_rx1"] and t < duration
+    m = scenario.interval_m
+    assert m - (t_base + (t_lead + t)) <= t_wake < m - ((t_base + t_lead) + t)
+    want = {ChainState(OFF, 1484): 1.0}, Rewards(0.0)
+    assert _row(scenario, G, ChainState(SL1, 1475)) == want
+    assert ReferenceRowBuilder(scenario, G, threshold_levels(scenario, G)).row((SL1, 1475)) == want
 
 
 @st.composite

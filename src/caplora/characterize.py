@@ -507,8 +507,6 @@ def _accuracy_cell(n_scheduled: int, seeds: tuple, tails: dict, chains: dict,
                    cell: GridCell) -> dict:
     _, threshold, (case_id, m_class), (p1, p2) = cell.point
     pdr_sim = _measure("simulator", seeds, n_scheduled, cell, tails)[0]
-    # numpy loads before the chain's timer starts: chain_seconds leaves its import out.
-    import numpy  # noqa: F401
     pdr_mc, _, _, seconds = _measure("chain", seeds, n_scheduled, cell, chains=chains)
     return {"case": case_id, "m_class": m_class, "m_s": cell.scenario.interval_m,
             "p1": p1, "p2": p2, "threshold": threshold, "granularity": cell.granularity,

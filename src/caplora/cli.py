@@ -31,12 +31,6 @@ import sys
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-# The chain's dense solves are small, and BLAS worker threads roughly double
-# their CPU time.  BLAS reads these variables once, when numpy loads, which
-# caplora does only when a chain is built; a value already set wins.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-
 from . import defaults
 from .characterize import (
     M_CLASSES,

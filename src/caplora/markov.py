@@ -63,16 +63,12 @@ search.  When the start reaches one closed class and every state of it
 carries the same Rewards r, every metric pi . r is r whatever pi is,
 since pi sums to one on the class (Kemeny and Snell, Finite Markov
 Chains, 1960): long_run_metrics reads r and forms no pi.  Any other
-chain takes its stationary vector.  A cycle's is uniform, 1/L on its L
-states; every other class's rows are scattered into numpy for a linear
-solve.  A start that reaches more than one closed class weighs each
-class's stationary vector by the probability of being absorbed into it.
-
-numpy is imported only to solve a class whose states carry two or more
-Rewards and that is not a single cycle, or to weigh classes by
-absorption, so importing this module (and so caplora), and building and
-solving a deterministic chain or one whose class carries one Rewards,
-leave it unloaded.
+chain takes its stationary vector from the rows by Grassmann-Taksar-
+Heyman state reduction (GTH; Operations Research 33, 1985), which never
+subtracts, so each entry of pi is accurate relative to itself
+(O'Cinneide, Numer. Math. 65, 1993); a cycle comes out as exactly 1/L.
+A start that reaches several closed classes weighs each by the
+probability of being absorbed into it, from the same elimination.
 """
 
 from __future__ import annotations
@@ -80,15 +76,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .cycle import BRANCHES, PATH, Scenario, cycle_length
 from .energy import Phase, wake_time
 from .errors import InfeasibleScenario, ScenarioError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 OFF, SL0, SL1 = "OFF", "SL0", "SL1"
 
@@ -559,89 +553,102 @@ def _closed_classes(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return closed
 
 
-def _class_stationary(tm: TransitionMatrix, members: list[int]) -> list[float] | np.ndarray:
-    """Stationary vector of the closed class `members`, from its rows.
+def _eliminate(rows: dict[int, dict[int, float]], keep: set[int]
+               ) -> list[tuple[int, float, list[tuple[int, float]]]]:
+    """Censor the chain `rows` on `keep` and its sinks by Grassmann-Taksar-
+    Heyman state reduction: it adds, multiplies and divides, never subtracts.
 
-    A cycle, a class in which every state has one successor, has the
-    closed form 1/L on its L states.  Any other class solves pi (P_C - I)
-    = 0 with the last balance equation replaced by sum(pi) = 1, its rows
-    scattered straight into a = P_C^T - I.
+    `rows` maps each state to its successors' probabilities; a successor
+    without a row is a sink.  Eliminating k routes each predecessor's entry
+    over k's row less its self-loop, whose sum is s_k: P(i, j) += P(i, k) *
+    P(k, j) / s_k; an s_k of 0.0 (products of odds underflowed) routes
+    nothing.  The next k has the fewest predecessors times successors
+    (Markowitz's rule), from a heap whose stale counts are skipped.
+    Returns each k, in order, with s_k and its predecessors' entries.
     """
-    k = len(members)
-    if all(len(tm.successors[i]) == 1 for i in members):
-        return [1.0 / k] * k
-    import numpy as np
-    successors = tm.successors
-    # One pass over the class's rows: row r's successor j lands at a[local[j], r].
-    local = np.empty(len(successors), dtype=np.intp)
-    local[members] = np.arange(k)
-    targets = np.fromiter(chain.from_iterable(map(successors.__getitem__, members)), np.intp)
-    a = np.zeros((k, k))
-    a[local[targets], np.repeat(np.arange(k), [len(successors[i]) for i in members])] = \
-        np.fromiter(chain.from_iterable(map(tm.probabilities.__getitem__, members)), float,
-                    len(targets))
-    a.flat[::k + 1] -= 1.0
-    a[-1, :] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
-    pi = np.clip(np.linalg.solve(a, b), 0.0, None)
-    return pi / pi.sum()
+    into: dict[int, set[int]] = {i: set() for i in rows}
+    for i, row in rows.items():
+        for j in row:
+            into.setdefault(j, set()).add(i)
+    counts = {k: len(into[k]) * len(row) for k, row in rows.items() if k not in keep}
+    heap = [(count, k) for k, count in counts.items()]
+    heapify(heap)
+    steps = []
+    while heap:
+        count, k = heappop(heap)
+        if counts.get(k) != count:   # eliminated, or a stale count
+            continue
+        del counts[k]
+        row = rows.pop(k)
+        row.pop(k, None)
+        preds = into.pop(k) - {k}
+        entries = [(i, rows[i].pop(k)) for i in preds]
+        exits = sum(row.values())
+        for j in row:
+            into[j].discard(k)
+            if exits > 0.0:
+                into[j] |= preds
+        if exits > 0.0:
+            scaled = [(j, p / exits) for j, p in row.items()]
+            for i, p_ik in entries:
+                row_i = rows[i]
+                for j, p in scaled:
+                    row_i[j] = row_i.get(j, 0.0) + p_ik * p
+        for t in chain(preds, row):
+            if t in counts and counts[t] != (count := len(into[t]) * len(rows[t])):
+                counts[t] = count
+                heappush(heap, (count, t))
+        steps.append((k, exits, entries))
+    return steps
 
 
-def _absorption_weights(tm: TransitionMatrix, classes: list[list[int]],
-                        start: int) -> list[float]:
-    """Probability of absorption into each closed class from the transient
-    `start`: the expected visits to each transient state, from one solve on
-    the transient block I - Q scattered from the rows, times each state's
-    step into the class."""
-    import numpy as np
-    owner = {i: c for c, members in enumerate(classes) for i in members}
-    transient = [i for i in range(len(tm.states)) if i not in owner]
-    local = {i: t for t, i in enumerate(transient)}
-    lhs = np.eye(len(transient))
-    into = np.zeros((len(classes), len(transient)))
-    for t, i in enumerate(transient):
-        for j, p in zip(tm.successors[i], tm.probabilities[i]):
-            if j in local:
-                lhs[t, local[j]] -= p
-            else:
-                into[owner[j], t] += p
-    visits = np.linalg.solve(lhs.T, [float(i == start) for i in transient])
-    return [visits @ column for column in into]
+def _class_stationary(tm: TransitionMatrix, members: list[int]) -> list[float]:
+    """Stationary vector of the closed class `members` by GTH: eliminate
+    every state but the first, which takes mass 1, give each eliminated k,
+    in reverse, sum_i pi_i P(i, k) / s_k, and normalize; a cycle comes out
+    as exactly 1/L.  Masses past 2**64 are rescaled, so no sum overflows.
+    A mass that overflows, or whose s_k underflowed to 0.0, outweighs the
+    states k was eliminated from past the float range: k holds the mass of
+    the chain censored at it, and they keep 0.0."""
+    rows = {i: dict(zip(tm.successors[i], tm.probabilities[i])) for i in members}
+    pi = {members[0]: 1.0}
+    for k, exits, entries in reversed(_eliminate(rows, {members[0]})):
+        mass = sum([pi[i] * p for i, p in entries]) / exits if exits > 0.0 else math.inf
+        if mass > 2.0 ** 64:
+            pi = {i: p / mass for i, p in pi.items()}
+            mass = 1.0
+        pi[k] = mass
+    total = sum(pi.values())
+    return [pi[i] / total for i in members]
 
 
 def stationary_distribution(tm: TransitionMatrix,
                             initial: ChainState | None = None) -> list[float]:
     """Long-run (Cesaro-limit) state distribution observed from `initial`,
-    in state order.
-
-    Exact for periodic and deterministic chains alike: each closed class
-    reachable from `initial` gets its stationary vector, a cycle's in
-    closed form and any other class's from one linear solve, and when
-    `initial` is transient and more than one class is closed the classes
-    are weighed by their absorption probabilities.  A lone cycle's 1/L is
-    the answer as it stands; otherwise the weighed vectors are normalized
-    once more.  long_run_metrics calls this only for a chain whose reached
-    class carries two or more Rewards, or that reaches two or more classes.
-    """
+    in state order, periodic and deterministic chains alike: each closed
+    class it reaches gets its GTH vector, weighed, when `initial` is
+    transient and two or more classes are closed, by the odds of absorption
+    into it, which eliminating the other transient states leaves in the
+    start's row.  long_run_metrics calls this only for a chain whose
+    reached class carries two or more Rewards, or that reaches two or more
+    classes."""
     start = tm.index[initial] if initial is not None else 0
     classes = tm.closed_classes
     home = [members for members in classes if start in members]
     if home or len(classes) == 1:
         classes, weights = home or classes, [1.0]
     else:
-        weights = _absorption_weights(tm, classes, start)
-    vectors = [_class_stationary(tm, members) for members in classes]
-    if len(classes) == 1 and isinstance(vectors[0], list):
-        pi = [0.0] * len(tm.states)
-        for i, p in zip(classes[0], vectors[0]):
-            pi[i] = p
-        return pi
-    import numpy as np
-    pi = np.zeros(len(tm.states))
-    for members, weight, vector in zip(classes, weights, vectors):
-        pi[members] += weight * np.asarray(vector)
-    return (pi / pi.sum()).tolist()
+        closed = set(chain.from_iterable(classes))
+        rows = {i: dict(zip(tm.successors[i], tm.probabilities[i]))
+                for i in range(len(tm.states)) if i not in closed}
+        _eliminate(rows, {start})
+        weights = [sum(rows[start].get(i, 0.0) for i in members) for members in classes]
+        weights = [weight / sum(weights) for weight in weights]
+    pi = [0.0] * len(tm.states)
+    for members, weight in zip(classes, weights):
+        for i, p in zip(members, _class_stationary(tm, members)):
+            pi[i] = weight * p
+    return pi
 
 
 @dataclass(frozen=True)
@@ -651,7 +658,7 @@ class ChainResult:
     pi, the long-run distribution in state order, is
     stationary_distribution(tm): the vector the metrics were summed from,
     or, where long_run_metrics read them off a one-Rewards class, formed
-    on first read.  Either way it is kept, the same list on every read.
+    on first read by GTH.  Either way it is kept, the same list on every read.
     """
 
     states: tuple[ChainState, ...]

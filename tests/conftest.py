@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +271,55 @@ def reference_stationary(p: np.ndarray, start: int) -> np.ndarray:
         vector = np.clip(np.linalg.solve(a, b), 0.0, None)
         pi[members] += weight * (vector / vector.sum())
     return pi / pi.sum()
+
+
+def exact_stationary(tm, members) -> list[Fraction]:
+    """The stationary vector of the closed class `members` of the chain
+    `tm`, in rational arithmetic: each float of its rows is converted
+    exactly, and nothing rounds.
+
+    The rows are read as rates: each state's off-diagonal entries, its
+    diagonal minus their sum, as a stationary solver that never reads the
+    diagonal sees them (for rows that sum to one, the same chain).  With
+    pi = 1 at the first member and its balance equation dropped, sparse
+    Gaussian elimination solves the others' balance equations,
+    sum_i pi_i Q(i, j) = 0, pivoting on the diagonal from the last member
+    to the first (an irreducible generator's Schur complements keep it
+    nonzero), and the result is normalized.
+    """
+    root, rest = members[0], members[1:]
+    # Equation j: {i: Q(i, j)} over the unknowns, and "rhs": -Q(root, j).
+    equations = {j: {"rhs": Fraction(0)} for j in rest}
+    for i in members:
+        exits = Fraction(0)
+        for j, p in zip(tm.successors[i], tm.probabilities[i]):
+            if j != i:
+                exits += Fraction(p)
+                if j == root:
+                    continue
+                if i == root:
+                    equations[j]["rhs"] -= Fraction(p)
+                else:
+                    equations[j][i] = equations[j].get(i, 0) + Fraction(p)
+        if i != root:
+            equations[i][i] = equations[i].get(i, 0) - exits
+    order = rest[::-1]
+    for n, v in enumerate(order):
+        pivot = equations[v]
+        for u in order[n + 1:]:
+            factor = equations[u].pop(v, 0)
+            if factor:
+                factor /= pivot[v]
+                for w, a in pivot.items():
+                    if w != v:
+                        equations[u][w] = equations[u].get(w, 0) - factor * a
+    pi = {root: Fraction(1)}
+    for v in reversed(order):
+        pivot = equations[v]
+        pi[v] = (pivot["rhs"] - sum(a * pi[w] for w, a in pivot.items()
+                                    if w not in ("rhs", v))) / pivot[v]
+    total = sum(pi.values())
+    return [pi[i] / total for i in members]
 
 
 def rk4_capacitor(e, r_i, r_load, esr, epr, c, v0, t, steps: int = 4000):

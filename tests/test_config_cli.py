@@ -518,17 +518,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def _python(code: str, *args: str, env=None) -> str:
-    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env)
+def _python(code: str, *args: str) -> str:
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-# Commands that solve no chain with numpy, so they must not pay its import:
-# those that build no chain, the README sweep, whose deterministic chains
-# each end in a cycle, and stochastic chains at M = 40 s, each reaching one
-# closed class whose states carry one Rewards.
+# Commands that run with numpy unimportable, as every command does: those
+# that build no chain, the README sweep, whose deterministic chains each end
+# in a cycle, and stochastic chains at M = 40 s, each reaching one closed
+# class whose states carry one Rewards.
 NUMPY_FREE_CALLS = [
     ["airtime", "--sf", "7", "--pl", "16"],
     ["min-cap", "--sf", "7", "--ul-pl", "48", "--dl-pl", "48", "--dl-case", "rx2"],
@@ -546,31 +545,28 @@ NUMPY_FREE_CALLS = [
      "--m", "40"],
 ]
 # The README chain example: p1 = p2 = 0, so every row has one successor and
-# the chain ends in a cycle, solved in closed form.
+# the chain ends in a cycle.
 README_CHAIN = ["chain", "--granularity", "750", "--m", "40", "--threshold", "0.70"]
 
 
-def test_numpy_loads_only_when_a_chain_needs_a_solve(tmp_path):
+def test_every_command_runs_without_numpy(tmp_path):
     code = """if True:
         import contextlib, io, json, sys
+        sys.modules["numpy"] = None   # any numpy import fails
         import caplora
-        seen = [["import caplora", 0, "numpy" in sys.modules]]
         import caplora.cli
-        seen.append(["import caplora.cli", 0, "numpy" in sys.modules])
+        codes = []
         for argv in json.loads(sys.argv[1]):
             with contextlib.redirect_stdout(io.StringIO()):
-                code = caplora.cli.main(argv)
-            seen.append([argv[0], code, "numpy" in sys.modules])
-        print(json.dumps(seen))
+                codes.append(caplora.cli.main(argv))
+        print(json.dumps(codes))
     """
     cycle_chains = [README_CHAIN, README_CHAIN + ["--dump-matrix", str(tmp_path / "m.csv")]]
     # At its own 10 s interval the file's chain reaches a class of 16 states
     # that carry two Rewards: its metrics need the stationary solve.
     stochastic = ["chain", "--scenario", str(GOLDEN / "stochastic.ini"), "--granularity", "100"]
-    seen = json.loads(_python(code, json.dumps(NUMPY_FREE_CALLS + cycle_chains + [stochastic])))
-    assert seen[:-1] == [["import caplora", 0, False], ["import caplora.cli", 0, False]] + \
-        [[argv[0], 0, False] for argv in NUMPY_FREE_CALLS + cycle_chains]
-    assert seen[-1] == ["chain", 0, True]
+    calls = NUMPY_FREE_CALLS + cycle_chains + [stochastic]
+    assert json.loads(_python(code, json.dumps(calls))) == [0] * len(calls)
 
 
 CHAIN_NAMES = ("ChainResult", "ChainState", "ThresholdLevels", "TransitionMatrix",
@@ -632,60 +628,26 @@ def test_no_caplora_module_uses_another_modules_private_names():
     assert [breach for path in files for breach in _boundary_breaches(path, package)] == []
 
 
-def test_library_solve_loads_numpy_only_for_a_stochastic_chain():
-    code = """if True:
-        import sys
-        from caplora import parse_scenario, solve_chain
-        stock = solve_chain(parse_scenario("").scenario, 100)
-        seen = ["numpy" in sys.modules, 0 <= stock.pdr <= 1]
-        stochastic = solve_chain(parse_scenario(open(sys.argv[1]).read()).scenario, 100)
-        print(*seen, "numpy" in sys.modules, 0 <= stochastic.pdr <= 1)
-    """
-    assert _python(code, str(GOLDEN / "stochastic.ini")).split() == ["False", "True", "True",
-                                                                     "True"]
-
-
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@pytest.mark.parametrize("preset,expected", [
-    ({}, ["1", "1", "1"]),
-    ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
-])
-def test_cli_import_defaults_blas_to_one_thread(preset, expected):
-    # This test process has imported caplora.cli too, so the variables are
-    # removed from the child's environment before the preset is applied.
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    code = "import os, sys, caplora.cli; print(*(os.environ.get(v, '-') for v in sys.argv[1:]))"
-    assert _python(code, *BLAS_VARS, env={**env, **preset}).split() == expected
+def test_no_caplora_module_imports_numpy():
+    files = sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+    imports = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert imports == []
 
 
 def test_library_import_leaves_the_environment_alone():
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    code = ("import os; before = dict(os.environ); import caplora; "
+    code = ("import os; before = dict(os.environ); import caplora, caplora.cli; "
             "print(dict(os.environ) == before)")
-    assert _python(code, env=env).strip() == "True"
-
-
-def test_chain_seconds_leaves_out_the_numpy_import():
-    code = """if True:
-        import sys
-        from caplora import characterize, parse_scenario
-        clock, calls = characterize.time.perf_counter, []
-
-        def checked():
-            assert "numpy" in sys.modules, "the chain timer started before numpy loaded"
-            calls.append(1)
-            return clock()
-
-        characterize.time.perf_counter = checked
-        assert "numpy" not in sys.modules
-        rows = characterize.accuracy_study(parse_scenario("").scenario, cases="A",
-                                           m_classes=("small",), p_combos=((0.0, 0.0),),
-                                           granularities=(100,), n_scheduled=20, seeds=(1,))
-        print(len(rows), len(calls))
-    """
-    assert _python(code).split() == ["1", "2"]
+    assert _python(code).strip() == "True"
 
 
 # An ESR 20 ohm / EPR 50 kohm capacitor with p1 = 0.3, p2 = 0.5: the files

@@ -27,16 +27,18 @@ constant reduces bit for bit to tau = R_eq * C and L = V_th; EPR uses an
 explicit math.inf sentinel so that reduction is exact.
 
 compile_phase turns one device state (at a fixed duration, or open-ended
-for the recharge states) into a Phase: its turn-off voltage, its affine
-constants (v_limit, tau and a timed phase's decay factor, fixed in
-advance) and after/cross callables over them.  cycle.phase_table
-compiles a scenario's phases: the simulator compiles their constants
-into its walk, the Markov chain into its level map, and the sizing
-searches charge with them; they evaluate the very expressions of voltage_after
-and time_to_voltage (a timed phase's crossing is the time to its
-turn-off voltage), so both paths give bit-identical floats.
+for the recharge states) into a Phase: its turn-off voltage and guard,
+its affine constants (v_limit, tau and, for a timed phase, the decay
+factor and offset, fixed in advance) and the after/cross methods over
+them.  cycle.phase_table compiles a scenario's phases: the simulator's
+walk and settle probe unpack them, the Markov chain binds them into its
+level map, and the sizing searches charge with them; they evaluate the
+very expressions of voltage_after and time_to_voltage (a timed phase's
+crossing is the time to its turn-off voltage), so every path gives
+bit-identical floats.
 The sizing searches' cycle check (characterize.CycleCheck) applies the
-same decay_step and off_time with tau formed at each trial capacitance.
+same v_guard, decay_step and off_time with tau formed at each trial
+capacitance.
 
 Everything here is a pure function of its arguments; no shared state.
 """
@@ -46,8 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ScenarioError
 
@@ -191,7 +192,10 @@ class _StateParams(NamedTuple):
     a: float          # load voltage v_L = a * v_C + b
     b: float
     v_off: float      # v_C at which the load sees v_min: (v_min - b) / a
-    v_guard: float    # math.inf when the state decays below v_off, else v_off
+    # Entered above v_guard the state cannot turn the device off: math.inf
+    # when it settles more than ASYMPTOTE_GUARD_V below v_off, else v_off
+    # (off_time's guard: a closer asymptote is never reached).
+    v_guard: float
 
 
 @dataclass(frozen=True)
@@ -228,7 +232,8 @@ class CircuitConfig:
             params[state] = _StateParams(
                 r_eq=r_eq, r_series=r_series, ratio=ratio,
                 tau=time_constant(r_series, c, ratio), v_limit=v_limit, a=a, b=b,
-                v_off=v_off, v_guard=math.inf if v_limit < v_off else v_off)
+                v_off=v_off,
+                v_guard=math.inf if v_off - v_limit > ASYMPTOTE_GUARD_V else v_off)
         object.__setattr__(self, "_params", params)
         for state in (DeviceState.OFF, DeviceState.SLEEP, DeviceState.IDLE):
             p = params[state]
@@ -297,10 +302,6 @@ def decay_step(v_limit: float, decay: float, v0: float) -> float:
     return v_limit * (1.0 - decay) + v0 * decay
 
 
-def _after(v_limit: float, tau: float, v0: float, t: float) -> float:
-    return decay_step(v_limit, math.exp(-t / tau), v0)
-
-
 def time_to_voltage(circuit: CircuitConfig, state: DeviceState, v_i: float, v_f: float) -> float:
     """Time for the capacitor voltage to move from v_i to v_f while in `state`.
 
@@ -340,53 +341,58 @@ def off_time(v_limit: float, tau: float, v_off: float, v: float) -> float:
     return -tau * math.log(gap_f / (v - v_limit))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Phase:
-    """One device state compiled for a circuit: the simulator's unit of work.
+class Phase(NamedTuple):
+    """One device state compiled for a circuit: the record every walk
+    unpacks, its constants in the order the walks unpack them.  A
+    NamedTuple, because the simulator unpacks one per phase and a tuple
+    unpacks fastest.
 
     A timed phase lasts `duration`; `after(v)` is the capacitor voltage at
-    its end and `cross(v)` the time until the device turns off in it, where
-    the capacitor reaches `v_off` (0 when entered at or below it, math.inf
-    when it never gets there).  Entered above `v_guard` it cannot turn off
-    at all: v_guard is math.inf when the state decays below v_off, v_off
-    otherwise.  A recharge phase (Off or Sleep until an event the walk
-    decides) has duration None; `after(v, t)` takes the elapsed time too
-    and `cross(v, v_target)` is the time the state needs to move v to
-    v_target, math.inf when it never gets there.  Phases compare by identity.
-
-    `after` is the affine map v_limit * (1 - decay) + v * decay, with
-    decay = exp(-duration / tau) fixed for a timed phase (None for a
-    recharge phase, whose decay is exp(-t / tau) of the elapsed t).
+    its end, offset + v * decay (decay_step's sum, float addition
+    commutes), and `cross(v)` the time until the device turns off in it,
+    off_time's: 0 when entered at or below `v_off`, math.inf when the
+    capacitor never gets there.  Entered above `v_guard` it cannot turn off
+    at all (see _StateParams).  A recharge phase (Off or Sleep until an
+    event the walk decides) has duration, offset and decay None; `after(v,
+    t)` takes the elapsed time, and `cross(v, v_target)` is
+    time_to_voltage's time to move v to v_target, math.inf when it never
+    gets there.
     """
 
-    state: DeviceState
-    duration: float | None
-    v_off: float
     v_guard: float
-    after: Callable[..., float]
-    cross: Callable[..., float]
+    v_off: float
     v_limit: float
     tau: float
-    decay: float | None
+    gap: float                # v_off - v_limit
+    duration: float | None
+    offset: float | None      # v_limit * (1 - decay)
+    decay: float | None       # exp(-duration / tau)
+    state: DeviceState
+
+    def after(self, v: float, t: float | None = None) -> float:
+        if t is None:
+            return self.offset + v * self.decay
+        return decay_step(self.v_limit, math.exp(-t / self.tau), v)
+
+    def cross(self, v: float, target: float | None = None) -> float:
+        if target is None:
+            return off_time(self.v_limit, self.tau, self.v_off, v)
+        return _time(self.v_limit, self.tau, v, target)
 
 
 def compile_phase(circuit: CircuitConfig, state: DeviceState,
                   duration: float | None = None) -> Phase:
     """Fix the state constants and, for a timed phase, the decay factor
-    exp(-duration / tau) once, ahead of any walk.  The Phase carries them as
-    v_limit, tau and decay (None for a recharge phase)."""
+    exp(-duration / tau) and its offset once, ahead of any walk."""
     if duration is not None and duration < 0:
         raise ScenarioError(f"time must be >= 0, got {duration}")
     p = circuit.state_params(state)
-    if duration is None:
-        decay = None
-        after = partial(_after, p.v_limit, p.tau)
-        cross = partial(_time, p.v_limit, p.tau)
-    else:
+    decay = offset = None
+    if duration is not None:
         decay = math.exp(-duration / p.tau)
-        after = partial(decay_step, p.v_limit, decay)
-        cross = partial(off_time, p.v_limit, p.tau, p.v_off)
-    return Phase(state, duration, p.v_off, p.v_guard, after, cross, p.v_limit, p.tau, decay)
+        offset = p.v_limit * (1.0 - decay)
+    return Phase(p.v_guard, p.v_off, p.v_limit, p.tau, p.v_off - p.v_limit, duration, offset,
+                 decay, state)
 
 
 def wake_time(off: Phase, v: float, v_on: float) -> float:

@@ -16,17 +16,17 @@ table the simulator walks, quantizing after every phase:
 level -> round(phase.after(level / g) * g).  The build binds each
 chain's constants once and computes its rows inline in one
 breadth-first pass (_search): a timed slot steps
-min(max(round((offset + level / g * decay) * g), 0), v_max) with
-offset = v_limit * (1 - decay), and each downlink branch's final sleep
-takes the decay over what its cycle leaves of the interval.  These are
-Phase.after's float operations in its order, so the map is bit-identical
-to calling the phases; only the turn-off paths, whose recharge time
-depends on the level, call the phases per level, and each chain turns
-off from each (slot, level) once.  Turn-off levels are the phases'
-v_off, the wake time is the Off phase's crossing.  What depends only on
-the phase table and g (_Quantized: the thresholds but v_on, the slots'
-affine steps, the branches' cycle and window times, and per wake target
-the turn-off constants) is built once per grid and shared by its cells
+min(max(round((offset + level / g * decay) * g), 0), v_max) with the
+phase's offset = v_limit * (1 - decay), and each downlink branch's final
+sleep takes the decay over what its cycle leaves of the interval
+(_affine).  These are Phase.after's float operations in its order, so
+the map is bit-identical to calling the phases; only the turn-off paths,
+whose recharge time depends on the level, call the phases per level,
+and each chain turns off from each (slot, level) once.  Turn-off levels
+are the phases' v_off, the wake time is the Off phase's crossing.  What
+depends only on the phase table and g (_Quantized: the thresholds but
+v_on, the branches' cycle and window times, and per wake target the
+turn-off constants) is built once per grid and shared by its cells
 through build_transition_matrix's `parts`.  The feasibility thresholds
 are read in closed form: a slot's step is monotone and affine before it
 rounds, so inverting it guesses the least surviving level, and a walk
@@ -120,12 +120,11 @@ def check_granularity(g: int, e: float) -> int:
     return level_of(e, g)
 
 
-def _affine(phase: Phase, t: float | None = None) -> tuple[float, float]:
-    """The phase's level map as (offset, decay): v -> offset + v * decay,
-    offset = v_limit * (1 - decay), the float operations of Phase.after.  A
-    timed phase takes its own decay, a recharge phase the decay over the
-    elapsed t."""
-    decay = phase.decay if t is None else math.exp(-t / phase.tau)
+def _affine(phase: Phase, t: float) -> tuple[float, float]:
+    """A recharge phase's level map over the elapsed t as (offset, decay):
+    v -> offset + v * decay, offset = v_limit * (1 - decay), the float
+    operations of Phase.after(v, t).  A timed phase carries its own."""
+    decay = math.exp(-t / phase.tau)
     return phase.v_limit * (1.0 - decay), decay
 
 
@@ -137,7 +136,7 @@ def _level_step(phase: Phase, g: int, v_max: int, t: float | None = None) -> Cal
     float operations, in the same order, as Phase.after, so bit-identical
     to it.  The build inlines this expression on whole-float levels.
     """
-    offset, decay = _affine(phase, t)
+    offset, decay = (phase.offset, phase.decay) if t is None else _affine(phase, t)
 
     def step(level: int) -> int:
         nxt = round((offset + level / g * decay) * g)
@@ -152,7 +151,7 @@ def _least_level(phase: Phase, g: int, v_min: int, v_max: int, target: int) -> i
     (target - 1/2) / g guesses the boundary, and walking the step itself
     from the guess lands on it exactly."""
     step = _level_step(phase, g, v_max)
-    offset, decay = _affine(phase)
+    offset, decay = phase.offset, phase.decay
     if decay > 0.0:
         guess = (target - 0.5 - offset * g) / decay
     else:   # the phase forgets where it started: every level steps alike
@@ -169,16 +168,15 @@ class _Quantized:
     """One phase table at g levels per volt: what every chain on it shares,
     whatever its interval and odds.
 
-    That is ThresholdLevels but v_on; each timed slot's affine (offset,
-    decay) in `steps`; each detected branch's window on the fork path, its
-    listening slot and its packet (the last two of its slots), in
-    `windows`; each branch's cycle length in `ends` and each window's
-    opening time in `opens`, cycle.cycle_length of its slots; and per wake
-    target (wake) its ThresholdLevels and turn-off tuples.  A table is
-    compiled for one circuit but its turn-on threshold, which sets only
-    v_on, so a grid's cells on one table share one _Quantized per g through
-    build_transition_matrix's `parts`.  Raises InfeasibleScenario as
-    threshold_levels does.
+    That is ThresholdLevels but v_on; each detected branch's window on the
+    fork path, its listening slot and its packet (the last two of its
+    slots), in `windows`; each branch's cycle length in `ends` and each
+    window's opening time in `opens`, cycle.cycle_length of its slots; and
+    per wake target (wake) its ThresholdLevels and turn-off tuples.  A
+    table is compiled for one circuit but its turn-on threshold, which sets
+    only v_on, so a grid's cells on one table share one _Quantized per g
+    through build_transition_matrix's `parts`.  Raises InfeasibleScenario
+    as threshold_levels does.
     """
 
     def __init__(self, scenario: Scenario, g: int):
@@ -204,8 +202,6 @@ class _Quantized:
         # The packet slot of each detected branch sets its v_<branch>.
         self.v_rx = {f"v_{branch}": least(phases[rx]) for branch, (_, rx) in windows.items()}
         self.g = g
-        self.steps = {slot: _affine(phase)
-                      for slot, phase in phases.items() if phase.duration is not None}
         schedule = scenario.schedule
         self.ends = {branch: cycle_length(schedule, spec.slots)
                      for branch, spec in BRANCHES.items()}
@@ -334,7 +330,7 @@ def _search(scenario: Scenario, g: int, parts: dict | None = None,
     # Levels and g as floats: below 2**53 both convert exactly, so level / g
     # and x * g are the int arithmetic's floats.
     g, v_max, v_tx, v_on = float(g), float(thr.v_max), float(thr.v_tx), float(thr.v_on)
-    whole, steps, off, sleep = _WHOLE, table.steps, phases["off"], phases["sleep"]
+    whole, off, sleep = _WHOLE, phases["off"], phases["sleep"]
     off_limit, off_tau, sleep_limit, sleep_tau = off.v_limit, off.tau, sleep.v_limit, sleep.tau
 
     def recharge(level: float, t_wake: float, remaining: float) -> float:
@@ -394,11 +390,11 @@ def _search(scenario: Scenario, g: int, parts: dict | None = None,
             listen, rx = table.windows[branch]
             p, t = getattr(scenario, BRANCHES[branch].odds), table.opens[branch]
             window = (p, 1.0 - p, float(turn_offs[listen][0]), dying(listen, t),
-                      float(getattr(thr, f"v_{branch}")), *steps[rx],
+                      float(getattr(thr, f"v_{branch}")), phases[rx].offset, phases[rx].decay,
                       dying(rx, t, phases[listen].duration),
                       *sleep_out.get(branch, (math.nan, math.nan)), bits)
             bits *= 2
-        path.append((*steps[slot], window))
+        path.append((phases[slot].offset, phases[slot].decay, window))
     die_tx = dying("tx", 0.0)
     quiet_offset, quiet_decay = sleep_out.get("silent", (math.nan, math.nan))
     q1, q2 = (scenario.branch_odds[b][0] for _, b in PATH if b)
@@ -622,27 +618,26 @@ def _class_stationary(tm: TransitionMatrix, members: list[int]) -> list[float]:
     return [pi[i] / total for i in members]
 
 
-def stationary_distribution(tm: TransitionMatrix,
-                            initial: ChainState | None = None) -> list[float]:
-    """Long-run (Cesaro-limit) state distribution observed from `initial`,
-    in state order, periodic and deterministic chains alike: each closed
-    class it reaches gets its GTH vector, weighed, when `initial` is
-    transient and two or more classes are closed, by the odds of absorption
-    into it, which eliminating the other transient states leaves in the
-    start's row.  long_run_metrics calls this only for a chain whose
-    reached class carries two or more Rewards, or that reaches two or more
-    classes."""
-    start = tm.index[initial] if initial is not None else 0
+def stationary_distribution(tm: TransitionMatrix) -> list[float]:
+    """Long-run (Cesaro-limit) state distribution observed from the chain's
+    start, state 0, in state order, periodic and deterministic chains
+    alike: each closed class it reaches gets its GTH vector, weighed, when
+    the start is transient and two or more classes are closed, by the odds
+    of absorption into it, which eliminating the other transient states
+    leaves in the start's row.  The classes are sorted, so the start lies
+    in a class only as its first member, the rule long_run_metrics reads.
+    long_run_metrics calls this only for a chain whose reached class
+    carries two or more Rewards, or that reaches two or more classes."""
     classes = tm.closed_classes
-    home = [members for members in classes if start in members]
+    home = [members for members in classes if members[0] == 0]
     if home or len(classes) == 1:
         classes, weights = home or classes, [1.0]
     else:
         closed = set(chain.from_iterable(classes))
         rows = {i: dict(zip(tm.successors[i], tm.probabilities[i]))
                 for i in range(len(tm.states)) if i not in closed}
-        _eliminate(rows, {start})
-        weights = [sum(rows[start].get(i, 0.0) for i in members) for members in classes]
+        _eliminate(rows, {0})
+        weights = [sum(rows[0].get(i, 0.0) for i in members) for members in classes]
         weights = [weight / sum(weights) for weight in weights]
     pi = [0.0] * len(tm.states)
     for members, weight in zip(classes, weights):

@@ -14,16 +14,15 @@ entered below that; a turn-off at or above v_on wakes the device at
 once.  Every phase is advanced with the closed-form voltage expressions;
 turn-off crossings are located analytically, never by time stepping.
 
-Each simulation compiles Scenario.phases, the phase table of
-caplora.cycle, into plain per-phase constants (_Step) once, and each run
-walks them along the fork path cycle.PATH in two closures
-(_compile_walk): cycle walks one cycle from an on-slot, next_on charges,
-wakes and sleeps up to the next on-slot.  They evaluate each phase's
-after and cross, and the recharge states' time_to_voltage, with the same
-float operations in the same order, so every voltage, instant and
-counter is bit-identical to stepping through the Phases with them; the
-draw order below is unchanged by it.  The settle probe steps the same
-constants, and run_simulation's trace and single_cycle_trace, which
+Each run walks Scenario.phases, the phase table of caplora.cycle, along
+the fork path cycle.PATH in two closures (_compile_walk): cycle walks one
+cycle from an on-slot, unpacking each timed Phase's constants, next_on
+charges, wakes and sleeps up to the next on-slot.  They evaluate each
+phase's after and cross, and the recharge states' time_to_voltage, with
+the same float operations in the same order, so every voltage, instant
+and counter is bit-identical to stepping through the Phases with them;
+the draw order below is unchanged by it.  The settle probe unpacks the
+same Phases, and run_simulation's trace and single_cycle_trace, which
 walks one analytic cycle (cycle.analytic_slots), record their points
 from the same closures.
 
@@ -63,8 +62,8 @@ the per-slot loop stops and the rest of the run is counted from the
 outcomes.  When at each on-slot of the period every reachable branch
 adds the same counters and loses the same slots, the count is
 arithmetic: whole periods of P = sum(1 + lost) slots, then the on-slots
-of the partial period that start before n_scheduled, the other slots
-lost (at p = 1, ceil(remaining / (1 + lost)) on-slots).  Otherwise
+of the last, incomplete period that start before n_scheduled, the other
+slots lost (at p = 1, ceil(remaining / (1 + lost)) on-slots).  Otherwise
 (p = 1, several branches) one tight loop takes the draws in the order
 below and counts the on-slots per branch; the last cycle's lost slots
 are cut off at n_scheduled.  The counters equal the full walk's.
@@ -96,7 +95,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .cycle import BRANCHES, PATH, Scenario, analytic_slots, check_start
 from .energy import ASYMPTOTE_GUARD_V, DeviceState, Phase, wake_time
@@ -137,50 +136,14 @@ class SimStats:
         return self.n_dl2_success / self.n_scheduled
 
 
-class _Step(NamedTuple):
-    """A timed phase compiled for the walk: its constants, in the order the
-    walk unpacks them.  The walk steps v to offset + v * decay, the sum
-    decay_step forms (float addition commutes), and times a turn-off from
-    v as off_time does, -tau * log(gap / (v - v_limit)), so each step is
-    bit for bit the Phase's after and cross.  A NamedTuple, because the
-    walk unpacks one per phase and a tuple unpacks fastest."""
-
-    v_guard: float    # entered above it, the phase cannot turn the device off
-    v_off: float
-    v_limit: float
-    tau: float
-    gap: float        # v_off - v_limit
-    duration: float
-    offset: float     # v_limit * (1.0 - decay)
-    decay: float
-    state: DeviceState
-
-
-def _step(phase: Phase) -> _Step:
-    """Compile the timed `phase`.  Its v_guard takes in off_time's asymptote
-    guard: a state that settles less than ASYMPTOTE_GUARD_V below v_off
-    (or at or above it) turns the device off only when entered at or below
-    v_off."""
-    v_limit, decay = phase.v_limit, phase.decay
-    gap = phase.v_off - v_limit
-    return _Step(math.inf if gap > ASYMPTOTE_GUARD_V else phase.v_off, phase.v_off, v_limit,
-                 phase.tau, gap, phase.duration, v_limit * (1.0 - decay), decay, phase.state)
-
-
-def _steps(scenario: Scenario) -> dict[str, _Step]:
-    """The timed phases of the scenario's phase table, compiled by slot."""
-    return {slot: _step(phase) for slot, phase in scenario.phases.items()
-            if phase.duration is not None}
-
-
-# A walked path: per slot its name, compiled phase and fork, the fork being
+# A walked path: per slot its name, timed phase and fork, the fork being
 # None or (the draw's odds, the detected branch, that branch's path).
-ForkPath = tuple[tuple[str, _Step, tuple | None], ...]
+ForkPath = tuple[tuple[str, Phase, tuple | None], ...]
 
 
-def _path(steps: dict[str, _Step], slots: Sequence[str]) -> ForkPath:
+def _path(phases: dict[str, Phase], slots: Sequence[str]) -> ForkPath:
     """The path through `slots`, without a fork."""
-    return tuple((slot, steps[slot], None) for slot in slots)
+    return tuple((slot, phases[slot], None) for slot in slots)
 
 
 def _record(points: list[TracePoint], t: float, v: float, state: DeviceState) -> None:
@@ -193,15 +156,17 @@ def _record(points: list[TracePoint], t: float, v: float, state: DeviceState) ->
 
 def _compile_walk(scenario: Scenario, n_scheduled: int, points: list[TracePoint] | None):
     """The walk of `scenario` over n_scheduled slots as two closures over
-    its compiled constants, each appending its trace points to `points`
+    its phases' constants, each appending its trace points to `points`
     unless that is None:
 
     cycle(v, t, path, draw) walks one cycle from an on-slot at time t with
     capacitor voltage v along `path`, taking a fork's draw as its slot
-    opens: (branch, the slot it turned off in or None, v, t).  A turn-off
-    ends the cycle at the crossing instant with the capacitor at the
-    phase's v_off, or at once, where it is, when the phase was entered at
-    or below v_off.
+    opens: (branch, the slot it turned off in or None, v, t).  Each phase
+    steps v to offset + v * decay, its after, and times a turn-off from v
+    as its cross does, -tau * log(gap / (v - v_limit)); entered above
+    v_guard it cannot turn off.  A turn-off ends the cycle at the crossing
+    instant with the capacitor at the phase's v_off, or at once, where it
+    is, when the phase was entered at or below v_off.
 
     next_on(v, t, off, j) moves the device, at time t and on or Off, through
     Off-charging, wake and Sleep to the first slot j, j + 1, ... < n_scheduled
@@ -222,11 +187,11 @@ def _compile_walk(scenario: Scenario, n_scheduled: int, points: list[TracePoint]
     def cycle(v: float, t: float, path: ForkPath, draw) -> tuple[str, str | None, float, float]:
         branch, i, end = "silent", 0, len(path)
         while i < end:
-            slot, step, fork = path[i]
+            slot, phase, fork = path[i]
             if fork is not None and draw() < fork[0]:
                 branch, path = fork[1], fork[2]
                 end = len(path)
-            v_guard, v_off, v_limit, tau, gap, duration, offset, decay, state = step
+            v_guard, v_off, v_limit, tau, gap, duration, offset, decay, state = phase
             if points is not None:
                 _record(points, t, v, state)
             if v <= v_guard:
@@ -361,15 +326,13 @@ class _Settler:
     """The settle test of run_simulation (see the module docstring)."""
 
     def __init__(self, scenario: Scenario, n_scheduled: int):
-        circuit = scenario.circuit
-        self.m, self.v_on, self.off = scenario.interval_m, circuit.v_on, scenario.phases["off"]
-        # The compiled phases, which the run loop walks too.
-        self.steps = steps = _steps(scenario)
+        circuit, phases = scenario.circuit, scenario.phases
+        self.m, self.v_on, self.off = scenario.interval_m, circuit.v_on, phases["off"]
         self.names = scenario.branches
-        self.branches = [tuple(map(steps.get, BRANCHES[b].slots)) for b in self.names]
+        self.branches = [tuple(map(phases.get, BRANCHES[b].slots)) for b in self.names]
         _, self.next_on = _compile_walk(scenario, n_scheduled, None)
         e, t_end = circuit.operating_voltage, n_scheduled * self.m
-        tau = min(circuit.state_params(s).tau for s in (DeviceState.OFF, DeviceState.SLEEP))
+        tau = min(self.off.tau, phases["sleep"].tau)
         self.delta, self.eps_t = 2**20 * math.ulp(e), 2**20 * math.ulp(t_end)
         self.eta = 2**10 * (math.ulp(t_end) * e / tau + math.ulp(e))
         self.pad = 2 * (self.delta + self.eta)
@@ -455,8 +418,8 @@ class _Settler:
     def _inside(self, images: list[float], lo: float, hi: float) -> bool:
         return lo + self.eta <= min(images) and max(images) <= hi - self.eta
 
-    def _probe(self, phases: tuple[_Step, ...], x: float, k: int):
-        """Run one branch's compiled phases from x at on-slot k: (outcome,
+    def _probe(self, phases: tuple[Phase, ...], x: float, k: int):
+        """Run one branch's timed phases from x at on-slot k: (outcome,
         the next on-slot's voltage, whether a threshold came within a
         margin).  Each phase steps as cycle's does (see _compile_walk)."""
         m, delta, v_on, log = self.m, self.delta, self.v_on, math.log
@@ -531,7 +494,7 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
     settle = _Settler(scenario, n_scheduled)
     # A cycle walks the fork path; a fork that detects goes on along its
     # branch's path from that slot.
-    table = settle.steps
+    table = scenario.phases
     paths = {b: _path(table, spec.slots) for b, spec in BRANCHES.items() if spec.odds}
     silent = tuple((slot, table[slot], b and (getattr(scenario, BRANCHES[b].odds), b, paths[b]))
                    for slot, b in PATH)
@@ -607,5 +570,5 @@ def single_cycle_trace(scenario: Scenario, v_start: float,
     check_start(scenario.circuit, v_start)
     points: list[TracePoint] = []
     cycle, _ = _compile_walk(scenario, 1, points)
-    _, stop, v, _ = cycle(v_start, 0.0, _path(_steps(scenario), slots), None)
+    _, stop, v, _ = cycle(v_start, 0.0, _path(scenario.phases, slots), None)
     return points, v, stop is None

@@ -7,12 +7,14 @@ import pytest
 from caplora import defaults
 from caplora.cycle import BRANCHES, PATH, cycle_length
 from caplora.energy import (
+    ASYMPTOTE_GUARD_V,
     CapacitorConfig,
     CircuitConfig,
     DeviceState,
     DeviceThresholds,
     HarvesterConfig,
     LoadTable,
+    Phase,
     wake_time,
 )
 from caplora.markov import (
@@ -95,6 +97,18 @@ def reference_interval_bound(sched, rx2_reachable: bool = False) -> float:
     if rx2_reachable:
         return head + sched.t_l2 + sched.t_rx2
     return head + max(sched.t_rx2, sched.t_l2)
+
+
+def phase_with(phase: Phase, **constants) -> Phase:
+    """`phase` with some of its constants swapped, and the ones compile_phase
+    derives from them derived again: a timed phase's offset v_limit * (1 -
+    decay), the gap v_off - v_limit, and v_guard, math.inf when the gap
+    exceeds ASYMPTOTE_GUARD_V, else v_off."""
+    phase = phase._replace(**constants)
+    gap = phase.v_off - phase.v_limit
+    return phase._replace(
+        gap=gap, v_guard=math.inf if gap > ASYMPTOTE_GUARD_V else phase.v_off,
+        offset=None if phase.decay is None else phase.v_limit * (1.0 - phase.decay))
 
 
 def voltage_after_norton(circuit, state, v0: float, t: float) -> float:
@@ -509,7 +523,7 @@ class ReferenceRowBuilder:
     level) tuples, and its Rewards.
 
     Every per-chain constant is bound once into `row`: each timed slot's
-    affine (offset, decay) in `steps`; per reachable branch
+    affine (offset, decay); per reachable branch
     (Scenario.branches) the sleep-out over what is left of the interval
     after its cycle `ends`, in `sleep_out`; per turn-off phase its state's
     v_off level, the Off-state wake time from that v_off, its crossing and
@@ -530,8 +544,6 @@ class ReferenceRowBuilder:
         v_max, v_on, v_tx = thr.v_max, thr.v_on, thr.v_tx
         off, wake_v = phases["off"], scenario.circuit.v_on
         off_after, sleep_after = off.after, phases["sleep"].after
-        self.steps = steps = {phase: _affine(phase)
-                              for phase in phases.values() if phase.duration is not None}
         self.ends = {branch: cycle_length(schedule, BRANCHES[branch].slots)
                      for branch in scenario.branches}
         self.sleep_out = sleep_out = {branch: _affine(phases["sleep"], m - end)
@@ -554,11 +566,11 @@ class ReferenceRowBuilder:
                 (*lead, listen, rx), odds = BRANCHES[branch].slots, BRANCHES[branch].odds
                 listen, rx = phases[listen], phases[rx]
                 window = (getattr(scenario, odds), cycle_length(schedule, tuple(lead)),
-                          turn_off(listen), turn_off(rx), listen.duration, steps[rx],
+                          turn_off(listen), turn_off(rx), listen.duration, (rx.offset, rx.decay),
                           getattr(thr, f"v_{branch}"), thr.v_off[listen.state],
                           sleep_out.get(branch), bits)
                 bits *= 2
-            path.append((*steps[phases[slot]], window))
+            path.append((phases[slot].offset, phases[slot].decay, window))
         tx, quiet = turn_off(phases["tx"]), sleep_out.get("silent")
         q1, q2 = (scenario.branch_odds[b][0] for _, b in PATH if b)
         rewarded = [Rewards(0.0, q1 if r & 1 else 0.0, q2 if r & 2 else 0.0) for r in range(bits)]

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -560,13 +559,8 @@ def _bits(scenario):
 
 
 def _phase_fields(table):
-    """Every field of every phase, each float as exact hex; `after` and
-    `cross` as their partial's func and args."""
-    def value(x):
-        if isinstance(x, partial):
-            return x.func, tuple(map(value, x.args))
-        return float.hex(x) if isinstance(x, float) else x
-    return {slot: tuple(value(getattr(phase, field.name)) for field in dataclasses.fields(phase))
+    """Every field of every phase, each float as exact hex."""
+    return {slot: tuple(float.hex(x) if isinstance(x, float) else x for x in phase)
             for slot, phase in table.items()}
 
 

@@ -688,6 +688,10 @@ ENGINE_GOLDEN_CALLS = {
     "sweep_both.csv": ["sweep", "--axis", "threshold", "--values", "0.56:0.64:0.02",
                        "--m", "5,9", "--engine", "both", "--n", "200", "--seeds", "1,2"],
     "trace_single_cycle.csv": ["trace", "--single-cycle", "--dl-case", "rx2"],
+    # A full run's trace at M = 20 s: 126 points through Off, listening and
+    # reception, recorded by the walk's closures.
+    "trace_run_stochastic.csv": ["trace", "--scenario", str(GOLDEN / "stochastic.ini"),
+                                 "--m", "20", "--n", "30", "--seed", "7"],
     # The abstract's downlink-size finding: at 47 mF and M = 60 s, with every
     # downlink in window 2, larger downlinks deliver less.
     "dl_sizes.csv": ["sweep", "--scenario", str(GOLDEN / "dl_sizes.ini"), "--axis", "dl_pl",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from caplora.energy import (
+    ASYMPTOTE_GUARD_V,
     CapacitorConfig,
     DeviceState,
     DeviceThresholds,
@@ -17,7 +19,8 @@ from caplora.energy import (
 )
 from caplora.errors import ScenarioError
 
-from conftest import make_circuit, make_loads, rk4_capacitor, voltage_after_norton
+from conftest import (make_circuit, make_loads, make_scenario, rk4_capacitor,
+                      voltage_after_norton)
 
 E = 3.3
 CHARGING = (DeviceState.OFF, DeviceState.SLEEP, DeviceState.IDLE)
@@ -263,6 +266,27 @@ class TestTimeToVoltage:
                     v_f = voltage_after(circuit_1mw, state, v_i, t)
                     t_back = time_to_voltage(circuit_1mw, state, v_i, v_f)
                     assert t_back == pytest.approx(t, rel=1e-9, abs=1e-12)
+
+
+class TestCompiledPhase:
+    @pytest.mark.parametrize("parasitics", [{}, {"esr": 20.0, "epr": 50e3}],
+                             ids=["ideal", "esr_epr"])
+    def test_derived_constants_are_their_definitions(self, parasitics):
+        # compile_phase derives offset, gap and v_guard once; each is its
+        # definition over the state's constants, as float hex.
+        scenario = dataclasses.replace(make_scenario(), circuit=make_circuit(**parasitics))
+        hexed = lambda x: x if x is None else x.hex()
+        guards = set()
+        for slot, phase in scenario.phases.items():
+            p = scenario.circuit.state_params(phase.state)
+            gap = p.v_off - p.v_limit
+            decay = None if phase.duration is None else math.exp(-phase.duration / p.tau)
+            want = (math.inf if gap > ASYMPTOTE_GUARD_V else p.v_off, p.v_off, p.v_limit, p.tau,
+                    gap, phase.duration, None if decay is None else p.v_limit * (1 - decay),
+                    decay)
+            assert tuple(map(hexed, phase[:-1])) == tuple(map(hexed, want)), slot
+            guards.add(phase.v_guard == math.inf)
+        assert guards == {True, False}
 
 
 class TestCircuitValidation:

@@ -14,8 +14,7 @@ from caplora import characterize, cycle, defaults, markov, simulator
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
 from caplora.cli import f_val
 from caplora.config import load_scenario
-from caplora.energy import (DeviceState, _after, _time, compile_phase, time_to_voltage,
-                            voltage_after)
+from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after
 from caplora.errors import InfeasibleScenario, ScenarioError
 from caplora.markov import (
     OFF,
@@ -49,6 +48,7 @@ from conftest import (
     exact_stationary,
     make_circuit,
     make_scenario,
+    phase_with,
     reference_build,
     reference_chain,
     reference_closed_classes,
@@ -126,8 +126,8 @@ class TestDiscreteOps:
     def test_ties_round_to_even(self):
         # v_limit 4 V and decay 1/2 take level 1 at g = 1 to exactly 2.5 V,
         # a tie, which goes to the even level as level_of rounds it.
-        tie = dataclasses.replace(compile_phase(make_circuit(), DeviceState.IDLE, 1.0),
-                                  v_limit=4.0, decay=0.5)
+        tie = phase_with(compile_phase(make_circuit(), DeviceState.IDLE, 1.0),
+                         v_limit=4.0, decay=0.5)
         assert _level_step(tie, 1, 10)(1) == level_of(2.5, 1) == 2
 
     def test_granularity_validated(self):
@@ -191,8 +191,8 @@ MISSED_GUESSES = [(2.0, 0.75, 750, 2063), (1.1737539689026355, 0.394853371536401
 
 @pytest.mark.parametrize("v_limit,decay,g,target", MISSED_GUESSES)
 def test_least_level_walks_to_the_scanned_level(v_limit, decay, g, target):
-    phase = dataclasses.replace(compile_phase(make_circuit(), DeviceState.TX, 0.05),
-                                v_limit=v_limit, decay=decay)
+    phase = phase_with(compile_phase(make_circuit(), DeviceState.TX, 0.05),
+                       v_limit=v_limit, decay=decay)
     v_min, v_max = level_of(1.8, g), level_of(3.3, g)
     step = _level_step(phase, g, v_max)
     want = next((level for level in range(v_min, v_max + 1) if step(level) >= target),
@@ -336,9 +336,8 @@ def _toy_matrix(rows, kinds=None, rewards=()):
 @st.composite
 def _multi_class_chains(draw):
     """Row-stochastic matrices with transient states, a periodic closed
-    class, one or two aperiodic closed classes, and a shuffled order.
-
-    Returns (matrix, start); `start` is a transient state or any state.
+    class, one or two aperiodic closed classes, and a shuffled order whose
+    state 0, the start, is a transient state or any state.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     groups = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
@@ -366,28 +365,26 @@ def _multi_class_chains(draw):
         p[i, rng.integers(first)] += 0.2
         p[i, first:] = rng.random(n - first) * (rng.random(n - first) < 0.5)
     p /= p.sum(axis=1, keepdims=True)
-    order = rng.permutation(n)
-    p = p[np.ix_(order, order)]
-    position = np.argsort(order)
     start = draw(st.one_of(st.integers(first, n - 1), st.integers(0, n - 1)))
-    return p, int(position[start])
+    order = [start, *rng.permutation([i for i in range(n) if i != start])]
+    return p[np.ix_(order, order)]
 
 
 class TestStationary:
     def test_two_state_swap(self):
         tm = _toy_matrix([[0, 1], [1, 0]])
-        pi = stationary_distribution(tm, tm.states[0])
+        pi = stationary_distribution(tm)
         assert pi == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_absorbing_state(self):
         tm = _toy_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 1]])
-        pi = stationary_distribution(tm, tm.states[0])
+        pi = stationary_distribution(tm)
         assert pi == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
     def test_periodic_class_with_random_entry(self):
         # 0 jumps into a period-2 cycle {1,2}: the long-run average is uniform on it.
         tm = _toy_matrix([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        pi = stationary_distribution(tm, tm.states[0])
+        pi = stationary_distribution(tm)
         assert pi == pytest.approx([0.0, 0.5, 0.5], abs=1e-9)
 
     def test_matches_oracle_on_random_chain(self):
@@ -395,13 +392,13 @@ class TestStationary:
         raw = rng.random((6, 6)) + 0.01
         rows = raw / raw.sum(axis=1, keepdims=True)
         tm = _toy_matrix(rows.tolist())
-        pi = stationary_distribution(tm, tm.states[0])
+        pi = stationary_distribution(tm)
         assert np.abs(pi - stationary_oracle(dense_matrix(tm), 0)).max() <= 1e-8
 
     def test_absorption_weighting(self):
         # From 0: 30% into absorbing 1, 70% into absorbing 2.
         tm = _toy_matrix([[0.0, 0.3, 0.7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        pi = stationary_distribution(tm, tm.states[0])
+        pi = stationary_distribution(tm)
         assert pi == pytest.approx([0.0, 0.3, 0.7], abs=1e-10)
         assert stationary_oracle(dense_matrix(tm), 0) == pytest.approx([0.0, 0.3, 0.7], abs=1e-10)
 
@@ -410,14 +407,14 @@ class TestStationary:
         # absorbed into 2 with odds x = 0.2 + 0.5 * 0.5 * x, so x = 4/15.
         tm = _toy_matrix([[0.0, 0.5, 0.2, 0.3], [0.5, 0.0, 0.0, 0.5],
                           [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        pi = stationary_distribution(tm, tm.states[0])
+        pi = stationary_distribution(tm)
         assert pi == pytest.approx([0.0, 0.0, 4 / 15, 11 / 15], rel=4 * 2.0**-53)
 
     def test_start_inside_a_closed_class(self):
-        # Starting in the absorbing state 2 never sees the other class.
-        tm = _toy_matrix([[0.0, 0.3, 0.7], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        pi = stationary_distribution(tm, tm.states[2])
-        assert list(pi) == [0.0, 0.0, 1.0]
+        # Starting in the absorbing state 0 never sees the other class.
+        tm = _toy_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.7, 0.3, 0.0]])
+        pi = stationary_distribution(tm)
+        assert list(pi) == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("tiny", [1e-200, 1e-160])
     def test_a_way_back_that_underflows(self, tiny):
@@ -428,20 +425,19 @@ class TestStationary:
         # holds the mass of the class censored on {0, 1}, and pi_0 is
         # tiny**2, past or at the edge of the float range.
         tm = _toy_matrix([[0.0, 1.0, 0.0], [0.0, 1.0, tiny], [tiny, 1.0, 0.0]])
-        pi = stationary_distribution(tm, tm.states[0])
+        pi = stationary_distribution(tm)
         assert pi == [0.0, 1.0, tiny]
         exact = [float(q) for q in exact_stationary(tm, [0, 1, 2])]
         assert pi == pytest.approx(exact, rel=1e-15, abs=1e-300)
 
     @settings(max_examples=150, deadline=None)
     @given(_multi_class_chains())
-    def test_matches_oracle_on_multi_class_chains(self, chain):
-        p, start = chain
+    def test_matches_oracle_on_multi_class_chains(self, p):
         tm = _toy_matrix(p)
-        pi = stationary_distribution(tm, tm.states[start])
+        pi = stationary_distribution(tm)
         assert min(pi) >= 0.0
         assert sum(pi) == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(pi - stationary_oracle(p, start)).max() <= 1e-8
+        assert np.abs(pi - stationary_oracle(p, 0)).max() <= 1e-8
 
     def test_scenario_chain_residual_and_solver_agreement(self):
         scenario = make_scenario(interval_m=10.0, p1=0.4, p2=0.3, turn_on_fraction=0.62)
@@ -835,9 +831,10 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
         offset, decay = affine
         return min(max(round((offset + level / g * decay) * g), 0), v_max)
 
-    for slot, affine in table.steps.items():
-        assert [compiled(affine, level) for level in edges] == \
-            [ref.step(scenario.phases[slot], level) for level in edges]
+    for phase in scenario.phases.values():
+        if phase.duration is not None:
+            assert [compiled((phase.offset, phase.decay), level) for level in edges] == \
+                [ref.step(phase, level) for level in edges]
     sleep = scenario.phases["sleep"]
     for branch in scenario.branches:
         elapsed = scenario.interval_m - table.ends[branch]
@@ -967,8 +964,7 @@ def test_a_class_with_one_reward_is_its_reward(sf, ul_pl, c_farads, power_w, thr
 def test_every_row_rounds_ties_to_even(v_limit):
     base = make_scenario(interval_m=9.0, p1=0.5, p2=0.5)
     fields = {field.name: getattr(base, field.name) for field in dataclasses.fields(base)}
-    tie = {slot: phase if phase.duration is None else
-           dataclasses.replace(phase, v_limit=v_limit, decay=0.5)
+    tie = {slot: phase if phase.duration is None else phase_with(phase, v_limit=v_limit, decay=0.5)
            for slot, phase in base.phases.items()}
     scenario = cycle.seeded_scenario(fields, {"phases": tie})
     thr = threshold_levels(scenario, 16)
@@ -983,8 +979,7 @@ def test_every_row_rounds_ties_to_even(v_limit):
     # level L ends at 8 + L / 2, a tie for every odd L.
     tau = 12.984255368000671
     assert math.exp(-9.0 / tau) == 0.5
-    off = dataclasses.replace(base.phases["off"], v_limit=1.0, tau=tau,
-                              after=partial(_after, 1.0, tau), cross=partial(_time, 1.0, tau))
+    off = phase_with(base.phases["off"], v_limit=1.0, tau=tau)
     stays_off = cycle.seeded_scenario(fields, {"phases": {**tie, "off": off}})
     reference = ReferenceRowBuilder(stays_off, 16, threshold_levels(stays_off, 16))
     assert _row(stays_off, 16, ChainState(OFF, 1)) == ({ChainState(OFF, 8): 1.0}, Rewards(1.0))

@@ -9,13 +9,13 @@ from caplora import simulator
 from caplora.characterize import CycleCheck, edit_scenario
 from caplora.cli import main
 from caplora.config import parse_scenario
-from caplora.energy import (DeviceState, compile_phase, time_to_voltage, voltage_after,
-                            wake_time)
+from caplora.energy import (ASYMPTOTE_GUARD_V, DeviceState, compile_phase, time_to_voltage,
+                            voltage_after, wake_time)
 from caplora.errors import ScenarioError
 from caplora.cycle import _SLOTS, BRANCHES, PATH, min_interval_bound
 from caplora.simulator import SimStats, TracePoint, run_simulation, single_cycle_trace
 
-from conftest import (REFERENCE_TALLY, PhaseWalk, make_circuit, make_scenario,
+from conftest import (REFERENCE_TALLY, PhaseWalk, make_circuit, make_loads, make_scenario,
                       reference_count_tail)
 
 
@@ -72,7 +72,7 @@ class TestScenarioValidation:
         scenario = make_scenario(sf=sf, dl_pl=dl_pl, interval_m=60.0, p2=1.0,
                                  power_w=0.01, c_farads=1.0)
         cycle, _ = simulator._compile_walk(scenario, 1, None)
-        rx2 = simulator._path(simulator._steps(scenario), BRANCHES["rx2"].slots)
+        rx2 = simulator._path(scenario.phases, BRANCHES["rx2"].slots)
         _, stop, _, t = cycle(scenario.circuit.charge_ceiling(), 0.0, rx2, None)
         bound = min_interval_bound(scenario.schedule, scenario.branches)
         assert stop is None and t.hex() == bound.hex()
@@ -506,7 +506,7 @@ def _compiled_phase(scenario, phase, v, t):
     (completed, v, t, Off, trace points), floats as hex."""
     points = []
     cycle, _ = simulator._compile_walk(scenario, 1, points)
-    _, stop, v, t = cycle(v, t, (("slot", simulator._step(phase), None),), None)
+    _, stop, v, t = cycle(v, t, (("slot", phase, None),), None)
     return stop is None, v.hex(), t.hex(), stop is not None, points
 
 
@@ -563,9 +563,10 @@ def _around(*marks):
 
 
 class TestCompiledWalk:
-    """The compiled walk (simulator._compile_walk over simulator._step's
+    """The compiled walk (simulator._compile_walk, unpacking each Phase's
     constants) steps bit for bit as conftest.PhaseWalk steps through the
-    Phases: voltage, clock and Off flag as float hex, and the trace."""
+    Phases' after and cross: voltage, clock and Off flag as float hex, and
+    the trace."""
 
     @pytest.mark.parametrize("capacitor", ["ideal", "esr_only", "esr_epr"])
     def test_each_phase_case(self, capacitor):
@@ -640,6 +641,64 @@ class TestCompiledWalk:
         v = data.draw(_around(circuit.v_min, circuit.v_on, scenario.phases["off"].v_limit))
         case = (scenario, v, t, data.draw(st.booleans()), j, j + data.draw(st.integers(1, 4)))
         assert _compiled_recharge(*case) == _oracle_recharge(*case)
+
+
+def _guard_edge_scenario(capacitor):
+    """A scenario whose Tx state settles 0 < v_off - v_limit <= ASYMPTOTE_GUARD_V
+    below its turn-off voltage: its Tx load resistance, bisected."""
+    scenario = make_scenario(interval_m=9.0)
+    lo, hi = 1.0, 1e6   # Tx settles far below v_off, and above it
+    for _ in range(200):
+        r_tx = 0.5 * (lo + hi)
+        circuit = make_circuit(loads=make_loads(tx=r_tx), **CAPACITORS[capacitor])
+        p = circuit.state_params(DeviceState.TX)
+        gap = p.v_off - p.v_limit
+        if gap > ASYMPTOTE_GUARD_V:
+            lo = r_tx
+        elif gap <= 0.0:
+            hi = r_tx
+        else:
+            return dataclasses.replace(scenario, circuit=circuit)
+    raise AssertionError("no Tx load puts the asymptote within the guard")
+
+
+class TestAsymptoteGuard:
+    """A timed phase that settles less than ASYMPTOTE_GUARD_V below v_off
+    turns the device off at once when entered at or below v_off, and never
+    when entered above it, in the walk, the settle probe, the sizing cycle
+    check and the PhaseWalk oracle alike."""
+
+    @pytest.mark.parametrize("capacitor", ["ideal", "esr_epr"])
+    def test_every_engine_reads_one_guard(self, capacitor):
+        scenario = _guard_edge_scenario(capacitor)
+        circuit, tx = scenario.circuit, scenario.phases["tx"]
+        assert 0.0 < tx.gap <= ASYMPTOTE_GUARD_V and tx.v_guard == tx.v_off
+        # off_time's own guard says the same: from above v_off, never.
+        assert tx.cross(3.0) == math.inf and tx.cross(tx.v_off) == 0.0
+        settler = simulator._Settler(scenario, 10)
+        check = CycleCheck(circuit, scenario.schedule, "none")
+        c = circuit.capacitor.capacitance
+        v_off = tx.v_off
+        starts = (math.nextafter(v_off, 0.0), v_off, math.nextafter(v_off, 3.0), v_off + 1e-9,
+                  3.0)
+        for v in starts:
+            below = v <= v_off
+            got = _compiled_phase(scenario, tx, v, 0.0)
+            assert got == _oracle_phase(scenario, tx, v, 0.0), v
+            assert got[0] is not below
+            if below:   # off at once, where it was
+                assert got[1:3] == (v.hex(), 0.0.hex())
+            (fate, _), _, _ = settler._probe((tx,), v, 0)
+            assert fate == ((0, True, v >= circuit.v_on) if below else None), v
+            if v < circuit.v_min:
+                continue
+            trace, v_end, completed = single_cycle_trace(scenario, v, "none")
+            v_check, check_completed = check.step(v, c)
+            assert (v_check.hex(), check_completed) == (v_end.hex(), completed)
+            if below:
+                assert trace == [TracePoint(0.0, v, DeviceState.OFF)] and v_end == v
+            else:   # Tx runs its full length
+                assert trace[1].time == tx.duration
 
 
 class TestParasiticEdgeCases:

@@ -15,12 +15,13 @@ schedule, cells with equal capacitance and power edits on one schedule a
 phase table (the threshold sets only the wake target v_on, which no
 phase reads; the table is compiled on first use, so a grid that reads
 none, such as wakeup's, compiles none), cells with equal (p1, p2) their
-branch odds, and cells with equal edits one scenario.  The simulator's
-cells also share each seed's tail where their runs settle before any
-draw (see simulator's "Seed-free start"), and the chain's cells each
-phase table's quantized constants per granularity (markov's `parts`).
-The parts live for one call; cycle.seeded_scenario puts a cell's shared
-parts in its Scenario.
+branch odds, and cells with equal edits one scenario;
+cycle.seeded_scenario puts a cell's shared parts in its Scenario.  The
+chain's cells on one table share its quantized constants per granularity
+and wake target, which the table keeps (cycle.PhaseTable).  The
+simulator's cells share each seed's tail where their runs settle before
+any draw (see simulator's "Seed-free start"), from a store that lives
+for one call.
 Sweep and accuracy cells share one engine-pair measure, _measure: the
 simulator's mean ratios over the seeds, or the chain's metrics with the
 solve's wall time.  It raises InfeasibleScenario for a cell whose
@@ -100,10 +101,9 @@ class _CellBuilder:
         self.circuits = {circuit_key: base.circuit}
         self.radios = {base.radio.sf: base.radio}
         self.schedules = {schedule_key: base.schedule}
-        # The first scenario on each (circuit but its threshold, schedule): the
-        # phase table's owner, which lends it on first use (seeded_scenario);
-        # and on each (p1, p2): the branch odds' owner.
-        self.tables = {(circuit_key[1:], schedule_key): base}
+        # The phase table of each (circuit but its threshold, schedule), and
+        # the first scenario on each (p1, p2): the branch odds' owner.
+        self.tables = {(circuit_key[1:], schedule_key): base.table}
         self.odds = {(base.p1, base.p2): base}
         self.scenarios = {(circuit_key, base.radio.sf,
                            *(getattr(base, name) for name in _SCENARIO_EDITS)): base}
@@ -134,14 +134,15 @@ class _CellBuilder:
             if schedule_key in self.schedules:
                 shared["schedule"] = self.schedules[schedule_key]
             table_key, odds_key = (circuit_key[1:], schedule_key), (fields["p1"], fields["p2"])
+            if table_key in self.tables:
+                shared["table"] = self.tables[table_key]
             owner = self.odds.get(odds_key)
             if owner is not None:
                 shared["branch_odds"], shared["branches"] = owner.branch_odds, owner.branches
-            scenario = seeded_scenario(dict(fields, circuit=circuit, radio=radio), shared,
-                                       self.tables.get(table_key))
+            scenario = seeded_scenario(dict(fields, circuit=circuit, radio=radio), shared)
             self.scenarios[key] = scenario
             self.schedules.setdefault(schedule_key, scenario.schedule)
-            self.tables.setdefault(table_key, scenario)
+            self.tables.setdefault(table_key, scenario.table)
             self.odds.setdefault(odds_key, scenario)
         return scenario
 
@@ -207,9 +208,10 @@ def evaluate_grid(base: Scenario, axes: Sequence[tuple], measure: Callable[[Grid
     an invalid value, or an axis without values, raises ScenarioError
     before any work.  Each distinct circuit, radio, schedule, phase table
     and scenario of the grid is built once and shared by its cells (see
-    the module docstring), and nothing is kept after the call.  Results come
-    back in grid order; with jobs > 1 the cells run in a process pool of
-    at most os.cpu_count() workers, and `measure` must then be picklable.
+    the module docstring); only the base's own parts outlive the call.
+    Results come back in grid order; with jobs > 1 the cells run in a
+    process pool of at most os.cpu_count() workers, and `measure` must
+    then be picklable.
     """
     cells, build = [], _CellBuilder(base)
     for steps in itertools.product(*(_axis_steps(axis) for axis in axes)):
@@ -387,15 +389,14 @@ def _simulate_mean(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
 
 
 def _measure(engine: str, seeds: tuple, n_scheduled: int, cell: GridCell,
-             tails: dict | None = None, chains: dict | None = None
-             ) -> tuple[float, float, float, float]:
+             tails: dict | None = None) -> tuple[float, float, float, float]:
     """One engine of the pair on one cell: (pdr, pdl1, pdl2, seconds).
 
     The simulator's ratios are means over `seeds`, with seconds 0; its
     runs share seed tails with the grid's other cells through `tails`.  The
     chain's are its long-run metrics, and seconds is the wall time of its
-    solve; its chains share each phase table's quantized parts with the
-    grid's other cells through `chains`.  A cell whose device can
+    solve; its chains share their quantized phase table with the grid's
+    other cells on that table (cycle.PhaseTable).  A cell whose device can
     never wake (its wake target at or beyond the Off state's asymptote)
     raises InfeasibleScenario before either engine runs; the chain's
     InfeasibleScenario propagates too.
@@ -408,7 +409,7 @@ def _measure(engine: str, seeds: tuple, n_scheduled: int, cell: GridCell,
     if engine == "simulator":
         return (*_simulate_mean(cell.scenario, seeds, n_scheduled, tails), 0.0)
     t0 = time.perf_counter()
-    result = solve_chain(cell.scenario, cell.granularity, chains)
+    result = solve_chain(cell.scenario, cell.granularity)
     return result.pdr, result.pdl1, result.pdl2, time.perf_counter() - t0
 
 
@@ -419,13 +420,13 @@ def _check_distinct(name: str, values: Sequence) -> None:
 
 
 def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int, tails: dict,
-                chains: dict, cell: GridCell) -> list[dict]:
+                cell: GridCell) -> list[dict]:
     rows = []
     for engine in engines:
         pdr = pdl1 = pdl2 = 0.0
         feasible = True
         try:
-            pdr, pdl1, pdl2, _ = _measure(engine, seeds, n_scheduled, cell, tails, chains)
+            pdr, pdl1, pdl2, _ = _measure(engine, seeds, n_scheduled, cell, tails)
         except InfeasibleScenario:
             feasible = False
         rows.append({"axis": axis, "value": float(cell.point[0]), "m_s": cell.scenario.interval_m,
@@ -463,9 +464,8 @@ def threshold_sweep(scenario: Scenario, *, axis: str, values: Sequence[float],
         raise ScenarioError("a simulator sweep needs at least one seed")
     check_seeds(seeds)
     axes = [(axis, values)] + ([("interval_m", m_values)] if m_values else [])
-    # One store of seed tails and one of chain parts per call; each pool task
-    # gets its own copies.
-    measure = partial(_sweep_cell, axis, engines, tuple(seeds), n_scheduled, {}, {})
+    # One store of seed tails per call; each pool task gets its own copy.
+    measure = partial(_sweep_cell, axis, engines, tuple(seeds), n_scheduled, {})
     cells = evaluate_grid(scenario, axes, measure, granularity, jobs)
     return [row for rows in cells for row in rows]
 
@@ -503,11 +503,10 @@ def accuracy_case_edits(case: tuple[str, str]) -> dict:
                             f"are {''.join(ACCURACY_CASES)}, M classes {M_CLASSES}") from None
 
 
-def _accuracy_cell(n_scheduled: int, seeds: tuple, tails: dict, chains: dict,
-                   cell: GridCell) -> dict:
+def _accuracy_cell(n_scheduled: int, seeds: tuple, tails: dict, cell: GridCell) -> dict:
     _, threshold, (case_id, m_class), (p1, p2) = cell.point
     pdr_sim = _measure("simulator", seeds, n_scheduled, cell, tails)[0]
-    pdr_mc, _, _, seconds = _measure("chain", seeds, n_scheduled, cell, chains=chains)
+    pdr_mc, _, _, seconds = _measure("chain", seeds, n_scheduled, cell)
     return {"case": case_id, "m_class": m_class, "m_s": cell.scenario.interval_m,
             "p1": p1, "p2": p2, "threshold": threshold, "granularity": cell.granularity,
             "pdr_sim": pdr_sim, "pdr_mc": pdr_mc, "abs_error": abs(pdr_sim - pdr_mc),
@@ -539,7 +538,7 @@ def accuracy_study(base: Scenario,
             (("case", "m_class"), [(c, m) for c in cases for m in m_classes],
              accuracy_case_edits),
             (("p1", "p2"), p_combos, lambda p: {"p1": p[0], "p2": p[1]})]
-    return evaluate_grid(base, axes, partial(_accuracy_cell, n_scheduled, tuple(seeds), {}, {}),
+    return evaluate_grid(base, axes, partial(_accuracy_cell, n_scheduled, tuple(seeds), {}),
                          jobs=jobs)
 
 

@@ -1,11 +1,13 @@
 """The Class A cycle: Scenario, its slots, branches and interval bound.
 
-Each scenario compiles one phase table (phase_table, cached as
-Scenario.phases): the seven timed Class A phases of its schedule plus
-the Off and Sleep recharge states, each an energy.Phase whose decay
-factor is fixed up front, addressed by slot ('tx', 'idle1', 'listen1',
-'rx1', 'idle2', 'listen2', 'rx2', 'off', 'sleep').  The simulator walks
-that table and the Markov chain quantizes it.
+Each scenario reads one phase table (Scenario.table, a PhaseTable; its
+phases are Scenario.phases): the seven timed Class A phases of its
+schedule plus the Off and Sleep recharge states, each an energy.Phase
+whose decay factor is fixed up front, addressed by slot ('tx', 'idle1',
+'listen1', 'rx1', 'idle2', 'listen2', 'rx2', 'off', 'sleep'), compiled
+on first read by phase_table.  The simulator walks that table and the
+Markov chain quantizes it, keeping each quantization on the table, so
+every scenario that shares a table shares them.
 
 Two downlink-cost conventions read one branch table, BRANCHES, which
 lists each branch's slots, the counters its window feeds and its draw's
@@ -83,24 +85,39 @@ class Scenario:
         return class_a_schedule(self.radio, self.ul_pl, self.dl_pl)
 
     @cached_property
+    def table(self) -> PhaseTable:
+        """The scenario's phase table, its own or one it shares (seeded_scenario)."""
+        return PhaseTable(self.circuit, self.schedule)
+
+    @property
     def phases(self) -> dict[str, Phase]:
-        """The compiled phase table, built on first use (see phase_table), or
-        the table of the scenario it shares one with (seeded_scenario)."""
-        owner = self.__dict__.pop("_phases_of", None)
-        return phase_table(self.circuit, self.schedule) if owner is None else owner.phases
+        return self.table.phases
 
 
-def seeded_scenario(fields: dict, shared: dict, phases_of: Scenario | None = None) -> Scenario:
-    """Scenario(**fields) with its `shared` cached parts (schedule, phases,
+class PhaseTable:
+    """One circuit's phases on one schedule: `phases` is phase_table's,
+    compiled on first read, so a table nobody reads compiles nothing, and
+    `quantized` holds the Markov chain's markov._Quantized per (g, wake
+    target).  The turn-on threshold sets only the wake target, which no
+    phase reads, so scenarios whose circuits differ only there can share
+    one table (seeded_scenario)."""
+
+    def __init__(self, circuit: CircuitConfig, schedule: TimingSchedule):
+        self.circuit, self.schedule = circuit, schedule
+        self.quantized: dict = {}
+
+    @cached_property
+    def phases(self) -> dict[str, Phase]:
+        return phase_table(self.circuit, self.schedule)
+
+
+def seeded_scenario(fields: dict, shared: dict) -> Scenario:
+    """Scenario(**fields) with its `shared` cached parts (schedule, table,
     branch_odds, branches) in place before __post_init__ validates it, so
     the interval bound is checked on the shared schedule and branches and
-    none is recomputed.  `phases_of`, a scenario whose phase table this one
-    shares, lends it on first use: read from there, and compiled there if
-    nothing has read it yet, so a table nobody reads is never compiled."""
+    none is recomputed."""
     scenario = object.__new__(Scenario)
     scenario.__dict__.update(fields, **shared)
-    if phases_of is not None:
-        scenario.__dict__["_phases_of"] = phases_of
     scenario.__post_init__()
     return scenario
 

@@ -24,10 +24,10 @@ the map is bit-identical to calling the phases; only the turn-off paths,
 whose recharge time depends on the level, call the phases per level,
 and each chain turns off from each (slot, level) once.  Turn-off levels
 are the phases' v_off, the wake time is the Off phase's crossing.  What
-depends only on the phase table and g (_Quantized: the thresholds but
-v_on, the branches' cycle and window times, and per wake target the
-turn-off constants) is built once per grid and shared by its cells
-through build_transition_matrix's `parts`.  The feasibility thresholds
+depends only on the phase table, g and the wake target (_Quantized: the
+thresholds, the branches' cycle and window times and the turn-off
+constants) is built once and kept on the table (Scenario.table), so the
+chains of every scenario on it share it.  The feasibility thresholds
 are read in closed form: a slot's step is monotone and affine before it
 rounds, so inverting it guesses the least surviving level, and a walk
 with the step itself from the guess finds the exact one.  Within SL1 the
@@ -56,17 +56,15 @@ ChainState, with an int level, once, at the end.
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps it small, and is kept as its rows: each state's successors
 and their probabilities.  Its closed classes are found once per chain
-(TransitionMatrix.closed_classes).  Rows that each have one successor,
-in the search's breadth-first numbering, are a path into one cycle, read
-off the numbering; any other chain's closed classes come from a Tarjan
-search.  When the start reaches one closed class and every state of it
-carries the same Rewards r, every metric pi . r is r whatever pi is,
-since pi sums to one on the class (Kemeny and Snell, Finite Markov
-Chains, 1960): long_run_metrics reads r and forms no pi.  Any other
-chain takes its stationary vector from the rows by Grassmann-Taksar-
-Heyman state reduction (GTH; Operations Research 33, 1985), which never
-subtracts, so each entry of pi is accurate relative to itself
-(O'Cinneide, Numer. Math. 65, 1993); a cycle comes out as exactly 1/L.
+(TransitionMatrix.closed_classes), by a Tarjan search.  When the start
+reaches one closed class and every state of it carries the same Rewards
+r, every metric pi . r is r whatever pi is, since pi sums to one on the
+class (Kemeny and Snell, Finite Markov Chains, 1960): long_run_metrics
+reads r and forms no pi.  Any other chain takes its stationary vector
+from the rows by Grassmann-Taksar-Heyman state reduction (GTH;
+Operations Research 33, 1985), which never subtracts, so each entry of
+pi is accurate relative to itself (O'Cinneide, Numer. Math. 65, 1993); a
+cycle comes out as exactly 1/L.
 A start that reaches several closed classes weighs each by the
 probability of being absorbed into it, from the same elimination.
 """
@@ -165,33 +163,33 @@ def _least_level(phase: Phase, g: int, v_min: int, v_max: int, target: int) -> i
 
 
 class _Quantized:
-    """One phase table at g levels per volt: what every chain on it shares,
-    whatever its interval and odds.
+    """One phase table at g levels per volt and one wake target: what every
+    chain on them shares, whatever its interval and odds.
 
-    That is ThresholdLevels but v_on; each detected branch's window on the
-    fork path, its listening slot and its packet (the last two of its
-    slots), in `windows`; each branch's cycle length in `ends` and each
-    window's opening time in `opens`, cycle.cycle_length of its slots; and
-    per wake target (wake) its ThresholdLevels and turn-off tuples.  A
-    table is compiled for one circuit but its turn-on threshold, which sets
-    only v_on, so a grid's cells on one table share one _Quantized per g
-    through build_transition_matrix's `parts`.  Raises InfeasibleScenario
-    as threshold_levels does.
+    That is the chain's ThresholdLevels, in `thresholds`; each detected
+    branch's window on the fork path, its listening slot and its packet
+    (the last two of its slots), in `windows`; each branch's cycle length
+    in `ends` and each window's opening time in `opens`,
+    cycle.cycle_length of its slots; and, per slot a device can turn off
+    in (the uplink and each window's two), its state's v_off level, the
+    Off-state recharge time from v_off to the wake target (inf if
+    unreachable), the phase's crossing and its length, in `turn_offs`.
+    The scenario's PhaseTable keeps one per (g, wake target) for _search.
+    Raises InfeasibleScenario as threshold_levels does.
     """
 
     def __init__(self, scenario: Scenario, g: int):
         circuit, phases = scenario.circuit, scenario.phases
-        self.phases = phases    # held, so no other table takes its id while this lives
-        self.v_max = v_max = check_granularity(g, circuit.operating_voltage)
-        self.v_min = v_min = level_of(circuit.v_min, g)
-        self.v_off = v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
+        v_max = check_granularity(g, circuit.operating_voltage)
+        v_min = level_of(circuit.v_min, g)
+        v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
 
         def least(phase: Phase) -> int:
             return _least_level(phase, g, v_min, v_max, v_off[phase.state] + 1)
 
         tx = phases["tx"]
-        self.v_tx = least(tx)
-        if self.v_tx > v_max:
+        v_tx = least(tx)
+        if v_tx > v_max:
             raise InfeasibleScenario(
                 f"no voltage level up to {circuit.operating_voltage} V can fund a "
                 f"{tx.duration * 1e3:.1f} ms transmission with C = "
@@ -199,45 +197,21 @@ class _Quantized:
             )
         self.windows = windows = {branch: BRANCHES[branch].slots[-2:] for _, branch in PATH
                                   if branch}
+        wake_v = circuit.v_on
         # The packet slot of each detected branch sets its v_<branch>.
-        self.v_rx = {f"v_{branch}": least(phases[rx]) for branch, (_, rx) in windows.items()}
-        self.g = g
+        self.thresholds = ThresholdLevels(
+            v_min=v_min, v_on=level_of(wake_v, g), v_tx=v_tx, v_max=v_max, v_off=v_off,
+            **{f"v_{branch}": least(phases[rx]) for branch, (_, rx) in windows.items()})
+        self.turn_offs = turn_offs = {}
+        for slot in ("tx", *chain.from_iterable(windows.values())):
+            phase = phases[slot]
+            turn_offs[slot] = (v_off[phase.state], wake_time(phases["off"], phase.v_off, wake_v),
+                               phase.cross, phase.duration)
         schedule = scenario.schedule
         self.ends = {branch: cycle_length(schedule, spec.slots)
                      for branch, spec in BRANCHES.items()}
         self.opens = {branch: cycle_length(schedule, BRANCHES[branch].slots[:-2])
                       for branch in windows}
-        self._wakes: dict[float, tuple[ThresholdLevels, dict[str, tuple]]] = {}
-
-    def wake(self, wake_v: float) -> tuple[ThresholdLevels, dict[str, tuple]]:
-        """The ThresholdLevels at the wake target wake_v and, per slot a
-        device can turn off in (the uplink and each window's two), its
-        state's v_off level, the Off-state recharge time from v_off to wake_v
-        (inf if unreachable), the phase's crossing and its length; once per
-        wake target."""
-        wake = self._wakes.get(wake_v)
-        if wake is None:
-            thr = ThresholdLevels(v_min=self.v_min, v_on=level_of(wake_v, self.g), v_tx=self.v_tx,
-                                  v_max=self.v_max, v_off=self.v_off, **self.v_rx)
-            turn_offs = {}
-            for slot in ("tx", *chain.from_iterable(self.windows.values())):
-                phase = self.phases[slot]
-                turn_offs[slot] = (self.v_off[phase.state],
-                                   wake_time(self.phases["off"], phase.v_off, wake_v),
-                                   phase.cross, phase.duration)
-            wake = self._wakes[wake_v] = thr, turn_offs
-        return wake
-
-
-def _quantized(scenario: Scenario, g: int, parts: dict | None) -> _Quantized:
-    """The scenario's phase table at g, from `parts` when it holds it."""
-    if parts is None:
-        return _Quantized(scenario, g)
-    key = (id(scenario.phases), g)
-    table = parts.get(key)
-    if table is None:
-        table = parts[key] = _Quantized(scenario, g)
-    return table
 
 
 def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
@@ -251,7 +225,7 @@ def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
     unreceivable downlink still leaves a working uplink-only device.  The
     packet slot of each detected branch on the fork path sets its v_<branch>.
     """
-    return _Quantized(scenario, g).wake(scenario.circuit.v_on)[0]
+    return _Quantized(scenario, g).thresholds
 
 
 class Rewards(NamedTuple):
@@ -279,7 +253,6 @@ class TransitionMatrix:
     """
 
     states: tuple[ChainState, ...]
-    index: dict
     successors: tuple[tuple[int, ...], ...]
     probabilities: tuple[tuple[float, ...], ...]
     rewards: tuple[Rewards, ...]
@@ -302,19 +275,12 @@ class TransitionMatrix:
 _WHOLE = 2.0 ** 52
 
 
-def build_transition_matrix(scenario: Scenario, g: int, parts: dict | None = None
-                            ) -> TransitionMatrix:
-    """Build the chain over every state reachable from (OFF, level(v_min)).
-
-    `parts`, when given, is a grid's store of what its chains share: each
-    phase table's quantized constants per g (_Quantized), kept as long as
-    the caller keeps the dict; characterize keeps one per grid call.
-    """
-    return _search(scenario, g, parts)
+def build_transition_matrix(scenario: Scenario, g: int) -> TransitionMatrix:
+    """Build the chain over every state reachable from (OFF, level(v_min))."""
+    return _search(scenario, g)
 
 
-def _search(scenario: Scenario, g: int, parts: dict | None = None,
-            start: ChainState | None = None) -> TransitionMatrix:
+def _search(scenario: Scenario, g: int, start: ChainState | None = None) -> TransitionMatrix:
     """The chain over every state reachable from `start`, by default
     (OFF, level(v_min)), in one breadth-first pass.
 
@@ -324,9 +290,13 @@ def _search(scenario: Scenario, g: int, parts: dict | None = None,
     a step's x = (offset + level / g * decay) * g sums nonnegative terms,
     so x >= 0 and only v_max can clip it.
     """
-    table = _quantized(scenario, g, parts)
-    thr, turn_offs = table.wake(scenario.circuit.v_on)
     phases, m, wake_v = scenario.phases, scenario.interval_m, scenario.circuit.v_on
+    # The first chain on the table at (g, wake target) quantizes it for all.
+    quantized = scenario.table.quantized
+    table = quantized.get((g, wake_v))
+    if table is None:
+        table = quantized[g, wake_v] = _Quantized(scenario, g)
+    thr, turn_offs = table.thresholds, table.turn_offs
     # Levels and g as floats: below 2**53 both convert exactly, so level / g
     # and x * g are the int arithmetic's floats.
     g, v_max, v_tx, v_on = float(g), float(thr.v_max), float(thr.v_tx), float(thr.v_on)
@@ -479,28 +449,21 @@ def _search(scenario: Scenario, g: int, parts: dict | None = None,
     make = tuple.__new__   # ChainState(kind, level) without the namedtuple's Python frame
     states = tuple([make(ChainState, (OFF, int(-1.0 - key)) if key < 0.0 else
                          (SL1 if key >= v_tx else SL0, int(key))) for key in keys])
-    return TransitionMatrix(states=states, index=dict(zip(states, range(len(states)))),
-                            successors=tuple(successors), probabilities=tuple(probabilities),
-                            rewards=tuple(rewards), thresholds=thr)
+    return TransitionMatrix(states=states, successors=tuple(successors),
+                            probabilities=tuple(probabilities), rewards=tuple(rewards),
+                            thresholds=thr)
 
 
 def _closed_classes(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     """Closed classes, each sorted: the strongly connected components that
     no edge leaves.
 
-    Rows that each have one successor, numbered as a breadth-first search
-    from state 0 numbers them, form a path 0 -> 1 -> ... -> n - 1 whose
-    last row points back: the one closed class is the cycle from there to
-    n - 1.  Any other chain takes an iterative Tarjan search that marks a
-    finished state with an order past every number, so an edge into a
-    finished component is skipped by the low-link test and flags that the
-    component of its tail leaks; a root whose component leaks nothing is
-    closed.
+    An iterative Tarjan search marks a finished state with an order past
+    every number, so an edge into a finished component is skipped by the
+    low-link test and flags that the component of its tail leaks; a root
+    whose component leaks nothing is closed.
     """
     n = len(successors)
-    if len(successors[-1]) == 1 and all(len(row) == 1 and row[0] == i
-                                        for i, row in zip(range(1, n), successors)):
-        return [list(range(successors[-1][0], n))]
     done = n + 1
     order, low, leaks, at = [0] * n, [0] * n, [False] * n, [0] * n
     stack: list[int] = []
@@ -703,7 +666,6 @@ def long_run_metrics(tm: TransitionMatrix) -> ChainResult:
     return chain_metrics(stationary_distribution(tm), tm)
 
 
-def solve_chain(scenario: Scenario, g: int, parts: dict | None = None) -> ChainResult:
-    """Build the chain and return long_run_metrics of it; `parts` is
-    build_transition_matrix's."""
-    return long_run_metrics(build_transition_matrix(scenario, g, parts))
+def solve_chain(scenario: Scenario, g: int) -> ChainResult:
+    """Build the chain and return long_run_metrics of it."""
+    return long_run_metrics(build_transition_matrix(scenario, g))

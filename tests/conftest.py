@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from caplora import defaults
-from caplora.cycle import BRANCHES, PATH, cycle_length
+from caplora.cycle import BRANCHES, PATH, PhaseTable, Scenario, cycle_length, seeded_scenario
 from caplora.energy import (
     ASYMPTOTE_GUARD_V,
     CapacitorConfig,
@@ -109,6 +110,15 @@ def phase_with(phase: Phase, **constants) -> Phase:
     return phase._replace(
         gap=gap, v_guard=math.inf if gap > ASYMPTOTE_GUARD_V else phase.v_off,
         offset=None if phase.decay is None else phase.v_limit * (1.0 - phase.decay))
+
+
+def with_phases(scenario: Scenario, phases: dict[str, Phase]) -> Scenario:
+    """`scenario` on a PhaseTable of its circuit and schedule whose phases
+    are `phases`, put where the table keeps the ones it compiles."""
+    table = PhaseTable(scenario.circuit, scenario.schedule)
+    vars(table)["phases"] = phases
+    fields = {field.name: getattr(scenario, field.name) for field in dataclasses.fields(scenario)}
+    return seeded_scenario(fields, {"table": table})
 
 
 def voltage_after_norton(circuit, state, v0: float, t: float) -> float:
@@ -684,15 +694,16 @@ def reference_build(scenario, g: int):
         successors.append(tuple(cols))
         probabilities.append(tuple(dests.values()))
         rewards.append(reward)
-    return TransitionMatrix(states=tuple(states), index=index, successors=tuple(successors),
+    return TransitionMatrix(states=tuple(states), successors=tuple(successors),
                             probabilities=tuple(probabilities), rewards=tuple(rewards),
                             thresholds=thr)
 
 
 def reference_closed_classes(successors):
-    """caplora.markov._closed_classes as it ran before it read cycles off the
-    breadth-first numbering: the strongly connected components that no edge
-    leaves, each sorted, in the order an iterative Tarjan search closes them."""
+    """caplora.markov._closed_classes as it ran before it marked finished
+    states and leaking components during its search: the strongly connected
+    components that no edge leaves, each sorted, in the order an iterative
+    Tarjan search closes them."""
     n = len(successors)
     order, low, component = [-1] * n, [0] * n, [-1] * n
     stack: list[int] = []

@@ -647,8 +647,8 @@ class TestGridParts:
             assert _phase_fields(cell.scenario.phases) == _phase_fields(own)
 
     def test_the_wakeup_grid_compiles_no_phase_table(self, built, capsys):
-        # wakeup reads only each cell's circuit: the cells that share a table
-        # borrow it on first use, and no cell uses one.
+        # wakeup reads only each cell's circuit: a table compiles its phases
+        # on their first read, and no cell reads them.
         argv = ["wakeup", "--thresholds", "0.55:0.98:0.01", "--capacitance", "0.0047,1",
                 "--power", "0.1"]
         assert cli.main(argv) == 0

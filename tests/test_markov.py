@@ -54,6 +54,7 @@ from conftest import (
     reference_closed_classes,
     reference_stationary,
     stationary_oracle,
+    with_phases,
 )
 
 G = 750
@@ -328,8 +329,7 @@ def _toy_matrix(rows, kinds=None, rewards=()):
     probabilities = tuple(tuple(row[list(cols)].tolist()) for row, cols in zip(matrix, successors))
     thr = ThresholdLevels(v_min=0, v_on=n, v_tx=n, v_rx1=n + 1, v_rx2=n + 1, v_max=n,
                           v_off={})
-    return TransitionMatrix(states=states, index={s: i for i, s in enumerate(states)},
-                            successors=successors, probabilities=probabilities,
+    return TransitionMatrix(states=states, successors=successors, probabilities=probabilities,
                             rewards=tuple(rewards), thresholds=thr)
 
 
@@ -552,8 +552,8 @@ class TestSolveFromRows:
     def test_solve_chain_leaves_the_matrix_unbuilt(self, p1, p2, monkeypatch):
         built = []
 
-        def recording(scenario, g, *parts):
-            built.append(build_transition_matrix(scenario, g, *parts))
+        def recording(scenario, g):
+            built.append(build_transition_matrix(scenario, g))
             return built[-1]
 
         monkeypatch.setattr(markov, "build_transition_matrix", recording)
@@ -881,7 +881,7 @@ def test_the_one_pass_build_is_the_reference_build(sf, ul_pl, c_farads, power_w,
     event("forks" if any(len(row) > 1 for row in tm.successors) else "one successor per row")
     event("transient start" if 0 not in reference_closed_classes(ref.successors)[0]
           else "recurrent start")
-    assert tm.states == ref.states and tm.index == ref.index
+    assert tm.states == ref.states
     assert all(type(state.level) is int for state in tm.states)
     assert tm.successors == ref.successors
     assert [[q.hex() for q in row] for row in tm.probabilities] == \
@@ -963,10 +963,9 @@ def test_a_class_with_one_reward_is_its_reward(sf, ul_pl, c_farads, power_w, thr
 @pytest.mark.parametrize("v_limit", [1.0, 2.0, 4.0])
 def test_every_row_rounds_ties_to_even(v_limit):
     base = make_scenario(interval_m=9.0, p1=0.5, p2=0.5)
-    fields = {field.name: getattr(base, field.name) for field in dataclasses.fields(base)}
     tie = {slot: phase if phase.duration is None else phase_with(phase, v_limit=v_limit, decay=0.5)
            for slot, phase in base.phases.items()}
-    scenario = cycle.seeded_scenario(fields, {"phases": tie})
+    scenario = with_phases(base, tie)
     thr = threshold_levels(scenario, 16)
     reference = ReferenceRowBuilder(scenario, 16, thr)
     states = [ChainState(OFF, level) for level in range(thr.v_on)] + \
@@ -980,7 +979,7 @@ def test_every_row_rounds_ties_to_even(v_limit):
     tau = 12.984255368000671
     assert math.exp(-9.0 / tau) == 0.5
     off = phase_with(base.phases["off"], v_limit=1.0, tau=tau)
-    stays_off = cycle.seeded_scenario(fields, {"phases": {**tie, "off": off}})
+    stays_off = with_phases(base, {**tie, "off": off})
     reference = ReferenceRowBuilder(stays_off, 16, threshold_levels(stays_off, 16))
     assert _row(stays_off, 16, ChainState(OFF, 1)) == ({ChainState(OFF, 8): 1.0}, Rewards(1.0))
     for state in states[:thr.v_on]:
@@ -995,18 +994,70 @@ def test_a_turn_off_sums_the_rest_of_its_interval_from_the_right():
     # m - ((t_base + t_lead) + t) it would end one float past it and wake.
     scenario = make_scenario(p1=1.0, turn_on_fraction=0.6, interval_m=7.784478601117753)
     table = _Quantized(scenario, G)
-    off_level, t_wake, cross, duration = table.wake(scenario.circuit.v_on)[1]["rx1"]
+    off_level, t_wake, cross, duration = table.turn_offs["rx1"]
     end = 1475
     for slot in ("tx", "idle1", "listen1"):
         end = _step(scenario.phases[slot], end)
     t_base, t_lead, t = table.opens["rx1"], scenario.phases["listen1"].duration, cross(end / G)
-    assert off_level <= end < table.v_rx["v_rx1"] and t < duration
+    assert off_level <= end < table.thresholds.v_rx1 and t < duration
     m = scenario.interval_m
     assert m - (t_base + (t_lead + t)) <= t_wake < m - ((t_base + t_lead) + t)
     want = {ChainState(OFF, 1484): 1.0}, Rewards(0.0)
     assert _row(scenario, G, ChainState(SL1, 1475)) == want
     assert ReferenceRowBuilder(scenario, G, threshold_levels(scenario, G)).row((SL1, 1475)) == want
 
+
+class TestSharedQuantization:
+    """A phase table keeps the chain's quantized constants per (g, wake
+    target), so every chain on the table shares them, with no store passed
+    in, and chains on different tables never share them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """(g, wake target, table) of every _Quantized built."""
+        built = []
+        init = _Quantized.__init__
+
+        def counted(self, scenario, g):
+            built.append((g, scenario.circuit.v_on, scenario.table))
+            init(self, scenario, g)
+
+        monkeypatch.setattr(_Quantized, "__init__", counted)
+        return built
+
+    def test_a_library_loop_shares_with_no_store(self, built):
+        base = make_scenario(interval_m=40.0, p1=0.3, p2=0.5)
+        results = {(g, m): solve_chain(edit_scenario(base, {"interval_m": m}), g)
+                   for g in (100, 200) for m in (9.0, 20.0, 40.0)}
+        assert [(g, table) for g, _, table in built] == [(100, base.table), (200, base.table)]
+        for (g, m), result in results.items():
+            alone = solve_chain(dataclasses.replace(base, interval_m=m), g)
+            assert (result.states, result.pdr, result.pdl1, result.pdl2) == \
+                (alone.states, alone.pdr, alone.pdl1, alone.pdl2)
+
+    def test_scenarios_on_different_tables_never_share(self, built):
+        base = make_scenario(interval_m=40.0)
+        larger = edit_scenario(base, {"capacitance": 0.01})
+        assert larger.table is not base.table
+        for scenario in (base, larger, base, larger):
+            build_transition_matrix(scenario, 100)
+        assert [table for _, _, table in built] == [base.table, larger.table]
+        for scenario in (base, larger):
+            [quantized] = scenario.table.quantized.values()
+            assert quantized.thresholds == threshold_levels(scenario, 100)
+        assert threshold_levels(base, 100) != threshold_levels(larger, 100)
+
+    def test_a_threshold_sweep_builds_one_per_g_and_threshold(self, built):
+        base = make_scenario(interval_m=40.0, p1=0.3, p2=0.5)
+        thresholds = (0.6, 0.65, 0.7)
+        sweep = partial(characterize.threshold_sweep, base, axis="threshold", values=thresholds,
+                        m_values=(9.0, 40.0), engine="chain")
+        rows = {g: sweep(granularity=g) for g in (100, 200)}
+        wakes = [edit_scenario(base, {"threshold": t}).circuit.v_on for t in thresholds]
+        assert [(g, v_on) for g, v_on, _ in built] == [(g, v_on) for g in (100, 200)
+                                                       for v_on in wakes]
+        assert {table for _, _, table in built} == {base.table}
+        assert sweep(granularity=100) == rows[100] and len(built) == 6
 
 @st.composite
 def _digraphs(draw):

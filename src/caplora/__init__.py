@@ -7,7 +7,6 @@ from .energy import (
     CapacitorConfig,
     CircuitConfig,
     DeviceState,
-    DeviceThresholds,
     HarvesterConfig,
     LoadTable,
     equivalent_resistance,

@@ -9,19 +9,18 @@ one evaluate_grid call: the product of named axes around a base scenario,
 each cell built by edit_scenario's rules and validated before any cell
 is measured, then one measure per cell, in a process pool only when
 jobs > 1.  A grid builds each of its distinct parts once: cells with
-equal circuit edits (threshold, capacitance, power) share a circuit,
-cells with equal sf a radio, cells with equal (sf, ul_pl, dl_pl) a
-schedule, cells with equal capacitance and power edits on one schedule a
-phase table (the threshold sets only the wake target v_on, which no
-phase reads; the table is compiled on first use, so a grid that reads
-none, such as wakeup's, compiles none), cells with equal (p1, p2) their
-branch odds, and cells with equal edits one scenario;
-cycle.seeded_scenario puts a cell's shared parts in its Scenario.  The
-chain's cells on one table share its quantized constants per granularity
-and wake target, which the table keeps (cycle.PhaseTable).  The
-simulator's cells share each seed's tail where their runs settle before
-any draw (see simulator's "Seed-free start"), from a store that lives
-for one call.
+equal circuit edits (capacitance, power) share a circuit, cells with
+equal sf a radio, cells with equal (sf, ul_pl, dl_pl) a schedule, cells
+on one circuit and schedule a phase table (compiled on first use, so a
+grid that reads none, such as wakeup's, compiles none), cells with equal
+(p1, p2) their branch odds, and cells with equal edits one scenario.
+The threshold edits the scenario's v_sl, so a threshold sweep runs on
+one circuit and one table.  cycle.seeded_scenario puts a cell's shared
+parts in its Scenario.  The chain's cells on one table share its
+quantized constants per granularity and wake target, which the table
+keeps (cycle.PhaseTable).  The simulator's cells share each seed's tail
+where their runs settle before any draw (see simulator's "Seed-free
+start"), from a store that lives for one call.
 Sweep and accuracy cells share one engine-pair measure, _measure: the
 simulator's mean ratios over the seeds, or the chain's metrics with the
 solve's wall time.  It raises InfeasibleScenario for a cell whose
@@ -43,7 +42,7 @@ charging ceiling", bisected to 0.01 mF by default.  A search checks its
 start voltage and the ends of its bracket once; the trials between them
 run unchecked.  min_tx_interval also needs the start voltage, bisected
 to 0.1 mV, and adds the Off phase's charge time to the cycle's
-durations.  wakeup_time is the Off phase's charge time to the circuit's
+durations.  wakeup_time is the Off phase's charge time to the scenario's
 wake target, the same helper the Markov chain wakes with.
 """
 
@@ -61,8 +60,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from . import defaults
 from .cycle import (Scenario, analytic_slots, check_start, cycle_length, seeded_scenario,
                     slot_timing)
-from .energy import (CircuitConfig, DeviceState, DeviceThresholds, compile_phase, decay_step,
-                     off_time, time_constant, wake_time)
+from .energy import (CircuitConfig, DeviceState, compile_phase, decay_step, off_time,
+                     time_constant, wake_time)
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
 from .markov import check_granularity, solve_chain
 from .simulator import check_seeds, run_seeds
@@ -73,8 +72,8 @@ from .timing import TimingSchedule
 
 _WHOLE_EDITS = ("sf", "ul_pl", "dl_pl")
 _SCENARIO_EDITS = ("ul_pl", "dl_pl", "interval_m", "p1", "p2")
-_CIRCUIT_EDITS = ("threshold", "capacitance", "power")
-_EDITS = frozenset(_WHOLE_EDITS + _SCENARIO_EDITS + _CIRCUIT_EDITS)
+_CIRCUIT_EDITS = ("capacitance", "power")
+_EDITS = frozenset(_WHOLE_EDITS + _SCENARIO_EDITS + _CIRCUIT_EDITS + ("threshold",))
 
 
 def _whole(name: str, value) -> int:
@@ -88,8 +87,9 @@ class _CellBuilder:
     shared as the module docstring says.  The base's own parts are the
     first of each, so an edit to a value the base already has reuses them.
     A part is validated when it is first built, in the order capacitor and
-    harvester, radio, circuit, scenario (p, then the interval bound on the
-    shared schedule), so each cell raises what it would raise built alone.
+    harvester, radio, circuit (the charging states), scenario (thresholds,
+    p, then the interval bound on the shared schedule), so each cell raises
+    what it would raise built alone.
     The memo lives as long as the builder: one evaluate_grid or
     edit_scenario call.
     """
@@ -101,11 +101,11 @@ class _CellBuilder:
         self.circuits = {circuit_key: base.circuit}
         self.radios = {base.radio.sf: base.radio}
         self.schedules = {schedule_key: base.schedule}
-        # The phase table of each (circuit but its threshold, schedule), and
-        # the first scenario on each (p1, p2): the branch odds' owner.
-        self.tables = {(circuit_key[1:], schedule_key): base.table}
+        # The phase table of each (circuit, schedule), and the first
+        # scenario on each (p1, p2): the branch odds' owner.
+        self.tables = {(circuit_key, schedule_key): base.table}
         self.odds = {(base.p1, base.p2): base}
-        self.scenarios = {(circuit_key, base.radio.sf,
+        self.scenarios = {(circuit_key, base.radio.sf, base.v_sl,
                            *(getattr(base, name) for name in _SCENARIO_EDITS)): base}
 
     def __call__(self, edits: Mapping[str, float]) -> Scenario:
@@ -125,21 +125,23 @@ class _CellBuilder:
             radio = self.radios[sf] = dataclasses.replace(base.radio, sf=sf)
         if circuit is None:
             circuit = self.circuits[circuit_key] = dataclasses.replace(base.circuit, **parts)
+        v_sl = new["threshold"] * base.circuit.operating_voltage if "threshold" in new else base.v_sl
         fields = {name: new.get(name, getattr(base, name)) for name in _SCENARIO_EDITS}
         schedule_key = (sf, fields["ul_pl"], fields["dl_pl"])
-        key = (circuit_key, sf, *fields.values())
+        key = (circuit_key, sf, v_sl, *fields.values())
         scenario = self.scenarios.get(key)
         if scenario is None:
             shared = {}
             if schedule_key in self.schedules:
                 shared["schedule"] = self.schedules[schedule_key]
-            table_key, odds_key = (circuit_key[1:], schedule_key), (fields["p1"], fields["p2"])
+            table_key, odds_key = (circuit_key, schedule_key), (fields["p1"], fields["p2"])
             if table_key in self.tables:
                 shared["table"] = self.tables[table_key]
             owner = self.odds.get(odds_key)
             if owner is not None:
                 shared["branch_odds"], shared["branches"] = owner.branch_odds, owner.branches
-            scenario = seeded_scenario(dict(fields, circuit=circuit, radio=radio), shared)
+            scenario = seeded_scenario(dict(fields, circuit=circuit, radio=radio, v_sl=v_sl),
+                                       shared)
             self.scenarios[key] = scenario
             self.schedules.setdefault(schedule_key, scenario.schedule)
             self.tables.setdefault(table_key, scenario.table)
@@ -151,9 +153,6 @@ class _CellBuilder:
         harvester validated here."""
         circuit = self.base.circuit
         parts = {}
-        if "threshold" in new:
-            parts["thresholds"] = DeviceThresholds(circuit.v_min,
-                                                   new["threshold"] * circuit.operating_voltage)
         if "capacitance" in new:
             parts["capacitor"] = dataclasses.replace(circuit.capacitor,
                                                      capacitance=new["capacitance"])
@@ -170,9 +169,8 @@ def edit_scenario(scenario: Scenario, edits: Mapping[str, float]) -> Scenario:
     Raises ScenarioError for an unknown name or a value the scenario
     cannot take.  The result is a grid of one cell: it shares each part
     the edits leave as the source has it (circuit, radio, schedule, branch
-    odds and, when the schedule and the capacitance and power are the
-    source's, the phase table, whatever the threshold), and it is the
-    source itself when there are no edits.
+    odds and, when the circuit and the schedule are the source's, the
+    phase table), and it is the source itself when there are no edits.
     """
     return _CellBuilder(scenario)(edits)
 
@@ -359,12 +357,13 @@ def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:
     return t_charge + cycle_length(scenario.schedule, analytic_slots(dl_case))
 
 
-def wakeup_time(circuit: CircuitConfig) -> float:
+def wakeup_time(scenario: Scenario) -> float:
     """Off-state charge time from the turn-off voltage to the wake target
-    circuit.v_on, where the Off-state load reaches the turn-on threshold.
+    scenario.v_on, where the Off-state load reaches the turn-on threshold.
     0 when v_on lies at or below v_min; math.inf when the threshold exceeds
     what the harvester can ever reach."""
-    return wake_time(compile_phase(circuit, DeviceState.OFF), circuit.v_min, circuit.v_on)
+    circuit = scenario.circuit
+    return wake_time(compile_phase(circuit, DeviceState.OFF), circuit.v_min, scenario.v_on)
 
 
 # -- threshold sweep --------------------------------------------------------
@@ -401,15 +400,16 @@ def _measure(engine: str, seeds: tuple, n_scheduled: int, cell: GridCell,
     raises InfeasibleScenario before either engine runs; the chain's
     InfeasibleScenario propagates too.
     """
-    circuit = cell.scenario.circuit
-    if circuit.v_on >= circuit.asymptote(DeviceState.OFF):
+    scenario = cell.scenario
+    circuit = scenario.circuit
+    if scenario.v_on >= circuit.asymptote(DeviceState.OFF):
         raise InfeasibleScenario(
-            f"the turn-on threshold ({circuit.v_sl / circuit.operating_voltage:.6g} of E) is "
+            f"the turn-on threshold ({scenario.v_sl / circuit.operating_voltage:.6g} of E) is "
             f"beyond the Off state's charging ceiling; the device never wakes")
     if engine == "simulator":
-        return (*_simulate_mean(cell.scenario, seeds, n_scheduled, tails), 0.0)
+        return (*_simulate_mean(scenario, seeds, n_scheduled, tails), 0.0)
     t0 = time.perf_counter()
-    result = solve_chain(cell.scenario, cell.granularity)
+    result = solve_chain(scenario, cell.granularity)
     return result.pdr, result.pdl1, result.pdl2, time.perf_counter() - t0
 
 

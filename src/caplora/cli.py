@@ -403,7 +403,7 @@ def _cmd_chain(args) -> int:
     result = long_run_metrics(tm)
     _emit(args, "chain", [{
         "granularity": loaded.granularity, "m_s": scenario.interval_m,
-        "threshold": scenario.circuit.v_sl / scenario.circuit.operating_voltage,
+        "threshold": scenario.v_sl / scenario.circuit.operating_voltage,
         "pdr": result.pdr, "pdl1": result.pdl1, "pdl2": result.pdl2,
     }], [_ratios(result)])
     return 0
@@ -467,7 +467,7 @@ def _cmd_wakeup(args) -> int:
     def row(cell):
         c, power, threshold = cell.point
         return {"capacitance_f": c, "power_w": power, "threshold": threshold,
-                "wakeup_s": wakeup_time(cell.scenario.circuit)}
+                "wakeup_s": wakeup_time(cell.scenario)}
 
     axes = _sizing_axes(args, base) + [("threshold",
                                         _parse_values(args.thresholds, "--thresholds"))]

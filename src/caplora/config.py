@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from . import defaults
-from .energy import CapacitorConfig, CircuitConfig, DeviceThresholds, HarvesterConfig, LoadTable
+from .energy import CapacitorConfig, CircuitConfig, HarvesterConfig, LoadTable
 from .cycle import Scenario
 from .errors import ScenarioError
 from .timing import LORAWAN_PL_MAX, LORAWAN_PL_MIN, RadioConfig, coding_rate_to_index
@@ -37,8 +37,8 @@ INTEGER, FINITE, FLOAT_OR_INF, TEXT = "integer", "finite", "float or inf", "text
 
 
 def _fraction(loaded: LoadedScenario) -> float:
-    circuit = loaded.scenario.circuit
-    return circuit.v_sl / circuit.harvester.operating_voltage
+    scenario = loaded.scenario
+    return scenario.v_sl / scenario.circuit.harvester.operating_voltage
 
 
 def _in(path: str):
@@ -151,7 +151,7 @@ def parse_scenario(text: str, source: str = "<string>") -> LoadedScenario:
         capacitor=CapacitorConfig(v["c_farads"], v["esr_ohms"], v["epr_ohms"]),
         loads=LoadTable(**{key.removesuffix("_ohms"): v[key] for key in FORMAT["loads"]}),
         harvester=HarvesterConfig(v["e_volts"], v["power_watts"]),
-        thresholds=DeviceThresholds(v_min=v["v_min"], v_sl=v["turn_on_fraction"] * v["e_volts"]),
+        v_min=v["v_min"],
     )
     radio = RadioConfig(sf=v["sf"], bw=v["bw_hz"], cr_index=coding_rate_to_index(v["coding_rate"]),
                         n_preamble=v["n_preamble"], ih=v["ih"], de=v["de"])
@@ -164,7 +164,7 @@ def parse_scenario(text: str, source: str = "<string>") -> LoadedScenario:
                           f"range [{LORAWAN_PL_MIN}, {LORAWAN_PL_MAX}]", stacklevel=2)
     scenario = Scenario(circuit=circuit, radio=radio, ul_pl=v["ul_payload_bytes"],
                         dl_pl=v["dl_payload_bytes"], interval_m=v["interval_s"],
-                        p1=v["p1"], p2=v["p2"])
+                        v_sl=v["turn_on_fraction"] * v["e_volts"], p1=v["p1"], p2=v["p2"])
     if v["granularity"] < 1:
         raise ScenarioError(f"[markov] granularity must be >= 1, got {v['granularity']}")
     return LoadedScenario(scenario=scenario, granularity=v["granularity"])

@@ -7,7 +7,10 @@ whose decay factor is fixed up front, addressed by slot ('tx', 'idle1',
 'listen1', 'rx1', 'idle2', 'listen2', 'rx2', 'off', 'sleep'), compiled
 on first read by phase_table.  The simulator walks that table and the
 Markov chain quantizes it, keeping each quantization on the table, so
-every scenario that shares a table shares them.
+every scenario that shares a table shares them.  The turn-on threshold
+v_sl is a scenario setting, not a circuit part: it fixes only the wake
+target Scenario.v_on, which no phase reads, so scenarios that differ
+only in their thresholds share one circuit and one table.
 
 Two downlink-cost conventions read one branch table, BRANCHES, which
 lists each branch's slots, the counters its window feeds and its draw's
@@ -41,17 +44,23 @@ from .timing import RadioConfig, TimingSchedule, class_a_schedule
 
 @dataclass(frozen=True)
 class Scenario:
-    """One complete operating point: circuit, radio, traffic and downlink odds."""
+    """One complete operating point: circuit, radio, traffic, turn-on
+    threshold and downlink odds."""
 
     circuit: CircuitConfig
     radio: RadioConfig
     ul_pl: int
     dl_pl: int
     interval_m: float
+    v_sl: float          # turn-on threshold, judged on the Off-state load, volts
     p1: float = 0.0
     p2: float = 0.0
 
     def __post_init__(self):
+        v_min, e = self.circuit.v_min, self.circuit.operating_voltage
+        if not 0 < v_min < self.v_sl < e:
+            raise ScenarioError(f"thresholds must satisfy 0 < v_min < v_sl < E, got "
+                                f"v_min={v_min}, v_sl={self.v_sl}, E={e}")
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
             raise ScenarioError(f"p1/p2 must be probabilities, got {self.p1}, {self.p2}")
         bound = min_interval_bound(self.schedule, self.branches)
@@ -81,6 +90,13 @@ class Scenario:
         return tuple(branch for branch, (_, on) in self.branch_odds.items() if on)
 
     @cached_property
+    def v_on(self) -> float:
+        """The wake target: the capacitor voltage at which the Off-state load
+        reaches v_sl.  No phase reads it."""
+        p = self.circuit.state_params(DeviceState.OFF)
+        return (self.v_sl - p.b) / p.a
+
+    @cached_property
     def schedule(self) -> TimingSchedule:
         return class_a_schedule(self.radio, self.ul_pl, self.dl_pl)
 
@@ -98,9 +114,8 @@ class PhaseTable:
     """One circuit's phases on one schedule: `phases` is phase_table's,
     compiled on first read, so a table nobody reads compiles nothing, and
     `quantized` holds the Markov chain's markov._Quantized per (g, wake
-    target).  The turn-on threshold sets only the wake target, which no
-    phase reads, so scenarios whose circuits differ only there can share
-    one table (seeded_scenario)."""
+    target).  Every scenario on the circuit and schedule can share one
+    table (seeded_scenario), whatever its threshold, interval and odds."""
 
     def __init__(self, circuit: CircuitConfig, schedule: TimingSchedule):
         self.circuit, self.schedule = circuit, schedule

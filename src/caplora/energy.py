@@ -20,8 +20,10 @@ definition), so a sizing search can try a capacitance without rebuilding
 the circuit.  The load sees the affine map v_L = a * v_C + b with
 a = R_eq / (R_eq + ESR) and b = V_th * ESR / (R_eq + ESR).  The device
 thresholds are judged on v_L, so each state has a turn-off capacitor
-voltage v_off = (v_min - b) / a, and the device wakes when the Off-state
-load reaches v_sl, at v_C = CircuitConfig.v_on.  An ideal capacitor
+voltage v_off = (v_min - b) / a.  The turn-on threshold v_sl is no part
+of the circuit: it is a comparator setting of the scenario, which wakes
+the device when the Off-state load reaches it, at the capacitor voltage
+(v_sl - b) / a of the Off state (cycle.Scenario.v_on).  An ideal capacitor
 (ESR = 0, EPR = inf) is the case ratio = 1, a = 1, b = 0, where every
 constant reduces bit for bit to tau = R_eq * C and L = V_th; EPR uses an
 explicit math.inf sentinel so that reduction is exact.
@@ -157,21 +159,6 @@ class LoadTable:
         return getattr(self, state)
 
 
-@dataclass(frozen=True)
-class DeviceThresholds:
-    """Turn-off voltage (v_min) and configurable turn-on voltage (v_sl)."""
-
-    v_min: float
-    v_sl: float
-
-    def validate(self, operating_voltage: float) -> None:
-        if not (0 < self.v_min < self.v_sl < operating_voltage):
-            raise ScenarioError(
-                f"thresholds must satisfy 0 < v_min < v_sl < E, got "
-                f"v_min={self.v_min}, v_sl={self.v_sl}, E={operating_voltage}"
-            )
-
-
 def time_constant(r_series: float, c: float, ratio: float) -> float:
     """tau = (R_eq + ESR) * C * ratio of one state, r_series = R_eq + ESR,
     multiplied in that order so that every caller gets the same float."""
@@ -200,7 +187,8 @@ class _StateParams(NamedTuple):
 
 @dataclass(frozen=True)
 class CircuitConfig:
-    """Complete electrical description of one device build.
+    """Complete electrical description of one device build, down to its
+    turn-off voltage v_min (0 < v_min < E).
 
     On construction the per-state constants are cached and the
     charging-state sanity assumption is enforced: Off, Sleep and Idle must
@@ -212,13 +200,15 @@ class CircuitConfig:
     harvester: HarvesterConfig
     capacitor: CapacitorConfig
     loads: LoadTable
-    thresholds: DeviceThresholds
+    v_min: float      # turn-off voltage, judged on the load, volts
     _params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.thresholds.validate(self.harvester.operating_voltage)
-        r_i = self.harvester.series_resistance
         e = self.harvester.operating_voltage
+        if not 0 < self.v_min < e:
+            raise ScenarioError(
+                f"turn-off voltage must satisfy 0 < v_min < E, got v_min={self.v_min}, E={e}")
+        r_i = self.harvester.series_resistance
         c, esr, epr = self.capacitor.capacitance, self.capacitor.esr, self.capacitor.epr
         params = {}
         for state in _STATE_ORDER:
@@ -228,7 +218,7 @@ class CircuitConfig:
             v_th = e * r_eq / r_i
             a = r_eq / r_series
             b = v_th * esr / r_series
-            v_limit, v_off = v_th * ratio, (self.thresholds.v_min - b) / a
+            v_limit, v_off = v_th * ratio, (self.v_min - b) / a
             params[state] = _StateParams(
                 r_eq=r_eq, r_series=r_series, ratio=ratio,
                 tau=time_constant(r_series, c, ratio), v_limit=v_limit, a=a, b=b,
@@ -241,23 +231,9 @@ class CircuitConfig:
                 raise ScenarioError(
                     f"{state.value}-state equilibrium voltage "
                     f"{p.a * p.v_limit + p.b:.4f} V is not above the turn-off "
-                    f"threshold {self.thresholds.v_min} V; the device could "
+                    f"threshold {self.v_min} V; the device could "
                     f"never sustain charge in that state"
                 )
-
-    @property
-    def v_min(self) -> float:
-        return self.thresholds.v_min
-
-    @property
-    def v_sl(self) -> float:
-        return self.thresholds.v_sl
-
-    @property
-    def v_on(self) -> float:
-        """Capacitor voltage at which the Off-state load reaches v_sl: the wake target."""
-        p = self._params[DeviceState.OFF]
-        return (self.thresholds.v_sl - p.b) / p.a
 
     @property
     def operating_voltage(self) -> float:

@@ -23,14 +23,15 @@ sleep takes the decay over what its cycle leaves of the interval
 the map is bit-identical to calling the phases; only the turn-off paths,
 whose recharge time depends on the level, call the phases per level,
 and each chain turns off from each (slot, level) once.  Turn-off levels
-are the phases' v_off, the wake time is the Off phase's crossing.  What
-depends only on the phase table, g and the wake target (_Quantized: the
-thresholds, the branches' cycle and window times and the turn-off
-constants) is built once and kept on the table (Scenario.table), so the
-chains of every scenario on it share it.  The feasibility thresholds
-are read in closed form: a slot's step is monotone and affine before it
-rounds, so inverting it guesses the least surviving level, and a walk
-with the step itself from the guess finds the exact one.  Within SL1 the
+are the phases' v_off, the wake time is the Off phase's crossing to the
+scenario's wake target Scenario.v_on.  What depends only on the phase
+table, g and the wake target (_Quantized: the thresholds, the branches'
+cycle and window times and the turn-off constants) is built once and
+kept on the table (Scenario.table), so the chains of every scenario on
+it share it.  The feasibility thresholds are read in closed form: a
+slot's step is monotone and affine before it rounds, so inverting it
+guesses the least surviving level, and a walk with the step itself from
+the guess finds the exact one.  Within SL1 the
 downlink branches read the branch table the event simulator walks,
 cycle.BRANCHES: their slots, and the SL1 fork path and the branch odds
 derived from it (cycle.PATH, Scenario.branch_odds).  A window
@@ -197,7 +198,7 @@ class _Quantized:
             )
         self.windows = windows = {branch: BRANCHES[branch].slots[-2:] for _, branch in PATH
                                   if branch}
-        wake_v = circuit.v_on
+        wake_v = scenario.v_on
         # The packet slot of each detected branch sets its v_<branch>.
         self.thresholds = ThresholdLevels(
             v_min=v_min, v_on=level_of(wake_v, g), v_tx=v_tx, v_max=v_max, v_off=v_off,
@@ -290,7 +291,7 @@ def _search(scenario: Scenario, g: int, start: ChainState | None = None) -> Tran
     a step's x = (offset + level / g * decay) * g sums nonnegative terms,
     so x >= 0 and only v_max can clip it.
     """
-    phases, m, wake_v = scenario.phases, scenario.interval_m, scenario.circuit.v_on
+    phases, m, wake_v = scenario.phases, scenario.interval_m, scenario.v_on
     # The first chain on the table at (g, wake target) quantizes it for all.
     quantized = scenario.table.quantized
     table = quantized.get((g, wake_v))

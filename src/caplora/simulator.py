@@ -2,7 +2,7 @@
 
 The walk carries the capacitor voltage v_C and judges the thresholds on
 the load voltage, through each state's turn-off voltage Phase.v_off and
-the wake target CircuitConfig.v_on (v_min and v_sl for an ideal
+the scenario's wake target Scenario.v_on (v_min and v_sl for an ideal
 capacitor).  The device starts Off at v_min and uplinks are scheduled
 every `interval_m` seconds starting at t = 0.  Between cycles it charges
 in Off until v_on, then sleeps.  A scheduled uplink is lost when the
@@ -174,7 +174,7 @@ def _compile_walk(scenario: Scenario, n_scheduled: int, points: list[TracePoint]
     nor while Off): (that slot or n_scheduled, v there).
     """
     off_phase, sleep_phase = scenario.phases["off"], scenario.phases["sleep"]
-    m, v_on = scenario.interval_m, scenario.circuit.v_on
+    m, v_on = scenario.interval_m, scenario.v_on
     off_limit, off_tau = off_phase.v_limit, off_phase.tau
     sleep_limit, sleep_tau = sleep_phase.v_limit, sleep_phase.tau
     # From v < v_on, time_to_voltage reaches v_on only when the Off asymptote
@@ -327,7 +327,7 @@ class _Settler:
 
     def __init__(self, scenario: Scenario, n_scheduled: int):
         circuit, phases = scenario.circuit, scenario.phases
-        self.m, self.v_on, self.off = scenario.interval_m, circuit.v_on, phases["off"]
+        self.m, self.v_on, self.off = scenario.interval_m, scenario.v_on, phases["off"]
         self.names = scenario.branches
         self.branches = [tuple(map(phases.get, BRANCHES[b].slots)) for b in self.names]
         _, self.next_on = _compile_walk(scenario, n_scheduled, None)

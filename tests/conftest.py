@@ -12,7 +12,6 @@ from caplora.energy import (
     CapacitorConfig,
     CircuitConfig,
     DeviceState,
-    DeviceThresholds,
     HarvesterConfig,
     LoadTable,
     Phase,
@@ -41,17 +40,19 @@ def make_circuit(power_w: float = defaults.HARVEST_POWER_W,
                  c_farads: float = defaults.CAPACITANCE_F,
                  esr: float = 0.0,
                  epr: float = math.inf,
-                 turn_on_fraction: float = defaults.TURN_ON_FRACTION,
                  loads: LoadTable | None = None) -> CircuitConfig:
     return CircuitConfig(
         harvester=HarvesterConfig(defaults.OPERATING_VOLTAGE, power_w),
         capacitor=CapacitorConfig(c_farads, esr=esr, epr=epr),
         loads=loads or make_loads(),
-        thresholds=DeviceThresholds(
-            v_min=defaults.TURN_OFF_VOLTAGE,
-            v_sl=turn_on_fraction * defaults.OPERATING_VOLTAGE,
-        ),
+        v_min=defaults.TURN_OFF_VOLTAGE,
     )
+
+
+def turn_on(fraction: float) -> float:
+    """The turn-on threshold v_sl at `fraction` of the stock E, as the
+    config and the grid form it."""
+    return fraction * defaults.OPERATING_VOLTAGE
 
 
 @pytest.fixture
@@ -72,17 +73,18 @@ def make_scenario(sf: int = 7,
                   p2: float = 0.0,
                   power_w: float = defaults.HARVEST_POWER_W,
                   c_farads: float = defaults.CAPACITANCE_F,
-                  turn_on_fraction: float = defaults.TURN_ON_FRACTION):
+                  turn_on_fraction: float = defaults.TURN_ON_FRACTION,
+                  circuit: CircuitConfig | None = None):
     from caplora.cycle import Scenario
     from caplora.timing import RadioConfig
 
     return Scenario(
-        circuit=make_circuit(power_w=power_w, c_farads=c_farads,
-                             turn_on_fraction=turn_on_fraction),
+        circuit=circuit or make_circuit(power_w=power_w, c_farads=c_farads),
         radio=RadioConfig(sf=sf),
         ul_pl=ul_pl,
         dl_pl=dl_pl,
         interval_m=interval_m,
+        v_sl=turn_on(turn_on_fraction),
         p1=p1,
         p2=p2,
     )
@@ -143,11 +145,11 @@ class PhaseWalk:
     the Phase's after and cross, so the compiled walk must match it bit
     for bit."""
 
-    def __init__(self, circuit, v: float, off: bool, trace: bool):
+    def __init__(self, scenario, v: float, off: bool, trace: bool):
         self.v = v
         self.off = off
         self.t = 0.0
-        self.v_on = circuit.v_on
+        self.v_on = scenario.v_on
         self.points = [] if trace else None
 
     def record(self, t: float, state) -> None:
@@ -416,7 +418,7 @@ def reference_chain(scenario, g: int):
                 lo = mid + 1
         return lo
 
-    v_min, v_on = round(circuit.v_min * g), round(circuit.v_on * g)
+    v_min, v_on = round(circuit.v_min * g), round(scenario.v_on * g)
     v_off = {phase.state: round(phase.v_off * g) for phase in phases.values()}
     tx, idle1, listen1, rx1, idle2, listen2, rx2, off, sleep = (phases[slot] for slot in (
         "tx", "idle1", "listen1", "rx1", "idle2", "listen2", "rx2", "off", "sleep"))
@@ -428,7 +430,7 @@ def reference_chain(scenario, g: int):
     ends = {}
 
     def wake(v):
-        return wake_time(off, v, circuit.v_on)
+        return wake_time(off, v, scenario.v_on)
 
     def sleep_kind(level):
         return "SL1" if level >= v_tx else "SL0"
@@ -552,7 +554,7 @@ class ReferenceRowBuilder:
     def __init__(self, scenario, g: int, thr):
         phases, schedule, m = scenario.phases, scenario.schedule, scenario.interval_m
         v_max, v_on, v_tx = thr.v_max, thr.v_on, thr.v_tx
-        off, wake_v = phases["off"], scenario.circuit.v_on
+        off, wake_v = phases["off"], scenario.v_on
         off_after, sleep_after = off.after, phases["sleep"].after
         self.ends = {branch: cycle_length(schedule, BRANCHES[branch].slots)
                      for branch in scenario.branches}

@@ -42,7 +42,7 @@ def _report(criterion: str, detail: str) -> None:
 
 def _warmup_allowance(scenario, threshold: float, interval: float) -> float:
     """Cold-start loss budget: initial charge time expressed in packets."""
-    t = wakeup_time(edit_scenario(scenario, {"threshold": threshold}).circuit)
+    t = wakeup_time(edit_scenario(scenario, {"threshold": threshold}))
     if not math.isfinite(t):
         return 1.0
     return (math.floor(t / interval) + 2) / N_TX
@@ -80,8 +80,8 @@ def test_criterion_1_airtime_oracle_equivalence():
 
 
 def test_criterion_2_wakeup_times():
-    small = wakeup_time(make_circuit(power_w=0.1, c_farads=4.7e-3, turn_on_fraction=0.56))
-    big = wakeup_time(make_circuit(power_w=0.1, c_farads=1.0, turn_on_fraction=0.56))
+    small = wakeup_time(make_scenario(power_w=0.1, c_farads=4.7e-3, turn_on_fraction=0.56))
+    big = wakeup_time(make_scenario(power_w=0.1, c_farads=1.0, turn_on_fraction=0.56))
     assert small == pytest.approx(0.017, rel=0.10)
     assert big == pytest.approx(3.55, rel=0.10)
     _report("2 wakeup-times", f"4.7 mF -> {small * 1e3:.2f} ms, 1 F -> {big:.3f} s")

@@ -27,41 +27,42 @@ from conftest import make_circuit, make_scenario, rk4_capacitor
 
 class TestWakeupTime:
     def test_small_capacitor_fast_harvester(self):
-        circuit = make_circuit(power_w=0.1, c_farads=4.7e-3, turn_on_fraction=0.56)
-        assert wakeup_time(circuit) == pytest.approx(0.017, rel=0.10)
+        scenario = make_scenario(power_w=0.1, c_farads=4.7e-3, turn_on_fraction=0.56)
+        assert wakeup_time(scenario) == pytest.approx(0.017, rel=0.10)
 
     def test_supercapacitor(self):
-        circuit = make_circuit(power_w=0.1, c_farads=1.0, turn_on_fraction=0.56)
-        assert wakeup_time(circuit) == pytest.approx(3.55, rel=0.10)
+        scenario = make_scenario(power_w=0.1, c_farads=1.0, turn_on_fraction=0.56)
+        assert wakeup_time(scenario) == pytest.approx(3.55, rel=0.10)
 
     def test_threshold_at_turn_off_is_instant(self):
-        # A threshold at the turn-off voltage is no circuit at all; the
+        # A threshold at the turn-off voltage is no scenario at all; the
         # instant wake is a wake target at or below v_min, which ESR gives:
         # at 100 mW the harvester current through 20 ohm holds the Off-state
         # load above the capacitor, so a 56 % threshold (1.848 V on the
         # load) sits at v_C ~ 1.58 V.
         e = defaults.OPERATING_VOLTAGE
         with pytest.raises(ScenarioError):
-            make_circuit(turn_on_fraction=defaults.TURN_OFF_VOLTAGE / e)
-        circuit = make_circuit(power_w=0.1, esr=20.0, turn_on_fraction=0.56)
-        assert circuit.v_on < circuit.v_min
-        assert wakeup_time(circuit) == 0.0
+            make_scenario(turn_on_fraction=defaults.TURN_OFF_VOLTAGE / e)
+        scenario = make_scenario(turn_on_fraction=0.56,
+                                 circuit=make_circuit(power_w=0.1, esr=20.0))
+        assert scenario.v_on < scenario.circuit.v_min
+        assert wakeup_time(scenario) == 0.0
 
     def test_threshold_beyond_reach(self):
         # The Off-state equilibrium at 1 mW is ~98.2% of E.
-        circuit = make_circuit(turn_on_fraction=0.999)
-        assert wakeup_time(circuit) == math.inf
+        scenario = make_scenario(turn_on_fraction=0.999)
+        assert wakeup_time(scenario) == math.inf
 
     def test_threshold_below_turn_off_rejected(self):
         with pytest.raises(ScenarioError):
-            wakeup_time(make_circuit(turn_on_fraction=0.5))
+            wakeup_time(make_scenario(turn_on_fraction=0.5))
 
     @pytest.mark.parametrize("esr,epr", [(20.0, math.inf), (20.0, 50e3)])
     def test_parasitic_threshold_is_a_load_voltage(self, esr, epr):
         # Charging from v_min for wakeup_time brings the Off-state load, not
         # the capacitor, to the threshold (checked against the RK4 oracle).
-        circuit = make_circuit(power_w=0.1, esr=esr, epr=epr, turn_on_fraction=0.7)
-        t = wakeup_time(circuit)
+        circuit = make_circuit(power_w=0.1, esr=esr, epr=epr)
+        t = wakeup_time(make_scenario(turn_on_fraction=0.7, circuit=circuit))
         e = circuit.operating_voltage
         _, v_load = rk4_capacitor(e, e * e / 0.1, circuit.loads.off, esr, epr,
                                   circuit.capacitor.capacitance, circuit.v_min, t)
@@ -598,13 +599,20 @@ class TestGridParts:
         "sf x power": (dict(ul_pl=16, dl_pl=48, interval_m=600.0),
                        [("sf", (7, 8, 9, 10, 11, 12)), ("power", (1e-3, 3e-3, 1e-2))],
                        {"circuits": 3, "schedules": 5, "phase_tables": 18}, (3, 6, 6, 18)),
-        # Two intervals on each of 8 circuits: one schedule, and one phase
-        # table per (capacitance, power), which both thresholds share.
+        # Two thresholds and two intervals on each of 4 circuits: one
+        # schedule, and one circuit and phase table per (capacitance, power),
+        # which both thresholds share.
         "threshold x capacitance x power x interval": (
             dict(interval_m=40.0),
             [("threshold", (0.6, 0.7)), ("capacitance", (4.7e-3, 1e-2)),
              ("power", (1e-3, 1e-2)), ("interval_m", (9.0, 40.0))],
-            {"circuits": 8, "schedules": 0, "phase_tables": 4}, (8, 1, 1, 16)),
+            {"circuits": 4, "schedules": 0, "phase_tables": 4}, (4, 1, 1, 16)),
+        # sim_sweep's threshold sweep over --m: the base's circuit, schedule
+        # and phase table for all 88 scenarios.
+        "threshold x interval": (
+            dict(interval_m=40.0),
+            [("threshold", TestThresholdSweep.THRESHOLDS), ("interval_m", (9.0, 40.0))],
+            {"circuits": 0, "schedules": 0, "phase_tables": 1}, (1, 1, 1, 88)),
         # A chain sweep over granularity x --m: the base's circuit, schedule
         # and phase table, and one scenario per M, the base's own at 40 s.
         "granularity x interval": (
@@ -647,8 +655,8 @@ class TestGridParts:
             assert _phase_fields(cell.scenario.phases) == _phase_fields(own)
 
     def test_the_wakeup_grid_compiles_no_phase_table(self, built, capsys):
-        # wakeup reads only each cell's circuit: a table compiles its phases
-        # on their first read, and no cell reads them.
+        # wakeup reads only each cell's circuit and wake target: a table
+        # compiles its phases on their first read, and no cell reads them.
         argv = ["wakeup", "--thresholds", "0.55:0.98:0.01", "--capacitance", "0.0047,1",
                 "--power", "0.1"]
         assert cli.main(argv) == 0
@@ -682,8 +690,8 @@ class TestGridParts:
 NARROW = "[radio]\nbw_hz = 31250\n"
 # The first ScenarioError of an edit (a dict) or a grid (a list of axes)
 # with several invalid values.  Each cell is validated in the order
-# capacitor and harvester, radio, circuit (thresholds and the charging
-# states), scenario (p and interval), and the grid in cell order.
+# capacitor and harvester, radio, circuit (the charging states), scenario
+# (thresholds, p and interval), and the grid in cell order.
 FIRST_ERRORS = {
     "power after a valid one": (
         "", [("power", (1e-3, -1.0))], "harvest power must be finite and > 0, got -1.0"),
@@ -703,6 +711,14 @@ FIRST_ERRORS = {
     "charging state": ("", [("capacitance", (0.02,)), ("power", (1e-3, 1e-5))],
                        "off-state equilibrium voltage 1.1723 V is not above the turn-off "
                        "threshold 1.8 V; the device could never sustain charge in that state"),
+    "charging state before thresholds": (
+        "", {"threshold": 1.2, "power": 1e-5},
+        "off-state equilibrium voltage 1.1723 V is not above the turn-off threshold 1.8 V; the "
+        "device could never sustain charge in that state"),
+    "thresholds before p": (
+        "", {"threshold": 1.2, "p1": 2.0},
+        "thresholds must satisfy 0 < v_min < v_sl < E, got v_min=1.8, v_sl=3.9599999999999995, "
+        "E=3.3"),
     "p before interval": ("", {"p1": 2.0, "interval_m": 1.0},
                           "p1/p2 must be probabilities, got 2.0, 0.0"),
     "interval on a built schedule": (

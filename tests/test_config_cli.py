@@ -729,6 +729,11 @@ ENGINE_GOLDEN_CALLS = {
                                             str(GOLDEN / "parasitic_quiet.ini"), "--axis",
                                             "threshold", "--values", "0.55:0.98:0.01",
                                             "--m", "9,40", "--engine", "simulator"],
+    # A chain threshold sweep on the ESR/EPR part, whose wake target v_on is
+    # not v_sl: 88 rows, 36 of them thresholds the device never wakes at.
+    "sweep_parasitic_chain.csv": ["sweep", "--scenario", PARASITIC, "--axis", "threshold",
+                                  "--values", "0.55:0.98:0.01", "--m", "9,40",
+                                  "--engine", "chain"],
     # Chain granularity sweeps at p = (0.5, 0.5) with 8 B uplinks: stochastic
     # chains whose listening windows turn the device off, up to 665 states.
     "sweep_granularity_stochastic.csv": ["sweep", "--scenario",

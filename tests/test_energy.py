@@ -9,7 +9,6 @@ from caplora.energy import (
     ASYMPTOTE_GUARD_V,
     CapacitorConfig,
     DeviceState,
-    DeviceThresholds,
     HarvesterConfig,
     LoadTable,
     equivalent_resistance,
@@ -136,7 +135,8 @@ class TestParasiticCapacitor:
                     want = ideal_voltage(degenerate, state, v0, t)
                     got = voltage_after(degenerate, state, v0, t)
                     assert got == pytest.approx(want, rel=1e-12)
-        assert degenerate.v_on == degenerate.v_sl
+        scenario = make_scenario(circuit=degenerate)
+        assert scenario.v_on == scenario.v_sl
 
     def test_near_ideal_limit(self):
         # ESR = 1e-9 ohm / EPR = 1e15 ohm moves every constant by at most
@@ -151,7 +151,8 @@ class TestParasiticCapacitor:
                 for t in (0.0, 0.01, 1.0, 50.0):
                     want = ideal_voltage(near, state, v0, t)
                     assert voltage_after(near, state, v0, t) == pytest.approx(want, rel=1e-10)
-        assert near.v_on == pytest.approx(near.v_sl, rel=1e-10)
+        scenario = make_scenario(circuit=near)
+        assert scenario.v_on == pytest.approx(scenario.v_sl, rel=1e-10)
 
     def test_leaky_capacitor_settles_lower(self):
         # SCCQ12E105PRB-style 1 F part: ESR 1.5 ohm, EPR 550 kohm.
@@ -206,8 +207,9 @@ class TestRK4Oracle:
         v_off = np.array([circuit.state_params(state).v_off for state in STATES])
         _, v_l = _oracle(circuit, v_off, 0.0, steps=1)
         assert np.abs(v_l - circuit.v_min).max() <= 1e-12
-        v_on = _oracle(circuit, circuit.v_on, 0.0, steps=1)[1][STATES.index(DeviceState.OFF)]
-        assert float(v_on) == pytest.approx(circuit.v_sl, abs=1e-12)
+        scenario = make_scenario(circuit=circuit)
+        v_on = _oracle(circuit, scenario.v_on, 0.0, steps=1)[1][STATES.index(DeviceState.OFF)]
+        assert float(v_on) == pytest.approx(scenario.v_sl, abs=1e-12)
 
     @pytest.mark.parametrize("capacitor", sorted(ORACLE_CAPACITORS))
     def test_crossing_times(self, capacitor):
@@ -290,11 +292,15 @@ class TestCompiledPhase:
 
 
 class TestCircuitValidation:
-    def test_threshold_ordering(self):
-        with pytest.raises(ScenarioError):
-            DeviceThresholds(v_min=1.8, v_sl=1.7).validate(E)
-        with pytest.raises(ScenarioError):
-            DeviceThresholds(v_min=1.8, v_sl=3.4).validate(E)
+    def test_threshold_ordering(self, circuit_1mw):
+        # The circuit holds 0 < v_min < E, the scenario v_min < v_sl < E.
+        scenario = make_scenario(circuit=circuit_1mw)
+        for v_sl in (1.7, 1.8, 3.3, 3.4):
+            with pytest.raises(ScenarioError, match="0 < v_min < v_sl < E"):
+                dataclasses.replace(scenario, v_sl=v_sl)
+        for v_min in (0.0, -1.0, 3.3, 3.4):
+            with pytest.raises(ScenarioError, match="0 < v_min < E"):
+                dataclasses.replace(circuit_1mw, v_min=v_min)
 
     def test_states_are_looked_up_by_value(self, circuit_1mw):
         assert circuit_1mw.state_params("tx") is circuit_1mw.state_params(DeviceState.TX)

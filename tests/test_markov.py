@@ -54,6 +54,7 @@ from conftest import (
     reference_closed_classes,
     reference_stationary,
     stationary_oracle,
+    turn_on,
     with_phases,
 )
 
@@ -231,7 +232,7 @@ def test_threshold_levels_are_the_scanned_levels(capacitor, frame, c_farads, pow
     thr = threshold_levels(scenario, g)
     assert (thr.v_min, thr.v_max, thr.v_tx, thr.v_rx1, thr.v_rx2) == \
         (v_min, v_max, v_tx, v_rx1, v_rx2)
-    assert thr.v_on == level_of(circuit.v_on, g)
+    assert thr.v_on == level_of(scenario.v_on, g)
     assert thr.v_off == {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
 
 
@@ -253,10 +254,9 @@ class TestTransitionMatrix:
     def test_rows_stochastic_over_generated_scenarios(self, capacitor, c_farads, power_w,
                                                       threshold, m, p1, p2, g):
         try:
-            circuit = make_circuit(c_farads=c_farads, power_w=power_w,
-                                   turn_on_fraction=threshold, **capacitor)
-            scenario = dataclasses.replace(make_scenario(interval_m=m, p1=p1, p2=p2),
-                                           circuit=circuit)
+            circuit = make_circuit(c_farads=c_farads, power_w=power_w, **capacitor)
+            scenario = make_scenario(interval_m=m, p1=p1, p2=p2, turn_on_fraction=threshold,
+                                     circuit=circuit)
             tm = build_transition_matrix(scenario, g)
         except (ScenarioError, InfeasibleScenario):
             assume(False)
@@ -616,12 +616,9 @@ class TestChainMetrics:
 def _parasitic(scenario, threshold=None, **capacitor):
     circuit = scenario.circuit
     cap = dataclasses.replace(circuit.capacitor, **capacitor)
-    circuit = dataclasses.replace(circuit, capacitor=cap)
-    if threshold is not None:
-        circuit = make_circuit(c_farads=cap.capacitance, esr=cap.esr, epr=cap.epr,
-                               power_w=circuit.harvester.harvest_power,
-                               turn_on_fraction=threshold)
-    return dataclasses.replace(scenario, circuit=circuit)
+    v_sl = scenario.v_sl if threshold is None else turn_on(threshold)
+    return dataclasses.replace(scenario, circuit=dataclasses.replace(circuit, capacitor=cap),
+                               v_sl=v_sl)
 
 
 class TestParasiticEdgeCases:
@@ -681,7 +678,7 @@ class TestParasiticEdgeCases:
         v_off = circuit.state_params(DeviceState.LISTEN).v_off
         t_off = (sched.t_tx + sched.t_id1 + sched.t_l1 + sched.t_id2
                  + time_to_voltage(circuit, DeviceState.LISTEN, v2 / G, v_off))
-        t_wake = time_to_voltage(circuit, DeviceState.OFF, v_off, circuit.v_on)
+        t_wake = time_to_voltage(circuit, DeviceState.OFF, v_off, scenario.v_on)
         want = self._sleep_from(scenario, thr.v_on, 9.0 - t_off - t_wake)
         ((_, got), _), = builder.row(ChainState(SL1, level))[0].items()
         assert abs(got - want) <= 1
@@ -861,14 +858,19 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
 # An ESR/EPR chain that forks in both windows.
 @example(sf=7, ul_pl=16, c_farads=4.7e-3, power_w=1e-3, threshold=0.7, m=20.0, p=(0.3, 0.7),
          capacitor={"esr": 20.0, "epr": 50e3}, g=2000)
+# A recurrent start: on 42 mF at M = 3 s the device charges Off for five
+# slots, sends one uplink and turns off at v_min again, so (OFF,
+# level(v_min)) lies on the chain's one cycle of 6 states.
+@example(sf=7, ul_pl=1, c_farads=0.041811000779908104, power_w=1e-3, threshold=0.56, m=3.0,
+         p=(0.0, 0.0), capacitor={}, g=100)
 def test_the_one_pass_build_is_the_reference_build(sf, ul_pl, c_farads, power_w, threshold, m,
                                                     p, capacitor, g):
     try:
-        circuit = make_circuit(c_farads=c_farads, power_w=power_w, turn_on_fraction=threshold,
-                               **capacitor)
+        circuit = make_circuit(c_farads=c_farads, power_w=power_w, **capacitor)
         scenario = dataclasses.replace(make_scenario(sf=sf, ul_pl=ul_pl, interval_m=90.0,
-                                                     p1=p[0], p2=p[1]),
-                                       circuit=circuit, interval_m=m)
+                                                     p1=p[0], p2=p[1], circuit=circuit,
+                                                     turn_on_fraction=threshold),
+                                       interval_m=m)
     except ScenarioError:
         reject()
     try:
@@ -924,11 +926,11 @@ def test_the_one_pass_build_is_the_reference_build(sf, ul_pl, c_farads, power_w,
 def test_a_class_with_one_reward_is_its_reward(sf, ul_pl, c_farads, power_w, threshold, m, p,
                                                capacitor, g):
     try:
-        circuit = make_circuit(c_farads=c_farads, power_w=power_w, turn_on_fraction=threshold,
-                               **capacitor)
+        circuit = make_circuit(c_farads=c_farads, power_w=power_w, **capacitor)
         scenario = dataclasses.replace(make_scenario(sf=sf, ul_pl=ul_pl, interval_m=90.0,
-                                                     p1=p[0], p2=p[1]),
-                                       circuit=circuit, interval_m=m)
+                                                     p1=p[0], p2=p[1], circuit=circuit,
+                                                     turn_on_fraction=threshold),
+                                       interval_m=m)
         tm = build_transition_matrix(scenario, g)
     except (ScenarioError, InfeasibleScenario):
         reject()
@@ -1019,7 +1021,7 @@ class TestSharedQuantization:
         init = _Quantized.__init__
 
         def counted(self, scenario, g):
-            built.append((g, scenario.circuit.v_on, scenario.table))
+            built.append((g, scenario.v_on, scenario.table))
             init(self, scenario, g)
 
         monkeypatch.setattr(_Quantized, "__init__", counted)
@@ -1053,7 +1055,7 @@ class TestSharedQuantization:
         sweep = partial(characterize.threshold_sweep, base, axis="threshold", values=thresholds,
                         m_values=(9.0, 40.0), engine="chain")
         rows = {g: sweep(granularity=g) for g in (100, 200)}
-        wakes = [edit_scenario(base, {"threshold": t}).circuit.v_on for t in thresholds]
+        wakes = [edit_scenario(base, {"threshold": t}).v_on for t in thresholds]
         assert [(g, v_on) for g, v_on, _ in built] == [(g, v_on) for g in (100, 200)
                                                        for v_on in wakes]
         assert {table for _, _, table in built} == {base.table}

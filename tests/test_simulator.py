@@ -304,8 +304,9 @@ class _ReferenceWalk:
     is a turn-off.  The compiled phase-table walk must match it exactly.
     """
 
-    def __init__(self, circuit, v, off):
-        self.c, self.v, self.off, self.t = circuit, v, off, 0.0
+    def __init__(self, scenario, v, off):
+        self.c, self.v, self.off, self.t = scenario.circuit, v, off, 0.0
+        self.v_on = scenario.v_on
         self.trace = []
 
     def mark(self, t, state):
@@ -330,14 +331,14 @@ class _ReferenceWalk:
         return True
 
     def recharge(self, t_to):
-        c = self.c
+        c, v_on = self.c, self.v_on
         if t_to > self.t and self.off:
-            t_wake = time_to_voltage(c, DeviceState.OFF, self.v, c.v_on) if self.v < c.v_on \
+            t_wake = time_to_voltage(c, DeviceState.OFF, self.v, v_on) if self.v < v_on \
                 else 0.0
             if self.t + t_wake > t_to:
                 self.v = voltage_after(c, DeviceState.OFF, self.v, t_to - self.t)
             else:
-                self.v, self.off = max(self.v, c.v_on), False
+                self.v, self.off = max(self.v, v_on), False
                 self.t += t_wake
                 self.mark(self.t, DeviceState.SLEEP)
         if t_to > self.t and not self.off:
@@ -348,7 +349,7 @@ class _ReferenceWalk:
 def reference_run(scenario, seed, n_scheduled):
     s = scenario.schedule
     rng = random.Random(seed)
-    walk = _ReferenceWalk(scenario.circuit, scenario.circuit.v_min, off=True)
+    walk = _ReferenceWalk(scenario, scenario.circuit.v_min, off=True)
     walk.mark(0.0, DeviceState.OFF)
     n = dict.fromkeys(("ok", "lost", "aborted"), 0)
     dl_ok, dl_aborted = [0, 0], [0, 0]
@@ -390,7 +391,7 @@ def reference_run(scenario, seed, n_scheduled):
 
 
 def reference_cycle(scenario, v_start, dl_case):
-    walk = _ReferenceWalk(scenario.circuit, v_start, off=False)
+    walk = _ReferenceWalk(scenario, v_start, off=False)
     for state, duration in CycleCheck(scenario.circuit, scenario.schedule, dl_case).phases:
         if not walk.phase(state, duration):
             return walk.trace, walk.v, False
@@ -403,10 +404,8 @@ CAPACITORS = {"ideal": {}, "esr_epr": {"esr": 20.0, "epr": 50e3},
 
 
 def _scenario(capacitor, threshold, m, p1, p2, c_farads=4.7e-3):
-    scenario = make_scenario(interval_m=m, p1=p1, p2=p2)
-    circuit = make_circuit(c_farads=c_farads, turn_on_fraction=threshold,
-                           **CAPACITORS[capacitor])
-    return dataclasses.replace(scenario, circuit=circuit)
+    circuit = make_circuit(c_farads=c_farads, **CAPACITORS[capacitor])
+    return make_scenario(interval_m=m, p1=p1, p2=p2, turn_on_fraction=threshold, circuit=circuit)
 
 
 _P = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -417,13 +416,12 @@ def _generated_runs(draw):
     """(scenario, seed, n): a generated operating point and a run of n <= 200 uplinks."""
     p = _P
     try:
-        circuit = make_circuit(c_farads=draw(st.floats(2e-3, 50e-3)),
-                               power_w=draw(st.floats(1e-3, 1e-2)),
-                               turn_on_fraction=draw(st.floats(0.56, 0.9)),
+        c_farads, power_w = draw(st.floats(2e-3, 50e-3)), draw(st.floats(1e-3, 1e-2))
+        threshold = draw(st.floats(0.56, 0.9))
+        circuit = make_circuit(c_farads=c_farads, power_w=power_w,
                                **CAPACITORS[draw(st.sampled_from(sorted(CAPACITORS)))])
-        scenario = dataclasses.replace(
-            make_scenario(interval_m=draw(st.floats(3.0, 60.0)), p1=draw(p), p2=draw(p)),
-            circuit=circuit)
+        scenario = make_scenario(interval_m=draw(st.floats(3.0, 60.0)), p1=draw(p), p2=draw(p),
+                                 turn_on_fraction=threshold, circuit=circuit)
     except ScenarioError:
         assume(False)
     return scenario, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 200))
@@ -435,11 +433,11 @@ def _single_branch_runs(draw):
     regimes whose on-slot voltages cycle with a period."""
     p1, p2 = draw(st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]))
     try:
-        circuit = make_circuit(turn_on_fraction=draw(st.floats(0.55, 0.98)),
-                               **CAPACITORS[draw(st.sampled_from(["ideal", "esr_only",
+        threshold = draw(st.floats(0.55, 0.98))
+        circuit = make_circuit(**CAPACITORS[draw(st.sampled_from(["ideal", "esr_only",
                                                                   "esr_epr"]))])
-        scenario = dataclasses.replace(
-            make_scenario(interval_m=draw(st.floats(5.0, 40.0)), p1=p1, p2=p2), circuit=circuit)
+        scenario = make_scenario(interval_m=draw(st.floats(5.0, 40.0)), p1=p1, p2=p2,
+                                 turn_on_fraction=threshold, circuit=circuit)
     except ScenarioError:
         assume(False)
     return scenario, draw(st.integers(0, 2**32 - 1)), 1
@@ -512,7 +510,7 @@ def _compiled_phase(scenario, phase, v, t):
 
 def _oracle_phase(scenario, phase, v, t):
     """PhaseWalk's step through `phase`, with the Sleep point a completed cycle ends on."""
-    walk = PhaseWalk(scenario.circuit, v, off=False, trace=True)
+    walk = PhaseWalk(scenario, v, off=False, trace=True)
     walk.t = t
     completed = walk.phase(phase)
     if completed:
@@ -531,7 +529,7 @@ def _compiled_recharge(scenario, v, t, off, j, n):
 
 
 def _oracle_recharge(scenario, v, t, off, j, n):
-    walk = PhaseWalk(scenario.circuit, v, off, trace=True)
+    walk = PhaseWalk(scenario, v, off, trace=True)
     walk.t = t
     table = scenario.phases
     while j < n and not walk.ready(j * scenario.interval_m, table["off"], table["sleep"]):
@@ -544,13 +542,13 @@ def _walk_scenarios(draw):
     """A scenario on an ideal, ESR-only or ESR/EPR part, whose Off state
     may settle below the wake target."""
     try:
-        circuit = make_circuit(c_farads=draw(st.floats(1e-3, 0.1)),
-                               power_w=draw(st.floats(1e-3, 0.1)),
-                               turn_on_fraction=draw(st.floats(0.56, 0.98)),
+        c_farads, power_w = draw(st.floats(1e-3, 0.1)), draw(st.floats(1e-3, 0.1))
+        threshold = draw(st.floats(0.56, 0.98))
+        circuit = make_circuit(c_farads=c_farads, power_w=power_w,
                                **CAPACITORS[draw(st.sampled_from(["ideal", "esr_only",
                                                                   "esr_epr"]))])
-        return dataclasses.replace(make_scenario(interval_m=draw(st.floats(3.0, 60.0))),
-                                   circuit=circuit)
+        return make_scenario(interval_m=draw(st.floats(3.0, 60.0)), turn_on_fraction=threshold,
+                             circuit=circuit)
     except ScenarioError:
         assume(False)
 
@@ -593,12 +591,12 @@ class TestCompiledWalk:
         m = 9.0
         scenario = _scenario(capacitor, 0.7, m, 0.0, 0.0)
         circuit, off = scenario.circuit, scenario.phases["off"]
-        v_min, v_on = circuit.v_min, circuit.v_on
+        v_min, v_on = circuit.v_min, scenario.v_on
         # Off from v_on - 10 mV wakes within a slot; from v_min it takes
         # more than two slots; at 98 % the ESR/EPR part never wakes.
         assert wake_time(off, v_on - 0.01, v_on) < m < 2 * m < wake_time(off, v_min, v_on)
         never = _scenario(capacitor, 0.98, m, 0.0, 0.0)
-        assert (wake_time(never.phases["off"], v_min, never.circuit.v_on) == math.inf) == \
+        assert (wake_time(never.phases["off"], v_min, never.v_on) == math.inf) == \
             (capacitor == "esr_epr")
         cases = [
             (scenario, v_on - 0.01, 0.0, True, 1, 2),      # Off, wakes inside the interval
@@ -638,7 +636,7 @@ class TestCompiledWalk:
         j = data.draw(st.integers(0, 200))
         # At the slot, busy past it, or between the slot before and the slot.
         t = data.draw(st.one_of(st.just(j * m), st.floats(max(0.0, (j - 1) * m), (j + 1) * m)))
-        v = data.draw(_around(circuit.v_min, circuit.v_on, scenario.phases["off"].v_limit))
+        v = data.draw(_around(circuit.v_min, scenario.v_on, scenario.phases["off"].v_limit))
         case = (scenario, v, t, data.draw(st.booleans()), j, j + data.draw(st.integers(1, 4)))
         assert _compiled_recharge(*case) == _oracle_recharge(*case)
 
@@ -689,7 +687,7 @@ class TestAsymptoteGuard:
             if below:   # off at once, where it was
                 assert got[1:3] == (v.hex(), 0.0.hex())
             (fate, _), _, _ = settler._probe((tx,), v, 0)
-            assert fate == ((0, True, v >= circuit.v_on) if below else None), v
+            assert fate == ((0, True, v >= scenario.v_on) if below else None), v
             if v < circuit.v_min:
                 continue
             trace, v_end, completed = single_cycle_trace(scenario, v, "none")
@@ -708,7 +706,7 @@ class TestParasiticEdgeCases:
     def _scenario(self, m=9.0):
         scenario = _scenario("esr_high", 0.6, m, 0.0, 0.0)
         v_off_tx = scenario.circuit.state_params(DeviceState.TX).v_off
-        assert scenario.circuit.v_min < scenario.circuit.v_on < v_off_tx
+        assert scenario.circuit.v_min < scenario.v_on < v_off_tx
         return scenario, v_off_tx
 
     def test_phase_entered_below_turn_off_dies_at_once(self):
@@ -728,7 +726,7 @@ class TestParasiticEdgeCases:
         # point at the same instant, or the device failed to wake at once.
         assert all(nxt.device_state is DeviceState.SLEEP and nxt.time == p.time
                    for p, nxt in zip(trace, trace[1:])
-                   if p.device_state is DeviceState.OFF and p.voltage >= scenario.circuit.v_on)
+                   if p.device_state is DeviceState.OFF and p.voltage >= scenario.v_on)
         # A mid-air Tx turn-off wakes at v_off (a Sleep point at the
         # instant of its Off point); an uplink started below v_off turns
         # off and wakes at its scheduled instant.
@@ -960,10 +958,9 @@ class TestSettling:
         # From on-slot 2, a window-1 reception turns off and loses one slot,
         # a window-2 reception turns off and loses two, and a silent cycle
         # completes and loses none.
-        circuit = make_circuit(c_farads=8e-3, power_w=12e-3, turn_on_fraction=0.89,
-                               esr=5.0, epr=10e3)
-        scenario = dataclasses.replace(
-            make_scenario(sf=10, dl_pl=222, interval_m=10.0, p1=0.7, p2=0.5), circuit=circuit)
+        circuit = make_circuit(c_farads=8e-3, power_w=12e-3, esr=5.0, epr=10e3)
+        scenario = make_scenario(sf=10, dl_pl=222, interval_m=10.0, p1=0.7, p2=0.5,
+                                 turn_on_fraction=0.89, circuit=circuit)
         outcomes = ({"rx1": ("rx1", 1), "rx2": ("rx2", 2), "silent": (None, 0)},)
         slots = _settled_slots(monkeypatch)
         for n in (*range(2, 2 + 3 * 3 + 1), 300):
@@ -1146,9 +1143,8 @@ class TestSharedStart:
         # run walks (and draws in) five on-slots before its branches settle
         # apart.  A store holding the answer its seed gives from a fresh
         # generator, under the key the run looks up, must not be read.
-        scenario = dataclasses.replace(
-            make_scenario(dl_pl=51, interval_m=5.0, p1=0.7, p2=0.5),
-            circuit=make_circuit(c_farads=4.7e-3, power_w=3e-3, turn_on_fraction=0.69))
+        scenario = make_scenario(dl_pl=51, interval_m=5.0, p1=0.7, p2=0.5, c_farads=4.7e-3,
+                                 power_w=3e-3, turn_on_fraction=0.69)
         seed, n = 1, 300
         tails = []
         real = simulator._count_tail

@@ -34,13 +34,11 @@ from .simulator import SimStats, TracePoint, run_simulation, single_cycle_trace
 from .markov import (
     ChainResult,
     ChainState,
-    ThresholdLevels,
     TransitionMatrix,
     build_transition_matrix,
     chain_metrics,
     solve_chain,
     stationary_distribution,
-    threshold_levels,
 )
 from .characterize import (
     CycleCheck,

@@ -17,10 +17,10 @@ grid that reads none, such as wakeup's, compiles none), cells with equal
 The threshold edits the scenario's v_sl, so a threshold sweep runs on
 one circuit and one table.  cycle.seeded_scenario puts a cell's shared
 parts in its Scenario.  The chain's cells on one table share its
-quantized constants per granularity and wake target, which the table
-keeps (cycle.PhaseTable).  The simulator's cells share each seed's tail
-where their runs settle before any draw (see simulator's "Seed-free
-start"), from a store that lives for one call.
+quantized constants per granularity, whatever their thresholds, which
+the table keeps (cycle.PhaseTable).  The simulator's cells share each
+seed's tail where their runs settle before any draw (see simulator's
+"Seed-free start"), from a store that lives for one call.
 Sweep and accuracy cells share one engine-pair measure, _measure: the
 simulator's mean ratios over the seeds, or the chain's metrics with the
 solve's wall time.  It raises InfeasibleScenario for a cell whose

@@ -113,9 +113,10 @@ class Scenario:
 class PhaseTable:
     """One circuit's phases on one schedule: `phases` is phase_table's,
     compiled on first read, so a table nobody reads compiles nothing, and
-    `quantized` holds the Markov chain's markov._Quantized per (g, wake
-    target).  Every scenario on the circuit and schedule can share one
-    table (seeded_scenario), whatever its threshold, interval and odds."""
+    `quantized` holds the Markov chain's markov._Quantized per g, which
+    no threshold changes.  Every scenario on the circuit and schedule can
+    share one table (seeded_scenario), whatever its threshold, interval
+    and odds."""
 
     def __init__(self, circuit: CircuitConfig, schedule: TimingSchedule):
         self.circuit, self.schedule = circuit, schedule

@@ -25,14 +25,16 @@ whose recharge time depends on the level, call the phases per level,
 and each chain turns off from each (slot, level) once.  Turn-off levels
 are the phases' v_off, the wake time is the Off phase's crossing to the
 scenario's wake target Scenario.v_on.  What depends only on the phase
-table, g and the wake target (_Quantized: the thresholds, the branches'
-cycle and window times and the turn-off constants) is built once and
-kept on the table (Scenario.table), so the chains of every scenario on
-it share it.  The feasibility thresholds are read in closed form: a
-slot's step is monotone and affine before it rounds, so inverting it
-guesses the least surviving level, and a walk with the step itself from
-the guess finds the exact one.  Within SL1 the
-downlink branches read the branch table the event simulator walks,
+table and g (_Quantized: the v_min and v_max levels, the branches'
+cycle and window times and each turn-off slot's constants) is built
+once and kept on the table (Scenario.table), so the chains of every
+scenario on it share it, whatever their thresholds.
+
+The chain has one survival rule: a timed phase turns the device off
+where its end level sits at or below the level of its own v_off.  An
+awake state steps the uplink once: where it turns off the state is SL0,
+else SL1, and the fork path goes on from the uplink's end.  Within SL1
+the downlink branches read the branch table the event simulator walks,
 cycle.BRANCHES: their slots, and the SL1 fork path and the branch odds
 derived from it (cycle.PATH, Scenario.branch_odds).  A window
 always costs its preamble at the listening load, a detected downlink
@@ -41,18 +43,17 @@ brush with the turn-off voltage lands the device Off at the dying
 state's v_off, recharging for whatever remains of the interval.
 Scenario keeps the interval above cycle.min_interval_bound, which
 covers each reachable branch, so every branch's cycle ends within it.
-A state dies where its end level sits at or below the level of its own
-v_off.  The build also records each state's Rewards, and every
-delivery metric is pi . r: a window's downlink counts on the transition
-that survives listening, starts the packet at v_rx or above and sleeps.
+The build also records each state's Rewards, and every delivery metric
+is pi . r: a window's downlink counts on the transition that survives
+listening and its packet and sleeps.
 
 Inside the build a level is a whole float, not an int: levels and g lie
 below 2**53, so level / g and x * g are the int arithmetic's floats, and
 x + 2**52 - 2**52 rounds a step's x >= 0 half to even, as round(x) does,
 without making an int (from 2**52 up every float is whole already).  The
 search keys each state by one such float, -1 - level for OFF and the
-level itself awake (SL1 at or above v_tx), and makes each state a
-ChainState, with an int level, once, at the end.
+level itself awake, records each row's kind as it computes it, and
+makes each state a ChainState, with an int level, once, at the end.
 
 The chain is built only over states reachable from (OFF, level(v_min)),
 which keeps it small, and is kept as its rows: each state's successors
@@ -91,28 +92,15 @@ class ChainState(NamedTuple):
     level: int
 
 
-@dataclass(frozen=True)
-class ThresholdLevels:
-    """Quantized decision levels of the chain (all in capacitor voltage levels)."""
-
-    v_min: int   # the chain's start: Off at the turn-off voltage
-    v_on: int    # wake target: OFF levels lie below it
-    v_tx: int    # minimal sleep level from which an uplink still finishes
-    v_rx1: int   # minimal reception-start level surviving window 1 (v_max+1 if none)
-    v_rx2: int   # minimal reception-start level surviving window 2 (v_max+1 if none)
-    v_max: int
-    v_off: dict  # DeviceState -> level of the state's turn-off voltage
-
-
 def level_of(v: float, g: int) -> int:
     """round-to-nearest voltage level (ties to even, Python round)."""
     return round(v * g)
 
 
 def check_granularity(g: int, e: float) -> int:
-    """The level of the operating voltage e, for a whole g >= 1 that keeps it
-    an exact float: past 2**53 the threshold search would walk levels one by one."""
-    if not isinstance(g, int) or g < 1:
+    """The level of the operating voltage e, for a whole g >= 1 (not a bool)
+    that keeps it an exact float: past 2**53 levels stop being whole floats."""
+    if not isinstance(g, int) or isinstance(g, bool) or g < 1:
         raise ScenarioError(f"granularity must be an integer >= 1, got {g!r}")
     if level_of(e, g) > 2**53:
         raise ScenarioError(f"granularity {g} puts the level of {e} V past 2**53")
@@ -127,106 +115,44 @@ def _affine(phase: Phase, t: float) -> tuple[float, float]:
     return phase.v_limit * (1.0 - decay), decay
 
 
-def _level_step(phase: Phase, g: int, v_max: int, t: float | None = None) -> Callable[[int], int]:
-    """The phase compiled into the chain's level map at a fixed time.
-
-    level -> round(phase.after(level / g[, t]) * g), clipped to [0, v_max],
-    walked as plain arithmetic on the phase's affine constants: the same
-    float operations, in the same order, as Phase.after, so bit-identical
-    to it.  The build inlines this expression on whole-float levels.
-    """
-    offset, decay = (phase.offset, phase.decay) if t is None else _affine(phase, t)
-
-    def step(level: int) -> int:
-        nxt = round((offset + level / g * decay) * g)
-        return 0 if nxt < 0 else v_max if nxt > v_max else nxt   # min and max cost calls
-    return step
-
-
-def _least_level(phase: Phase, g: int, v_min: int, v_max: int, target: int) -> int:
-    """Least start level in [v_min, v_max] whose step through `phase` ends at
-    or above `target`, v_max + 1 if none.  The step is monotone and affine
-    before it rounds, so inverting offset + level / g * decay =
-    (target - 1/2) / g guesses the boundary, and walking the step itself
-    from the guess lands on it exactly."""
-    step = _level_step(phase, g, v_max)
-    offset, decay = phase.offset, phase.decay
-    if decay > 0.0:
-        guess = (target - 0.5 - offset * g) / decay
-    else:   # the phase forgets where it started: every level steps alike
-        guess = -math.inf if step(v_min) >= target else math.inf
-    level = math.ceil(max(v_min, min(guess, v_max + 1)))
-    while level > v_min and step(level - 1) >= target:
-        level -= 1
-    while level <= v_max and step(level) < target:
-        level += 1
-    return level
-
-
 class _Quantized:
-    """One phase table at g levels per volt and one wake target: what every
-    chain on them shares, whatever its interval and odds.
+    """One phase table at g levels per volt: what every chain on it shares,
+    whatever its threshold, interval and odds.
 
-    That is the chain's ThresholdLevels, in `thresholds`; each detected
-    branch's window on the fork path, its listening slot and its packet
-    (the last two of its slots), in `windows`; each branch's cycle length
-    in `ends` and each window's opening time in `opens`,
-    cycle.cycle_length of its slots; and, per slot a device can turn off
-    in (the uplink and each window's two), its state's v_off level, the
-    Off-state recharge time from v_off to the wake target (inf if
-    unreachable), the phase's crossing and its length, in `turn_offs`.
-    The scenario's PhaseTable keeps one per (g, wake target) for _search.
-    Raises InfeasibleScenario as threshold_levels does.
+    That is the levels of the turn-off and the operating voltage, `v_min`
+    and `v_max`; each detected branch's window on the fork path, its
+    listening slot and its packet (the last two of its slots), in
+    `windows`; each branch's cycle length in `ends` and each window's
+    opening time in `opens`, cycle.cycle_length of its slots; and, per
+    slot a device can turn off in (the uplink and each window's two), its
+    state's v_off level, that v_off, the phase's crossing and its length,
+    in `turn_offs`.  Nothing here reads the wake target.  The scenario's
+    PhaseTable keeps one per g for _search.  Raises InfeasibleScenario
+    when the uplink from v_max turns off: then no level can fund it.
     """
 
     def __init__(self, scenario: Scenario, g: int):
         circuit, phases = scenario.circuit, scenario.phases
-        v_max = check_granularity(g, circuit.operating_voltage)
-        v_min = level_of(circuit.v_min, g)
-        v_off = {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
-
-        def least(phase: Phase) -> int:
-            return _least_level(phase, g, v_min, v_max, v_off[phase.state] + 1)
-
+        self.v_max = v_max = check_granularity(g, circuit.operating_voltage)
+        self.v_min = level_of(circuit.v_min, g)
+        self.windows = windows = {branch: BRANCHES[branch].slots[-2:] for _, branch in PATH
+                                  if branch}
+        self.turn_offs = turn_offs = {}
+        for slot in ("tx", *chain.from_iterable(windows.values())):
+            phase = phases[slot]
+            turn_offs[slot] = (level_of(phase.v_off, g), phase.v_off, phase.cross, phase.duration)
         tx = phases["tx"]
-        v_tx = least(tx)
-        if v_tx > v_max:
+        if round((tx.offset + v_max / g * tx.decay) * g) <= turn_offs["tx"][0]:
             raise InfeasibleScenario(
                 f"no voltage level up to {circuit.operating_voltage} V can fund a "
                 f"{tx.duration * 1e3:.1f} ms transmission with C = "
                 f"{circuit.capacitor.capacitance * 1e3:.3g} mF"
             )
-        self.windows = windows = {branch: BRANCHES[branch].slots[-2:] for _, branch in PATH
-                                  if branch}
-        wake_v = scenario.v_on
-        # The packet slot of each detected branch sets its v_<branch>.
-        self.thresholds = ThresholdLevels(
-            v_min=v_min, v_on=level_of(wake_v, g), v_tx=v_tx, v_max=v_max, v_off=v_off,
-            **{f"v_{branch}": least(phases[rx]) for branch, (_, rx) in windows.items()})
-        self.turn_offs = turn_offs = {}
-        for slot in ("tx", *chain.from_iterable(windows.values())):
-            phase = phases[slot]
-            turn_offs[slot] = (v_off[phase.state], wake_time(phases["off"], phase.v_off, wake_v),
-                               phase.cross, phase.duration)
         schedule = scenario.schedule
         self.ends = {branch: cycle_length(schedule, spec.slots)
                      for branch, spec in BRANCHES.items()}
         self.opens = {branch: cycle_length(schedule, BRANCHES[branch].slots[:-2])
                       for branch in windows}
-
-
-def threshold_levels(scenario: Scenario, g: int) -> ThresholdLevels:
-    """Quantized feasibility thresholds for transmit and both receptions.
-
-    A phase survives when its end level lies above the level of its
-    state's turn-off voltage; _least_level reads each least surviving
-    level in closed form.  Raises InfeasibleScenario when no level can
-    fund a full transmission (the capacitor is simply too small); the
-    reception thresholds use the sentinel v_max + 1 instead, because an
-    unreceivable downlink still leaves a working uplink-only device.  The
-    packet slot of each detected branch on the fork path sets its v_<branch>.
-    """
-    return _Quantized(scenario, g).thresholds
 
 
 class Rewards(NamedTuple):
@@ -257,7 +183,6 @@ class TransitionMatrix:
     successors: tuple[tuple[int, ...], ...]
     probabilities: tuple[tuple[float, ...], ...]
     rewards: tuple[Rewards, ...]
-    thresholds: ThresholdLevels
 
     @cached_property
     def closed_classes(self) -> list[list[int]]:
@@ -286,21 +211,22 @@ def _search(scenario: Scenario, g: int, start: ChainState | None = None) -> Tran
     (OFF, level(v_min)), in one breadth-first pass.
 
     The search numbers each state as a row first emits it, computes the
-    row inline and records its successors and probabilities in the same
-    pass.  Keys and levels are whole floats (see the module docstring);
-    a step's x = (offset + level / g * decay) * g sums nonnegative terms,
-    so x >= 0 and only v_max can clip it.
+    row inline and records its successors, probabilities and kind in the
+    same pass.  Keys and levels are whole floats (see the module
+    docstring); a step's x = (offset + level / g * decay) * g sums
+    nonnegative terms, so x >= 0 and only v_max can clip it.
     """
     phases, m, wake_v = scenario.phases, scenario.interval_m, scenario.v_on
-    # The first chain on the table at (g, wake target) quantizes it for all.
+    # The first chain on the table at g quantizes it for all.
     quantized = scenario.table.quantized
-    table = quantized.get((g, wake_v))
+    table = quantized.get(g)
     if table is None:
-        table = quantized[g, wake_v] = _Quantized(scenario, g)
-    thr, turn_offs = table.thresholds, table.turn_offs
+        table = quantized[g] = _Quantized(scenario, g)
+    turn_offs = table.turn_offs
     # Levels and g as floats: below 2**53 both convert exactly, so level / g
     # and x * g are the int arithmetic's floats.
-    g, v_max, v_tx, v_on = float(g), float(thr.v_max), float(thr.v_tx), float(thr.v_on)
+    v_on = float(level_of(wake_v, g))
+    g, v_max = float(g), float(table.v_max)
     whole, off, sleep = _WHOLE, phases["off"], phases["sleep"]
     off_limit, off_tau, sleep_limit, sleep_tau = off.v_limit, off.tau, sleep.v_limit, sleep.tau
 
@@ -326,11 +252,13 @@ def _search(scenario: Scenario, g: int, start: ChainState | None = None) -> Tran
         The device turns off at the continuous v_off crossing, capped at
         the phase length (the cap covers quantization edges where the
         rounded end level says "died" but the trajectory grazes just above
-        v_off), and the capacitor stays at v_off.  A phase entered below
-        the level of v_off turns off at once, with the capacitor where it
-        was.
+        v_off), and the capacitor stays at v_off, from which the Off state
+        charges to the wake target in t_wake (inf if unreachable).  A
+        phase entered below the level of v_off turns off at once, with the
+        capacitor where it was.
         """
-        off_level, t_wake, cross, duration = turn_offs[slot]
+        off_level, v_off, cross, duration = turn_offs[slot]
+        t_wake = wake_time(off, v_off, wake_v)
         memo: dict[float, float] = {}
 
         def die(level: float) -> float:
@@ -347,99 +275,115 @@ def _search(scenario: Scenario, g: int, start: ChainState | None = None) -> Tran
             return dest
         return die
 
-    # (offset, decay, window) per slot of the fork path; a window is (p, 1 -
-    # p, listening's v_off level, its die, the level the packet needs, the
-    # packet's offset, decay and die, the branch's sleep-out offset and
+    # (offset, decay, window) per slot of the fork path after the uplink; a
+    # window is (p, 1 - p, listening's v_off level and die, the packet's
+    # offset, decay, v_off level and die, the branch's sleep-out offset and
     # decay, its bit in the set of receiving windows).  A branch no cycle
     # takes (p = 0, or an earlier window certain) gets no mass, and a NaN
     # sleep-out that no row reads.
     sleep_out = {branch: _affine(sleep, m - table.ends[branch]) for branch in scenario.branches}
+    (tx_slot, _), *fork = PATH
     path, bits = [], 1
-    for slot, branch in PATH:
+    for slot, branch in fork:
         window = None
         if branch is not None:
             listen, rx = table.windows[branch]
             p, t = getattr(scenario, BRANCHES[branch].odds), table.opens[branch]
             window = (p, 1.0 - p, float(turn_offs[listen][0]), dying(listen, t),
-                      float(getattr(thr, f"v_{branch}")), phases[rx].offset, phases[rx].decay,
+                      phases[rx].offset, phases[rx].decay, float(turn_offs[rx][0]),
                       dying(rx, t, phases[listen].duration),
                       *sleep_out.get(branch, (math.nan, math.nan)), bits)
             bits *= 2
         path.append((phases[slot].offset, phases[slot].decay, window))
-    die_tx = dying("tx", 0.0)
+    tx = phases[tx_slot]
+    tx_offset, tx_decay, tx_off = tx.offset, tx.decay, float(turn_offs[tx_slot][0])
+    die_tx = dying(tx_slot, 0.0)
     quiet_offset, quiet_decay = sleep_out.get("silent", (math.nan, math.nan))
     q1, q2 = (scenario.branch_odds[b][0] for _, b in PATH if b)
     rewarded = [Rewards(0.0, q1 if r & 1 else 0.0, q2 if r & 2 else 0.0) for r in range(bits)]
 
     if start is None:
-        start = ChainState(OFF, thr.v_min)
+        start = ChainState(OFF, table.v_min)
     keys = [-1.0 - start.level if start.kind == OFF else float(start.level)]
     index = {keys[0]: 0}
+    kinds: list[str] = []
     successors: list[tuple[int, ...]] = []
     probabilities: list[tuple[float, ...]] = []
     rewards: list[Rewards] = []
     for key in keys:    # the list grows as rows emit new states
         if key < 0.0:   # OFF
+            kinds.append(OFF)
             level = -1.0 - key
             dest = recharge(level, wake_time(off, level / g, wake_v), m)
-        elif key < v_tx:   # SL0: the uplink starts but runs out of energy mid-air
-            dest = die_tx(key)
         else:
-            # SL1: the uplink completes, then the fork path's receive windows.  A
-            # window, reached with probability `reach`, opens only when the
-            # earlier ones stayed silent and the device is still on.  It adds
-            # its detected branch, and the silent one if the device dies
-            # listening; the detected branch that sleeps out its cycle receives.
-            level = key
-            dests: dict[float, float] = {}
-            reach, received = 1.0, 0
-            for offset, decay, window in path:
-                x = (offset + level / g * decay) * g
-                end = x if x >= whole else x + whole - whole
-                if end > v_max:
-                    end = v_max
-                if window is not None:
-                    (p, miss, v_off, die_listen, v_rx, rx_offset, rx_decay, die_rx, out_offset,
-                     out_decay, bit) = window
-                    detected, reach = reach * p, reach * miss
-                    if end <= v_off:   # died listening
-                        if detected > 0.0 or reach > 0.0:
-                            dest = die_listen(level)
-                            if detected > 0.0:
-                                dests[dest] = dests.get(dest, 0.0) + detected
-                            if reach > 0.0:
-                                dests[dest] = dests.get(dest, 0.0) + reach
-                        reach = 0.0
-                    elif detected > 0.0:
-                        if end >= v_rx:   # received: sleep out the branch's cycle
+            # Awake: the uplink starts, and turns the device off where its end
+            # level sits at or below the level of its v_off.
+            x = (tx_offset + key / g * tx_decay) * g
+            level = x if x >= whole else x + whole - whole
+            if level > v_max:
+                level = v_max
+            if level <= tx_off:   # SL0: the uplink runs out of energy mid-air
+                kinds.append(SL0)
+                dest = die_tx(key)
+            else:
+                # SL1: the uplink completes, then the fork path's receive
+                # windows.  A window, reached with probability `reach`, opens
+                # only when the earlier ones stayed silent and the device is
+                # still on.  It adds its detected branch, and the silent one if
+                # the device dies listening; the detected branch whose packet
+                # survives sleeps out its cycle and receives.
+                kinds.append(SL1)
+                dests: dict[float, float] = {}
+                reach, received = 1.0, 0
+                for offset, decay, window in path:
+                    x = (offset + level / g * decay) * g
+                    end = x if x >= whole else x + whole - whole
+                    if end > v_max:
+                        end = v_max
+                    if window is not None:
+                        (p, miss, listen_off, die_listen, rx_offset, rx_decay, rx_off, die_rx,
+                         out_offset, out_decay, bit) = window
+                        detected, reach = reach * p, reach * miss
+                        if end <= listen_off:   # died listening
+                            if detected > 0.0 or reach > 0.0:
+                                dest = die_listen(level)
+                                if detected > 0.0:
+                                    dests[dest] = dests.get(dest, 0.0) + detected
+                                if reach > 0.0:
+                                    dests[dest] = dests.get(dest, 0.0) + reach
+                            reach = 0.0
+                        elif detected > 0.0:
                             x = (rx_offset + end / g * rx_decay) * g
                             nxt = x if x >= whole else x + whole - whole
-                            x = (out_offset + (v_max if nxt > v_max else nxt) / g * out_decay) * g
-                            dest = x if x >= whole else x + whole - whole
-                            if dest > v_max:
-                                dest = v_max
-                            received |= bit
-                        else:
-                            dest = die_rx(end)
-                        dests[dest] = dests.get(dest, 0.0) + detected
-                level = end
-            if reach > 0.0:
-                x = (quiet_offset + level / g * quiet_decay) * g
-                dest = x if x >= whole else x + whole - whole
-                if dest > v_max:
-                    dest = v_max
-                dests[dest] = dests.get(dest, 0.0) + reach
-            cols = []
-            for dest in dests:
-                j = index.get(dest)
-                if j is None:
-                    j = index[dest] = len(keys)
-                    keys.append(dest)
-                cols.append(j)
-            successors.append(tuple(cols))
-            probabilities.append(tuple(dests.values()))
-            rewards.append(rewarded[received])
-            continue
+                            if nxt > v_max:
+                                nxt = v_max
+                            if nxt > rx_off:   # received: sleep out the branch's cycle
+                                x = (out_offset + nxt / g * out_decay) * g
+                                dest = x if x >= whole else x + whole - whole
+                                if dest > v_max:
+                                    dest = v_max
+                                received |= bit
+                            else:
+                                dest = die_rx(end)
+                            dests[dest] = dests.get(dest, 0.0) + detected
+                    level = end
+                if reach > 0.0:
+                    x = (quiet_offset + level / g * quiet_decay) * g
+                    dest = x if x >= whole else x + whole - whole
+                    if dest > v_max:
+                        dest = v_max
+                    dests[dest] = dests.get(dest, 0.0) + reach
+                cols = []
+                for dest in dests:
+                    j = index.get(dest)
+                    if j is None:
+                        j = index[dest] = len(keys)
+                        keys.append(dest)
+                    cols.append(j)
+                successors.append(tuple(cols))
+                probabilities.append(tuple(dests.values()))
+                rewards.append(rewarded[received])
+                continue
         j = index.get(dest)
         if j is None:
             j = index[dest] = len(keys)
@@ -448,11 +392,10 @@ def _search(scenario: Scenario, g: int, start: ChainState | None = None) -> Tran
         probabilities.append(_CERTAIN)
         rewards.append(_LOST)
     make = tuple.__new__   # ChainState(kind, level) without the namedtuple's Python frame
-    states = tuple([make(ChainState, (OFF, int(-1.0 - key)) if key < 0.0 else
-                         (SL1 if key >= v_tx else SL0, int(key))) for key in keys])
+    states = tuple([make(ChainState, (kind, int(-1.0 - key) if kind is OFF else int(key)))
+                    for kind, key in zip(kinds, keys)])
     return TransitionMatrix(states=states, successors=tuple(successors),
-                            probabilities=tuple(probabilities), rewards=tuple(rewards),
-                            thresholds=thr)
+                            probabilities=tuple(probabilities), rewards=tuple(rewards))
 
 
 def _closed_classes(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:

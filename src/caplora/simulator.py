@@ -449,8 +449,9 @@ def run_simulation(scenario: Scenario, seed: int, n_scheduled: int = 1000,
 
     Deterministic for a fixed (scenario, seed, n_scheduled).  Returns the
     outcome counters and, when trace is set, the state/voltage trajectory
-    at phase boundaries.
+    at phase boundaries.  The seed is checked as run_seeds checks its seeds.
     """
+    check_seeds((seed,))
     return _simulate(scenario, (seed,), n_scheduled, trace)[0]
 
 

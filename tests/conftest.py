@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from caplora.markov import (
     Rewards,
     TransitionMatrix,
     _affine,
-    threshold_levels,
 )
 from caplora.simulator import TracePoint
 
@@ -379,6 +379,48 @@ def rk4_capacitor(e, r_i, r_load, esr, epr, c, v0, t, steps: int = 4000):
     return v, load(v)
 
 
+def reference_step(scenario, g: int, phase, level: int, *t) -> int:
+    """One step of the chain's level map by Phase.after: the end level of
+    `phase` entered at `level` (a recharge phase after t), rounded and
+    clipped to [0, level(E)]."""
+    v_max = round(scenario.circuit.operating_voltage * g)
+    return min(max(round(phase.after(level / g, *t) * g), 0), v_max)
+
+
+def reference_thresholds(scenario, g: int):
+    """The chain's decision levels, found by scanning the phases, apart from
+    caplora.markov: the levels of v_min, the wake target, E and each
+    state's v_off (`v_off`, by DeviceState), and the least level in [v_min,
+    v_max] from which the uplink (`v_tx`) and each window's packet
+    (`v_rx1`, `v_rx2`) end above the level of their v_off; v_max + 1 for
+    a packet no level survives.  A bisection over reference_step, which is
+    monotone in the level.  Raises InfeasibleScenario when no level funds
+    the uplink."""
+    from types import SimpleNamespace
+
+    from caplora.errors import InfeasibleScenario
+
+    circuit, phases, step = scenario.circuit, scenario.phases, partial(reference_step, scenario, g)
+    v_min, v_max = round(circuit.v_min * g), round(circuit.operating_voltage * g)
+    v_off = {phase.state: round(phase.v_off * g) for phase in phases.values()}
+
+    def least_surviving(phase):
+        lo, hi = v_min, v_max + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if step(phase, mid) > v_off[phase.state]:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    v_tx, v_rx1, v_rx2 = (least_surviving(phases[slot]) for slot in ("tx", "rx1", "rx2"))
+    if v_tx > v_max:
+        raise InfeasibleScenario("no level funds a transmission")
+    return SimpleNamespace(v_min=v_min, v_on=round(scenario.v_on * g), v_tx=v_tx, v_rx1=v_rx1,
+                           v_rx2=v_rx2, v_max=v_max, v_off=v_off)
+
+
 def reference_chain(scenario, g: int):
     """Reference build of the Markov chain: what caplora.markov's
     build_transition_matrix must return, bit for bit.
@@ -390,43 +432,21 @@ def reference_chain(scenario, g: int):
     rules are the chain's: turn-offs recharge from the state's v_off level
     (from the level itself when entered below it), window 2 opens only
     after a silent window 1, and a window's reward is its branch's odds on
-    the rows whose detected branch survives listening and its packet.  Returns states, successors, rewards, the thresholds as
-    a dict of ThresholdLevels' fields, the dense matrix, `step` and
-    `ends`, each sleep-out branch's elapsed time.
+    the rows whose detected branch survives listening and its packet,
+    where the packet starts at or above reference_thresholds' v_rx of
+    its window.  Returns states, successors, rewards, the dense matrix,
+    `step` and `ends`, each sleep-out branch's elapsed time.
     """
     from types import SimpleNamespace
 
     from caplora.energy import wake_time
-    from caplora.errors import InfeasibleScenario
 
-    circuit, phases = scenario.circuit, scenario.phases
+    phases, step = scenario.phases, partial(reference_step, scenario, g)
     m, p1, p2 = scenario.interval_m, scenario.p1, scenario.p2
-    v_max = round(circuit.operating_voltage * g)
-
-    def step(phase, level, *t):
-        return min(max(round(phase.after(level / g, *t) * g), 0), v_max)
-
-    def least_surviving(phase, target):
-        lo, hi = v_min, v_max
-        if step(phase, hi) < target:
-            return None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if step(phase, mid) >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    v_min, v_on = round(circuit.v_min * g), round(scenario.v_on * g)
-    v_off = {phase.state: round(phase.v_off * g) for phase in phases.values()}
+    thr = reference_thresholds(scenario, g)
+    v_on, v_off, v_tx, v_rx1, v_rx2 = thr.v_on, thr.v_off, thr.v_tx, thr.v_rx1, thr.v_rx2
     tx, idle1, listen1, rx1, idle2, listen2, rx2, off, sleep = (phases[slot] for slot in (
         "tx", "idle1", "listen1", "rx1", "idle2", "listen2", "rx2", "off", "sleep"))
-    v_tx = least_surviving(tx, v_off[tx.state] + 1)
-    if v_tx is None:
-        raise InfeasibleScenario("no level funds a transmission")
-    v_rx = [least_surviving(rx, v_off[rx.state] + 1) for rx in (rx1, rx2)]
-    v_rx1, v_rx2 = (v_max + 1 if v is None else v for v in v_rx)
     ends = {}
 
     def wake(v):
@@ -497,7 +517,7 @@ def reference_chain(scenario, g: int):
             add(to_sleep("silent", w2, t_win2 + listen2.duration), quiet)
         return dests, (0.0, p1 if got1 else 0.0, (1.0 - p1) * p2 if got2 else 0.0)
 
-    states, index, rows, rewards = [("OFF", v_min)], {("OFF", v_min): 0}, [], []
+    states, index, rows, rewards = [("OFF", thr.v_min)], {("OFF", thr.v_min): 0}, [], []
     frontier = 0
     while frontier < len(states):
         dests, reward = row(*states[frontier])
@@ -513,10 +533,8 @@ def reference_chain(scenario, g: int):
     for i, dests in enumerate(rows):
         for dest, prob in dests.items():
             matrix[i, index[dest]] = prob
-    thresholds = dict(v_min=v_min, v_on=v_on, v_tx=v_tx, v_rx1=v_rx1, v_rx2=v_rx2,
-                      v_max=v_max, v_off=v_off)
     return SimpleNamespace(states=tuple(states), successors=successors, rewards=tuple(rewards),
-                           thresholds=thresholds, matrix=matrix, step=step, ends=ends)
+                           matrix=matrix, step=step, ends=ends)
 
 
 # -- the chain build before it became one pass --------------------------------
@@ -544,15 +562,19 @@ class ReferenceRowBuilder:
     path at its listening slot and opens when the slots before them end;
     times are cycle.cycle_length of the slots on the schedule the phases
     were compiled from.  The SL1 row steps the fork path's timed slots
-    inline with _level_step's expression.  A turn-off recharges from a
-    level-dependent time, so it calls Phase.cross, Phase.after and
-    wake_time per row; a window that dies listening turns off once for
-    its detected and its silent mass.  The rewards are shared: one Rewards
+    inline with the chain's level map, min(max(round((offset + level / g
+    * decay) * g), 0), v_max), and compares levels with the thresholds of
+    reference_thresholds, the decisions the build made before it tested
+    survival directly.  A turn-off recharges from a level-dependent time,
+    so it calls Phase.cross, Phase.after and wake_time per row; a window
+    that dies listening turns off once for its detected and its silent
+    mass.  The rewards are shared: one Rewards
     per set of windows whose transition receives.
     """
 
-    def __init__(self, scenario, g: int, thr):
+    def __init__(self, scenario, g: int):
         phases, schedule, m = scenario.phases, scenario.schedule, scenario.interval_m
+        thr = reference_thresholds(scenario, g)
         v_max, v_on, v_tx = thr.v_max, thr.v_on, thr.v_tx
         off, wake_v = phases["off"], scenario.v_on
         off_after, sleep_after = off.after, phases["sleep"].after
@@ -675,9 +697,8 @@ def reference_build(scenario, g: int):
     emit plain (kind, level) tuples, which hash and compare equal to
     ChainState; each state is made a ChainState once, when it is found.
     """
-    thr = threshold_levels(scenario, g)
-    row = ReferenceRowBuilder(scenario, g, thr).row
-    initial = ChainState(OFF, thr.v_min)
+    row = ReferenceRowBuilder(scenario, g).row
+    initial = ChainState(OFF, round(scenario.circuit.v_min * g))
     index = {initial: 0}
     states: list[ChainState] = [initial]
     successors: list[tuple[int, ...]] = []
@@ -697,8 +718,7 @@ def reference_build(scenario, g: int):
         probabilities.append(tuple(dests.values()))
         rewards.append(reward)
     return TransitionMatrix(states=tuple(states), successors=tuple(successors),
-                            probabilities=tuple(probabilities), rewards=tuple(rewards),
-                            thresholds=thr)
+                            probabilities=tuple(probabilities), rewards=tuple(rewards))
 
 
 def reference_closed_classes(successors):

@@ -569,9 +569,8 @@ def test_every_command_runs_without_numpy(tmp_path):
     assert json.loads(_python(code, json.dumps(calls))) == [0] * len(calls)
 
 
-CHAIN_NAMES = ("ChainResult", "ChainState", "ThresholdLevels", "TransitionMatrix",
-               "build_transition_matrix", "chain_metrics", "solve_chain",
-               "stationary_distribution", "threshold_levels")
+CHAIN_NAMES = ("ChainResult", "ChainState", "TransitionMatrix", "build_transition_matrix",
+               "chain_metrics", "solve_chain", "stationary_distribution")
 
 
 def test_chain_names_are_the_markov_objects():
@@ -1169,6 +1168,20 @@ def test_parasitic_matrix_dump_is_byte_identical(tmp_path, capsys):
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / "chain_parasitic.csv").read_bytes()
     assert dump.read_bytes() == (GOLDEN / "chain_parasitic_matrix.csv").read_bytes()
+
+
+# stochastic.ini at M = 7 s, a 56 % threshold and g = 200: 5 states.  Its SL0
+# state at level 387 lies just below the SL1 state at 392, window 1 receives
+# and window 2 loses its downlinks.
+SL0_CHAIN = ["chain", "--scenario", str(GOLDEN / "stochastic.ini"), "--m", "7", "--threshold",
+             "0.56", "--granularity", "200"]
+
+
+def test_sl0_matrix_dump_is_byte_identical(tmp_path, capsys):
+    dump = tmp_path / "matrix.csv"
+    assert main(SL0_CHAIN + ["--dump-matrix", str(dump)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "200,7,0.56,0.588235,0.123529,0"
+    assert dump.read_bytes() == (GOLDEN / "chain_sl0_matrix.csv").read_bytes()
 
 
 class _RecordingPool:

@@ -14,7 +14,7 @@ from caplora import characterize, cycle, defaults, markov, simulator
 from caplora.characterize import ACCURACY_CASES, M_CLASSES, accuracy_case_edits, edit_scenario
 from caplora.cli import f_val
 from caplora.config import load_scenario
-from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after
+from caplora.energy import DeviceState, compile_phase, time_to_voltage, voltage_after, wake_time
 from caplora.errors import InfeasibleScenario, ScenarioError
 from caplora.markov import (
     OFF,
@@ -22,12 +22,9 @@ from caplora.markov import (
     SL1,
     ChainState,
     Rewards,
-    ThresholdLevels,
     TransitionMatrix,
     _affine,
     _closed_classes,
-    _least_level,
-    _level_step,
     _Quantized,
     _search,
     build_transition_matrix,
@@ -36,7 +33,6 @@ from caplora.markov import (
     long_run_metrics,
     solve_chain,
     stationary_distribution,
-    threshold_levels,
 )
 from caplora.cycle import min_interval_bound
 from caplora.simulator import run_simulation
@@ -53,6 +49,7 @@ from conftest import (
     reference_chain,
     reference_closed_classes,
     reference_stationary,
+    reference_thresholds,
     stationary_oracle,
     turn_on,
     with_phases,
@@ -64,8 +61,12 @@ EVEN_INI = str(pathlib.Path(__file__).parent / "data" / "stochastic_even.ini")
 
 
 def _step(phase, level, *t, g=G):
-    """One step of the chain's compiled level map; a recharge phase takes its time t."""
-    return _level_step(phase, g, level_of(defaults.OPERATING_VOLTAGE, g), *t)(level)
+    """One step of the chain's level map, min(max(round((offset + level / g
+    * decay) * g), 0), v_max), which the build inlines: a timed phase's own
+    affine constants, a recharge phase's _affine over its time t."""
+    offset, decay = _affine(phase, *t) if t else (phase.offset, phase.decay)
+    nxt = round((offset + level / g * decay) * g)
+    return min(max(nxt, 0), level_of(defaults.OPERATING_VOLTAGE, g))
 
 
 def _row(scenario, g, state):
@@ -73,6 +74,25 @@ def _row(scenario, g, state):
     tm = _search(scenario, g, start=state)
     return {tm.states[j]: p for j, p in zip(tm.successors[0], tm.probabilities[0])}, \
         tm.rewards[0]
+
+
+def _awake(scenario, g, level):
+    """The kind and Rewards the build gives the awake state at `level`."""
+    tm = _search(scenario, g, start=ChainState(SL1, level))
+    return tm.states[0].kind, tm.rewards[0]
+
+
+def _least_sl1(scenario, g):
+    """The least awake level the build calls SL1, by bisection over the
+    levels from v_min to v_max: the uplink's end is monotone in its start."""
+    lo, hi = level_of(scenario.circuit.v_min, g), level_of(scenario.circuit.operating_voltage, g)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _awake(scenario, g, mid)[0] == SL1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class TestDiscreteOps:
@@ -130,44 +150,57 @@ class TestDiscreteOps:
         # a tie, which goes to the even level as level_of rounds it.
         tie = phase_with(compile_phase(make_circuit(), DeviceState.IDLE, 1.0),
                          v_limit=4.0, decay=0.5)
-        assert _level_step(tie, 1, 10)(1) == level_of(2.5, 1) == 2
+        assert _step(tie, 1, g=1) == level_of(2.5, 1) == 2
 
     def test_granularity_validated(self):
         scenario = make_scenario(interval_m=9.0)
         with pytest.raises(ScenarioError):
-            threshold_levels(scenario, 0)
+            build_transition_matrix(scenario, 0)
+
+    # A bool is an int to isinstance: solve_chain(s, True) once ran at g = 1.
+    @pytest.mark.parametrize("g", [True, False])
+    def test_granularity_is_a_whole_number_not_a_bool(self, g):
+        scenario = make_scenario(interval_m=9.0)
+        for call in (build_transition_matrix, solve_chain):
+            with pytest.raises(ScenarioError, match=f"granularity must be an integer >= 1, "
+                                                    f"got {g!r}"):
+                call(scenario, g)
 
 
 class TestThresholdLevels:
+    """Where the chain's one survival rule puts its decisions: the least
+    level whose uplink completes, and the capacitors that fund none."""
+
     def test_negligible_discharge_needs_one_level(self):
         # 1 F at 100 mW barely sags during a 26 ms uplink: the minimal
         # surviving level is exactly one above the turn-off level.
         scenario = make_scenario(ul_pl=1, power_w=0.1, c_farads=1.0, interval_m=9.0)
-        thr = threshold_levels(scenario, G)
-        assert thr.v_tx == thr.v_min + 1
+        v_min = level_of(scenario.circuit.v_min, G)
+        assert _least_sl1(scenario, G) == v_min + 1
+        assert [_awake(scenario, G, level)[0] for level in (v_min, v_min + 1)] == [SL0, SL1]
 
     def test_tx_threshold_agrees_with_cycle_engine(self):
         scenario = make_scenario(interval_m=9.0)
-        thr = threshold_levels(scenario, G)
-        v_end = voltage_after(scenario.circuit, DeviceState.TX,
-                              thr.v_tx / G, scenario.schedule.t_tx)
-        assert abs(level_of(v_end, G) - (thr.v_min + 1)) <= 1
+        v_min, v_tx = level_of(scenario.circuit.v_min, G), _least_sl1(scenario, G)
+        v_end = voltage_after(scenario.circuit, DeviceState.TX, v_tx / G, scenario.schedule.t_tx)
+        assert abs(level_of(v_end, G) - (v_min + 1)) <= 1
         # one level lower must not survive
         v_below = voltage_after(scenario.circuit, DeviceState.TX,
-                                (thr.v_tx - 1) / G, scenario.schedule.t_tx)
-        assert level_of(v_below, G) <= thr.v_min + 1
+                                (v_tx - 1) / G, scenario.schedule.t_tx)
+        assert level_of(v_below, G) <= v_min + 1
 
     def test_tiny_capacitor_infeasible(self):
         scenario = make_scenario(sf=11, ul_pl=48, c_farads=0.1e-3, interval_m=30.0)
-        with pytest.raises(InfeasibleScenario):
-            threshold_levels(scenario, G)
+        with pytest.raises(InfeasibleScenario, match="can fund a 1069.1 ms transmission"):
+            build_transition_matrix(scenario, G)
 
     def test_ordering(self):
         scenario = make_scenario(interval_m=9.0)
-        thr = threshold_levels(scenario, G)
-        assert thr.v_min < thr.v_on <= thr.v_max
-        assert thr.v_min < thr.v_tx <= thr.v_max
-        assert thr.v_rx2 >= thr.v_rx1  # window 2 is never cheaper
+        circuit = scenario.circuit
+        v_min, v_max = level_of(circuit.v_min, G), level_of(circuit.operating_voltage, G)
+        assert v_min < level_of(scenario.v_on, G) <= v_max
+        assert v_min < _least_sl1(scenario, G) <= v_max
+        assert [_awake(scenario, G, level)[0] for level in (v_min, v_max)] == [SL0, SL1]
 
 
 def _scanned_threshold(phase, g, v_min, v_max):
@@ -178,28 +211,6 @@ def _scanned_threshold(phase, g, v_min, v_max):
     return next((level for level in range(v_min, v_max + 1)
                  if min(max(level_of(phase.after(level / g), g), 0), v_max) >= target),
                 v_max + 1)
-
-
-# (v_limit, decay, g, target) of steps whose inverted guess misses the least
-# level: a tie that rounds to the even level below the target (the walk goes
-# up), and offsets a few ulps off a tie whose inverse lands above the level
-# (the walk goes down).  Decay 0 steps every level to one end level.
-MISSED_GUESSES = [(2.0, 0.75, 750, 2063), (1.1737539689026355, 0.394853371536401, 1, 2),
-                  (-1.9154465831380607, 0.8302894778275844, 7, 14),
-                  (3.0782657354518954, 0.15749409514016244, 2000, 5764),
-                  (2.39630280097315, 0.24906402871352118, 750, 1710),
-                  (3.0, 0.0, 750, 2000), (3.0, 0.0, 750, 2300)]
-
-
-@pytest.mark.parametrize("v_limit,decay,g,target", MISSED_GUESSES)
-def test_least_level_walks_to_the_scanned_level(v_limit, decay, g, target):
-    phase = phase_with(compile_phase(make_circuit(), DeviceState.TX, 0.05),
-                       v_limit=v_limit, decay=decay)
-    v_min, v_max = level_of(1.8, g), level_of(3.3, g)
-    step = _level_step(phase, g, v_max)
-    want = next((level for level in range(v_min, v_max + 1) if step(level) >= target),
-                v_max + 1)
-    assert _least_level(phase, g, v_min, v_max, target) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,11 +226,16 @@ def test_least_level_walks_to_the_scanned_level(v_limit, decay, g, target):
 @example(capacitor={"esr": 20.0, "epr": 50e3}, frame=(7, 8, 1), c_farads=4.7e-3, power_w=1e-3,
          threshold=0.7, g=20_000)
 @example(capacitor={}, frame=(7, 16, 1), c_farads=4.7e-3, power_w=1e-3, threshold=0.7, g=1)
-def test_threshold_levels_are_the_scanned_levels(capacitor, frame, c_farads, power_w, threshold,
+def test_the_chain_decides_as_the_scanned_levels(capacitor, frame, c_farads, power_w, threshold,
                                                  g):
+    # Each awake state's kind and each window's reward, in the built chain and
+    # at each scanned threshold's edge, are those of the thresholds scanned
+    # level by level: SL1 from the least level whose uplink survives, and a
+    # detected window receives where listening survives and its packet
+    # starts at or above the least level that packet survives from.
     sf, ul_pl, dl_pl = frame
     scenario = _parasitic(make_scenario(sf=sf, ul_pl=ul_pl, dl_pl=dl_pl, c_farads=c_farads,
-                                        power_w=power_w, interval_m=300.0),
+                                        power_w=power_w, interval_m=300.0, p1=0.5, p2=0.5),
                           threshold=threshold, **capacitor)
     circuit, phases = scenario.circuit, scenario.phases
     v_min, v_max = level_of(circuit.v_min, g), level_of(circuit.operating_voltage, g)
@@ -227,13 +243,44 @@ def test_threshold_levels_are_the_scanned_levels(capacitor, frame, c_farads, pow
                           for slot in ("tx", "rx1", "rx2"))
     if v_tx > v_max:
         with pytest.raises(InfeasibleScenario):
-            threshold_levels(scenario, g)
+            build_transition_matrix(scenario, g)
         return
-    thr = threshold_levels(scenario, g)
-    assert (thr.v_min, thr.v_max, thr.v_tx, thr.v_rx1, thr.v_rx2) == \
-        (v_min, v_max, v_tx, v_rx1, v_rx2)
-    assert thr.v_on == level_of(scenario.v_on, g)
-    assert thr.v_off == {phase.state: level_of(phase.v_off, g) for phase in phases.values()}
+    q1, q2 = scenario.branch_odds["rx1"][0], scenario.branch_odds["rx2"][0]
+
+    def step(slot, level):
+        return min(max(level_of(phases[slot].after(level / g), g), 0), v_max)
+
+    def survives(slot, level):
+        return level > level_of(phases[slot].v_off, g)
+
+    def starts(level):
+        """Each window's packet start level: where its listening ends."""
+        w1 = step("listen1", step("idle1", step("tx", level)))
+        return w1, step("listen2", step("idle2", w1))
+
+    def scanned(level):
+        if level < v_tx:
+            return SL0, Rewards(lost=1.0)
+        w1, w2 = starts(level)
+        got1 = survives("listen1", w1) and w1 >= v_rx1
+        got2 = survives("listen1", w1) and survives("listen2", w2) and w2 >= v_rx2
+        return SL1, Rewards(0.0, q1 if got1 else 0.0, q2 if got2 else 0.0)
+
+    tm = build_transition_matrix(scenario, g)
+    for state, reward in zip(tm.states, tm.rewards):
+        if state.kind != OFF:
+            assert (state.kind, reward) == scanned(state.level), state
+    # The levels on either side of v_tx, and of the least SL1 level whose
+    # packet starts at v_rx in each window; starts(level) is monotone.
+    edges = {max(v_tx - 1, v_min), v_tx}
+    for window, v_rx in enumerate((v_rx1, v_rx2)):
+        lo, hi = v_tx, v_max + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if starts(mid)[window] >= v_rx else (mid + 1, hi)
+        edges |= {level for level in (lo - 1, lo) if v_tx <= level <= v_max}
+    for level in sorted(edges):
+        assert _awake(scenario, g, level) == scanned(level), level
 
 
 class TestTransitionMatrix:
@@ -296,7 +343,7 @@ class TestTransitionMatrix:
     def test_state_space_bound_and_ranges(self):
         scenario = make_scenario(interval_m=9.0, p1=0.5, p2=0.5)
         tm = build_transition_matrix(scenario, 200)
-        thr = tm.thresholds
+        thr = reference_thresholds(scenario, 200)
         assert len(tm.states) <= 3 * (thr.v_max + 1)
         for state in tm.states:
             if state.kind == OFF:
@@ -327,10 +374,8 @@ def _toy_matrix(rows, kinds=None, rewards=()):
     states = tuple(ChainState(kinds[i] if kinds else OFF, i) for i in range(n))
     successors = tuple(tuple(np.flatnonzero(row).tolist()) for row in matrix)
     probabilities = tuple(tuple(row[list(cols)].tolist()) for row, cols in zip(matrix, successors))
-    thr = ThresholdLevels(v_min=0, v_on=n, v_tx=n, v_rx1=n + 1, v_rx2=n + 1, v_max=n,
-                          v_off={})
     return TransitionMatrix(states=states, successors=successors, probabilities=probabilities,
-                            rewards=tuple(rewards), thresholds=thr)
+                            rewards=tuple(rewards))
 
 
 @st.composite
@@ -627,7 +672,7 @@ class TestParasiticEdgeCases:
 
     def _builder(self):
         scenario = _parasitic(make_scenario(interval_m=9.0), threshold=0.6, esr=20.0)
-        thr = threshold_levels(scenario, G)
+        thr = reference_thresholds(scenario, G)
         assert thr.v_off[DeviceState.TX] > thr.v_on
         return scenario, thr, SimpleNamespace(row=partial(_row, scenario, G))
 
@@ -814,14 +859,13 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
     assert tm.states == ref.states
     assert tm.successors == ref.successors
     assert tm.rewards == ref.rewards
-    assert dataclasses.asdict(tm.thresholds) == ref.thresholds
     assert dense_matrix(tm).tobytes() == ref.matrix.tobytes()
     # Every sleep-out the reference took ends at the same float, and the
     # compiled (offset, decay) of each step, walked as the row walks it,
     # clips like the reference's at the edges of the range.
     table = _Quantized(scenario, g)
     assert {branch: table.ends[branch] for branch in ref.ends} == ref.ends
-    v_max = tm.thresholds.v_max
+    v_max = level_of(scenario.circuit.operating_voltage, g)
     edges = (-1, 0, v_max, v_max + 1)
 
     def compiled(affine, level):
@@ -863,6 +907,9 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
 # level(v_min)) lies on the chain's one cycle of 6 states.
 @example(sf=7, ul_pl=1, c_farads=0.041811000779908104, power_w=1e-3, threshold=0.56, m=3.0,
          p=(0.0, 0.0), capacitor={}, g=100)
+# A chain of 3,200 states on interior odds, larger than any the draws reach.
+@example(sf=7, ul_pl=1, c_farads=0.031998040513454284, power_w=1e-3, threshold=0.56,
+         m=32.84068657751581, p=(0.20916034696257252, 0.9366546006434646), capacitor={}, g=3180)
 def test_the_one_pass_build_is_the_reference_build(sf, ul_pl, c_farads, power_w, threshold, m,
                                                     p, capacitor, g):
     try:
@@ -888,7 +935,7 @@ def test_the_one_pass_build_is_the_reference_build(sf, ul_pl, c_farads, power_w,
     assert tm.successors == ref.successors
     assert [[q.hex() for q in row] for row in tm.probabilities] == \
         [[q.hex() for q in row] for row in ref.probabilities]
-    assert tm.rewards == ref.rewards and tm.thresholds == ref.thresholds
+    assert tm.rewards == ref.rewards
     assert _closed_classes(tm.successors) == reference_closed_classes(ref.successors)
 
 
@@ -968,8 +1015,8 @@ def test_every_row_rounds_ties_to_even(v_limit):
     tie = {slot: phase if phase.duration is None else phase_with(phase, v_limit=v_limit, decay=0.5)
            for slot, phase in base.phases.items()}
     scenario = with_phases(base, tie)
-    thr = threshold_levels(scenario, 16)
-    reference = ReferenceRowBuilder(scenario, 16, thr)
+    thr = reference_thresholds(scenario, 16)
+    reference = ReferenceRowBuilder(scenario, 16)
     states = [ChainState(OFF, level) for level in range(thr.v_on)] + \
         [ChainState(SL1 if level >= thr.v_tx else SL0, level)
          for level in range(thr.v_min, thr.v_max + 1)]
@@ -982,7 +1029,7 @@ def test_every_row_rounds_ties_to_even(v_limit):
     assert math.exp(-9.0 / tau) == 0.5
     off = phase_with(base.phases["off"], v_limit=1.0, tau=tau)
     stays_off = with_phases(base, {**tie, "off": off})
-    reference = ReferenceRowBuilder(stays_off, 16, threshold_levels(stays_off, 16))
+    reference = ReferenceRowBuilder(stays_off, 16)
     assert _row(stays_off, 16, ChainState(OFF, 1)) == ({ChainState(OFF, 8): 1.0}, Rewards(1.0))
     for state in states[:thr.v_on]:
         assert _row(stays_off, 16, state) == reference.row(state), state
@@ -996,23 +1043,25 @@ def test_a_turn_off_sums_the_rest_of_its_interval_from_the_right():
     # m - ((t_base + t_lead) + t) it would end one float past it and wake.
     scenario = make_scenario(p1=1.0, turn_on_fraction=0.6, interval_m=7.784478601117753)
     table = _Quantized(scenario, G)
-    off_level, t_wake, cross, duration = table.turn_offs["rx1"]
+    off_level, v_off, cross, duration = table.turn_offs["rx1"]
+    t_wake = wake_time(scenario.phases["off"], v_off, scenario.v_on)
     end = 1475
     for slot in ("tx", "idle1", "listen1"):
         end = _step(scenario.phases[slot], end)
     t_base, t_lead, t = table.opens["rx1"], scenario.phases["listen1"].duration, cross(end / G)
-    assert off_level <= end < table.thresholds.v_rx1 and t < duration
+    assert off_level <= end < reference_thresholds(scenario, G).v_rx1 and t < duration
+    assert _step(scenario.phases["rx1"], end) <= off_level
     m = scenario.interval_m
     assert m - (t_base + (t_lead + t)) <= t_wake < m - ((t_base + t_lead) + t)
     want = {ChainState(OFF, 1484): 1.0}, Rewards(0.0)
     assert _row(scenario, G, ChainState(SL1, 1475)) == want
-    assert ReferenceRowBuilder(scenario, G, threshold_levels(scenario, G)).row((SL1, 1475)) == want
+    assert ReferenceRowBuilder(scenario, G).row((SL1, 1475)) == want
 
 
 class TestSharedQuantization:
-    """A phase table keeps the chain's quantized constants per (g, wake
-    target), so every chain on the table shares them, with no store passed
-    in, and chains on different tables never share them."""
+    """A phase table keeps the chain's quantized constants per g, which no
+    threshold changes, so every chain on the table shares them, with no
+    store passed in, and chains on different tables never share them."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -1046,20 +1095,30 @@ class TestSharedQuantization:
         assert [table for _, _, table in built] == [base.table, larger.table]
         for scenario in (base, larger):
             [quantized] = scenario.table.quantized.values()
-            assert quantized.thresholds == threshold_levels(scenario, 100)
-        assert threshold_levels(base, 100) != threshold_levels(larger, 100)
+            assert {slot: cross.__self__ for slot, (*_, cross, _) in
+                    quantized.turn_offs.items()} == {slot: scenario.phases[slot]
+                                                     for slot in quantized.turn_offs}
+        assert base.table.quantized[100] is not larger.table.quantized[100]
 
-    def test_a_threshold_sweep_builds_one_per_g_and_threshold(self, built):
+    def test_a_threshold_sweep_builds_one_per_g(self, built):
+        # Nothing the table quantizes reads the wake target: the sweep's
+        # first cell at each g quantizes the table for its other thresholds.
         base = make_scenario(interval_m=40.0, p1=0.3, p2=0.5)
         thresholds = (0.6, 0.65, 0.7)
         sweep = partial(characterize.threshold_sweep, base, axis="threshold", values=thresholds,
                         m_values=(9.0, 40.0), engine="chain")
         rows = {g: sweep(granularity=g) for g in (100, 200)}
-        wakes = [edit_scenario(base, {"threshold": t}).v_on for t in thresholds]
-        assert [(g, v_on) for g, v_on, _ in built] == [(g, v_on) for g in (100, 200)
-                                                       for v_on in wakes]
+        first = edit_scenario(base, {"threshold": thresholds[0]}).v_on
+        assert [(g, v_on) for g, v_on, _ in built] == [(100, first), (200, first)]
         assert {table for _, _, table in built} == {base.table}
-        assert sweep(granularity=100) == rows[100] and len(built) == 6
+        assert list(base.table.quantized) == [100, 200]
+        assert sweep(granularity=100) == rows[100] and len(built) == 2
+        for g, cells in rows.items():
+            for row in cells:
+                alone = solve_chain(make_scenario(interval_m=row["m_s"], p1=0.3, p2=0.5,
+                                                  turn_on_fraction=row["value"]), g)
+                assert (row["pdr"], row["pdl1"], row["pdl2"]) == \
+                    (alone.pdr, alone.pdl1, alone.pdl2)
 
 @st.composite
 def _digraphs(draw):

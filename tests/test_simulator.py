@@ -123,6 +123,18 @@ class TestScenarioValidation:
             simulator.check_seeds(seeds)
         assert str(raised.value) == message
 
+    # run_simulation once returned seed 1's counters for seed -1, and ran
+    # 1.5, True and "7" as seeds of their own.
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seeds must be >= 0, got [-1]"), (1.5, "seeds must be whole numbers, got [1.5]"),
+        (True, "seeds must be whole numbers, got [True]"),
+        ("7", "seeds must be whole numbers, got ['7']")])
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_run_simulation_checks_its_seed_as_run_seeds_does(self, seed, message, trace):
+        with pytest.raises(ScenarioError) as raised:
+            run_simulation(make_scenario(p1=0.5), seed, 10, trace=trace)
+        assert str(raised.value) == message
+
 
 class TestDeterminism:
     def test_bit_identical_reruns(self):

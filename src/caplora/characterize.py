@@ -16,17 +16,17 @@ grid that reads none, such as wakeup's, compiles none), cells with equal
 (p1, p2) their branch odds, and cells with equal edits one scenario.
 The threshold edits the scenario's v_sl, so a threshold sweep runs on
 one circuit and one table.  cycle.seeded_scenario puts a cell's shared
-parts in its Scenario.  The chain's cells on one table share its
-quantized constants per granularity, whatever their thresholds, which
-the table keeps (cycle.PhaseTable).  The simulator's cells share each
-seed's tail where their runs settle before any draw (see simulator's
-"Seed-free start"), from a store that lives for one call.
+parts in its Scenario.  The cells on one table share what it keeps
+(cycle.PhaseTable) for as long as it lives: the chain's quantized
+constants, and each seed's counted tail of a simulator run that settles
+before any draw (simulator's "Seed-free start").
 Sweep and accuracy cells share one engine-pair measure, _measure: the
 simulator's mean ratios over the seeds, or the chain's metrics with the
 solve's wall time.  It raises InfeasibleScenario for a cell whose
-device never wakes (its threshold beyond the charging ceiling) or whose
-chain has no feasible level.  A sweep turns that into a feasible = False
-row; the accuracy study lets it propagate.
+device never wakes (its threshold beyond the charging ceiling), whose
+uplink turns off even from E, or whose chain has no feasible level.  A
+sweep turns that into feasible = False rows; the accuracy study lets it
+propagate.
 
 The capacitance/interval analyses run the analytic uplink/downlink cycle
 of single_cycle_trace (cycle.analytic_slots) through CycleCheck and
@@ -38,12 +38,12 @@ operation order and steps each phase by the simulator walk's rule,
 trace free, so it answers exactly what single_cycle_trace answers on a
 circuit rebuilt at that capacitance, with no circuit, schedule or Phase
 built.  min_capacitance asks only "does the cycle complete from the
-charging ceiling", bisected to 0.01 mF by default.  A search checks its
-start voltage and the ends of its bracket once; the trials between them
-run unchecked.  min_tx_interval also needs the start voltage, bisected
-to 0.1 mV, and adds the Off phase's charge time to the cycle's
-durations.  wakeup_time is the Off phase's charge time to the scenario's
-wake target, the same helper the Markov chain wakes with.
+charging ceiling", bisected over [0.1 mF, 1 F] to 0.01 mF.
+min_tx_interval also needs the start voltage, bisected from v_min to
+just under the ceiling to 0.1 mV, and adds the Off state's charge time
+(energy.time_to_voltage) to the cycle's durations.  Every bracket end is
+a valid input, so no trial is checked.  wakeup_time is the Off state's
+charge time to the scenario's wake target.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from . import defaults
 from .cycle import (Scenario, analytic_slots, check_start, cycle_length, seeded_scenario,
                     slot_timing)
-from .energy import (CircuitConfig, DeviceState, compile_phase, decay_step, off_time,
-                     time_constant, wake_time)
+from .energy import (CircuitConfig, DeviceState, decay_step, off_time, time_constant,
+                     time_to_voltage)
 from .errors import InfeasibleScenario, NoFeasibleCapacitance, ScenarioError
-from .markov import check_granularity, solve_chain
+from .markov import check_granularity, solve_chain, unfunded_uplink
 from .simulator import check_seeds, run_seeds
 from .timing import TimingSchedule
 
@@ -237,10 +237,10 @@ class CycleCheck:
     place of the second listening window, 'none' listens through both;
     `phases` lists the cycle's (state, duration) pairs in order.  Each
     step keeps the C-independent constants of its state (see the module
-    docstring); run() checks its inputs and step() forms tau with
-    energy.time_constant and applies the simulator walk's phase rule
-    through energy's off_time and decay_step, so it gives
-    single_cycle_trace's final voltage and completed flag bit for bit.
+    docstring); step() forms tau with energy.time_constant and applies
+    the simulator walk's phase rule through energy's off_time and
+    decay_step, so it gives single_cycle_trace's final voltage and
+    completed flag bit for bit.  run() is step() with its inputs checked.
     """
 
     __slots__ = ("circuit", "phases", "_steps")
@@ -257,19 +257,15 @@ class CycleCheck:
         circuit's capacitor, or one of `capacitance` farads with the same
         ESR and EPR; completed is False when the capacitor touched the
         turn-off voltage anywhere in the cycle."""
-        return self.step(v_start, self.check(v_start, capacitance))
-
-    def check(self, v_start: float, capacitance: float | None = None) -> float:
-        """Validate run's inputs, in run's order; the capacitance it takes."""
         check_start(self.circuit, v_start)
         c = self.circuit.capacitor.capacitance if capacitance is None else capacitance
         if not 0 < c < math.inf:
             raise ScenarioError(f"capacitance must be finite and > 0, got {c}")
-        return c
+        return self.step(v_start, c)
 
     def step(self, v_start: float, c: float) -> tuple[float, bool]:
-        """run at capacitance c without its checks, for a search whose
-        bracket ends passed them: every trial between them is valid too."""
+        """run at capacitance c without its checks, for the searches, whose
+        every trial is valid."""
         v = v_start
         for duration, r_series, ratio, v_limit, v_off, v_guard in self._steps:
             tau = time_constant(r_series, c, ratio)
@@ -295,19 +291,15 @@ def required_cycle_voltage(scenario: Scenario, dl_case: str = "none") -> float |
     cycle = CycleCheck(circuit, scenario.schedule, dl_case)
     c = circuit.capacitor.capacitance
     return _bisect(lambda v: cycle.step(v, c)[1], circuit.v_min, _ceiling_start(circuit),
-                   defaults.CYCLE_VOLTAGE_TOL_V, cycle.check)
+                   defaults.CYCLE_VOLTAGE_TOL_V)
 
 
-def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float,
-            check: Callable[[float], object]) -> float | None:
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float) -> float | None:
     """The least x in [lo, hi] where the monotone test `holds` is true, to
     within tol from above: None when it fails at hi, lo when it holds there.
-    `check` validates each end of the bracket just before it is tried; every
-    trial between two valid ends is valid, so `holds` need not check."""
-    check(hi)
+    Both ends are valid inputs of `holds`, so every trial is."""
     if not holds(hi):
         return None
-    check(lo)
     if holds(lo):
         return lo
     while hi - lo > tol:
@@ -319,11 +311,9 @@ def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float,
     return hi
 
 
-def min_capacitance(scenario: Scenario, dl_case: str = "none",
-                    lo_f: float = defaults.CAPACITANCE_SEARCH_LO_F,
-                    hi_f: float = defaults.CAPACITANCE_SEARCH_HI_F,
-                    tol_f: float = defaults.CAPACITANCE_TOL_F) -> float:
-    """Smallest capacitance whose cycle is feasible from some start voltage.
+def min_capacitance(scenario: Scenario, dl_case: str = "none") -> float:
+    """Smallest capacitance whose cycle is feasible from some start voltage,
+    within the defaults' CAPACITANCE_SEARCH_* bracket and CAPACITANCE_TOL_F.
 
     A cycle is feasible from some start voltage exactly when it completes
     from the charging ceiling (the top of required_cycle_voltage's
@@ -332,11 +322,11 @@ def min_capacitance(scenario: Scenario, dl_case: str = "none",
     """
     cycle = CycleCheck(scenario.circuit, scenario.schedule, dl_case)
     v_start = _ceiling_start(scenario.circuit)  # the ceiling does not depend on C
-    c = _bisect(lambda c: cycle.step(v_start, c)[1], lo_f, hi_f, tol_f,
-                lambda c: cycle.check(v_start, c))
+    c = _bisect(lambda c: cycle.step(v_start, c)[1], defaults.CAPACITANCE_SEARCH_LO_F,
+                defaults.CAPACITANCE_SEARCH_HI_F, defaults.CAPACITANCE_TOL_F)
     if c is None:
         raise NoFeasibleCapacitance(
-            f"even {hi_f} F cannot complete the {dl_case} cycle at "
+            f"even {defaults.CAPACITANCE_SEARCH_HI_F} F cannot complete the {dl_case} cycle at "
             f"{scenario.circuit.harvester.harvest_power} W"
         )
     return c
@@ -353,7 +343,7 @@ def min_tx_interval(scenario: Scenario, dl_case: str = "none") -> float:
             f"C = {circuit.capacitor.capacitance} F cannot complete "
             f"the {dl_case} cycle at {circuit.harvester.harvest_power} W"
         )
-    t_charge = compile_phase(circuit, DeviceState.OFF).cross(circuit.v_min, v_star)
+    t_charge = time_to_voltage(circuit, DeviceState.OFF, circuit.v_min, v_star)
     return t_charge + cycle_length(scenario.schedule, analytic_slots(dl_case))
 
 
@@ -362,22 +352,23 @@ def wakeup_time(scenario: Scenario) -> float:
     scenario.v_on, where the Off-state load reaches the turn-on threshold.
     0 when v_on lies at or below v_min; math.inf when the threshold exceeds
     what the harvester can ever reach."""
-    circuit = scenario.circuit
-    return wake_time(compile_phase(circuit, DeviceState.OFF), circuit.v_min, scenario.v_on)
+    circuit, v_on = scenario.circuit, scenario.v_on
+    if circuit.v_min >= v_on:
+        return 0.0
+    return time_to_voltage(circuit, DeviceState.OFF, circuit.v_min, v_on)
 
 
 # -- threshold sweep --------------------------------------------------------
 
-def _simulate_mean(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
-                   tails: dict | None = None) -> tuple[float, float, float]:
+def _simulate_mean(scenario: Scenario, seeds: Sequence[int],
+                   n_scheduled: int) -> tuple[float, float, float]:
     """Mean delivery ratios over one simulator run per seed.
 
     The runs come from simulator.run_seeds, whose seeds share the settle
     test of their common start and, when every draw has a fixed outcome,
-    one run; each seed is counted once.  `tails` is the grid's store of
-    seed tails that run_seeds shares between cells.
+    one run; each seed is counted once.
     """
-    runs = run_seeds(scenario, seeds, n_scheduled, tails)
+    runs = run_seeds(scenario, seeds, n_scheduled)
     pdr = pdl1 = pdl2 = 0.0
     for stats in runs:
         pdr += stats.pdr
@@ -387,27 +378,30 @@ def _simulate_mean(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
     return pdr / n, pdl1 / n, pdl2 / n
 
 
-def _measure(engine: str, seeds: tuple, n_scheduled: int, cell: GridCell,
-             tails: dict | None = None) -> tuple[float, float, float, float]:
+def _measure(engine: str, seeds: tuple, n_scheduled: int,
+             cell: GridCell) -> tuple[float, float, float, float]:
     """One engine of the pair on one cell: (pdr, pdl1, pdl2, seconds).
 
-    The simulator's ratios are means over `seeds`, with seconds 0; its
-    runs share seed tails with the grid's other cells through `tails`.  The
+    The simulator's ratios are means over `seeds`, with seconds 0.  The
     chain's are its long-run metrics, and seconds is the wall time of its
-    solve; its chains share their quantized phase table with the grid's
-    other cells on that table (cycle.PhaseTable).  A cell whose device can
-    never wake (its wake target at or beyond the Off state's asymptote)
-    raises InfeasibleScenario before either engine runs; the chain's
-    InfeasibleScenario propagates too.
+    solve.  A cell raises InfeasibleScenario before either engine runs
+    when its device can never wake (its wake target at or beyond the Off
+    state's asymptote) or its uplink turns off even from E (the walk's
+    phase rule).  The chain's InfeasibleScenario propagates too: it judges
+    the uplink from E's level, so at a level-rounding edge the two differ.
     """
     scenario = cell.scenario
     circuit = scenario.circuit
+    e = circuit.operating_voltage
     if scenario.v_on >= circuit.asymptote(DeviceState.OFF):
         raise InfeasibleScenario(
-            f"the turn-on threshold ({scenario.v_sl / circuit.operating_voltage:.6g} of E) is "
+            f"the turn-on threshold ({scenario.v_sl / e:.6g} of E) is "
             f"beyond the Off state's charging ceiling; the device never wakes")
+    tx = scenario.phases["tx"]
+    if e <= tx.v_guard and tx.cross(e) <= tx.duration:
+        raise unfunded_uplink(scenario)
     if engine == "simulator":
-        return (*_simulate_mean(scenario, seeds, n_scheduled, tails), 0.0)
+        return (*_simulate_mean(scenario, seeds, n_scheduled), 0.0)
     t0 = time.perf_counter()
     result = solve_chain(scenario, cell.granularity)
     return result.pdr, result.pdl1, result.pdl2, time.perf_counter() - t0
@@ -419,14 +413,14 @@ def _check_distinct(name: str, values: Sequence) -> None:
         raise ScenarioError(f"{name} must not repeat a value, got {list(values)}")
 
 
-def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int, tails: dict,
+def _sweep_cell(axis: str, engines: tuple, seeds: tuple, n_scheduled: int,
                 cell: GridCell) -> list[dict]:
     rows = []
     for engine in engines:
         pdr = pdl1 = pdl2 = 0.0
         feasible = True
         try:
-            pdr, pdl1, pdl2, _ = _measure(engine, seeds, n_scheduled, cell, tails)
+            pdr, pdl1, pdl2, _ = _measure(engine, seeds, n_scheduled, cell)
         except InfeasibleScenario:
             feasible = False
         rows.append({"axis": axis, "value": float(cell.point[0]), "m_s": cell.scenario.interval_m,
@@ -464,8 +458,7 @@ def threshold_sweep(scenario: Scenario, *, axis: str, values: Sequence[float],
         raise ScenarioError("a simulator sweep needs at least one seed")
     check_seeds(seeds)
     axes = [(axis, values)] + ([("interval_m", m_values)] if m_values else [])
-    # One store of seed tails per call; each pool task gets its own copy.
-    measure = partial(_sweep_cell, axis, engines, tuple(seeds), n_scheduled, {})
+    measure = partial(_sweep_cell, axis, engines, tuple(seeds), n_scheduled)
     cells = evaluate_grid(scenario, axes, measure, granularity, jobs)
     return [row for rows in cells for row in rows]
 
@@ -503,9 +496,9 @@ def accuracy_case_edits(case: tuple[str, str]) -> dict:
                             f"are {''.join(ACCURACY_CASES)}, M classes {M_CLASSES}") from None
 
 
-def _accuracy_cell(n_scheduled: int, seeds: tuple, tails: dict, cell: GridCell) -> dict:
+def _accuracy_cell(n_scheduled: int, seeds: tuple, cell: GridCell) -> dict:
     _, threshold, (case_id, m_class), (p1, p2) = cell.point
-    pdr_sim = _measure("simulator", seeds, n_scheduled, cell, tails)[0]
+    pdr_sim = _measure("simulator", seeds, n_scheduled, cell)[0]
     pdr_mc, _, _, seconds = _measure("chain", seeds, n_scheduled, cell)
     return {"case": case_id, "m_class": m_class, "m_s": cell.scenario.interval_m,
             "p1": p1, "p2": p2, "threshold": threshold, "granularity": cell.granularity,
@@ -538,8 +531,7 @@ def accuracy_study(base: Scenario,
             (("case", "m_class"), [(c, m) for c in cases for m in m_classes],
              accuracy_case_edits),
             (("p1", "p2"), p_combos, lambda p: {"p1": p[0], "p2": p[1]})]
-    return evaluate_grid(base, axes, partial(_accuracy_cell, n_scheduled, tuple(seeds), {}),
-                         jobs=jobs)
+    return evaluate_grid(base, axes, partial(_accuracy_cell, n_scheduled, tuple(seeds)), jobs=jobs)
 
 
 @dataclass(frozen=True)

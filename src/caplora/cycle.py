@@ -112,15 +112,17 @@ class Scenario:
 
 class PhaseTable:
     """One circuit's phases on one schedule: `phases` is phase_table's,
-    compiled on first read, so a table nobody reads compiles nothing, and
+    compiled on first read, so a table nobody reads compiles nothing;
     `quantized` holds the Markov chain's markov._Quantized per g, which
-    no threshold changes.  Every scenario on the circuit and schedule can
-    share one table (seeded_scenario), whatever its threshold, interval
-    and odds."""
+    no threshold changes, and `tails` the simulator's seed tails, which
+    depend on no phase (see simulator's "Seed-free start").  Every
+    scenario on the circuit and schedule can share one table
+    (seeded_scenario), whatever its threshold, interval and odds."""
 
     def __init__(self, circuit: CircuitConfig, schedule: TimingSchedule):
         self.circuit, self.schedule = circuit, schedule
         self.quantized: dict = {}
+        self.tails: dict = {}
 
     @cached_property
     def phases(self) -> dict[str, Phase]:

@@ -50,7 +50,7 @@ P2 = 0.0
 # Markov chain quantization (voltage levels per volt)
 GRANULARITY = 750
 
-# Numerical knobs (overridable through the library API)
+# Sizing searches: the capacitance bracket and each bisection's tolerance
 CAPACITANCE_SEARCH_LO_F = 0.1e-3
 CAPACITANCE_SEARCH_HI_F = 1.0
 CAPACITANCE_TOL_F = 0.01e-3

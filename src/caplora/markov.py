@@ -115,6 +115,14 @@ def _affine(phase: Phase, t: float) -> tuple[float, float]:
     return phase.v_limit * (1.0 - decay), decay
 
 
+def unfunded_uplink(scenario: Scenario) -> InfeasibleScenario:
+    """The error of a scenario whose uplink turns off even from E."""
+    circuit, tx = scenario.circuit, scenario.phases["tx"]
+    return InfeasibleScenario(f"no voltage level up to {circuit.operating_voltage} V can fund a "
+                              f"{tx.duration * 1e3:.1f} ms transmission with C = "
+                              f"{circuit.capacitor.capacitance * 1e3:.3g} mF")
+
+
 class _Quantized:
     """One phase table at g levels per volt: what every chain on it shares,
     whatever its threshold, interval and odds.
@@ -143,11 +151,7 @@ class _Quantized:
             turn_offs[slot] = (level_of(phase.v_off, g), phase.v_off, phase.cross, phase.duration)
         tx = phases["tx"]
         if round((tx.offset + v_max / g * tx.decay) * g) <= turn_offs["tx"][0]:
-            raise InfeasibleScenario(
-                f"no voltage level up to {circuit.operating_voltage} V can fund a "
-                f"{tx.duration * 1e3:.1f} ms transmission with C = "
-                f"{circuit.capacitor.capacitance * 1e3:.3g} mF"
-            )
+            raise unfunded_uplink(scenario)
         schedule = scenario.schedule
         self.ends = {branch: cycle_length(schedule, spec.slots)
                      for branch, spec in BRANCHES.items()}

@@ -83,9 +83,10 @@ settle test memoizes its answer on (v, k), so run_seeds tests that start
 once for all seeds.  With one reachable branch every draw passes or fails
 whatever its value, so one run serves every seed.  A run that settles
 before it walks a cycle has drawn nothing, so its draw-loop tail depends
-only on the seed, the slots left, p1, p2 and the settled outcomes; the
-cells of one grid share each seed's tail through run_seeds' `tails`,
-which lives for one grid call.
+only on the seed, the slots left, p1, p2 and the settled outcomes.  That
+key names the same tail on any table, so the runs keep each such tail on
+their scenario's phase table (cycle.PhaseTable.tails), and the scenarios
+that share the table share it, as long as the table lives.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def _ends_alike(cycle: tuple[dict[str, Outcome], ...]) -> bool:
 def _tail_key(seed: int, remaining: int, cycle: tuple[dict[str, Outcome], ...], p1: float,
               p2: float) -> tuple:
     """What a draw-loop tail reads besides its generator's state: the key of
-    a seed's tail among the runs of one grid that drew nothing before it."""
+    a seed's tail among the runs that drew nothing before it."""
     return (seed, remaining, p1, p2, *(tuple(outcomes.items()) for outcomes in cycle))
 
 
@@ -467,23 +468,22 @@ def check_seeds(seeds: Sequence[int]) -> None:
         raise ScenarioError(f"seeds must not repeat a value, got {list(seeds)}")
 
 
-def run_seeds(scenario: Scenario, seeds: Sequence[int], n_scheduled: int = 1000,
-              tails: dict | None = None) -> list[SimStats]:
+def run_seeds(scenario: Scenario, seeds: Sequence[int], n_scheduled: int = 1000) -> list[SimStats]:
     """run_simulation's counters for each of `seeds`, in order; the seeds
-    share the settle test of their common start.  `tails`, when given,
-    holds the draw-loop tails of runs that drew nothing before settling,
-    for the other cells of one grid to reuse (see the module docstring)."""
+    share the settle test of their common start, and a run that drew
+    nothing before settling shares its tail through the phase table (see
+    the module docstring)."""
     if not seeds:
         raise ScenarioError("run_seeds needs at least one seed")
     check_seeds(seeds)
-    return [stats for stats, _ in _simulate(scenario, seeds, n_scheduled, False, tails)]
+    return [stats for stats, _ in _simulate(scenario, seeds, n_scheduled, False)]
 
 
 def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
-              trace: bool, tails: dict | None = None) -> list[tuple[SimStats, list[TracePoint]]]:
+              trace: bool) -> list[tuple[SimStats, list[TracePoint]]]:
     """One (counters, trace) run per seed, or one for all seeds when a
     single branch is reachable; the runs share one settle test, and those
-    that settle before any draw share their tails through `tails`."""
+    that settle before any draw share their tails on the phase table."""
     if isinstance(n_scheduled, bool) or not isinstance(n_scheduled, int):
         raise ScenarioError(f"n_scheduled must be a whole number of slots, got {n_scheduled!r}")
     if n_scheduled < 1:
@@ -500,7 +500,7 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
     silent = tuple((slot, table[slot], b and (getattr(scenario, BRANCHES[b].odds), b, paths[b]))
                    for slot, b in PATH)
     single = len(scenario.branches) == 1
-    p1, p2, v_min = scenario.p1, scenario.p2, scenario.circuit.v_min
+    p1, p2, v_min, tails = scenario.p1, scenario.p2, scenario.circuit.v_min, scenario.table.tails
 
     def run(seed: int) -> tuple[SimStats, list[TracePoint]]:
         # The generator is seeded at the run's first draw: a run that settles
@@ -521,7 +521,7 @@ def _simulate(scenario: Scenario, seeds: Sequence[int], n_scheduled: int,
                     remaining = n_scheduled - k
                     if _ends_alike(settled):
                         counted = _count_tail(settled, remaining, None, p1, p2)
-                    elif tails is None or ended:
+                    elif ended:
                         draw = draw or random.Random(seed).random
                         counted = _count_tail(settled, remaining, draw, p1, p2)
                     else:

@@ -368,6 +368,21 @@ class TestCli:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["1", "1", "0", "0"]
 
+    def test_a_cell_whose_uplink_no_charge_funds_is_infeasible_on_both_engines(self, capsys):
+        # At 10 and 100 uF the uplink turns the device off even from E: the
+        # simulator's rows say so as the chain's do, not pdr 0 as feasible.
+        argv = ["sweep", "--axis", "capacitance", "--values", "1e-5,1e-4,4.7e-3", "--m", "10",
+                "--n", "100"]
+        assert main(argv + ["--engine", "both"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[1], row[3], row[4], row[-1]) for row in rows] == [
+            ("1e-05", "simulator", "0", "0"), ("1e-05", "chain", "0", "0"),
+            ("0.0001", "simulator", "0", "0"), ("0.0001", "chain", "0", "0"),
+            ("0.0047", "simulator", "0.33", "1"), ("0.0047", "chain", "0.333333", "1")]
+        assert main(argv[:4] + ["1e-5"] + argv[5:] + ["--engine", "simulator"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "capacitance,1e-05,10,simulator,0,0,0,0"]
+
     def test_sweep_without_seeds_exits_2(self, capsys):
         code = main(["sweep", "--axis", "threshold", "--values", "0.7", "--seeds", ""])
         assert code == 2
@@ -739,6 +754,11 @@ ENGINE_GOLDEN_CALLS = {
                                          str(GOLDEN / "stochastic_even.ini"), "--axis",
                                          "granularity", "--values", "750,2000,5000",
                                          "--m", "5,10,35,40", "--engine", "chain"],
+    # Chains whose start reaches two closed classes (ideal parts, p2 = 1):
+    # 20 states in classes of 2 and 10 at SF10, 17 in classes of 5 and 6 at
+    # SF12.  The SF12 file's 7 B uplink raises the payload warning.
+    "chain_two_regimes_sf10.csv": ["chain", "--scenario", str(GOLDEN / "two_regimes_sf10.ini")],
+    "chain_two_regimes_sf12.csv": ["chain", "--scenario", str(GOLDEN / "two_regimes_sf12.ini")],
 }
 
 
@@ -1168,6 +1188,14 @@ def test_parasitic_matrix_dump_is_byte_identical(tmp_path, capsys):
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / "chain_parasitic.csv").read_bytes()
     assert dump.read_bytes() == (GOLDEN / "chain_parasitic_matrix.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["chain_two_regimes_sf10", "chain_two_regimes_sf12"])
+def test_two_regime_matrix_dump_is_byte_identical(name, tmp_path, capsys):
+    dump = tmp_path / "matrix.csv"
+    assert main(ENGINE_GOLDEN_CALLS[f"{name}.csv"] + ["--dump-matrix", str(dump)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.csv").read_bytes()
+    assert dump.read_bytes() == (GOLDEN / f"{name}_matrix.csv").read_bytes()
 
 
 # stochastic.ini at M = 7 s, a 56 % threshold and g = 200: 5 states.  Its SL0

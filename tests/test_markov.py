@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pathlib
+import warnings
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -886,9 +887,10 @@ def test_the_compiled_chain_is_the_reference_chain(capacitor, frame, p, g, thres
 # The one-pass build against the builder it replaced (conftest.reference_build):
 # every state, successor, probability bit, reward and closed class, on random
 # scenarios with ideal and ESR/EPR parts, certain and interior odds.  The
-# start is transient in most chains; no scenario of the model drawn so far
-# reaches two closed classes, which test_closed_classes_are_the_dense_ones
-# covers on random digraphs.
+# start is transient in most chains.  No draw here reaches two closed
+# classes, though model scenarios at SF10 and SF12 do (see
+# test_a_model_chain_with_two_regimes_weighs_them_by_p1);
+# test_closed_classes_are_the_dense_ones covers such classes on random digraphs.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(sf=st.integers(7, 9), ul_pl=st.integers(1, 48), c_farads=st.floats(4.7e-3, 47e-3),
@@ -1003,6 +1005,33 @@ def test_a_class_with_one_reward_is_its_reward(sf, ul_pl, c_farads, power_w, thr
     assert result.states == tm.states
     pi = result.pi
     assert result.pi is pi and [q.hex() for q in pi] == [q.hex() for q in solved]
+
+
+# Two ideal parts with p2 = 1 whose start reaches two closed classes, at
+# g = 750 and 5000 (at g = 2000 the SF10 chain has one class): whether the
+# first window receives decides the device's regime for good, so each
+# class's long-run mass is p1 or 1 - p1.  That is checked against the
+# dense oracle here; the chain assumes nothing of it.
+@pytest.mark.parametrize("g", [750, 5000])
+@pytest.mark.parametrize("name", ["two_regimes_sf10.ini", "two_regimes_sf12.ini"])
+def test_a_model_chain_with_two_regimes_weighs_them_by_p1(name, g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # the SF12 file's 7 B uplink
+        scenario = load_scenario(str(pathlib.Path(__file__).parent / "data" / name)).scenario
+    tm = build_transition_matrix(scenario, g)
+    classes = _closed_classes(tm.successors)
+    assert len(classes) == 2
+    result = long_run_metrics(tm)
+    want = chain_metrics(stationary_distribution(tm), tm)
+    assert [x.hex() for x in (result.pdr, result.pdl1, result.pdl2)] == \
+        [x.hex() for x in (want.pdr, want.pdl1, want.pdl2)]
+    oracle = stationary_oracle(dense_matrix(tm), 0)
+    metrics = oracle @ np.array(tm.rewards)
+    assert (result.pdr, result.pdl1, result.pdl2) == \
+        pytest.approx((1.0 - metrics[0], metrics[1], metrics[2]), abs=1e-12)
+    masses = sorted(oracle[members].sum() for members in classes)
+    p1 = scenario.p1
+    assert masses == pytest.approx(sorted((p1, 1.0 - p1)), abs=1e-12)
 
 
 # Timed slots with decay 1/2 at g = 16 levels per volt: level L steps to

@@ -1153,8 +1153,9 @@ class TestSharedStart:
     def test_a_run_that_drew_before_settling_ignores_a_stored_tail(self, monkeypatch):
         # SF7, 51 B downlinks, 4.7 mF at 3 mW, threshold 0.69, M = 5 s: the
         # run walks (and draws in) five on-slots before its branches settle
-        # apart.  A store holding the answer its seed gives from a fresh
-        # generator, under the key the run looks up, must not be read.
+        # apart.  A tail planted on its phase table under the key the run
+        # looks up, the answer its seed gives from a fresh generator, must
+        # not be read.
         scenario = make_scenario(dl_pl=51, interval_m=5.0, p1=0.7, p2=0.5, c_farads=4.7e-3,
                                  power_w=3e-3, turn_on_fraction=0.69)
         seed, n = 1, 300
@@ -1172,19 +1173,23 @@ class TestSharedStart:
         assert not simulator._ends_alike(cycle) and remaining < n - 1
         fresh = real(cycle, remaining, random.Random(seed).random, 0.7, 0.5)
         assert fresh != counted
-        stored = {simulator._tail_key(seed, remaining, cycle, 0.7, 0.5): fresh}
-        assert simulator.run_seeds(scenario, (seed,), n, stored) == want
+        assert not scenario.table.tails
+        scenario.table.tails[simulator._tail_key(seed, remaining, cycle, 0.7, 0.5)] = fresh
+        assert simulator.run_seeds(scenario, (seed,), n) == want
         assert len(tails) == 2
 
-    def test_a_run_that_settles_before_any_draw_stores_its_tail(self):
+    def test_a_run_that_settles_before_any_draw_stores_its_tail(self, monkeypatch):
         # sim_sweep's stochastic point at 70 %: the first on-slot settles,
-        # so each seed's tail goes to the store and the next cell reads it.
+        # so each seed's tail goes to the phase table, and the next runs on
+        # the table read it.
         scenario = _scenario("ideal", 0.7, 40.0, 0.3, 0.5)
-        seeds, stored = (1, 2, 3), {}
-        want = simulator.run_seeds(scenario, seeds, 1000)
-        assert simulator.run_seeds(scenario, seeds, 1000, stored) == want
+        seeds, stored = (1, 2, 3), scenario.table.tails
+        want = [run_simulation(scenario, seed, 1000, trace=True)[0] for seed in seeds]
+        assert not stored
+        assert simulator.run_seeds(scenario, seeds, 1000) == want
         assert [key[0] for key in stored] == list(seeds)
-        assert simulator.run_seeds(scenario, seeds, 1000, stored) == want
+        monkeypatch.setattr(simulator, "_count_tail", None)   # read, never counted again
+        assert simulator.run_seeds(scenario, seeds, 1000) == want
 
     def test_one_reachable_branch_walks_once_for_every_seed(self, monkeypatch):
         # p1 = 1 never opens window 2, so p2 = 0.5 is never drawn.
